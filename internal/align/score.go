@@ -16,31 +16,26 @@ import (
 // Hot paths should reuse a Scratch ((*Scratch).Score and friends): the
 // package-level functions allocate fresh buffers on every call.
 func Score(p Params, s1, s2 []byte) []int32 {
-	return new(Scratch).score(p, s1, s2, nil, 0)
+	return new(Scratch).score(p, s1, s2, nil, 0, 0)
 }
 
 // ScoreMasked is Score with override masking: cells whose global residue
 // pair (y, r+x) is marked in tri are forced to zero (the paper's
 // "overriding zeros"), where r is the split position of this matrix.
 func ScoreMasked(p Params, s1, s2 []byte, tri *triangle.Triangle, r int) []int32 {
-	if tri == nil {
-		return new(Scratch).score(p, s1, s2, nil, 0)
-	}
-	return new(Scratch).score(p, s1, s2, tri, r)
+	return new(Scratch).score(p, s1, s2, tri, 0, r)
 }
 
-// score is the shared kernel. tri == nil disables masking. All working
-// memory comes from the receiver; the returned bottom row is arena-owned.
-func (sc *Scratch) score(p Params, s1, s2 []byte, tri *triangle.Triangle, r int) []int32 {
+// score is the one linear-memory forward body: every score-only entry
+// point except the striped kernel is a wrapper over it. The operands sit
+// at offset (dy, dx) in global pair space — local cell (y, x) is the
+// pair (dy+y, dx+x) — which only the override mask needs to know: a
+// split r is (0, r), a window (Y0-1, X0-1). tri == nil disables masking.
+// All working memory comes from the receiver; the returned bottom row is
+// arena-owned.
+func (sc *Scratch) score(p Params, s1, s2 []byte, tri *triangle.Triangle, dy, dx int) []int32 {
 	len1, len2 := len(s1), len(s2)
 	bottom := growI32(&sc.bottom, len2)
-	if len1 == 0 || len2 == 0 {
-		for i := range bottom {
-			bottom[i] = 0
-		}
-		return bottom
-	}
-
 	prev := growI32(&sc.prev, len2+1) // M[y-1][*]
 	cur := growI32(&sc.cur, len2+1)   // M[y][*]
 	maxY := growI32(&sc.maxY, len2+1) // column gap running maxima
@@ -51,81 +46,98 @@ func (sc *Scratch) score(p Params, s1, s2 []byte, tri *triangle.Triangle, r int)
 	open, ext := p.Gap.Open, p.Gap.Ext
 
 	for y := 1; y <= len1; y++ {
-		row := p.Exch.Row(s1[y-1])
-		maxX := int32(negInf)
+		exch := p.Exch.Row(s1[y-1])
 		cur[0] = 0
-
-		masked := false
 		base := 0
 		if tri != nil {
-			base = maskBase(tri, r, y)
-			masked = !tri.RowEmpty(base, len2)
+			base = maskBase(tri, dx, dy+y)
 		}
-
-		if !masked {
+		if tri == nil || tri.RowEmpty(base, len2) {
 			// fast path: no overridden pair in this row
-			for x := 1; x <= len2; x++ {
-				d := prev[x-1]
-				best := d
-				if maxX > best {
-					best = maxX
-				}
-				if my := maxY[x]; my > best {
-					best = my
-				}
-				v := best + int32(row[s2[x-1]])
-				if v < 0 {
-					v = 0
-				}
-				cur[x] = v
-				g := d - open
-				h := g
-				if maxX > h {
-					h = maxX
-				}
-				maxX = h - ext
-				if my := maxY[x]; my > g {
-					g = my
-				}
-				maxY[x] = g - ext
-			}
+			gotohRow(prev, cur, maxY, exch, s2, open, ext)
 		} else {
-			for x := 1; x <= len2; x++ {
-				d := prev[x-1]
-				var v int32
-				if tri.GetAt(base + x - 1) {
-					v = 0
-				} else {
-					best := d
-					if maxX > best {
-						best = maxX
-					}
-					if my := maxY[x]; my > best {
-						best = my
-					}
-					v = best + int32(row[s2[x-1]])
-					if v < 0 {
-						v = 0
-					}
-				}
-				cur[x] = v
-				g := d - open
-				h := g
-				if maxX > h {
-					h = maxX
-				}
-				maxX = h - ext
-				if my := maxY[x]; my > g {
-					g = my
-				}
-				maxY[x] = g - ext
-			}
+			gotohRowMasked(prev, cur, maxY, exch, s2, open, ext, tri, base)
 		}
 		prev, cur = cur, prev
 	}
 	sc.prev, sc.cur = prev, cur // keep the swap so reuse stays coherent
 	copy(bottom, prev[1:])
 	return bottom
+}
+
+// gotohRow computes cells 1..len(s2) of one matrix row of the Figure 3
+// recurrence into cur, from the row above (prev) and the running column
+// gap maxima maxY, which it advances. exch is the exchange row of this
+// row's vertical residue. prev, cur and maxY hold len(s2)+1 entries;
+// entry 0 is the caller's boundary.
+func gotohRow(prev, cur, maxY []int32, exch []int16, s2 []byte, open, ext int32) {
+	n := len(s2)
+	prev, cur, maxY = prev[:n], cur[1:n+1], maxY[1:n+1] // all indexed by x-1
+	maxX := int32(negInf)
+	for i, c := range s2 {
+		d := prev[i]
+		my := maxY[i]
+		best := d
+		if maxX > best {
+			best = maxX
+		}
+		if my > best {
+			best = my
+		}
+		v := best + int32(exch[c])
+		if v < 0 {
+			v = 0
+		}
+		cur[i] = v
+		g := d - open
+		h := g
+		if maxX > h {
+			h = maxX
+		}
+		maxX = h - ext
+		if my > g {
+			g = my
+		}
+		maxY[i] = g - ext
+	}
+}
+
+// gotohRowMasked is gotohRow with override masking: a cell whose pair —
+// raw triangle index base+x-1 — is marked in tri is forced to zero (the
+// paper's "overriding zeros"); its gap candidates still propagate.
+func gotohRowMasked(prev, cur, maxY []int32, exch []int16, s2 []byte, open, ext int32, tri *triangle.Triangle, base int) {
+	n := len(s2)
+	prev, cur, maxY = prev[:n], cur[1:n+1], maxY[1:n+1] // all indexed by x-1
+	maxX := int32(negInf)
+	for i, c := range s2 {
+		d := prev[i]
+		my := maxY[i]
+		var v int32
+		if !tri.GetAt(base + i) {
+			best := d
+			if maxX > best {
+				best = maxX
+			}
+			if my > best {
+				best = my
+			}
+			v = best + int32(exch[c])
+			if v < 0 {
+				v = 0
+			}
+		}
+		cur[i] = v
+		g := d - open
+		h := g
+		if maxX > h {
+			h = maxX
+		}
+		maxX = h - ext
+		if my > g {
+			g = my
+		}
+		maxY[i] = g - ext
+	}
 }
 
 // Cells returns the number of matrix entries a score computation over

@@ -47,13 +47,10 @@ func growI32(buf *[]int32, n int) []int32 {
 // Score is the scratch-based variant of the package-level Score: the
 // returned row is arena-owned and valid until the next call on sc.
 func (sc *Scratch) Score(p Params, s1, s2 []byte) []int32 {
-	return sc.score(p, s1, s2, nil, 0)
+	return sc.score(p, s1, s2, nil, 0, 0)
 }
 
 // ScoreMasked is the scratch-based variant of ScoreMasked.
 func (sc *Scratch) ScoreMasked(p Params, s1, s2 []byte, tri *triangle.Triangle, r int) []int32 {
-	if tri == nil {
-		return sc.score(p, s1, s2, nil, 0)
-	}
-	return sc.score(p, s1, s2, tri, r)
+	return sc.score(p, s1, s2, tri, 0, r)
 }

@@ -18,6 +18,12 @@ func Matrix(p Params, s1, s2 []byte, tri *triangle.Triangle, r int) [][]int32 {
 // Matrix is the scratch-based variant of the package-level Matrix: the
 // returned matrix is arena-owned and valid until the next call on sc.
 func (sc *Scratch) Matrix(p Params, s1, s2 []byte, tri *triangle.Triangle, r int) [][]int32 {
+	return sc.matrix(p, s1, s2, tri, 0, r)
+}
+
+// matrix is the one full-matrix body; (dy, dx) is the operands' offset
+// in global pair space, as for score.
+func (sc *Scratch) matrix(p Params, s1, s2 []byte, tri *triangle.Triangle, dy, dx int) [][]int32 {
 	len1, len2 := len(s1), len(s2)
 	if cap(sc.rows) < len1+1 {
 		sc.rows = make([][]int32, len1+1)
@@ -34,56 +40,17 @@ func (sc *Scratch) Matrix(p Params, s1, s2 []byte, tri *triangle.Triangle, r int
 	for x := range m[0] {
 		m[0][x] = 0 // zero boundary row
 	}
-	if len1 == 0 || len2 == 0 {
-		for y := range m {
-			for x := range m[y] {
-				m[y][x] = 0
-			}
-		}
-		return m
-	}
 	maxY := growI32(&sc.maxY, len2+1)
 	for i := range maxY {
 		maxY[i] = negInf
 	}
 	open, ext := p.Gap.Open, p.Gap.Ext
 	for y := 1; y <= len1; y++ {
-		row := p.Exch.Row(s1[y-1])
-		maxX := int32(negInf)
-		base := 0
-		if tri != nil {
-			base = maskBase(tri, r, y)
-		}
-		prev, cur := m[y-1], m[y]
-		for x := 1; x <= len2; x++ {
-			d := prev[x-1]
-			var v int32
-			if tri != nil && tri.GetAt(base+x-1) {
-				v = 0
-			} else {
-				best := d
-				if maxX > best {
-					best = maxX
-				}
-				if my := maxY[x]; my > best {
-					best = my
-				}
-				v = best + int32(row[s2[x-1]])
-				if v < 0 {
-					v = 0
-				}
-			}
-			cur[x] = v
-			g := d - open
-			h := g
-			if maxX > h {
-				h = maxX
-			}
-			maxX = h - ext
-			if my := maxY[x]; my > g {
-				g = my
-			}
-			maxY[x] = g - ext
+		exch := p.Exch.Row(s1[y-1])
+		if tri == nil {
+			gotohRow(m[y-1], m[y], maxY, exch, s2, open, ext)
+		} else {
+			gotohRowMasked(m[y-1], m[y], maxY, exch, s2, open, ext, tri, maskBase(tri, dx, dy+y))
 		}
 	}
 	return m
@@ -106,6 +73,12 @@ func Traceback(p Params, m [][]int32, s1, s2 []byte, tri *triangle.Triangle, r, 
 // the call as part of a TopAlignment); only the path accumulator is
 // arena-reused.
 func (sc *Scratch) Traceback(p Params, m [][]int32, s1, s2 []byte, tri *triangle.Triangle, r, endX int) (Alignment, error) {
+	return sc.traceback(p, m, s1, s2, tri, 0, r, endX)
+}
+
+// traceback is the one traceback body; (dy, dx) is the operands' offset
+// in global pair space, as for score. Returned pairs are operand-local.
+func (sc *Scratch) traceback(p Params, m [][]int32, s1, s2 []byte, tri *triangle.Triangle, dy, dx, endX int) (Alignment, error) {
 	len1 := len(s1)
 	if len1 == 0 || endX < 1 || endX > len(s2) {
 		return Alignment{}, fmt.Errorf("align: traceback end column %d out of range", endX)
@@ -120,12 +93,10 @@ func (sc *Scratch) Traceback(p Params, m [][]int32, s1, s2 []byte, tri *triangle
 	for {
 		v := m[y][x]
 		rev = append(rev, Pair{Y: y, X: x})
-		var e int32
-		if tri != nil && tri.GetAt(maskBase(tri, r, y)+x-1) {
-			return Alignment{}, fmt.Errorf("align: traceback crossed overridden cell (%d,%d)", y, x)
+		if tri != nil && tri.GetAt(maskBase(tri, dx, dy+y)+x-1) {
+			return Alignment{}, fmt.Errorf("align: traceback crossed overridden pair (%d,%d)", dy+y, dx+x)
 		}
-		e = p.Exch.Score(s1[y-1], s2[x-1])
-		best := v - e
+		best := v - p.Exch.Score(s1[y-1], s2[x-1])
 		if best == 0 {
 			break // fresh local start
 		}

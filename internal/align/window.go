@@ -11,10 +11,12 @@ import (
 // inclusive) of one sequence, with Y1 < X0 so that every cell (y, x) of
 // the window is a valid ordered pair y < x of the override triangle.
 //
-// The windowed kernels below are the banded-extension stage of the
-// seed-filter-extend prefilter (DESIGN.md section 13): they run the same
-// Gotoh recurrence as the full-matrix kernels but only over the window,
-// with the zero local-alignment boundary on the window edges. An
+// The windowed entry points below are the banded-extension stage of the
+// seed-filter-extend prefilter (DESIGN.md section 13): they run the
+// shared kernel bodies on the window's operand slices at the window's
+// offset, with the zero local-alignment boundary on the window edges —
+// split r is the window {1, r, r+1, m}, which is how the engine aligns
+// it. The window must satisfy Validate; the kernels do not check. An
 // alignment confined to the window scores identically to the full
 // matrix; alignments that would enter the window from outside are lost —
 // that is the prefilter's sensitivity trade, bounded by the candidate
@@ -44,212 +46,28 @@ func (w Rect) Validate(m int) error {
 	return nil
 }
 
-// winMaskBase returns the raw triangle index of pair (y, w.X0): the mask
-// base of window row y. Columns are contiguous from it.
-func winMaskBase(tri *triangle.Triangle, w Rect, y int) int {
-	return tri.RowOffset(y) + (w.X0 - y - 1)
-}
-
 // ScoreWindow computes the windowed local-alignment matrix of s against
 // itself over window w and returns the window's bottom row (row w.Y1,
 // columns w.X0..w.X1). tri == nil disables override masking. The
 // returned row is arena-owned and valid until the next call on sc.
 func (sc *Scratch) ScoreWindow(p Params, s []byte, w Rect, tri *triangle.Triangle) []int32 {
-	width := w.W()
-	bottom := growI32(&sc.bottom, width)
-	prev := growI32(&sc.prev, width+1)
-	cur := growI32(&sc.cur, width+1)
-	maxY := growI32(&sc.maxY, width+1)
-	for i := range prev {
-		prev[i] = 0
-		maxY[i] = negInf
-	}
-	open, ext := p.Gap.Open, p.Gap.Ext
-
-	for y := w.Y0; y <= w.Y1; y++ {
-		row := p.Exch.Row(s[y-1])
-		maxX := int32(negInf)
-		cur[0] = 0
-
-		masked := false
-		base := 0
-		if tri != nil {
-			base = winMaskBase(tri, w, y)
-			masked = !tri.RowEmpty(base, width)
-		}
-		for x := 1; x <= width; x++ {
-			d := prev[x-1]
-			var v int32
-			if masked && tri.GetAt(base+x-1) {
-				v = 0
-			} else {
-				best := d
-				if maxX > best {
-					best = maxX
-				}
-				if my := maxY[x]; my > best {
-					best = my
-				}
-				v = best + int32(row[s[w.X0+x-2]])
-				if v < 0 {
-					v = 0
-				}
-			}
-			cur[x] = v
-			g := d - open
-			h := g
-			if maxX > h {
-				h = maxX
-			}
-			maxX = h - ext
-			if my := maxY[x]; my > g {
-				g = my
-			}
-			maxY[x] = g - ext
-		}
-		prev, cur = cur, prev
-	}
-	sc.prev, sc.cur = prev, cur
-	copy(bottom, prev[1:])
-	return bottom
+	return sc.score(p, s[w.Y0-1:w.Y1], s[w.X0-1:w.X1], tri, w.Y0-1, w.X0-1)
 }
 
 // MatrixWindow computes the full windowed matrix with rows 0..H and
 // columns 0..W (row and column 0 are the zero boundary); cell (y, x)
 // covers global pair (w.Y0-1+y, w.X0-1+x). Used for tracebacks of
-// accepted prefilter alignments. The matrix is arena-owned and valid
-// until the next call on sc.
+// accepted alignments. The matrix is arena-owned and valid until the
+// next call on sc.
 func (sc *Scratch) MatrixWindow(p Params, s []byte, w Rect, tri *triangle.Triangle) [][]int32 {
-	h, width := w.H(), w.W()
-	if cap(sc.rows) < h+1 {
-		sc.rows = make([][]int32, h+1)
-	}
-	m := sc.rows[:h+1]
-	if cap(sc.flat) < (h+1)*(width+1) {
-		sc.flat = make([]int32, (h+1)*(width+1))
-	}
-	flat := sc.flat[:(h+1)*(width+1)]
-	for y := range m {
-		m[y] = flat[y*(width+1) : (y+1)*(width+1)]
-		m[y][0] = 0
-	}
-	for x := range m[0] {
-		m[0][x] = 0
-	}
-	maxY := growI32(&sc.maxY, width+1)
-	for i := range maxY {
-		maxY[i] = negInf
-	}
-	open, ext := p.Gap.Open, p.Gap.Ext
-	for y := 1; y <= h; y++ {
-		gy := w.Y0 - 1 + y
-		row := p.Exch.Row(s[gy-1])
-		maxX := int32(negInf)
-		base := 0
-		if tri != nil {
-			base = winMaskBase(tri, w, gy)
-		}
-		prev, cur := m[y-1], m[y]
-		for x := 1; x <= width; x++ {
-			d := prev[x-1]
-			var v int32
-			if tri != nil && tri.GetAt(base+x-1) {
-				v = 0
-			} else {
-				best := d
-				if maxX > best {
-					best = maxX
-				}
-				if my := maxY[x]; my > best {
-					best = my
-				}
-				v = best + int32(row[s[w.X0+x-2]])
-				if v < 0 {
-					v = 0
-				}
-			}
-			cur[x] = v
-			g := d - open
-			h2 := g
-			if maxX > h2 {
-				h2 = maxX
-			}
-			maxX = h2 - ext
-			if my := maxY[x]; my > g {
-				g = my
-			}
-			maxY[x] = g - ext
-		}
-	}
-	return m
+	return sc.matrix(p, s[w.Y0-1:w.Y1], s[w.X0-1:w.X1], tri, w.Y0-1, w.X0-1)
 }
 
 // TracebackWindow reconstructs the alignment ending at window bottom-row
 // column endX (1-based, window-local) from a matrix produced by
 // MatrixWindow with the same parameters and mask. Returned pairs are in
 // window-local coordinates; callers map (Y, X) to global positions
-// (w.Y0-1+Y, w.X0-1+X). The predecessor tie order matches Traceback
-// (diagonal, then horizontal gaps by increasing length, then vertical),
-// so reconstructions are deterministic.
+// (w.Y0-1+Y, w.X0-1+X).
 func (sc *Scratch) TracebackWindow(p Params, m [][]int32, s []byte, w Rect, tri *triangle.Triangle, endX int) (Alignment, error) {
-	h := w.H()
-	if endX < 1 || endX > w.W() {
-		return Alignment{}, fmt.Errorf("align: window traceback end column %d out of range", endX)
-	}
-	y, x := h, endX
-	score := m[y][x]
-	if score <= 0 {
-		return Alignment{}, fmt.Errorf("align: window traceback from non-positive cell (%d,%d)=%d", y, x, score)
-	}
-	open, ext := p.Gap.Open, p.Gap.Ext
-	rev := sc.rev[:0]
-	for {
-		v := m[y][x]
-		rev = append(rev, Pair{Y: y, X: x})
-		gy, gx := w.Y0-1+y, w.X0-1+x
-		if tri != nil && tri.GetAt(winMaskBase(tri, w, gy)+x-1) {
-			return Alignment{}, fmt.Errorf("align: window traceback crossed overridden cell (%d,%d)", gy, gx)
-		}
-		e := p.Exch.Score(s[gy-1], s[gx-1])
-		best := v - e
-		if best == 0 {
-			break // fresh local start
-		}
-		if m[y-1][x-1] == best {
-			y, x = y-1, x-1
-			if y == 0 || x == 0 {
-				break
-			}
-			if m[y][x] == 0 {
-				break
-			}
-			continue
-		}
-		moved := false
-		for k := 1; x-1-k >= 0; k++ {
-			if m[y-1][x-1-k]-open-int32(k)*ext == best && m[y-1][x-1-k] > 0 {
-				y, x = y-1, x-1-k
-				moved = true
-				break
-			}
-		}
-		if !moved {
-			for k := 1; y-1-k >= 0; k++ {
-				if m[y-1-k][x-1]-open-int32(k)*ext == best && m[y-1-k][x-1] > 0 {
-					y, x = y-1-k, x-1
-					moved = true
-					break
-				}
-			}
-		}
-		if !moved {
-			return Alignment{}, fmt.Errorf("align: window traceback: no predecessor at (%d,%d)=%d", y, x, v)
-		}
-	}
-	sc.rev = rev
-	pairs := make([]Pair, len(rev))
-	for i, pr := range rev {
-		pairs[len(rev)-1-i] = pr
-	}
-	return Alignment{Score: score, Pairs: pairs}, nil
+	return sc.traceback(p, m, s[w.Y0-1:w.Y1], s[w.X0-1:w.X1], tri, w.Y0-1, w.X0-1, endX)
 }

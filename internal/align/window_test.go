@@ -82,21 +82,45 @@ func TestScoreWindowSubwindowConsistency(t *testing.T) {
 		if err := w.Validate(m); err != nil {
 			t.Fatalf("trial %d: generated invalid window: %v", trial, err)
 		}
-		mtx := new(Scratch).MatrixWindow(p, s, w, tri)
-		bottom := new(Scratch).ScoreWindow(p, s, w, tri)
-		for x := 1; x <= w.W(); x++ {
-			if mtx[w.H()][x] != bottom[x-1] {
-				t.Fatalf("trial %d: bottom row mismatch at col %d: matrix %d, score %d",
-					trial, x, mtx[w.H()][x], bottom[x-1])
+		for _, mask := range []*triangle.Triangle{nil, tri} {
+			mtx := new(Scratch).MatrixWindow(p, s, w, mask)
+			bottom := new(Scratch).ScoreWindow(p, s, w, mask)
+			// Brute-force the windowed recurrence.
+			naive := naiveWindow(p, s, w, mask)
+			for x := 1; x <= w.W(); x++ {
+				if naive[w.H()][x] != bottom[x-1] {
+					t.Fatalf("trial %d window %+v masked=%v: bottom row col %d: score %d, naive %d",
+						trial, w, mask != nil, x, bottom[x-1], naive[w.H()][x])
+				}
 			}
-		}
-		// Brute-force the windowed recurrence.
-		naive := naiveWindow(p, s, w, tri)
-		for y := 0; y <= w.H(); y++ {
-			for x := 0; x <= w.W(); x++ {
-				if mtx[y][x] != naive[y][x] {
-					t.Fatalf("trial %d window %+v: cell (%d,%d): kernel %d, naive %d",
-						trial, w, y, x, mtx[y][x], naive[y][x])
+			for y := 0; y <= w.H(); y++ {
+				for x := 0; x <= w.W(); x++ {
+					if mtx[y][x] != naive[y][x] {
+						t.Fatalf("trial %d window %+v masked=%v: cell (%d,%d): kernel %d, naive %d",
+							trial, w, mask != nil, y, x, mtx[y][x], naive[y][x])
+					}
+				}
+			}
+			// The traceback from the best ending walks positive,
+			// un-overridden oracle cells and lands on the oracle's score.
+			endX, score, _ := BestValidEnd(bottom, nil)
+			if endX == 0 {
+				continue
+			}
+			a, err := new(Scratch).TracebackWindow(p, mtx, s, w, mask, endX)
+			if err != nil {
+				t.Fatalf("trial %d window %+v masked=%v: traceback: %v", trial, w, mask != nil, err)
+			}
+			if a.Score != score || a.End() != (Pair{Y: w.H(), X: endX}) {
+				t.Fatalf("trial %d: traceback score %d end %+v, want %d ending (%d,%d)",
+					trial, a.Score, a.End(), score, w.H(), endX)
+			}
+			for i, pr := range a.Pairs {
+				if naive[pr.Y][pr.X] <= 0 || (mask != nil && mask.Get(w.Y0-1+pr.Y, w.X0-1+pr.X)) {
+					t.Fatalf("trial %d: path pair %+v is zero or overridden", trial, pr)
+				}
+				if i > 0 && (pr.Y <= a.Pairs[i-1].Y || pr.X <= a.Pairs[i-1].X) {
+					t.Fatalf("trial %d: path not strictly increasing at %d: %+v", trial, i, a.Pairs)
 				}
 			}
 		}

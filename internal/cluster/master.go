@@ -107,6 +107,7 @@ type master struct {
 	e       *topalign.Engine
 	cfg     Config
 	queue   *topalign.TaskQueue
+	sc      topalign.Scratch     // arenas for the master's own tracebacks and the local fallback
 	flights map[int]*flight      // task R -> outstanding dispatch
 	slots   []int                // idle worker slots (slave ranks, FIFO)
 	owed    map[int]map[int]bool // slave rank -> task Rs dispatched to it, not yet credited back
@@ -465,7 +466,7 @@ func (m *master) tryAccept() error {
 			return nil
 		}
 		t := m.queue.Pop()
-		top, err := topalign.Accept(m.e, t)
+		top, err := m.e.Accept(t, &m.sc)
 		if err != nil {
 			return err
 		}
@@ -612,40 +613,15 @@ func (m *master) redispatchStale() {
 }
 
 // finishLocally drains the remaining queue with the master's own engine
-// — the sequential algorithm of topalign.Run — so a run whose every
-// slave died still completes, degraded to single-node speed. Requeued
-// tasks keep their stale scores as upper bounds, exactly as a slave
-// result would, so strict-mode results remain bit-identical.
+// — topalign.Run, the sequential loop — so a run whose every slave died
+// still completes, degraded to single-node speed. Requeued tasks keep
+// their stale scores as upper bounds, exactly as a slave result would,
+// so strict-mode results remain bit-identical. The run ends here, so
+// the tops accepted locally are not added to the rejoin history: no
+// worker can be admitted after done.
 func (m *master) finishLocally() error {
-	cfg := m.e.Config()
-	for m.e.NumTopsFound() < cfg.NumTops && m.queue.Len() > 0 {
-		t := m.queue.Pop()
-		if t.Score != topalign.Infinity && t.Score < cfg.MinScore {
-			m.queue.Push(t)
-			break
-		}
-		if t.AlignedWith == m.e.NumTopsFound() {
-			top, err := topalign.Accept(m.e, t)
-			if err != nil {
-				return err
-			}
-			upd := msgTop{Version: int32(m.e.NumTopsFound())}
-			upd.PairsI = make([]int32, len(top.Pairs))
-			upd.PairsJ = make([]int32, len(top.Pairs))
-			for i, p := range top.Pairs {
-				upd.PairsI[i] = int32(p.I)
-				upd.PairsJ[i] = int32(p.J)
-			}
-			// Keep the history current so a worker that joins during the
-			// next (unlikely) scheduling window could still be provisioned.
-			m.topHist = append(m.topHist, upd.encode())
-		} else {
-			topalign.Realign(m.e, t, m.e.Triangle(), m.e.NumTopsFound())
-		}
-		m.queue.Push(t)
-	}
 	m.done = true
-	return nil
+	return topalign.Run(m.e, m.queue, &m.sc)
 }
 
 // checkTermination stops the run when no further top alignment can be

@@ -24,6 +24,7 @@ package dessim
 import (
 	"fmt"
 
+	"repro/internal/obs"
 	"repro/internal/topalign"
 )
 
@@ -69,40 +70,39 @@ func (t *Trace) AlignCells(tops int) int64 {
 	return total
 }
 
-// Record runs the sequential algorithm on s and records its workload.
-// The configuration is forced to scalar task granularity (GroupLanes 1)
-// so each recorded task is one split.
+// Record runs the sequential algorithm on s — an ordinary topalign.Find
+// — and rebuilds its workload from the run's journal: every realign
+// event is a task of the current round, every accept event closes the
+// round with its traceback. The configuration is forced to scalar task
+// granularity (GroupLanes 1) so each recorded task is one split, and
+// cfg.Trace is replaced by a journal sized so that no event is dropped.
 func Record(s []byte, cfg topalign.Config) (*Trace, error) {
 	cfg.GroupLanes = 1
-	e, err := topalign.NewEngine(s, cfg)
-	if err != nil {
+	m := len(s)
+	// Per split: one enqueue, then at most one alignment per triangle
+	// version, each with at most one shadow-reject event; plus the
+	// accepts. (A configuration Find rejects gets the default capacity.)
+	cfg.Trace = obs.NewJournal(m*(2*cfg.NumTops+2) + cfg.NumTops)
+	if _, err := topalign.Find(s, cfg); err != nil {
 		return nil, err
 	}
-	q := topalign.InitialQueue(e)
-	m := e.Len()
+	if d := cfg.Trace.Dropped(); d > 0 {
+		return nil, fmt.Errorf("dessim: run journal dropped %d events; the recorded workload would be incomplete", d)
+	}
 	tr := &Trace{M: m, Rounds: []Round{{}}}
-	cur := &tr.Rounds[0]
-	for e.NumTopsFound() < cfg.NumTops && q.Len() > 0 {
-		t := q.Pop()
-		if t.Score != topalign.Infinity && t.Score < e.Config().MinScore {
-			break
-		}
-		if t.AlignedWith == e.NumTopsFound() {
-			if _, err := topalign.Accept(e, t); err != nil {
-				return nil, err
-			}
-			cur.TracebackCells = int64(t.R) * int64(m-t.R)
+	for _, ev := range cfg.Trace.Events() {
+		cur := &tr.Rounds[len(tr.Rounds)-1]
+		cells := ev.R * (int64(m) - ev.R)
+		switch ev.Kind {
+		case obs.EvRealign:
+			cur.Tasks = append(cur.Tasks, Task{R: int(ev.R), Cells: cells})
+		case obs.EvAccept:
+			cur.TracebackCells = cells
 			tr.Rounds = append(tr.Rounds, Round{})
-			cur = &tr.Rounds[len(tr.Rounds)-1]
-		} else {
-			topalign.Realign(e, t, e.Triangle(), e.NumTopsFound())
-			cur.Tasks = append(cur.Tasks, Task{R: t.R, Cells: int64(t.R) * int64(m-t.R)})
 		}
-		q.Push(t)
 	}
 	// drop a trailing empty round left after the final acceptance
-	if last := len(tr.Rounds) - 1; last >= 0 &&
-		len(tr.Rounds[last].Tasks) == 0 && tr.Rounds[last].TracebackCells == 0 {
+	if last := len(tr.Rounds) - 1; len(tr.Rounds[last].Tasks) == 0 {
 		tr.Rounds = tr.Rounds[:last]
 	}
 	if tr.Tops() == 0 {

@@ -201,7 +201,7 @@ func (st *sched) worker(sc *topalign.Scratch) {
 		}
 		st.mu.Unlock()
 
-		topalign.RealignS(st.e, t, snap.tri, snap.tops, sc)
+		st.e.Realign(t, snap.tri, snap.tops, sc)
 
 		st.mu.Lock()
 		st.inflight--
@@ -224,7 +224,7 @@ func (st *sched) accept(t *topalign.Task, sc *topalign.Scratch) {
 
 	// Only this goroutine touches the engine's mutable state while
 	// st.accepting is set; realigning workers use the old snapshot.
-	_, err := topalign.AcceptS(st.e, t, sc)
+	_, err := st.e.Accept(t, sc)
 
 	st.mu.Lock()
 	st.accepting = false

@@ -157,6 +157,18 @@ func TestFilterPresetsBackendIndependent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		// Window alignments are attributed to a kernel tier like split
+		// alignments: the report's tier mix accounts for every one.
+		var tiered int64
+		for tier, n := range base.Usage.KernelTiers {
+			if tier != "rerun" {
+				tiered += n
+			}
+		}
+		if base.Stats.Alignments == 0 || tiered != base.Stats.Alignments {
+			t.Errorf("%s: kernel-tier mix %v sums to %d, want Stats.Alignments = %d",
+				preset, base.Usage.KernelTiers, tiered, base.Stats.Alignments)
+		}
 		for name, opt := range map[string]repro.Options{
 			"parallel": {NumTops: 6, Preset: preset, Workers: 4},
 			"cluster":  {NumTops: 6, Preset: preset, Slaves: 2, ThreadsPerSlave: 2},

@@ -29,7 +29,8 @@ type Params struct {
 	MinScore int `json:"min_score,omitempty"`
 	// MinPairs filters top alignments during delineation.
 	MinPairs int `json:"min_pairs,omitempty"`
-	// Lanes selects SIMD-style group alignment (0, 4, or 8).
+	// Lanes selects SIMD-style group alignment: 0 or 1 (one matrix per
+	// task), 4, 8, or 16.
 	Lanes int `json:"lanes,omitempty"`
 	// Striped selects the cache-aware striped kernel.
 	Striped bool `json:"striped,omitempty"`

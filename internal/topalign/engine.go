@@ -12,9 +12,9 @@ import (
 
 // Scratch bundles the kernel arenas one worker needs for the full task
 // cycle: scalar and striped score kernels, group kernels, and the
-// traceback matrix. Schedulers own one Scratch per worker goroutine; the
-// sequential driver uses the engine's own instance. See align.Scratch
-// for the ownership rules.
+// traceback matrix. Whoever drives the engine owns the arenas: one
+// Scratch per worker goroutine under a scheduler, one per Run for the
+// sequential loop. See align.Scratch for the ownership rules.
 type Scratch struct {
 	A align.Scratch
 	G multialign.Scratch
@@ -28,20 +28,18 @@ func NewScratch() *Scratch { return &Scratch{} }
 // the accepted top alignments — and provides the single-task operations
 // the sequential and parallel drivers are built from.
 //
-// Engine methods are not self-synchronising. The scratch-taking variants
-// (AlignScoreS, AlignGroupScoreS) are pure with respect to the triangle
-// snapshot passed in (the row store is internally locked), so schedulers
-// may run them concurrently as long as each concurrent caller brings its
-// own Scratch. The convenience wrappers without a Scratch argument use
-// the engine-owned arena and must therefore be serialised, as must
-// AcceptTop, which mutates the engine.
+// Engine methods are not self-synchronising. Realign is pure with
+// respect to the triangle snapshot passed in (the row store is
+// internally locked, a window's original row belongs to its one task),
+// so schedulers may realign distinct tasks concurrently as long as each
+// concurrent caller brings its own Scratch. Accept mutates the engine
+// and must be serialised.
 type Engine struct {
 	s    []byte
 	cfg  Config
 	tri  *triangle.Triangle
 	orig *triangle.RowStore
 	tops []TopAlignment
-	own  Scratch // arena for the serialised convenience methods
 }
 
 // NewEngine validates the configuration and prepares the state for
@@ -79,7 +77,7 @@ func (e *Engine) NumTopsFound() int { return len(e.tops) }
 func (e *Engine) Tops() []TopAlignment { return e.tops }
 
 // Triangle returns the current override triangle. It is mutated by
-// AcceptTop; concurrent readers must use TriangleSnapshot instead.
+// Accept; concurrent readers must use TriangleSnapshot instead.
 func (e *Engine) Triangle() *triangle.Triangle { return e.tri }
 
 // TriangleSnapshot returns an immutable copy of the current triangle for
@@ -90,71 +88,107 @@ func (e *Engine) TriangleSnapshot() *triangle.Triangle { return e.tri.Clone() }
 // serves replicas from it).
 func (e *Engine) OrigRows() *triangle.RowStore { return e.orig }
 
-// AlignScore aligns split r score-only against the given triangle using
-// the engine-owned scratch. Serialised callers only; see AlignScoreS.
-func (e *Engine) AlignScore(r int, tri *triangle.Triangle) int32 {
-	return e.AlignScoreS(r, tri, &e.own)
+// Realign (re)aligns task t score-only against the triangle snapshot
+// tri, which corresponds to topNum accepted top alignments, and updates
+// the task's score and AlignedWith stamp. It is the one task operation
+// behind every driver: a split task aligns the window [1..R] x [R+1..m],
+// a group task its GroupLanes neighbouring splits with the group kernel,
+// a window task its Rect.
+//
+// A task's first alignment ignores tri: it is unmasked, recorded as the
+// original row that later alignments are shadow-checked against, and —
+// being exact only for the empty triangle — stamped AlignedWith = 0
+// whatever topNum is, so a task first aligned after tops exist is
+// realigned before it can be accepted. Later alignments are masked by
+// tri and stamped topNum; their score is exact for tri and stays a valid
+// upper bound for any later (larger) triangle. All working memory comes
+// from sc and the task's reused member-score slice; a warm task realigns
+// without allocation.
+func (e *Engine) Realign(t *Task, tri *triangle.Triangle, topNum int, sc *Scratch) {
+	if e.origRow(t.R, t.Win) == nil {
+		// first alignment; a group's members share alignment history
+		// (they are always aligned together), so its first split
+		// stands for all of them
+		tri, topNum = nil, 0
+	}
+	switch {
+	case t.Win != nil:
+		t.Score = e.alignRect(t.Win.Rect, t.Win, tri, sc)
+	case e.cfg.GroupLanes > 1:
+		t.MemberScores = e.alignGroup(t.R, tri, sc, t.MemberScores)
+		t.Score = maxScore(t.MemberScores)
+	default:
+		t.Score = e.alignRect(e.splitRect(t.R), nil, tri, sc)
+	}
+	t.AlignedWith = topNum
+	e.cfg.Trace.Record(obs.EvRealign, -1, int64(t.R), int64(t.Score))
 }
 
-// AlignScoreS aligns split r score-only against the given triangle and
-// returns the split's score: the maximum over valid bottom-row endings
-// after shadow rejection. On a task's first alignment the triangle is
-// ignored (first alignments always see the empty triangle — every task
-// is aligned once before the first acceptance, see Find) and the bottom
-// row is recorded as the split's original row. All working memory comes
-// from sc; the hot path performs no allocation.
-func (e *Engine) AlignScoreS(r int, tri *triangle.Triangle, sc *Scratch) int32 {
-	s1, s2 := e.s[:r], e.s[r:]
-	orig, have := e.orig.Get(r)
-	if !have {
-		t0 := time.Now()
-		row := e.scoreScalar(sc, s1, s2, nil, r)
-		e.cfg.Counters.ObserveAlignLatency(time.Since(t0))
-		e.orig.Put(r, row) // Put copies; row is scratch-owned
-		e.cfg.Counters.AddAlignment(align.Cells(len(s1), len(s2)), false)
-		e.cfg.Counters.AddTierAlignments(int(multialign.TierScalar), 1, false)
-		_, score, _ := align.BestValidEnd(row, nil)
-		return score
+// splitRect returns split r as a window: all of the prefix against all
+// of the suffix.
+func (e *Engine) splitRect(r int) align.Rect {
+	return align.Rect{Y0: 1, Y1: r, X0: r + 1, X1: len(e.s)}
+}
+
+// origRow returns the recorded original (unmasked) bottom row of split r
+// or, when win is non-nil, of that window; nil before the first
+// alignment. Rows are never empty, so nil is unambiguous.
+func (e *Engine) origRow(r int, win *Window) []int32 {
+	if win != nil {
+		return win.orig
 	}
+	row, _ := e.orig.Get(r)
+	return row
+}
+
+// alignRect aligns one rectangle with the scalar kernel against tri and
+// returns its score: the maximum over valid bottom-row endings after
+// shadow rejection. win is the window the rectangle belongs to, nil for
+// split w.Y1. A rectangle with no original row yet is on its first
+// alignment (Realign passes tri == nil): its bottom row becomes the
+// original.
+func (e *Engine) alignRect(w align.Rect, win *Window, tri *triangle.Triangle, sc *Scratch) int32 {
+	orig := e.origRow(w.Y1, win) // nil on the first alignment: nothing to reject
 	t0 := time.Now()
-	row := e.scoreScalar(sc, s1, s2, tri, r)
+	var row []int32
+	if e.cfg.Striped && win == nil {
+		// the striped kernel is an option of the exact split path only
+		row = sc.A.ScoreStriped(e.cfg.Params, e.s[:w.Y1], e.s[w.Y1:], tri, w.Y1, e.cfg.StripeWidth)
+	} else {
+		row = sc.A.ScoreWindow(e.cfg.Params, e.s, w, tri)
+	}
 	e.cfg.Counters.ObserveAlignLatency(time.Since(t0))
-	e.cfg.Counters.AddAlignment(align.Cells(len(s1), len(s2)), true)
+	e.cfg.Counters.AddAlignment(w.Cells(), orig != nil)
 	e.cfg.Counters.AddTierAlignments(int(multialign.TierScalar), 1, false)
+	if orig == nil {
+		// row is scratch-owned: both stores keep a copy
+		if win != nil {
+			win.orig = append([]int32(nil), row...)
+		} else {
+			e.orig.Put(w.Y1, row)
+		}
+	}
 	_, score, rejected := align.BestValidEnd(row, orig)
 	e.cfg.Counters.AddShadowEnds(rejected)
 	if rejected > 0 {
-		e.cfg.Trace.Record(obs.EvShadowReject, -1, int64(r), rejected)
+		e.cfg.Trace.Record(obs.EvShadowReject, -1, int64(w.Y1), rejected)
 	}
 	return score
 }
 
-// scoreScalar dispatches to the plain or striped scalar kernel.
-func (e *Engine) scoreScalar(sc *Scratch, s1, s2 []byte, tri *triangle.Triangle, r int) []int32 {
-	if e.cfg.Striped {
-		return sc.A.ScoreStriped(e.cfg.Params, s1, s2, tri, r, e.cfg.StripeWidth)
-	}
-	return sc.A.ScoreMasked(e.cfg.Params, s1, s2, tri, r)
-}
-
-// AlignGroupScore is AlignGroupScoreS with the engine-owned scratch and
-// a fresh scores slice. Serialised callers only.
-func (e *Engine) AlignGroupScore(r0 int, tri *triangle.Triangle) []int32 {
-	return e.AlignGroupScoreS(r0, tri, &e.own, nil)
-}
-
-// AlignGroupScoreS aligns the fixed group of GroupLanes neighbouring
-// splits starting at r0 against the given triangle and returns one score
-// per member (member i is split r0+i; members beyond the last split get
-// score 0). First-time members have their original rows recorded.
-// Groups are computed with the fastest exact group kernel (multialign),
-// falling back to the scalar kernel only on an internal error.
+// alignGroup aligns the fixed group of GroupLanes neighbouring splits
+// starting at r0 against tri (nil on the group's first alignment) and
+// returns one score per member (member i is split r0+i; members beyond
+// the last split get score 0). First-time members have their original
+// rows recorded. Groups are computed with the fastest exact group kernel
+// (multialign), falling back to the scalar kernel only on an internal
+// error.
 //
 // The result is written into scores when it has capacity (callers reuse
 // a task's member-score slice); otherwise a fresh slice is returned. The
 // group's wall time is attributed to its live members so the latency
 // histogram stays per-alignment.
-func (e *Engine) AlignGroupScoreS(r0 int, tri *triangle.Triangle, sc *Scratch, scores []int32) []int32 {
+func (e *Engine) alignGroup(r0 int, tri *triangle.Triangle, sc *Scratch, scores []int32) []int32 {
 	lanes := e.cfg.GroupLanes
 	m := len(e.s)
 	if cap(scores) < lanes {
@@ -163,15 +197,6 @@ func (e *Engine) AlignGroupScoreS(r0 int, tri *triangle.Triangle, sc *Scratch, s
 	scores = scores[:lanes]
 	for i := range scores {
 		scores[i] = 0
-	}
-
-	// First alignments must see the empty triangle. Within a group all
-	// members share alignment history (they are always aligned
-	// together), so checking the first member suffices.
-	first := false
-	if _, have := e.orig.Get(r0); !have {
-		first = true
-		tri = nil
 	}
 	members := m - r0 // live lanes: splits r0..min(r0+lanes-1, m-1)
 	if members > lanes {
@@ -182,31 +207,21 @@ func (e *Engine) AlignGroupScoreS(r0 int, tri *triangle.Triangle, sc *Scratch, s
 	g, err := sc.G.ScoreGroupAuto(e.cfg.Params, e.s, r0, lanes, tri)
 	if err != nil {
 		// scalar fallback, member by member (observes its own latency)
-		for i := 0; i < lanes; i++ {
-			r := r0 + i
-			if r > m-1 {
-				break
-			}
-			scores[i] = e.AlignScoreS(r, tri, sc)
+		for i := 0; i < members; i++ {
+			scores[i] = e.alignRect(e.splitRect(r0+i), nil, tri, sc)
 		}
 		return scores
 	}
 	e.cfg.Counters.ObserveAlignLatencyPer(time.Since(t0), members)
 	e.cfg.Counters.AddTierAlignments(int(g.Tier), int64(members), g.Rerun)
-	for i := 0; i < lanes; i++ {
+	for i := 0; i < members; i++ {
 		r := r0 + i
-		if r > m-1 {
-			break
-		}
 		row := g.Bottoms[i]
-		if first {
+		orig, _ := e.orig.Get(r) // nil on the first alignment
+		e.cfg.Counters.AddAlignment(align.Cells(r, m-r), orig != nil)
+		if orig == nil {
 			e.orig.Put(r, row) // Put copies; row is scratch-owned
-			e.cfg.Counters.AddAlignment(align.Cells(r, m-r), false)
-			_, scores[i], _ = align.BestValidEnd(row, nil)
-			continue
 		}
-		orig, _ := e.orig.Get(r)
-		e.cfg.Counters.AddAlignment(align.Cells(r, m-r), true)
 		var rejected int64
 		_, scores[i], rejected = align.BestValidEnd(row, orig)
 		e.cfg.Counters.AddShadowEnds(rejected)
@@ -217,51 +232,72 @@ func (e *Engine) AlignGroupScoreS(r0 int, tri *triangle.Triangle, sc *Scratch, s
 	return scores
 }
 
-// AcceptTop is AcceptTopS with the engine-owned scratch. AcceptTop
-// mutates the engine and is always serialised by callers, so using the
-// engine arena here is safe as long as no concurrent caller uses the
-// engine-owned scratch for scoring (schedulers use per-worker scratches).
-func (e *Engine) AcceptTop(r int) (TopAlignment, error) {
-	return e.AcceptTopS(r, &e.own)
-}
-
-// AcceptTopS accepts split r's current alignment as the next top
-// alignment: it recomputes the full matrix against the current triangle,
-// tracebacks from the best valid ending, marks the path's residue pairs
-// in the triangle, and records the result. The returned alignment's
-// pairs are in global coordinates.
-func (e *Engine) AcceptTopS(r int, sc *Scratch) (TopAlignment, error) {
+// Accept accepts task t's current alignment as the next top alignment:
+// it recomputes the full matrix of the task's rectangle (for a group,
+// its best member's) against the current triangle, tracebacks from the
+// best valid ending, marks the path's residue pairs in the triangle, and
+// records the result. The returned alignment's pairs are in global
+// coordinates; Split is the rectangle's bottom row — the split itself,
+// or for a window the global prefix position the alignment ends at, the
+// same split the exact engine would have found it under. Accept mutates
+// the engine: callers serialise it.
+func (e *Engine) Accept(t *Task, sc *Scratch) (TopAlignment, error) {
+	w := e.splitRect(t.R)
+	switch {
+	case t.Win != nil:
+		w = t.Win.Rect
+	case e.cfg.GroupLanes > 1:
+		if len(t.MemberScores) == 0 {
+			return TopAlignment{}, fmt.Errorf("topalign: accepting group %d with no member scores", t.R)
+		}
+		best := 0
+		for i, s := range t.MemberScores {
+			if s > t.MemberScores[best] {
+				best = i
+			}
+		}
+		w = e.splitRect(t.R + best)
+	}
 	sp := e.cfg.Spans.Start(e.cfg.SpanParent, "engine.accept")
 	sp.SetRank(e.cfg.SpanRank)
-	sp.SetArg(int64(r))
+	sp.SetArg(int64(w.Y1))
 	defer sp.End()
-	s1, s2 := e.s[:r], e.s[r:]
-	orig, have := e.orig.Get(r)
-	if !have {
-		return TopAlignment{}, fmt.Errorf("topalign: accepting split %d that was never aligned", r)
+	orig := e.origRow(w.Y1, t.Win)
+	if orig == nil {
+		return TopAlignment{}, fmt.Errorf("topalign: accepting %+v that was never aligned", w)
 	}
-	mtx := sc.A.Matrix(e.cfg.Params, s1, s2, e.tri, r)
-	e.cfg.Counters.AddTraceback(align.Cells(len(s1), len(s2)))
-	endX, score, _ := align.BestValidEnd(mtx[r][1:], orig)
+	mtx := sc.A.MatrixWindow(e.cfg.Params, e.s, w, e.tri)
+	e.cfg.Counters.AddTraceback(w.Cells())
+	endX, score, _ := align.BestValidEnd(mtx[w.H()][1:], orig)
 	if endX == 0 || score <= 0 {
-		return TopAlignment{}, fmt.Errorf("topalign: split %d has no valid alignment to accept", r)
+		return TopAlignment{}, fmt.Errorf("topalign: %+v has no valid alignment to accept", w)
 	}
-	a, err := sc.A.Traceback(e.cfg.Params, mtx, s1, s2, e.tri, r, endX)
+	a, err := sc.A.TracebackWindow(e.cfg.Params, mtx, e.s, w, e.tri, endX)
 	if err != nil {
-		return TopAlignment{}, fmt.Errorf("topalign: split %d: %w", r, err)
+		return TopAlignment{}, fmt.Errorf("topalign: %+v: %w", w, err)
 	}
 	top := TopAlignment{
 		Index: len(e.tops) + 1,
-		Split: r,
+		Split: w.Y1,
 		Score: a.Score,
 		Pairs: make([]Pair, len(a.Pairs)),
 	}
 	for i, p := range a.Pairs {
-		gp := Pair{I: p.Y, J: r + p.X}
+		gp := Pair{I: w.Y0 - 1 + p.Y, J: w.X0 - 1 + p.X}
 		top.Pairs[i] = gp
 		e.tri.Set(gp.I, gp.J)
 	}
 	e.tops = append(e.tops, top)
-	e.cfg.Trace.Record(obs.EvAccept, -1, int64(r), int64(a.Score))
+	e.cfg.Trace.Record(obs.EvAccept, -1, int64(w.Y1), int64(a.Score))
 	return top, nil
+}
+
+func maxScore(scores []int32) int32 {
+	best := int32(0)
+	for _, s := range scores {
+		if s > best {
+			best = s
+		}
+	}
+	return best
 }

@@ -1,10 +1,7 @@
 package topalign
 
 import (
-	"fmt"
-
 	"repro/internal/obs"
-	"repro/internal/triangle"
 )
 
 // Find computes cfg.NumTops nonoverlapping top alignments of s using the
@@ -15,7 +12,7 @@ func Find(s []byte, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := Run(e); err != nil {
+	if err := Run(e, InitialQueue(e), NewScratch()); err != nil {
 		return nil, err
 	}
 	return &Result{
@@ -25,10 +22,13 @@ func Find(s []byte, cfg Config) (*Result, error) {
 	}, nil
 }
 
-// Run drives an engine to completion sequentially. It is separated from
-// Find so that callers (and tests) can inspect engine state afterwards.
-func Run(e *Engine) error {
-	q := InitialQueue(e)
+// Run drives an engine to completion over queue q: the sequential
+// best-first loop of Figure 5, and the only one — Find and RunWindows
+// hand it their initial queues, the cluster master the queue it is left
+// with when its last slave dies. Tasks keep whatever score and stamp
+// they carry (stale scores are upper bounds), so a queue may be drained
+// from any state. sc supplies the kernel arenas.
+func Run(e *Engine, q *TaskQueue, sc *Scratch) error {
 	cfg := e.Config()
 	for e.NumTopsFound() < cfg.NumTops && q.Len() > 0 {
 		t := q.Pop()
@@ -41,12 +41,12 @@ func Run(e *Engine) error {
 			// The task's score is exact under the current triangle and
 			// it is the queue's maximum: accept it (lines 12-14 of
 			// Figure 5).
-			if _, err := Accept(e, t); err != nil {
+			if _, err := e.Accept(t, sc); err != nil {
 				return err
 			}
 		} else {
 			// Stale: realign against the current triangle (lines 16-17).
-			Realign(e, t, e.Triangle(), e.NumTopsFound())
+			e.Realign(t, e.Triangle(), e.NumTopsFound(), sc)
 		}
 		q.Push(t)
 	}
@@ -64,63 +64,4 @@ func InitialQueue(e *Engine) *TaskQueue {
 		e.Config().Trace.Record(obs.EvEnqueue, -1, int64(r), 0)
 	}
 	return q
-}
-
-// Realign (re)aligns a task against the triangle snapshot tri, which
-// corresponds to topNum accepted top alignments, and updates the task's
-// score and AlignedWith stamp. The new score is exact for that triangle
-// and remains a valid upper bound for any later (larger) triangle.
-// Sequential callers use this engine-scratch variant; concurrent
-// schedulers pass an immutable snapshot and a per-worker Scratch to
-// RealignS.
-func Realign(e *Engine, t *Task, tri *triangle.Triangle, topNum int) {
-	RealignS(e, t, tri, topNum, &e.own)
-}
-
-// RealignS is Realign with an explicit Scratch. The task's member-score
-// slice is reused across realignments, so a warm task realigns without
-// allocation.
-func RealignS(e *Engine, t *Task, tri *triangle.Triangle, topNum int, sc *Scratch) {
-	if e.Config().GroupLanes > 1 {
-		t.MemberScores = e.AlignGroupScoreS(t.R, tri, sc, t.MemberScores)
-		t.Score = maxScore(t.MemberScores)
-	} else {
-		t.Score = e.AlignScoreS(t.R, tri, sc)
-	}
-	t.AlignedWith = topNum
-	e.Config().Trace.Record(obs.EvRealign, -1, int64(t.R), int64(t.Score))
-}
-
-// Accept accepts the task's best member as the next top alignment and
-// refreshes the task's member bookkeeping.
-func Accept(e *Engine, t *Task) (TopAlignment, error) {
-	return AcceptS(e, t, &e.own)
-}
-
-// AcceptS is Accept with an explicit Scratch for the traceback matrix.
-func AcceptS(e *Engine, t *Task, sc *Scratch) (TopAlignment, error) {
-	r := t.R
-	if e.Config().GroupLanes > 1 {
-		if len(t.MemberScores) == 0 {
-			return TopAlignment{}, fmt.Errorf("topalign: accepting group %d with no member scores", t.R)
-		}
-		best := 0
-		for i, s := range t.MemberScores {
-			if s > t.MemberScores[best] {
-				best = i
-			}
-		}
-		r = t.R + best
-	}
-	return e.AcceptTopS(r, sc)
-}
-
-func maxScore(scores []int32) int32 {
-	best := int32(0)
-	for _, s := range scores {
-		if s > best {
-			best = s
-		}
-	}
-	return best
 }

@@ -122,7 +122,8 @@ func TestEngineAcceptErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.AcceptTop(4); err == nil {
+	sc := NewScratch()
+	if _, err := e.Accept(&Task{R: 4, AlignedWith: -1}, sc); err == nil {
 		t.Error("accepting a never-aligned split did not error")
 	}
 	// align a hopeless split, then try to accept it with no valid ending
@@ -130,10 +131,12 @@ func TestEngineAcceptErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := hopeless.AlignScore(1, nil); got != 0 {
-		t.Fatalf("split 1 of ACGT scored %d, want 0", got)
+	task := &Task{R: 1, Score: Infinity, AlignedWith: -1}
+	hopeless.Realign(task, hopeless.Triangle(), 0, sc)
+	if task.Score != 0 {
+		t.Fatalf("split 1 of ACGT scored %d, want 0", task.Score)
 	}
-	if _, err := hopeless.AcceptTop(1); err == nil {
+	if _, err := hopeless.Accept(task, sc); err == nil {
 		t.Error("accepting a zero-score split did not error")
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/align"
+	"repro/internal/obs"
 	"repro/internal/scoring"
 	"repro/internal/seq"
 	"repro/internal/stats"
@@ -154,36 +155,38 @@ func TestStripedModeEquivalence(t *testing.T) {
 }
 
 // Stale scores are upper bounds: whenever a task is realigned, its new
-// score must not exceed the score it was queued with. We verify by
-// running the engine manually and checking every realignment.
+// score must not exceed the score it was queued with. The run journal
+// carries every realignment's score, so we check each split's sequence
+// of realign events.
 func TestStaleScoreIsUpperBound(t *testing.T) {
 	q := seq.SyntheticTitin(160, 11)
-	e, err := NewEngine(q.Codes, Config{Params: proteinParams, NumTops: 10})
+	jnl := obs.NewJournal(1 << 16)
+	res, err := Find(q.Codes, Config{Params: proteinParams, NumTops: 10, Trace: jnl})
 	if err != nil {
 		t.Fatal(err)
 	}
-	queue := InitialQueue(e)
-	for e.NumTopsFound() < 10 && queue.Len() > 0 {
-		task := queue.Pop()
-		if task.Score != Infinity && task.Score < 1 {
-			break
-		}
-		if task.AlignedWith == e.NumTopsFound() {
-			if _, err := Accept(e, task); err != nil {
-				t.Fatal(err)
-			}
-		} else {
-			before := task.Score
-			Realign(e, task, e.Triangle(), e.NumTopsFound())
-			if before != Infinity && task.Score > before {
-				t.Fatalf("split %d: realigned score %d exceeds stale bound %d",
-					task.R, task.Score, before)
-			}
-		}
-		queue.Push(task)
+	if len(res.Tops) != 10 {
+		t.Fatalf("found %d tops, want 10", len(res.Tops))
 	}
-	if e.NumTopsFound() != 10 {
-		t.Fatalf("found %d tops, want 10", e.NumTopsFound())
+	if jnl.Dropped() != 0 {
+		t.Fatalf("journal dropped %d events", jnl.Dropped())
+	}
+	bound := map[int64]int64{} // split -> score it is queued with
+	realigned := 0
+	for _, ev := range jnl.Events() {
+		if ev.Kind != obs.EvRealign {
+			continue
+		}
+		if before, ok := bound[ev.R]; ok {
+			realigned++
+			if ev.Arg > before {
+				t.Fatalf("split %d: realigned score %d exceeds stale bound %d", ev.R, ev.Arg, before)
+			}
+		}
+		bound[ev.R] = ev.Arg
+	}
+	if realigned == 0 {
+		t.Fatal("no split was realigned: the property was not exercised")
 	}
 }
 

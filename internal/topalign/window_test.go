@@ -1,0 +1,134 @@
+package topalign
+
+import (
+	"strings"
+	"testing"
+
+	"repro/internal/align"
+	"repro/internal/seq"
+	"repro/internal/stats"
+)
+
+// A split is a window: RunWindows over one full-split window per split,
+// queued at Infinity like Find's initial tasks, must perform exactly
+// Find's alignments, realignments and tracebacks — same tops (index,
+// split, score, pairs) and the same engine-counted cell total.
+func TestRunWindowsFullSplitsMatchFind(t *testing.T) {
+	dnaTandem := seq.Tandem(seq.TandemSpec{Alpha: seq.DNA, UnitLen: 30, Copies: 6, FlankLen: 20,
+		Profile: seq.MutationProfile{SubstRate: 0.1}, Seed: 5})
+	for _, tc := range []struct {
+		name   string
+		codes  []byte
+		params align.Params
+		tops   int
+	}{
+		{"titin-200", seq.SyntheticTitin(200, 1).Codes, proteinParams, 12},
+		{"titin-160", seq.SyntheticTitin(160, 7).Codes, proteinParams, 8},
+		{"tandem-protein", seq.Tandem(seq.TandemSpec{UnitLen: 25, Copies: 5, FlankLen: 15,
+			Profile: seq.DefaultDivergence, Seed: 3}).Codes, proteinParams, 10},
+		{"tandem-dna", dnaTandem.Codes, dnaParams, 10},
+		{"paper-atgc", seq.PaperATGC().Codes, dnaParams, 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			want, err := Find(tc.codes, Config{Params: tc.params, NumTops: tc.tops, Counters: &stats.Counters{}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			e, err := NewEngine(tc.codes, Config{Params: tc.params, NumTops: tc.tops, Counters: &stats.Counters{}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := e.Len()
+			tasks := make([]*Task, 0, m-1)
+			for r := 1; r < m; r++ {
+				tasks = append(tasks, &Task{R: r, Score: Infinity, AlignedWith: -1,
+					Win: &Window{Rect: align.Rect{Y0: 1, Y1: r, X0: r + 1, X1: m}, Bound: Infinity}})
+			}
+			if err := RunWindows(e, tasks); err != nil {
+				t.Fatal(err)
+			}
+			assertSameTops(t, e.Tops(), want.Tops)
+			for i, top := range e.Tops() {
+				if top.Index != want.Tops[i].Index {
+					t.Errorf("top %d index = %d, want %d", i+1, top.Index, want.Tops[i].Index)
+				}
+			}
+			got := e.Config().Counters.Snapshot()
+			if got.Cells != want.Stats.Cells || got.Alignments != want.Stats.Alignments ||
+				got.Realignments != want.Stats.Realignments || got.Tracebacks != want.Stats.Tracebacks {
+				t.Errorf("work differs: windows %v, splits %v", got, want.Stats)
+			}
+			if got.TierAlignments != want.Stats.TierAlignments {
+				t.Errorf("kernel-tier mix differs: windows %v, splits %v", got.TierAlignments, want.Stats.TierAlignments)
+			}
+		})
+	}
+}
+
+// RunWindows must refuse caller-built tasks the kernels would index out
+// of range with, or whose cells are not ordered pairs, before aligning
+// anything.
+func TestRunWindowsValidatesTasks(t *testing.T) {
+	codes := seq.SyntheticTitin(60, 2).Codes
+	m := len(codes)
+	win := func(r int, rect align.Rect) *Task {
+		return &Task{R: r, Score: 100, AlignedWith: -1, Win: &Window{Rect: rect, Bound: 100}}
+	}
+	for _, tc := range []struct {
+		name string
+		task *Task
+		want string // substring of the error; "" = accepted
+	}{
+		{"valid", win(20, align.Rect{Y0: 5, Y1: 20, X0: 25, X1: 50}), ""},
+		{"valid full split", win(30, align.Rect{Y0: 1, Y1: 30, X0: 31, X1: m}), ""},
+		{"no window", &Task{R: 20, Score: 100, AlignedWith: -1}, "non-windowed"},
+		{"columns past the end", win(20, align.Rect{Y0: 5, Y1: 20, X0: 25, X1: m + 1}), "invalid window"},
+		{"row zero", win(20, align.Rect{Y0: 0, Y1: 20, X0: 25, X1: 50}), "invalid window"},
+		{"rows inverted", win(5, align.Rect{Y0: 20, Y1: 5, X0: 25, X1: 50}), "invalid window"},
+		{"columns inverted", win(20, align.Rect{Y0: 5, Y1: 20, X0: 50, X1: 25}), "invalid window"},
+		{"touches the diagonal", win(20, align.Rect{Y0: 5, Y1: 20, X0: 20, X1: 50}), "invalid window"},
+		{"crosses the diagonal", win(30, align.Rect{Y0: 5, Y1: 30, X0: 20, X1: 50}), "invalid window"},
+		{"R is not the bottom row", win(19, align.Rect{Y0: 5, Y1: 20, X0: 25, X1: 50}), "bottom row"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := &stats.Counters{}
+			e, err := NewEngine(codes, Config{Params: proteinParams, NumTops: 2, Counters: c})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// a valid task first: a bad one later in the list must still
+			// stop the run before any alignment
+			err = RunWindows(e, []*Task{win(10, align.Rect{Y0: 1, Y1: 10, X0: 12, X1: 40}), tc.task})
+			if tc.want == "" {
+				if err != nil {
+					t.Fatalf("valid task refused: %v", err)
+				}
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("error = %v, want one containing %q", err, tc.want)
+			}
+			if n := c.Snapshot().Alignments; n != 0 {
+				t.Errorf("%d alignments ran before the task list was refused", n)
+			}
+		})
+	}
+}
+
+// A caller that leaves AlignedWith at its zero value on a never-aligned
+// window must still get the first alignment, not an acceptance of a
+// bound.
+func TestRunWindowsUnalignedZeroStamp(t *testing.T) {
+	codes := seq.PaperATGC().Codes
+	e, err := NewEngine(codes, Config{Params: dnaParams, NumTops: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	task := &Task{R: 4, Score: 8, Win: &Window{Rect: align.Rect{Y0: 1, Y1: 4, X0: 5, X1: 12}, Bound: 8}}
+	if err := RunWindows(e, []*Task{task}); err != nil {
+		t.Fatal(err)
+	}
+	if len(e.Tops()) != 1 || e.Tops()[0].Score != 8 {
+		t.Fatalf("tops = %+v, want one alignment of score 8", e.Tops())
+	}
+}
