@@ -91,43 +91,41 @@ func BenchmarkTable2Conventional(b *testing.B) {
 	}
 }
 
-// BenchmarkTable2ILP4 times four neighbouring matrices in the
-// interleaved ILP kernel (this reproduction's production group kernel).
-func BenchmarkTable2ILP4(b *testing.B) {
-	s := table2Input()
-	r0 := len(s)/2 - 2
-	b.SetBytes(4 * int64(len(s)/2) * int64(len(s)-len(s)/2))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		multialign.ScoreGroupILPStriped(benchParams, s, r0, nil, 0)
+// benchTable2Tier times one group of neighbouring matrices centred on
+// the largest split with the group kernel forced to one vector tier (the
+// paper's SSE/SSE2 columns); b.SetBytes makes MB/s read as Mcells/s.
+func benchTable2Tier(b *testing.B, tier multialign.Tier, lanes int) {
+	active := multialign.ActiveTier()
+	if tier > active {
+		b.Skipf("kernel tier %s unavailable (active tier %s)", tier, active)
 	}
-}
-
-// BenchmarkTable2SWAR4 times the packed-lane kernel standing in for SSE.
-func BenchmarkTable2SWAR4(b *testing.B) {
+	if err := multialign.SetKernelTier(tier.String()); err != nil {
+		b.Fatal(err)
+	}
+	defer multialign.SetKernelTier(active.String()) //nolint:errcheck // it was active, so it is supported
 	s := table2Input()
-	r0 := len(s)/2 - 2
-	b.SetBytes(4 * int64(len(s)/2) * int64(len(s)-len(s)/2))
+	r0 := len(s)/2 - lanes/2
+	sc := multialign.NewScratch()
+	b.SetBytes(int64(lanes) * int64(len(s)/2) * int64(len(s)-len(s)/2))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := multialign.ScoreGroup(benchParams, s, r0, 4, nil); err != nil {
+		g, err := sc.ScoreGroupAuto(benchParams, s, r0, lanes, nil)
+		if err != nil {
 			b.Fatal(err)
+		}
+		if g.Tier != tier {
+			b.Fatalf("group served by tier %s, want %s", g.Tier, tier)
 		}
 	}
 }
 
-// BenchmarkTable2SWAR8 times the 8-lane kernel standing in for SSE2.
-func BenchmarkTable2SWAR8(b *testing.B) {
-	s := table2Input()
-	r0 := len(s)/2 - 4
-	b.SetBytes(8 * int64(len(s)/2) * int64(len(s)-len(s)/2))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := multialign.ScoreGroup(benchParams, s, r0, 8, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+// BenchmarkTable2Int32x8 times eight matrices in exact int32 AVX2 lanes,
+// the analogue of the paper's 8-lane SSE2 column.
+func BenchmarkTable2Int32x8(b *testing.B) { benchTable2Tier(b, multialign.TierInt32x8, 8) }
+
+// BenchmarkTable2Int16x16 times sixteen matrices in saturating int16
+// AVX2 lanes, twice the width of anything the paper had.
+func BenchmarkTable2Int16x16(b *testing.B) { benchTable2Tier(b, multialign.TierInt16x16, 16) }
 
 // --- Section 5.1: cache-aware striping ----------------------------------
 
@@ -146,24 +144,6 @@ func BenchmarkStripingScalar(b *testing.B) {
 			}
 		})
 	}
-}
-
-func BenchmarkStripingGroup(b *testing.B) {
-	s := seq.SyntheticTitin(4096, 1).Codes
-	r0 := len(s)/2 - 2
-	cells := 4 * int64(len(s)/2) * int64(len(s)-len(s)/2)
-	b.Run("rowwise", func(b *testing.B) {
-		b.SetBytes(cells)
-		for i := 0; i < b.N; i++ {
-			multialign.ScoreGroupILP(benchParams, s, r0, nil)
-		}
-	})
-	b.Run("striped", func(b *testing.B) {
-		b.SetBytes(cells)
-		for i := 0; i < b.N; i++ {
-			multialign.ScoreGroupILPStriped(benchParams, s, r0, nil, 0)
-		}
-	})
 }
 
 // --- Figure 8: cluster speedup simulation -------------------------------

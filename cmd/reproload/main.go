@@ -3,14 +3,13 @@
 // sequences for a fixed duration, honouring 429 Retry-After
 // backpressure, and the run is summarised as a machine-readable
 // benchmark document (throughput, p50/p95/p99 latency, cache hit rate,
-// cold-vs-hit latency ratio) for the serving performance trajectory
-// (BENCH_PR3.json).
+// cold-vs-hit latency ratio).
 //
 // Every response is differentially verified against a locally computed
 // sequential analysis of the same sequence, so a run also asserts the
 // serving layer returns bit-identical results to reprocli.
 //
-//	reproload -self -clients 64 -duration 10s -out BENCH_PR3.json
+//	reproload -self -clients 64 -duration 10s -out load.json
 //	reproload -addr localhost:8080 -clients 32 -seqs 4 -len 600
 package main
 
@@ -349,7 +348,7 @@ func main() {
 	}
 }
 
-// output is the benchmark document (BENCH_PR3.json schema).
+// output is the benchmark document.
 type output struct {
 	Bench       string  `json:"bench"`
 	Clients     int     `json:"clients"`

@@ -2,7 +2,7 @@ package main
 
 // Router-scaling benchmark (-router-compare): runs the warm-hit load
 // phase against an in-process router fronting fleets of different
-// sizes and emits one combined document (BENCH_PR8.json schema).
+// sizes and emits one combined document.
 //
 // Measuring scale-OUT honestly on one machine needs a capacity model:
 // every shard shares the same CPUs, so raw warm throughput would

@@ -256,8 +256,8 @@ func burnOf(s *obs.Snapshot) string {
 	return fmt.Sprintf("%.1f", float64(worst)/1000)
 }
 
-// tierMix renders the kernel tier alignment mix as s/w/v (scalar,
-// int32x8 SWAR, int16x16 vector) percentage shares.
+// tierMix renders the kernel tier alignment mix as percentage shares in
+// counter-name order: int16x16/int32x8/scalar.
 func tierMix(s *obs.Snapshot) string {
 	var names []string
 	for name := range s.Counters {

@@ -1,7 +1,9 @@
 // Command table2 regenerates Table 2 of the paper: maximum alignment
-// times for the conventional kernel versus the SIMD-style group kernels
-// ("SSE" computes 4 matrices at once, "SSE2" 8; this reproduction's
-// lane engine is SWAR on uint64 words — see DESIGN.md).
+// times for the conventional kernel versus the SIMD group kernels. The
+// paper's "SSE" column computes 4 matrices per register and "SSE2" 8;
+// here the rungs are the kernel-tier ladder of internal/multialign —
+// int32x8 (8 exact lanes per AVX2 register, the SSE2 analogue) and
+// int16x16 (16 saturating lanes, twice the width the paper had).
 //
 // The paper's column "3.0 / 4" reads "three seconds to align four
 // sequence pairs"; the table here prints the same shape plus the derived
@@ -38,58 +40,57 @@ func main() {
 	fmt.Printf("Table 2: maximum alignment times, split %d of a %d-residue titin-like protein\n\n", r, m)
 
 	// conventional: one scalar matrix
+	asc := align.NewScratch()
 	conv := best(*reps, func() {
-		align.Score(params, s[:r], s[r:])
+		asc.Score(params, s[:r], s[r:])
 	})
 	cells := float64(r) * float64(m-r)
-	fmt.Printf("%-22s %10.3fs / 1 matrix   (%.0fM cells/s)\n",
-		"conventional", conv.Seconds(), cells/conv.Seconds()/1e6)
+	fmt.Printf("%-14s %8.2f ms /  1 matrix   (%.0fM cells/s)\n",
+		"conventional", ms(conv), cells/conv.Seconds()/1e6)
 
-	// ILP group kernel (the production group kernel: 4 independent
-	// int32 lanes sharing lookups and loop control, Figure 7 layout)
-	r0 := r - 2
-	ilp := best(*reps, func() {
-		multialign.ScoreGroupILP(params, s, r0, nil)
-	})
-	fmt.Printf("%-22s %10.3fs / 4 matrices (speed improvement %.2fx)\n",
-		"ILP-4 (interleaved)", ilp.Seconds(), conv.Seconds()*4/ilp.Seconds())
-
-	ilpStriped := best(*reps, func() {
-		multialign.ScoreGroupILPStriped(params, s, r0, nil, 0)
-	})
-	fmt.Printf("%-22s %10.3fs / 4 matrices (speed improvement %.2fx; %.2fx from striping)\n",
-		"ILP-4 striped", ilpStriped.Seconds(),
-		conv.Seconds()*4/ilpStriped.Seconds(), ilp.Seconds()/ilpStriped.Seconds())
-
-	// SWAR lane kernels: centre the group on the largest split
-	for _, lanes := range []int{4, 8} {
-		r0 := r - lanes/2
+	// vector rungs: the group centred on the largest split, forced to
+	// each tier the host (and REPRO_KERNEL_TIER) allows
+	active := multialign.ActiveTier()
+	gsc := multialign.NewScratch()
+	for _, rung := range []struct {
+		tier  multialign.Tier
+		lanes int
+		paper string
+	}{
+		{multialign.TierInt32x8, 8, "SSE2, 8 lanes: 9.8x"},
+		{multialign.TierInt16x16, 16, "no 16-lane column; SSE, 4 lanes: 6.9x on P3, 6.0x on P4"},
+	} {
+		if rung.tier > active {
+			continue
+		}
+		if err := multialign.SetKernelTier(rung.tier.String()); err != nil {
+			fatal(err)
+		}
+		r0 := r - rung.lanes/2
 		dur := best(*reps, func() {
-			g, err := multialign.ScoreGroup(params, s, r0, lanes, nil)
+			g, err := gsc.ScoreGroupAuto(params, s, r0, rung.lanes, nil)
 			if err != nil {
 				fatal(err)
 			}
-			if g.Saturated {
-				fatal(fmt.Errorf("lane saturation at length %d; lower -length", m))
+			if g.Tier != rung.tier {
+				fatal(fmt.Errorf("group served by tier %s, want %s (int16 saturation at length %d? lower -length)", g.Tier, rung.tier, m))
 			}
 		})
-		improvement := conv.Seconds() * float64(lanes) / dur.Seconds()
-		name := fmt.Sprintf("SWAR-%d (paper: SSE", lanes)
-		if lanes == 8 {
-			name = fmt.Sprintf("SWAR-%d (paper: SSE2", lanes)
-		}
-		fmt.Printf("%-22s %10.3fs / %d matrices (speed improvement %.2fx; paper: %s)\n",
-			name+")", dur.Seconds(), lanes, improvement,
-			map[int]string{4: "6.9x on P3, 6.0x on P4", 8: "9.8x"}[lanes])
+		fmt.Printf("%-14s %8.2f ms / %2d matrices (speed improvement %.2fx; paper: %s)\n",
+			rung.tier, ms(dur), rung.lanes,
+			conv.Seconds()*float64(rung.lanes)/dur.Seconds(), rung.paper)
+	}
+	if active == multialign.TierScalar {
+		fmt.Printf("(vector tiers unavailable: detected tier %s, active tier %s)\n", multialign.DetectedTier(), active)
 	}
 
 	// cache-aware striping (Section 5.1): striped vs row-wise scalar
 	fmt.Println()
 	striped := best(*reps, func() {
-		align.ScoreStriped(params, s[:r], s[r:], nil, r, 0)
+		asc.ScoreStriped(params, s[:r], s[r:], nil, r, 0)
 	})
-	fmt.Printf("%-22s %10.3fs / 1 matrix   (%.2fx vs row-wise; paper: ~1.16x scalar, up to 6.5x SIMD)\n",
-		"striped scalar", striped.Seconds(), conv.Seconds()/striped.Seconds())
+	fmt.Printf("%-14s %8.2f ms /  1 matrix   (%.2fx vs row-wise; paper: ~1.16x scalar, up to 6.5x SIMD)\n",
+		"striped scalar", ms(striped), conv.Seconds()/striped.Seconds())
 }
 
 // best runs f reps times and returns the fastest wall time.
@@ -104,6 +105,8 @@ func best(reps int, f func()) time.Duration {
 	}
 	return bestD
 }
+
+func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "table2:", err)

@@ -1,12 +1,8 @@
 package repro
 
 import (
-	"reflect"
 	"strings"
 	"testing"
-	"time"
-
-	"repro/internal/obs"
 )
 
 // FuzzAnalyzeDNA drives the whole pipeline with arbitrary byte strings:
@@ -71,66 +67,6 @@ func FuzzFASTA(f *testing.F) {
 			if rep.SeqLen != len(rep.Residues) {
 				t.Fatalf("SeqLen %d != len(Residues) %d", rep.SeqLen, len(rep.Residues))
 			}
-		}
-	})
-}
-
-// FuzzSnapshotCodec feeds arbitrary bytes to the telemetry snapshot
-// decoder: it must never panic or over-allocate, and anything it
-// accepts must re-encode to the same canonical bytes (decode∘encode is
-// the identity on the valid subset of the wire format).
-func FuzzSnapshotCodec(f *testing.F) {
-	f.Add([]byte{})
-	f.Add([]byte("OBS1"))
-	f.Add([]byte("OBJ1"))
-	reg := obs.NewRegistry()
-	reg.Counter("engine/alignments").Add(42)
-	reg.Gauge("cluster/live_slaves").Set(2)
-	reg.Histogram("engine/align_ns").Observe(time.Millisecond)
-	f.Add(reg.Snapshot().Encode())
-	f.Add(obs.NewRegistry().Snapshot().Encode())
-	f.Fuzz(func(t *testing.T, b []byte) {
-		snap, err := obs.DecodeSnapshot(b)
-		if err != nil {
-			return
-		}
-		enc := snap.Encode()
-		back, err := obs.DecodeSnapshot(enc)
-		if err != nil {
-			t.Fatalf("re-decode of canonical encoding failed: %v", err)
-		}
-		if !reflect.DeepEqual(back, snap) {
-			t.Fatalf("decode/encode not stable:\n got %+v\nwant %+v", back, snap)
-		}
-		// Note enc need not equal b byte-for-byte: duplicate names in b
-		// collapse into one map entry. But the canonical form must be a
-		// fixed point.
-		if !reflect.DeepEqual(back.Encode(), enc) {
-			t.Fatal("canonical encoding is not a fixed point")
-		}
-	})
-}
-
-// FuzzEventsCodec does the same for the journal wire format. Event
-// elements are fixed-width, so here a successful decode must round-trip
-// to the exact input bytes.
-func FuzzEventsCodec(f *testing.F) {
-	f.Add([]byte{})
-	f.Add([]byte("OBJ1"))
-	f.Add([]byte("OBS1"))
-	f.Add(obs.EncodeEvents(nil))
-	f.Add(obs.EncodeEvents([]obs.Event{
-		{Seq: 1, At: 10, Kind: obs.EvEnqueue, Rank: -1, R: 3, Arg: 0},
-		{Seq: 2, At: 30, Kind: obs.EvAccept, Rank: 1, R: 3, Arg: 999},
-	}))
-	f.Fuzz(func(t *testing.T, b []byte) {
-		events, err := obs.DecodeEvents(b)
-		if err != nil {
-			return
-		}
-		enc := obs.EncodeEvents(events)
-		if string(enc) != string(b) {
-			t.Fatalf("accepted input is not canonical:\n in  %x\n out %x", b, enc)
 		}
 	})
 }

@@ -1,9 +1,9 @@
 // Package atomicfile writes files atomically: data lands in a
 // temporary file in the destination directory and is renamed into
 // place, so readers never observe a truncated or half-written file and
-// an interrupted writer can never corrupt an existing one. The
-// benchmark trajectory files (BENCH_PR*.json) and metrics snapshots are
-// written this way.
+// an interrupted writer can never corrupt an existing one. Load-test
+// documents, metrics snapshots, cache entries, job snapshots and profile
+// captures are written this way.
 package atomicfile
 
 import (

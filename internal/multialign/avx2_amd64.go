@@ -47,7 +47,7 @@ func rowAVX16PairFast(a, maxY, exY, exY1 *int16, n int, open, ext int16, mxY, mx
 
 // hasAVX2 gates the vector tiers. Detection is pure: runtime tier
 // selection (tier.go) decides what actually runs, and honors the
-// REPRO_NO_AVX2 / REPRO_KERNEL_TIER environment overrides at init.
+// REPRO_KERNEL_TIER environment override at init.
 var hasAVX2 = detectAVX2()
 
 // hasAVX512 reports AVX-512 F+BW support for the stubbed future tier.
@@ -93,7 +93,8 @@ func detectAVX512() bool {
 // kernel handles clean column runs; Go handles the left-border prologue
 // (columns 1..7, where not-yet-started lanes are forced to zero) and
 // overridden columns, which are found with triangle.NextSet so masked
-// rows still run mostly in assembly. bots as in ilp4.
+// rows still run mostly in assembly. bots holds the destination bottom
+// rows: bots[k] receives split r0+k's row (nil lanes are skipped).
 func (sc *Scratch) avx8(p align.Params, s []byte, r0 int, tri *triangle.Triangle, bots [][]int32) {
 	m := len(s)
 	n := m - r0 // column c is global position j = r0+c
@@ -433,3 +434,29 @@ func col8(prev, cur, maxY []int32, mx *[8]int32, c int, e, open, ext int32, over
 		my[k] = maxG(g, my[k]) - ext
 	}
 }
+
+// cellFast is one lane's Figure-3 cell update.
+func cellFast(d, mx, my, e int32) int32 {
+	best := d
+	if mx > best {
+		best = mx
+	}
+	if my > best {
+		best = my
+	}
+	v := best + e
+	if v < 0 {
+		v = 0
+	}
+	return v
+}
+
+func maxG(a, b int32) int32 {
+	if a > b {
+		return a
+	}
+	return b
+}
+
+// negInf matches the scalar kernel's -infinity headroom.
+const negInf = -(1 << 29)

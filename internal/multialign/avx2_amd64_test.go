@@ -1,0 +1,80 @@
+package multialign
+
+import "testing"
+
+// The assembly flag must flip exactly at satLimit16: a cell value of
+// satLimit16-1 is clean, satLimit16 sets the lane's sticky bits.
+func TestRowAVX16FlagBoundary(t *testing.T) {
+	if !hasAVX2 {
+		t.Skip("needs AVX2")
+	}
+	for _, tc := range []struct {
+		e        int16
+		wantFlag bool
+	}{
+		{9, false}, // 31990 + 9 = satLimit16-1
+		{10, true}, // 31990 + 10 = satLimit16
+	} {
+		prev := make([]int16, 16)
+		cur := make([]int16, 16)
+		maxY := make([]int16, 16)
+		mx := make([]int16, 16)
+		for i := range prev {
+			prev[i] = satLimit16 - 10
+			maxY[i] = negInf16
+			mx[i] = negInf16
+		}
+		ex := []int16{tc.e}
+		var sat uint32
+		rowAVX16(&prev[0], &cur[0], &maxY[0], &ex[0], 1, 5, 1, &mx[0], &sat)
+		if got := sat != 0; got != tc.wantFlag {
+			t.Errorf("e=%d: sat=%#x, want flag %v", tc.e, sat, tc.wantFlag)
+		}
+		if want := int16(satLimit16 - 10 + int(tc.e)); cur[0] != want {
+			t.Errorf("e=%d: cur[0]=%d, want %d", tc.e, cur[0], want)
+		}
+	}
+}
+
+// n=0 segments must be a no-op for all three row kernels: no stores, no
+// flag, no crash. The masked drivers can produce empty segments when
+// overridden columns are adjacent.
+func TestRowKernelsZeroColumns(t *testing.T) {
+	if !hasAVX2 {
+		t.Skip("needs AVX2")
+	}
+	prev16 := make([]int16, 16)
+	cur16 := make([]int16, 16)
+	maxY16 := make([]int16, 16)
+	mx16 := make([]int16, 16)
+	ex16 := []int16{7}
+	for i := range cur16 {
+		cur16[i] = 42
+		maxY16[i] = 43
+	}
+	var sat uint32
+	rowAVX16(&prev16[0], &cur16[0], &maxY16[0], &ex16[0], 0, 5, 1, &mx16[0], &sat)
+	rowAVX16Fast(&prev16[0], &cur16[0], &maxY16[0], &ex16[0], 0, 5, 1, &mx16[0])
+	if sat != 0 {
+		t.Errorf("n=0 set the saturation flag: %#x", sat)
+	}
+	for i := range cur16 {
+		if cur16[i] != 42 || maxY16[i] != 43 {
+			t.Fatalf("n=0 wrote to lane buffers at %d: cur=%d maxY=%d", i, cur16[i], maxY16[i])
+		}
+	}
+	prev32 := make([]int32, 8)
+	cur32 := make([]int32, 8)
+	maxY32 := make([]int32, 8)
+	mx32 := make([]int32, 8)
+	ex32 := []int32{7}
+	for i := range cur32 {
+		cur32[i] = 42
+	}
+	rowAVX8(&prev32[0], &cur32[0], &maxY32[0], &ex32[0], 0, 5, 1, &mx32[0])
+	for i := range cur32 {
+		if cur32[i] != 42 {
+			t.Fatalf("rowAVX8 n=0 wrote cur[%d]=%d", i, cur32[i])
+		}
+	}
+}

@@ -7,32 +7,18 @@ import (
 	"repro/internal/triangle"
 )
 
-// hasAVX2 is always false off amd64; ScoreGroupAuto uses the ILP blocks.
-const hasAVX2 = false
+// Off amd64 there is no vector tier: detection is constant false, so
+// TierFor resolves every group to the scalar tier and the kernel bodies
+// below are unreachable. They exist so ScoreGroupAuto compiles.
+const (
+	hasAVX2   = false
+	hasAVX512 = false
+)
 
-// hasAVX512 is always false off amd64.
-const hasAVX512 = false
-
-// avx8 is unreachable when hasAVX2 is false; fall back defensively so
-// the symbol exists on every platform.
 func (sc *Scratch) avx8(p align.Params, s []byte, r0 int, tri *triangle.Triangle, bots [][]int32) {
-	for block := 0; block < 8; block += 4 {
-		if r0+block > len(s)-1 {
-			break
-		}
-		sc.ilp4Striped(p, s, r0+block, tri, 0, bots[block:])
-	}
+	panic("multialign: int32x8 tier selected without AVX2")
 }
 
-// avx16 is likewise unreachable off amd64 (TierFor never resolves to the
-// int16 tier when hasAVX2 is false); fall back defensively and report no
-// saturation since the ILP lanes are exact.
 func (sc *Scratch) avx16(p align.Params, s []byte, r0 int, tri *triangle.Triangle, bots [][]int32, proven bool) bool {
-	for block := 0; block < 16; block += 4 {
-		if r0+block > len(s)-1 {
-			break
-		}
-		sc.ilp4Striped(p, s, r0+block, tri, 0, bots[block:])
-	}
-	return false
+	panic("multialign: int16x16 tier selected without AVX2")
 }

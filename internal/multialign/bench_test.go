@@ -21,25 +21,6 @@ func benchGroupCells(m, r0, lanes int) int64 {
 	return cells
 }
 
-func BenchmarkScoreGroupILP(b *testing.B) {
-	for _, n := range []int{1200, 4096} {
-		s := seq.SyntheticTitin(n, 1).Codes
-		r0 := n / 2
-		b.Run(fmt.Sprintf("flat/n=%d", n), func(b *testing.B) {
-			b.SetBytes(benchGroupCells(n, r0, 4))
-			for i := 0; i < b.N; i++ {
-				ScoreGroupILP(protein, s, r0, nil)
-			}
-		})
-		b.Run(fmt.Sprintf("striped/n=%d", n), func(b *testing.B) {
-			b.SetBytes(benchGroupCells(n, r0, 4))
-			for i := 0; i < b.N; i++ {
-				ScoreGroupILPStriped(protein, s, r0, nil, 0)
-			}
-		})
-	}
-}
-
 func BenchmarkScoreGroupAuto8(b *testing.B) {
 	for _, n := range []int{1200, 4096} {
 		s := seq.SyntheticTitin(n, 1).Codes
@@ -70,22 +51,6 @@ func BenchmarkScoreGroupAuto16(b *testing.B) {
 				}
 				if g.Rerun {
 					b.Fatal("benchmark input saturated the int16 kernel")
-				}
-			}
-		})
-	}
-}
-
-func BenchmarkScoreGroupSWAR(b *testing.B) {
-	for _, lanes := range []int{4, 8} {
-		n := 1200
-		s := seq.SyntheticTitin(n, 1).Codes
-		r0 := n / 2
-		b.Run(fmt.Sprintf("lanes=%d/n=%d", lanes, n), func(b *testing.B) {
-			b.SetBytes(benchGroupCells(n, r0, lanes))
-			for i := 0; i < b.N; i++ {
-				if _, err := ScoreGroup(protein, s, r0, lanes, nil); err != nil {
-					b.Fatal(err)
 				}
 			}
 		})

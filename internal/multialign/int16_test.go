@@ -1,7 +1,6 @@
 package multialign
 
 import (
-	"math/rand"
 	"testing"
 
 	"repro/internal/align"
@@ -10,122 +9,6 @@ import (
 	"repro/internal/triangle"
 )
 
-// The 16-lane production kernel must agree with the scalar kernel lane
-// for lane, masked and unmasked, across every group position of a small
-// sequence — the same contract the 8-lane kernel is held to, including
-// groups near the sequence end where most lanes are out of range.
-func TestAuto16MatchesScalarExhaustive(t *testing.T) {
-	dna := align.Params{Exch: scoring.PaperDNA, Gap: scoring.PaperGap}
-	full := seq.Tandem(seq.TandemSpec{Alpha: seq.DNA, UnitLen: 7, Copies: 6, Seed: 9})
-	s := full.Codes
-	m := len(s)
-	tri := triangle.New(m)
-	tri.Set(2, 12)
-	tri.Set(3, 13)
-	tri.Set(10, 20)
-	tri.Set(1, m)
-	sc := NewScratch()
-	for _, mask := range []*triangle.Triangle{nil, tri} {
-		for r0 := 1; r0 <= m-1; r0++ {
-			g, err := sc.ScoreGroupAuto(dna, s, r0, 16, mask)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if g.Rerun {
-				t.Fatalf("r0=%d: spurious saturation re-run on tiny scores", r0)
-			}
-			for i := 0; i < 16; i++ {
-				r := r0 + i
-				if r > m-1 {
-					if g.Bottoms[i] != nil {
-						t.Fatalf("r0=%d lane %d beyond last split not nil", r0, i)
-					}
-					continue
-				}
-				want := align.ScoreMasked(dna, s[:r], s[r:], mask, r)
-				if !equalRows(g.Bottoms[i], want) {
-					t.Fatalf("mask=%v r0=%d lane %d: rows differ\n got %v\nwant %v",
-						mask != nil, r0, i, g.Bottoms[i], want)
-				}
-			}
-		}
-	}
-}
-
-// Dense random masks stress the segmented masked-row path of the 16-lane
-// kernel (NextSet runs between overridden columns) against the scalar
-// masked kernel.
-func TestAuto16MatchesScalarDenseMask(t *testing.T) {
-	full := seq.SyntheticTitin(150, 21)
-	s := full.Codes
-	m := len(s)
-	rng := rand.New(rand.NewSource(77))
-	for trial := 0; trial < 6; trial++ {
-		tri := triangle.New(m)
-		for k := 0; k < 40+trial*60; k++ {
-			i := 1 + rng.Intn(m-1)
-			j := i + 1 + rng.Intn(m-i)
-			tri.Set(i, j)
-		}
-		sc := NewScratch()
-		for _, r0 := range []int{1, 2, 7, 8, 9, 15, 16, 17, m / 2, m - 17, m - 2, m - 1} {
-			g, err := sc.ScoreGroupAuto(protein, s, r0, 16, tri)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := 0; i < 16; i++ {
-				r := r0 + i
-				if r > m-1 {
-					continue
-				}
-				want := align.ScoreMasked(protein, s[:r], s[r:], tri, r)
-				if !equalRows(g.Bottoms[i], want) {
-					t.Fatalf("trial=%d r0=%d lane %d: rows differ", trial, r0, i)
-				}
-			}
-		}
-	}
-}
-
-// Forcing each kernel tier in turn must leave the 16-lane group result
-// bit-identical, and the Group must report the tier that served it.
-func TestAuto16ForcedTiersIdentical(t *testing.T) {
-	s := seq.SyntheticTitin(200, 3).Codes
-	m := len(s)
-	defer SetKernelTier("auto")
-	for _, r0 := range []int{1, 9, m / 2, m - 5} {
-		var ref [][]int32
-		for _, tier := range []Tier{TierScalar, TierInt32x8, TierInt16x16} {
-			if tier > DetectedTier() {
-				continue
-			}
-			if err := SetKernelTier(tier.String()); err != nil {
-				t.Fatal(err)
-			}
-			sc := NewScratch()
-			g, err := sc.ScoreGroupAuto(protein, s, r0, 16, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if g.Tier != tier {
-				t.Fatalf("r0=%d forced %s: group reports tier %s", r0, tier, g.Tier)
-			}
-			if ref == nil {
-				ref = make([][]int32, 16)
-				for i, b := range g.Bottoms {
-					ref[i] = append([]int32(nil), b...)
-				}
-				continue
-			}
-			for i := 0; i < 16; i++ {
-				if !equalRows(g.Bottoms[i], ref[i]) {
-					t.Fatalf("r0=%d tier %s lane %d differs from scalar", r0, tier, i)
-				}
-			}
-		}
-	}
-}
-
 // A scoring model whose exchange values exceed the int16 lane bias must
 // silently narrow to the exact int32 tier — never the saturating kernel.
 func TestAuto16WideScoresNarrowToInt32(t *testing.T) {
@@ -133,7 +16,7 @@ func TestAuto16WideScoresNarrowToInt32(t *testing.T) {
 	p := align.Params{Exch: wide, Gap: scoring.PaperGap}
 	s := make([]byte, 200)
 	r0 := 90
-	g, err := ScoreGroupAuto(p, s, r0, 16, nil)
+	g, err := NewScratch().ScoreGroupAuto(p, s, r0, 16, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,83 +146,6 @@ func TestInt16UnprovenCleanRun(t *testing.T) {
 		want := align.ScoreMasked(p, s[:r], s[r:], tri, r)
 		if !equalRows(g.Bottoms[i], want) {
 			t.Fatalf("lane %d differs from scalar masked kernel", i)
-		}
-	}
-}
-
-// The assembly flag must flip exactly at satLimit16: a cell value of
-// satLimit16-1 is clean, satLimit16 sets the lane's sticky bits.
-func TestRowAVX16FlagBoundary(t *testing.T) {
-	if !hasAVX2 {
-		t.Skip("needs AVX2")
-	}
-	for _, tc := range []struct {
-		e        int16
-		wantFlag bool
-	}{
-		{9, false}, // 31990 + 9 = satLimit16-1
-		{10, true}, // 31990 + 10 = satLimit16
-	} {
-		prev := make([]int16, 16)
-		cur := make([]int16, 16)
-		maxY := make([]int16, 16)
-		mx := make([]int16, 16)
-		for i := range prev {
-			prev[i] = satLimit16 - 10
-			maxY[i] = negInf16
-			mx[i] = negInf16
-		}
-		ex := []int16{tc.e}
-		var sat uint32
-		rowAVX16(&prev[0], &cur[0], &maxY[0], &ex[0], 1, 5, 1, &mx[0], &sat)
-		if got := sat != 0; got != tc.wantFlag {
-			t.Errorf("e=%d: sat=%#x, want flag %v", tc.e, sat, tc.wantFlag)
-		}
-		if want := int16(satLimit16 - 10 + int(tc.e)); cur[0] != want {
-			t.Errorf("e=%d: cur[0]=%d, want %d", tc.e, cur[0], want)
-		}
-	}
-}
-
-// n=0 segments must be a no-op for all three row kernels: no stores, no
-// flag, no crash. The masked drivers can produce empty segments when
-// overridden columns are adjacent.
-func TestRowKernelsZeroColumns(t *testing.T) {
-	if !hasAVX2 {
-		t.Skip("needs AVX2")
-	}
-	prev16 := make([]int16, 16)
-	cur16 := make([]int16, 16)
-	maxY16 := make([]int16, 16)
-	mx16 := make([]int16, 16)
-	ex16 := []int16{7}
-	for i := range cur16 {
-		cur16[i] = 42
-		maxY16[i] = 43
-	}
-	var sat uint32
-	rowAVX16(&prev16[0], &cur16[0], &maxY16[0], &ex16[0], 0, 5, 1, &mx16[0], &sat)
-	rowAVX16Fast(&prev16[0], &cur16[0], &maxY16[0], &ex16[0], 0, 5, 1, &mx16[0])
-	if sat != 0 {
-		t.Errorf("n=0 set the saturation flag: %#x", sat)
-	}
-	for i := range cur16 {
-		if cur16[i] != 42 || maxY16[i] != 43 {
-			t.Fatalf("n=0 wrote to lane buffers at %d: cur=%d maxY=%d", i, cur16[i], maxY16[i])
-		}
-	}
-	prev32 := make([]int32, 8)
-	cur32 := make([]int32, 8)
-	maxY32 := make([]int32, 8)
-	mx32 := make([]int32, 8)
-	ex32 := []int32{7}
-	for i := range cur32 {
-		cur32[i] = 42
-	}
-	rowAVX8(&prev32[0], &cur32[0], &maxY32[0], &ex32[0], 0, 5, 1, &mx32[0])
-	for i := range cur32 {
-		if cur32[i] != 42 {
-			t.Fatalf("rowAVX8 n=0 wrote cur[%d]=%d", i, cur32[i])
 		}
 	}
 }

@@ -1,0 +1,266 @@
+package multialign
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"repro/internal/align"
+	"repro/internal/scoring"
+	"repro/internal/seq"
+	"repro/internal/triangle"
+)
+
+var protein = align.Params{Exch: scoring.BLOSUM62, Gap: scoring.DefaultProteinGap}
+
+// wide is beyond the int16 lane bias, so 16-lane groups must narrow to
+// the exact int32 tier, and on the homopolymer its scores pass the int16
+// range.
+var wide = align.Params{Exch: scoring.Unit("wide", seq.DNA, 2000, -3), Gap: scoring.PaperGap}
+
+// kernelParams are the scoring models of the harness.
+var kernelParams = []struct {
+	name string
+	p    align.Params
+}{
+	{"BLOSUM62", protein},
+	{"PAM250", align.Params{Exch: scoring.PAM250, Gap: scoring.DefaultProteinGap}},
+	{"paper-dna", align.Params{Exch: scoring.PaperDNA, Gap: scoring.PaperGap}},
+	{"dna-unit", align.Params{Exch: scoring.DNAUnit, Gap: scoring.Gap{Open: 8, Ext: 2}}},
+	{"wide", wide},
+}
+
+// kernelInputs are the sequence shapes of the harness, generated in the
+// alphabet of the scoring model under test.
+var kernelInputs = []struct {
+	name string
+	gen  func(alpha *seq.Alphabet) []byte
+}{
+	{"random", func(a *seq.Alphabet) []byte { return seq.Random(a, 72, 3).Codes }},
+	{"repeats", func(a *seq.Alphabet) []byte {
+		if a == seq.Protein {
+			return seq.SyntheticTitin(90, 5).Codes
+		}
+		return seq.Tandem(seq.TandemSpec{Alpha: a, UnitLen: 7, Copies: 11, Seed: 9}).Codes
+	}},
+	{"homopolymer", func(*seq.Alphabet) []byte { return make([]byte, 64) }},
+	{"m=11", func(a *seq.Alphabet) []byte { return seq.Random(a, 11, 4).Codes }}, // shorter than a 16-lane group
+	{"m=3", func(a *seq.Alphabet) []byte { return seq.Random(a, 3, 5).Codes }},   // shorter than every group
+	{"m=2", func(a *seq.Alphabet) []byte { return seq.Random(a, 2, 6).Codes }},   // one split, one cell
+}
+
+// kernelTriangles are the override states of the harness.
+var kernelTriangles = []struct {
+	name string
+	gen  func(p align.Params, s []byte) *triangle.Triangle
+}{
+	{"nil", func(align.Params, []byte) *triangle.Triangle { return nil }},
+	{"empty", func(_ align.Params, s []byte) *triangle.Triangle { return triangle.New(len(s)) }},
+	{"sparse", func(_ align.Params, s []byte) *triangle.Triangle { return randomTriangle(len(s), 0.01, 77) }},
+	{"dense", func(_ align.Params, s []byte) *triangle.Triangle { return randomTriangle(len(s), 0.4, 78) }},
+	{"accepted-path", acceptedPath},
+}
+
+// randomTriangle marks each pair with probability frac, and always the
+// corner pair (1, m), the last column of every matrix's first row.
+func randomTriangle(m int, frac float64, seed int64) *triangle.Triangle {
+	tri := triangle.New(m)
+	rng := rand.New(rand.NewSource(seed))
+	for i := 1; i < m; i++ {
+		for j := i + 1; j <= m; j++ {
+			if rng.Float64() < frac {
+				tri.Set(i, j)
+			}
+		}
+	}
+	tri.Set(1, m)
+	return tri
+}
+
+// acceptedPath marks the pairs of the best alignment of the middle
+// split, as accepting that top alignment would.
+func acceptedPath(p align.Params, s []byte) *triangle.Triangle {
+	m := len(s)
+	tri := triangle.New(m)
+	r := m / 2
+	mat := align.NaiveMatrix(p, s[:r], s[r:], nil, r)
+	endX, score, _ := align.BestValidEnd(mat[r][1:], nil)
+	if score <= 0 {
+		return tri
+	}
+	aln, err := align.Traceback(p, mat, s[:r], s[r:], nil, r, endX)
+	if err != nil {
+		panic(err)
+	}
+	for _, pr := range aln.Pairs {
+		tri.Set(pr.Y, r+pr.X)
+	}
+	return tri
+}
+
+// groupStarts picks the group positions worth checking on a sequence of
+// length m: every one when m is tiny, otherwise the left border (lanes
+// that start in the prologue columns), the row-pairing threshold of the
+// int16 kernel, the middle, last groups with dead lanes, and the final
+// split alone.
+func groupStarts(m int) []int {
+	if m <= 17 {
+		all := make([]int, 0, m-1)
+		for r0 := 1; r0 <= m-1; r0++ {
+			all = append(all, r0)
+		}
+		return all
+	}
+	return []int{1, 2, 9, m / 2, m - 17, m - 6, m - 1}
+}
+
+// TestScoreGroupAuto is the one kernel harness: forced tier x lanes x
+// scoring model x input shape x override triangle, every bottom row
+// compared with the bottom row of align.NaiveMatrix — the Equation-1
+// oracle that shares no code with any tier (the scalar rung is
+// align.ScoreMasked itself, so comparing against that would prove
+// nothing). One Scratch serves a whole tier, so arena reuse across
+// shrinking and growing groups is exercised too.
+func TestScoreGroupAuto(t *testing.T) {
+	prev := ActiveTier()
+	defer SetKernelTier(prev.String()) //nolint:errcheck // prev was active, so it is supported
+	scratch := map[Tier]*Scratch{TierScalar: NewScratch(), TierInt32x8: NewScratch(), TierInt16x16: NewScratch()}
+	for _, kp := range kernelParams {
+		for _, in := range kernelInputs {
+			s := in.gen(kp.p.Exch.Alphabet())
+			m := len(s)
+			for _, kt := range kernelTriangles {
+				tri := kt.gen(kp.p, s)
+				oracle := make(map[int][]int32) // split -> NaiveMatrix bottom row
+				want := func(r int) []int32 {
+					row, ok := oracle[r]
+					if !ok {
+						row = align.NaiveMatrix(kp.p, s[:r], s[r:], tri, r)[r][1:]
+						oracle[r] = row
+					}
+					return row
+				}
+				for _, tier := range []Tier{TierScalar, TierInt32x8, TierInt16x16} {
+					if tier > DetectedTier() {
+						continue
+					}
+					if err := SetKernelTier(tier.String()); err != nil {
+						t.Fatal(err)
+					}
+					for _, lanes := range []int{4, 8, 16} {
+						for _, r0 := range groupStarts(m) {
+							where := fmt.Sprintf("%s/%s/%s tier=%s lanes=%d r0=%d", kp.name, in.name, kt.name, tier, lanes, r0)
+							g, err := scratch[tier].ScoreGroupAuto(kp.p, s, r0, lanes, tri)
+							if err != nil {
+								t.Fatalf("%s: %v", where, err)
+							}
+							// the forced tier, narrowed by what the group shape
+							// and the scoring model admit
+							wantTier := tier
+							if lanes < 16 || kp.name == "wide" {
+								wantTier = min(wantTier, TierInt32x8)
+							}
+							if lanes < 8 {
+								wantTier = TierScalar
+							}
+							if g.Tier != wantTier {
+								t.Fatalf("%s: served by tier %s, want %s", where, g.Tier, wantTier)
+							}
+							if g.Rerun {
+								t.Fatalf("%s: spurious saturation re-run", where)
+							}
+							if g.R0 != r0 || len(g.Bottoms) != lanes {
+								t.Fatalf("%s: group R0=%d with %d rows", where, g.R0, len(g.Bottoms))
+							}
+							for k, got := range g.Bottoms {
+								r := r0 + k
+								if r > m-1 {
+									if got != nil {
+										t.Fatalf("%s: lane %d beyond the last split is not nil", where, k)
+									}
+									continue
+								}
+								if !equalRows(got, want(r)) {
+									t.Fatalf("%s lane %d (split %d): rows differ\n got %v\nwant %v", where, k, r, got, want(r))
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	if DetectedTier() < TierInt16x16 {
+		t.Log("vector tiers unavailable on this CPU: only the scalar rung was checked")
+	}
+}
+
+// The wide model on the homopolymer must really leave the int16 range,
+// or the harness would not show that the exact tiers stay exact there.
+func TestWideScoresPassInt16Range(t *testing.T) {
+	s := make([]byte, 64)
+	r := len(s) / 2
+	if peak := align.MaxRowScore(align.Score(wide, s[:r], s[r:])); peak <= 32767 {
+		t.Fatalf("peak score %d fits int16; the wide model no longer tests exactness beyond it", peak)
+	}
+}
+
+func TestScoreGroupErrors(t *testing.T) {
+	s := seq.DNA.MustEncode("ACGTACGT")
+	dna := align.Params{Exch: scoring.PaperDNA, Gap: scoring.PaperGap}
+	sc := NewScratch()
+	if _, err := sc.ScoreGroupAuto(dna, s, 0, 4, nil); err == nil {
+		t.Error("r0=0 accepted")
+	}
+	if _, err := sc.ScoreGroupAuto(dna, s, 8, 4, nil); err == nil {
+		t.Error("r0=len(s) accepted")
+	}
+	for _, lanes := range []int{0, 1, 3, 5, 32} {
+		if _, err := sc.ScoreGroupAuto(dna, s, 1, lanes, nil); err == nil {
+			t.Errorf("lane count %d accepted", lanes)
+		}
+	}
+	if _, err := sc.ScoreGroupAuto(align.Params{}, s, 1, 4, nil); err == nil {
+		t.Error("invalid params accepted")
+	}
+}
+
+func TestTriangleNextSetSegments(t *testing.T) {
+	tri := triangle.New(40)
+	tri.Set(3, 10)
+	tri.Set(3, 30)
+	tri.Set(5, 6)
+	a := tri.Index(3, 10)
+	b := tri.Index(3, 30)
+	c := tri.Index(5, 6)
+	if got := tri.NextSet(0, tri.Pairs()); got != a {
+		t.Errorf("first set: got %d want %d", got, a)
+	}
+	if got := tri.NextSet(a+1, tri.Pairs()); got != b {
+		t.Errorf("after first: got %d want %d", got, b)
+	}
+	if got := tri.NextSet(a+1, b); got != -1 {
+		t.Errorf("exclusive end: got %d want -1", got)
+	}
+	if got := tri.NextSet(b+1, tri.Pairs()); got != c {
+		t.Errorf("third: got %d want %d", got, c)
+	}
+	if got := tri.NextSet(c+1, tri.Pairs()); got != -1 {
+		t.Errorf("past last: got %d want -1", got)
+	}
+	if got := tri.NextSet(-5, a+1); got != a {
+		t.Errorf("clamped from: got %d want %d", got, a)
+	}
+}
+
+func equalRows(a, b []int32) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}

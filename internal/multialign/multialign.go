@@ -1,249 +1,100 @@
-// Package multialign implements the coarse-grained SIMD-style alignment
-// scheme of Section 4.1 of the paper: instead of vectorising one matrix,
-// it computes four (or eight) *neighbouring* alignment matrices
-// concurrently — the matrices of splits r0, r0+1, ..., which differ only
-// by a few rows at the bottom and columns at the left and share the
-// top-right corner of Figure 4's rectangle diagram.
+// Package multialign implements the coarse-grained SIMD alignment scheme
+// of Section 4.1 of the paper: instead of vectorising one matrix, it
+// computes 8 or 16 *neighbouring* alignment matrices concurrently — the
+// matrices of splits r0, r0+1, ..., which differ only by a few rows at
+// the bottom and columns at the left and share the top-right corner of
+// Figure 4's rectangle diagram.
 //
 // Corresponding entries of the group's matrices align the same residue
 // pair, so one exchange-matrix lookup serves all lanes, and the entries
-// are interleaved in memory exactly as in Figure 7 (lane i of word c is
-// matrix i's entry in column c). The lane arithmetic comes from package
-// swar, this reproduction's substitute for SSE/SSE2 (see DESIGN.md);
-// on amd64 an AVX2 assembly row kernel computes eight exact int32 lanes
-// per vector register.
-//
-// SWAR lane scores saturate at SatLimit; those kernels report saturation
-// so the caller can fall back to the scalar int32 kernel for that group.
+// are interleaved in memory exactly as in Figure 7 (lane i of column
+// block c is matrix i's entry in column c). On amd64 with AVX2 an
+// assembly row kernel computes eight exact int32 lanes or sixteen
+// saturating int16 lanes per vector register; everywhere else, and for
+// groups narrower than a register, a group is a loop over the scalar row
+// kernel of package align, one split at a time.
 package multialign
 
 import (
 	"fmt"
 
 	"repro/internal/align"
-	"repro/internal/swar"
 	"repro/internal/triangle"
 )
 
-const (
-	// Bias shifts exchange values into unsigned lane range. Exchange
-	// matrices must have |score| < Bias (all embedded matrices do).
-	Bias = 256
-	// SatLimit is the lane saturation cap. AddBiasClamp0's precondition
-	// (lane + exchange + bias < 2^15) holds: 16000 + 511 < 32768.
-	SatLimit = 16000
-)
-
-// CheckParams reports whether the scoring model fits the lane arithmetic
-// preconditions of the group kernels.
-func CheckParams(p align.Params) error {
-	if err := p.Validate(); err != nil {
-		return err
-	}
-	if hi, lo := p.Exch.MaxScore(), p.Exch.MinScore(); hi >= Bias || lo <= -Bias {
-		return fmt.Errorf("multialign: exchange scores [%d,%d] exceed lane bias %d", lo, hi, Bias)
-	}
-	if p.Gap.Open+p.Gap.Ext >= SatLimit {
-		return fmt.Errorf("multialign: gap penalties %d+%d too large for lane arithmetic",
-			p.Gap.Open, p.Gap.Ext)
-	}
-	return nil
-}
+// Bias bounds the exchange values the int16 tier accepts: matrices must
+// have |score| < Bias (all embedded matrices do), so one saturating add
+// cannot jump from below satLimit16 past the int16 range.
+const Bias = 256
 
 // Group is the result of a group alignment: one bottom row per lane.
 // Bottoms[i] is the bottom row of split r0+i, or nil when that split is
-// out of range (r0+i > len(s)-1). Saturated reports that at least one
-// lane hit SatLimit somewhere, in which case the rows are unreliable and
-// the caller must recompute with the scalar kernel.
+// out of range (r0+i > len(s)-1).
 //
-// Tier and Rerun are observability fields set by ScoreGroupAuto: Tier is
-// the kernel tier that produced the rows (after any saturation
-// fallback), and Rerun reports that the int16 kernel saturated and the
-// group was transparently recomputed in exact int32 — the rows are
-// correct either way.
+// Tier and Rerun are observability fields: Tier is the kernel tier that
+// produced the rows (after any saturation fallback), and Rerun reports
+// that the int16 kernel saturated and the group was transparently
+// recomputed in exact int32 — the rows are correct either way.
 type Group struct {
-	R0        int
-	Bottoms   [][]int32
-	Saturated bool
-	Tier      Tier
-	Rerun     bool
+	R0      int
+	Bottoms [][]int32
+	Tier    Tier
+	Rerun   bool
 }
 
-// ScoreGroup computes the bottom rows of `lanes` neighbouring splits
-// (4 or 8) starting at split r0, against override triangle tri (which
-// may be nil). s is the full sequence; split r aligns s[:r] with s[r:].
-// Hot paths should reuse a Scratch ((*Scratch).ScoreGroup): the
-// package-level function allocates fresh buffers on every call.
-func ScoreGroup(p align.Params, s []byte, r0, lanes int, tri *triangle.Triangle) (*Group, error) {
-	return new(Scratch).ScoreGroup(p, s, r0, lanes, tri)
-}
-
-// keepLanes returns a word keeping lanes 0..k-1 (0xFFFF) and zeroing the
-// rest. k below 0 keeps nothing; k of 4 or more keeps everything.
-func keepLanes(k int) uint64 {
-	if k <= 0 {
-		return 0
+// ScoreGroupAuto computes the bottom rows of `lanes` (4, 8 or 16)
+// neighbouring splits starting at split r0, against override triangle
+// tri (which may be nil). s is the full sequence; split r aligns s[:r]
+// with s[r:]. It dispatches on the effective kernel tier (TierFor): full
+// 16-lane groups whose scoring model fits 16-bit arithmetic run the
+// saturating int16 kernel — with an exact int32 re-run if the sticky
+// saturation flag fires — 8-lane blocks run the exact int32 AVX2 kernel,
+// and everything else runs align's scalar row kernel split by split. All
+// paths produce bit-identical bottom rows; the chosen path is reported
+// in Group.Tier.
+func (sc *Scratch) ScoreGroupAuto(p align.Params, s []byte, r0, lanes int, tri *triangle.Triangle) (*Group, error) {
+	if err := p.Validate(); err != nil {
+		return nil, err
 	}
-	if k >= 4 {
-		return ^uint64(0)
-	}
-	return (uint64(1) << uint(16*k)) - 1
-}
-
-// swar4 is the 4-lane kernel body (one uint64 word per column). bots
-// holds the destination bottom rows; reports saturation.
-func (sc *Scratch) swar4(p align.Params, s []byte, r0 int, tri *triangle.Triangle, bots [][]int32) bool {
 	m := len(s)
-	n := m - r0 // shared column count; column c is global position j = r0+c
-
-	prev := growU64(&sc.wPrev, n+1)
-	cur := growU64(&sc.wCur, n+1)
-	maxY := growU64(&sc.wMaxY, n+1)
-	for i := range prev {
-		prev[i] = 0 // zero boundary row; biased-zero lane start for maxY
-		maxY[i] = 0
+	if r0 < 1 || r0 > m-1 {
+		return nil, fmt.Errorf("multialign: group start split %d out of range for length %d", r0, m)
 	}
-	cur[0] = 0 // becomes prev[0] (the boundary column word) after swap
-
-	openW := swar.Splat(uint16(p.Gap.Open))
-	extW := swar.Splat(uint16(p.Gap.Ext))
-	biasW := swar.Splat(Bias)
-	satW := swar.Splat(SatLimit)
-	var satAcc uint64
-
-	yMax := r0 + 3
-	if yMax > m-1 {
-		yMax = m - 1
+	if lanes != 4 && lanes != 8 && lanes != 16 {
+		return nil, fmt.Errorf("multialign: unsupported lane count %d (want 4, 8, or 16)", lanes)
 	}
-	for y := 1; y <= yMax; y++ {
-		row := p.Exch.Row(s[y-1])
-		// lanes whose matrix has no row y (split r0+i < y) are done;
-		// keep lanes i with r0+i >= y, i.e. i >= y-r0.
-		rowKeep := ^uint64(0)
-		if y > r0 {
-			rowKeep = ^keepLanes(y - r0) // zero lanes 0..y-r0-1
+	g := sc.newGroup(m, r0, lanes)
+	tier := TierFor(p, m, lanes)
+	if tier == TierInt16x16 {
+		proven := Int16Proven(p, m, r0, lanes)
+		if !sc.avx16(p, s, r0, tri, g.Bottoms, proven) {
+			g.Tier = TierInt16x16
+			return g, nil
 		}
-		var maxX uint64
-		base := 0
-		masked := false
-		if tri != nil {
-			// global pair (y, r0+c) has triangle index base+c-1
-			base = tri.RowOffset(y) + r0 - y
-			masked = !tri.RowEmpty(base, n)
-		}
-		for c := 1; c <= n; c++ {
-			d := prev[c-1]
-			e := uint16(int32(row[s[r0+c-1]]) + Bias)
-			best := swar.Max(swar.Max(maxX, maxY[c]), d)
-			v := swar.AddBiasClamp0(best, swar.Splat(e), biasW)
-			if masked && tri.GetAt(base+c-1) {
-				v = 0
-			}
-			// left-border correction: lane i's matrix starts at column
-			// c = i+1, so at column c only lanes 0..c-1 exist.
-			keep := rowKeep
-			if c < 4 {
-				keep &= keepLanes(c)
-			}
-			v &= keep
-			satAcc |= swar.GEMask(v, satW)
-			v = swar.Min(v, satW)
-			cur[c] = v
-			u := swar.SubSat(d, openW)
-			maxX = swar.SubSat(swar.Max(u, maxX), extW)
-			maxY[c] = swar.SubSat(swar.Max(u, maxY[c]), extW)
-		}
-		// capture the bottom row of the lane whose matrix ends here
-		if k := y - r0; k >= 0 && k < 4 && k < len(bots) && bots[k] != nil {
-			bottom := bots[k]
-			for c := k + 1; c <= n; c++ {
-				bottom[c-k-1] = int32(swar.Lane(cur[c], k))
-			}
-		}
-		prev, cur = cur, prev
+		// Saturation detected: the int16 rows are unreliable. Re-run the
+		// whole group through the exact int32 kernel below — the int16
+		// tier implies AVX2, so avx8 is always the rerun engine.
+		g.Rerun = true
+		tier = TierInt32x8
 	}
-	sc.wPrev, sc.wCur = prev, cur
-	return satAcc != 0
-}
-
-// swar8 is the 8-lane kernel body: two words per column, covering
-// splits r0..r0+7 (the SSE2 analogue).
-func (sc *Scratch) swar8(p align.Params, s []byte, r0 int, tri *triangle.Triangle, bots [][]int32) bool {
-	m := len(s)
-	n := m - r0
-
-	prev := growU64(&sc.wPrev, 2*(n+1))
-	cur := growU64(&sc.wCur, 2*(n+1))
-	maxY := growU64(&sc.wMaxY, 2*(n+1))
-	for i := range prev {
-		prev[i] = 0
-		maxY[i] = 0
-	}
-	cur[0], cur[1] = 0, 0
-
-	openW := swar.Splat(uint16(p.Gap.Open))
-	extW := swar.Splat(uint16(p.Gap.Ext))
-	biasW := swar.Splat(Bias)
-	satW := swar.Splat(SatLimit)
-	var satAcc uint64
-
-	yMax := r0 + 7
-	if yMax > m-1 {
-		yMax = m - 1
-	}
-	for y := 1; y <= yMax; y++ {
-		row := p.Exch.Row(s[y-1])
-		// word 0 holds lanes 0..3 (splits r0..r0+3), word 1 lanes 4..7
-		rowKeep0, rowKeep1 := ^uint64(0), ^uint64(0)
-		if y > r0 {
-			done := y - r0 // lanes 0..done-1 are done
-			rowKeep0 = ^keepLanes(done)
-			rowKeep1 = ^keepLanes(done - 4)
-		}
-		var maxX0, maxX1 uint64
-		base := 0
-		masked := false
-		if tri != nil {
-			base = tri.RowOffset(y) + r0 - y
-			masked = !tri.RowEmpty(base, n)
-		}
-		for c := 1; c <= n; c++ {
-			d0, d1 := prev[2*(c-1)], prev[2*(c-1)+1]
-			eW := swar.Splat(uint16(int32(row[s[r0+c-1]]) + Bias))
-			best0 := swar.Max(swar.Max(maxX0, maxY[2*c]), d0)
-			best1 := swar.Max(swar.Max(maxX1, maxY[2*c+1]), d1)
-			v0 := swar.AddBiasClamp0(best0, eW, biasW)
-			v1 := swar.AddBiasClamp0(best1, eW, biasW)
-			if masked && tri.GetAt(base+c-1) {
-				v0, v1 = 0, 0
+	if tier == TierInt32x8 {
+		for block := 0; block < lanes; block += 8 {
+			b0 := r0 + block
+			if b0 > m-1 {
+				break
 			}
-			keep0, keep1 := rowKeep0, rowKeep1
-			if c < 8 {
-				keep0 &= keepLanes(c)
-				keep1 &= keepLanes(c - 4)
-			}
-			v0 &= keep0
-			v1 &= keep1
-			satAcc |= swar.GEMask(v0, satW) | swar.GEMask(v1, satW)
-			v0 = swar.Min(v0, satW)
-			v1 = swar.Min(v1, satW)
-			cur[2*c], cur[2*c+1] = v0, v1
-			u0 := swar.SubSat(d0, openW)
-			u1 := swar.SubSat(d1, openW)
-			maxX0 = swar.SubSat(swar.Max(u0, maxX0), extW)
-			maxX1 = swar.SubSat(swar.Max(u1, maxX1), extW)
-			maxY[2*c] = swar.SubSat(swar.Max(u0, maxY[2*c]), extW)
-			maxY[2*c+1] = swar.SubSat(swar.Max(u1, maxY[2*c+1]), extW)
+			sc.avx8(p, s, b0, tri, g.Bottoms[block:])
 		}
-		if k := y - r0; k >= 0 && k < 8 && k < len(bots) && bots[k] != nil {
-			bottom := bots[k]
-			word, lane := k/4, k%4
-			for c := k + 1; c <= n; c++ {
-				bottom[c-k-1] = int32(swar.Lane(cur[2*c+word], lane))
-			}
-		}
-		prev, cur = cur, prev
+		g.Tier = TierInt32x8
+		return g, nil
 	}
-	sc.wPrev, sc.wCur = prev, cur
-	return satAcc != 0
+	for k, bottom := range g.Bottoms {
+		if bottom == nil {
+			break
+		}
+		r := r0 + k
+		copy(bottom, sc.row.ScoreMasked(p, s[:r], s[r:], tri, r))
+	}
+	g.Tier = TierScalar
+	return g, nil
 }

@@ -1,15 +1,10 @@
 package multialign
 
-import (
-	"fmt"
-
-	"repro/internal/align"
-	"repro/internal/triangle"
-)
+import "repro/internal/align"
 
 // Scratch is the group-kernel analogue of align.Scratch: a reusable
-// buffer arena that makes every group score kernel allocation-free once
-// warm. Buffers grow monotonically to the largest group seen and are
+// buffer arena that makes ScoreGroupAuto allocation-free on every tier
+// once warm. Buffers grow monotonically to the largest group seen and are
 // reset, never reallocated, on reuse.
 //
 // Ownership rules match align.Scratch (DESIGN.md section 10): a Scratch
@@ -20,14 +15,11 @@ import (
 //
 // The zero value is ready to use.
 type Scratch struct {
-	prev, cur, maxY []int32 // interleaved int32 lane rows (ILP and AVX2 kernels)
+	row align.Scratch // scalar tier: the row kernel's own arena
 
-	wPrev, wCur, wMaxY []uint64 // packed uint16 lane words (SWAR kernels)
-
-	edgeM, edgeMx [][4]int32 // striped ILP kernel's inter-stripe carries
-
-	prof      []int32 // query profile: per-character exchange rows (AVX2 kernel)
-	profBuilt []bool
+	prev, cur, maxY []int32 // interleaved int32 lane rows (8-lane AVX2 kernel)
+	prof            []int32 // query profile: per-character exchange rows
+	profBuilt       []bool
 
 	prev16, cur16, maxY16 []int16 // interleaved int16 lane rows (16-lane AVX2 kernel)
 	prof16                []int16 // query profile at int16 width
@@ -53,22 +45,6 @@ func growI32(buf *[]int32, n int) []int32 {
 func growI16(buf *[]int16, n int) []int16 {
 	if cap(*buf) < n {
 		*buf = make([]int16, n)
-	}
-	*buf = (*buf)[:n]
-	return *buf
-}
-
-func growU64(buf *[]uint64, n int) []uint64 {
-	if cap(*buf) < n {
-		*buf = make([]uint64, n)
-	}
-	*buf = (*buf)[:n]
-	return *buf
-}
-
-func growEdge(buf *[][4]int32, n int) [][4]int32 {
-	if cap(*buf) < n {
-		*buf = make([][4]int32, n)
 	}
 	*buf = (*buf)[:n]
 	return *buf
@@ -108,97 +84,4 @@ func (sc *Scratch) newGroup(m, r0, lanes int) *Group {
 	}
 	sc.g = Group{R0: r0, Bottoms: heads}
 	return &sc.g
-}
-
-// ScoreGroup is the scratch-based variant of the package-level
-// ScoreGroup (the SWAR uint16-lane kernels).
-func (sc *Scratch) ScoreGroup(p align.Params, s []byte, r0, lanes int, tri *triangle.Triangle) (*Group, error) {
-	if err := CheckParams(p); err != nil {
-		return nil, err
-	}
-	m := len(s)
-	if r0 < 1 || r0 > m-1 {
-		return nil, fmt.Errorf("multialign: group start split %d out of range for length %d", r0, m)
-	}
-	g := sc.newGroup(m, r0, lanes)
-	switch lanes {
-	case 4:
-		g.Saturated = sc.swar4(p, s, r0, tri, g.Bottoms)
-	case 8:
-		g.Saturated = sc.swar8(p, s, r0, tri, g.Bottoms)
-	default:
-		return nil, fmt.Errorf("multialign: unsupported lane count %d (want 4 or 8)", lanes)
-	}
-	return g, nil
-}
-
-// ScoreGroupILP is the scratch-based variant of the package-level
-// ScoreGroupILP (4 exact int32 lanes, flat rows).
-func (sc *Scratch) ScoreGroupILP(p align.Params, s []byte, r0 int, tri *triangle.Triangle) *Group {
-	g := sc.newGroup(len(s), r0, 4)
-	sc.ilp4(p, s, r0, tri, g.Bottoms)
-	return g
-}
-
-// ScoreGroupILPStriped is the scratch-based variant of the package-level
-// ScoreGroupILPStriped.
-func (sc *Scratch) ScoreGroupILPStriped(p align.Params, s []byte, r0 int, tri *triangle.Triangle, width int) *Group {
-	g := sc.newGroup(len(s), r0, 4)
-	sc.ilp4Striped(p, s, r0, tri, width, g.Bottoms)
-	return g
-}
-
-// ScoreGroupAuto is the scratch-based variant of the package-level
-// ScoreGroupAuto and the production group kernel. It dispatches on the
-// effective kernel tier (TierFor): full 16-lane groups whose scoring
-// model fits 16-bit arithmetic run the saturating int16 kernel — with an
-// exact int32 re-run if the sticky saturation flag fires — 8-lane blocks
-// run the exact int32 AVX2 kernel, and everything else falls back to
-// exact ILP lanes in blocks of four. All paths produce bit-identical
-// bottom rows; the chosen path is reported in Group.Tier.
-func (sc *Scratch) ScoreGroupAuto(p align.Params, s []byte, r0, lanes int, tri *triangle.Triangle) (*Group, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	m := len(s)
-	if r0 < 1 || r0 > m-1 {
-		return nil, fmt.Errorf("multialign: group start split %d out of range for length %d", r0, m)
-	}
-	if lanes != 4 && lanes != 8 && lanes != 16 {
-		return nil, fmt.Errorf("multialign: unsupported lane count %d (want 4, 8, or 16)", lanes)
-	}
-	g := sc.newGroup(m, r0, lanes)
-	tier := TierFor(p, m, lanes)
-	if tier == TierInt16x16 {
-		proven := Int16Proven(p, m, r0, lanes)
-		if !sc.avx16(p, s, r0, tri, g.Bottoms, proven) {
-			g.Tier = TierInt16x16
-			return g, nil
-		}
-		// Saturation detected: the int16 rows are unreliable. Re-run the
-		// whole group through the exact int32 kernel below — the int16
-		// tier implies AVX2, so avx8 is always the rerun engine.
-		g.Rerun = true
-		tier = TierInt32x8
-	}
-	if tier == TierInt32x8 {
-		for block := 0; block < lanes; block += 8 {
-			b0 := r0 + block
-			if b0 > m-1 {
-				break
-			}
-			sc.avx8(p, s, b0, tri, g.Bottoms[block:])
-		}
-		g.Tier = TierInt32x8
-		return g, nil
-	}
-	for block := 0; block < lanes; block += 4 {
-		b0 := r0 + block
-		if b0 > m-1 {
-			break
-		}
-		sc.ilp4Striped(p, s, b0, tri, 0, g.Bottoms[block:])
-	}
-	g.Tier = TierScalar
-	return g, nil
 }

@@ -2,6 +2,7 @@ package multialign
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"sync/atomic"
 
@@ -9,7 +10,7 @@ import (
 )
 
 // Tier identifies one rung of the group-kernel ladder, ordered from the
-// universal scalar fallback to the widest vector kernel. Wider tiers are
+// universal scalar rung to the widest vector kernel. Wider tiers are
 // strictly faster per core but carry preconditions: the int32 tier needs
 // AVX2, and the int16 tier additionally needs the scoring model to fit
 // 16-bit lane arithmetic (see int16ParamsOK). Every tier produces
@@ -18,8 +19,8 @@ import (
 type Tier uint8
 
 const (
-	// TierScalar is the pure-Go path: exact int32 lanes in ILP blocks of
-	// four. Always available.
+	// TierScalar is the pure-Go path: align's scalar row kernel, one
+	// split of the group at a time. Always available.
 	TierScalar Tier = iota
 	// TierInt32x8 is the AVX2 row kernel with 8 exact int32 lanes per
 	// vector register (rowAVX8).
@@ -30,8 +31,8 @@ const (
 	TierInt16x16
 )
 
-// String names the tier as it appears in benchjson documents, metrics
-// and the REPRO_KERNEL_TIER override.
+// String names the tier as it appears in the bench ledger, metrics and
+// the REPRO_KERNEL_TIER override.
 func (t Tier) String() string {
 	switch t {
 	case TierInt16x16:
@@ -76,22 +77,32 @@ func DetectedTier() Tier { return detectedTier }
 func DetectedAVX512() bool { return hasAVX512 }
 
 // tierOverride holds a runtime-settable tier cap: -1 means "no override,
-// use the detected tier". It replaces the old init-time REPRO_NO_AVX2
-// gate so tests and benchmarks can flip tiers in-process; both
-// REPRO_NO_AVX2 (compat: forces scalar) and REPRO_KERNEL_TIER (named
-// tier) are still honored at init.
+// use the detected tier". Tests and benchmarks flip it in-process with
+// SetKernelTier; REPRO_KERNEL_TIER sets it at init.
 var tierOverride atomic.Int32
 
 func init() {
-	tierOverride.Store(-1)
-	if v := os.Getenv("REPRO_KERNEL_TIER"); v != "" {
-		if t, err := ParseTier(v); err == nil && t <= detectedTier {
-			tierOverride.Store(int32(t))
-		}
+	tierOverride.Store(envTier(os.Getenv("REPRO_KERNEL_TIER"), detectedTier, os.Stderr))
+}
+
+// envTier resolves a REPRO_KERNEL_TIER value to a tierOverride value. A
+// name that does not parse is reported on warn, since a typo would
+// otherwise run the detected tier and pass every forced-tier check
+// vacuously. A valid tier the CPU lacks degrades to the detected tier
+// without a word: CI forces each tier in turn on whatever runner it gets.
+func envTier(v string, detected Tier, warn io.Writer) int32 {
+	if v == "" || v == "auto" {
+		return -1
 	}
-	if os.Getenv("REPRO_NO_AVX2") != "" {
-		tierOverride.Store(int32(TierScalar))
+	t, err := ParseTier(v)
+	if err != nil {
+		fmt.Fprintf(warn, "REPRO_KERNEL_TIER ignored: %v\n", err)
+		return -1
 	}
+	if t > detected {
+		return -1
+	}
+	return int32(t)
 }
 
 // SetKernelTier overrides the active kernel tier at runtime. The empty

@@ -205,8 +205,7 @@ func (h *Histogram) AddSnapshot(s HistogramSnapshot) {
 }
 
 // HistogramSnapshot is a point-in-time copy of a Histogram. Exemplars
-// are scrape-local decoration: the stable binary codec (OBS1) does not
-// carry them, and Merge ignores them.
+// are scrape-local decoration: Merge ignores them.
 type HistogramSnapshot struct {
 	Count     int64                   `json:"count"`
 	Sum       int64                   `json:"sum_ns"` // total nanoseconds
@@ -361,9 +360,8 @@ func (r *Registry) BindHistogram(name string, h *Histogram) {
 	r.mu.Unlock()
 }
 
-// Snapshot is a point-in-time copy of a registry, with stable JSON and
-// binary encodings (see codec.go). Map iteration order is irrelevant:
-// the binary encoding sorts names.
+// Snapshot is a point-in-time copy of a registry, with a stable JSON
+// encoding (encoding/json sorts map keys).
 type Snapshot struct {
 	Counters   map[string]int64             `json:"counters"`
 	Gauges     map[string]int64             `json:"gauges"`
