@@ -47,7 +47,7 @@ func main() {
 		seedPad    = flag.Int("seed-pad", 0, "prefilter candidate window padding (0 = preset default)")
 		stats      = flag.Bool("stats", false, "print engine statistics")
 		showAln    = flag.Int("align", 0, "render the first N top alignments residue by residue")
-		metricsOut = flag.String("metrics-out", "", "write the observability snapshot (metrics + trace tail) as JSON to this file (- for stdout)")
+		metricsOut = flag.String("metrics-out", "", "write the metrics snapshot as JSON to this file (- for stdout)")
 		kernelTier = flag.String("kernel-tier", "", "force a group-kernel tier: scalar, int32x8, int16x16 (default auto)")
 		diag       = flag.Bool("diag", false, "print SIMD kernel-tier diagnostics and exit")
 	)
@@ -74,7 +74,6 @@ func main() {
 	}
 	if *metricsOut != "" {
 		opt.Metrics = obs.NewRegistry()
-		opt.Trace = obs.NewJournal(0)
 	}
 
 	var reports []*repro.Report
@@ -132,20 +131,18 @@ func main() {
 	}
 
 	if *metricsOut != "" {
-		if err := writeMetrics(*metricsOut, opt.Metrics, opt.Trace); err != nil {
+		if err := writeMetrics(*metricsOut, opt.Metrics); err != nil {
 			fatal(err)
 		}
 	}
 }
 
-// writeMetrics dumps the registry snapshot and the journal tail as one
-// JSON document, to stdout when path is "-".
-func writeMetrics(path string, reg *obs.Registry, jnl *obs.Journal) error {
+// writeMetrics dumps the registry snapshot as one JSON document, to
+// stdout when path is "-".
+func writeMetrics(path string, reg *obs.Registry) error {
 	doc := struct {
 		Metrics obs.Snapshot `json:"metrics"`
-		Dropped uint64       `json:"trace_dropped"`
-		Trace   []obs.Event  `json:"trace"`
-	}{reg.Snapshot(), jnl.Dropped(), jnl.Tail(1024)}
+	}{reg.Snapshot()}
 	out, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {
 		return err

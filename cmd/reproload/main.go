@@ -1,9 +1,10 @@
 // Command reproload is a closed-loop load generator for reproserve: N
 // concurrent clients hammer POST /v1/analyze over a pool of distinct
 // sequences for a fixed duration, honouring 429 Retry-After
-// backpressure, and the run is summarised as a machine-readable
-// benchmark document (throughput, p50/p95/p99 latency, cache hit rate,
-// cold-vs-hit latency ratio).
+// backpressure, and the run is summarised on stderr and as one flat
+// JSON object (requests, errors, shed, divergences, p50/p99, hit rate).
+// It generates load and checks answers; performance numbers of record
+// come from the ledger (bench/), not from here.
 //
 // Every response is differentially verified against a locally computed
 // sequential analysis of the same sequence, so a run also asserts the
@@ -26,7 +27,6 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"runtime"
 	"sort"
 	"strconv"
 	"sync"
@@ -36,8 +36,6 @@ import (
 	"repro"
 	"repro/internal/atomicfile"
 	"repro/internal/jobstore"
-	"repro/internal/obs"
-	"repro/internal/obs/profile"
 	"repro/internal/seq"
 	"repro/internal/serve"
 )
@@ -59,37 +57,12 @@ func main() {
 		jobsN    = flag.Int("jobs", 0, "exercise the async job API first: submit N durable jobs, poll to completion, verify")
 		longLen  = flag.Int("long-len", 0, "long-input phase: analyse one synthetic sequence of this length with the prefilter preset end-to-end before the load phase (0 disables)")
 		longPre  = flag.String("long-preset", "fast", "prefilter preset for the long-input phase: fast, balanced, sensitive")
-		selfProf = flag.Bool("self-profile", false, "(with -self) run the continuous profiler in the in-process server, to measure its overhead")
 		outP     = flag.String("out", "-", "output JSON path (- for stdout)")
-
-		routerCmp = flag.String("router-compare", "", "router-scaling bench: comma-separated fleet sizes (e.g. 1,4); starts in-process shard fleets behind a router and emits a combined document")
-		shardRate = flag.Float64("shard-rate", 100, "(router bench) per-shard rate cap in rps — the declared node capacity the scaling is measured against")
-		killShard = flag.Bool("kill-shard", true, "(router bench) abruptly kill one shard halfway through the largest fleet's run and assert zero client-visible failures")
 	)
 	flag.Parse()
 
-	if *routerCmp != "" {
-		fleets, err := parseFleets(*routerCmp)
-		if err != nil {
-			fatal(err)
-		}
-		runRouterCompare(routerBenchConfig{
-			fleets:    fleets,
-			shardRate: *shardRate,
-			clients:   *clients,
-			duration:  *duration,
-			seqs:      *seqs,
-			length:    *length,
-			tops:      *tops,
-			seed:      *seed,
-			killShard: *killShard,
-			outPath:   *outP,
-		})
-		return
-	}
-
 	if *self {
-		a, shutdown, err := startSelf(*workers, *queue, *selfProf)
+		a, shutdown, err := startSelf(*workers, *queue)
 		if err != nil {
 			fatal(err)
 		}
@@ -126,9 +99,9 @@ func main() {
 
 	// Async-job phase (before the cold warmup, so jobs take the cold
 	// path): submit, poll to terminal state, verify against truth.
-	var jobsDone, jobsDeduped int64
+	var jobsDone int64
 	if *jobsN > 0 {
-		jobsDone, jobsDeduped = runJobsPhase(client, base, pool, truth, *tops, *backend, *jobsN)
+		jobsDone = runJobsPhase(client, base, pool, truth, *tops, *backend, *jobsN)
 	}
 
 	// Long-input phase: one chromosome-scale sequence through the
@@ -147,18 +120,12 @@ func main() {
 		shed429     atomic.Int64
 		errCount    atomic.Int64
 		divergences atomic.Int64
-		coldUsage   usageCollector
-		loadUsage   usageCollector
+		hitCount    atomic.Int64
 	)
-	type sample struct {
-		ms    float64
-		cache string
-	}
 
-	// Cold phase: one uncontended request per distinct sequence. This
-	// measures the true engine-path latency (no queueing noise) and
-	// warms the cache so the load phase measures the hit path.
-	var coldSamples []sample
+	// Cold phase: one uncontended request per distinct sequence, verified
+	// in full. It warms the cache so the load phase exercises the hit
+	// path.
 	for i, q := range pool {
 		body, _ := json.Marshal(serve.Request{
 			ID: q.ID, Sequence: q.String(),
@@ -179,8 +146,6 @@ func main() {
 		if err := json.Unmarshal(raw, &sr); err != nil {
 			fatal(fmt.Errorf("cold request %d: %w", i, err))
 		}
-		coldSamples = append(coldSamples, sample{float64(time.Since(t0).Microseconds()) / 1e3, sr.Cache})
-		coldUsage.observe(resp.Header)
 		if *verify {
 			rep, err := sr.DecodeReport()
 			if err != nil || !sameAnalysis(truth[i], rep) {
@@ -188,7 +153,7 @@ func main() {
 			}
 		}
 		fmt.Fprintf(os.Stderr, "reproload: warm %d/%d (%s, %.0fms)\n",
-			i+1, len(pool), sr.Cache, coldSamples[i].ms)
+			i+1, len(pool), sr.Cache, float64(time.Since(t0).Microseconds())/1e3)
 	}
 
 	// Precompute one request body per sequence: the client hot loop
@@ -202,7 +167,7 @@ func main() {
 		})
 	}
 
-	perClient := make([][]sample, *clients)
+	perClient := make([][]float64, *clients) // latencies in ms
 	stop := time.Now().Add(*duration)
 
 	for c := 0; c < *clients; c++ {
@@ -243,8 +208,10 @@ func main() {
 					continue
 				}
 				reqCount.Add(1)
-				loadUsage.observe(resp.Header)
-				perClient[c] = append(perClient[c], sample{float64(elapsed.Microseconds()) / 1e3, sr.Cache})
+				if sr.Cache == "hit" {
+					hitCount.Add(1)
+				}
+				perClient[c] = append(perClient[c], float64(elapsed.Microseconds())/1e3)
 				// Verify every non-hit plus a sample of hits: full
 				// verification of every response would burn client CPU
 				// the server needs (this is a single-machine bench).
@@ -259,76 +226,28 @@ func main() {
 	}
 	wg.Wait()
 
-	// Merge and summarise. Cold samples come from the warmup pass
-	// (uncontended engine-path latency) plus any load-phase misses;
-	// hit samples only from the load phase, under full concurrency.
-	var all, cold, hot []float64
-	cacheCounts := map[string]int64{}
-	for _, s := range coldSamples {
-		if s.cache != "hit" {
-			cold = append(cold, s.ms)
-		}
-	}
-	for _, cs := range perClient {
-		for _, s := range cs {
-			all = append(all, s.ms)
-			cacheCounts[s.cache]++
-			switch s.cache {
-			case "miss":
-				cold = append(cold, s.ms)
-			case "hit":
-				hot = append(hot, s.ms)
-			}
-		}
+	var all []float64
+	for _, ms := range perClient {
+		all = append(all, ms...)
 	}
 	n := reqCount.Load()
-	hits := cacheCounts["hit"]
-	doc := output{
-		Bench:       "serve-loadgen",
-		Clients:     *clients,
-		DurationS:   duration.Seconds(),
-		DistinctSeq: *seqs,
-		SeqLen:      *length,
-		Tops:        *tops,
-		Backend:     *backend,
-		GOMAXPROCS:  runtime.GOMAXPROCS(0),
-		GoVersion:   runtime.Version(),
+	doc := result{
 		Requests:    n,
 		Errors:      errCount.Load(),
-		Shed429:     shed429.Load(),
-		Throughput:  float64(n) / duration.Seconds(),
-		Latency:     summarise(all),
-		ColdLatency: summarise(cold),
-		HitLatency:  summarise(hot),
-		CacheHits:   hits,
-		CacheMisses: cacheCounts["miss"],
-		CacheShared: cacheCounts["shared"],
-		Verified:    *verify,
+		Shed:        shed429.Load(),
 		Divergences: divergences.Load(),
 		JobsDone:    jobsDone,
-		JobsDeduped: jobsDeduped,
 		LongInput:   longDoc,
-		Usage: map[string]*usageAgg{
-			"cold": coldUsage.agg(),
-			"load": loadUsage.agg(),
-		},
 	}
+	doc.P50MS, doc.P99MS = summarise(all)
 	if n > 0 {
-		doc.CacheHitRate = float64(hits) / float64(n)
-	}
-	if doc.HitLatency.P50 > 0 {
-		doc.ColdHitRatioP50 = doc.ColdLatency.P50 / doc.HitLatency.P50
-	}
-	if snap, err := scrapeMetrics(client, base); err == nil {
-		doc.ServerQueueDepthMax = snap.Gauges["serve/queue_depth"]
-		doc.ServerCacheEvictions = snap.Counters["cache/evictions"]
-		doc.ServerEngineCells = snap.Counters["serve/engine_cells"]
+		doc.HitRate = float64(hitCount.Load()) / float64(n)
 	}
 
 	fmt.Fprintf(os.Stderr,
-		"reproload: %d reqs (%.0f rps), %d errors, %d shed, p50 %.2fms p99 %.2fms, hit rate %.2f, cold/hit %.0fx, divergences %d\n",
-		n, doc.Throughput, doc.Errors, doc.Shed429,
-		doc.Latency.P50, doc.Latency.P99, doc.CacheHitRate, doc.ColdHitRatioP50, doc.Divergences)
+		"reproload: %d reqs (%.0f rps), %d errors, %d shed, p50 %.2fms p99 %.2fms, hit rate %.2f, divergences %d\n",
+		n, float64(n)/duration.Seconds(), doc.Errors, doc.Shed,
+		doc.P50MS, doc.P99MS, doc.HitRate, doc.Divergences)
 
 	enc, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {
@@ -348,112 +267,26 @@ func main() {
 	}
 }
 
-// output is the benchmark document.
-type output struct {
-	Bench       string  `json:"bench"`
-	Clients     int     `json:"clients"`
-	DurationS   float64 `json:"duration_s"`
-	DistinctSeq int     `json:"distinct_seqs"`
-	SeqLen      int     `json:"seq_len"`
-	Tops        int     `json:"tops"`
-	Backend     string  `json:"backend"`
-	GOMAXPROCS  int     `json:"gomaxprocs"`
-	GoVersion   string  `json:"go_version"`
-
-	Requests   int64   `json:"requests"`
-	Errors     int64   `json:"errors"`
-	Shed429    int64   `json:"shed_429"`
-	Throughput float64 `json:"throughput_rps"`
-
-	Latency     quantiles `json:"latency_ms"`
-	ColdLatency quantiles `json:"cold_latency_ms"`
-	HitLatency  quantiles `json:"hit_latency_ms"`
-	// ColdHitRatioP50 is the cache speedup: cold-path p50 over
-	// cache-hit p50.
-	ColdHitRatioP50 float64 `json:"cold_hit_ratio_p50"`
-
-	CacheHits    int64   `json:"cache_hits"`
-	CacheMisses  int64   `json:"cache_misses"`
-	CacheShared  int64   `json:"cache_shared"`
-	CacheHitRate float64 `json:"cache_hit_rate"`
-
-	Verified    bool  `json:"verified"`
-	Divergences int64 `json:"divergences"`
-
-	JobsDone    int64 `json:"jobs_done,omitempty"`
-	JobsDeduped int64 `json:"jobs_deduped,omitempty"`
-
-	LongInput *longResult `json:"long_input,omitempty"`
-
-	// Usage carries per-phase resource attribution aggregates summed
-	// from the X-Resource-* response headers, so bench files record
-	// what the run cost, not just how long it took.
-	Usage map[string]*usageAgg `json:"usage,omitempty"`
-
-	ServerQueueDepthMax  int64 `json:"server_queue_depth_last"`
-	ServerCacheEvictions int64 `json:"server_cache_evictions"`
-	ServerEngineCells    int64 `json:"server_engine_cells"`
+// result is the one flat object written to -out.
+type result struct {
+	Requests    int64       `json:"requests"`
+	Errors      int64       `json:"errors"`
+	Shed        int64       `json:"shed"`
+	Divergences int64       `json:"divergences"`
+	P50MS       float64     `json:"p50_ms"`
+	P99MS       float64     `json:"p99_ms"`
+	HitRate     float64     `json:"hit_rate"`
+	JobsDone    int64       `json:"jobs_done,omitempty"`
+	LongInput   *longResult `json:"long_input,omitempty"`
 }
 
-// usageAgg is one phase's summed resource attribution (the JSON shape).
-type usageAgg struct {
-	Requests   int64 `json:"requests"`
-	Cells      int64 `json:"cells"`
-	CPUNanos   int64 `json:"cpu_ns"`
-	AllocBytes int64 `json:"alloc_bytes"`
-}
-
-// usageCollector accumulates X-Resource-* headers concurrently.
-type usageCollector struct {
-	reqs, cells, cpu, alloc atomic.Int64
-}
-
-func headerInt(h http.Header, name string) int64 {
-	v := h.Get(name)
-	if v == "" {
-		return 0
-	}
-	n, err := strconv.ParseInt(v, 10, 64)
-	if err != nil {
-		return 0
-	}
-	return n
-}
-
-func (c *usageCollector) observe(h http.Header) {
-	c.reqs.Add(1)
-	c.cells.Add(headerInt(h, "X-Resource-Cells"))
-	c.cpu.Add(headerInt(h, "X-Resource-Cpu-Ns"))
-	c.alloc.Add(headerInt(h, "X-Resource-Alloc-Bytes"))
-}
-
-func (c *usageCollector) agg() *usageAgg {
-	return &usageAgg{
-		Requests:   c.reqs.Load(),
-		Cells:      c.cells.Load(),
-		CPUNanos:   c.cpu.Load(),
-		AllocBytes: c.alloc.Load(),
-	}
-}
-
-type quantiles struct {
-	N    int64   `json:"n"`
-	Mean float64 `json:"mean"`
-	P50  float64 `json:"p50"`
-	P95  float64 `json:"p95"`
-	P99  float64 `json:"p99"`
-	Max  float64 `json:"max"`
-}
-
-func summarise(ms []float64) quantiles {
+// summarise returns the nearest-rank p50 and p99 of ms (zeros when
+// empty). It sorts ms in place.
+func summarise(ms []float64) (p50, p99 float64) {
 	if len(ms) == 0 {
-		return quantiles{}
+		return 0, 0
 	}
 	sort.Float64s(ms)
-	var sum float64
-	for _, v := range ms {
-		sum += v
-	}
 	pick := func(p float64) float64 {
 		i := int(math.Ceil(p*float64(len(ms)))) - 1
 		if i < 0 {
@@ -461,10 +294,7 @@ func summarise(ms []float64) quantiles {
 		}
 		return ms[i]
 	}
-	return quantiles{
-		N: int64(len(ms)), Mean: sum / float64(len(ms)),
-		P50: pick(0.50), P95: pick(0.95), P99: pick(0.99), Max: ms[len(ms)-1],
-	}
+	return pick(0.50), pick(0.99)
 }
 
 // sameAnalysis compares the analysis content of two reports — tops and
@@ -498,12 +328,13 @@ func retryAfter(resp *http.Response) time.Duration {
 // over the sequence pool, polled to a terminal state and differentially
 // verified like the synchronous responses. Identical in-flight
 // submissions are expected to dedup into one job.
-func runJobsPhase(client *http.Client, base string, pool []*seq.Sequence, truth []*repro.Report, tops int, backend string, n int) (done, deduped int64) {
+func runJobsPhase(client *http.Client, base string, pool []*seq.Sequence, truth []*repro.Report, tops int, backend string, n int) (done int64) {
 	type pending struct {
 		id  string
 		idx int
 	}
 	var jobs []pending
+	deduped := 0
 	for i := 0; i < n; i++ {
 		idx := i % len(pool)
 		q := pool[idx]
@@ -563,7 +394,7 @@ func runJobsPhase(client *http.Client, base string, pool []*seq.Sequence, truth 
 		}
 	}
 	fmt.Fprintf(os.Stderr, "reproload: jobs %d submitted, %d deduped, %d verified done\n", n, deduped, done)
-	return done, deduped
+	return done
 }
 
 // longResult summarises the long-input phase.
@@ -640,24 +471,10 @@ func runLongPhase(client *http.Client, base string, length int, preset string, t
 	return res
 }
 
-func scrapeMetrics(client *http.Client, base string) (*obs.Snapshot, error) {
-	resp, err := client.Get(base + "/metrics")
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	var snap obs.Snapshot
-	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
-		return nil, err
-	}
-	return &snap, nil
-}
-
 // startSelf runs an in-process reproserve on an ephemeral port, with
 // the durable job API backed by a throwaway data dir so -jobs works
-// without an external daemon. With profiled, the continuous profiler
-// runs on a short cycle so a bench run measures its overhead.
-func startSelf(workers, queue int, profiled bool) (addr string, shutdown func(), err error) {
+// without an external daemon.
+func startSelf(workers, queue int) (addr string, shutdown func(), err error) {
 	dataDir, err := os.MkdirTemp("", "reproload-data-*")
 	if err != nil {
 		return "", nil, err
@@ -667,37 +484,14 @@ func startSelf(workers, queue int, profiled bool) (addr string, shutdown func(),
 		os.RemoveAll(dataDir) //nolint:errcheck
 		return "", nil, err
 	}
-	reg := obs.NewRegistry()
-	var prof *profile.Profiler
-	if profiled {
-		// Production duty cycle is 2s CPU out of 30s; a short bench
-		// run needs captures to land sooner, so shrink both sides and
-		// keep the ratio (250ms out of 4s ≈ 6%).
-		prof, err = profile.New(profile.Config{
-			Dir:         filepath.Join(dataDir, "profiles"),
-			Interval:    4 * time.Second,
-			CPUDuration: 250 * time.Millisecond,
-			Metrics:     reg,
-		})
-		if err != nil {
-			jobs.Close()          //nolint:errcheck
-			os.RemoveAll(dataDir) //nolint:errcheck
-			return "", nil, err
-		}
-		prof.Start()
-	}
 	srv := serve.New(serve.Config{
 		Workers:    workers,
 		QueueDepth: queue,
 		Jobs:       jobs,
-		Metrics:    reg,
-		Journal:    obs.NewJournal(0),
-		Profiles:   prof,
 	})
 	srv.Start()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		prof.Close()
 		jobs.Close()          //nolint:errcheck
 		os.RemoveAll(dataDir) //nolint:errcheck
 		return "", nil, err
@@ -709,7 +503,6 @@ func startSelf(workers, queue int, profiled bool) (addr string, shutdown func(),
 		defer cancel()
 		httpSrv.Shutdown(ctx) //nolint:errcheck
 		srv.Drain(ctx)        //nolint:errcheck
-		prof.Close()
 		jobs.Close()          //nolint:errcheck
 		os.RemoveAll(dataDir) //nolint:errcheck
 	}

@@ -11,9 +11,10 @@ import (
 
 // TestJobsPhaseAgainstSelf drives the real helpers end to end: an
 // in-process durable server, the async-job phase (submit, dedup, poll,
-// verify), and a metrics scrape.
+// verify) and the long-input phase (preset reaches the engine, response
+// verified against a local run, repeat served from the cache).
 func TestJobsPhaseAgainstSelf(t *testing.T) {
-	addr, shutdown, err := startSelf(2, 0, false)
+	addr, shutdown, err := startSelf(2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,26 +31,21 @@ func TestJobsPhaseAgainstSelf(t *testing.T) {
 
 	client := &http.Client{}
 	base := "http://" + addr
-	done, _ := runJobsPhase(client, base, pool, truth, 3, "sequential", 4)
-	if done != 4 {
+	if done := runJobsPhase(client, base, pool, truth, 3, "sequential", 4); done != 4 {
 		t.Fatalf("jobs done = %d, want 4", done)
 	}
-	snap, err := scrapeMetrics(client, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snap.Counters["serve/jobs_completed"] == 0 {
-		t.Error("no completed jobs in the metrics snapshot")
+	long := runLongPhase(client, base, 2000, "fast", 3, 1, true)
+	if !long.Verified || long.RepeatCache != "hit" || long.SeqLen != 2000 {
+		t.Errorf("long-input phase = %+v", long)
 	}
 }
 
 func TestSummarise(t *testing.T) {
-	q := summarise([]float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10})
-	if q.N != 10 || q.Mean != 5.5 || q.P50 != 5 || q.Max != 10 {
-		t.Errorf("quantiles = %+v", q)
+	if p50, p99 := summarise([]float64{10, 9, 8, 7, 6, 5, 4, 3, 2, 1}); p50 != 5 || p99 != 10 {
+		t.Errorf("p50, p99 = %v, %v, want 5, 10", p50, p99)
 	}
-	if z := summarise(nil); z.N != 0 {
-		t.Errorf("empty quantiles = %+v", z)
+	if p50, p99 := summarise(nil); p50 != 0 || p99 != 0 {
+		t.Errorf("empty p50, p99 = %v, %v", p50, p99)
 	}
 }
 

@@ -41,25 +41,23 @@ func main() {
 		hbInterval  = flag.Duration("hb-interval", 2*time.Second, "heartbeat interval (negative disables)")
 		hbTimeout   = flag.Duration("hb-timeout", 8*time.Second, "declare a worker dead after this much silence")
 		taskTimeout = flag.Duration("task-timeout", 30*time.Second, "re-dispatch a task unanswered for this long (0 disables)")
-		debugAddr   = flag.String("debug-addr", "", "serve /metrics, /trace and pprof on this address (e.g. :9621; binds localhost unless a host is given; empty disables)")
+		debugAddr   = flag.String("debug-addr", "", "serve /metrics, /trace/{id} and pprof on this address (e.g. :9621; binds localhost unless a host is given; empty disables)")
 	)
 	flag.Parse()
 
 	var (
 		reg *obs.Registry
-		jnl *obs.Journal
 		col *trace.Collector
 	)
 	if *debugAddr != "" {
 		reg = obs.NewRegistry()
-		jnl = obs.NewJournal(0)
 		col = trace.NewCollector(0, 0)
-		dbg, err := obs.StartDebug(*debugAddr, reg, jnl, col)
+		dbg, err := obs.StartDebug(*debugAddr, reg, col)
 		if err != nil {
 			fatal(err)
 		}
 		defer dbg.Close()
-		fmt.Fprintf(os.Stderr, "repromaster: debug endpoints on http://%s/{metrics,trace,debug/pprof}\n", dbg.Addr)
+		fmt.Fprintf(os.Stderr, "repromaster: debug endpoints on http://%s/{metrics,trace/{id},debug/pprof}\n", dbg.Addr)
 	}
 
 	exch, ok := scoring.ByName(*matrix)
@@ -102,11 +100,10 @@ func main() {
 
 	cfg := cluster.Config{
 		Top: topalign.Config{
-			Params:     align.Params{Exch: exch, Gap: scoring.DefaultProteinGap},
+			Params:     align.Params{Exch: exch, Gap: scoring.DefaultGap(exch)},
 			NumTops:    *tops,
 			GroupLanes: *lanes,
 			Counters:   &stats.Counters{},
-			Trace:      jnl,
 		},
 		Speculative: *spec,
 		TaskTimeout: *taskTimeout,

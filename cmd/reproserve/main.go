@@ -64,7 +64,6 @@ func main() {
 	flag.Parse()
 
 	reg := obs.NewRegistry()
-	jnl := obs.NewJournal(0)
 	var col *trace.Collector
 	if *traces >= 0 {
 		col = trace.NewCollector(*traces, 0)
@@ -111,7 +110,6 @@ func main() {
 		RateLimit:      *rateL,
 		RateBurst:      *rateB,
 		Metrics:        reg,
-		Journal:        jnl,
 		Traces:         col,
 		Profiles:       prof,
 		SLO: slo.Config{

@@ -33,14 +33,14 @@ func main() {
 		rejoin     = flag.Bool("rejoin", true, "reconnect and rejoin after losing the master mid-run")
 		hbInterval = flag.Duration("hb-interval", 2*time.Second, "heartbeat interval (negative disables)")
 		hbTimeout  = flag.Duration("hb-timeout", 8*time.Second, "declare the master dead after this much silence")
-		debugAddr  = flag.String("debug-addr", "", "serve /metrics, /trace and pprof on this address (binds localhost unless a host is given; empty disables)")
+		debugAddr  = flag.String("debug-addr", "", "serve /metrics and pprof on this address (binds localhost unless a host is given; empty disables)")
 	)
 	flag.Parse()
 
 	var reg *obs.Registry
 	if *debugAddr != "" {
 		reg = obs.NewRegistry()
-		dbg, err := obs.StartDebug(*debugAddr, reg, nil, nil)
+		dbg, err := obs.StartDebug(*debugAddr, reg, nil)
 		if err != nil {
 			fatal(err)
 		}

@@ -83,46 +83,54 @@ func TestScoreWindowSubwindowConsistency(t *testing.T) {
 			t.Fatalf("trial %d: generated invalid window: %v", trial, err)
 		}
 		for _, mask := range []*triangle.Triangle{nil, tri} {
-			mtx := new(Scratch).MatrixWindow(p, s, w, mask)
-			bottom := new(Scratch).ScoreWindow(p, s, w, mask)
-			// Brute-force the windowed recurrence.
-			naive := naiveWindow(p, s, w, mask)
-			for x := 1; x <= w.W(); x++ {
-				if naive[w.H()][x] != bottom[x-1] {
-					t.Fatalf("trial %d window %+v masked=%v: bottom row col %d: score %d, naive %d",
-						trial, w, mask != nil, x, bottom[x-1], naive[w.H()][x])
-				}
+			checkWindow(t, p, s, w, mask)
+		}
+	}
+}
+
+// checkWindow holds the three windowed entry points to the naiveWindow
+// oracle on one rectangle and one mask (nil = unmasked): ScoreWindow's
+// bottom row, every MatrixWindow cell, and — when the window holds a
+// positive alignment — that the traceback from the best ending lands on
+// the oracle's score over positive, un-overridden, strictly increasing
+// cells. Shared by the table test above and FuzzScoreWindow.
+func checkWindow(t testing.TB, p Params, s []byte, w Rect, mask *triangle.Triangle) {
+	t.Helper()
+	mtx := new(Scratch).MatrixWindow(p, s, w, mask)
+	bottom := new(Scratch).ScoreWindow(p, s, w, mask)
+	naive := naiveWindow(p, s, w, mask)
+	for x := 1; x <= w.W(); x++ {
+		if naive[w.H()][x] != bottom[x-1] {
+			t.Fatalf("window %+v masked=%v: bottom row col %d: score %d, naive %d",
+				w, mask != nil, x, bottom[x-1], naive[w.H()][x])
+		}
+	}
+	for y := 0; y <= w.H(); y++ {
+		for x := 0; x <= w.W(); x++ {
+			if mtx[y][x] != naive[y][x] {
+				t.Fatalf("window %+v masked=%v: cell (%d,%d): kernel %d, naive %d",
+					w, mask != nil, y, x, mtx[y][x], naive[y][x])
 			}
-			for y := 0; y <= w.H(); y++ {
-				for x := 0; x <= w.W(); x++ {
-					if mtx[y][x] != naive[y][x] {
-						t.Fatalf("trial %d window %+v masked=%v: cell (%d,%d): kernel %d, naive %d",
-							trial, w, mask != nil, y, x, mtx[y][x], naive[y][x])
-					}
-				}
-			}
-			// The traceback from the best ending walks positive,
-			// un-overridden oracle cells and lands on the oracle's score.
-			endX, score, _ := BestValidEnd(bottom, nil)
-			if endX == 0 {
-				continue
-			}
-			a, err := new(Scratch).TracebackWindow(p, mtx, s, w, mask, endX)
-			if err != nil {
-				t.Fatalf("trial %d window %+v masked=%v: traceback: %v", trial, w, mask != nil, err)
-			}
-			if a.Score != score || a.End() != (Pair{Y: w.H(), X: endX}) {
-				t.Fatalf("trial %d: traceback score %d end %+v, want %d ending (%d,%d)",
-					trial, a.Score, a.End(), score, w.H(), endX)
-			}
-			for i, pr := range a.Pairs {
-				if naive[pr.Y][pr.X] <= 0 || (mask != nil && mask.Get(w.Y0-1+pr.Y, w.X0-1+pr.X)) {
-					t.Fatalf("trial %d: path pair %+v is zero or overridden", trial, pr)
-				}
-				if i > 0 && (pr.Y <= a.Pairs[i-1].Y || pr.X <= a.Pairs[i-1].X) {
-					t.Fatalf("trial %d: path not strictly increasing at %d: %+v", trial, i, a.Pairs)
-				}
-			}
+		}
+	}
+	endX, score, _ := BestValidEnd(bottom, nil)
+	if endX == 0 {
+		return
+	}
+	a, err := new(Scratch).TracebackWindow(p, mtx, s, w, mask, endX)
+	if err != nil {
+		t.Fatalf("window %+v masked=%v: traceback: %v", w, mask != nil, err)
+	}
+	if a.Score != score || a.End() != (Pair{Y: w.H(), X: endX}) {
+		t.Fatalf("window %+v: traceback score %d end %+v, want %d ending (%d,%d)",
+			w, a.Score, a.End(), score, w.H(), endX)
+	}
+	for i, pr := range a.Pairs {
+		if naive[pr.Y][pr.X] <= 0 || (mask != nil && mask.Get(w.Y0-1+pr.Y, w.X0-1+pr.X)) {
+			t.Fatalf("window %+v: path pair %+v is zero or overridden", w, pr)
+		}
+		if i > 0 && (pr.Y <= a.Pairs[i-1].Y || pr.X <= a.Pairs[i-1].X) {
+			t.Fatalf("window %+v: path not strictly increasing at %d: %+v", w, i, a.Pairs)
 		}
 	}
 }

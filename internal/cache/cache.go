@@ -40,6 +40,7 @@ type Cache struct {
 
 	hits      obs.Counter
 	misses    obs.Counter
+	shared    obs.Counter // callers that waited on another's in-flight computation
 	evictions obs.Counter
 	oversize  obs.Counter
 	entries   obs.Gauge
@@ -170,6 +171,7 @@ func (c *Cache) Bind(reg *obs.Registry) {
 	}
 	reg.BindCounter("cache/hits", &c.hits)
 	reg.BindCounter("cache/misses", &c.misses)
+	reg.BindCounter("cache/shared", &c.shared)
 	reg.BindCounter("cache/evictions", &c.evictions)
 	reg.BindCounter("cache/oversize", &c.oversize)
 	reg.BindGauge("cache/entries", &c.entries)
@@ -193,7 +195,7 @@ const (
 	DiskHit
 )
 
-// String names the outcome for response metadata and journal events.
+// String names the outcome for response metadata.
 func (o Outcome) String() string {
 	switch o {
 	case Hit:
@@ -283,6 +285,7 @@ func (c *Cache) GetOrCompute(key string, fn func() (any, error)) (any, Outcome, 
 				// Re-enter the lookup and run the computation.
 				continue
 			}
+			c.shared.Inc()
 			return waiting.val, Shared, waiting.err
 		}
 		cl = &call{done: make(chan struct{}), outcome: Miss}

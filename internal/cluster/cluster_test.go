@@ -10,6 +10,7 @@ import (
 	"repro/internal/mpi"
 	"repro/internal/scoring"
 	"repro/internal/seq"
+	"repro/internal/stats"
 	"repro/internal/topalign"
 )
 
@@ -57,13 +58,22 @@ func TestClusterGroupMode(t *testing.T) {
 
 func TestClusterSpeculativeInvariants(t *testing.T) {
 	q := seq.SyntheticTitin(160, 7)
-	res, err := RunLocal(q.Codes, Config{Top: topCfg(8), Speculative: true},
+	cfg := topCfg(8)
+	cfg.Counters = &stats.Counters{}
+	res, err := RunLocal(q.Codes, Config{Top: cfg, Speculative: true},
 		LocalSpec{Slaves: 3, ThreadsPerSlave: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Tops) != 8 {
 		t.Fatalf("got %d tops, want 8", len(res.Tops))
+	}
+	// Results that came back after the master's triangle advanced are
+	// the speculation overhead: some of the alignments, never more.
+	if w, a := res.Stats.SpecWaste, res.Stats.Alignments; w < 0 || w > a {
+		t.Errorf("spec waste %d outside [0, %d alignments]", w, a)
+	} else {
+		t.Logf("spec waste: %d of %d alignments", w, a)
 	}
 	seen := map[topalign.Pair]bool{}
 	for _, top := range res.Tops {

@@ -31,10 +31,6 @@ type Config struct {
 	// and the engine counters of Top.Counters, bound under the names in
 	// DESIGN.md section 8.
 	Metrics *obs.Registry
-	// Journal, when non-nil, receives cluster scheduling events
-	// (dispatch, redispatch, duplicate, rank-down, rank-join). Defaults
-	// to Top.Trace, so one journal can carry the whole run.
-	Journal *obs.Journal
 	// Spans, when non-nil, records the run's request-scoped trace: a
 	// cluster.run span on the master, one cluster.dispatch span per
 	// task sent, cluster.stall spans for straggler waits, and the
@@ -75,9 +71,6 @@ func RunMaster(comm mpi.Comm, s []byte, cfg Config) (*topalign.Result, error) {
 	e, err := topalign.NewEngine(s, cfg.Top)
 	if err != nil {
 		return nil, err
-	}
-	if cfg.Journal == nil {
-		cfg.Journal = cfg.Top.Trace
 	}
 	cfg.Top.Counters.Bind(cfg.Metrics)
 	m := &master{
@@ -132,11 +125,6 @@ const (
 	metricRejoins         = "cluster/rejoins"
 	metricLiveSlaves      = "cluster/live_slaves"
 )
-
-// jot records a scheduling event in the run journal (nil-safe).
-func (m *master) jot(kind obs.EventKind, rank int, r int32, arg int64) {
-	m.cfg.Journal.Record(kind, int32(rank), int64(r), arg)
-}
 
 // bump increments a named counter in the registry (nil-safe).
 func (m *master) bump(name string) {
@@ -290,7 +278,6 @@ func (m *master) handle(msg mpi.Message) error {
 func (m *master) admitSlave(rank int) {
 	m.live[rank] = true
 	m.bump(metricRejoins)
-	m.jot(obs.EvRankJoin, rank, -1, 0)
 	m.markLive()
 	if err := m.comm.Send(rank, tagSetup, m.setup); err != nil {
 		m.handleDown(rank)
@@ -316,7 +303,6 @@ func (m *master) handleResult(from int, res msgResult) error {
 		// its slave was presumed dead) already delivered this result.
 		m.bump(metricDuplicateTotal)
 		m.bump(fmt.Sprintf(metricDuplicateRank, from))
-		m.jot(obs.EvDuplicate, from, res.R, int64(res.Version))
 		return nil
 	}
 	delete(m.flights, R)
@@ -329,7 +315,7 @@ func (m *master) handleResult(from int, res msgResult) error {
 		// Computed against a replica that has since advanced: the
 		// paper's speculation overhead — the score re-enters the queue
 		// as a stale upper bound rather than being discarded.
-		m.jot(obs.EvSpecWaste, from, res.R, int64(res.Version))
+		m.e.Config().Counters.AddSpecWaste()
 	}
 	m.absorbSpans(from, res, stale)
 
@@ -420,7 +406,6 @@ func (m *master) handleDown(rank int) {
 	}
 	delete(m.live, rank)
 	delete(m.owed, rank)
-	requeued := int64(0)
 	for R, fl := range m.flights {
 		if !fl.owners[rank] {
 			continue
@@ -432,11 +417,9 @@ func (m *master) handleDown(rank int) {
 			for _, sp := range fl.spans {
 				sp.End()
 			}
-			requeued++
 		}
 	}
 	m.bump(metricDeaths)
-	m.jot(obs.EvRankDown, rank, -1, requeued)
 	m.markLive()
 	// drop the dead slave's idle slots
 	keep := m.slots[:0]
@@ -539,7 +522,6 @@ func (m *master) dispatch(slave int, t *topalign.Task, fl *flight) bool {
 	m.bump(fmt.Sprintf(metricDispatchRank, slave))
 	m.bump(metricDispatchTotal)
 	if fl == nil {
-		m.jot(obs.EvDispatch, slave, int32(t.R), 0)
 		fl = &flight{t: t, owners: make(map[int]bool)}
 		m.flights[t.R] = fl
 	} else {
@@ -547,7 +529,6 @@ func (m *master) dispatch(slave int, t *topalign.Task, fl *flight) bool {
 		// globally and against the rank that received the extra copy.
 		m.bump(metricRedispatchTotal)
 		m.bump(fmt.Sprintf(metricRedispatchRank, slave))
-		m.jot(obs.EvRedispatch, slave, int32(t.R), int64(len(fl.owners)))
 	}
 	if dspan != nil {
 		fl.spans = append(fl.spans, dspan)

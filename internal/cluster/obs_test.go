@@ -33,8 +33,7 @@ func TestClusterTelemetryEndToEnd(t *testing.T) {
 	}
 
 	reg := obs.NewRegistry()
-	jnl := obs.NewJournal(0)
-	dbg, err := obs.StartDebug("127.0.0.1:0", reg, jnl, nil)
+	dbg, err := obs.StartDebug("127.0.0.1:0", reg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +88,6 @@ func TestClusterTelemetryEndToEnd(t *testing.T) {
 			Params:   proteinParams,
 			NumTops:  10,
 			Counters: &stats.Counters{},
-			Trace:    jnl,
 		},
 		Metrics: reg,
 	}
@@ -172,23 +170,8 @@ scrape:
 		t.Error("no heartbeats recorded despite shared transport registry")
 	}
 
-	// The journal must carry the cluster events alongside the engine's.
-	var dispatches int
-	ranksSeen := map[int32]bool{}
-	for _, ev := range jnl.Events() {
-		if ev.Kind == obs.EvDispatch {
-			dispatches++
-			ranksSeen[ev.Rank] = true
-		}
-	}
-	if dispatches == 0 {
-		t.Error("no dispatch events journalled")
-	}
-	if !ranksSeen[1] || !ranksSeen[2] {
-		t.Errorf("dispatch events missing a rank: %v", ranksSeen)
-	}
-	if acc := jnl.Accepts(); len(acc) != len(out.res.Tops) {
-		t.Errorf("%d accept events for %d tops", len(acc), len(out.res.Tops))
+	if w, ok := snap.Counters["engine/spec_waste"]; !ok || w != 0 {
+		t.Errorf("strict run: engine/spec_waste = %d (present %v), want 0", w, ok)
 	}
 }
 

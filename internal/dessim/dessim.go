@@ -24,7 +24,6 @@ package dessim
 import (
 	"fmt"
 
-	"repro/internal/obs"
 	"repro/internal/topalign"
 )
 
@@ -71,42 +70,36 @@ func (t *Trace) AlignCells(tops int) int64 {
 }
 
 // Record runs the sequential algorithm on s — an ordinary topalign.Find
-// — and rebuilds its workload from the run's journal: every realign
-// event is a task of the current round, every accept event closes the
-// round with its traceback. The configuration is forced to scalar task
-// granularity (GroupLanes 1) so each recorded task is one split, and
-// cfg.Trace is replaced by a journal sized so that no event is dropped.
+// — and rebuilds its workload from the engine's OnRealign callback and
+// the result: every realignment is a task of the round numbered by the
+// tops accepted when it ran, and top i closes round i with the traceback
+// of its split. The configuration is forced to scalar task granularity
+// (GroupLanes 1) so each recorded task is one split; cfg.OnRealign is
+// replaced.
 func Record(s []byte, cfg topalign.Config) (*Trace, error) {
 	cfg.GroupLanes = 1
 	m := len(s)
-	// Per split: one enqueue, then at most one alignment per triangle
-	// version, each with at most one shadow-reject event; plus the
-	// accepts. (A configuration Find rejects gets the default capacity.)
-	cfg.Trace = obs.NewJournal(m*(2*cfg.NumTops+2) + cfg.NumTops)
-	if _, err := topalign.Find(s, cfg); err != nil {
-		return nil, err
-	}
-	if d := cfg.Trace.Dropped(); d > 0 {
-		return nil, fmt.Errorf("dessim: run journal dropped %d events; the recorded workload would be incomplete", d)
-	}
+	cells := func(r int) int64 { return int64(r) * int64(m-r) }
 	tr := &Trace{M: m, Rounds: []Round{{}}}
-	for _, ev := range cfg.Trace.Events() {
-		cur := &tr.Rounds[len(tr.Rounds)-1]
-		cells := ev.R * (int64(m) - ev.R)
-		switch ev.Kind {
-		case obs.EvRealign:
-			cur.Tasks = append(cur.Tasks, Task{R: int(ev.R), Cells: cells})
-		case obs.EvAccept:
-			cur.TracebackCells = cells
+	round := func(i int) *Round {
+		for len(tr.Rounds) <= i {
 			tr.Rounds = append(tr.Rounds, Round{})
 		}
+		return &tr.Rounds[i]
 	}
-	// drop a trailing empty round left after the final acceptance
-	if last := len(tr.Rounds) - 1; len(tr.Rounds[last].Tasks) == 0 {
-		tr.Rounds = tr.Rounds[:last]
+	cfg.OnRealign = func(t *topalign.Task, tops int) {
+		rd := round(tops)
+		rd.Tasks = append(rd.Tasks, Task{R: t.R, Cells: cells(t.R)})
 	}
-	if tr.Tops() == 0 {
+	res, err := topalign.Find(s, cfg)
+	if err != nil {
+		return nil, err
+	}
+	if len(res.Tops) == 0 {
 		return nil, fmt.Errorf("dessim: recorded run found no top alignments")
+	}
+	for i, top := range res.Tops {
+		round(i).TracebackCells = cells(top.Split)
 	}
 	return tr, nil
 }

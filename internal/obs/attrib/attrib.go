@@ -29,10 +29,7 @@
 // paths pay one nil check when attribution is off.
 package attrib
 
-import (
-	"runtime"
-	"sync/atomic"
-)
+import "runtime"
 
 // Usage is the resource-attribution record of one request. All fields
 // are totals over the request's lifetime. It marshals into
@@ -42,8 +39,6 @@ type Usage struct {
 	// goroutines (sequential driver + parallel workers + cluster slave
 	// workers, local or remote).
 	CPUNanos int64 `json:"cpu_ns"`
-	// EngineWallNanos is the engine's wall time (cache misses only).
-	EngineWallNanos int64 `json:"engine_wall_ns,omitempty"`
 	// QueueWaitNanos is time spent in the admission queue.
 	QueueWaitNanos int64 `json:"queue_wait_ns,omitempty"`
 	// Cells is the number of alignment-matrix cells computed.
@@ -70,7 +65,6 @@ func (u *Usage) Add(o *Usage) {
 		return
 	}
 	u.CPUNanos += o.CPUNanos
-	u.EngineWallNanos += o.EngineWallNanos
 	u.QueueWaitNanos += o.QueueWaitNanos
 	u.Cells += o.Cells
 	u.Alignments += o.Alignments
@@ -83,29 +77,6 @@ func (u *Usage) Add(o *Usage) {
 		}
 		u.KernelTiers[k] += v
 	}
-}
-
-// Meter accumulates thread-CPU deltas from many goroutines into one
-// atomic total. The zero value is ready; a nil Meter records nothing.
-type Meter struct {
-	cpu atomic.Int64
-}
-
-// AddCPU folds a measured CPU delta into the meter. Negative deltas
-// (clock quirks) are dropped rather than subtracted.
-func (m *Meter) AddCPU(ns int64) {
-	if m == nil || ns <= 0 {
-		return
-	}
-	m.cpu.Add(ns)
-}
-
-// CPUNanos returns the accumulated total (0 for nil).
-func (m *Meter) CPUNanos() int64 {
-	if m == nil {
-		return 0
-	}
-	return m.cpu.Load()
 }
 
 // Stopwatch measures one goroutine's thread CPU between Start and

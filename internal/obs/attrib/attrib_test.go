@@ -2,7 +2,6 @@ package attrib
 
 import (
 	"encoding/json"
-	"sync"
 	"testing"
 )
 
@@ -60,33 +59,6 @@ func TestUsageJSONFieldNames(t *testing.T) {
 		if _, ok := m[k]; ok {
 			t.Errorf("zero field %q not omitted in %s", k, raw)
 		}
-	}
-}
-
-func TestMeterConcurrent(t *testing.T) {
-	var m Meter
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < 1000; j++ {
-				m.AddCPU(3)
-			}
-		}()
-	}
-	wg.Wait()
-	if got := m.CPUNanos(); got != 8*1000*3 {
-		t.Fatalf("meter lost updates: got %d", got)
-	}
-	var nilM *Meter
-	nilM.AddCPU(5)
-	if nilM.CPUNanos() != 0 {
-		t.Fatal("nil meter should read 0")
-	}
-	m.AddCPU(-100)
-	if m.CPUNanos() != 8*1000*3 {
-		t.Fatal("negative delta must be dropped")
 	}
 }
 

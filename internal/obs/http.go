@@ -7,7 +7,6 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"strconv"
 	"strings"
 	"time"
 
@@ -19,7 +18,6 @@ import (
 //	GET /metrics             JSON registry snapshot
 //	GET /metrics?format=prom Prometheus text exposition (also selected
 //	                         by an Accept header preferring text/plain)
-//	GET /trace?n=200         JSON tail of the run journal (default 200)
 //	GET /trace/{id}          one request trace as a span tree
 //	GET /trace/{id}?format=chrome  the same trace as Chrome trace_event
 //	                         JSON (opens directly in Perfetto)
@@ -67,10 +65,46 @@ func WantsOpenMetrics(r *http.Request) bool {
 	return strings.Contains(r.Header.Get("Accept"), "application/openmetrics-text")
 }
 
-// HandleMetrics serves a registry snapshot with content negotiation
-// between JSON, the Prometheus text format, and OpenMetrics. Shared by
-// the debug listener and the serving layer's /metrics endpoint.
-func HandleMetrics(w http.ResponseWriter, r *http.Request, reg *Registry) {
+// Mount registers on mux the routes every listener in this repository
+// shares, so the debug listener, the serving daemon and the router
+// answer them identically:
+//
+//	GET /metrics     reg, content-negotiated (JSON, Prometheus text,
+//	                 OpenMetrics with exemplars); left out when reg is nil
+//	GET /trace/{id}  one trace from col as a span tree, or Chrome
+//	                 trace_event JSON with ?format=chrome; left out when
+//	                 col is nil
+//
+// refresh, when non-nil, runs before each /metrics snapshot: the place
+// for gauges computed on read. With both reg and col set, every scrape
+// also syncs the collector's lifetime drop total into the
+// trace/spans_dropped counter.
+func Mount(mux *http.ServeMux, reg *Registry, col *trace.Collector, refresh func()) {
+	if reg != nil {
+		mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
+			if refresh != nil {
+				refresh()
+			}
+			if col != nil {
+				// Monotone by construction: the total never decreases.
+				c := reg.Counter("trace/spans_dropped")
+				if d := int64(col.DroppedTotal()); d > c.Load() {
+					c.Add(d - c.Load())
+				}
+			}
+			handleMetrics(w, r, reg)
+		})
+	}
+	if col != nil {
+		mux.HandleFunc("GET /trace/{id}", func(w http.ResponseWriter, r *http.Request) {
+			handleTraceByID(w, r, col, r.PathValue("id"))
+		})
+	}
+}
+
+// handleMetrics serves a registry snapshot with content negotiation
+// between JSON, the Prometheus text format, and OpenMetrics.
+func handleMetrics(w http.ResponseWriter, r *http.Request, reg *Registry) {
 	if WantsOpenMetrics(r) {
 		w.Header().Set("Content-Type", OpenMetricsContentType)
 		WriteOpenMetrics(w, reg.Snapshot()) //nolint:errcheck // client gone mid-body
@@ -84,10 +118,9 @@ func HandleMetrics(w http.ResponseWriter, r *http.Request, reg *Registry) {
 	writeJSON(w, reg.Snapshot())
 }
 
-// HandleTraceByID serves one trace from col as a span tree (default) or
-// Chrome trace_event JSON (?format=chrome). Shared by the debug
-// listener and the serving layer.
-func HandleTraceByID(w http.ResponseWriter, r *http.Request, col *trace.Collector, id string) {
+// handleTraceByID serves one trace from col as a span tree (default) or
+// Chrome trace_event JSON (?format=chrome).
+func handleTraceByID(w http.ResponseWriter, r *http.Request, col *trace.Collector, id string) {
 	tid, ok := trace.ParseTraceID(id)
 	if !ok {
 		http.Error(w, "bad trace id", http.StatusBadRequest)
@@ -116,9 +149,9 @@ func HandleTraceByID(w http.ResponseWriter, r *http.Request, col *trace.Collecto
 	}{tid.String(), dropped, dropped == 0, trace.ToJSON(spans), trace.BuildTree(spans)})
 }
 
-// StartDebug serves reg, jnl, and col (any may be nil) on addr. An
+// StartDebug serves reg and col (either may be nil) on addr. An
 // address without a host part — ":9621" — binds 127.0.0.1.
-func StartDebug(addr string, reg *Registry, jnl *Journal, col *trace.Collector) (*DebugServer, error) {
+func StartDebug(addr string, reg *Registry, col *trace.Collector) (*DebugServer, error) {
 	host, port, err := net.SplitHostPort(addr)
 	if err != nil {
 		return nil, fmt.Errorf("obs: debug address %q: %w", addr, err)
@@ -132,27 +165,7 @@ func StartDebug(addr string, reg *Registry, jnl *Journal, col *trace.Collector) 
 	}
 
 	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		HandleMetrics(w, r, reg)
-	})
-	mux.HandleFunc("/trace", func(w http.ResponseWriter, r *http.Request) {
-		n := 200
-		if q := r.URL.Query().Get("n"); q != "" {
-			v, err := strconv.Atoi(q)
-			if err != nil || v < -1 {
-				http.Error(w, "bad n", http.StatusBadRequest)
-				return
-			}
-			n = v
-		}
-		writeJSON(w, struct {
-			Dropped uint64  `json:"dropped"`
-			Events  []Event `json:"events"`
-		}{jnl.Dropped(), jnl.Tail(n)})
-	})
-	mux.HandleFunc("/trace/{id}", func(w http.ResponseWriter, r *http.Request) {
-		HandleTraceByID(w, r, col, r.PathValue("id"))
-	})
+	Mount(mux, reg, col, nil)
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)

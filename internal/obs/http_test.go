@@ -16,12 +16,8 @@ func TestDebugServerEndpoints(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("engine/alignments").Add(11)
 	reg.Histogram("engine/align_ns").Observe(time.Millisecond)
-	jnl := NewJournal(16)
-	for i := 0; i < 20; i++ { // overflow the ring so dropped > 0
-		jnl.Record(EvAccept, -1, int64(i), int64(100+i))
-	}
 
-	srv, err := StartDebug("127.0.0.1:0", reg, jnl, nil)
+	srv, err := StartDebug("127.0.0.1:0", reg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,21 +53,14 @@ func TestDebugServerEndpoints(t *testing.T) {
 		t.Fatalf("histograms = %+v", snap.Histograms)
 	}
 
-	var trace struct {
-		Dropped uint64  `json:"dropped"`
-		Events  []Event `json:"events"`
-	}
-	if err := json.Unmarshal(get("/trace?n=5"), &trace); err != nil {
+	// The journal tail route is gone; only /trace/{id} remains.
+	resp, err := http.Get(fmt.Sprintf("http://%s/trace?n=5", srv.Addr))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if len(trace.Events) != 5 {
-		t.Fatalf("trace tail = %d events, want 5", len(trace.Events))
-	}
-	if trace.Dropped != 4 {
-		t.Fatalf("dropped = %d, want 4", trace.Dropped)
-	}
-	if last := trace.Events[4]; last.R != 19 {
-		t.Fatalf("tail not most-recent: %+v", last)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("GET /trace: status %d, want 404", resp.StatusCode)
 	}
 
 	if body := get("/debug/pprof/cmdline"); len(body) == 0 {
@@ -80,7 +69,7 @@ func TestDebugServerEndpoints(t *testing.T) {
 }
 
 func TestDebugServerDefaultHost(t *testing.T) {
-	srv, err := StartDebug(":0", NewRegistry(), nil, nil)
+	srv, err := StartDebug(":0", NewRegistry(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

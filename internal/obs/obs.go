@@ -1,8 +1,13 @@
-// Package obs is the unified observability layer: a typed metrics
-// registry (atomic counters, gauges, and bucketed latency histograms
-// with a stable snapshot encoding), a run journal that records
-// task-queue and cluster events with monotonic timestamps, and an
-// opt-in HTTP debug listener serving /metrics, /trace, and pprof.
+// Package obs is the observability layer. It holds the first of the
+// repository's three instruments — the counter: a typed metrics registry
+// of atomic counters, gauges, and bucketed latency histograms with a
+// stable snapshot encoding, answering "how many" — and the one HTTP mount
+// (Mount) through which every listener serves /metrics and /trace/{id},
+// plus the opt-in debug listener that adds pprof. The other two
+// instruments live in subpackages: spans (obs/trace: when, and how long)
+// and per-request usage (obs/attrib: what it cost, derived from counters
+// and one thread-clock read). Each fact is recorded once per instrument;
+// there is no event log beside them (DESIGN.md section 8).
 //
 // The paper's evaluation (Sections 3 and 5) rests on instrumentation —
 // realignment-avoidance percentages, speculation overhead, per-level
@@ -217,16 +222,6 @@ type HistogramSnapshot struct {
 type BucketExemplar struct {
 	Bucket int `json:"bucket"`
 	Exemplar
-}
-
-// Merge folds another snapshot into this one (e.g. to aggregate
-// per-rank latency histograms on the master).
-func (s *HistogramSnapshot) Merge(o HistogramSnapshot) {
-	s.Count += o.Count
-	s.Sum += o.Sum
-	for i := range s.Buckets {
-		s.Buckets[i] += o.Buckets[i]
-	}
 }
 
 // Mean returns the mean observed duration (0 when empty).

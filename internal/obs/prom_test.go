@@ -166,7 +166,7 @@ func TestWriteOpenMetrics(t *testing.T) {
 func TestMetricsContentNegotiation(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("engine/alignments").Add(7)
-	srv, err := StartDebug("127.0.0.1:0", reg, nil, nil)
+	srv, err := StartDebug("127.0.0.1:0", reg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +231,7 @@ func TestTraceByIDEndpoint(t *testing.T) {
 	child.End()
 	root.End()
 
-	srv, err := StartDebug("127.0.0.1:0", NewRegistry(), nil, col)
+	srv, err := StartDebug("127.0.0.1:0", NewRegistry(), col)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,9 +5,9 @@ import (
 	"fmt"
 )
 
-// Stable binary encoding for span batches, alongside the OBS1 snapshot
-// and OBJ1 journal codecs of package obs. Cluster slaves ship their
-// per-job spans back to the master in this format.
+// Stable binary encoding for span batches: the repository's one binary
+// telemetry codec. Cluster slaves ship their per-job spans back to the
+// master in this format.
 //
 // Wire format (little-endian):
 //

@@ -1,8 +1,7 @@
 // Package trace is the distributed request-tracing layer: spans with
 // trace/parent links, a bounded per-trace buffer, W3C-style traceparent
-// propagation, a stable binary codec (OBT1, alongside the OBS1/OBJ1
-// codecs of package obs), Chrome trace_event export, and a
-// critical-path analyzer over the span DAG of a finished request.
+// propagation, a stable binary codec (OBT1), Chrome trace_event export,
+// and a critical-path analyzer over the span DAG of a finished request.
 //
 // The design follows the same rules as package obs: every type is safe
 // on a nil receiver, so tracing can be threaded through hot paths as
@@ -19,7 +18,6 @@
 package trace
 
 import (
-	"context"
 	"encoding/hex"
 	"fmt"
 	"math/rand/v2"
@@ -369,18 +367,4 @@ func (a *Active) End() {
 	a.done = true
 	a.sp.Dur = a.r.Now() - a.sp.Start
 	a.r.Add(a.sp)
-}
-
-// ctxKey is the context key for SpanContext propagation.
-type ctxKey struct{}
-
-// ContextWith returns ctx carrying sc.
-func ContextWith(ctx context.Context, sc SpanContext) context.Context {
-	return context.WithValue(ctx, ctxKey{}, sc)
-}
-
-// FromContext extracts the propagated SpanContext, if any.
-func FromContext(ctx context.Context) (SpanContext, bool) {
-	sc, ok := ctx.Value(ctxKey{}).(SpanContext)
-	return sc, ok
 }

@@ -2,7 +2,6 @@ package trace
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -193,17 +192,6 @@ func TestActiveLifecycle(t *testing.T) {
 	}
 	if c.Dur < 0 || r.Dur < c.Dur {
 		t.Errorf("durations inconsistent: root %d, child %d", r.Dur, c.Dur)
-	}
-}
-
-func TestContextPropagation(t *testing.T) {
-	if _, ok := FromContext(context.Background()); ok {
-		t.Error("empty context carried a span context")
-	}
-	sc := SpanContext{Trace: NewTraceID(), Span: NewSpanID()}
-	got, ok := FromContext(ContextWith(context.Background(), sc))
-	if !ok || got != sc {
-		t.Errorf("context round-trip = %+v/%v", got, ok)
 	}
 }
 

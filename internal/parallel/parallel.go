@@ -52,7 +52,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/obs"
 	"repro/internal/obs/attrib"
 	"repro/internal/topalign"
 	"repro/internal/triangle"
@@ -208,7 +207,7 @@ func (st *sched) worker(sc *topalign.Scratch) {
 		if snap.tops != st.snap.Load().tops {
 			// The triangle advanced while we computed: the result is a
 			// stale upper bound, the paper's speculation overhead.
-			st.e.Config().Trace.Record(obs.EvSpecWaste, -1, int64(t.R), int64(snap.tops))
+			st.e.Config().Counters.AddSpecWaste()
 		}
 		st.queue.Push(t)
 		st.cond.Signal()

@@ -112,6 +112,11 @@ const (
 	BackendCluster    = "cluster"
 )
 
+// maxFanout bounds workers, slaves and threads_per_slave: a request body
+// must not choose how many goroutines (each with its own kernel scratch)
+// the server spawns. 64 is the paper's largest cluster.
+const maxFanout = 64
+
 // canonicalise validates the request and resolves every defaulted
 // field to its explicit value, so that two requests asking for the
 // same analysis in different spellings produce the same cache key.
@@ -136,7 +141,7 @@ func (r *Request) canonicalise(maxSeqLen int) error {
 		return fmt.Errorf("unknown exchange matrix %q (have BLOSUM62, PAM250, dna-unit, paper-dna)", r.Matrix)
 	}
 	if r.GapOpen == 0 && r.GapExt == 0 {
-		g := defaultGap(m)
+		g := scoring.DefaultGap(m)
 		r.GapOpen, r.GapExt = int(g.Open), int(g.Ext)
 	}
 	if r.GapOpen < 0 || r.GapExt < 0 {
@@ -199,11 +204,19 @@ func (r *Request) canonicalise(maxSeqLen int) error {
 	default:
 		return fmt.Errorf("unknown backend %q (have sequential, parallel, cluster)", r.Backend)
 	}
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"workers", r.Workers}, {"slaves", r.Slaves}, {"threads_per_slave", r.ThreadsPerSlave}} {
+		if f.v < 0 || f.v > maxFanout {
+			return fmt.Errorf("%s %d must be between 0 and %d", f.name, f.v, maxFanout)
+		}
+	}
 	if r.Backend == BackendCluster {
-		if r.Slaves <= 0 {
+		if r.Slaves == 0 {
 			r.Slaves = 2
 		}
-		if r.ThreadsPerSlave <= 0 {
+		if r.ThreadsPerSlave == 0 {
 			r.ThreadsPerSlave = 2
 		}
 	}
@@ -217,18 +230,6 @@ func (r *Request) canonicalise(maxSeqLen int) error {
 // shard still enforces its own limit).
 func (r *Request) Canonicalise(maxSeqLen int) error {
 	return r.canonicalise(maxSeqLen)
-}
-
-// defaultGap mirrors the per-matrix gap defaults of package repro.
-func defaultGap(m *scoring.Matrix) scoring.Gap {
-	switch m.Name() {
-	case "paper-dna":
-		return scoring.PaperGap
-	case "dna-unit":
-		return scoring.Gap{Open: 8, Ext: 2}
-	default:
-		return scoring.DefaultProteinGap
-	}
 }
 
 // CacheKey derives the content-addressed cache key of a canonicalised

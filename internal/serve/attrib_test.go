@@ -20,7 +20,7 @@ import (
 // headers, and the serve-side usage metrics.
 func TestAnalyzeResourceAttribution(t *testing.T) {
 	reg := obs.NewRegistry()
-	_, ts := newTestServer(t, Config{Workers: 1, Metrics: reg, Journal: obs.NewJournal(0)})
+	_, ts := newTestServer(t, Config{Workers: 1, Metrics: reg})
 
 	req := Request{Sequence: "ATGCATGCATGCATGCATGC", Params: Params{Matrix: "paper-dna", Tops: 3}}
 	resp, raw := post(t, ts.URL, req)
@@ -221,7 +221,7 @@ func TestOpenMetricsExemplarScrape(t *testing.T) {
 // TestShedScoresSLO checks a shed request burns availability.
 func TestShedScoresSLO(t *testing.T) {
 	s := New(Config{Workers: 1})
-	s.recordShed(1, obs.ShedQueueFull)
+	s.recordShed(causeQueueFull)
 	snap := s.SLO().Snapshot()
 	if snap[0].Fast.Bad != 1 {
 		t.Fatalf("shed not scored bad: %+v", snap[0].Fast)

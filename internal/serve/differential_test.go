@@ -96,7 +96,7 @@ func TestCacheDifferential(t *testing.T) {
 // an empty cache and asserts exactly one engine run happened.
 func TestSingleflightSharesOneRun(t *testing.T) {
 	reg := obs.NewRegistry()
-	_, ts := newTestServer(t, Config{Workers: 8, QueueDepth: 64, Metrics: reg, Journal: obs.NewJournal(0)})
+	_, ts := newTestServer(t, Config{Workers: 8, QueueDepth: 64, Metrics: reg})
 
 	q := seq.SyntheticTitin(160, 9)
 	req := Request{Sequence: q.String(), Params: Params{Tops: 5}}
@@ -126,6 +126,13 @@ func TestSingleflightSharesOneRun(t *testing.T) {
 	if snap.Counters["cache/misses"] != 1 {
 		t.Errorf("cache misses = %d, want 1 (singleflight should share the run)",
 			snap.Counters["cache/misses"])
+	}
+	// Everyone else either waited on the leader's run (cache/shared) or
+	// arrived after it landed (cache/hits); a simultaneous burst against
+	// a multi-millisecond run must have at least one waiter.
+	shared, hits := snap.Counters["cache/shared"], snap.Counters["cache/hits"]
+	if shared == 0 || shared+hits != n-1 {
+		t.Errorf("cache shared %d + hits %d, want %d in total and shared > 0", shared, hits, n-1)
 	}
 	for i := 1; i < n; i++ {
 		if reports[i] == "" {

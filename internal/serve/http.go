@@ -26,11 +26,12 @@ const maxBodyBytes = 8 << 20
 //	POST /v1/jobs      durable async analysis (when Config.Jobs set);
 //	                   see the route comments below for the job routes
 //	GET  /healthz      liveness + drain state
-//	GET  /metrics      metrics snapshot, JSON or Prometheus text
-//	                   (when Config.Metrics set)
-//	GET  /trace?n=200  journal tail (when Config.Journal set)
+//	GET  /metrics      metrics snapshot, JSON, Prometheus text or
+//	                   OpenMetrics (when Config.Metrics set)
 //	GET  /trace/{id}   one request trace (when Config.Traces set);
 //	                   ?format=chrome for Perfetto-loadable JSON
+//	GET  /slo          burn-rate status per objective
+//	GET  /debug/profiles[/{name}]  continuous-profiler ring
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/analyze", s.handleAnalyze)
@@ -46,24 +47,14 @@ func (s *Server) Handler() http.Handler {
 		mux.HandleFunc("GET /v1/jobs/{id}", s.handleJobGet)
 		mux.HandleFunc("GET /v1/jobs/{id}/events", s.handleJobEvents)
 	}
-	if s.cfg.Metrics != nil {
-		mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-			// Scrape-time gauges: burn rates are computed on read, and
-			// proc/cpu_ns gives reprostat the denominator for CPU
-			// reconciliation without a second endpoint.
-			s.slo.Publish(s.cfg.Metrics)
-			s.cfg.Metrics.Gauge("proc/cpu_ns").Set(attrib.ProcessCPU())
-			if s.cfg.Traces != nil {
-				// Sync the collector's lifetime drop total into a counter
-				// (monotone by construction: the total never decreases).
-				c := s.cfg.Metrics.Counter("trace/spans_dropped")
-				if d := int64(s.cfg.Traces.DroppedTotal()); d > c.Load() {
-					c.Add(d - c.Load())
-				}
-			}
-			obs.HandleMetrics(w, r, s.cfg.Metrics)
-		})
-	}
+	// /metrics and /trace/{id} are the routes shared with every other
+	// listener. Scrape-time gauges: burn rates are computed on read, and
+	// proc/cpu_ns gives reprostat the denominator for CPU reconciliation
+	// without a second endpoint.
+	obs.Mount(mux, s.cfg.Metrics, s.cfg.Traces, func() {
+		s.slo.Publish(s.cfg.Metrics)
+		s.cfg.Metrics.Gauge("proc/cpu_ns").Set(attrib.ProcessCPU())
+	})
 	mux.HandleFunc("GET /slo", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, struct {
 			Objectives []slo.Status `json:"objectives"`
@@ -75,28 +66,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /debug/profiles/{name}", func(w http.ResponseWriter, r *http.Request) {
 		s.cfg.Profiles.HandleGet(w, r, r.PathValue("name"))
 	})
-	if s.cfg.Traces != nil {
-		mux.HandleFunc("/trace/{id}", func(w http.ResponseWriter, r *http.Request) {
-			obs.HandleTraceByID(w, r, s.cfg.Traces, r.PathValue("id"))
-		})
-	}
-	if s.jnl != nil {
-		mux.HandleFunc("/trace", func(w http.ResponseWriter, r *http.Request) {
-			n := 200
-			if q := r.URL.Query().Get("n"); q != "" {
-				v, err := strconv.Atoi(q)
-				if err != nil || v < -1 {
-					writeError(w, http.StatusBadRequest, "bad n")
-					return
-				}
-				n = v
-			}
-			writeJSON(w, http.StatusOK, struct {
-				Dropped uint64      `json:"dropped"`
-				Events  []obs.Event `json:"events"`
-			}{s.jnl.Dropped(), s.jnl.Tail(n)})
-		})
-	}
 	return mux
 }
 
@@ -171,7 +140,6 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	j := &job{
 		req:      &req,
 		ctx:      ctx,
-		seq:      s.reqSeq.Add(1),
 		enqueued: start,
 		done:     make(chan jobResult, 1),
 		rec:      rec,
@@ -181,12 +149,12 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	if ok, cause, wait := s.admit(j); !ok {
 		j.qspan.End()
 		root.End()
-		s.recordShed(j.seq, cause)
+		s.recordShed(cause)
 		switch cause {
-		case obs.ShedDraining:
+		case causeDraining:
 			w.Header().Set("Retry-After", s.retryAfter(true))
 			writeError(w, http.StatusServiceUnavailable, "server is draining")
-		case obs.ShedRateLimit:
+		case causeRateLimit:
 			// The bucket knows exactly when the next token accrues; round
 			// up to whole seconds as Retry-After requires.
 			secs := int((wait + time.Second - 1) / time.Second)

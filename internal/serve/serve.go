@@ -17,11 +17,12 @@
 //   - graceful drain: on SIGTERM the daemon stops admitting, finishes
 //     every queued request, and only then exits.
 //
-// Everything is wired into internal/obs: queue-depth gauge, cache
-// hit/miss/evict counters, admission-wait and end-to-end latency
-// histograms, and journal events (admit/batch/serve/shed) so a
-// production incident can be traced request by request. DESIGN.md
-// section 9 describes the architecture.
+// Everything is wired into internal/obs: queue-depth gauge, admit /
+// shed-by-cause / completed counters, cache hit/miss/shared/evict
+// counters, admission-wait and end-to-end latency histograms whose
+// exemplars name a trace, and a request / queue.wait / cache.* span tree
+// per request, so a production incident can be followed request by
+// request. DESIGN.md section 9 describes the architecture.
 package serve
 
 import (
@@ -102,8 +103,6 @@ type Config struct {
 	// Metrics receives serving telemetry under the serve/ and cache/
 	// namespaces; may be nil.
 	Metrics *obs.Registry
-	// Journal receives admit/batch/serve/shed events; may be nil.
-	Journal *obs.Journal
 	// Traces, when non-nil, stores per-request span traces. POST
 	// /v1/analyze then honours an incoming W3C traceparent header (or
 	// starts a fresh trace), answers with X-Trace-Id, and GET
@@ -155,7 +154,6 @@ type Server struct {
 	cfg    Config
 	cache  *cache.Cache
 	queue  chan *job
-	jnl    *obs.Journal
 	bucket *tokenBucket // nil = no rate limit
 
 	// draining is read lock-free on hot and health paths. The write
@@ -167,8 +165,7 @@ type Server struct {
 	admitMu  sync.RWMutex
 	draining atomic.Bool
 
-	wg     sync.WaitGroup
-	reqSeq atomic.Int64
+	wg sync.WaitGroup
 
 	// async job runtime (zero unless cfg.Jobs is set)
 	jobs    *jobstore.Store
@@ -192,8 +189,6 @@ type Server struct {
 	admissionNS   *obs.Histogram
 	e2eNS         *obs.Histogram
 	engineNS      *obs.Histogram
-	engineCells   *obs.Counter
-	engineAligns  *obs.Counter
 
 	// Resource attribution (DESIGN.md §16): per-request usage
 	// histograms, the attributed-CPU total reprostat reconciles against
@@ -222,7 +217,6 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:   cfg,
 		queue: make(chan *job, cfg.QueueDepth),
-		jnl:   cfg.Journal,
 
 		requests:      cfg.Metrics.Counter("serve/requests"),
 		admitted:      cfg.Metrics.Counter("serve/admitted"),
@@ -236,8 +230,6 @@ func New(cfg Config) *Server {
 		admissionNS:   cfg.Metrics.Histogram("serve/admission_wait_ns"),
 		e2eNS:         cfg.Metrics.Histogram("serve/e2e_ns"),
 		engineNS:      cfg.Metrics.Histogram("serve/engine_ns"),
-		engineCells:   cfg.Metrics.Counter("serve/engine_cells"),
-		engineAligns:  cfg.Metrics.Counter("serve/engine_alignments"),
 
 		jobsSubmitted: cfg.Metrics.Counter("serve/jobs_submitted"),
 		jobsDeduped:   cfg.Metrics.Counter("serve/jobs_deduped"),
@@ -345,7 +337,6 @@ func (s *Server) Drain(ctx context.Context) error {
 type job struct {
 	req      *Request
 	ctx      context.Context
-	seq      int64
 	enqueued time.Time
 	done     chan jobResult // buffered: the worker never blocks on delivery
 
@@ -364,19 +355,28 @@ type jobResult struct {
 	err     error
 }
 
-// shed cause -> counter + journal arg.
-func (s *Server) recordShed(seq int64, cause int64) {
+// shedCause says why a request was turned away.
+type shedCause uint8
+
+const (
+	causeQueueFull shedCause = iota + 1 // admission queue at capacity (429)
+	causeDeadline                       // deadline expired before a worker picked it up
+	causeDraining                       // server draining, no longer admitting (503)
+	causeRateLimit                      // admission token bucket empty (429)
+)
+
+// recordShed counts a shed request under its cause.
+func (s *Server) recordShed(cause shedCause) {
 	switch cause {
-	case obs.ShedQueueFull:
+	case causeQueueFull:
 		s.shedQueueFull.Inc()
-	case obs.ShedDeadline:
+	case causeDeadline:
 		s.shedDeadline.Inc()
-	case obs.ShedDraining:
+	case causeDraining:
 		s.shedDraining.Inc()
-	case obs.ShedRateLimit:
+	case causeRateLimit:
 		s.shedRateLimit.Inc()
 	}
-	s.jnl.Record(obs.EvShed, -1, int64(seq), cause)
 	// A shed request is an availability failure the client saw; score
 	// it against every objective so burn tracks what users experience,
 	// not just what the engine ran.
@@ -387,26 +387,25 @@ func (s *Server) recordShed(seq int64, cause int64) {
 // rate-limit sheds, wait is the time until the next token accrues —
 // the Retry-After hint (zero for other causes; the queue-full hint is
 // latency-derived instead, see retryAfter).
-func (s *Server) admit(j *job) (ok bool, cause int64, wait time.Duration) {
+func (s *Server) admit(j *job) (ok bool, cause shedCause, wait time.Duration) {
 	s.admitMu.RLock()
 	defer s.admitMu.RUnlock()
 	if s.draining.Load() {
-		return false, obs.ShedDraining, 0
+		return false, causeDraining, 0
 	}
 	// The bucket is checked before the queue send so a shed request
 	// never consumes queue capacity; conversely a queue-full shed does
 	// not refund its token — both are deliberate admission spend.
 	if ok, wait := s.bucket.allow(time.Now()); !ok {
-		return false, obs.ShedRateLimit, wait
+		return false, causeRateLimit, wait
 	}
 	select {
 	case s.queue <- j:
 		s.admitted.Inc()
 		s.queueDepth.Add(1)
-		s.jnl.Record(obs.EvAdmit, -1, int64(j.seq), int64(len(s.queue)))
 		return true, 0, 0
 	default:
-		return false, obs.ShedQueueFull, 0
+		return false, causeQueueFull, 0
 	}
 }
 
@@ -419,7 +418,7 @@ func (s *Server) worker() {
 		if j.ctx.Err() != nil {
 			// The deadline expired while queued; the client has given
 			// up, so running the engine would be pure waste.
-			s.recordShed(j.seq, obs.ShedDeadline)
+			s.recordShed(causeDeadline)
 			j.done <- jobResult{err: j.ctx.Err()}
 			continue
 		}
@@ -437,7 +436,6 @@ func (s *Server) worker() {
 				tid = j.rec.TraceID().String()
 			}
 			s.e2eNS.ObserveExemplar(e2e, tid)
-			s.jnl.Record(obs.EvServe, -1, int64(j.seq), e2e.Nanoseconds())
 		}
 		s.slo.Record(err == nil, e2e)
 		if usage != nil {
@@ -510,7 +508,6 @@ func (s *Server) compute(j *job) ([]byte, cache.Outcome, *attrib.Usage, error) {
 	switch outcome {
 	case cache.Shared:
 		csp.SetName("cache.wait")
-		s.jnl.Record(obs.EvBatch, -1, int64(j.seq), 0)
 	case cache.DiskHit:
 		csp.SetName("cache.disk")
 	}
@@ -584,8 +581,6 @@ func (s *Server) runEngine(req *Request, rec *trace.Recorder, parent trace.SpanI
 		return nil, err
 	}
 	s.engineNS.Observe(time.Since(t0))
-	s.engineCells.Add(rep.Stats.Cells)
-	s.engineAligns.Add(rep.Stats.Alignments)
 	return rep, nil
 }
 

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/obs/trace"
 	"repro/internal/seq"
 )
 
@@ -57,7 +58,7 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 
 func TestAnalyzeMissThenHit(t *testing.T) {
 	reg := obs.NewRegistry()
-	_, ts := newTestServer(t, Config{Workers: 2, Metrics: reg, Journal: obs.NewJournal(0)})
+	_, ts := newTestServer(t, Config{Workers: 2, Metrics: reg})
 
 	req := Request{Sequence: "ATGCATGCATGC", Params: Params{Matrix: "paper-dna", Tops: 3}}
 	resp, raw := post(t, ts.URL, req)
@@ -179,7 +180,7 @@ func TestDeadlineExpiredInQueue(t *testing.T) {
 	}
 	waitFor(t, func() bool { return reg.Snapshot().Counters["serve/shed_deadline"] == 1 },
 		"shed_deadline counter")
-	if cells := reg.Snapshot().Counters["serve/engine_cells"]; cells != 0 {
+	if cells := reg.Snapshot().Counters["engine/cells"]; cells != 0 {
 		t.Errorf("engine ran %d cells for an expired job", cells)
 	}
 }
@@ -277,7 +278,7 @@ func TestGracefulDrain(t *testing.T) {
 }
 
 func TestBadRequests(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1, MaxSequenceLen: 64})
+	_, ts := newTestServer(t, Config{Workers: 1, MaxSequenceLen: 64, Jobs: openStore(t, t.TempDir())})
 	cases := []struct {
 		name string
 		req  Request
@@ -287,6 +288,10 @@ func TestBadRequests(t *testing.T) {
 		{"bad matrix", Request{Sequence: "ATGC", Params: Params{Matrix: "nope"}}, http.StatusBadRequest},
 		{"bad backend", Request{Sequence: "ATGC", Backend: "gpu"}, http.StatusBadRequest},
 		{"bad lanes", Request{Sequence: "ATGC", Params: Params{Lanes: 3}}, http.StatusBadRequest},
+		{"too many workers", Request{Sequence: "ATGC", Backend: BackendParallel, Workers: 1000000}, http.StatusBadRequest},
+		{"workers over the limit on any backend", Request{Sequence: "ATGC", Workers: maxFanout + 1}, http.StatusBadRequest},
+		{"negative slaves", Request{Sequence: "ATGC", Backend: BackendCluster, Slaves: -1}, http.StatusBadRequest},
+		{"too many threads per slave", Request{Sequence: "ATGC", Backend: BackendCluster, ThreadsPerSlave: maxFanout + 1}, http.StatusBadRequest},
 		{"oversized", Request{Sequence: strings.Repeat("A", 65)}, http.StatusBadRequest},
 		{"bad residues", Request{Sequence: "ATGC123", Params: Params{Matrix: "paper-dna"}}, http.StatusUnprocessableEntity},
 	}
@@ -295,6 +300,21 @@ func TestBadRequests(t *testing.T) {
 		if resp.StatusCode != tc.want {
 			t.Errorf("%s: status %d, want %d (%s)", tc.name, resp.StatusCode, tc.want, raw)
 		}
+		// Canonicalisation rejects on the async route too, before a job
+		// is journalled (a 422 is only found by running the engine).
+		if tc.want == http.StatusBadRequest {
+			if jresp, _ := postJob(t, ts.URL, tc.req); jresp.StatusCode != tc.want {
+				t.Errorf("%s: /v1/jobs status %d, want %d", tc.name, jresp.StatusCode, tc.want)
+			}
+		}
+	}
+	// The limit itself is admitted, and the error names it.
+	if err := (&Request{Sequence: "ATGC", Workers: maxFanout, Slaves: maxFanout}).canonicalise(0); err != nil {
+		t.Errorf("fan-out at the limit rejected: %v", err)
+	}
+	err := (&Request{Sequence: "ATGC", Slaves: maxFanout + 1}).canonicalise(0)
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprint(maxFanout)) {
+		t.Errorf("over-limit error %v does not name the limit %d", err, maxFanout)
 	}
 
 	resp, err := http.Get(ts.URL + "/v1/analyze")
@@ -309,8 +329,8 @@ func TestBadRequests(t *testing.T) {
 
 func TestMetricsAndTraceEndpoints(t *testing.T) {
 	reg := obs.NewRegistry()
-	_, ts := newTestServer(t, Config{Workers: 1, Metrics: reg, Journal: obs.NewJournal(0)})
-	post(t, ts.URL, Request{Sequence: "ATGCATGCATGC", Params: Params{Matrix: "paper-dna", Tops: 2}})
+	_, ts := newTestServer(t, Config{Workers: 1, Metrics: reg, Traces: trace.NewCollector(0, 0)})
+	hresp, _ := post(t, ts.URL, Request{Sequence: "ATGCATGCATGC", Params: Params{Matrix: "paper-dna", Tops: 2}})
 
 	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
@@ -326,26 +346,36 @@ func TestMetricsAndTraceEndpoints(t *testing.T) {
 		t.Errorf("serve/admitted = %d, want 1", snap.Counters["serve/admitted"])
 	}
 
+	// The journal tail is gone: bare /trace is no route, while the
+	// request's own trace still answers under the ID the response named.
 	resp, err = http.Get(ts.URL + "/trace?n=50")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var trace struct {
-		Events []obs.Event `json:"events"`
-	}
-	err = json.NewDecoder(resp.Body).Decode(&trace)
 	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("GET /trace?n=50 = %d, want 404", resp.StatusCode)
+	}
+	resp, err = http.Get(ts.URL + "/trace/" + hresp.Header.Get("X-Trace-Id"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var kinds []string
-	for _, ev := range trace.Events {
-		kinds = append(kinds, ev.Kind.String())
+	var tr struct {
+		Spans []trace.SpanJSON `json:"spans"`
 	}
-	joined := fmt.Sprint(kinds)
-	for _, want := range []string{"admit", "serve"} {
+	err = json.NewDecoder(resp.Body).Decode(&tr)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /trace/{id} = %d, %v", resp.StatusCode, err)
+	}
+	var names []string
+	for _, sp := range tr.Spans {
+		names = append(names, sp.Name)
+	}
+	joined := fmt.Sprint(names)
+	for _, want := range []string{"request", "queue.wait"} {
 		if !strings.Contains(joined, want) {
-			t.Errorf("trace missing %q event: %v", want, kinds)
+			t.Errorf("trace missing %q span: %v", want, names)
 		}
 	}
 }

@@ -152,11 +152,9 @@ func (rt *Router) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/jobs/{id}", rt.handleJobGet)
 	mux.HandleFunc("GET /v1/jobs/{id}/events", rt.handleJobEvents)
 	mux.HandleFunc("GET /healthz", rt.handleHealth)
-	if rt.cfg.Metrics != nil {
-		mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
-			obs.HandleMetrics(w, r, rt.cfg.Metrics)
-		})
-	}
+	// The router's /trace/{id} merges shard halves, so only /metrics is
+	// the shared route here.
+	obs.Mount(mux, rt.cfg.Metrics, nil, nil)
 	if rt.cfg.Traces != nil {
 		mux.HandleFunc("GET /trace/{id}", rt.handleTrace)
 	}

@@ -151,6 +151,17 @@ func TestRouterRoutesDeterministically(t *testing.T) {
 	if !bytes.Equal(r1.Report, r2.Report) {
 		t.Fatal("hit report differs from miss report")
 	}
+
+	// The router canonicalises exactly as a shard does, so a body that
+	// over-asks for goroutines is refused here with the shard's 400.
+	for _, bad := range []serve.Request{{Workers: 65}, {Slaves: -1}} {
+		bad.Sequence = req.Sequence
+		resp := postRouter(t, rts.URL, bad)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("workers %d slaves %d via router: status %d, want 400", bad.Workers, bad.Slaves, resp.StatusCode)
+		}
+	}
 }
 
 // TestRouterSingleflight: concurrent identical requests collapse to

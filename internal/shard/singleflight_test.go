@@ -17,13 +17,15 @@ func TestFlightGroupCollapses(t *testing.T) {
 	gate := make(chan struct{})
 
 	const n = 32
-	var wg sync.WaitGroup
+	var wg, entered sync.WaitGroup
 	results := make([]*upstreamResult, n)
 	sharedFlags := make([]bool, n)
 	for i := 0; i < n; i++ {
 		wg.Add(1)
+		entered.Add(1)
 		go func(i int) {
 			defer wg.Done()
+			entered.Done()
 			results[i], sharedFlags[i] = g.do("key", func() *upstreamResult {
 				<-gate // hold the flight open until every waiter has joined
 				calls.Add(1)
@@ -31,7 +33,11 @@ func TestFlightGroupCollapses(t *testing.T) {
 			})
 		}(i)
 	}
-	// Wait for all non-leaders to be parked on the flight, then release.
+	// Wait for every caller to be running and the flight to be
+	// registered, give the callers the few instructions between their
+	// signal and the table lookup, then release: a caller that looked
+	// the key up after the flight ended would rightly lead a second one.
+	entered.Wait()
 	deadline := time.Now().Add(2 * time.Second)
 	for {
 		g.mu.Lock()
@@ -45,6 +51,7 @@ func TestFlightGroupCollapses(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
+	time.Sleep(50 * time.Millisecond)
 	close(gate)
 	wg.Wait()
 

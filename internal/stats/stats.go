@@ -2,7 +2,11 @@
 // engine. The counters back the paper's percentage claims: realignments
 // avoided by the queue heuristic (Section 3, 90-97%), speculation
 // overhead of SIMD-style group scheduling (Section 5.1, <0.70%) and of
-// the parallel schedulers (Section 5.2, up to 8.4%).
+// the parallel schedulers (Section 5.2, up to 8.4%: extra alignments, and
+// spec_waste, the results that came back for a superseded triangle).
+// They are the "how many" of the three instruments (DESIGN.md section 8);
+// per-request usage (obs/attrib) is derived from a Snapshot, not counted
+// again.
 //
 // The counters are built on the primitives of package obs, so a
 // Counters can be bound into an obs.Registry (Bind) and served live
@@ -38,7 +42,7 @@ type Counters struct {
 	realignments obs.Counter // alignments beyond each task's first
 	tracebacks   obs.Counter // full-matrix traceback computations
 	shadowEnds   obs.Counter // bottom-row cells rejected as shadows
-	queueSkips   obs.Counter // acceptances straight from the queue (no realign needed)
+	specWaste    obs.Counter // scheduler results computed against a triangle since superseded
 	alignNanos   obs.Histogram
 
 	cpuNanos  obs.Counter           // thread CPU attributed to compute goroutines
@@ -58,7 +62,7 @@ func (c *Counters) Bind(reg *obs.Registry) {
 	reg.BindCounter("engine/realignments", &c.realignments)
 	reg.BindCounter("engine/tracebacks", &c.tracebacks)
 	reg.BindCounter("engine/shadow_ends", &c.shadowEnds)
-	reg.BindCounter("engine/queue_skips", &c.queueSkips)
+	reg.BindCounter("engine/spec_waste", &c.specWaste)
 	reg.BindHistogram("engine/align_ns", &c.alignNanos)
 	reg.BindCounter("engine/cpu_ns", &c.cpuNanos)
 	for i := range c.tierAlign {
@@ -142,12 +146,15 @@ func (c *Counters) AddShadowEnds(n int64) {
 	c.shadowEnds.Add(n)
 }
 
-// AddQueueSkip records a top alignment accepted without realignment.
-func (c *Counters) AddQueueSkip() {
+// AddSpecWaste records one task result a concurrent scheduler received
+// after the triangle it was computed against had advanced: the paper's
+// speculation overhead (Section 5.2). The score still re-enters the
+// queue as an upper bound; the count is how often that happened.
+func (c *Counters) AddSpecWaste() {
 	if c == nil {
 		return
 	}
-	c.queueSkips.Inc()
+	c.specWaste.Inc()
 }
 
 // Snapshot is a point-in-time copy of the counters.
@@ -157,7 +164,7 @@ type Snapshot struct {
 	Realignments int64
 	Tracebacks   int64
 	ShadowEnds   int64
-	QueueSkips   int64
+	SpecWaste    int64
 	// AlignLatency is the per-alignment wall-time histogram.
 	AlignLatency obs.HistogramSnapshot
 	// CPUNanos is attributed thread CPU; TierAlignments/TierReruns the
@@ -203,7 +210,7 @@ func (c *Counters) AddSnapshot(s Snapshot) {
 	c.realignments.Add(s.Realignments)
 	c.tracebacks.Add(s.Tracebacks)
 	c.shadowEnds.Add(s.ShadowEnds)
-	c.queueSkips.Add(s.QueueSkips)
+	c.specWaste.Add(s.SpecWaste)
 	c.alignNanos.AddSnapshot(s.AlignLatency)
 	c.cpuNanos.Add(s.CPUNanos)
 	for i, n := range s.TierAlignments {
@@ -223,7 +230,7 @@ func (c *Counters) Snapshot() Snapshot {
 		Realignments: c.realignments.Load(),
 		Tracebacks:   c.tracebacks.Load(),
 		ShadowEnds:   c.shadowEnds.Load(),
-		QueueSkips:   c.queueSkips.Load(),
+		SpecWaste:    c.specWaste.Load(),
 		AlignLatency: c.alignNanos.Snapshot(),
 		CPUNanos:     c.cpuNanos.Load(),
 		TierReruns:   c.tierRerun.Load(),
@@ -252,6 +259,6 @@ func (s Snapshot) RealignmentReduction(splits, tops int) float64 {
 
 // String formats the snapshot for -stats output.
 func (s Snapshot) String() string {
-	return fmt.Sprintf("alignments=%d realignments=%d tracebacks=%d cells=%d shadow-ends=%d queue-skips=%d",
-		s.Alignments, s.Realignments, s.Tracebacks, s.Cells, s.ShadowEnds, s.QueueSkips)
+	return fmt.Sprintf("alignments=%d realignments=%d tracebacks=%d cells=%d shadow-ends=%d spec-waste=%d",
+		s.Alignments, s.Realignments, s.Tracebacks, s.Cells, s.ShadowEnds, s.SpecWaste)
 }

@@ -11,7 +11,7 @@ func TestNilCountersAreSafe(t *testing.T) {
 	c.AddAlignment(100, true)
 	c.AddTraceback(50)
 	c.AddShadowEnds(3)
-	c.AddQueueSkip()
+	c.AddSpecWaste()
 	if s := c.Snapshot(); s.Alignments != 0 || s.Cells != 0 || s.AlignLatency.Count != 0 {
 		t.Errorf("nil counters snapshot = %+v", s)
 	}
@@ -25,10 +25,10 @@ func TestCountersAccumulate(t *testing.T) {
 	c.AddTraceback(50)
 	c.AddShadowEnds(2)
 	c.AddShadowEnds(0) // no-op
-	c.AddQueueSkip()
+	c.AddSpecWaste()
 	s := c.Snapshot()
 	if s.Alignments != 2 || s.Realignments != 1 || s.Cells != 350 ||
-		s.Tracebacks != 1 || s.ShadowEnds != 2 || s.QueueSkips != 1 {
+		s.Tracebacks != 1 || s.ShadowEnds != 2 || s.SpecWaste != 1 {
 		t.Errorf("snapshot = %+v", s)
 	}
 }

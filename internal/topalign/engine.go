@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/align"
 	"repro/internal/multialign"
-	"repro/internal/obs"
 	"repro/internal/triangle"
 )
 
@@ -105,11 +104,12 @@ func (e *Engine) OrigRows() *triangle.RowStore { return e.orig }
 // from sc and the task's reused member-score slice; a warm task realigns
 // without allocation.
 func (e *Engine) Realign(t *Task, tri *triangle.Triangle, topNum int, sc *Scratch) {
+	stamp := topNum
 	if e.origRow(t.R, t.Win) == nil {
 		// first alignment; a group's members share alignment history
 		// (they are always aligned together), so its first split
 		// stands for all of them
-		tri, topNum = nil, 0
+		tri, stamp = nil, 0
 	}
 	switch {
 	case t.Win != nil:
@@ -120,8 +120,10 @@ func (e *Engine) Realign(t *Task, tri *triangle.Triangle, topNum int, sc *Scratc
 	default:
 		t.Score = e.alignRect(e.splitRect(t.R), nil, tri, sc)
 	}
-	t.AlignedWith = topNum
-	e.cfg.Trace.Record(obs.EvRealign, -1, int64(t.R), int64(t.Score))
+	t.AlignedWith = stamp
+	if e.cfg.OnRealign != nil {
+		e.cfg.OnRealign(t, topNum)
+	}
 }
 
 // splitRect returns split r as a window: all of the prefix against all
@@ -170,9 +172,6 @@ func (e *Engine) alignRect(w align.Rect, win *Window, tri *triangle.Triangle, sc
 	}
 	_, score, rejected := align.BestValidEnd(row, orig)
 	e.cfg.Counters.AddShadowEnds(rejected)
-	if rejected > 0 {
-		e.cfg.Trace.Record(obs.EvShadowReject, -1, int64(w.Y1), rejected)
-	}
 	return score
 }
 
@@ -225,9 +224,6 @@ func (e *Engine) alignGroup(r0 int, tri *triangle.Triangle, sc *Scratch, scores 
 		var rejected int64
 		_, scores[i], rejected = align.BestValidEnd(row, orig)
 		e.cfg.Counters.AddShadowEnds(rejected)
-		if rejected > 0 {
-			e.cfg.Trace.Record(obs.EvShadowReject, -1, int64(r), rejected)
-		}
 	}
 	return scores
 }
@@ -288,7 +284,6 @@ func (e *Engine) Accept(t *Task, sc *Scratch) (TopAlignment, error) {
 		e.tri.Set(gp.I, gp.J)
 	}
 	e.tops = append(e.tops, top)
-	e.cfg.Trace.Record(obs.EvAccept, -1, int64(w.Y1), int64(a.Score))
 	return top, nil
 }
 

@@ -1,9 +1,5 @@
 package topalign
 
-import (
-	"repro/internal/obs"
-)
-
 // Find computes cfg.NumTops nonoverlapping top alignments of s using the
 // paper's sequential algorithm (Figure 5). It returns fewer alignments
 // if no remaining candidate reaches cfg.MinScore.
@@ -61,7 +57,6 @@ func InitialQueue(e *Engine) *TaskQueue {
 	lanes := e.Config().GroupLanes
 	for r := 1; r <= e.NumSplits(); r += lanes {
 		q.Push(&Task{R: r, Score: Infinity, AlignedWith: -1})
-		e.Config().Trace.Record(obs.EvEnqueue, -1, int64(r), 0)
 	}
 	return q
 }

@@ -22,7 +22,6 @@ import (
 	"math"
 
 	"repro/internal/align"
-	"repro/internal/obs"
 	"repro/internal/obs/trace"
 	"repro/internal/stats"
 )
@@ -82,10 +81,13 @@ type Config struct {
 	StripeWidth int
 	// Counters receives instrumentation; may be nil.
 	Counters *stats.Counters
-	// Trace receives task-queue events (enqueue, realign, accept,
-	// shadow-reject, speculation-waste) so a run can be traced and
-	// replayed; may be nil.
-	Trace *obs.Journal
+	// OnRealign, when non-nil, is called at the end of every
+	// Engine.Realign with the task (score and stamp already updated) and
+	// the number of accepted tops the caller aligned against, so a run's
+	// workload can be recorded and replayed (package dessim). It runs on
+	// the realigning goroutine: under a concurrent scheduler it must be
+	// safe to call concurrently, like Realign itself.
+	OnRealign func(t *Task, tops int)
 	// Spans, when non-nil, records request-scoped trace spans: one
 	// engine.accept span per accepted top alignment, parented under
 	// SpanParent and stamped with SpanRank. Bounded by NumTops, so a

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/align"
-	"repro/internal/obs"
 	"repro/internal/scoring"
 	"repro/internal/seq"
 	"repro/internal/stats"
@@ -155,35 +154,35 @@ func TestStripedModeEquivalence(t *testing.T) {
 }
 
 // Stale scores are upper bounds: whenever a task is realigned, its new
-// score must not exceed the score it was queued with. The run journal
-// carries every realignment's score, so we check each split's sequence
-// of realign events.
+// score must not exceed the score it was queued with. OnRealign reports
+// every realignment with its new score, so we check each split's
+// sequence of scores.
 func TestStaleScoreIsUpperBound(t *testing.T) {
 	q := seq.SyntheticTitin(160, 11)
-	jnl := obs.NewJournal(1 << 16)
-	res, err := Find(q.Codes, Config{Params: proteinParams, NumTops: 10, Trace: jnl})
+	bound := map[int]int32{} // split -> score it is queued with
+	realigned := 0
+	cfg := Config{Params: proteinParams, NumTops: 10}
+	cfg.OnRealign = func(tk *Task, tops int) {
+		if before, ok := bound[tk.R]; ok {
+			realigned++
+			if tk.Score > before {
+				t.Errorf("split %d: realigned score %d exceeds stale bound %d", tk.R, tk.Score, before)
+			}
+			if tk.AlignedWith != tops {
+				t.Errorf("split %d: realignment against %d tops stamped %d", tk.R, tops, tk.AlignedWith)
+			}
+		}
+		bound[tk.R] = tk.Score
+	}
+	res, err := Find(q.Codes, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Tops) != 10 {
 		t.Fatalf("found %d tops, want 10", len(res.Tops))
 	}
-	if jnl.Dropped() != 0 {
-		t.Fatalf("journal dropped %d events", jnl.Dropped())
-	}
-	bound := map[int64]int64{} // split -> score it is queued with
-	realigned := 0
-	for _, ev := range jnl.Events() {
-		if ev.Kind != obs.EvRealign {
-			continue
-		}
-		if before, ok := bound[ev.R]; ok {
-			realigned++
-			if ev.Arg > before {
-				t.Fatalf("split %d: realigned score %d exceeds stale bound %d", ev.R, ev.Arg, before)
-			}
-		}
-		bound[ev.R] = ev.Arg
+	if len(bound) != len(q.Codes)-1 {
+		t.Fatalf("OnRealign saw %d splits, want %d", len(bound), len(q.Codes)-1)
 	}
 	if realigned == 0 {
 		t.Fatal("no split was realigned: the property was not exercised")

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/align"
-	"repro/internal/obs"
 )
 
 // Window is a candidate region produced by the seed-filter-extend
@@ -57,7 +56,6 @@ func RunWindows(e *Engine, tasks []*Task) error {
 			t.AlignedWith = -1 // whatever the caller wrote, its score is a bound, not an alignment
 		}
 		q.Push(t)
-		e.Config().Trace.Record(obs.EvEnqueue, -1, int64(t.R), int64(t.Score))
 	}
 	return Run(e, q, NewScratch())
 }

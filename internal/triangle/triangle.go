@@ -156,64 +156,3 @@ func (t *Triangle) Equal(o *Triangle) bool {
 	}
 	return true
 }
-
-// recount recomputes the population count (used after bulk loads).
-func (t *Triangle) recount() {
-	c := 0
-	for _, w := range t.words {
-		c += bits.OnesCount64(w)
-	}
-	t.count = c
-}
-
-// MarshalBinary serialises the triangle (length + raw words) for the
-// distributed runner's replica broadcasts.
-func (t *Triangle) MarshalBinary() ([]byte, error) {
-	buf := make([]byte, 8+8*len(t.words))
-	putUint64(buf[0:], uint64(t.m))
-	for i, w := range t.words {
-		putUint64(buf[8+8*i:], w)
-	}
-	return buf, nil
-}
-
-// UnmarshalBinary restores a triangle serialised by MarshalBinary.
-func (t *Triangle) UnmarshalBinary(data []byte) error {
-	if len(data) < 8 {
-		return fmt.Errorf("triangle: short data (%d bytes)", len(data))
-	}
-	m := int(getUint64(data[0:]))
-	if m < 2 {
-		return fmt.Errorf("triangle: invalid length %d", m)
-	}
-	n := m * (m - 1) / 2
-	words := (n + 63) / 64
-	if len(data) != 8+8*words {
-		return fmt.Errorf("triangle: data size %d does not match m=%d", len(data), m)
-	}
-	t.m = m
-	t.words = make([]uint64, words)
-	for i := range t.words {
-		t.words[i] = getUint64(data[8+8*i:])
-	}
-	t.recount()
-	return nil
-}
-
-func putUint64(b []byte, v uint64) {
-	_ = b[7]
-	b[0] = byte(v)
-	b[1] = byte(v >> 8)
-	b[2] = byte(v >> 16)
-	b[3] = byte(v >> 24)
-	b[4] = byte(v >> 32)
-	b[5] = byte(v >> 40)
-	b[6] = byte(v >> 48)
-	b[7] = byte(v >> 56)
-}
-
-func getUint64(b []byte) uint64 {
-	_ = b[7]
-	return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
-		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
-}

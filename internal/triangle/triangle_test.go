@@ -146,42 +146,6 @@ func TestCloneAndEqual(t *testing.T) {
 	}
 }
 
-func TestMarshalRoundTrip(t *testing.T) {
-	tr := New(33)
-	tr.Set(1, 2)
-	tr.Set(15, 30)
-	tr.Set(32, 33)
-	data, err := tr.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back Triangle
-	if err := back.UnmarshalBinary(data); err != nil {
-		t.Fatal(err)
-	}
-	if !tr.Equal(&back) {
-		t.Error("round trip lost pairs")
-	}
-	if back.Count() != 3 {
-		t.Errorf("Count after unmarshal = %d, want 3", back.Count())
-	}
-}
-
-func TestUnmarshalErrors(t *testing.T) {
-	var tr Triangle
-	if err := tr.UnmarshalBinary([]byte{1, 2}); err == nil {
-		t.Error("short data accepted")
-	}
-	good, _ := New(10).MarshalBinary()
-	if err := tr.UnmarshalBinary(good[:len(good)-1]); err == nil {
-		t.Error("truncated data accepted")
-	}
-	bad := make([]byte, 8)
-	if err := tr.UnmarshalBinary(bad); err == nil {
-		t.Error("m=0 accepted")
-	}
-}
-
 func TestRowStore(t *testing.T) {
 	s := NewRowStore(10)
 	if _, ok := s.Get(3); ok {

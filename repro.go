@@ -109,10 +109,6 @@ type Options struct {
 	// counters each time and reset the exported values to the latest
 	// run only. Report.Stats and Report.Usage stay per-run regardless.
 	Counters *stats.Counters
-	// Trace, when non-nil, records task-queue events (enqueue, realign,
-	// accept, shadow-reject, speculation-waste) so the run can be
-	// traced and replayed.
-	Trace *obs.Journal
 	// Spans, when non-nil, records request-scoped trace spans: an
 	// engine span wrapping the top-alignment computation, with
 	// engine/cluster/worker child spans beneath it (see
@@ -263,20 +259,8 @@ func resolveMatrix(name string) (*scoring.Matrix, error) {
 	return exch, nil
 }
 
-// defaultGap returns the conventional gap model for a matrix.
-func defaultGap(exch *scoring.Matrix) scoring.Gap {
-	switch exch.Name() {
-	case "paper-dna":
-		return scoring.PaperGap
-	case "dna-unit":
-		return scoring.Gap{Open: 8, Ext: 2}
-	default:
-		return scoring.DefaultProteinGap
-	}
-}
-
 func analyze(q *seq.Sequence, exch *scoring.Matrix, opt Options) (*Report, error) {
-	gap := defaultGap(exch)
+	gap := scoring.DefaultGap(exch)
 	if opt.GapOpen != 0 || opt.GapExt != 0 {
 		gap = scoring.Gap{Open: int32(opt.GapOpen), Ext: int32(opt.GapExt)}
 	}
@@ -308,7 +292,6 @@ func analyze(q *seq.Sequence, exch *scoring.Matrix, opt Options) (*Report, error
 		GroupLanes: opt.Lanes,
 		Striped:    opt.Striped,
 		Counters:   counters,
-		Trace:      opt.Trace,
 		Spans:      opt.Spans,
 		SpanParent: esp.ID(),
 		SpanRank:   -1,
@@ -459,7 +442,7 @@ func KernelTierFor(matrix string, gapOpen, gapExt, seqLen, lanes int) string {
 	if err != nil {
 		return ""
 	}
-	gap := defaultGap(exch)
+	gap := scoring.DefaultGap(exch)
 	if gapOpen != 0 || gapExt != 0 {
 		gap = scoring.Gap{Open: int32(gapOpen), Ext: int32(gapExt)}
 	}

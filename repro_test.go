@@ -5,7 +5,11 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/align"
+	"repro/internal/cluster"
+	"repro/internal/scoring"
 	"repro/internal/seq"
+	"repro/internal/topalign"
 )
 
 func TestAnalyzePaperExample(t *testing.T) {
@@ -124,5 +128,46 @@ func TestAnalyzeCustomGaps(t *testing.T) {
 	}
 	if len(rep.Tops) != 1 || rep.Tops[0].Score != 8 {
 		t.Errorf("tops = %+v", rep.Tops)
+	}
+}
+
+// cmd/repromaster builds its cluster.Config by hand; it must resolve the
+// gap model through the same scoring.DefaultGap table Analyze uses, or
+// -matrix paper-dna would align DNA with the protein gap. A strict
+// master-style run of a gapped DNA tandem array must equal Analyze, and
+// the input must be one the protein gap answers differently.
+func TestMasterStyleConfigMatchesAnalyze(t *testing.T) {
+	q := seq.Tandem(seq.TandemSpec{Alpha: seq.DNA, UnitLen: 23, Copies: 9, FlankLen: 10, Seed: 5,
+		Profile: seq.MutationProfile{SubstRate: 0.08, IndelRate: 0.08, IndelExt: 0.3}})
+	want, err := Analyze(q.ID, q.String(), Options{Matrix: "paper-dna", NumTops: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	exch, _ := scoring.ByName("paper-dna")
+	run := func(gap scoring.Gap) []topalign.TopAlignment {
+		res, err := cluster.RunLocal(q.Codes,
+			cluster.Config{Top: topalign.Config{Params: align.Params{Exch: exch, Gap: gap}, NumTops: 6}},
+			cluster.LocalSpec{Slaves: 2, ThreadsPerSlave: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Tops
+	}
+	same := func(tops []topalign.TopAlignment) bool {
+		if len(tops) != len(want.Tops) {
+			return false
+		}
+		for i, top := range tops {
+			if top.Split != want.Tops[i].Split || int(top.Score) != want.Tops[i].Score {
+				return false
+			}
+		}
+		return true
+	}
+	if !same(run(scoring.DefaultGap(exch))) {
+		t.Error("master-style paper-dna run differs from Analyze")
+	}
+	if same(run(scoring.DefaultProteinGap)) {
+		t.Error("input does not tell the DNA gap from the protein gap: the test proves nothing")
 	}
 }
