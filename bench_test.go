@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro"
 	"repro/internal/align"
 	"repro/internal/dessim"
 	"repro/internal/multialign"
@@ -29,7 +30,8 @@ func BenchmarkTable1New(b *testing.B) {
 		s := seq.SyntheticTitin(n, 1).Codes
 		b.Run(fmt.Sprintf("len=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := topalign.Find(s, topalign.Config{Params: benchParams, NumTops: 10}); err != nil {
+				// one matrix per task, as in the paper's Table 1 and cmd/table1
+				if _, err := topalign.Find(s, topalign.Config{Params: benchParams, NumTops: 10, GroupLanes: 1}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -222,5 +224,51 @@ func BenchmarkGroupScheduling(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// --- lane resolution: where group scheduling starts to pay --------------
+
+// dnaTandem is an n-residue DNA tandem array (25-residue unit, 10%
+// substitutions, 2% indels): the DNA input of the lane benchmark and of
+// the lane differential battery.
+func dnaTandem(n int, seed uint64) string {
+	q := seq.Tandem(seq.TandemSpec{Alpha: seq.DNA, UnitLen: 25, Copies: n/25 + 2, FlankLen: 10, Seed: seed,
+		Profile: seq.MutationProfile{SubstRate: 0.1, IndelRate: 0.02, IndelExt: 0.3}})
+	return q.String()[:n]
+}
+
+// BenchmarkAnalyzeLanes re-derives topalign's groupCrossover: the whole
+// analysis per sequence length and lane count, lanes=0 being what the
+// engine chooses. The crossover belongs where lanes=16 (and lanes=8,
+// which is what int32x8-only models resolve to) stop losing to lanes=1;
+// cells/op shows the extra cells group scheduling computes for it.
+// EXPERIMENTS.md ("Lane resolution") records a run:
+//
+//	go test -run '^$' -bench AnalyzeLanes -benchtime 5x
+func BenchmarkAnalyzeLanes(b *testing.B) {
+	for _, in := range []struct {
+		name, matrix string
+		gen          func(n int) string
+	}{
+		{"titin", "BLOSUM62", func(n int) string { return seq.SyntheticTitin(n, 1).String() }},
+		{"dna", "dna-unit", func(n int) string { return dnaTandem(n, 1) }},
+	} {
+		for _, n := range []int{60, 120, 200, 300, 600, 900} {
+			s := in.gen(n)
+			for _, lanes := range []int{1, 8, 16, 0} {
+				b.Run(fmt.Sprintf("%s/n=%d/lanes=%d", in.name, n, lanes), func(b *testing.B) {
+					var cells int64
+					for i := 0; i < b.N; i++ {
+						rep, err := repro.Analyze("bench", s, repro.Options{Matrix: in.matrix, Lanes: lanes})
+						if err != nil {
+							b.Fatal(err)
+						}
+						cells = rep.Stats.Cells
+					}
+					b.ReportMetric(float64(cells), "cells/op")
+				})
+			}
+		}
 	}
 }

@@ -32,8 +32,7 @@ func main() {
 		gapOpen    = flag.Int("gap-open", 0, "gap opening penalty (0 = matrix default)")
 		gapExt     = flag.Int("gap-ext", 0, "gap extension penalty (0 = matrix default)")
 		minScore   = flag.Int("min-score", 0, "stop when no alignment reaches this score")
-		lanes      = flag.Int("lanes", 0, "SIMD-style group lanes: 0, 4, 8, or 16")
-		striped    = flag.Bool("striped", false, "use the cache-aware striped kernel")
+		lanes      = flag.Int("lanes", 0, "matrices aligned per task: 0 = choose (default), 1 = scalar, 8, 16")
 		workers    = flag.Int("workers", 0, "shared-memory worker goroutines (0/1 = sequential)")
 		slaves     = flag.Int("slaves", 0, "run an in-process cluster with this many slaves")
 		threads    = flag.Int("threads", 1, "worker threads per cluster slave")
@@ -53,8 +52,10 @@ func main() {
 	)
 	flag.Parse()
 
-	if err := multialign.SetKernelTier(*kernelTier); err != nil {
-		fatal(err)
+	if *kernelTier != "" { // unset leaves a REPRO_KERNEL_TIER override in force
+		if err := multialign.SetKernelTier(*kernelTier); err != nil {
+			fatal(err)
+		}
 	}
 	if *diag {
 		fmt.Printf("kernel tiers: detected=%s active=%s (avx2=%t avx512=%t)\n",
@@ -66,7 +67,7 @@ func main() {
 	opt := repro.Options{
 		Matrix: *matrix, NumTops: *tops,
 		GapOpen: *gapOpen, GapExt: *gapExt, MinScore: *minScore,
-		Lanes: *lanes, Striped: *striped,
+		Lanes:   *lanes,
 		Workers: *workers, Slaves: *slaves, ThreadsPerSlave: *threads,
 		Speculative: *spec, MinPairs: *minPairs,
 		Preset: *preset, SeedK: *seedK, SeedMask: *seedMask,
@@ -120,9 +121,9 @@ func main() {
 					pf.Clusters, pf.Candidates, pf.WindowCells,
 					100*float64(pf.WindowCells)/float64(pf.SequenceCells))
 			}
-			fmt.Printf("  stats: alignments=%d realignments=%d tracebacks=%d cells=%d shadow-ends=%d kernel-tier=%s\n",
+			fmt.Printf("  stats: alignments=%d realignments=%d tracebacks=%d cells=%d shadow-ends=%d kernel-tier=%s lanes=%d\n",
 				rep.Stats.Alignments, rep.Stats.Realignments, rep.Stats.Tracebacks,
-				rep.Stats.Cells, rep.Stats.ShadowEnds, rep.Stats.KernelTier)
+				rep.Stats.Cells, rep.Stats.ShadowEnds, rep.Stats.KernelTier, rep.Stats.Lanes)
 			if rep.Stats.RealignmentReduction > 0 {
 				fmt.Printf("  queue heuristic avoided %.1f%% of potential realignments (paper: 90-97%%)\n",
 					100*rep.Stats.RealignmentReduction)

@@ -64,7 +64,9 @@ func main() {
 		prefix := titin.Codes[:n]
 
 		t0 := time.Now()
-		newRes, err := topalign.Find(prefix, topalign.Config{Params: params, NumTops: *tops})
+		// Table 1 compares algorithms: one matrix per task and the scalar
+		// kernel on both sides (Table 2 is where SIMD enters).
+		newRes, err := topalign.Find(prefix, topalign.Config{Params: params, NumTops: *tops, GroupLanes: 1})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "table1: new:", err)
 			os.Exit(1)

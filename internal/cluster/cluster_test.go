@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"errors"
 	"net"
 	"sync"
 	"testing"
@@ -263,14 +264,31 @@ func TestClusterOverTCP(t *testing.T) {
 	assertSameTops(t, got.Tops, want.Tops)
 }
 
+// A short run can finish before a slave has announced all its threads
+// (nine 16-lane groups at n=140 take well under a millisecond). The
+// master is then gone when the slave sends tagReady; that is a shutdown,
+// not a slave failure.
+func TestSlaveStartsAfterMasterFinished(t *testing.T) {
+	world := mpi.NewLocal(2)
+	q := seq.SyntheticTitin(60, 1)
+	setup := msgSetup{Seq: q.Codes, Matrix: "BLOSUM62", GapOpen: 10, GapExt: 1, MinScore: 1, Lanes: 16}
+	if err := world[0].Send(1, tagSetup, setup.encode()); err != nil {
+		t.Fatal(err)
+	}
+	world[0].Close()
+	if err := RunSlave(world[1], 4); err != nil && !errors.Is(err, ErrMasterDown) {
+		t.Fatalf("slave of a finished master: %v", err)
+	}
+}
+
 func TestMessageRoundTrips(t *testing.T) {
-	setup := msgSetup{Seq: []byte{1, 2, 3}, Matrix: "BLOSUM62", GapOpen: 10, GapExt: 1, MinScore: 1, Lanes: 4, Striped: true}
+	setup := msgSetup{Seq: []byte{1, 2, 3}, Matrix: "BLOSUM62", GapOpen: 10, GapExt: 1, MinScore: 1, Lanes: 4}
 	s2, err := decodeSetup(setup.encode())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if string(s2.Seq) != string(setup.Seq) || s2.Matrix != setup.Matrix ||
-		s2.GapOpen != 10 || s2.GapExt != 1 || s2.Lanes != 4 || !s2.Striped {
+		s2.GapOpen != 10 || s2.GapExt != 1 || s2.Lanes != 4 {
 		t.Errorf("setup round trip: %+v", s2)
 	}
 

@@ -145,7 +145,6 @@ func (m *master) run(s []byte) (*topalign.Result, error) {
 		GapExt:   cfg.Params.Gap.Ext,
 		MinScore: cfg.MinScore,
 		Lanes:    uint8(cfg.GroupLanes),
-		Striped:  cfg.Striped,
 		Trace:    m.cfg.Spans.TraceID(),
 	}.encode()
 	size := m.comm.Size() // snapshot: later joiners arrive via TagJoin

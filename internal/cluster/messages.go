@@ -38,8 +38,7 @@ type msgSetup struct {
 	GapOpen  int32
 	GapExt   int32
 	MinScore int32
-	Lanes    uint8 // 1, 4, 8, or 16
-	Striped  bool
+	Lanes    uint8 // 1, 4, 8, or 16 (the master's resolved GroupLanes)
 	Trace    trace.TraceID
 }
 
@@ -199,7 +198,6 @@ func (m msgSetup) encode() []byte {
 	b = appendU32(b, uint32(m.GapExt))
 	b = appendU32(b, uint32(m.MinScore))
 	b = appendU32(b, uint32(m.Lanes))
-	b = appendBool(b, m.Striped)
 	b = appendBytes(b, m.Trace[:])
 	return b
 }
@@ -214,7 +212,6 @@ func decodeSetup(b []byte) (msgSetup, error) {
 	m.GapExt = r.i32()
 	m.MinScore = r.i32()
 	m.Lanes = uint8(r.u32())
-	m.Striped = r.bool()
 	if tr := r.bytes(); r.err == nil {
 		if len(tr) != len(m.Trace) {
 			return m, fmt.Errorf("cluster: setup trace ID has %d bytes, want %d", len(tr), len(m.Trace))

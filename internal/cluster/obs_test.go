@@ -85,9 +85,10 @@ func TestClusterTelemetryEndToEnd(t *testing.T) {
 
 	cfg := Config{
 		Top: topalign.Config{
-			Params:   proteinParams,
-			NumTops:  10,
-			Counters: &stats.Counters{},
+			Params:     proteinParams,
+			NumTops:    10,
+			GroupLanes: 1, // one alignment per dispatch, as the balance checks below assume
+			Counters:   &stats.Counters{},
 		},
 		Metrics: reg,
 	}
@@ -101,11 +102,16 @@ func TestClusterTelemetryEndToEnd(t *testing.T) {
 		done <- runOut{res, err}
 	}()
 
-	// Scrape /metrics over HTTP until the run completes. Each scrape must
-	// be internally consistent; count how many catch the run mid-flight.
+	// Scrape /metrics over HTTP until the run completes; count how many
+	// scrapes catch the run mid-flight. The master bumps a dispatch's rank
+	// counter before the total, and a snapshot reads the counters one by
+	// one in no fixed order, so the invariant "every counted dispatch is
+	// attributed to a rank" is checked across scrapes: the total of one
+	// against the rank sum of the next.
 	scrapeURL := fmt.Sprintf("http://%s/metrics", dbg.Addr)
 	midRun := 0
 	var out runOut
+	var prevTotal int64
 scrape:
 	for {
 		select {
@@ -115,9 +121,10 @@ scrape:
 		}
 		snap := scrapeMetrics(t, scrapeURL)
 		total := snap.Counters["cluster/dispatch/total"]
-		if rankSum := sumRankCounters(snap, "cluster/dispatch/rank"); rankSum < total {
-			t.Fatalf("mid-run scrape: rank dispatch sum %d < total %d", rankSum, total)
+		if rankSum := sumRankCounters(snap, "cluster/dispatch/rank"); rankSum < prevTotal {
+			t.Fatalf("mid-run scrape: rank dispatch sum %d < earlier total %d", rankSum, prevTotal)
 		}
+		prevTotal = total
 		if total > 0 {
 			midRun++
 		}

@@ -85,12 +85,11 @@ type replicaState struct {
 }
 
 type slave struct {
-	comm    mpi.Comm
-	s       []byte
-	params  align.Params
-	lanes   int
-	striped bool
-	reg     *obs.Registry
+	comm   mpi.Comm
+	s      []byte
+	params align.Params
+	lanes  int
+	reg    *obs.Registry
 
 	// Tracing: when the setup carries a non-zero trace ID, each job
 	// records slave.job/slave.kernel/slave.row_fetch spans with Start
@@ -126,10 +125,7 @@ func newSlave(comm mpi.Comm, setup msgSetup) (*slave, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	lanes := int(setup.Lanes)
-	if lanes == 0 {
-		lanes = 1
-	}
+	lanes := int(setup.Lanes) // resolved by the master's engine, never 0
 	if lanes != 1 && lanes != 4 && lanes != 8 && lanes != 16 {
 		return nil, fmt.Errorf("cluster: invalid lane count %d", lanes)
 	}
@@ -138,7 +134,6 @@ func newSlave(comm mpi.Comm, setup msgSetup) (*slave, error) {
 		s:          setup.Seq,
 		params:     p,
 		lanes:      lanes,
-		striped:    setup.Striped,
 		trace:      setup.Trace,
 		epoch:      time.Now(),
 		rows:       triangle.NewRowStore(len(setup.Seq)),
@@ -157,7 +152,11 @@ func (sl *slave) run(threads int) error {
 	sl.jobs = make(chan msgJob, threads)
 	var wg sync.WaitGroup
 	errCh := make(chan error, threads)
-	for i := 0; i < threads; i++ {
+	// A master that finishes a short run before this slave has announced
+	// every thread has closed its endpoint: that send fails like any
+	// other send after shutdown, and takes the same exit below.
+	var loopErr error
+	for i := 0; i < threads && loopErr == nil; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -171,16 +170,11 @@ func (sl *slave) run(threads int) error {
 				}
 			}
 		}()
-		if err := sl.comm.Send(0, tagReady, nil); err != nil {
-			close(sl.jobs)
-			wg.Wait()
-			return err
-		}
+		loopErr = sl.comm.Send(0, tagReady, nil)
 	}
 
-	var loopErr error
 recv:
-	for {
+	for loopErr == nil {
 		select {
 		case loopErr = <-errCh:
 			break recv
@@ -429,7 +423,7 @@ func (sl *slave) work(job msgJob, sc *workScratch) error {
 func (sl *slave) workScalar(r int, tri *triangle.Triangle, res *msgResult, sc *workScratch) error {
 	s1, s2 := sl.s[:r], sl.s[r:]
 	t0 := sl.now()
-	row := sl.score(s1, s2, tri, r, sc)
+	row := sc.a.ScoreMasked(sl.params, s1, s2, tri, r)
 	kns := sl.now() - t0
 	res.AlignNS += kns
 	res.Tier = uint8(multialign.TierScalar)
@@ -465,7 +459,7 @@ func (sl *slave) workGroup(r0, members int, tri *triangle.Triangle, res *msgResu
 			r := r0 + i
 			s1, s2 := sl.s[:r], sl.s[r:]
 			t0 := sl.now()
-			row := sl.score(s1, s2, tri, r, sc)
+			row := sc.a.ScoreMasked(sl.params, s1, s2, tri, r)
 			kns := sl.now() - t0
 			res.AlignNS += kns
 			sc.span("slave.kernel", t0, kns)
@@ -501,13 +495,4 @@ func (sl *slave) workGroup(r0, members int, tri *triangle.Triangle, res *msgResu
 		_, res.Scores[i], _ = align.BestValidEnd(row, orig)
 	}
 	return nil
-}
-
-// score dispatches to the configured scalar kernel, using the worker's
-// scratch. The returned row is scratch-owned.
-func (sl *slave) score(s1, s2 []byte, tri *triangle.Triangle, r int, sc *workScratch) []int32 {
-	if sl.striped {
-		return sc.a.ScoreStriped(sl.params, s1, s2, tri, r, 0)
-	}
-	return sc.a.ScoreMasked(sl.params, s1, s2, tri, r)
 }

@@ -70,7 +70,7 @@ func TestOldDoesMoreWork(t *testing.T) {
 	if _, err := Find(s, Config{Params: proteinParams, NumTops: 8, Kernel: KernelGotoh, Counters: oldC}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := topalign.Find(s, topalign.Config{Params: proteinParams, NumTops: 8, Counters: newC}); err != nil {
+	if _, err := topalign.Find(s, topalign.Config{Params: proteinParams, NumTops: 8, GroupLanes: 1, Counters: newC}); err != nil {
 		t.Fatal(err)
 	}
 	oldCells := oldC.Snapshot().Cells

@@ -29,11 +29,11 @@ type Params struct {
 	MinScore int `json:"min_score,omitempty"`
 	// MinPairs filters top alignments during delineation.
 	MinPairs int `json:"min_pairs,omitempty"`
-	// Lanes selects SIMD-style group alignment: 0 or 1 (one matrix per
-	// task), 4, 8, or 16.
+	// Lanes sets how many neighbouring matrices one task aligns: 0 (the
+	// engine chooses the widest exact kernel tier), 1 (one matrix per
+	// task), 4, 8, or 16. Strict-mode reports are identical for every
+	// value, so like Backend it is not part of the cache key.
 	Lanes int `json:"lanes,omitempty"`
-	// Striped selects the cache-aware striped kernel.
-	Striped bool `json:"striped,omitempty"`
 	// Speculative selects the paper's speculative acceptance rule for
 	// the parallel backends. Off = strict: every backend returns a
 	// result bit-identical to the sequential engine, which is what lets
@@ -154,9 +154,7 @@ func (r *Request) canonicalise(maxSeqLen int) error {
 		r.MinScore = 1
 	}
 	switch r.Lanes {
-	case 0, 1:
-		r.Lanes = 1
-	case 4, 8, 16:
+	case 0, 1, 4, 8, 16:
 	default:
 		return fmt.Errorf("lanes %d must be 0, 1, 4, 8, or 16", r.Lanes)
 	}
@@ -234,22 +232,22 @@ func (r *Request) Canonicalise(maxSeqLen int) error {
 
 // CacheKey derives the content-addressed cache key of a canonicalised
 // request: SHA-256 over the sequence digest plus every parameter that
-// can change the report. The backend is deliberately excluded — in
-// strict mode all three backends are bit-identical, so they share
-// cache entries; speculative runs key separately because their
-// acceptance order among equal-scoring alignments may differ.
+// can change the report. The backend and the lane count are
+// deliberately excluded — in strict mode all three backends and every
+// lane count are bit-identical, so they share cache entries;
+// speculative runs key separately because their acceptance order among
+// equal-scoring alignments may differ. The v2 prefix retires keys that
+// carried lanes and striped.
 func CacheKey(r *Request) string {
 	seqSum := sha256.Sum256([]byte(r.Sequence))
 	h := sha256.New()
-	fmt.Fprintf(h, "v1|%x|%s|%d|%d|%d|%d|%d|%d|%t|%t",
+	fmt.Fprintf(h, "v2|%x|%s|%d|%d|%d|%d|%d|%t",
 		seqSum, r.Matrix, r.GapOpen, r.GapExt, r.Tops,
-		r.MinScore, r.MinPairs, r.Lanes, r.Striped, r.Speculative)
+		r.MinScore, r.MinPairs, r.Speculative)
 	if r.Preset != "" {
 		// Prefilter requests key on the resolved knobs (canonicalise
 		// filled them from the preset), so an explicit spelling of a
-		// preset's defaults shares its cache entry. Requests without a
-		// preset keep the original key shape, preserving pre-existing
-		// persisted cache entries.
+		// preset's defaults shares its cache entry.
 		fmt.Fprintf(h, "|pf|%s|%d|%s|%d|%d|%d",
 			r.Preset, r.SeedK, r.SeedMask, r.SeedMaxOcc, r.SeedBand, r.SeedPad)
 	}

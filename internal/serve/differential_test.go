@@ -8,9 +8,11 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+	"time"
 
 	"repro"
 	"repro/internal/obs"
+	"repro/internal/obs/trace"
 	"repro/internal/seq"
 )
 
@@ -93,13 +95,34 @@ func TestCacheDifferential(t *testing.T) {
 }
 
 // TestSingleflightSharesOneRun fires identical concurrent requests at
-// an empty cache and asserts exactly one engine run happened.
+// an in-flight computation and asserts exactly one engine run happened.
+// The test itself leads the flight and stays inside the run until a
+// worker has taken every follower off the queue, so the followers find
+// the flight open however fast the engine is.
 func TestSingleflightSharesOneRun(t *testing.T) {
 	reg := obs.NewRegistry()
-	_, ts := newTestServer(t, Config{Workers: 8, QueueDepth: 64, Metrics: reg})
+	srv, ts := newTestServer(t, Config{Workers: 8, QueueDepth: 64, Metrics: reg})
 
 	q := seq.SyntheticTitin(160, 9)
 	req := Request{Sequence: q.String(), Params: Params{Tops: 5}}
+	lead := req
+	if err := lead.canonicalise(0); err != nil {
+		t.Fatal(err)
+	}
+	entered, release, led := make(chan struct{}), make(chan struct{}), make(chan error, 1)
+	go func() {
+		_, _, err := srv.Cache().GetOrCompute(CacheKey(&lead), func() (any, error) {
+			close(entered)
+			<-release
+			rep, err := srv.runEngine(&lead, nil, trace.SpanID{})
+			if err != nil {
+				return nil, err
+			}
+			return json.Marshal(rep)
+		})
+		led <- err
+	}()
+	<-entered
 
 	const n = 8
 	var wg sync.WaitGroup
@@ -120,19 +143,32 @@ func TestSingleflightSharesOneRun(t *testing.T) {
 			}
 		}(i)
 	}
+	// A worker observes the admission wait as it takes a request off the
+	// queue, straight before it joins the flight.
+	for reg.Snapshot().Histograms["serve/admission_wait_ns"].Count < n {
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
 	wg.Wait()
+	if err := <-led; err != nil {
+		t.Fatal(err)
+	}
 
 	snap := reg.Snapshot()
 	if snap.Counters["cache/misses"] != 1 {
 		t.Errorf("cache misses = %d, want 1 (singleflight should share the run)",
 			snap.Counters["cache/misses"])
 	}
-	// Everyone else either waited on the leader's run (cache/shared) or
-	// arrived after it landed (cache/hits); a simultaneous burst against
-	// a multi-millisecond run must have at least one waiter.
+	if runs := snap.Histograms["serve/engine_ns"].Count; runs != 1 {
+		t.Errorf("engine ran %d times, want 1", runs)
+	}
+	// Every follower reached the cache while the leader was still in the
+	// run or, at the latest, while it ran the engine: it waited on the
+	// flight (cache/shared). One that stalled past the whole run reads
+	// the stored entry instead (cache/hits).
 	shared, hits := snap.Counters["cache/shared"], snap.Counters["cache/hits"]
-	if shared == 0 || shared+hits != n-1 {
-		t.Errorf("cache shared %d + hits %d, want %d in total and shared > 0", shared, hits, n-1)
+	if shared == 0 || shared+hits != n {
+		t.Errorf("cache shared %d + hits %d, want %d in total and shared > 0", shared, hits, n)
 	}
 	for i := 1; i < n; i++ {
 		if reports[i] == "" {

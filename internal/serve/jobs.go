@@ -115,8 +115,8 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.jobsSubmitted.Inc()
+	st, _ := s.jobs.Get(j.ID) // before the kick: a woken worker claims the job at once
 	s.kickJobs()
-	st, _ := s.jobs.Get(j.ID)
 	writeJSON(w, http.StatusAccepted, jobStatusOf(st))
 }
 
@@ -375,7 +375,10 @@ func (s *Server) executeJob(j jobstore.Job, req *Request) {
 		asp.End()
 		if err == nil {
 			s.jobsCompleted.Inc()
-			s.jobs.Update(j.ID, func(x *jobstore.Job) { x.State = jobstore.Done }) //nolint:errcheck
+			// Key is where computeJob stored the result: not the key the
+			// job carries when an older key version journalled it.
+			key := CacheKey(req)
+			s.jobs.Update(j.ID, func(x *jobstore.Job) { x.State, x.Key = jobstore.Done, key }) //nolint:errcheck
 			return
 		}
 		lastErr = err

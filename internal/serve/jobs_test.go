@@ -310,6 +310,13 @@ func TestJobRecoveryAfterRestart(t *testing.T) {
 	if _, ok := st1.Claim(); !ok {
 		t.Fatal("claim failed")
 	}
+	// A job the previous binary journalled: its stored request spells
+	// lanes and the since-removed striped field, and its key is a v1 key.
+	old := []byte(`{"id":"serve","sequence":"TTAGGTTAGGTTAGG","matrix":"paper-dna","gap_open":2,"gap_ext":1,` +
+		`"tops":2,"min_score":1,"lanes":1,"striped":false,"backend":"sequential"}`)
+	if err := st1.Submit(jobstore.Job{ID: "job-old", Key: "a-v1-key", Request: old}); err != nil {
+		t.Fatal(err)
+	}
 
 	st2 := openStore(t, dir)
 	reg := obs.NewRegistry()
@@ -324,6 +331,15 @@ func TestJobRecoveryAfterRestart(t *testing.T) {
 	}
 	if got := reg.Counter("serve/jobs_recovered").Load(); got != 1 {
 		t.Errorf("jobs_recovered = %d, want 1 (the Running job)", got)
+	}
+	// The old job decodes leniently, runs, and is re-keyed to where its
+	// result was stored, so fetching it serves the report instead of
+	// requeueing it for ever.
+	if got := waitJob(t, ts.URL, "job-old"); got.State != string(jobstore.Done) {
+		t.Fatalf("job-old state = %s (%s)", got.State, got.Error)
+	}
+	if got := getJob(t, ts.URL, "job-old"); len(got.Report) == 0 || got.Note != "" {
+		t.Errorf("job-old: report %d bytes, note %q; want the report served", len(got.Report), got.Note)
 	}
 }
 

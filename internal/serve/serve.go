@@ -534,7 +534,7 @@ func (s *Server) runEngine(req *Request, rec *trace.Recorder, parent trace.SpanI
 		Matrix:  req.Matrix,
 		GapOpen: req.GapOpen, GapExt: req.GapExt,
 		NumTops: req.Tops, MinScore: req.MinScore, MinPairs: req.MinPairs,
-		Lanes: req.Lanes, Striped: req.Striped,
+		Lanes:       req.Lanes,
 		Speculative: req.Speculative,
 		Preset:      req.Preset,
 		SeedK:       req.SeedK, SeedMask: req.SeedMask, SeedMaxOcc: req.SeedMaxOcc,
@@ -569,7 +569,7 @@ func (s *Server) runEngine(req *Request, rec *trace.Recorder, parent trace.SpanI
 	labels := pprof.Labels(
 		"trace_id", rec.TraceID().String(),
 		"backend", backend,
-		"kernel_tier", repro.KernelTierFor(req.Matrix, req.GapOpen, req.GapExt, len(req.Sequence), req.Lanes),
+		"kernel_tier", repro.KernelTierFor(req.Matrix, req.GapOpen, req.GapExt, len(req.Sequence), req.Lanes, req.Preset),
 		"preset", preset,
 	)
 	var rep *repro.Report

@@ -3,6 +3,8 @@ package serve
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -118,6 +120,43 @@ func TestCacheKeyCanonicalisation(t *testing.T) {
 	_, raw = post(t, ts.URL, Request{Sequence: "ATGCATGCATGC", Params: Params{Matrix: "paper-dna", Tops: 2}})
 	if got := decode(t, raw).Cache; got != "miss" {
 		t.Errorf("different tops = %q, want miss", got)
+	}
+}
+
+// Lanes is an execution knob: strict-mode reports are identical for
+// every value (the root package's TestLanesDifferential), so every
+// spelling shares one key, and no v2 key equals the v1 key the previous
+// binary derived for the same request.
+func TestCacheKeyIgnoresLanes(t *testing.T) {
+	base := Request{Sequence: "ATGCATGCATGC", Params: Params{Matrix: "paper-dna", Tops: 3}}
+	if err := base.canonicalise(0); err != nil {
+		t.Fatal(err)
+	}
+	want := CacheKey(&base)
+	for _, lanes := range []int{0, 1, 4, 8, 16} {
+		r := Request{Sequence: "ATGCATGCATGC", Params: Params{Matrix: "paper-dna", Tops: 3, Lanes: lanes}}
+		if err := r.canonicalise(0); err != nil {
+			t.Fatal(err)
+		}
+		if r.Lanes != lanes {
+			t.Errorf("canonicalise rewrote lanes %d to %d", lanes, r.Lanes)
+		}
+		if got := CacheKey(&r); got != want {
+			t.Errorf("lanes %d keys %s, want %s", lanes, got, want)
+		}
+	}
+	seqSum := sha256.Sum256([]byte(base.Sequence))
+	for _, lanes := range []int{1, 4, 8, 16} {
+		v1 := sha256.Sum256([]byte(fmt.Sprintf("v1|%x|%s|%d|%d|%d|%d|%d|%d|%t|%t", seqSum, base.Matrix,
+			base.GapOpen, base.GapExt, base.Tops, base.MinScore, base.MinPairs, lanes, false, false)))
+		if want == hex.EncodeToString(v1[:]) {
+			t.Errorf("v2 key equals the v1 key at lanes %d", lanes)
+		}
+	}
+	spec := base
+	spec.Speculative = true
+	if CacheKey(&spec) == want {
+		t.Error("speculative request shares the strict key")
 	}
 }
 
@@ -306,6 +345,17 @@ func TestBadRequests(t *testing.T) {
 			if jresp, _ := postJob(t, ts.URL, tc.req); jresp.StatusCode != tc.want {
 				t.Errorf("%s: /v1/jobs status %d, want %d", tc.name, jresp.StatusCode, tc.want)
 			}
+		}
+	}
+	// A removed field is an unknown field.
+	for _, path := range []string{"/v1/analyze", "/v1/jobs"} {
+		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(`{"sequence":"ATGC","striped":true}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s with \"striped\": status %d, want 400", path, resp.StatusCode)
 		}
 	}
 	// The limit itself is admitted, and the error names it.

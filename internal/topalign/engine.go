@@ -10,10 +10,10 @@ import (
 )
 
 // Scratch bundles the kernel arenas one worker needs for the full task
-// cycle: scalar and striped score kernels, group kernels, and the
-// traceback matrix. Whoever drives the engine owns the arenas: one
-// Scratch per worker goroutine under a scheduler, one per Run for the
-// sequential loop. See align.Scratch for the ownership rules.
+// cycle: the scalar score kernel, group kernels, and the traceback
+// matrix. Whoever drives the engine owns the arenas: one Scratch per
+// worker goroutine under a scheduler, one per Run for the sequential
+// loop. See align.Scratch for the ownership rules.
 type Scratch struct {
 	A align.Scratch
 	G multialign.Scratch
@@ -44,7 +44,7 @@ type Engine struct {
 // NewEngine validates the configuration and prepares the state for
 // sequence s (length >= 2).
 func NewEngine(s []byte, cfg Config) (*Engine, error) {
-	cfg, err := cfg.withDefaults()
+	cfg, err := cfg.withDefaults(len(s))
 	if err != nil {
 		return nil, err
 	}
@@ -152,13 +152,7 @@ func (e *Engine) origRow(r int, win *Window) []int32 {
 func (e *Engine) alignRect(w align.Rect, win *Window, tri *triangle.Triangle, sc *Scratch) int32 {
 	orig := e.origRow(w.Y1, win) // nil on the first alignment: nothing to reject
 	t0 := time.Now()
-	var row []int32
-	if e.cfg.Striped && win == nil {
-		// the striped kernel is an option of the exact split path only
-		row = sc.A.ScoreStriped(e.cfg.Params, e.s[:w.Y1], e.s[w.Y1:], tri, w.Y1, e.cfg.StripeWidth)
-	} else {
-		row = sc.A.ScoreWindow(e.cfg.Params, e.s, w, tri)
-	}
+	row := sc.A.ScoreWindow(e.cfg.Params, e.s, w, tri)
 	e.cfg.Counters.ObserveAlignLatency(time.Since(t0))
 	e.cfg.Counters.AddAlignment(w.Cells(), orig != nil)
 	e.cfg.Counters.AddTierAlignments(int(multialign.TierScalar), 1, false)

@@ -22,6 +22,7 @@ import (
 	"math"
 
 	"repro/internal/align"
+	"repro/internal/multialign"
 	"repro/internal/obs/trace"
 	"repro/internal/stats"
 )
@@ -70,15 +71,12 @@ type Config struct {
 	// it. Zero means 1 (any positive-scoring alignment qualifies).
 	MinScore int32
 	// GroupLanes selects the SIMD-style neighbour-group scheduling of
-	// Section 4.1: 0 or 1 aligns one matrix per task; 4, 8, or 16 align
-	// a fixed group of neighbouring matrices per task using the group
-	// kernels (16 enables the int16x16 AVX2 tier where supported).
+	// Section 4.1: 0 lets the engine choose (ResolveLanes); 1 aligns one
+	// matrix per task; 4, 8, or 16 align a fixed group of neighbouring
+	// matrices per task using the group kernels (16 enables the int16x16
+	// AVX2 tier where supported). Engine.Config reports the resolved
+	// value, never 0.
 	GroupLanes int
-	// Striped selects the cache-aware vertical-stripe kernel for
-	// scalar score-only alignments.
-	Striped bool
-	// StripeWidth overrides the stripe width (0 = default).
-	StripeWidth int
 	// Counters receives instrumentation; may be nil.
 	Counters *stats.Counters
 	// OnRealign, when non-nil, is called at the end of every
@@ -98,8 +96,9 @@ type Config struct {
 	SpanRank   int32
 }
 
-// withDefaults validates and normalises a Config.
-func (c Config) withDefaults() (Config, error) {
+// withDefaults validates and normalises a Config for a sequence of n
+// residues.
+func (c Config) withDefaults(n int) (Config, error) {
 	if err := c.Params.Validate(); err != nil {
 		return c, err
 	}
@@ -110,13 +109,45 @@ func (c Config) withDefaults() (Config, error) {
 		c.MinScore = 1
 	}
 	switch c.GroupLanes {
-	case 0, 1:
-		c.GroupLanes = 1
-	case 4, 8, 16:
+	case 0, 1, 4, 8, 16:
 	default:
 		return c, fmt.Errorf("topalign: GroupLanes %d must be 0, 1, 4, 8, or 16", c.GroupLanes)
 	}
+	c.GroupLanes = ResolveLanes(c.Params, n, c.GroupLanes)
 	return c, nil
+}
+
+// groupCrossover is the sequence length below which a defaulted lane
+// count resolves to 1. A group task realigns all its members when one
+// is stale, so groups compute more cells than splits (1.5-2.5x at
+// n=200, 1.2x at n=900), and short rows leave the vector kernels mostly
+// set-up: 8 and 16 lanes lose 25-55% to the row kernel at n=100, draw
+// at 110-120 and win from 130, on protein and DNA alike. The sweep is in
+// EXPERIMENTS.md ("Lane resolution"); BenchmarkAnalyzeLanes re-derives it.
+const groupCrossover = 120
+
+// ResolveLanes is the lane count a run of n residues under p uses when
+// asked for lanes: an explicit 1, 4, 8 or 16 is kept; 0 means "choose"
+// and resolves to the widest exact kernel tier that can serve the
+// scoring model — 16 when multialign.TierFor grants int16x16, 8 when
+// only int32x8, 1 when the active tier is scalar or n is below
+// groupCrossover. Never 4: four lanes reach no vector kernel. Reports
+// are bit-identical across lane counts in strict mode, so the choice is
+// an execution detail.
+func ResolveLanes(p align.Params, n, lanes int) int {
+	if lanes != 0 {
+		return lanes
+	}
+	if n < groupCrossover {
+		return 1
+	}
+	switch multialign.TierFor(p, n, 16) {
+	case multialign.TierInt16x16:
+		return 16
+	case multialign.TierInt32x8:
+		return 8
+	}
+	return 1
 }
 
 // Result is the outcome of a Find run.

@@ -126,7 +126,7 @@ func TestGroupModeEquivalence(t *testing.T) {
 	for _, lanes := range []int{4, 8} {
 		for seed := uint64(0); seed < 3; seed++ {
 			q := seq.SyntheticTitin(150, seed)
-			want, err := Find(q.Codes, Config{Params: proteinParams, NumTops: 10})
+			want, err := Find(q.Codes, Config{Params: proteinParams, NumTops: 10, GroupLanes: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -139,20 +139,6 @@ func TestGroupModeEquivalence(t *testing.T) {
 	}
 }
 
-// Striped-kernel mode must also be bit-identical.
-func TestStripedModeEquivalence(t *testing.T) {
-	q := seq.SyntheticTitin(180, 4)
-	want, err := Find(q.Codes, Config{Params: proteinParams, NumTops: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := Find(q.Codes, Config{Params: proteinParams, NumTops: 8, Striped: true, StripeWidth: 32})
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameTops(t, got.Tops, want.Tops)
-}
-
 // Stale scores are upper bounds: whenever a task is realigned, its new
 // score must not exceed the score it was queued with. OnRealign reports
 // every realignment with its new score, so we check each split's
@@ -161,7 +147,7 @@ func TestStaleScoreIsUpperBound(t *testing.T) {
 	q := seq.SyntheticTitin(160, 11)
 	bound := map[int]int32{} // split -> score it is queued with
 	realigned := 0
-	cfg := Config{Params: proteinParams, NumTops: 10}
+	cfg := Config{Params: proteinParams, NumTops: 10, GroupLanes: 1} // one task per split
 	cfg.OnRealign = func(tk *Task, tops int) {
 		if before, ok := bound[tk.R]; ok {
 			realigned++
@@ -196,7 +182,7 @@ func TestStaleScoreIsUpperBound(t *testing.T) {
 func TestRealignmentReduction(t *testing.T) {
 	c := &stats.Counters{}
 	q := seq.SyntheticTitin(300, 2)
-	res, err := Find(q.Codes, Config{Params: proteinParams, NumTops: 20, Counters: c})
+	res, err := Find(q.Codes, Config{Params: proteinParams, NumTops: 20, GroupLanes: 1, Counters: c})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +203,7 @@ func TestRealignmentReduction(t *testing.T) {
 func TestSpeculationOverheadGroupMode(t *testing.T) {
 	q := seq.SyntheticTitin(400, 3)
 	scalarC, groupC := &stats.Counters{}, &stats.Counters{}
-	if _, err := Find(q.Codes, Config{Params: proteinParams, NumTops: 15, Counters: scalarC}); err != nil {
+	if _, err := Find(q.Codes, Config{Params: proteinParams, NumTops: 15, GroupLanes: 1, Counters: scalarC}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Find(q.Codes, Config{Params: proteinParams, NumTops: 15, GroupLanes: 4, Counters: groupC}); err != nil {

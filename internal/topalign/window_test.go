@@ -30,7 +30,8 @@ func TestRunWindowsFullSplitsMatchFind(t *testing.T) {
 		{"paper-atgc", seq.PaperATGC().Codes, dnaParams, 3},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			want, err := Find(tc.codes, Config{Params: tc.params, NumTops: tc.tops, Counters: &stats.Counters{}})
+			// one split per task, like the windows: the work counts must match
+			want, err := Find(tc.codes, Config{Params: tc.params, NumTops: tc.tops, GroupLanes: 1, Counters: &stats.Counters{}})
 			if err != nil {
 				t.Fatal(err)
 			}

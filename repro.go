@@ -57,13 +57,13 @@ type Options struct {
 	NumTops int
 	// MinScore stops the search when no remaining alignment reaches it.
 	MinScore int
-	// Lanes enables SIMD-style neighbour-group alignment: 4, 8, or 16
-	// (0 or 1 = scalar). 16 enables the int16x16 AVX2 kernel tier on
-	// CPUs and scoring models that support it; see Stats.KernelTier for
-	// what a run actually used.
+	// Lanes is how many neighbouring matrices one task aligns together:
+	// 0 (default) lets the engine choose the widest exact kernel tier
+	// the CPU and scoring model support (16, 8, or 1 for short inputs
+	// and CPUs without AVX2), 1 pins the scalar kernel, 4, 8 and 16 pin
+	// a group size. Strict-mode reports are identical whatever the
+	// value; Stats.Lanes and Stats.KernelTier say what a run used.
 	Lanes int
-	// Striped selects the cache-aware striped kernel.
-	Striped bool
 	// Workers > 1 runs the shared-memory scheduler with that many
 	// goroutines.
 	Workers int
@@ -159,10 +159,12 @@ type Stats struct {
 	// RealignmentReduction is the fraction of potential realignments the
 	// best-first queue avoided (the paper reports 0.90-0.97).
 	RealignmentReduction float64
-	// KernelTier names the group-kernel tier the run's lane count and
-	// scoring model resolved to ("scalar", "int32x8", or "int16x16").
+	// Lanes is the lane count the run used — Options.Lanes with 0
+	// resolved — and KernelTier the kernel tier that lane count and the
+	// scoring model select ("scalar", "int32x8", or "int16x16").
 	// Individual groups can still fall back narrower (int16 saturation
 	// re-runs in int32); this is the widest tier the run was served by.
+	Lanes      int    `json:"Lanes,omitempty"`
 	KernelTier string `json:"KernelTier,omitempty"`
 }
 
@@ -280,17 +282,16 @@ func analyze(q *seq.Sequence, exch *scoring.Matrix, opt Options) (*Report, error
 	// request costs one nil check per instrumentation point.
 	esp := opt.Spans.Start(opt.SpanParent, "engine")
 	params := align.Params{Exch: exch, Gap: gap}
-	// The effective kernel tier for this run's lane count and scoring
-	// model: stamped on the engine span and reported in Stats so traces
-	// and reports show which SIMD ladder rung served the request.
-	tier := multialign.TierFor(params, q.Len(), opt.Lanes)
+	// The lane count and kernel tier this run resolves to: stamped on
+	// the engine span and reported in Stats so traces and reports show
+	// which SIMD ladder rung served the request.
+	lanes, tier := kernelFor(params, q.Len(), opt.Lanes, opt.Preset)
 	esp.SetArg(int64(tier))
 	cfg := topalign.Config{
 		Params:     params,
 		NumTops:    numTops,
 		MinScore:   int32(opt.MinScore),
 		GroupLanes: opt.Lanes,
-		Striped:    opt.Striped,
 		Counters:   counters,
 		Spans:      opt.Spans,
 		SpanParent: esp.ID(),
@@ -414,6 +415,7 @@ func analyze(q *seq.Sequence, exch *scoring.Matrix, opt Options) (*Report, error
 		Tracebacks:   snap.Tracebacks,
 		Cells:        snap.Cells,
 		ShadowEnds:   snap.ShadowEnds,
+		Lanes:        lanes,
 		KernelTier:   tier.String(),
 	}
 	if len(rep.Tops) > 1 {
@@ -433,11 +435,23 @@ func analyze(q *seq.Sequence, exch *scoring.Matrix, opt Options) (*Report, error
 	return rep, nil
 }
 
+// kernelFor resolves the lane count and kernel tier an analysis of n
+// residues runs with, by the engine's own rule. The fast and balanced
+// presets align windows, which are one-matrix scalar tasks whatever the
+// lane count.
+func kernelFor(p align.Params, n, lanes int, preset string) (int, multialign.Tier) {
+	if preset == seedindex.PresetFast || preset == seedindex.PresetBalanced {
+		return 1, multialign.TierScalar
+	}
+	lanes = topalign.ResolveLanes(p, n, lanes)
+	return lanes, multialign.TierFor(p, n, lanes)
+}
+
 // KernelTierFor reports the kernel tier name Analyze would select for
 // the given request shape ("" on an unknown matrix). The serving layer
 // stamps it onto pprof labels before running the engine, so profiler
 // captures slice by tier without re-deriving scoring internals.
-func KernelTierFor(matrix string, gapOpen, gapExt, seqLen, lanes int) string {
+func KernelTierFor(matrix string, gapOpen, gapExt, seqLen, lanes int, preset string) string {
 	exch, err := resolveMatrix(matrix)
 	if err != nil {
 		return ""
@@ -446,7 +460,8 @@ func KernelTierFor(matrix string, gapOpen, gapExt, seqLen, lanes int) string {
 	if gapOpen != 0 || gapExt != 0 {
 		gap = scoring.Gap{Open: int32(gapOpen), Ext: int32(gapExt)}
 	}
-	return multialign.TierFor(align.Params{Exch: exch, Gap: gap}, seqLen, lanes).String()
+	_, tier := kernelFor(align.Params{Exch: exch, Gap: gap}, seqLen, lanes, preset)
+	return tier.String()
 }
 
 // WriteReport pretty-prints a report in the reprocli output format.

@@ -40,7 +40,6 @@ func TestAnalyzeEnginesAgree(t *testing.T) {
 		"workers": {NumTops: 6, Workers: 4},
 		"cluster": {NumTops: 6, Slaves: 2, ThreadsPerSlave: 2},
 		"lanes":   {NumTops: 6, Lanes: 4},
-		"striped": {NumTops: 6, Striped: true},
 	} {
 		got, err := Analyze("x", s, opt)
 		if err != nil {
