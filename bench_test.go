@@ -84,6 +84,11 @@ func table2Input() []byte { return seq.SyntheticTitin(table2Len, 1).Codes }
 // BenchmarkTable2Conventional times one scalar matrix at the largest
 // split (the paper's "conventional" column).
 func BenchmarkTable2Conventional(b *testing.B) {
+	active := multialign.ActiveTier()
+	if err := multialign.SetKernelTier(multialign.TierScalar.String()); err != nil {
+		b.Fatal(err)
+	}
+	defer multialign.SetKernelTier(active.String()) //nolint:errcheck // it was active, so it is supported
 	s := table2Input()
 	r := len(s) / 2
 	b.SetBytes(int64(r) * int64(len(s)-r))
@@ -240,21 +245,25 @@ func dnaTandem(n int, seed uint64) string {
 
 // BenchmarkAnalyzeLanes re-derives topalign's groupCrossover: the whole
 // analysis per sequence length and lane count, lanes=0 being what the
-// engine chooses. The crossover belongs where lanes=16 (and lanes=8,
-// which is what int32x8-only models resolve to) stop losing to lanes=1;
-// cells/op shows the extra cells group scheduling computes for it.
-// EXPERIMENTS.md ("Lane resolution") records a run:
+// engine chooses. The crossover belongs where lanes=16 stops losing to
+// lanes=1 — one matrix at a time on align's vector row kernel — on all
+// four inputs; under REPRO_KERNEL_TIER=int32x8 the same sweep compares
+// lanes=8, which is what int32-only models resolve to, with int32 rows.
+// cells/op shows the extra cells group scheduling computes for its
+// speed. EXPERIMENTS.md ("Lane resolution") records a run:
 //
-//	go test -run '^$' -bench AnalyzeLanes -benchtime 5x
+//	go test -run '^$' -bench AnalyzeLanes -benchtime 20x
 func BenchmarkAnalyzeLanes(b *testing.B) {
 	for _, in := range []struct {
 		name, matrix string
 		gen          func(n int) string
 	}{
 		{"titin", "BLOSUM62", func(n int) string { return seq.SyntheticTitin(n, 1).String() }},
+		{"titin-pam250", "PAM250", func(n int) string { return seq.SyntheticTitin(n, 2).String() }},
 		{"dna", "dna-unit", func(n int) string { return dnaTandem(n, 1) }},
+		{"dna-paper", "paper-dna", func(n int) string { return dnaTandem(n, 3) }},
 	} {
-		for _, n := range []int{60, 120, 200, 300, 600, 900} {
+		for _, n := range []int{60, 80, 120, 160, 200, 250, 300, 350, 400, 600, 900} {
 			s := in.gen(n)
 			for _, lanes := range []int{1, 8, 16, 0} {
 				b.Run(fmt.Sprintf("%s/n=%d/lanes=%d", in.name, n, lanes), func(b *testing.B) {

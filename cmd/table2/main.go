@@ -39,7 +39,12 @@ func main() {
 
 	fmt.Printf("Table 2: maximum alignment times, split %d of a %d-residue titin-like protein\n\n", r, m)
 
-	// conventional: one scalar matrix
+	// conventional: one scalar matrix — the Go row, not align's vector row
+	// kernel, which would make this column a SIMD one too
+	active := multialign.ActiveTier()
+	if err := multialign.SetKernelTier(multialign.TierScalar.String()); err != nil {
+		fatal(err)
+	}
 	asc := align.NewScratch()
 	conv := best(*reps, func() {
 		asc.Score(params, s[:r], s[r:])
@@ -50,7 +55,6 @@ func main() {
 
 	// vector rungs: the group centred on the largest split, forced to
 	// each tier the host (and REPRO_KERNEL_TIER) allows
-	active := multialign.ActiveTier()
 	gsc := multialign.NewScratch()
 	for _, rung := range []struct {
 		tier  multialign.Tier
@@ -85,6 +89,9 @@ func main() {
 	}
 
 	// cache-aware striping (Section 5.1): striped vs row-wise scalar
+	if err := multialign.SetKernelTier(multialign.TierScalar.String()); err != nil {
+		fatal(err)
+	}
 	fmt.Println()
 	striped := best(*reps, func() {
 		asc.ScoreStriped(params, s[:r], s[r:], nil, r, 0)

@@ -32,12 +32,18 @@ func TestScoreKernelsZeroAllocsWarm(t *testing.T) {
 		{"Score", func() { sc.Score(p, s1, s2) }},
 		{"ScoreMasked", func() { sc.ScoreMasked(p, s1, s2, tri, r) }},
 		{"ScoreStriped", func() { sc.ScoreStriped(p, s1, s2, tri, r, 64) }},
+		{"ScoreWindow", func() { sc.ScoreWindow(p, full.Codes, Rect{Y0: 5, Y1: 60, X0: 100, X1: 260}, nil) }},
+		{"ScoreWindow masked", func() { sc.ScoreWindow(p, full.Codes, Rect{Y0: 5, Y1: 60, X0: 100, X1: 260}, tri) }},
 	}
-	for _, c := range cases {
-		c.f() // warm the arena
-		if allocs := testing.AllocsPerRun(50, c.f); allocs != 0 {
-			t.Errorf("%s: %.1f allocs/op on warm scratch, want 0", c.name, allocs)
+	for _, tier := range rowTiers() {
+		restore := forceTier(t, tier)
+		for _, c := range cases {
+			c.f() // warm the arena
+			if allocs := testing.AllocsPerRun(50, c.f); allocs != 0 {
+				t.Errorf("%s on %s: %.1f allocs/op on warm scratch, want 0", c.name, tier, allocs)
+			}
 		}
+		restore()
 	}
 }
 

@@ -1,0 +1,19 @@
+//go:build !amd64
+
+package align
+
+// Off amd64 there is no vector tier: detection is constant false, so
+// RowTier resolves every call to the Go row and the kernels below are
+// unreachable. They exist so the row drivers compile.
+const (
+	hasAVX2   = false
+	hasAVX512 = false
+)
+
+func rowScan16(prev, cur, maxY, ex *int16, out32 *int32, nb int, open, ext int16) {
+	panic("align: int16x16 row kernel selected without AVX2")
+}
+
+func rowScan8(prev, cur, maxY *int32, ex *int16, nb int, open, ext int32) {
+	panic("align: int32x8 row kernel selected without AVX2")
+}

@@ -16,26 +16,40 @@ import (
 // Hot paths should reuse a Scratch ((*Scratch).Score and friends): the
 // package-level functions allocate fresh buffers on every call.
 func Score(p Params, s1, s2 []byte) []int32 {
-	return new(Scratch).score(p, s1, s2, nil, 0, 0)
+	return new(Scratch).Score(p, s1, s2)
 }
 
 // ScoreMasked is Score with override masking: cells whose global residue
 // pair (y, r+x) is marked in tri are forced to zero (the paper's
 // "overriding zeros"), where r is the split position of this matrix.
 func ScoreMasked(p Params, s1, s2 []byte, tri *triangle.Triangle, r int) []int32 {
-	return new(Scratch).score(p, s1, s2, tri, 0, r)
+	return new(Scratch).ScoreMasked(p, s1, s2, tri, r)
 }
 
 // score is the one linear-memory forward body: every score-only entry
-// point except the striped kernel is a wrapper over it. The operands sit
-// at offset (dy, dx) in global pair space — local cell (y, x) is the
-// pair (dy+y, dx+x) — which only the override mask needs to know: a
-// split r is (0, r), a window (Y0-1, X0-1). tri == nil disables masking.
-// All working memory comes from the receiver; the returned bottom row is
-// arena-owned.
-func (sc *Scratch) score(p Params, s1, s2 []byte, tri *triangle.Triangle, dy, dx int) []int32 {
+// point except the striped kernel is a wrapper over it. The horizontal
+// operand is h[x0:x1] — a window passes the whole sequence and its column
+// range, so that one query profile serves every window of a run. The
+// operands sit at offset (dy, dx) in global pair space — local cell
+// (y, x) is the pair (dy+y, dx+x) — which only the override mask needs
+// to know: a split r is (0, r), a window (Y0-1, X0-1). tri == nil
+// disables masking. The rows run on the tier RowTier names (recorded for
+// Scratch.Tier). All working memory comes from the receiver; the
+// returned bottom row is arena-owned.
+func (sc *Scratch) score(p Params, s1, h []byte, x0, x1 int, tri *triangle.Triangle, dy, dx int) []int32 {
+	s2 := h[x0:x1]
 	len1, len2 := len(s1), len(s2)
 	bottom := growI32(&sc.bottom, len2)
+	switch sc.rowTier(p, len1, len2) {
+	case TierInt16x16:
+		for i, v := range sc.rows16(p, s1, h, x0, len2, tri, dy, dx, nil, 0)[2 : 2+len2] {
+			bottom[i] = int32(v)
+		}
+		return bottom
+	case TierInt32x8:
+		copy(bottom, sc.rows8(p, s1, h, x0, len2, tri, dy, dx, nil, 0)[2:])
+		return bottom
+	}
 	prev := growI32(&sc.prev, len2+1) // M[y-1][*]
 	cur := growI32(&sc.cur, len2+1)   // M[y][*]
 	maxY := growI32(&sc.maxY, len2+1) // column gap running maxima

@@ -25,6 +25,11 @@ type Scratch struct {
 	bottom          []int32 // returned bottom row
 	edgeM, edgeMaxX []int32 // striped kernel's inter-stripe carries
 
+	prev16, cur16, maxY16 []int16  // the int16 row kernel's row buffers
+	prof                  profile  // the vector row kernels' query profile
+	model                 rowModel // tier facts of the last scoring model
+	tier                  Tier     // tier of the last score or matrix call
+
 	flat []int32   // full-matrix arena (traceback path)
 	rows [][]int32 // row headers over flat
 
@@ -44,13 +49,27 @@ func growI32(buf *[]int32, n int) []int32 {
 	return *buf
 }
 
+// rowTier resolves and records the tier of a score or matrix call over
+// an h x w matrix.
+func (sc *Scratch) rowTier(p Params, h, w int) Tier {
+	if sc.model.p != p {
+		sc.model = newRowModel(p)
+	}
+	sc.tier = sc.model.tier(h, w)
+	return sc.tier
+}
+
+// Tier reports the kernel tier that served the last score or matrix
+// call on sc: what RowTier resolved for its shape and scoring model.
+func (sc *Scratch) Tier() Tier { return sc.tier }
+
 // Score is the scratch-based variant of the package-level Score: the
 // returned row is arena-owned and valid until the next call on sc.
 func (sc *Scratch) Score(p Params, s1, s2 []byte) []int32 {
-	return sc.score(p, s1, s2, nil, 0, 0)
+	return sc.score(p, s1, s2, 0, len(s2), nil, 0, 0)
 }
 
 // ScoreMasked is the scratch-based variant of ScoreMasked.
 func (sc *Scratch) ScoreMasked(p Params, s1, s2 []byte, tri *triangle.Triangle, r int) []int32 {
-	return sc.score(p, s1, s2, tri, 0, r)
+	return sc.score(p, s1, s2, 0, len(s2), tri, 0, r)
 }

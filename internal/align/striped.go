@@ -37,7 +37,7 @@ func (sc *Scratch) ScoreStriped(p Params, s1, s2 []byte, tri *triangle.Triangle,
 		return bottom
 	}
 	if len2 <= width {
-		return sc.score(p, s1, s2, tri, 0, r)
+		return sc.ScoreMasked(p, s1, s2, tri, r)
 	}
 	bottom := growI32(&sc.bottom, len2)
 

@@ -18,27 +18,49 @@ func Matrix(p Params, s1, s2 []byte, tri *triangle.Triangle, r int) [][]int32 {
 // Matrix is the scratch-based variant of the package-level Matrix: the
 // returned matrix is arena-owned and valid until the next call on sc.
 func (sc *Scratch) Matrix(p Params, s1, s2 []byte, tri *triangle.Triangle, r int) [][]int32 {
-	return sc.matrix(p, s1, s2, tri, 0, r)
+	return sc.matrix(p, s1, s2, 0, len(s2), tri, 0, r)
 }
 
-// matrix is the one full-matrix body; (dy, dx) is the operands' offset
-// in global pair space, as for score.
-func (sc *Scratch) matrix(p Params, s1, s2 []byte, tri *triangle.Triangle, dy, dx int) [][]int32 {
+// matrix is the one full-matrix body; the operands, their offset
+// (dy, dx) in global pair space and the tier choice are as for score.
+// The vector tiers lay each arena row out as their row buffers are (a
+// zero pad in front, columns rounded up to whole blocks) and compute it
+// in place; the returned row headers cover boundary and columns only.
+func (sc *Scratch) matrix(p Params, s1, h []byte, x0, x1 int, tri *triangle.Triangle, dy, dx int) [][]int32 {
+	s2 := h[x0:x1]
 	len1, len2 := len(s1), len(s2)
+	tier := sc.rowTier(p, len1, len2)
+	lead, cols := 0, len2
+	switch tier {
+	case TierInt16x16:
+		lead, cols = 1, (len2+RowBlock-1)/RowBlock*RowBlock
+	case TierInt32x8:
+		lead, cols = 1, (len2+RowBlock/2-1)/(RowBlock/2)*(RowBlock/2)
+	}
+	stride := lead + 1 + cols
 	if cap(sc.rows) < len1+1 {
 		sc.rows = make([][]int32, len1+1)
 	}
 	m := sc.rows[:len1+1]
-	if cap(sc.flat) < (len1+1)*(len2+1) {
-		sc.flat = make([]int32, (len1+1)*(len2+1))
+	if cap(sc.flat) < (len1+1)*stride {
+		sc.flat = make([]int32, (len1+1)*stride)
 	}
-	flat := sc.flat[:(len1+1)*(len2+1)]
+	flat := sc.flat[:(len1+1)*stride]
 	for y := range m {
-		m[y] = flat[y*(len2+1) : (y+1)*(len2+1)]
-		m[y][0] = 0 // zero boundary column (arena may hold stale values)
+		row := flat[y*stride : (y+1)*stride]
+		row[0], row[lead] = 0, 0 // zero pad and boundary column (arena may hold stale values)
+		m[y] = row[lead : lead+1+len2 : lead+1+len2]
 	}
-	for x := range m[0] {
-		m[0][x] = 0 // zero boundary row
+	for x := range flat[:stride] {
+		flat[x] = 0 // zero boundary row
+	}
+	switch tier {
+	case TierInt16x16:
+		sc.rows16(p, s1, h, x0, len2, tri, dy, dx, flat, stride)
+		return m
+	case TierInt32x8:
+		sc.rows8(p, s1, h, x0, len2, tri, dy, dx, flat, stride)
+		return m
 	}
 	maxY := growI32(&sc.maxY, len2+1)
 	for i := range maxY {

@@ -51,7 +51,7 @@ func (w Rect) Validate(m int) error {
 // columns w.X0..w.X1). tri == nil disables override masking. The
 // returned row is arena-owned and valid until the next call on sc.
 func (sc *Scratch) ScoreWindow(p Params, s []byte, w Rect, tri *triangle.Triangle) []int32 {
-	return sc.score(p, s[w.Y0-1:w.Y1], s[w.X0-1:w.X1], tri, w.Y0-1, w.X0-1)
+	return sc.score(p, s[w.Y0-1:w.Y1], s, w.X0-1, w.X1, tri, w.Y0-1, w.X0-1)
 }
 
 // MatrixWindow computes the full windowed matrix with rows 0..H and
@@ -60,7 +60,7 @@ func (sc *Scratch) ScoreWindow(p Params, s []byte, w Rect, tri *triangle.Triangl
 // accepted alignments. The matrix is arena-owned and valid until the
 // next call on sc.
 func (sc *Scratch) MatrixWindow(p Params, s []byte, w Rect, tri *triangle.Triangle) [][]int32 {
-	return sc.matrix(p, s[w.Y0-1:w.Y1], s[w.X0-1:w.X1], tri, w.Y0-1, w.X0-1)
+	return sc.matrix(p, s[w.Y0-1:w.Y1], s, w.X0-1, w.X1, tri, w.Y0-1, w.X0-1)
 }
 
 // TracebackWindow reconstructs the alignment ending at window bottom-row

@@ -93,23 +93,33 @@ func TestScoreWindowSubwindowConsistency(t *testing.T) {
 // bottom row, every MatrixWindow cell, and — when the window holds a
 // positive alignment — that the traceback from the best ending lands on
 // the oracle's score over positive, un-overridden, strictly increasing
-// cells. Shared by the table test above and FuzzScoreWindow.
+// cells — under each kernel tier this CPU has. Shared by the table test
+// above and FuzzScoreWindow.
 func checkWindow(t testing.TB, p Params, s []byte, w Rect, mask *triangle.Triangle) {
+	t.Helper()
+	for _, tier := range rowTiers() {
+		restore := forceTier(t, tier)
+		checkWindowOnActiveTier(t, p, s, w, mask)
+		restore()
+	}
+}
+
+func checkWindowOnActiveTier(t testing.TB, p Params, s []byte, w Rect, mask *triangle.Triangle) {
 	t.Helper()
 	mtx := new(Scratch).MatrixWindow(p, s, w, mask)
 	bottom := new(Scratch).ScoreWindow(p, s, w, mask)
 	naive := naiveWindow(p, s, w, mask)
 	for x := 1; x <= w.W(); x++ {
 		if naive[w.H()][x] != bottom[x-1] {
-			t.Fatalf("window %+v masked=%v: bottom row col %d: score %d, naive %d",
-				w, mask != nil, x, bottom[x-1], naive[w.H()][x])
+			t.Fatalf("window %+v masked=%v tier %s: bottom row col %d: score %d, naive %d",
+				w, mask != nil, ActiveTier(), x, bottom[x-1], naive[w.H()][x])
 		}
 	}
 	for y := 0; y <= w.H(); y++ {
 		for x := 0; x <= w.W(); x++ {
 			if mtx[y][x] != naive[y][x] {
-				t.Fatalf("window %+v masked=%v: cell (%d,%d): kernel %d, naive %d",
-					w, mask != nil, y, x, mtx[y][x], naive[y][x])
+				t.Fatalf("window %+v masked=%v tier %s: cell (%d,%d): kernel %d, naive %d",
+					w, mask != nil, ActiveTier(), y, x, mtx[y][x], naive[y][x])
 			}
 		}
 	}

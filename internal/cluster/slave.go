@@ -421,12 +421,12 @@ func (sl *slave) work(job msgJob, sc *workScratch) error {
 }
 
 func (sl *slave) workScalar(r int, tri *triangle.Triangle, res *msgResult, sc *workScratch) error {
-	s1, s2 := sl.s[:r], sl.s[r:]
 	t0 := sl.now()
-	row := sc.a.ScoreMasked(sl.params, s1, s2, tri, r)
+	// split r as a window, so every split of the run shares sc.a's query profile
+	row := sc.a.ScoreWindow(sl.params, sl.s, align.Rect{Y0: 1, Y1: r, X0: r + 1, X1: len(sl.s)}, tri)
 	kns := sl.now() - t0
 	res.AlignNS += kns
-	res.Tier = uint8(multialign.TierScalar)
+	res.Tier = uint8(sc.a.Tier())
 	sc.span("slave.kernel", t0, kns)
 	if res.First {
 		sl.rows.Put(r, row) // Put copies; row is scratch-owned
@@ -450,11 +450,9 @@ func (sl *slave) workGroup(r0, members int, tri *triangle.Triangle, res *msgResu
 	if err == nil {
 		sc.span("slave.kernel", t0, kns)
 		res.Tier, res.Rerun = uint8(g.Tier), g.Rerun
-	} else {
-		res.Tier = uint8(multialign.TierScalar)
 	}
 	if err != nil {
-		// scalar fallback per member
+		// row-kernel fallback per member
 		for i := 0; i < members; i++ {
 			r := r0 + i
 			s1, s2 := sl.s[:r], sl.s[r:]
@@ -462,6 +460,7 @@ func (sl *slave) workGroup(r0, members int, tri *triangle.Triangle, res *msgResu
 			row := sc.a.ScoreMasked(sl.params, s1, s2, tri, r)
 			kns := sl.now() - t0
 			res.AlignNS += kns
+			res.Tier = uint8(sc.a.Tier())
 			sc.span("slave.kernel", t0, kns)
 			if res.First {
 				sl.rows.Put(r, row)

@@ -1,24 +1,5 @@
 #include "textflag.h"
 
-// func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
-TEXT ·cpuid(SB), NOSPLIT, $0-24
-	MOVL eaxArg+0(FP), AX
-	MOVL ecxArg+4(FP), CX
-	CPUID
-	MOVL AX, eax+8(FP)
-	MOVL BX, ebx+12(FP)
-	MOVL CX, ecx+16(FP)
-	MOVL DX, edx+20(FP)
-	RET
-
-// func xgetbv() (eax, edx uint32)
-TEXT ·xgetbv(SB), NOSPLIT, $0-8
-	XORL CX, CX
-	XGETBV
-	MOVL AX, eax+0(FP)
-	MOVL DX, edx+4(FP)
-	RET
-
 // func rowAVX8(prev, cur, maxY, ex *int32, n int, open, ext int32, mx *int32)
 //
 // One matrix row over n columns of the 8-lane interleaved Gotoh
@@ -44,11 +25,14 @@ TEXT ·rowAVX8(SB), NOSPLIT, $0-56
 	TESTQ CX, CX
 	JZ   done
 
+	// Every legacy-SSE move into an X register precedes the first
+	// 256-bit instruction: once a ymm upper half is dirty, each one costs
+	// an SSE/AVX transition (~180 ns per call on the bench host).
 	MOVL         open+40(FP), R8
 	MOVQ         R8, X5
-	VPBROADCASTD X5, Y5 // gap-open penalty in all lanes
 	MOVL         ext+44(FP), R9
 	MOVQ         R9, X6
+	VPBROADCASTD X5, Y5 // gap-open penalty in all lanes
 	VPBROADCASTD X6, Y6 // gap-extension penalty in all lanes
 	VPXOR        Y7, Y7, Y7     // zero, for the clamp
 	VMOVDQU      (AX), Y4       // mx carry-in
@@ -140,15 +124,16 @@ TEXT ·rowAVX16(SB), NOSPLIT, $0-64
 	TESTQ CX, CX
 	JZ   done16
 
+	// SSE moves first, as in rowAVX8.
 	MOVWLZX      open+40(FP), R8
 	MOVQ         R8, X5
-	VPBROADCASTW X5, Y5 // gap-open penalty in all lanes
 	MOVWLZX      ext+42(FP), R9
 	MOVQ         R9, X6
-	VPBROADCASTW X6, Y6             // gap-extension penalty in all lanes
-	VPXOR        Y7, Y7, Y7         // zero, for the clamp
 	MOVL         $0x7CFF7CFF, R10   // satLimit16-1 = 31999 word pair
 	MOVQ         R10, X8
+	VPBROADCASTW X5, Y5             // gap-open penalty in all lanes
+	VPBROADCASTW X6, Y6             // gap-extension penalty in all lanes
+	VPXOR        Y7, Y7, Y7         // zero, for the clamp
 	VPBROADCASTD X8, Y8             // saturation threshold in all lanes
 	VPXOR        Y10, Y10, Y10      // sticky saturation accumulator
 	VMOVDQU      (AX), Y4           // mx carry-in
@@ -271,15 +256,16 @@ TEXT ·rowAVX16Pair(SB), NOSPLIT, $0-88
 	TESTQ CX, CX
 	JZ   donep
 
+	// SSE moves first, as in rowAVX8.
 	MOVWLZX      open+40(FP), R8
 	MOVQ         R8, X5
-	VPBROADCASTW X5, Y5
 	MOVWLZX      ext+42(FP), R9
 	MOVQ         R9, X6
-	VPBROADCASTW X6, Y6
-	VPXOR        Y7, Y7, Y7
 	MOVL         $0x7CFF7CFF, R10 // satLimit16-1 word pair
 	MOVQ         R10, X8
+	VPBROADCASTW X5, Y5
+	VPBROADCASTW X6, Y6
+	VPXOR        Y7, Y7, Y7
 	VPBROADCASTD X8, Y8
 	VPXOR        Y10, Y10, Y10
 	MOVQ         mxY+48(FP), AX
@@ -371,11 +357,12 @@ TEXT ·rowAVX16PairFast(SB), NOSPLIT, $0-80
 	TESTQ CX, CX
 	JZ   donepf
 
+	// SSE moves first, as in rowAVX8.
 	MOVWLZX      open+40(FP), R8
 	MOVQ         R8, X5
-	VPBROADCASTW X5, Y5
 	MOVWLZX      ext+42(FP), R9
 	MOVQ         R9, X6
+	VPBROADCASTW X5, Y5
 	VPBROADCASTW X6, Y6
 	VPXOR        Y7, Y7, Y7
 	MOVQ         mxY+48(FP), AX
@@ -451,11 +438,12 @@ TEXT ·rowAVX16Fast(SB), NOSPLIT, $0-56
 	TESTQ CX, CX
 	JZ   donef
 
+	// SSE moves first, as in rowAVX8.
 	MOVWLZX      open+40(FP), R8
 	MOVQ         R8, X5
-	VPBROADCASTW X5, Y5 // gap-open penalty in all lanes
 	MOVWLZX      ext+42(FP), R9
 	MOVQ         R9, X6
+	VPBROADCASTW X5, Y5     // gap-open penalty in all lanes
 	VPBROADCASTW X6, Y6     // gap-extension penalty in all lanes
 	VPXOR        Y7, Y7, Y7 // zero, for the clamp
 	VMOVDQU      (AX), Y4   // mx carry-in

@@ -1,11 +1,14 @@
 package multialign
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // The assembly flag must flip exactly at satLimit16: a cell value of
 // satLimit16-1 is clean, satLimit16 sets the lane's sticky bits.
 func TestRowAVX16FlagBoundary(t *testing.T) {
-	if !hasAVX2 {
+	if DetectedTier() < TierInt32x8 {
 		t.Skip("needs AVX2")
 	}
 	for _, tc := range []struct {
@@ -40,7 +43,7 @@ func TestRowAVX16FlagBoundary(t *testing.T) {
 // flag, no crash. The masked drivers can produce empty segments when
 // overridden columns are adjacent.
 func TestRowKernelsZeroColumns(t *testing.T) {
-	if !hasAVX2 {
+	if DetectedTier() < TierInt32x8 {
 		t.Skip("needs AVX2")
 	}
 	prev16 := make([]int16, 16)
@@ -75,6 +78,46 @@ func TestRowKernelsZeroColumns(t *testing.T) {
 	for i := range cur32 {
 		if cur32[i] != 42 {
 			t.Fatalf("rowAVX8 n=0 wrote cur[%d]=%d", i, cur32[i])
+		}
+	}
+}
+
+// BenchmarkRowCall is what one call of each assembly row kernel costs
+// at 1 and at 16 columns: the fixed part of a row, which is most of a
+// short row and all of a masked row's one-column segments. A legacy-SSE
+// move into an X register after the prologue's first 256-bit
+// instruction makes it ~180 ns on the bench host instead of ~4.
+func BenchmarkRowCall(b *testing.B) {
+	if DetectedTier() < TierInt32x8 {
+		b.Skip("needs AVX2")
+	}
+	const cols = 17 // one column block in front of the span
+	prev32, cur32, maxY32 := make([]int32, 8*cols), make([]int32, 8*cols), make([]int32, 8*cols)
+	prev16, cur16, maxY16 := make([]int16, 16*cols), make([]int16, 16*cols), make([]int16, 16*cols)
+	ex32, ex16, ex16b := make([]int32, cols), make([]int16, cols), make([]int16, cols)
+	var mx32 [8]int32
+	var mx, mx1, d, v [16]int16
+	var sat uint32
+	for _, n := range []int{1, 16} {
+		for _, k := range []struct {
+			name string
+			call func()
+		}{
+			{"rowAVX8", func() { rowAVX8(&prev32[0], &cur32[8], &maxY32[8], &ex32[1], n, 11, 1, &mx32[0]) }},
+			{"rowAVX16", func() { rowAVX16(&prev16[0], &cur16[16], &maxY16[16], &ex16[1], n, 11, 1, &mx[0], &sat) }},
+			{"rowAVX16Fast", func() { rowAVX16Fast(&prev16[0], &cur16[16], &maxY16[16], &ex16[1], n, 11, 1, &mx[0]) }},
+			{"rowAVX16Pair", func() {
+				rowAVX16Pair(&prev16[16], &maxY16[16], &ex16[1], &ex16b[1], n, 11, 1, &mx[0], &mx1[0], &d[0], &v[0], &sat)
+			}},
+			{"rowAVX16PairFast", func() {
+				rowAVX16PairFast(&prev16[16], &maxY16[16], &ex16[1], &ex16b[1], n, 11, 1, &mx[0], &mx1[0], &d[0], &v[0])
+			}},
+		} {
+			b.Run(fmt.Sprintf("%s/n=%d", k.name, n), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					k.call()
+				}
+			})
 		}
 	}
 }

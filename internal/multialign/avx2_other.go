@@ -7,13 +7,9 @@ import (
 	"repro/internal/triangle"
 )
 
-// Off amd64 there is no vector tier: detection is constant false, so
-// TierFor resolves every group to the scalar tier and the kernel bodies
-// below are unreachable. They exist so ScoreGroupAuto compiles.
-const (
-	hasAVX2   = false
-	hasAVX512 = false
-)
+// Off amd64 there is no vector tier: align detects none, so TierFor
+// resolves every group to the scalar tier and the kernel bodies below
+// are unreachable. They exist so ScoreGroupAuto compiles.
 
 func (sc *Scratch) avx8(p align.Params, s []byte, r0 int, tri *triangle.Triangle, bots [][]int32) {
 	panic("multialign: int32x8 tier selected without AVX2")

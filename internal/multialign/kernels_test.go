@@ -161,7 +161,12 @@ func TestScoreGroupAuto(t *testing.T) {
 								wantTier = min(wantTier, TierInt32x8)
 							}
 							if lanes < 8 {
+								// split by split through align's row kernel:
+								// the widest tier a member's shape admits
 								wantTier = TierScalar
+								for r := r0; r < r0+lanes && r <= m-1; r++ {
+									wantTier = max(wantTier, align.RowTier(kp.p, r, m-r))
+								}
 							}
 							if g.Tier != wantTier {
 								t.Fatalf("%s: served by tier %s, want %s", where, g.Tier, wantTier)

@@ -25,7 +25,7 @@ import (
 // Bias bounds the exchange values the int16 tier accepts: matrices must
 // have |score| < Bias (all embedded matrices do), so one saturating add
 // cannot jump from below satLimit16 past the int16 range.
-const Bias = 256
+const Bias = align.Int16Bias
 
 // Group is the result of a group alignment: one bottom row per lane.
 // Bottoms[i] is the bottom row of split r0+i, or nil when that split is
@@ -88,13 +88,17 @@ func (sc *Scratch) ScoreGroupAuto(p align.Params, s []byte, r0, lanes int, tri *
 		g.Tier = TierInt32x8
 		return g, nil
 	}
+	// Split by split through align's row kernel, each split as a window so
+	// the group shares one query profile. Under a forced scalar tier those
+	// are Go rows; a 4-lane group on a vector tier runs vector rows, and
+	// the group reports the widest tier that served a member.
 	for k, bottom := range g.Bottoms {
 		if bottom == nil {
 			break
 		}
 		r := r0 + k
-		copy(bottom, sc.row.ScoreMasked(p, s[:r], s[r:], tri, r))
+		copy(bottom, sc.row.ScoreWindow(p, s, align.Rect{Y0: 1, Y1: r, X0: r + 1, X1: m}, tri))
+		g.Tier = max(g.Tier, sc.row.Tier())
 	}
-	g.Tier = TierScalar
 	return g, nil
 }

@@ -1,6 +1,8 @@
 package seedindex
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"repro/internal/align"
@@ -41,14 +43,34 @@ type Candidate struct {
 	Seeds   int
 }
 
-type seedPair struct{ d, i int32 }
+// seedPair is a seed match between positions i and i+d, packed d high,
+// i low (both are non-negative int32s), so that pairs sort by diagonal
+// and then position as plain integers.
+type seedPair uint64
+
+func (p seedPair) d() int { return int(p >> 32) }
+func (p seedPair) i() int { return int(uint32(p)) }
 
 // Chain enumerates capped seed-match pairs from the index, merges
 // same-diagonal runs into segments, and chains segments into clusters
 // within diagonal bands. The result is deterministic in the input.
+//
+// Each of the three lists is counted before it is allocated: grown by
+// append from nil, their 8-, 40- and 48-byte elements spent 40% of the
+// stage copying into bigger arrays and collecting the old ones.
 func Chain(x *Index, cfg Config) ChainResult {
 	span := x.Span()
-	var pairs []seedPair
+	npairs := 0
+	for _, key := range x.Keys() {
+		n := len(x.Occurrences(key))
+		// occurrence a pairs with its next min(SuccPairs, n-1-a) successors
+		if full := n - cfg.SuccPairs; full > 0 {
+			npairs += full*cfg.SuccPairs + cfg.SuccPairs*(cfg.SuccPairs-1)/2
+		} else {
+			npairs += n * (n - 1) / 2
+		}
+	}
+	pairs := make([]seedPair, 0, npairs)
 	for _, key := range x.Keys() {
 		occ := x.Occurrences(key)
 		for a := 0; a < len(occ); a++ {
@@ -57,36 +79,21 @@ func Chain(x *Index, cfg Config) ChainResult {
 				hi = len(occ) - 1
 			}
 			for b := a + 1; b <= hi; b++ {
-				pairs = append(pairs, seedPair{d: occ[b] - occ[a], i: occ[a]})
+				pairs = append(pairs, seedPair(occ[b]-occ[a])<<32|seedPair(occ[a]))
 			}
 		}
 	}
-	sort.Slice(pairs, func(a, b int) bool {
-		if pairs[a].d != pairs[b].d {
-			return pairs[a].d < pairs[b].d
-		}
-		return pairs[a].i < pairs[b].i
-	})
+	slices.Sort(pairs)
 
 	// Merge same-diagonal seeds within MergeGap into segments.
-	var segs []Segment
+	nsegs := 0
+	for k := 0; k < len(pairs); nsegs++ {
+		_, k = mergeSegment(pairs, k, span, cfg.MergeGap)
+	}
+	segs := make([]Segment, 0, nsegs)
 	for k := 0; k < len(pairs); {
-		d, i := int(pairs[k].d), int(pairs[k].i)
-		seg := Segment{D: d, Start: i, End: i + span, Covered: span, Seeds: 1}
-		k++
-		for k < len(pairs) && int(pairs[k].d) == d && int(pairs[k].i) <= seg.End+cfg.MergeGap {
-			i = int(pairs[k].i)
-			if end := i + span; end > seg.End {
-				cov := end - seg.End
-				if cov > span {
-					cov = span
-				}
-				seg.Covered += cov
-				seg.End = end
-			}
-			seg.Seeds++
-			k++
-		}
+		var seg Segment
+		seg, k = mergeSegment(pairs, k, span, cfg.MergeGap)
 		segs = append(segs, seg)
 	}
 
@@ -94,61 +101,105 @@ func Chain(x *Index, cfg Config) ChainResult {
 	// keeps distinct repeat periodicities apart (a tandem family appears
 	// at diagonals u, 2u, ... — each its own band, hence its own
 	// candidates) while letting indel-wandering diagonals cluster.
-	sort.Slice(segs, func(a, b int) bool {
-		ba, bb := segs[a].D/cfg.BandWidth, segs[b].D/cfg.BandWidth
-		if ba != bb {
-			return ba < bb
+	// Segments come out of the merge in diagonal order, so each band is
+	// already one contiguous run: sorting the runs by (Start, D) is the
+	// sort by (band, Start, D), minus two divisions per comparison. Two
+	// segments of one diagonal never share a Start, so the order is total.
+	for lo := 0; lo < len(segs); {
+		band := segs[lo].D / cfg.BandWidth
+		hi := lo + 1
+		for hi < len(segs) && segs[hi].D/cfg.BandWidth == band {
+			hi++
 		}
-		if segs[a].Start != segs[b].Start {
-			return segs[a].Start < segs[b].Start
-		}
-		return segs[a].D < segs[b].D
-	})
-	var clusters []Cluster
+		slices.SortFunc(segs[lo:hi], func(a, b Segment) int {
+			if a.Start != b.Start {
+				return cmp.Compare(a.Start, b.Start)
+			}
+			return cmp.Compare(a.D, b.D)
+		})
+		lo = hi
+	}
+	nclusters := 0
+	for k := 0; k < len(segs); nclusters++ {
+		_, k = chainCluster(segs, k, cfg)
+	}
+	clusters := make([]Cluster, 0, nclusters)
 	for k := 0; k < len(segs); {
-		band := segs[k].D / cfg.BandWidth
-		cl := Cluster{IStart: segs[k].Start, IEnd: segs[k].End,
-			DMin: segs[k].D, DMax: segs[k].D,
-			Covered: segs[k].Covered, Seeds: segs[k].Seeds}
-		// covEnd tracks the union sweep over i-ranges: band-mates on
-		// nearby diagonals overlap in i, and summing their Covered
-		// outright would double-count stacked segments — an inflated
-		// cluster could then crowd out genuinely better-supported ones
-		// under MaxCandidates and sneak past MinMatched. Each segment
-		// contributes at most the length of its not-yet-covered i-suffix,
-		// so Covered never exceeds IEnd-IStart (segments arrive sorted by
-		// Start within the band, making the one-pass sweep exact).
-		covEnd := segs[k].End
-		k++
-		for k < len(segs) && segs[k].D/cfg.BandWidth == band && segs[k].Start <= cl.IEnd+cfg.ChainGap {
-			s := segs[k]
-			if s.End > cl.IEnd {
-				cl.IEnd = s.End
-			}
-			if s.D < cl.DMin {
-				cl.DMin = s.D
-			}
-			if s.D > cl.DMax {
-				cl.DMax = s.D
-			}
-			from := s.Start
-			if covEnd > from {
-				from = covEnd
-			}
-			if newLen := s.End - from; newLen > 0 {
-				cov := s.Covered
-				if cov > newLen {
-					cov = newLen
-				}
-				cl.Covered += cov
-				covEnd = s.End
-			}
-			cl.Seeds += s.Seeds
-			k++
-		}
+		var cl Cluster
+		cl, k = chainCluster(segs, k, cfg)
 		clusters = append(clusters, cl)
 	}
 	return ChainResult{Clusters: clusters, Pairs: len(pairs), Segments: len(segs)}
+}
+
+// mergeSegment merges the run of same-diagonal seeds that starts at
+// pairs[k], each within mergeGap of the segment so far, and returns the
+// segment and the index of the first pair after it.
+func mergeSegment(pairs []seedPair, k, span, mergeGap int) (Segment, int) {
+	d, i := pairs[k].d(), pairs[k].i()
+	seg := Segment{D: d, Start: i, End: i + span, Covered: span, Seeds: 1}
+	k++
+	for k < len(pairs) && pairs[k].d() == d && pairs[k].i() <= seg.End+mergeGap {
+		i = pairs[k].i()
+		if end := i + span; end > seg.End {
+			cov := end - seg.End
+			if cov > span {
+				cov = span
+			}
+			seg.Covered += cov
+			seg.End = end
+		}
+		seg.Seeds++
+		k++
+	}
+	return seg, k
+}
+
+// chainCluster chains the run of band-mates that starts at segs[k], each
+// within ChainGap of the cluster so far, and returns the cluster and the
+// index of the first segment after it.
+func chainCluster(segs []Segment, k int, cfg Config) (Cluster, int) {
+	band := segs[k].D / cfg.BandWidth
+	cl := Cluster{IStart: segs[k].Start, IEnd: segs[k].End,
+		DMin: segs[k].D, DMax: segs[k].D,
+		Covered: segs[k].Covered, Seeds: segs[k].Seeds}
+	// covEnd tracks the union sweep over i-ranges: band-mates on
+	// nearby diagonals overlap in i, and summing their Covered
+	// outright would double-count stacked segments — an inflated
+	// cluster could then crowd out genuinely better-supported ones
+	// under MaxCandidates and sneak past MinMatched. Each segment
+	// contributes at most the length of its not-yet-covered i-suffix,
+	// so Covered never exceeds IEnd-IStart (segments arrive sorted by
+	// Start within the band, making the one-pass sweep exact).
+	covEnd := segs[k].End
+	k++
+	for k < len(segs) && segs[k].D/cfg.BandWidth == band && segs[k].Start <= cl.IEnd+cfg.ChainGap {
+		s := segs[k]
+		if s.End > cl.IEnd {
+			cl.IEnd = s.End
+		}
+		if s.D < cl.DMin {
+			cl.DMin = s.D
+		}
+		if s.D > cl.DMax {
+			cl.DMax = s.D
+		}
+		from := s.Start
+		if covEnd > from {
+			from = covEnd
+		}
+		if newLen := s.End - from; newLen > 0 {
+			cov := s.Covered
+			if cov > newLen {
+				cov = newLen
+			}
+			cl.Covered += cov
+			covEnd = s.End
+		}
+		cl.Seeds += s.Seeds
+		k++
+	}
+	return cl, k
 }
 
 // Candidates converts filtered clusters into candidate windows over a

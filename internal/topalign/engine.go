@@ -143,8 +143,8 @@ func (e *Engine) origRow(r int, win *Window) []int32 {
 	return row
 }
 
-// alignRect aligns one rectangle with the scalar kernel against tri and
-// returns its score: the maximum over valid bottom-row endings after
+// alignRect aligns one rectangle with the row kernel against tri, counts
+// it under the tier the kernel ran it on, and returns its score: the maximum over valid bottom-row endings after
 // shadow rejection. win is the window the rectangle belongs to, nil for
 // split w.Y1. A rectangle with no original row yet is on its first
 // alignment (Realign passes tri == nil): its bottom row becomes the
@@ -155,7 +155,7 @@ func (e *Engine) alignRect(w align.Rect, win *Window, tri *triangle.Triangle, sc
 	row := sc.A.ScoreWindow(e.cfg.Params, e.s, w, tri)
 	e.cfg.Counters.ObserveAlignLatency(time.Since(t0))
 	e.cfg.Counters.AddAlignment(w.Cells(), orig != nil)
-	e.cfg.Counters.AddTierAlignments(int(multialign.TierScalar), 1, false)
+	e.cfg.Counters.AddTierAlignments(int(sc.A.Tier()), 1, false)
 	if orig == nil {
 		// row is scratch-owned: both stores keep a copy
 		if win != nil {

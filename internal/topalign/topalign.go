@@ -119,12 +119,15 @@ func (c Config) withDefaults(n int) (Config, error) {
 
 // groupCrossover is the sequence length below which a defaulted lane
 // count resolves to 1. A group task realigns all its members when one
-// is stale, so groups compute more cells than splits (1.5-2.5x at
-// n=200, 1.2x at n=900), and short rows leave the vector kernels mostly
-// set-up: 8 and 16 lanes lose 25-55% to the row kernel at n=100, draw
-// at 110-120 and win from 130, on protein and DNA alike. The sweep is in
-// EXPERIMENTS.md ("Lane resolution"); BenchmarkAnalyzeLanes re-derives it.
-const groupCrossover = 120
+// is stale, so groups compute more cells than splits (2.5x at n=200,
+// 1.8x at 300, 1.2x at 900), and since align's row kernel runs one
+// matrix 16 columns per instruction, one split at a time is no longer
+// the slow way: on protein inputs 16 lanes lose 20-50% to it at
+// n=120-250, draw (within 5%) from 280 to 340 and win from 350; 8 lanes
+// against int32 rows cross at the same place; the DNA inputs would
+// accept 160. The sweep is in EXPERIMENTS.md ("Lane resolution");
+// BenchmarkAnalyzeLanes re-derives it.
+const groupCrossover = 300
 
 // ResolveLanes is the lane count a run of n residues under p uses when
 // asked for lanes: an explicit 1, 4, 8 or 16 is kept; 0 means "choose"

@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"repro/internal/align"
+	"repro/internal/multialign"
+	"repro/internal/scoring"
 	"repro/internal/seq"
 	"repro/internal/stats"
 )
@@ -131,5 +133,59 @@ func TestRunWindowsUnalignedZeroStamp(t *testing.T) {
 	}
 	if len(e.Tops()) != 1 || e.Tops()[0].Score != 8 {
 		t.Fatalf("tops = %+v, want one alignment of score 8", e.Tops())
+	}
+}
+
+// Window and lanes-1 alignments count under the row tier that ran them:
+// a rectangle under one block wide, or past the int16 score bound, shows
+// up as what it ran, whatever tier is forced.
+func TestAlignRectCountsTheRowTier(t *testing.T) {
+	prev := multialign.ActiveTier()
+	defer multialign.SetKernelTier(prev.String()) //nolint:errcheck // prev was active, so it is supported
+	codes := seq.SyntheticTitin(200, 1).Codes
+	// W:W scores 17 under PAM250: poly-W splits of 1883 and more rows by as
+	// many columns pass the int16 bound.
+	polyW, err := seq.Protein.Encode(strings.Repeat("W", 3800))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pam := align.Params{Exch: scoring.PAM250, Gap: scoring.DefaultProteinGap}
+	for _, tier := range []multialign.Tier{multialign.TierScalar, multialign.TierInt32x8, multialign.TierInt16x16} {
+		if tier > multialign.DetectedTier() {
+			continue
+		}
+		if err := multialign.SetKernelTier(tier.String()); err != nil {
+			t.Fatal(err)
+		}
+		// every split of a lanes-1 run, narrow ones included
+		var want [stats.NumTiers]int64
+		cfg := Config{Params: proteinParams, NumTops: 6, GroupLanes: 1, Counters: &stats.Counters{}}
+		cfg.OnRealign = func(task *Task, _ int) { want[align.RowTier(proteinParams, task.R, len(codes)-task.R)]++ }
+		res, err := Find(codes, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Stats.TierAlignments != want {
+			t.Errorf("%s lanes 1: tier mix %v, want %v", tier, res.Stats.TierAlignments, want)
+		}
+		if tier > multialign.TierScalar && (want[multialign.TierScalar] == 0 || want[tier] == 0) {
+			t.Errorf("%s lanes 1: tier mix %v proves nothing: want splits under and over one block wide", tier, want)
+		}
+		// two windows either side of the int16 bound
+		e, err := NewEngine(polyW, Config{Params: pam, NumTops: 1, Counters: &stats.Counters{}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc := NewScratch()
+		for _, side := range []int{1800, 1900} {
+			rect := align.Rect{Y0: 1, Y1: side, X0: 1901, X1: 1900 + side}
+			e.Realign(&Task{R: side, Score: Infinity, AlignedWith: -1, Win: &Window{Rect: rect, Bound: Infinity}}, nil, 0, sc)
+		}
+		want = [stats.NumTiers]int64{}
+		want[min(tier, multialign.TierInt32x8)]++ // 17 * 1900 = 32300
+		want[tier]++                              // 17 * 1800 = 30600
+		if got := e.Config().Counters.Snapshot().TierAlignments; got != want {
+			t.Errorf("%s windows: tier mix %v, want %v", tier, got, want)
+		}
 	}
 }

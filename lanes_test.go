@@ -16,7 +16,7 @@ import (
 
 // crossover is topalign's groupCrossover as seen from outside: the
 // battery straddles it, and says so when the constant moves.
-const crossover = 120
+const crossover = 300
 
 // TestLanesDifferential is what lets Lanes leave serve.CacheKey: in
 // strict mode the report — tops and families — is the same for every
@@ -42,7 +42,7 @@ func TestLanesDifferential(t *testing.T) {
 		{"workers4", repro.Options{Workers: 4}},
 		{"cluster2x2", repro.Options{Slaves: 2, ThreadsPerSlave: 2}},
 	}
-	lengths := []int{crossover - 1, crossover, 300, 700}
+	lengths := []int{120, crossover - 1, crossover, 700}
 	if testing.Short() {
 		lengths = lengths[:3]
 	}
@@ -68,10 +68,10 @@ func TestLanesDifferential(t *testing.T) {
 			}
 			for _, b := range backends {
 				for _, lanes := range []int{0, 1, 4, 8, 16} {
-					if n > 300 && (lanes == 1 || lanes == 4) {
-						// one scalar run of this length costs seconds under the
-						// race detector; the shorter rows cover the scalar lane
-						// counts on every backend
+					if n > crossover && (lanes == 1 || lanes == 4) {
+						// one split-by-split run of this length costs seconds
+						// on the Go rows under the race detector; the shorter
+						// rows cover those lane counts on every backend
 						continue
 					}
 					opt := b.opt
@@ -165,14 +165,23 @@ func TestKernelTierNamesTheTierThatRan(t *testing.T) {
 			t.Errorf("lanes %d reported as %d", lanes, rep.Stats.Lanes)
 		}
 	}
-	// Window presets align one matrix per task with the scalar kernel
-	// whatever the lane count.
+	// Window presets align one matrix per task on the row kernel, whatever
+	// the lane count, and are named by the tier their windows ran on.
 	rep, err := repro.Analyze("x", s, repro.Options{NumTops: 8, Preset: "balanced"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Stats.KernelTier != "scalar" || rep.Stats.Lanes != 1 {
-		t.Errorf("balanced preset reports %d lanes on %s, want 1 on scalar", rep.Stats.Lanes, rep.Stats.KernelTier)
+	busiest := ""
+	for tier, n := range rep.Usage.KernelTiers {
+		if n > rep.Usage.KernelTiers[busiest] {
+			busiest = tier
+		}
+	}
+	if rep.Stats.KernelTier != busiest || rep.Stats.Lanes != 1 {
+		t.Errorf("balanced preset reports %d lanes on %s, but %v did the work", rep.Stats.Lanes, rep.Stats.KernelTier, rep.Usage.KernelTiers)
+	}
+	if want := align.RowTier(align.Params{Exch: scoring.BLOSUM62, Gap: scoring.DefaultProteinGap}, align.RowBlock, align.RowBlock); rep.Stats.KernelTier != want.String() {
+		t.Errorf("balanced preset ran on %s under active tier %s, want %s", rep.Stats.KernelTier, multialign.ActiveTier(), want)
 	}
 }
 

@@ -162,8 +162,9 @@ type Stats struct {
 	// Lanes is the lane count the run used — Options.Lanes with 0
 	// resolved — and KernelTier the kernel tier that lane count and the
 	// scoring model select ("scalar", "int32x8", or "int16x16").
-	// Individual groups can still fall back narrower (int16 saturation
-	// re-runs in int32); this is the widest tier the run was served by.
+	// Individual alignments can still run narrower (int16 saturation
+	// re-runs a group in int32, a matrix under 16 columns wide takes the
+	// Go row); this is the widest tier the run was served by.
 	Lanes      int    `json:"Lanes,omitempty"`
 	KernelTier string `json:"KernelTier,omitempty"`
 }
@@ -436,15 +437,24 @@ func analyze(q *seq.Sequence, exch *scoring.Matrix, opt Options) (*Report, error
 }
 
 // kernelFor resolves the lane count and kernel tier an analysis of n
-// residues runs with, by the engine's own rule. The fast and balanced
-// presets align windows, which are one-matrix scalar tasks whatever the
-// lane count.
-func kernelFor(p align.Params, n, lanes int, preset string) (int, multialign.Tier) {
+// residues runs with, by the engine's own rule. Groups of 8 or 16 run
+// the group kernel TierFor names. Everything else is one matrix at a
+// time on align's row kernel, which picks its tier per matrix: an exact
+// run is named by its middle split, the shape with the highest score
+// bound, and the fast and balanced presets — windows, whatever the lane
+// count — by the widest tier the scoring model admits. A matrix under
+// one block wide or past the int16 bound runs narrower, and shows up as
+// what it ran in Usage.KernelTiers.
+func kernelFor(p align.Params, n, lanes int, preset string) (int, align.Tier) {
 	if preset == seedindex.PresetFast || preset == seedindex.PresetBalanced {
-		return 1, multialign.TierScalar
+		return 1, align.RowTier(p, align.RowBlock, align.RowBlock)
 	}
 	lanes = topalign.ResolveLanes(p, n, lanes)
-	return lanes, multialign.TierFor(p, n, lanes)
+	tier := multialign.TierFor(p, n, lanes)
+	if tier == align.TierScalar {
+		tier = align.RowTier(p, n/2, n-n/2)
+	}
+	return lanes, tier
 }
 
 // KernelTierFor reports the kernel tier name Analyze would select for
