@@ -3,12 +3,15 @@ package cluster
 import (
 	"errors"
 	"net"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/align"
 	"repro/internal/mpi"
+	"repro/internal/obs"
+	"repro/internal/parallel"
 	"repro/internal/scoring"
 	"repro/internal/seq"
 	"repro/internal/stats"
@@ -40,6 +43,43 @@ func TestClusterStrictMatchesSequential(t *testing.T) {
 			t.Fatalf("%+v: %v", spec, err)
 		}
 		assertSameTops(t, got.Tops, want.Tops)
+	}
+}
+
+// One worker leaves a scheduler nothing to reorder: a strict cluster of
+// one single-threaded slave and the shared-memory scheduler with one
+// worker must do exactly the sequential run's work, and report it — the
+// slave's operations are counted from the topalign.Work it ships, by the
+// call the local drivers make. (Shadow ends used to be dropped on the
+// slave: cluster runs reported 0.)
+func TestStatsParityWithSequential(t *testing.T) {
+	q := seq.SyntheticTitin(200, 4)
+	work := func(res *topalign.Result, err error) stats.Snapshot {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := res.Stats
+		if s.AlignLatency.Count != s.Alignments {
+			t.Errorf("latency histogram holds %d observations for %d alignments", s.AlignLatency.Count, s.Alignments)
+		}
+		s.AlignLatency, s.CPUNanos = obs.HistogramSnapshot{}, 0 // time, not work
+		return s
+	}
+	for _, lanes := range []int{1, 16} {
+		cfg := func() topalign.Config {
+			return topalign.Config{Params: proteinParams, NumTops: 8, GroupLanes: lanes, Counters: &stats.Counters{}}
+		}
+		want := work(topalign.Find(q.Codes, cfg()))
+		if want.ShadowEnds == 0 || want.Realignments == 0 {
+			t.Fatalf("lanes %d: sequential run %+v proves nothing: want shadow ends and realignments", lanes, want)
+		}
+		if got := work(RunLocal(q.Codes, Config{Top: cfg()}, LocalSpec{Slaves: 1, ThreadsPerSlave: 1})); !reflect.DeepEqual(got, want) {
+			t.Errorf("lanes %d: cluster counted %+v, sequential %+v", lanes, got, want)
+		}
+		if got := work(parallel.Find(q.Codes, cfg(), parallel.Config{Workers: 1})); !reflect.DeepEqual(got, want) {
+			t.Errorf("lanes %d: parallel counted %+v, sequential %+v", lanes, got, want)
+		}
 	}
 }
 
@@ -271,7 +311,7 @@ func TestClusterOverTCP(t *testing.T) {
 func TestSlaveStartsAfterMasterFinished(t *testing.T) {
 	world := mpi.NewLocal(2)
 	q := seq.SyntheticTitin(60, 1)
-	setup := msgSetup{Seq: q.Codes, Matrix: "BLOSUM62", GapOpen: 10, GapExt: 1, MinScore: 1, Lanes: 16}
+	setup := msgSetup{Seq: q.Codes, Matrix: "BLOSUM62", GapOpen: 10, GapExt: 1, Lanes: 16}
 	if err := world[0].Send(1, tagSetup, setup.encode()); err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +322,7 @@ func TestSlaveStartsAfterMasterFinished(t *testing.T) {
 }
 
 func TestMessageRoundTrips(t *testing.T) {
-	setup := msgSetup{Seq: []byte{1, 2, 3}, Matrix: "BLOSUM62", GapOpen: 10, GapExt: 1, MinScore: 1, Lanes: 4}
+	setup := msgSetup{Seq: []byte{1, 2, 3}, Matrix: "BLOSUM62", GapOpen: 10, GapExt: 1, Lanes: 4}
 	s2, err := decodeSetup(setup.encode())
 	if err != nil {
 		t.Fatal(err)
@@ -298,13 +338,13 @@ func TestMessageRoundTrips(t *testing.T) {
 		t.Errorf("job round trip: %+v, %v", j2, err)
 	}
 
-	res := msgResult{R: 7, Version: 3, First: true,
+	res := msgResult{R: 7, Version: 3, Work: topalign.Work{First: true, ShadowEnds: 9},
 		Scores: []int32{10, -2, 0}, Rows: [][]int32{{1, 2}, {3}, {}}}
 	r2, err := decodeResult(res.encode())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r2.R != 7 || r2.Version != 3 || !r2.First || len(r2.Scores) != 3 || r2.Scores[1] != -2 ||
+	if r2.R != 7 || r2.Version != 3 || !r2.First || r2.ShadowEnds != 9 || len(r2.Scores) != 3 || r2.Scores[1] != -2 ||
 		len(r2.Rows) != 3 || len(r2.Rows[0]) != 2 || r2.Rows[0][1] != 2 {
 		t.Errorf("result round trip: %+v", r2)
 	}

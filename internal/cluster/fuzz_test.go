@@ -3,6 +3,8 @@ package cluster
 import (
 	"math/rand/v2"
 	"testing"
+
+	"repro/internal/topalign"
 )
 
 // Decoders must reject or cleanly parse arbitrary bytes — never panic —
@@ -36,7 +38,7 @@ func TestDecodersNeverPanic(t *testing.T) {
 // Truncations of valid messages must error rather than mis-parse into
 // something that passes validation downstream.
 func TestTruncatedMessagesError(t *testing.T) {
-	full := msgResult{R: 3, Version: 1, First: true,
+	full := msgResult{R: 3, Version: 1, Work: topalign.Work{First: true},
 		Scores: []int32{5, 6}, Rows: [][]int32{{1, 2, 3}, {4}}}.encode()
 	for cut := 0; cut < len(full); cut++ {
 		if _, err := decodeResult(full[:cut]); err == nil {

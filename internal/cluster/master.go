@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/mpi"
@@ -139,13 +140,12 @@ func (m *master) markLive() {
 func (m *master) run(s []byte) (*topalign.Result, error) {
 	cfg := m.e.Config()
 	m.setup = msgSetup{
-		Seq:      s,
-		Matrix:   cfg.Params.Exch.Name(),
-		GapOpen:  cfg.Params.Gap.Open,
-		GapExt:   cfg.Params.Gap.Ext,
-		MinScore: cfg.MinScore,
-		Lanes:    uint8(cfg.GroupLanes),
-		Trace:    m.cfg.Spans.TraceID(),
+		Seq:     s,
+		Matrix:  cfg.Params.Exch.Name(),
+		GapOpen: cfg.Params.Gap.Open,
+		GapExt:  cfg.Params.Gap.Ext,
+		Lanes:   uint8(cfg.GroupLanes),
+		Trace:   m.cfg.Spans.TraceID(),
 	}.encode()
 	size := m.comm.Size() // snapshot: later joiners arrive via TagJoin
 	for rank := 1; rank < size; rank++ {
@@ -203,11 +203,7 @@ func (m *master) run(s []byte) (*topalign.Result, error) {
 		}
 	}
 	m.broadcast(tagStop, nil)
-	return &topalign.Result{
-		SeqLen: m.e.Len(),
-		Tops:   m.e.Tops(),
-		Stats:  m.e.Config().Counters.Snapshot(),
-	}, nil
+	return m.e.Result(), nil
 }
 
 func (m *master) handle(msg mpi.Message) error {
@@ -254,20 +250,7 @@ func (m *master) handle(msg mpi.Message) error {
 	default:
 		return fmt.Errorf("cluster: master got unexpected tag %d from %d", msg.Tag, msg.From)
 	}
-	if err := m.tryAccept(); err != nil {
-		return err
-	}
-	m.pump()
-	if len(m.live) == 0 && !m.done {
-		// Graceful degradation: no slaves left (whether we noticed via
-		// TagDown or via a failed send), so finish the remaining queue
-		// with the master's own engine rather than abandoning the run.
-		if err := m.finishLocally(); err != nil {
-			return err
-		}
-	}
-	m.checkTermination()
-	return nil
+	return m.step()
 }
 
 // admitSlave provisions a worker that joined after the initial world:
@@ -332,35 +315,21 @@ func (m *master) handleResult(from int, res msgResult) error {
 			}
 			m.e.OrigRows().Put(r, row)
 		}
-		res.Version = 0
 	}
-	if len(res.Scores) == 0 {
-		return fmt.Errorf("cluster: result for task %d has no scores", res.R)
+	lanes := m.e.Config().GroupLanes
+	if len(res.Scores) != lanes {
+		return fmt.Errorf("cluster: result for task %d has %d scores, want %d", res.R, len(res.Scores), lanes)
 	}
-	// The alignments ran on the slave; account for them here so cluster
-	// runs report the same statistics as the local engines.
-	mlen := m.e.Len()
-	members := 0
-	for i := range res.Scores {
-		r := R + i
-		if r > mlen-1 {
-			break
-		}
-		members++
-		m.e.Config().Counters.AddAlignment(int64(r)*int64(mlen-r), !res.First)
-	}
-	// Fold the slave-side kernel time into the align_ns histogram,
-	// attributed per member, so cluster runs report a per-alignment
-	// latency instead of the zero it used to show. CPU and kernel-tier
-	// attribution cross the boundary the same way: the slave measured,
-	// the master accounts.
-	m.e.Config().Counters.ObserveAlignLatencyPer(time.Duration(res.AlignNS), members)
+	// The task operation ran on the slave's engine; what it measured is
+	// counted here by the call a local driver makes, so cluster runs
+	// report the same statistics as the local engines. The thread's CPU
+	// crosses the boundary beside it.
+	m.e.Count(t, res.Work)
 	m.e.Config().Counters.AddCPU(res.CPUNanos)
-	m.e.Config().Counters.AddTierAlignments(int(res.Tier), int64(members), res.Rerun)
-	if m.e.Config().GroupLanes > 1 {
+	t.Score = slices.Max(res.Scores)
+	if lanes > 1 {
 		t.MemberScores = res.Scores
 	}
-	t.Score = maxI32(res.Scores)
 	t.AlignedWith = int(res.Version)
 	m.queue.Push(t)
 	return nil
@@ -430,71 +399,70 @@ func (m *master) handleDown(rank int) {
 	m.slots = keep
 }
 
-// tryAccept accepts top alignments while the queue head is current (and,
-// in strict mode, nothing is in flight).
-func (m *master) tryAccept() error {
+// step is the master's scheduler: it asks topalign.Decide about the
+// queue head and accepts, dispatches or terminates until the next move
+// needs a message — a result, an idle slot — to arrive first.
+func (m *master) step() error {
+	cfg := m.e.Config()
 	for !m.done {
-		head := m.queue.Peek()
-		if head == nil {
+		tops := m.e.NumTopsFound()
+		switch topalign.Decide(cfg, m.queue.Peek(), tops) {
+		case topalign.Stop:
+			// A result still in flight may land above MinScore; once the
+			// last top is accepted none of them matters.
+			m.done = len(m.flights) == 0 || tops == cfg.NumTops
 			return nil
-		}
-		if head.Score != topalign.Infinity && head.Score < m.e.Config().MinScore {
-			return nil
-		}
-		if head.AlignedWith != m.e.NumTopsFound() {
-			return nil
-		}
-		if !m.cfg.Speculative && len(m.flights) > 0 {
-			return nil
-		}
-		t := m.queue.Pop()
-		top, err := m.e.Accept(t, &m.sc)
-		if err != nil {
-			return err
-		}
-		m.queue.Push(t)
-		upd := msgTop{Version: int32(m.e.NumTopsFound())}
-		upd.PairsI = make([]int32, len(top.Pairs))
-		upd.PairsJ = make([]int32, len(top.Pairs))
-		for i, p := range top.Pairs {
-			upd.PairsI[i] = int32(p.I)
-			upd.PairsJ[i] = int32(p.J)
-		}
-		enc := upd.encode()
-		m.topHist = append(m.topHist, enc)
-		m.broadcast(tagTop, enc)
-		if m.e.NumTopsFound() >= m.e.Config().NumTops {
-			m.done = true
+		case topalign.Accept:
+			if !m.cfg.Speculative && len(m.flights) > 0 {
+				return nil // strict mode: every result lands first
+			}
+			if err := m.accept(); err != nil {
+				return err
+			}
+		case topalign.Realign:
+			if len(m.live) == 0 {
+				// Graceful degradation: no slaves left (whether we noticed
+				// via TagDown or via a failed send), so finish the queue
+				// with the master's own engine rather than abandoning the run.
+				return m.finishLocally()
+			}
+			if len(m.slots) == 0 {
+				return nil
+			}
+			slave := m.slots[0]
+			m.slots = m.slots[1:]
+			if !m.live[slave] {
+				continue // a slot announced by a slave since declared dead
+			}
+			if t := m.queue.Pop(); !m.dispatch(slave, t, nil) {
+				m.queue.Push(t)
+			}
 		}
 	}
 	return nil
 }
 
-// pump hands stale tasks to idle worker slots in priority order.
-func (m *master) pump() {
-	for !m.done && len(m.slots) > 0 {
-		head := m.queue.Peek()
-		if head == nil {
-			return
-		}
-		if head.AlignedWith == m.e.NumTopsFound() {
-			return // acceptance candidate, not work
-		}
-		if head.Score != topalign.Infinity && head.Score < m.e.Config().MinScore {
-			return
-		}
-		slave := m.slots[0]
-		if !m.live[slave] {
-			m.slots = m.slots[1:]
-			continue
-		}
-		t := m.queue.Pop()
-		if !m.dispatch(slave, t, nil) {
-			m.queue.Push(t)
-			continue
-		}
-		m.slots = m.slots[1:]
+// accept accepts the queue head as the next top alignment — the
+// sequential traceback runs here, on the master, as in the paper — and
+// broadcasts the pairs it marked to every triangle replica.
+func (m *master) accept() error {
+	t := m.queue.Pop()
+	top, err := m.e.Accept(t, &m.sc)
+	if err != nil {
+		return err
 	}
+	m.queue.Push(t)
+	upd := msgTop{Version: int32(m.e.NumTopsFound())}
+	upd.PairsI = make([]int32, len(top.Pairs))
+	upd.PairsJ = make([]int32, len(top.Pairs))
+	for i, p := range top.Pairs {
+		upd.PairsI[i] = int32(p.I)
+		upd.PairsJ[i] = int32(p.J)
+	}
+	enc := upd.encode()
+	m.topHist = append(m.topHist, enc)
+	m.broadcast(tagTop, enc)
+	return nil
 }
 
 // dispatch sends task t to slave and records the ownership. When fl is
@@ -604,46 +572,9 @@ func (m *master) finishLocally() error {
 	return topalign.Run(m.e, m.queue, &m.sc)
 }
 
-// checkTermination stops the run when no further top alignment can be
-// produced: the queue is drained or capped below MinScore with nothing
-// in flight.
-func (m *master) checkTermination() {
-	if m.done || len(m.flights) > 0 {
-		return
-	}
-	head := m.queue.Peek()
-	if head == nil {
-		m.done = true
-		return
-	}
-	if head.Score != topalign.Infinity && head.Score < m.e.Config().MinScore {
-		// The best possible remaining alignment is below threshold —
-		// even a current head cannot be accepted, so the run is over.
-		m.done = true
-		return
-	}
-	// A current head above threshold is tryAccept's job (it ran just
-	// before this check and accepted everything acceptable).
-	// A stale head with nothing in flight and no free slots cannot
-	// happen: results free slots before this check runs.
-}
-
 func (m *master) broadcast(tag mpi.Tag, data []byte) {
 	for rank := range m.live {
 		// best effort; a failed send surfaces as TagDown later
 		_ = m.comm.Send(rank, tag, data)
 	}
-}
-
-func maxI32(vs []int32) int32 {
-	if len(vs) == 0 {
-		return 0
-	}
-	best := vs[0]
-	for _, v := range vs[1:] {
-		if v > best {
-			best = v
-		}
-	}
-	return best
 }

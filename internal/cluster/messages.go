@@ -12,8 +12,10 @@ import (
 	"encoding/binary"
 	"fmt"
 
+	"repro/internal/align"
 	"repro/internal/mpi"
 	"repro/internal/obs/trace"
+	"repro/internal/topalign"
 )
 
 // Protocol tags.
@@ -33,13 +35,12 @@ const (
 // when non-zero, is the request's trace ID: the run is traced, and the
 // slave records per-job spans and ships them back with each result.
 type msgSetup struct {
-	Seq      []byte
-	Matrix   string // embedded exchange-matrix name (scoring.ByName)
-	GapOpen  int32
-	GapExt   int32
-	MinScore int32
-	Lanes    uint8 // 1, 4, 8, or 16 (the master's resolved GroupLanes)
-	Trace    trace.TraceID
+	Seq     []byte
+	Matrix  string // embedded exchange-matrix name (scoring.ByName)
+	GapOpen int32
+	GapExt  int32
+	Lanes   uint8 // 1, 4, 8, or 16 (the master's resolved GroupLanes)
+	Trace   trace.TraceID
 }
 
 // msgJob assigns one task. R is the split (scalar) or the group's first
@@ -54,35 +55,32 @@ type msgJob struct {
 	Span  trace.SpanID
 }
 
-// msgResult reports a completed task. Version is the replica version the
-// scores are exact for (0 for first alignments). Scores has one entry in
-// scalar mode, Lanes entries in group mode. Rows is non-nil only for
-// first alignments: the original bottom row per member. AlignNS is the
-// slave-side kernel wall time (excluding row fetches) for the whole
-// task; the master attributes it across the task's members so the
-// engine's align_ns histogram stays per-alignment.
+// msgResult reports a completed task: the state Engine.Realign left the
+// slave's copy of the task in, and the topalign.Work it returned.
+// Version is the task's new AlignedWith stamp — the replica version the
+// scores are exact for, 0 for a first alignment. Scores has one entry at
+// one lane, Lanes entries in group mode. Rows is non-nil only for first
+// alignments: the original bottom row per member. The Work (First, Tier,
+// Rerun, ShadowEnds, and Nanos: kernel wall time, excluding row fetches)
+// is what the master hands to Engine.Count.
 //
 // Spans, when non-empty, is the OBT1-encoded batch of spans the slave
 // recorded for this job, with Start times on the slave's local
 // monotonic timeline; SlaveNow is that timeline's value at encode time,
 // so the master can re-base the spans onto its own timeline using the
-// link round-trip time (see master.reroot).
+// link round-trip time (see master.absorbSpans).
 // CPUNanos is the worker thread's CPU time for the job (thread clock,
-// so row-fetch waits cost nothing), and Tier/Rerun the kernel tier
-// that served it — the attribution fields the master folds into the
-// request's Usage record, crossing the process boundary like Spans.
+// so row-fetch waits cost nothing), folded into the request's Usage
+// record like the Work, crossing the process boundary like Spans.
 type msgResult struct {
-	R        int32
-	Version  int32
-	First    bool
-	AlignNS  int64
+	R       int32
+	Version int32
+	topalign.Work
 	SlaveNow int64
 	Scores   []int32
 	Rows     [][]int32
 	Spans    []byte
 	CPUNanos int64
-	Tier     uint8
-	Rerun    bool
 }
 
 // msgTop broadcasts an accepted top alignment: the replica version it
@@ -196,7 +194,6 @@ func (m msgSetup) encode() []byte {
 	b = appendBytes(b, []byte(m.Matrix))
 	b = appendU32(b, uint32(m.GapOpen))
 	b = appendU32(b, uint32(m.GapExt))
-	b = appendU32(b, uint32(m.MinScore))
 	b = appendU32(b, uint32(m.Lanes))
 	b = appendBytes(b, m.Trace[:])
 	return b
@@ -210,7 +207,6 @@ func decodeSetup(b []byte) (msgSetup, error) {
 	}
 	m.GapOpen = r.i32()
 	m.GapExt = r.i32()
-	m.MinScore = r.i32()
 	m.Lanes = uint8(r.u32())
 	if tr := r.bytes(); r.err == nil {
 		if len(tr) != len(m.Trace) {
@@ -243,7 +239,7 @@ func (m msgResult) encode() []byte {
 	b := appendU32(nil, uint32(m.R))
 	b = appendU32(b, uint32(m.Version))
 	b = appendBool(b, m.First)
-	b = appendU64(b, uint64(m.AlignNS))
+	b = appendU64(b, uint64(m.Nanos))
 	b = appendI32s(b, m.Scores)
 	b = appendU32(b, uint32(len(m.Rows)))
 	for _, row := range m.Rows {
@@ -254,13 +250,15 @@ func (m msgResult) encode() []byte {
 	b = appendU64(b, uint64(m.CPUNanos))
 	b = appendU32(b, uint32(m.Tier))
 	b = appendBool(b, m.Rerun)
+	b = appendU64(b, uint64(m.ShadowEnds))
 	return b
 }
 
 func decodeResult(b []byte) (msgResult, error) {
 	r := &reader{b: b}
-	m := msgResult{R: r.i32(), Version: r.i32(), First: r.bool()}
-	m.AlignNS = int64(r.u64())
+	m := msgResult{R: r.i32(), Version: r.i32()}
+	m.First = r.bool()
+	m.Nanos = int64(r.u64())
 	m.Scores = r.i32s()
 	n := int(r.u32())
 	if r.err == nil && n > 0 {
@@ -275,8 +273,9 @@ func decodeResult(b []byte) (msgResult, error) {
 	m.SlaveNow = int64(r.u64())
 	m.Spans = r.bytes()
 	m.CPUNanos = int64(r.u64())
-	m.Tier = uint8(r.u32())
+	m.Tier = align.Tier(r.u32())
 	m.Rerun = r.bool()
+	m.ShadowEnds = int64(r.u64())
 	return m, r.err
 }
 

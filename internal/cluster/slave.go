@@ -9,11 +9,11 @@ import (
 
 	"repro/internal/align"
 	"repro/internal/mpi"
-	"repro/internal/multialign"
 	"repro/internal/obs"
 	"repro/internal/obs/attrib"
 	"repro/internal/obs/trace"
 	"repro/internal/scoring"
+	"repro/internal/topalign"
 	"repro/internal/triangle"
 )
 
@@ -85,11 +85,12 @@ type replicaState struct {
 }
 
 type slave struct {
-	comm   mpi.Comm
-	s      []byte
-	params align.Params
-	lanes  int
-	reg    *obs.Registry
+	comm mpi.Comm
+	// e is an engine like the master's whose row-store miss is a fetch:
+	// it never accepts, so its triangle stays replica version 0 and its
+	// RowStore is the slave's cache of original rows.
+	e   *topalign.Engine
+	reg *obs.Registry
 
 	// Tracing: when the setup carries a non-zero trace ID, each job
 	// records slave.job/slave.kernel/slave.row_fetch spans with Start
@@ -99,7 +100,6 @@ type slave struct {
 	epoch time.Time
 
 	replica atomic.Pointer[replicaState]
-	rows    *triangle.RowStore // cache of original rows
 
 	jobs chan msgJob
 	quit chan struct{} // closed when the receive loop exits
@@ -113,34 +113,32 @@ func newSlave(comm mpi.Comm, setup msgSetup) (*slave, error) {
 	if !ok {
 		return nil, fmt.Errorf("cluster: unknown exchange matrix %q", setup.Matrix)
 	}
-	if len(setup.Seq) < 2 {
-		return nil, fmt.Errorf("cluster: sequence too short (%d)", len(setup.Seq))
-	}
 	for i, c := range setup.Seq {
 		if int(c) >= exch.Alphabet().Len() {
 			return nil, fmt.Errorf("cluster: residue code %d at %d out of range", c, i)
 		}
 	}
-	p := align.Params{Exch: exch, Gap: scoring.Gap{Open: setup.GapOpen, Ext: setup.GapExt}}
-	if err := p.Validate(); err != nil {
-		return nil, err
+	if setup.Lanes == 0 {
+		// the master ships its resolved count; resolving here could differ
+		return nil, fmt.Errorf("cluster: setup carries an unresolved lane count")
 	}
-	lanes := int(setup.Lanes) // resolved by the master's engine, never 0
-	if lanes != 1 && lanes != 4 && lanes != 8 && lanes != 16 {
-		return nil, fmt.Errorf("cluster: invalid lane count %d", lanes)
+	e, err := topalign.NewEngine(setup.Seq, topalign.Config{
+		Params:     align.Params{Exch: exch, Gap: scoring.Gap{Open: setup.GapOpen, Ext: setup.GapExt}},
+		NumTops:    1, // never reached: a slave only realigns
+		GroupLanes: int(setup.Lanes),
+	})
+	if err != nil {
+		return nil, err
 	}
 	sl := &slave{
 		comm:       comm,
-		s:          setup.Seq,
-		params:     p,
-		lanes:      lanes,
+		e:          e,
 		trace:      setup.Trace,
 		epoch:      time.Now(),
-		rows:       triangle.NewRowStore(len(setup.Seq)),
 		quit:       make(chan struct{}),
 		rowWaiters: make(map[int]chan []int32),
 	}
-	sl.replica.Store(&replicaState{tri: triangle.New(len(setup.Seq)), version: 0})
+	sl.replica.Store(&replicaState{tri: e.Triangle(), version: 0})
 	return sl, nil
 }
 
@@ -262,15 +260,15 @@ func (sl *slave) deliverRow(r int, row []int32) {
 	}
 }
 
-// origRow returns the original bottom row for split r, fetching it from
-// the master on a cache miss. Fetch latency (request to delivery,
-// including any re-requests) lands in the cluster/row_fetch_ns
-// histogram, and in a slave.row_fetch span when the job is traced — a
-// cache hit records neither, so the span count stays proportional to
-// actual communication.
-func (sl *slave) origRow(r int, sc *workScratch) ([]int32, error) {
-	if row, ok := sl.rows.Get(r); ok {
-		return row, nil
+// fetchRow makes sure the engine's row store holds the original bottom
+// row of split r, fetching it from the master on a miss. Fetch latency
+// (request to delivery, including any re-requests) lands in the
+// cluster/row_fetch_ns histogram, and in a slave.row_fetch span when the
+// job is traced — a hit records neither, so the span count stays
+// proportional to actual communication.
+func (sl *slave) fetchRow(r int, sc *workScratch) error {
+	if _, ok := sl.e.OrigRows().Get(r); ok {
+		return nil
 	}
 	sl.reg.Counter("cluster/row_requests").Inc()
 	fetchStart := time.Now()
@@ -280,7 +278,7 @@ func (sl *slave) origRow(r int, sc *workScratch) ([]int32, error) {
 	sl.rowWaiters[r] = ch
 	sl.mu.Unlock()
 	if err := sl.comm.Send(0, tagRowReq, msgRow{R: int32(r)}.encode()); err != nil {
-		return nil, err
+		return err
 	}
 	var row []int32
 	timer := time.NewTimer(rowRetryInterval)
@@ -290,41 +288,42 @@ wait:
 		select {
 		case got, ok := <-ch:
 			if !ok {
-				return nil, mpi.ErrClosed
+				return mpi.ErrClosed
 			}
 			row = got
 			break wait
 		case <-timer.C:
 			// The reply may have been dropped; ask again.
 			if err := sl.comm.Send(0, tagRowReq, msgRow{R: int32(r)}.encode()); err != nil {
-				return nil, err
+				return err
 			}
 			timer.Reset(rowRetryInterval)
 		case <-sl.quit:
 			// Receive loop is gone; no reply can ever arrive.
-			return nil, mpi.ErrClosed
+			return mpi.ErrClosed
 		}
 	}
-	if len(row) != len(sl.s)-r {
-		return nil, fmt.Errorf("cluster: master sent row for split %d with %d entries, want %d",
-			r, len(row), len(sl.s)-r)
+	if len(row) != sl.e.Len()-r {
+		return fmt.Errorf("cluster: master sent row for split %d with %d entries, want %d",
+			r, len(row), sl.e.Len()-r)
 	}
 	sl.reg.Histogram("cluster/row_fetch_ns").Observe(time.Since(fetchStart))
 	sc.span("slave.row_fetch", spanStart, sl.now()-spanStart)
-	sl.rows.Put(r, row)
-	return row, nil
+	sl.e.OrigRows().Put(r, row)
+	return nil
 }
 
 // now returns the slave's local monotonic time in nanoseconds.
 func (sl *slave) now() int64 { return time.Since(sl.epoch).Nanoseconds() }
 
-// workScratch bundles the kernel arenas one slave worker thread owns,
+// workScratch bundles the kernel arenas one slave worker thread owns
+// and the task it realigns (kept for its reused member-score slice),
 // plus the thread's span buffer for the job in progress. traced and job
 // are set per job by work; the kernel and row-fetch paths append child
 // spans without further coordination because one thread owns them.
 type workScratch struct {
-	a align.Scratch
-	g multialign.Scratch
+	topalign.Scratch
+	task topalign.Task
 
 	traced bool
 	job    trace.SpanID // current slave.job span, parent for children
@@ -348,9 +347,8 @@ func (sc *workScratch) span(name string, start, dur int64) {
 
 // work executes one job and reports the result. Job latency (kernel
 // plus any row fetch) lands in the per-rank cluster/job_ns histogram;
-// the pure kernel time additionally travels back in the result's
-// AlignNS so the master can fold it into the engine's per-alignment
-// align_ns histogram.
+// the pure kernel time travels back in the result's Work, which the
+// master counts into the engine's per-alignment align_ns histogram.
 func (sl *slave) work(job msgJob, sc *workScratch) error {
 	rank := sl.comm.Rank()
 	sl.reg.Counter(fmt.Sprintf("cluster/jobs_done/rank%d", rank)).Inc()
@@ -371,30 +369,36 @@ func (sl *slave) work(job msgJob, sc *workScratch) error {
 		sc.job = trace.NewSpanID()
 		jobStart = sl.now()
 	}
-	m := len(sl.s)
-	r0 := int(job.R)
-	members := 1
-	if sl.lanes > 1 {
-		members = min(sl.lanes, m-r0)
-	}
-	res := msgResult{R: job.R, First: job.First, Scores: make([]int32, members)}
-
-	var tri *triangle.Triangle
-	if job.First {
-		res.Version = 0
-		res.Rows = make([][]int32, members)
-	} else {
-		rep := sl.replica.Load()
-		tri, res.Version = rep.tri, int32(rep.version)
-	}
-
-	if sl.lanes > 1 {
-		if err := sl.workGroup(r0, members, tri, &res, sc); err != nil {
-			return err
+	// A job is Engine.Realign against the replica. The engine tells a
+	// first alignment by its row store, so the original rows of a task
+	// aligned elsewhere before (the job says which) are fetched first.
+	t := &sc.task
+	t.R = int(job.R)
+	lanes := sl.e.Config().GroupLanes
+	last := min(t.R+lanes-1, sl.e.NumSplits())
+	if !job.First {
+		for r := t.R; r <= last; r++ {
+			if err := sl.fetchRow(r, sc); err != nil {
+				return err
+			}
 		}
-	} else {
-		if err := sl.workScalar(r0, tri, &res, sc); err != nil {
-			return err
+	}
+	rep := sl.replica.Load()
+	t0 := sl.now()
+	w, err := sl.e.Realign(t, rep.tri, rep.version, &sc.Scratch)
+	if err != nil {
+		return err
+	}
+	sc.span("slave.kernel", t0, sl.now()-t0)
+	res := msgResult{R: job.R, Version: int32(t.AlignedWith), Work: w, Scores: t.MemberScores}
+	if lanes == 1 {
+		res.Scores = []int32{t.Score}
+	}
+	if w.First {
+		res.Rows = make([][]int32, 0, last-t.R+1)
+		for r := t.R; r <= last; r++ {
+			row, _ := sl.e.OrigRows().Get(r) // Realign has just stored it
+			res.Rows = append(res.Rows, row)
 		}
 	}
 	if sc.traced {
@@ -418,80 +422,4 @@ func (sl *slave) work(job msgJob, sc *workScratch) error {
 	}
 	res.CPUNanos = cpu.Stop()
 	return sl.comm.Send(0, tagResult, res.encode())
-}
-
-func (sl *slave) workScalar(r int, tri *triangle.Triangle, res *msgResult, sc *workScratch) error {
-	t0 := sl.now()
-	// split r as a window, so every split of the run shares sc.a's query profile
-	row := sc.a.ScoreWindow(sl.params, sl.s, align.Rect{Y0: 1, Y1: r, X0: r + 1, X1: len(sl.s)}, tri)
-	kns := sl.now() - t0
-	res.AlignNS += kns
-	res.Tier = uint8(sc.a.Tier())
-	sc.span("slave.kernel", t0, kns)
-	if res.First {
-		sl.rows.Put(r, row) // Put copies; row is scratch-owned
-		res.Rows[0] = row   // encoded before the scratch is reused
-		_, res.Scores[0], _ = align.BestValidEnd(row, nil)
-		return nil
-	}
-	orig, err := sl.origRow(r, sc)
-	if err != nil {
-		return err
-	}
-	_, res.Scores[0], _ = align.BestValidEnd(row, orig)
-	return nil
-}
-
-func (sl *slave) workGroup(r0, members int, tri *triangle.Triangle, res *msgResult, sc *workScratch) error {
-	t0 := sl.now()
-	g, err := sc.g.ScoreGroupAuto(sl.params, sl.s, r0, sl.lanes, tri)
-	kns := sl.now() - t0
-	res.AlignNS += kns
-	if err == nil {
-		sc.span("slave.kernel", t0, kns)
-		res.Tier, res.Rerun = uint8(g.Tier), g.Rerun
-	}
-	if err != nil {
-		// row-kernel fallback per member
-		for i := 0; i < members; i++ {
-			r := r0 + i
-			s1, s2 := sl.s[:r], sl.s[r:]
-			t0 := sl.now()
-			row := sc.a.ScoreMasked(sl.params, s1, s2, tri, r)
-			kns := sl.now() - t0
-			res.AlignNS += kns
-			res.Tier = uint8(sc.a.Tier())
-			sc.span("slave.kernel", t0, kns)
-			if res.First {
-				sl.rows.Put(r, row)
-				// copy: the next member's kernel call reuses the arena
-				// this row points into
-				res.Rows[i] = append([]int32(nil), row...)
-				_, res.Scores[i], _ = align.BestValidEnd(row, nil)
-				continue
-			}
-			orig, err := sl.origRow(r, sc)
-			if err != nil {
-				return err
-			}
-			_, res.Scores[i], _ = align.BestValidEnd(row, orig)
-		}
-		return nil
-	}
-	for i := 0; i < members; i++ {
-		r := r0 + i
-		row := g.Bottoms[i]
-		if res.First {
-			sl.rows.Put(r, row) // Put copies; row is scratch-owned
-			res.Rows[i] = row   // encoded before the scratch is reused
-			_, res.Scores[i], _ = align.BestValidEnd(row, nil)
-			continue
-		}
-		orig, err := sl.origRow(r, sc)
-		if err != nil {
-			return err
-		}
-		_, res.Scores[i], _ = align.BestValidEnd(row, orig)
-	}
-	return nil
 }

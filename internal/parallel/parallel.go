@@ -75,11 +75,7 @@ func Find(s []byte, cfg topalign.Config, pcfg Config) (*topalign.Result, error) 
 	if err := Run(e, pcfg); err != nil {
 		return nil, err
 	}
-	return &topalign.Result{
-		SeqLen: e.Len(),
-		Tops:   e.Tops(),
-		Stats:  e.Config().Counters.Snapshot(),
-	}, nil
+	return e.Result(), nil
 }
 
 // Run drives an engine to completion with pcfg.Workers goroutines.
@@ -89,13 +85,7 @@ func Run(e *topalign.Engine, pcfg Config) error {
 		workers = runtime.GOMAXPROCS(0)
 	}
 
-	st := &sched{
-		e:        e,
-		queue:    topalign.InitialQueue(e),
-		spec:     pcfg.Speculative,
-		minScore: e.Config().MinScore,
-		numTops:  e.Config().NumTops,
-	}
+	st := &sched{e: e, queue: topalign.InitialQueue(e), spec: pcfg.Speculative}
 	st.snap.Store(&snapState{tri: e.TriangleSnapshot(), tops: e.NumTopsFound()})
 	st.cond = sync.NewCond(&st.mu)
 
@@ -148,69 +138,63 @@ type sched struct {
 	done      bool
 	err       error
 
-	spec     bool
-	minScore int32
-	numTops  int
+	spec bool
 }
 
 // worker is the scheduling loop each goroutine runs, with its own
-// kernel scratch.
+// kernel scratch. What to do with the queue head is topalign.Decide's
+// answer; the loop adds what only a concurrent scheduler has — results
+// in flight that can overturn a Stop, the strict-mode gate on Accept,
+// and the wake-ups.
 func (st *sched) worker(sc *topalign.Scratch) {
+	cfg := st.e.Config()
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	for {
-		if st.done {
-			return
-		}
-		head := st.queue.Peek()
-		if head == nil {
-			if st.inflight == 0 && !st.accepting {
-				st.finish(nil)
-				return
-			}
-			st.cond.Wait()
-			continue
-		}
-		if head.Score != topalign.Infinity && head.Score < st.minScore {
-			// Best possible remaining score is below threshold.
+	for !st.done {
+		snap := st.snap.Load() // coherent: stores happen under mu
+		switch topalign.Decide(cfg, st.queue.Peek(), snap.tops) {
+		case topalign.Stop:
 			if st.inflight == 0 && !st.accepting {
 				st.finish(nil)
 				return
 			}
 			st.cond.Wait() // let in-flight results land; they may raise nothing
-			continue
-		}
-		snap := st.snap.Load() // coherent: stores happen under mu
-		if head.AlignedWith == snap.tops {
-			// Candidate top alignment.
+		case topalign.Accept:
 			if st.accepting || (!st.spec && st.inflight > 0) {
 				st.cond.Wait()
 				continue
 			}
 			st.accept(st.queue.Pop(), sc)
-			continue
-		}
-		// Stale: pop under the lock, realign outside it. If more
-		// runnable work remains, chain a wakeup so an idle peer can
-		// start on it concurrently.
-		t := st.queue.Pop()
-		st.inflight++
-		if st.queue.Len() > 0 {
+		case topalign.Realign:
+			// Pop under the lock, realign outside it. If more runnable
+			// work remains, chain a wakeup so an idle peer can start on
+			// it concurrently.
+			t := st.queue.Pop()
+			st.inflight++
+			if st.queue.Len() > 0 {
+				st.cond.Signal()
+			}
+			st.mu.Unlock()
+
+			w, err := st.e.Realign(t, snap.tri, snap.tops, sc)
+			if err == nil {
+				st.e.Count(t, w)
+			}
+
+			st.mu.Lock()
+			st.inflight--
+			if err != nil {
+				st.finish(fmt.Errorf("parallel: %w", err))
+				return
+			}
+			if snap.tops != st.snap.Load().tops {
+				// The triangle advanced while we computed: the result is a
+				// stale upper bound, the paper's speculation overhead.
+				cfg.Counters.AddSpecWaste()
+			}
+			st.queue.Push(t)
 			st.cond.Signal()
 		}
-		st.mu.Unlock()
-
-		st.e.Realign(t, snap.tri, snap.tops, sc)
-
-		st.mu.Lock()
-		st.inflight--
-		if snap.tops != st.snap.Load().tops {
-			// The triangle advanced while we computed: the result is a
-			// stale upper bound, the paper's speculation overhead.
-			st.e.Config().Counters.AddSpecWaste()
-		}
-		st.queue.Push(t)
-		st.cond.Signal()
 	}
 }
 
@@ -233,10 +217,6 @@ func (st *sched) accept(t *topalign.Task, sc *topalign.Scratch) {
 	}
 	st.snap.Store(&snapState{tri: st.e.TriangleSnapshot(), tops: st.e.NumTopsFound()})
 	st.queue.Push(t) // score unchanged: still a valid upper bound
-	if st.e.NumTopsFound() >= st.numTops {
-		st.finish(nil)
-		return
-	}
 	st.cond.Signal()
 }
 

@@ -74,30 +74,29 @@ func (c *Counters) Bind(reg *obs.Registry) {
 // AddAlignment records one score-only alignment over the given number of
 // matrix cells; realigned marks alignments beyond the task's first.
 func (c *Counters) AddAlignment(cells int64, realigned bool) {
+	c.AddAlignments(1, cells, realigned)
+}
+
+// AddAlignments records n score-only alignments of one task over cells
+// matrix entries in total; realigned marks them all as beyond the task's
+// first.
+func (c *Counters) AddAlignments(n, cells int64, realigned bool) {
 	if c == nil {
 		return
 	}
-	c.alignments.Inc()
+	c.alignments.Add(n)
 	c.cells.Add(cells)
 	if realigned {
-		c.realignments.Inc()
+		c.realignments.Add(n)
 	}
 }
 
-// ObserveAlignLatency records one alignment's wall time in the latency
-// histogram (the SSW paper's cells-per-second throughput metric is this
-// histogram's Sum against the cells counter).
-func (c *Counters) ObserveAlignLatency(d time.Duration) {
-	if c == nil {
-		return
-	}
-	c.alignNanos.Observe(d)
-}
-
-// ObserveAlignLatencyPer attributes a group computation's wall time d to
-// its members alignments: each member is recorded as one observation of
-// d/members, so the histogram's count matches the alignment count and
-// the reported mean stays a per-alignment figure. members <= 0 records
+// ObserveAlignLatencyPer attributes a task operation's kernel wall time
+// d to its members alignments: each member is recorded as one
+// observation of d/members, so the histogram's count matches the
+// alignment count and the reported mean stays a per-alignment figure
+// (the SSW paper's cells-per-second throughput metric is this
+// histogram's Sum against the cells counter). members <= 0 records
 // nothing.
 func (c *Counters) ObserveAlignLatencyPer(d time.Duration, members int) {
 	if c == nil || members <= 0 {

@@ -41,7 +41,7 @@ func TestAddSnapshotFolds(t *testing.T) {
 	run.AddAlignment(100, false)
 	run.AddTierAlignments(1, 1, false)
 	run.AddCPU(5000)
-	run.ObserveAlignLatency(1000)
+	run.ObserveAlignLatencyPer(1000, 1)
 	life := &Counters{}
 	life.AddSnapshot(run.Snapshot())
 	life.AddSnapshot(run.Snapshot())

@@ -2,6 +2,7 @@ package topalign
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/align"
@@ -87,12 +88,26 @@ func (e *Engine) TriangleSnapshot() *triangle.Triangle { return e.tri.Clone() }
 // serves replicas from it).
 func (e *Engine) OrigRows() *triangle.RowStore { return e.orig }
 
+// Work is what one Realign measured: the part of a task operation's
+// accounting only whoever ran it knows. Realign returns it instead of
+// counting it, so an operation run elsewhere (a cluster slave) crosses
+// the wire as this record and is counted by the same Engine.Count call
+// a local driver makes. The alignments and cells of the operation are a
+// function of the task and are not repeated here.
+type Work struct {
+	First      bool       // the task's first (unmasked) alignment, not a realignment
+	Tier       align.Tier // kernel tier that served the operation
+	Rerun      bool       // the int16 group kernel saturated and was re-run in int32
+	ShadowEnds int64      // bottom-row endings rejected as shadows
+	Nanos      int64      // kernel wall time
+}
+
 // Realign (re)aligns task t score-only against the triangle snapshot
-// tri, which corresponds to topNum accepted top alignments, and updates
-// the task's score and AlignedWith stamp. It is the one task operation
-// behind every driver: a split task aligns the window [1..R] x [R+1..m],
-// a group task its GroupLanes neighbouring splits with the group kernel,
-// a window task its Rect.
+// tri, which corresponds to topNum accepted top alignments, updates the
+// task's score and AlignedWith stamp, and reports what it ran. It is the
+// one task operation behind every driver: a split task aligns the window
+// [1..R] x [R+1..m], a group task its GroupLanes neighbouring splits
+// with the group kernel, a window task its Rect.
 //
 // A task's first alignment ignores tri: it is unmasked, recorded as the
 // original row that later alignments are shadow-checked against, and —
@@ -102,8 +117,9 @@ func (e *Engine) OrigRows() *triangle.RowStore { return e.orig }
 // tri and stamped topNum; their score is exact for tri and stays a valid
 // upper bound for any later (larger) triangle. All working memory comes
 // from sc and the task's reused member-score slice; a warm task realigns
-// without allocation.
-func (e *Engine) Realign(t *Task, tri *triangle.Triangle, topNum int, sc *Scratch) {
+// without allocation. An error means the group kernel refused arguments
+// NewEngine and InitialQueue had validated: a bug, not an input.
+func (e *Engine) Realign(t *Task, tri *triangle.Triangle, topNum int, sc *Scratch) (Work, error) {
 	stamp := topNum
 	if e.origRow(t.R, t.Win) == nil {
 		// first alignment; a group's members share alignment history
@@ -111,19 +127,51 @@ func (e *Engine) Realign(t *Task, tri *triangle.Triangle, topNum int, sc *Scratc
 		// stands for all of them
 		tri, stamp = nil, 0
 	}
+	var w Work
 	switch {
 	case t.Win != nil:
-		t.Score = e.alignRect(t.Win.Rect, t.Win, tri, sc)
+		t.Score, w = e.alignRect(t.Win.Rect, t.Win, tri, sc)
 	case e.cfg.GroupLanes > 1:
-		t.MemberScores = e.alignGroup(t.R, tri, sc, t.MemberScores)
-		t.Score = maxScore(t.MemberScores)
+		var err error
+		if t.MemberScores, w, err = e.alignGroup(t.R, tri, sc, t.MemberScores); err != nil {
+			return w, err
+		}
+		t.Score = slices.Max(t.MemberScores)
 	default:
-		t.Score = e.alignRect(e.splitRect(t.R), nil, tri, sc)
+		t.Score, w = e.alignRect(e.splitRect(t.R), nil, tri, sc)
 	}
 	t.AlignedWith = stamp
 	if e.cfg.OnRealign != nil {
 		e.cfg.OnRealign(t, topNum)
 	}
+	return w, nil
+}
+
+// Count records task t's operation w in the engine's counters: one
+// alignment per live member over the cells of its rectangle, under the
+// tier, latency and shadow count w carries. Every driver calls it with
+// what Realign returned; the cluster master with what a slave shipped.
+func (e *Engine) Count(t *Task, w Work) {
+	members, cells := 1, int64(0)
+	if t.Win != nil {
+		cells = t.Win.Rect.Cells()
+	} else {
+		members = e.members(t.R)
+		for r := t.R; r < t.R+members; r++ {
+			cells += e.splitRect(r).Cells()
+		}
+	}
+	c := e.cfg.Counters
+	c.AddAlignments(int64(members), cells, !w.First)
+	c.ObserveAlignLatencyPer(time.Duration(w.Nanos), members)
+	c.AddTierAlignments(int(w.Tier), int64(members), w.Rerun)
+	c.AddShadowEnds(w.ShadowEnds)
+}
+
+// members is the number of live splits of the task starting at r0: 1 at
+// one lane, fewer than GroupLanes for the last group of the sequence.
+func (e *Engine) members(r0 int) int {
+	return min(e.cfg.GroupLanes, len(e.s)-r0)
 }
 
 // splitRect returns split r as a window: all of the prefix against all
@@ -143,19 +191,17 @@ func (e *Engine) origRow(r int, win *Window) []int32 {
 	return row
 }
 
-// alignRect aligns one rectangle with the row kernel against tri, counts
-// it under the tier the kernel ran it on, and returns its score: the maximum over valid bottom-row endings after
-// shadow rejection. win is the window the rectangle belongs to, nil for
-// split w.Y1. A rectangle with no original row yet is on its first
-// alignment (Realign passes tri == nil): its bottom row becomes the
-// original.
-func (e *Engine) alignRect(w align.Rect, win *Window, tri *triangle.Triangle, sc *Scratch) int32 {
+// alignRect aligns one rectangle with the row kernel against tri and
+// returns its score — the maximum over valid bottom-row endings after
+// shadow rejection — and what it ran. win is the window the rectangle
+// belongs to, nil for split w.Y1. A rectangle with no original row yet
+// is on its first alignment (Realign passes tri == nil): its bottom row
+// becomes the original.
+func (e *Engine) alignRect(w align.Rect, win *Window, tri *triangle.Triangle, sc *Scratch) (int32, Work) {
 	orig := e.origRow(w.Y1, win) // nil on the first alignment: nothing to reject
 	t0 := time.Now()
 	row := sc.A.ScoreWindow(e.cfg.Params, e.s, w, tri)
-	e.cfg.Counters.ObserveAlignLatency(time.Since(t0))
-	e.cfg.Counters.AddAlignment(w.Cells(), orig != nil)
-	e.cfg.Counters.AddTierAlignments(int(sc.A.Tier()), 1, false)
+	work := Work{First: orig == nil, Tier: sc.A.Tier(), Nanos: int64(time.Since(t0))}
 	if orig == nil {
 		// row is scratch-owned: both stores keep a copy
 		if win != nil {
@@ -164,62 +210,46 @@ func (e *Engine) alignRect(w align.Rect, win *Window, tri *triangle.Triangle, sc
 			e.orig.Put(w.Y1, row)
 		}
 	}
-	_, score, rejected := align.BestValidEnd(row, orig)
-	e.cfg.Counters.AddShadowEnds(rejected)
-	return score
+	var score int32
+	_, score, work.ShadowEnds = align.BestValidEnd(row, orig)
+	return score, work
 }
 
 // alignGroup aligns the fixed group of GroupLanes neighbouring splits
-// starting at r0 against tri (nil on the group's first alignment) and
-// returns one score per member (member i is split r0+i; members beyond
-// the last split get score 0). First-time members have their original
-// rows recorded. Groups are computed with the fastest exact group kernel
-// (multialign), falling back to the scalar kernel only on an internal
-// error.
+// starting at r0 against tri (nil on the group's first alignment) with
+// the fastest exact group kernel (multialign) and returns one score per
+// member (member i is split r0+i; members beyond the last split get
+// score 0) and what it ran. First-time members have their original rows
+// recorded.
 //
 // The result is written into scores when it has capacity (callers reuse
-// a task's member-score slice); otherwise a fresh slice is returned. The
-// group's wall time is attributed to its live members so the latency
-// histogram stays per-alignment.
-func (e *Engine) alignGroup(r0 int, tri *triangle.Triangle, sc *Scratch, scores []int32) []int32 {
+// a task's member-score slice); otherwise a fresh slice is returned.
+func (e *Engine) alignGroup(r0 int, tri *triangle.Triangle, sc *Scratch, scores []int32) ([]int32, Work, error) {
 	lanes := e.cfg.GroupLanes
-	m := len(e.s)
+	t0 := time.Now()
+	g, err := sc.G.ScoreGroupAuto(e.cfg.Params, e.s, r0, lanes, tri)
+	if err != nil {
+		return scores, Work{}, fmt.Errorf("topalign: group %d: %w", r0, err)
+	}
+	work := Work{Tier: g.Tier, Rerun: g.Rerun, Nanos: int64(time.Since(t0))}
 	if cap(scores) < lanes {
 		scores = make([]int32, lanes)
 	}
 	scores = scores[:lanes]
-	for i := range scores {
-		scores[i] = 0
-	}
-	members := m - r0 // live lanes: splits r0..min(r0+lanes-1, m-1)
-	if members > lanes {
-		members = lanes
-	}
-
-	t0 := time.Now()
-	g, err := sc.G.ScoreGroupAuto(e.cfg.Params, e.s, r0, lanes, tri)
-	if err != nil {
-		// scalar fallback, member by member (observes its own latency)
-		for i := 0; i < members; i++ {
-			scores[i] = e.alignRect(e.splitRect(r0+i), nil, tri, sc)
-		}
-		return scores
-	}
-	e.cfg.Counters.ObserveAlignLatencyPer(time.Since(t0), members)
-	e.cfg.Counters.AddTierAlignments(int(g.Tier), int64(members), g.Rerun)
-	for i := 0; i < members; i++ {
+	clear(scores)
+	for i := 0; i < e.members(r0); i++ {
 		r := r0 + i
 		row := g.Bottoms[i]
 		orig, _ := e.orig.Get(r) // nil on the first alignment
-		e.cfg.Counters.AddAlignment(align.Cells(r, m-r), orig != nil)
 		if orig == nil {
+			work.First = true
 			e.orig.Put(r, row) // Put copies; row is scratch-owned
 		}
 		var rejected int64
 		_, scores[i], rejected = align.BestValidEnd(row, orig)
-		e.cfg.Counters.AddShadowEnds(rejected)
+		work.ShadowEnds += rejected
 	}
-	return scores
+	return scores, work, nil
 }
 
 // Accept accepts task t's current alignment as the next top alignment:
@@ -279,14 +309,4 @@ func (e *Engine) Accept(t *Task, sc *Scratch) (TopAlignment, error) {
 	}
 	e.tops = append(e.tops, top)
 	return top, nil
-}
-
-func maxScore(scores []int32) int32 {
-	best := int32(0)
-	for _, s := range scores {
-		if s > best {
-			best = s
-		}
-	}
-	return best
 }

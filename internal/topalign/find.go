@@ -11,11 +11,42 @@ func Find(s []byte, cfg Config) (*Result, error) {
 	if err := Run(e, InitialQueue(e), NewScratch()); err != nil {
 		return nil, err
 	}
-	return &Result{
-		SeqLen: e.Len(),
-		Tops:   e.Tops(),
-		Stats:  e.cfg.Counters.Snapshot(),
-	}, nil
+	return e.Result(), nil
+}
+
+// Decision is what a best-first driver does with the head of its queue.
+type Decision int
+
+const (
+	// Stop: nothing in the queue can become a further top alignment.
+	Stop Decision = iota
+	// Accept the head as the next top alignment (Engine.Accept).
+	Accept
+	// Realign the head against the current triangle (Engine.Realign).
+	Realign
+)
+
+// Decide is the decision of Figure 5, stated once for every driver:
+// given the task at the head of the queue (nil when the queue is empty)
+// and the number of top alignments accepted so far, stop when NumTops
+// are found or the head — the best remaining upper bound — is below
+// MinScore; accept the head when its score is exact for the current
+// triangle (lines 12-14); otherwise realign it (lines 16-17). A
+// never-aligned task carries Infinity or its window's bound and the
+// stamp -1, so it is realigned before it can be accepted.
+//
+// The sequential loop acts on the answer at once. A concurrent scheduler
+// adds only its own state: with results in flight a Stop may be
+// overturned by one of them landing, and strict mode holds an Accept
+// back until none is.
+func Decide(cfg Config, head *Task, tops int) Decision {
+	switch {
+	case head == nil || tops >= cfg.NumTops || head.Score < cfg.MinScore:
+		return Stop
+	case head.AlignedWith == tops:
+		return Accept
+	}
+	return Realign
 }
 
 // Run drives an engine to completion over queue q: the sequential
@@ -26,27 +57,26 @@ func Find(s []byte, cfg Config) (*Result, error) {
 // from any state. sc supplies the kernel arenas.
 func Run(e *Engine, q *TaskQueue, sc *Scratch) error {
 	cfg := e.Config()
-	for e.NumTopsFound() < cfg.NumTops && q.Len() > 0 {
-		t := q.Pop()
-		if t.Score != Infinity && t.Score < cfg.MinScore {
-			// The best possible remaining score is below threshold:
-			// no further top alignment is worth accepting.
+	for {
+		switch Decide(cfg, q.Peek(), e.NumTopsFound()) {
+		case Stop:
 			return nil
-		}
-		if t.AlignedWith == e.NumTopsFound() {
-			// The task's score is exact under the current triangle and
-			// it is the queue's maximum: accept it (lines 12-14 of
-			// Figure 5).
+		case Accept:
+			t := q.Pop()
 			if _, err := e.Accept(t, sc); err != nil {
 				return err
 			}
-		} else {
-			// Stale: realign against the current triangle (lines 16-17).
-			e.Realign(t, e.Triangle(), e.NumTopsFound(), sc)
+			q.Push(t)
+		case Realign:
+			t := q.Pop()
+			w, err := e.Realign(t, e.Triangle(), e.NumTopsFound(), sc)
+			if err != nil {
+				return err
+			}
+			e.Count(t, w)
+			q.Push(t)
 		}
-		q.Push(t)
 	}
-	return nil
 }
 
 // InitialQueue builds the initial task queue for an engine: one task per

@@ -132,12 +132,22 @@ func TestEngineAcceptErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	task := &Task{R: 1, Score: Infinity, AlignedWith: -1}
-	hopeless.Realign(task, hopeless.Triangle(), 0, sc)
+	if _, err := hopeless.Realign(task, hopeless.Triangle(), 0, sc); err != nil {
+		t.Fatal(err)
+	}
 	if task.Score != 0 {
 		t.Fatalf("split 1 of ACGT scored %d, want 0", task.Score)
 	}
 	if _, err := hopeless.Accept(task, sc); err == nil {
 		t.Error("accepting a zero-score split did not error")
+	}
+	// a group the kernel refuses is reported, not retried split by split
+	grouped, err := NewEngine(seq.PaperATGC().Codes, Config{Params: dnaParams, NumTops: 1, GroupLanes: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := grouped.Realign(&Task{R: grouped.Len(), Score: Infinity, AlignedWith: -1}, nil, 0, sc); err == nil {
+		t.Error("realigning a group past the last split did not error")
 	}
 }
 

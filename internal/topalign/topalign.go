@@ -153,9 +153,15 @@ func ResolveLanes(p align.Params, n, lanes int) int {
 	return 1
 }
 
-// Result is the outcome of a Find run.
+// Result is the outcome of a run.
 type Result struct {
 	SeqLen int
 	Tops   []TopAlignment
 	Stats  stats.Snapshot
+}
+
+// Result reports the engine's accepted top alignments and a snapshot of
+// its counters: what every driver returns when its run is over.
+func (e *Engine) Result() *Result {
+	return &Result{SeqLen: len(e.s), Tops: e.tops, Stats: e.cfg.Counters.Snapshot()}
 }

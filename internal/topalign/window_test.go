@@ -179,7 +179,12 @@ func TestAlignRectCountsTheRowTier(t *testing.T) {
 		sc := NewScratch()
 		for _, side := range []int{1800, 1900} {
 			rect := align.Rect{Y0: 1, Y1: side, X0: 1901, X1: 1900 + side}
-			e.Realign(&Task{R: side, Score: Infinity, AlignedWith: -1, Win: &Window{Rect: rect, Bound: Infinity}}, nil, 0, sc)
+			task := &Task{R: side, Score: Infinity, AlignedWith: -1, Win: &Window{Rect: rect, Bound: Infinity}}
+			w, err := e.Realign(task, nil, 0, sc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e.Count(task, w)
 		}
 		want = [stats.NumTiers]int64{}
 		want[min(tier, multialign.TierInt32x8)]++ // 17 * 1900 = 32300
