@@ -136,8 +136,18 @@ func BenchmarkTable2Int16x16(b *testing.B) { benchTable2Tier(b, multialign.TierI
 
 // --- Section 5.1: cache-aware striping ----------------------------------
 
+// BenchmarkStripingScalar compares gotohRow driven in DefaultStripeWidth
+// column stripes with the same Go row over whole rows. The input is long
+// enough (4096 columns) that the striped case really has two stripes, and
+// the tier is forced to scalar so that the row-wise case, which is
+// ScoreMasked, does not run the vector row kernel.
 func BenchmarkStripingScalar(b *testing.B) {
-	s := seq.SyntheticTitin(4096, 1).Codes
+	active := multialign.ActiveTier()
+	if err := multialign.SetKernelTier(multialign.TierScalar.String()); err != nil {
+		b.Fatal(err)
+	}
+	defer multialign.SetKernelTier(active.String()) //nolint:errcheck // it was active, so it is supported
+	s := seq.SyntheticTitin(8192, 1).Codes
 	r := len(s) / 2
 	for _, width := range []int{0, 1 << 30} { // default stripes vs one giant stripe
 		name := "striped"

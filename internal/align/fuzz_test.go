@@ -8,15 +8,16 @@ import (
 )
 
 // FuzzScoreWindow drives the windowed kernels over arbitrary rectangles
-// and four kinds of override triangle — none, sparse, dense, and the
-// residue pairs of an alignment accepted inside the window (the diagonal
-// runs the engine's own masks consist of) — against the naiveWindow
-// oracle. raw supplies the residues; the remaining arguments are folded
+// and five kinds of override triangle — none, sparse, dense, the residue
+// pairs of an alignment accepted inside the window (the diagonal runs the
+// engine's own masks consist of), and hits on the window's maskColumns
+// in rows chosen so that a marked row sits directly above and below
+// clean ones — against the naiveWindow oracle. raw supplies the residues; the remaining arguments are folded
 // into a valid Rect, so every input the fuzzer invents is a legal call.
 // The seed corpus below runs under plain `go test`.
 func FuzzScoreWindow(f *testing.F) {
 	repeat := []byte("MKVLAAGIWQRSTMKVLAAGIWQRSTMKVIAAGLWQKSTPEMKVLAAGIWQRST")
-	for kind := uint8(0); kind < 4; kind++ {
+	for kind := uint8(0); kind < 5; kind++ {
 		f.Add(repeat, uint16(0), uint16(25), uint16(0), uint16(60), kind, uint64(kind))   // a whole split
 		f.Add(repeat, uint16(3), uint16(11), uint16(4), uint16(17), kind, uint64(7+kind)) // an interior window
 		f.Add(repeat[:9], uint16(7), uint16(0), uint16(0), uint16(0), kind, uint64(1))    // one cell
@@ -56,7 +57,7 @@ func FuzzScoreWindow(f *testing.F) {
 				tri.Set(i, i+1+rng.IntN(m-i))
 			}
 		}
-		switch kind % 4 {
+		switch kind % 5 {
 		case 1:
 			randomPairs(m / 4)
 		case 2:
@@ -72,6 +73,16 @@ func FuzzScoreWindow(f *testing.F) {
 				}
 				for _, pr := range a.Pairs {
 					tri.Set(w.Y0-1+pr.Y, w.X0-1+pr.X)
+				}
+			}
+		case 4:
+			tri = triangle.New(m)
+			for y := w.Y0; y <= w.Y1; y++ {
+				if rng.IntN(3) == 0 {
+					continue // a clean row between marked ones
+				}
+				for _, c := range maskColumns(w.W()) {
+					tri.Set(y, w.X0-1+c)
 				}
 			}
 		}

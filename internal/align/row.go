@@ -18,15 +18,15 @@ import (
 // the sequence end) and never read: a cell depends on the row above at
 // its own column and to the left only.
 
-// profile is the query profile of the vector row kernels: row a holds
+// Profile is the query profile of the vector kernels: row a holds
 // Exch[a][h[x]] for every position x of one horizontal sequence h, so a
 // matrix row's exchange values are one contiguous slice — at offset X0-1
-// for a window, which is why one profile serves every window and split
-// of an engine run. Rows are built on first use. The profile keeps its
-// own copy of h and is rebuilt when the columns a call is about to read
-// differ from it, so a caller that reuses a sequence buffer for other
-// residues is safe.
-type profile struct {
+// for a window, r0 for the group at r0, which is why one profile serves
+// every window, split and group of an engine run. Rows are built on
+// first use. The profile keeps its own copy of h and is rebuilt when the
+// columns a call is about to read differ from it, so a caller that
+// reuses a sequence buffer for other residues is safe.
+type Profile struct {
 	exch   *scoring.Matrix
 	h      []byte  // the sequence the rows were built from
 	stride int     // len(h) + RowBlock - 1: a block may start at the last residue
@@ -34,11 +34,13 @@ type profile struct {
 	built  []bool  // per residue code
 }
 
-// bind points the profile at columns h[x0:x1] under exch, discarding
-// the rows if they describe anything else.
-func (pf *profile) bind(exch *scoring.Matrix, h []byte, x0, x1 int) {
+// Profile returns sc's query profile, bound to columns h[x0:x1] under
+// exch: the rows it holds are discarded if they describe anything else.
+// It is valid until the next call on sc that names other residues.
+func (sc *Scratch) Profile(exch *scoring.Matrix, h []byte, x0, x1 int) *Profile {
+	pf := &sc.prof
 	if pf.exch == exch && len(pf.h) == len(h) && bytes.Equal(pf.h[x0:x1], h[x0:x1]) {
-		return
+		return pf
 	}
 	pf.exch = exch
 	pf.h = append(pf.h[:0], h...)
@@ -52,14 +54,13 @@ func (pf *profile) bind(exch *scoring.Matrix, h []byte, x0, x1 int) {
 		pf.built = make([]bool, alpha)
 	}
 	pf.built = pf.built[:alpha]
-	for i := range pf.built {
-		pf.built[i] = false
-	}
+	clear(pf.built)
+	return pf
 }
 
-// row returns the exchange values of vertical residue a against every
+// Row returns the exchange values of vertical residue a against every
 // position of the bound sequence, zero-padded by one block.
-func (pf *profile) row(a byte) []int16 {
+func (pf *Profile) Row(a byte) []int16 {
 	row := pf.rows[int(a)*pf.stride : (int(a)+1)*pf.stride]
 	if !pf.built[a] {
 		pf.built[a] = true
@@ -67,9 +68,7 @@ func (pf *profile) row(a byte) []int16 {
 		for x, c := range pf.h {
 			row[x] = ex[c]
 		}
-		for x := len(pf.h); x < len(row); x++ {
-			row[x] = 0
-		}
+		clear(row[len(pf.h):])
 	}
 	return row
 }
@@ -82,11 +81,12 @@ func growI16(buf *[]int16, n int) []int16 {
 	return *buf
 }
 
-// zeroMasked forces the overridden cells of a computed row to zero:
-// cells holds columns 1..len(cells), whose pairs are triangle indices
-// base, base+1, ... A cell feeds nothing in its own row — the gap chains
-// read the row above — so computing the row unmasked and zeroing the
-// marked cells afterwards is gotohRowMasked exactly.
+// zeroMasked forces the overridden cells of a computed row to zero (the
+// paper's "overriding zeros"): cells holds columns 1..len(cells), whose
+// pairs are triangle indices base, base+1, ... A cell feeds nothing in
+// its own row — the diagonal and both gap chains read the row above — so
+// every row kernel, Go or vector, computes the row unmasked and this
+// pass afterwards is the whole of masking.
 func zeroMasked[T int16 | int32](cells []T, tri *triangle.Triangle, base int) {
 	end := base + len(cells)
 	for idx := tri.NextSet(base, end); idx >= 0; idx = tri.NextSet(idx+1, end) {
@@ -111,10 +111,10 @@ func (sc *Scratch) rows16(p Params, s1, h []byte, x0, n int, tri *triangle.Trian
 	for i := range maxY {
 		maxY[i] = NegInf16
 	}
-	sc.prof.bind(p.Exch, h, x0, x0+n)
+	prof := sc.Profile(p.Exch, h, x0, x0+n)
 	open, ext := int16(p.Gap.Open), int16(p.Gap.Ext)
 	for y := 1; y <= len(s1); y++ {
-		ex := sc.prof.row(s1[y-1])[x0:]
+		ex := prof.Row(s1[y-1])[x0:]
 		var out32 *int32
 		if flat != nil {
 			out32 = &flat[y*stride+2]
@@ -152,10 +152,10 @@ func (sc *Scratch) rows8(p Params, s1, h []byte, x0, n int, tri *triangle.Triang
 	for i := range maxY {
 		maxY[i] = negInf
 	}
-	sc.prof.bind(p.Exch, h, x0, x0+n)
+	prof := sc.Profile(p.Exch, h, x0, x0+n)
 	open, ext := p.Gap.Open, p.Gap.Ext
 	for y := 1; y <= len(s1); y++ {
-		ex := sc.prof.row(s1[y-1])[x0:]
+		ex := prof.Row(s1[y-1])[x0:]
 		if flat != nil {
 			prev, cur = flat[(y-1)*stride:y*stride], flat[y*stride:(y+1)*stride]
 		}

@@ -28,13 +28,33 @@ func randomRow(rng *rand.Rand, n int, kind int) []int32 {
 	return row
 }
 
+// refRow is the row harness's oracle, sharing no code with any row
+// kernel: Equation 1 cell by cell — the horizontal gap candidates by an
+// explicit scan over the row above, the override bit by a GetAt probe of
+// triangle row 1 — for columns 1..len(s2), plus the column gap maxima
+// the row must leave behind. tri == nil disables masking.
+func refRow(prev, gapMax []int32, exch []int16, s2 []byte, open, ext int32, tri *triangle.Triangle) (cur, maxY []int32) {
+	cur, maxY = make([]int32, len(s2)+1), make([]int32, len(s2)+1)
+	for x := 1; x <= len(s2); x++ {
+		best := max(prev[x-1], gapMax[x-1])
+		for k := 1; x-1-k >= 0; k++ {
+			best = max(best, prev[x-1-k]-open-int32(k)*ext)
+		}
+		if tri == nil || !tri.GetAt(x-1) {
+			cur[x] = max(0, best+int32(exch[s2[x-1]]))
+		}
+		maxY[x] = max(prev[x-1]-open, gapMax[x-1]) - ext
+	}
+	return cur, maxY
+}
+
 // TestRowKernelsMatchGoRow is the row half of the row-kernel harness:
-// one call of each vector kernel against gotohRow — and, with override
-// bits at the mask columns, the kernel followed by zeroMasked against
-// gotohRowMasked — on row states a matrix need not be able to reach:
-// cur and maxY must come out bit for bit, for every width across the
-// first three blocks and either side of later block boundaries, under
-// every harness model the kernel's tier accepts.
+// one call of each row kernel — gotohRow, rowScan16, rowScan8 — and, with
+// override bits at the mask columns, the kernel followed by zeroMasked,
+// against refRow, on row states a matrix need not be able to reach: cur
+// and maxY must come out bit for bit, for every width across the first
+// three blocks and either side of later block boundaries, under every
+// harness model the kernel's tier accepts.
 func TestRowKernelsMatchGoRow(t *testing.T) {
 	if DetectedTier() < TierInt16x16 {
 		t.Skip("needs AVX2")
@@ -69,13 +89,21 @@ func TestRowKernelsMatchGoRow(t *testing.T) {
 				}
 				for _, masked := range []bool{false, true} {
 					where := fmt.Sprintf("%s n=%d kind=%d masked=%v", rm.name, n, kind, masked)
-					cur, maxY := make([]int32, n+1), make([]int32, n+1)
 					prev := append([]int32{0}, above...) // boundary, then the cells above columns 1..n
-					copy(maxY[1:], gapMax)
+					mask := tri
+					if !masked {
+						mask = nil
+					}
+					cur, maxY := refRow(prev, gapMax, exch, s2, open, ext, mask)
+
+					goCur, goMaxY := make([]int32, n+1), make([]int32, n+1)
+					copy(goMaxY[1:], gapMax)
+					gotohRow(prev, goCur, goMaxY, exch, s2, open, ext, negInf)
 					if masked {
-						gotohRowMasked(prev, cur, maxY, exch, s2, open, ext, tri, 0)
-					} else {
-						gotohRow(prev, cur, maxY, exch, s2, open, ext)
+						zeroMasked(goCur[1:], tri, 0)
+					}
+					if !equalI32(goCur[1:], cur[1:]) || !equalI32(goMaxY[1:], maxY[1:]) {
+						t.Fatalf("%s: gotohRow: cur %v maxY %v, reference %v and %v", where, goCur[1:], goMaxY[1:], cur[1:], maxY[1:])
 					}
 
 					if model.ok16 {
@@ -91,7 +119,7 @@ func TestRowKernelsMatchGoRow(t *testing.T) {
 						}
 						for i := 0; i < n; i++ {
 							if int32(c16[2+i]) != cur[1+i] || int32(m16[i]) != maxY[1+i] {
-								t.Fatalf("%s: rowScan16 column %d: cur %d maxY %d, Go row %d and %d", where, i+1, c16[2+i], m16[i], cur[1+i], maxY[1+i])
+								t.Fatalf("%s: rowScan16 column %d: cur %d maxY %d, reference %d and %d", where, i+1, c16[2+i], m16[i], cur[1+i], maxY[1+i])
 							}
 						}
 					}
@@ -107,7 +135,7 @@ func TestRowKernelsMatchGoRow(t *testing.T) {
 						}
 						for i := 0; i < n; i++ {
 							if c32[2+i] != cur[1+i] || m32[i] != maxY[1+i] {
-								t.Fatalf("%s: rowScan8 column %d: cur %d maxY %d, Go row %d and %d", where, i+1, c32[2+i], m32[i], cur[1+i], maxY[1+i])
+								t.Fatalf("%s: rowScan8 column %d: cur %d maxY %d, reference %d and %d", where, i+1, c32[2+i], m32[i], cur[1+i], maxY[1+i])
 							}
 						}
 					}

@@ -54,10 +54,10 @@ func rowWidths() []int {
 
 // maskColumns are the columns (1-based) whose override bits the
 // harnesses set in a width-n row: either side of the first block
-// boundary and the two ends.
+// boundary of both vector widths (8 and 16 columns) and the two ends.
 func maskColumns(n int) []int {
 	var cols []int
-	for _, c := range []int{1, 15, 16, 17, n} {
+	for _, c := range []int{1, 7, 8, 15, 16, 17, n} {
 		if c <= n && (len(cols) == 0 || cols[len(cols)-1] != c) {
 			cols = append(cols, c)
 		}
@@ -163,12 +163,14 @@ func rowCases(short bool) []rowCase {
 // TestRowTiersMatchGoRows is the driver half of the row-kernel harness:
 // under each forced tier, ScoreWindow's bottom row, every MatrixWindow
 // cell, the column gap maxima the call leaves behind and the traceback
-// from the best ending must equal what the forced-scalar tier — the Go
-// rows gotohRow and gotohRowMasked — produces, and the call must have
-// run on the tier RowTier promises. One Scratch serves a whole tier, so
-// arena and query-profile reuse across shapes, sequences and models is
-// exercised too. (Mutation-checked: dropping the low-to-high hand-over,
-// the block carry, or zeroMasked's store each fails it.)
+// from the best ending must equal what the forced-scalar tier produces —
+// the Go row gotohRow and its zeroMasked pass, themselves held to the
+// naive oracles by checkWindow and TestMaskedMatchesNaiveBorderProperty —
+// and the call must have run on the tier RowTier promises. One Scratch
+// serves a whole tier, so arena and query-profile reuse across shapes,
+// sequences and models is exercised too. (Mutation-checked: dropping the
+// low-to-high hand-over, the block carry, or zeroMasked's store each
+// fails it.)
 func TestRowTiersMatchGoRows(t *testing.T) {
 	type outcome struct {
 		bottom []int32

@@ -60,17 +60,10 @@ func (sc *Scratch) score(p Params, s1, h []byte, x0, x1 int, tri *triangle.Trian
 	open, ext := p.Gap.Open, p.Gap.Ext
 
 	for y := 1; y <= len1; y++ {
-		exch := p.Exch.Row(s1[y-1])
 		cur[0] = 0
-		base := 0
+		gotohRow(prev, cur, maxY, p.Exch.Row(s1[y-1]), s2, open, ext, negInf)
 		if tri != nil {
-			base = maskBase(tri, dx, dy+y)
-		}
-		if tri == nil || tri.RowEmpty(base, len2) {
-			// fast path: no overridden pair in this row
-			gotohRow(prev, cur, maxY, exch, s2, open, ext)
-		} else {
-			gotohRowMasked(prev, cur, maxY, exch, s2, open, ext, tri, base)
+			zeroMasked(cur[1:], tri, maskBase(tri, dx, dy+y))
 		}
 		prev, cur = cur, prev
 	}
@@ -83,11 +76,14 @@ func (sc *Scratch) score(p Params, s1, h []byte, x0, x1 int, tri *triangle.Trian
 // recurrence into cur, from the row above (prev) and the running column
 // gap maxima maxY, which it advances. exch is the exchange row of this
 // row's vertical residue. prev, cur and maxY hold len(s2)+1 entries;
-// entry 0 is the caller's boundary.
-func gotohRow(prev, cur, maxY []int32, exch []int16, s2 []byte, open, ext int32) {
+// entry 0 is the caller's boundary. maxX is the horizontal running
+// maximum coming in from the left — negInf at a matrix edge, the carry of
+// the stripe to the left otherwise — and the return value is what it
+// hands on to the right. The row is computed unmasked: a cell reads only
+// the row above, so the override zeros are zeroMasked's pass afterwards.
+func gotohRow(prev, cur, maxY []int32, exch []int16, s2 []byte, open, ext, maxX int32) int32 {
 	n := len(s2)
 	prev, cur, maxY = prev[:n], cur[1:n+1], maxY[1:n+1] // all indexed by x-1
-	maxX := int32(negInf)
 	for i, c := range s2 {
 		d := prev[i]
 		my := maxY[i]
@@ -114,44 +110,7 @@ func gotohRow(prev, cur, maxY []int32, exch []int16, s2 []byte, open, ext int32)
 		}
 		maxY[i] = g - ext
 	}
-}
-
-// gotohRowMasked is gotohRow with override masking: a cell whose pair —
-// raw triangle index base+x-1 — is marked in tri is forced to zero (the
-// paper's "overriding zeros"); its gap candidates still propagate.
-func gotohRowMasked(prev, cur, maxY []int32, exch []int16, s2 []byte, open, ext int32, tri *triangle.Triangle, base int) {
-	n := len(s2)
-	prev, cur, maxY = prev[:n], cur[1:n+1], maxY[1:n+1] // all indexed by x-1
-	maxX := int32(negInf)
-	for i, c := range s2 {
-		d := prev[i]
-		my := maxY[i]
-		var v int32
-		if !tri.GetAt(base + i) {
-			best := d
-			if maxX > best {
-				best = maxX
-			}
-			if my > best {
-				best = my
-			}
-			v = best + int32(exch[c])
-			if v < 0 {
-				v = 0
-			}
-		}
-		cur[i] = v
-		g := d - open
-		h := g
-		if maxX > h {
-			h = maxX
-		}
-		maxX = h - ext
-		if my > g {
-			g = my
-		}
-		maxY[i] = g - ext
-	}
+	return maxX
 }
 
 // Cells returns the number of matrix entries a score computation over

@@ -26,7 +26,7 @@ type Scratch struct {
 	edgeM, edgeMaxX []int32 // striped kernel's inter-stripe carries
 
 	prev16, cur16, maxY16 []int16  // the int16 row kernel's row buffers
-	prof                  profile  // the vector row kernels' query profile
+	prof                  Profile  // the vector kernels' query profile (Scratch.Profile)
 	model                 rowModel // tier facts of the last scoring model
 	tier                  Tier     // tier of the last score or matrix call
 

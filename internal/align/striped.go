@@ -69,54 +69,12 @@ func (sc *Scratch) ScoreStriped(p Params, s1, s2 []byte, tri *triangle.Triangle,
 			maxY[i] = negInf
 		}
 		for y := 1; y <= len1; y++ {
-			row := p.Exch.Row(s1[y-1])
-			maxX := edgeMaxX[y]
-			// prev[0] must be M[y-1][x0-1]; cur[0] is M[y][x0-1]
-			prev[0] = edgeM[y-1]
-			cur[0] = edgeM[y]
-			base := 0
-			masked := false
+			prev[0] = edgeM[y-1] // M[y-1][x0-1], the diagonal of the stripe's first cell
+			edgeMaxX[y] = gotohRow(prev, cur, maxY, p.Exch.Row(s1[y-1]), s2[x0-1:x1], open, ext, edgeMaxX[y])
 			if tri != nil {
-				base = maskBase(tri, r, y) + (x0 - 1)
-				masked = !tri.RowEmpty(base, w)
+				zeroMasked(cur[1:w+1], tri, maskBase(tri, r, y)+x0-1)
 			}
-			for i := 1; i <= w; i++ {
-				x := x0 + i - 1
-				d := prev[i-1]
-				var v int32
-				if masked && tri.GetAt(base+i-1) {
-					v = 0
-				} else {
-					best := d
-					if maxX > best {
-						best = maxX
-					}
-					if my := maxY[i]; my > best {
-						best = my
-					}
-					v = best + int32(row[s2[x-1]])
-					if v < 0 {
-						v = 0
-					}
-				}
-				cur[i] = v
-				g := d - open
-				h := g
-				if maxX > h {
-					h = maxX
-				}
-				maxX = h - ext
-				if my := maxY[i]; my > g {
-					g = my
-				}
-				maxY[i] = g - ext
-			}
-			// save the stripe's right edge for the next stripe
-			edgeM[y-1] = prev[w]
-			if y == len1 {
-				edgeM[y] = cur[w]
-			}
-			edgeMaxX[y] = maxX
+			edgeM[y-1] = prev[w] // the stripe's right edge, for the next stripe
 			prev, cur = cur, prev
 		}
 		copy(bottom[x0-1:x1], prev[1:w+1])

@@ -68,11 +68,9 @@ func (sc *Scratch) matrix(p Params, s1, h []byte, x0, x1 int, tri *triangle.Tria
 	}
 	open, ext := p.Gap.Open, p.Gap.Ext
 	for y := 1; y <= len1; y++ {
-		exch := p.Exch.Row(s1[y-1])
-		if tri == nil {
-			gotohRow(m[y-1], m[y], maxY, exch, s2, open, ext)
-		} else {
-			gotohRowMasked(m[y-1], m[y], maxY, exch, s2, open, ext, tri, maskBase(tri, dx, dy+y))
+		gotohRow(m[y-1], m[y], maxY, p.Exch.Row(s1[y-1]), s2, open, ext, negInf)
+		if tri != nil {
+			zeroMasked(m[y][1:], tri, maskBase(tri, dx, dy+y))
 		}
 	}
 	return m

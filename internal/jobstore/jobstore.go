@@ -380,13 +380,16 @@ func (s *Store) Compact() error {
 	return nil
 }
 
-// Submit journals a new job. The job must carry ID, Key, and Request;
-// zero State defaults to Pending and timestamps are stamped here. The
-// record is durable (fsynced) before Submit returns nil — this is
-// what makes a 202 a promise.
-func (s *Store) Submit(j Job) error {
+// Submit journals a new job and returns it as journalled. The job must
+// carry ID, Key, and Request; zero State defaults to Pending and
+// timestamps are stamped here. The record is durable (fsynced) before
+// Submit returns a nil error — this is what makes a 202 a promise — and
+// the returned Job is that record, not a later read of the store, so a
+// worker that claims the job at once cannot change what the submitter
+// reports.
+func (s *Store) Submit(j Job) (Job, error) {
 	if j.ID == "" || j.Key == "" {
-		return fmt.Errorf("jobstore: submit needs id and key")
+		return Job{}, fmt.Errorf("jobstore: submit needs id and key")
 	}
 	if j.State == "" {
 		j.State = Pending
@@ -396,17 +399,17 @@ func (s *Store) Submit(j Job) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		return fmt.Errorf("jobstore: closed")
+		return Job{}, fmt.Errorf("jobstore: closed")
 	}
 	if _, ok := s.jobs[j.ID]; ok {
-		return fmt.Errorf("jobstore: duplicate job id %q", j.ID)
+		return Job{}, fmt.Errorf("jobstore: duplicate job id %q", j.ID)
 	}
 	if err := s.appendLocked(recSubmit, &j); err != nil {
-		return err
+		return Job{}, err
 	}
 	s.jobs[j.ID] = &j
 	s.jobsGauge.Set(int64(len(s.jobs)))
-	return nil
+	return j, nil
 }
 
 // Update applies mut to the job and journals the new state. The

@@ -14,8 +14,14 @@ import (
 
 func mustSubmit(t *testing.T, s *Store, id, key string) {
 	t.Helper()
-	if err := s.Submit(Job{ID: id, Key: key, Request: json.RawMessage(`{"sequence":"ATGC"}`)}); err != nil {
+	j, err := s.Submit(Job{ID: id, Key: key, Request: json.RawMessage(`{"sequence":"ATGC"}`)})
+	if err != nil {
 		t.Fatal(err)
+	}
+	// what Submit returns is the journalled record, whatever has claimed
+	// the job since
+	if j.ID != id || j.State != Pending || j.CreatedNS == 0 || j.UpdatedNS != j.CreatedNS {
+		t.Fatalf("Submit returned %+v, want the pending record it journalled", j)
 	}
 }
 
@@ -30,7 +36,7 @@ func TestSubmitGetRestart(t *testing.T) {
 	if _, err := s.Update("j2", func(j *Job) { j.State = Done; j.Backend = "cluster" }); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Submit(Job{ID: "j1", Key: "k1"}); err == nil {
+	if _, err := s.Submit(Job{ID: "j1", Key: "k1"}); err == nil {
 		t.Fatal("duplicate submit accepted")
 	}
 	// Reopen WITHOUT Close: simulates SIGKILL. Everything journaled
@@ -304,7 +310,7 @@ func TestTornAppendLosesOnlyTheTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s2.Submit(Job{ID: "torn", Key: "k3"}); err == nil {
+	if _, err := s2.Submit(Job{ID: "torn", Key: "k3"}); err == nil {
 		t.Fatal("submit over a torn append reported success")
 	}
 	// No Close (crash). Replay on clean storage: the acknowledged jobs
@@ -336,7 +342,7 @@ func TestENOSPCSubmitFailsLoudly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s2.Submit(Job{ID: "nospace", Key: "k2"}); err == nil {
+	if _, err := s2.Submit(Job{ID: "nospace", Key: "k2"}); err == nil {
 		t.Fatal("submit on a full disk reported success")
 	}
 	s3, err := Open(dir, nil)

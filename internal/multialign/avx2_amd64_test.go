@@ -39,9 +39,9 @@ func TestRowAVX16FlagBoundary(t *testing.T) {
 	}
 }
 
-// n=0 segments must be a no-op for all three row kernels: no stores, no
-// flag, no crash. The masked drivers can produce empty segments when
-// overridden columns are adjacent.
+// A span of n=0 columns must be a no-op for all three row kernels: no
+// stores, no flag, no crash. The drivers pass whole rows (n >= 1) since
+// masking became a post-pass; the assembly's contract is kept anyway.
 func TestRowKernelsZeroColumns(t *testing.T) {
 	if DetectedTier() < TierInt32x8 {
 		t.Skip("needs AVX2")
@@ -84,9 +84,9 @@ func TestRowKernelsZeroColumns(t *testing.T) {
 
 // BenchmarkRowCall is what one call of each assembly row kernel costs
 // at 1 and at 16 columns: the fixed part of a row, which is most of a
-// short row and all of a masked row's one-column segments. A legacy-SSE
-// move into an X register after the prologue's first 256-bit
-// instruction makes it ~180 ns on the bench host instead of ~4.
+// short row. A legacy-SSE move into an X register after the assembly
+// prologue's first 256-bit instruction makes it ~180 ns on the bench
+// host instead of ~4.
 func BenchmarkRowCall(b *testing.B) {
 	if DetectedTier() < TierInt32x8 {
 		b.Skip("needs AVX2")

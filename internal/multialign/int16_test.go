@@ -108,6 +108,33 @@ func TestInt16SaturationBoundaryProperty(t *testing.T) {
 			if want := align.Score(p, s[:r0], s[r0:]); !equalRows(g.Bottoms[0], want) {
 				t.Fatalf("hi=%d dim=%d: lane 0 differs from scalar kernel", hi, tc.dim)
 			}
+			if hi != 250 {
+				continue // the Equation-1 oracle below is cubic: smallest groups only
+			}
+			// The same group with lane 0's main diagonal overridden: every
+			// row is computed unmasked and zeroed afterwards, so the peak
+			// cells the mask removes still pass through the int16 lanes.
+			// Whether or not that trips the flag, the rows are the oracle's.
+			diag := triangle.New(m)
+			for y := 1; y <= r0 && r0+y <= m; y++ {
+				diag.Set(y, r0+y)
+			}
+			if err := SetKernelTier("auto"); err != nil {
+				t.Fatal(err)
+			}
+			g, err = sc.ScoreGroupAuto(p, s, r0, 16, diag)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if g.Rerun != (g.Tier == TierInt32x8) {
+				t.Fatalf("hi=%d dim=%d diagonal masked: Rerun=%v on tier %s", hi, tc.dim, g.Rerun, g.Tier)
+			}
+			for i, got := range g.Bottoms {
+				r := r0 + i
+				if want := align.NaiveMatrix(p, s[:r], s[r:], diag, r)[r][1:]; !equalRows(got, want) {
+					t.Fatalf("hi=%d dim=%d diagonal masked (Rerun=%v) lane %d: rows differ from NaiveMatrix", hi, tc.dim, g.Rerun, i)
+				}
+			}
 		}
 	}
 }

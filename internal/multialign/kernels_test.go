@@ -59,6 +59,45 @@ var kernelTriangles = []struct {
 	{"sparse", func(_ align.Params, s []byte) *triangle.Triangle { return randomTriangle(len(s), 0.01, 77) }},
 	{"dense", func(_ align.Params, s []byte) *triangle.Triangle { return randomTriangle(len(s), 0.4, 78) }},
 	{"accepted-path", acceptedPath},
+	{"lane-borders", laneBorders},
+	{"pair-neighbours", pairNeighbours},
+}
+
+// laneBorders marks, for every group start of the harness, the columns
+// either side of the left border of every lane count — group columns 1,
+// 7, 8, 15, 16, 17 and the last — in two rows out of three, so the
+// post-passes that zero border and mask meet on the same column blocks.
+func laneBorders(_ align.Params, s []byte) *triangle.Triangle {
+	m := len(s)
+	tri := triangle.New(m)
+	for _, r0 := range groupStarts(m) {
+		for _, c := range []int{1, 7, 8, 15, 16, 17, m - r0} {
+			if c > m-r0 {
+				continue // the group has fewer columns
+			}
+			for y := 1; y < r0+c; y++ {
+				if y%3 != 0 {
+					tri.Set(y, r0+c)
+				}
+			}
+		}
+	}
+	return tri
+}
+
+// pairNeighbours marks every third row densely and leaves the two rows
+// between clean: below a group's start those are the rows the int16
+// kernel pairs, so each marked row sits directly above and below a pair
+// and must itself stay out of the pair kernel.
+func pairNeighbours(_ align.Params, s []byte) *triangle.Triangle {
+	m := len(s)
+	tri := triangle.New(m)
+	for y := 3; y < m; y += 3 {
+		for j := y + 1; j <= m; j += 2 {
+			tri.Set(y, j)
+		}
+	}
+	return tri
 }
 
 // randomTriangle marks each pair with probability frac, and always the
@@ -100,7 +139,7 @@ func acceptedPath(p align.Params, s []byte) *triangle.Triangle {
 
 // groupStarts picks the group positions worth checking on a sequence of
 // length m: every one when m is tiny, otherwise the left border (lanes
-// that start in the prologue columns), the row-pairing threshold of the
+// that start in the border columns), the row-pairing threshold of the
 // int16 kernel, the middle, last groups with dead lanes, and the final
 // split alone.
 func groupStarts(m int) []int {

@@ -15,14 +15,13 @@ import "repro/internal/align"
 //
 // The zero value is ready to use.
 type Scratch struct {
-	row align.Scratch // scalar tier: the row kernel's own arena
+	row align.Scratch // the row kernel's own arena (scalar tier) and the int16 query profile
 
 	prev, cur, maxY []int32 // interleaved int32 lane rows (8-lane AVX2 kernel)
 	prof            []int32 // query profile: per-character exchange rows
 	profBuilt       []bool
 
-	prev16, cur16, maxY16 []int16 // interleaved int16 lane rows (16-lane AVX2 kernel)
-	prof16                []int16 // query profile at int16 width
+	prev16, cur16, maxY16 []int16 // interleaved int16 lane rows (16-lane AVX2 kernel; its profile is row's)
 
 	arena []int32   // bottom-row storage
 	heads [][]int32 // lane headers over arena

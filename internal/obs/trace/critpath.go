@@ -21,16 +21,16 @@ import (
 
 // Categories, in report order.
 const (
-	CatRouter    = "router"      // gateway routing: ring lookup, singleflight join
-	CatQueue     = "queue-wait"  // admission queue (serve)
-	CatCache     = "cache"       // cache lookup / singleflight wait
-	CatDispatch  = "dispatch"    // engine + cluster scheduling overhead
-	CatComm      = "comm"        // wire time, row fetches, slave-side queueing
-	CatKernel    = "kernel"      // alignment kernels + tracebacks
-	CatSpecWaste = "spec-waste"  // kernels computed against a stale replica
-	CatStall     = "stall"       // straggler stall before re-dispatch won
-	CatServer    = "server"      // HTTP handling around the pipeline
-	CatOther     = "other"       // anything unclassified
+	CatRouter    = "router"     // gateway routing: ring lookup, singleflight join
+	CatQueue     = "queue-wait" // admission queue (serve)
+	CatCache     = "cache"      // cache lookup / singleflight wait
+	CatDispatch  = "dispatch"   // engine + cluster scheduling overhead
+	CatComm      = "comm"       // wire time, row fetches, slave-side queueing
+	CatKernel    = "kernel"     // alignment kernels + tracebacks
+	CatSpecWaste = "spec-waste" // kernels computed against a stale replica
+	CatStall     = "stall"      // straggler stall before re-dispatch won
+	CatServer    = "server"     // HTTP handling around the pipeline
+	CatOther     = "other"      // anything unclassified
 )
 
 // categoryOrder fixes the report ordering.

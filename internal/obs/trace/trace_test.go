@@ -27,10 +27,10 @@ func TestParseTraceParentRejects(t *testing.T) {
 	bad := []string{
 		"",
 		"00",
-		valid[:54],                      // truncated
-		valid + "0",                     // too long
-		"ff" + valid[2:],                // forbidden version
-		"00-" + strings.Repeat("0", 32) + valid[35:], // zero trace id
+		valid[:54],       // truncated
+		valid + "0",      // too long
+		"ff" + valid[2:], // forbidden version
+		"00-" + strings.Repeat("0", 32) + valid[35:],      // zero trace id
 		valid[:36] + strings.Repeat("0", 16) + valid[52:], // zero span id
 		strings.Replace(valid, "-", "_", 1),               // bad separator
 		valid[:3] + "zz" + valid[5:],                      // non-hex
@@ -227,8 +227,8 @@ func TestSpanCodecRejects(t *testing.T) {
 		nil,
 		[]byte("OBT"),
 		[]byte("OBXX\x00\x00\x00\x00"),
-		good[:len(good)-1],          // truncated name
-		append(good, 0),             // trailing byte
+		good[:len(good)-1], // truncated name
+		append(good, 0),    // trailing byte
 		append([]byte("OBT1"), 0xff, 0xff, 0xff, 0xff), // absurd count
 	}
 	for i, b := range bad {

@@ -102,22 +102,23 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	j := jobstore.Job{
+	j, err := s.jobs.Submit(jobstore.Job{
 		ID:      trace.NewSpanID().String(),
 		Key:     key,
 		Request: canon,
 		TraceID: traceID,
-	}
-	if err := s.jobs.Submit(j); err != nil {
+	})
+	if err != nil {
 		// The journal append failed (e.g. disk full): accepting would
 		// break the 202 promise, so refuse loudly.
 		writeError(w, http.StatusServiceUnavailable, "job journal unavailable: "+err.Error())
 		return
 	}
 	s.jobsSubmitted.Inc()
-	st, _ := s.jobs.Get(j.ID) // before the kick: a woken worker claims the job at once
 	s.kickJobs()
-	writeJSON(w, http.StatusAccepted, jobStatusOf(st))
+	// The 202 renders what Submit journalled, not a re-read of the store:
+	// a worker may already have claimed the job.
+	writeJSON(w, http.StatusAccepted, jobStatusOf(j))
 }
 
 // handleJobGet is GET /v1/jobs/{id}: status, and for Done jobs the

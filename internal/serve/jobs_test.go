@@ -303,7 +303,7 @@ func TestJobRecoveryAfterRestart(t *testing.T) {
 	// sees exactly what a SIGKILL would leave.
 	st1 := openStore(t, dir)
 	for i := 0; i < 2; i++ {
-		if err := st1.Submit(jobstore.Job{ID: fmt.Sprintf("job-%d", i), Key: CacheKey(&req), Request: raw}); err != nil {
+		if _, err := st1.Submit(jobstore.Job{ID: fmt.Sprintf("job-%d", i), Key: CacheKey(&req), Request: raw}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -314,7 +314,7 @@ func TestJobRecoveryAfterRestart(t *testing.T) {
 	// lanes and the since-removed striped field, and its key is a v1 key.
 	old := []byte(`{"id":"serve","sequence":"TTAGGTTAGGTTAGG","matrix":"paper-dna","gap_open":2,"gap_ext":1,` +
 		`"tops":2,"min_score":1,"lanes":1,"striped":false,"backend":"sequential"}`)
-	if err := st1.Submit(jobstore.Job{ID: "job-old", Key: "a-v1-key", Request: old}); err != nil {
+	if _, err := st1.Submit(jobstore.Job{ID: "job-old", Key: "a-v1-key", Request: old}); err != nil {
 		t.Fatal(err)
 	}
 

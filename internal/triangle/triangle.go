@@ -76,38 +76,19 @@ func (t *Triangle) Get(i, j int) bool {
 	return t.words[idx>>6]&(1<<uint(idx&63)) != 0
 }
 
-// GetAt reports whether the pair at raw index idx is marked. This is the
-// kernel fast path; idx must come from Index or RowOffset arithmetic.
+// GetAt reports whether the pair at raw index idx is marked; idx must
+// come from Index or RowOffset arithmetic. No kernel probes the triangle
+// per cell: outside tests the callers are the Equation-1 oracle
+// (align.NaiveMatrix) and traceback's crossed-override sanity check.
 func (t *Triangle) GetAt(idx int) bool {
 	return t.words[idx>>6]&(1<<uint(idx&63)) != 0
 }
 
-// RowEmpty reports whether the index range [from, from+n) contains no
-// marked pair. Kernels use it to skip override checks for untouched rows.
-func (t *Triangle) RowEmpty(from, n int) bool {
-	if n <= 0 {
-		return true
-	}
-	to := from + n // exclusive
-	wFrom, wTo := from>>6, (to-1)>>6
-	if wFrom == wTo {
-		mask := (^uint64(0) << uint(from&63)) & (^uint64(0) >> uint(63-(to-1)&63))
-		return t.words[wFrom]&mask == 0
-	}
-	if t.words[wFrom]&(^uint64(0)<<uint(from&63)) != 0 {
-		return false
-	}
-	for w := wFrom + 1; w < wTo; w++ {
-		if t.words[w] != 0 {
-			return false
-		}
-	}
-	return t.words[wTo]&(^uint64(0)>>uint(63-(to-1)&63)) == 0
-}
-
 // NextSet returns the smallest raw index in [from, to) whose pair is
-// marked, or -1 if none. Segmented kernels use it to split a masked row
-// into clean runs that skip the per-column override probe entirely.
+// marked, or -1 if none. It is the alignment kernels' one read path:
+// every kernel computes a matrix row unmasked and then walks that row's
+// index range with NextSet to zero the marked cells, so a clean row
+// costs one word scan and a marked one a call per hit.
 func (t *Triangle) NextSet(from, to int) int {
 	if from < 0 {
 		from = 0
@@ -118,22 +99,19 @@ func (t *Triangle) NextSet(from, to int) int {
 	if from >= to {
 		return -1
 	}
-	w := from >> 6
+	w, last := from>>6, (to-1)>>6
 	word := t.words[w] & (^uint64(0) << uint(from&63))
-	for {
-		if word != 0 {
-			idx := w<<6 + bits.TrailingZeros64(word)
-			if idx >= to {
-				return -1
-			}
-			return idx
-		}
-		w++
-		if w<<6 >= to {
+	for word == 0 {
+		if w == last {
 			return -1
 		}
+		w++
 		word = t.words[w]
 	}
+	if idx := w<<6 + bits.TrailingZeros64(word); idx < to {
+		return idx
+	}
+	return -1
 }
 
 // Clone returns an independent copy. The parallel schedulers use clones

@@ -75,33 +75,10 @@ func TestGetAtMatchesGet(t *testing.T) {
 	}
 }
 
-func TestRowEmpty(t *testing.T) {
-	tr := New(100)
-	if !tr.RowEmpty(0, tr.Pairs()) {
-		t.Error("fresh triangle not empty")
-	}
-	tr.Set(40, 60)
-	idx := tr.Index(40, 60)
-	if tr.RowEmpty(idx, 1) {
-		t.Error("range containing the set bit reported empty")
-	}
-	if tr.RowEmpty(0, idx+1) {
-		t.Error("prefix containing the set bit reported empty")
-	}
-	if !tr.RowEmpty(0, idx) {
-		t.Error("prefix before the set bit reported non-empty")
-	}
-	if !tr.RowEmpty(idx+1, tr.Pairs()-idx-1) {
-		t.Error("suffix after the set bit reported non-empty")
-	}
-	if !tr.RowEmpty(5, 0) {
-		t.Error("empty range reported non-empty")
-	}
-}
-
-// Property: RowEmpty agrees with a naive scan for random bit patterns and
-// random ranges, including ranges spanning multiple words.
-func TestRowEmptyProperty(t *testing.T) {
+// Property: NextSet agrees with a naive scan for random bit patterns and
+// random ranges, including empty ranges and ranges spanning several
+// words.
+func TestNextSetProperty(t *testing.T) {
 	tr := New(40) // 780 pairs, ~13 words
 	setIdx := map[int]bool{}
 	// set a scattering of pairs
@@ -111,18 +88,21 @@ func TestRowEmptyProperty(t *testing.T) {
 	}
 	f := func(a, b uint16) bool {
 		from := int(a) % tr.Pairs()
-		n := int(b) % (tr.Pairs() - from)
-		naive := true
-		for k := from; k < from+n; k++ {
+		to := from + int(b)%(tr.Pairs()-from+1)
+		naive := -1
+		for k := from; k < to; k++ {
 			if setIdx[k] {
-				naive = false
+				naive = k
 				break
 			}
 		}
-		return tr.RowEmpty(from, n) == naive
+		return tr.NextSet(from, to) == naive
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)
+	}
+	if got := New(100).NextSet(0, 4950); got != -1 {
+		t.Errorf("fresh triangle: NextSet = %d, want -1", got)
 	}
 }
 
