@@ -16,7 +16,6 @@ import (
 	"math"
 
 	"repro/internal/scoring"
-	"repro/internal/triangle"
 )
 
 // negInf is the kernel's -infinity. It is far enough from MinInt32 that
@@ -59,14 +58,6 @@ func (a *Alignment) End() Pair { return a.Pairs[len(a.Pairs)-1] }
 
 // Start returns the first matched pair.
 func (a *Alignment) Start() Pair { return a.Pairs[0] }
-
-// maskBase returns the raw triangle index of global pair (y, r+1): the
-// mask base of row y of a matrix whose first column is global position
-// r+1 (split r, or a window with X0 = r+1). Column x adds x-1 to this
-// base (the triangle's row-major layout makes columns contiguous).
-func maskBase(tri *triangle.Triangle, r, y int) int {
-	return tri.RowOffset(y) + r - y
-}
 
 // MaxRowScore returns the maximum of a bottom row.
 func MaxRowScore(row []int32) int32 {

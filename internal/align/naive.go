@@ -34,12 +34,8 @@ func NaiveMatrix(p Params, s1, s2 []byte, tri *triangle.Triangle, r int) [][]int
 	open, ext := p.Gap.Open, p.Gap.Ext
 	for y := 1; y <= len1; y++ {
 		row := p.Exch.Row(s1[y-1])
-		base := 0
-		if tri != nil {
-			base = maskBase(tri, r, y)
-		}
 		for x := 1; x <= len2; x++ {
-			if tri != nil && tri.GetAt(base+x-1) {
+			if tri != nil && tri.Get(y, r+x) {
 				m[y][x] = 0
 				continue
 			}

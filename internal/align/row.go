@@ -82,15 +82,15 @@ func growI16(buf *[]int16, n int) []int16 {
 }
 
 // zeroMasked forces the overridden cells of a computed row to zero (the
-// paper's "overriding zeros"): cells holds columns 1..len(cells), whose
-// pairs are triangle indices base, base+1, ... A cell feeds nothing in
+// paper's "overriding zeros"): cells holds the cells of global pairs
+// (i, j0), (i, j0+1), ... of triangle row i. A cell feeds nothing in
 // its own row — the diagonal and both gap chains read the row above — so
 // every row kernel, Go or vector, computes the row unmasked and this
 // pass afterwards is the whole of masking.
-func zeroMasked[T int16 | int32](cells []T, tri *triangle.Triangle, base int) {
-	end := base + len(cells)
-	for idx := tri.NextSet(base, end); idx >= 0; idx = tri.NextSet(idx+1, end) {
-		cells[idx-base] = 0
+func zeroMasked[T int16 | int32](cells []T, tri *triangle.Triangle, i, j0 int) {
+	end := j0 + len(cells)
+	for j := tri.NextSet(i, j0, end); j >= 0; j = tri.NextSet(i, j+1, end) {
+		cells[j-j0] = 0
 	}
 }
 
@@ -121,10 +121,9 @@ func (sc *Scratch) rows16(p Params, s1, h []byte, x0, n int, tri *triangle.Trian
 		}
 		rowScan16(&prev[0], &cur[2], &maxY[0], &ex[0], out32, nb, open, ext)
 		if tri != nil {
-			base := maskBase(tri, dx, dy+y)
-			zeroMasked(cur[2:2+n], tri, base)
+			zeroMasked(cur[2:2+n], tri, dy+y, dx+1)
 			if flat != nil {
-				zeroMasked(flat[y*stride+2:y*stride+2+n], tri, base)
+				zeroMasked(flat[y*stride+2:y*stride+2+n], tri, dy+y, dx+1)
 			}
 		}
 		prev, cur = cur, prev
@@ -161,7 +160,7 @@ func (sc *Scratch) rows8(p Params, s1, h []byte, x0, n int, tri *triangle.Triang
 		}
 		rowScan8(&prev[0], &cur[2], &maxY[0], &ex[0], nb, open, ext)
 		if tri != nil {
-			zeroMasked(cur[2:2+n], tri, maskBase(tri, dx, dy+y))
+			zeroMasked(cur[2:2+n], tri, dy+y, dx+1)
 		}
 		if flat == nil {
 			prev, cur = cur, prev

@@ -30,7 +30,7 @@ func randomRow(rng *rand.Rand, n int, kind int) []int32 {
 
 // refRow is the row harness's oracle, sharing no code with any row
 // kernel: Equation 1 cell by cell — the horizontal gap candidates by an
-// explicit scan over the row above, the override bit by a GetAt probe of
+// explicit scan over the row above, the override bit by a Get probe of
 // triangle row 1 — for columns 1..len(s2), plus the column gap maxima
 // the row must leave behind. tri == nil disables masking.
 func refRow(prev, gapMax []int32, exch []int16, s2 []byte, open, ext int32, tri *triangle.Triangle) (cur, maxY []int32) {
@@ -40,7 +40,7 @@ func refRow(prev, gapMax []int32, exch []int16, s2 []byte, open, ext int32, tri 
 		for k := 1; x-1-k >= 0; k++ {
 			best = max(best, prev[x-1-k]-open-int32(k)*ext)
 		}
-		if tri == nil || !tri.GetAt(x-1) {
+		if tri == nil || !tri.Get(1, 1+x) {
 			cur[x] = max(0, best+int32(exch[s2[x-1]]))
 		}
 		maxY[x] = max(prev[x-1]-open, gapMax[x-1]) - ext
@@ -74,7 +74,7 @@ func TestRowKernelsMatchGoRow(t *testing.T) {
 			for i, c := range s2 {
 				ex[i] = exch[c]
 			}
-			tri := triangle.New(n + 2) // row 1 of the triangle: pairs (1, 2..n+2), base 0
+			tri := triangle.New(n + 2) // row 1 of the triangle: column x is the pair (1, 1+x)
 			for _, c := range maskColumns(n) {
 				tri.Set(1, 1+c)
 			}
@@ -100,7 +100,7 @@ func TestRowKernelsMatchGoRow(t *testing.T) {
 					copy(goMaxY[1:], gapMax)
 					gotohRow(prev, goCur, goMaxY, exch, s2, open, ext, negInf)
 					if masked {
-						zeroMasked(goCur[1:], tri, 0)
+						zeroMasked(goCur[1:], tri, 1, 2)
 					}
 					if !equalI32(goCur[1:], cur[1:]) || !equalI32(goMaxY[1:], maxY[1:]) {
 						t.Fatalf("%s: gotohRow: cur %v maxY %v, reference %v and %v", where, goCur[1:], goMaxY[1:], cur[1:], maxY[1:])
@@ -115,7 +115,7 @@ func TestRowKernelsMatchGoRow(t *testing.T) {
 						}
 						rowScan16(&p16[0], &c16[2], &m16[0], &ex[0], nil, nb, int16(open), int16(ext))
 						if masked {
-							zeroMasked(c16[2:2+n], tri, 0)
+							zeroMasked(c16[2:2+n], tri, 1, 2)
 						}
 						for i := 0; i < n; i++ {
 							if int32(c16[2+i]) != cur[1+i] || int32(m16[i]) != maxY[1+i] {
@@ -131,7 +131,7 @@ func TestRowKernelsMatchGoRow(t *testing.T) {
 						copy(m32, gapMax)
 						rowScan8(&p32[0], &c32[2], &m32[0], &ex[0], nb, open, ext)
 						if masked {
-							zeroMasked(c32[2:2+n], tri, 0)
+							zeroMasked(c32[2:2+n], tri, 1, 2)
 						}
 						for i := 0; i < n; i++ {
 							if c32[2+i] != cur[1+i] || m32[i] != maxY[1+i] {

@@ -63,7 +63,7 @@ func (sc *Scratch) score(p Params, s1, h []byte, x0, x1 int, tri *triangle.Trian
 		cur[0] = 0
 		gotohRow(prev, cur, maxY, p.Exch.Row(s1[y-1]), s2, open, ext, negInf)
 		if tri != nil {
-			zeroMasked(cur[1:], tri, maskBase(tri, dx, dy+y))
+			zeroMasked(cur[1:], tri, dy+y, dx+1)
 		}
 		prev, cur = cur, prev
 	}

@@ -72,7 +72,7 @@ func (sc *Scratch) ScoreStriped(p Params, s1, s2 []byte, tri *triangle.Triangle,
 			prev[0] = edgeM[y-1] // M[y-1][x0-1], the diagonal of the stripe's first cell
 			edgeMaxX[y] = gotohRow(prev, cur, maxY, p.Exch.Row(s1[y-1]), s2[x0-1:x1], open, ext, edgeMaxX[y])
 			if tri != nil {
-				zeroMasked(cur[1:w+1], tri, maskBase(tri, r, y)+x0-1)
+				zeroMasked(cur[1:w+1], tri, y, r+x0)
 			}
 			edgeM[y-1] = prev[w] // the stripe's right edge, for the next stripe
 			prev, cur = cur, prev

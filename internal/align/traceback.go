@@ -70,7 +70,7 @@ func (sc *Scratch) matrix(p Params, s1, h []byte, x0, x1 int, tri *triangle.Tria
 	for y := 1; y <= len1; y++ {
 		gotohRow(m[y-1], m[y], maxY, p.Exch.Row(s1[y-1]), s2, open, ext, negInf)
 		if tri != nil {
-			zeroMasked(m[y][1:], tri, maskBase(tri, dx, dy+y))
+			zeroMasked(m[y][1:], tri, dy+y, dx+1)
 		}
 	}
 	return m
@@ -113,7 +113,7 @@ func (sc *Scratch) traceback(p Params, m [][]int32, s1, s2 []byte, tri *triangle
 	for {
 		v := m[y][x]
 		rev = append(rev, Pair{Y: y, X: x})
-		if tri != nil && tri.GetAt(maskBase(tri, dx, dy+y)+x-1) {
+		if tri != nil && tri.Get(dy+y, dx+x) {
 			return Alignment{}, fmt.Errorf("align: traceback crossed overridden pair (%d,%d)", dy+y, dx+x)
 		}
 		best := v - p.Exch.Score(s1[y-1], s2[x-1])

@@ -62,24 +62,25 @@ func zeroBorder[T int16 | int32](row []T, lanes, n int) {
 	}
 }
 
-// maskHit returns the triangle index of column 1 of row y of the group
-// at r0 (column c is the pair (y, r0+c), index base+c-1) and the first
-// overridden index among its n columns, -1 when the row is clean or tri
-// is nil.
-func maskHit(tri *triangle.Triangle, y, r0, n int) (base, hit int) {
+// maskHit returns the first overridden global column of row y among the
+// n columns of the group at r0 — column c is the pair (y, r0+c) — or -1
+// when the row is clean or tri is nil. For lanes k > 0 the rows y > r0
+// begin left of the diagonal (r0+c <= y), where the triangle holds
+// nothing and the cells are border or past the lane's bottom row anyway.
+func maskHit(tri *triangle.Triangle, y, r0, n int) int {
 	if tri == nil {
-		return 0, -1
+		return -1
 	}
-	base = tri.RowOffset(y) + r0 - y
-	return base, tri.NextSet(base, base+n)
+	return tri.NextSet(y, r0+1, r0+n+1)
 }
 
 // zeroMasked clears the lane block of every overridden column of a
-// computed row, from the first hit maskHit found: an overridden pair is
-// the same cell of every lane's matrix.
-func zeroMasked[T int16 | int32](row []T, lanes int, tri *triangle.Triangle, base, hit, n int) {
-	for ; hit >= 0; hit = tri.NextSet(hit+1, base+n) {
-		c := hit - base + 1
+// computed row, from the first hit maskHit found (the group's columns run
+// to the sequence end, so the rest of triangle row y is its range): an
+// overridden pair is the same cell of every lane's matrix.
+func zeroMasked[T int16 | int32](row []T, lanes int, tri *triangle.Triangle, y, r0, hit int) {
+	for j := hit; j >= 0; j = tri.NextSet(y, j+1, tri.M()+1) {
+		c := j - r0
 		clear(row[lanes*c : lanes*(c+1)])
 	}
 }
@@ -142,8 +143,7 @@ func (sc *Scratch) avx8(p align.Params, s []byte, r0 int, tri *triangle.Triangle
 		}
 		rowAVX8(&prev[0], &cur[8], &maxY[8], &ex[1], n, open, ext, &mx[0])
 		zeroBorder(cur, 8, n)
-		base, hit := maskHit(tri, y, r0, n)
-		zeroMasked(cur, 8, tri, base, hit, n)
+		zeroMasked(cur, 8, tri, y, r0, maskHit(tri, y, r0, n))
 		if k := y - r0; k >= 0 && k < 8 && k < len(bots) && bots[k] != nil {
 			bottom := bots[k]
 			for c := k + 1; c <= n; c++ {
@@ -202,7 +202,7 @@ func (sc *Scratch) avx16(p align.Params, s []byte, r0 int, tri *triangle.Triangl
 	y := 1
 	for y <= yMax {
 		ex := prof.Row(s[y-1])[r0-1:]
-		base, hit := maskHit(tri, y, r0, n)
+		hit := maskHit(tri, y, r0, n)
 		// Pair rows whenever neither row is masked or captured (capture
 		// rows are r0..r0+15, so everything below r0 qualifies; the pair
 		// kernel feeds row y's cells to row y+1 from registers, so a row
@@ -211,7 +211,7 @@ func (sc *Scratch) avx16(p align.Params, s []byte, r0 int, tri *triangle.Triangl
 		// border can be repaired before it feeds forward, then the pair
 		// kernel sweeps both rows over the remaining columns.
 		if y+1 <= yMax && y+1 < r0 && n >= 17 && hit < 0 {
-			if _, hit1 := maskHit(tri, y+1, r0, n); hit1 < 0 {
+			if maskHit(tri, y+1, r0, n) < 0 {
 				ex1 := prof.Row(s[y])[r0-1:]
 				for i := range mx {
 					mx[i] = negInf16
@@ -261,7 +261,7 @@ func (sc *Scratch) avx16(p align.Params, s []byte, r0 int, tri *triangle.Triangl
 			return true
 		}
 		zeroBorder(cur, 16, n)
-		zeroMasked(cur, 16, tri, base, hit, n)
+		zeroMasked(cur, 16, tri, y, r0, hit)
 		if k := y - r0; k >= 0 && k < 16 && k < len(bots) && bots[k] != nil {
 			bottom := bots[k]
 			for c := k + 1; c <= n; c++ {

@@ -269,31 +269,33 @@ func TestScoreGroupErrors(t *testing.T) {
 	}
 }
 
+// TestTriangleNextSetSegments walks rows the way the group drivers'
+// mask pass does: hit by hit through one row's column range, never into another row.
 func TestTriangleNextSetSegments(t *testing.T) {
 	tri := triangle.New(40)
 	tri.Set(3, 10)
 	tri.Set(3, 30)
 	tri.Set(5, 6)
-	a := tri.Index(3, 10)
-	b := tri.Index(3, 30)
-	c := tri.Index(5, 6)
-	if got := tri.NextSet(0, tri.Pairs()); got != a {
-		t.Errorf("first set: got %d want %d", got, a)
-	}
-	if got := tri.NextSet(a+1, tri.Pairs()); got != b {
-		t.Errorf("after first: got %d want %d", got, b)
-	}
-	if got := tri.NextSet(a+1, b); got != -1 {
-		t.Errorf("exclusive end: got %d want -1", got)
-	}
-	if got := tri.NextSet(b+1, tri.Pairs()); got != c {
-		t.Errorf("third: got %d want %d", got, c)
-	}
-	if got := tri.NextSet(c+1, tri.Pairs()); got != -1 {
-		t.Errorf("past last: got %d want -1", got)
-	}
-	if got := tri.NextSet(-5, a+1); got != a {
-		t.Errorf("clamped from: got %d want %d", got, a)
+	for _, c := range []struct {
+		name        string
+		i, from, to int
+		want        int
+	}{
+		{"first set", 3, 4, 41, 10},
+		{"after first", 3, 11, 41, 30},
+		{"exclusive end", 3, 11, 30, -1},
+		{"past last", 3, 31, 41, -1},
+		{"row 3's pairs are not row 4's", 4, 5, 41, -1},
+		{"third", 5, 6, 41, 6},
+		// the group kernels' question: lane 2 of the group at r0 = 3 is row
+		// 5, asked from column r0+1 = 4
+		{"from left of the diagonal", 5, 4, 41, 6},
+		{"from below zero", 3, -5, 11, 10},
+		{"empty range", 3, 10, 10, -1},
+	} {
+		if got := tri.NextSet(c.i, c.from, c.to); got != c.want {
+			t.Errorf("%s: NextSet(%d, %d, %d) = %d, want %d", c.name, c.i, c.from, c.to, got, c.want)
+		}
 	}
 }
 

@@ -1,6 +1,8 @@
 package parallel
 
 import (
+	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/align"
@@ -9,6 +11,7 @@ import (
 	"repro/internal/seq"
 	"repro/internal/stats"
 	"repro/internal/topalign"
+	"repro/internal/triangle"
 )
 
 var proteinParams = align.Params{Exch: scoring.BLOSUM62, Gap: scoring.DefaultProteinGap}
@@ -261,5 +264,80 @@ func assertSameTops(t *testing.T, got, want []topalign.TopAlignment) {
 				t.Fatalf("top %d pair %d = %v, want %v", i+1, j, got[i].Pairs[j], want[i].Pairs[j])
 			}
 		}
+	}
+}
+
+// TestSpeculativeSnapshotsStayFrozen is triangle's snapshot isolation
+// seen through the scheduler: speculative workers realign against the
+// published clone while accept sets the next alignment's pairs in the
+// live triangle, whose row lists the clone shares. A bystander keeps
+// every snapshot the scheduler publishes and re-reads them all for the
+// whole run: none may ever answer differently. Under -race (CI runs this
+// package so) a Set that wrote into a shared list is a reported race.
+func TestSpeculativeSnapshotsStayFrozen(t *testing.T) {
+	// a tandem array: the tops pass through the same rows again and again
+	q := seq.Tandem(seq.TandemSpec{UnitLen: 24, Copies: 9, FlankLen: 15, Seed: 5,
+		Profile: seq.MutationProfile{SubstRate: 0.1}})
+	cfg := topalign.Config{Params: proteinParams, NumTops: 12, GroupLanes: 1}
+	e, err := topalign.NewEngine(q.Codes, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := &sched{e: e, queue: topalign.InitialQueue(e), spec: true}
+	st.snap.Store(&snapState{tri: e.TriangleSnapshot()})
+	st.cond = sync.NewCond(&st.mu)
+
+	walk := func(tri *triangle.Triangle) (pairs []int) {
+		m := tri.M()
+		for i := 1; i < m; i++ {
+			for j := tri.NextSet(i, 0, m+1); j >= 0; j = tri.NextSet(i, j+1, m+1) {
+				pairs = append(pairs, i*(m+1)+j)
+			}
+		}
+		return pairs
+	}
+	type held struct {
+		tri   *triangle.Triangle
+		pairs []int
+	}
+	seen := []held{{st.snap.Load().tri, nil}} // the empty triangle the run starts from
+	stop, checked := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(checked)
+		for last := false; !last; {
+			select {
+			case <-stop:
+				last = true // one more round: the final snapshot is published by now
+			default:
+			}
+			if tri := st.snap.Load().tri; tri != seen[len(seen)-1].tri {
+				seen = append(seen, held{tri, walk(tri)})
+			}
+			for k, h := range seen {
+				if got := walk(h.tri); !slices.Equal(got, h.pairs) {
+					t.Errorf("snapshot %d changed after it was published: %d pairs, was %d", k, len(got), len(h.pairs))
+					return
+				}
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			st.worker(topalign.NewScratch())
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	<-checked
+	if st.err != nil {
+		t.Fatal(st.err)
+	}
+	final := seen[len(seen)-1]
+	if len(seen) < 2 || !final.tri.Equal(e.Triangle()) || len(final.pairs) != e.Triangle().Count() {
+		t.Errorf("held %d snapshots, the last with %d pairs; the run ended with %d tops and %d pairs",
+			len(seen), len(final.pairs), e.NumTopsFound(), e.Triangle().Count())
 	}
 }

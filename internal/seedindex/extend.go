@@ -39,21 +39,7 @@ func Find(s []byte, cfg Config, top topalign.Config) (*topalign.Result, *Stats, 
 	if err != nil {
 		return nil, nil, err
 	}
-	minScore := e.Config().MinScore
-	tasks := make([]*topalign.Task, 0, len(cands))
-	for _, c := range cands {
-		if c.Bound < minScore {
-			st.PrunedBound++
-			continue
-		}
-		st.WindowCells += c.Rect.Cells()
-		tasks = append(tasks, &topalign.Task{
-			R:           c.Rect.Y1,
-			Score:       c.Bound,
-			AlignedWith: -1,
-			Win:         &topalign.Window{Rect: c.Rect, Bound: c.Bound},
-		})
-	}
+	tasks := windowTasks(cands, e.Config().MinScore, st)
 
 	sp = top.Spans.Start(top.SpanParent, "prefilter.extend")
 	sp.SetRank(top.SpanRank)
@@ -67,6 +53,28 @@ func Find(s []byte, cfg Config, top topalign.Config) (*topalign.Result, *Stats, 
 		Tops:   e.Tops(),
 		Stats:  e.Config().Counters.Snapshot(),
 	}, st, nil
+}
+
+// windowTasks builds the windowed task of every candidate whose bound
+// reaches minScore, queued at that bound, and counts the rest as pruned.
+// Tasks and windows are carved from two slabs: one allocation each, not
+// two per candidate.
+func windowTasks(cands []Candidate, minScore int32, st *Stats) []*topalign.Task {
+	tasks := make([]*topalign.Task, 0, len(cands))
+	taskSlab := make([]topalign.Task, len(cands))
+	winSlab := make([]topalign.Window, len(cands))
+	for _, c := range cands {
+		if c.Bound < minScore {
+			st.PrunedBound++
+			continue
+		}
+		st.WindowCells += c.Rect.Cells()
+		t, w := &taskSlab[len(tasks)], &winSlab[len(tasks)]
+		*w = topalign.Window{Rect: c.Rect, Bound: c.Bound}
+		*t = topalign.Task{R: c.Rect.Y1, Score: c.Bound, AlignedWith: -1, Win: w}
+		tasks = append(tasks, t)
+	}
+	return tasks
 }
 
 // Scan runs only the index and chain stages and reports what the filter

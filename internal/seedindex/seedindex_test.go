@@ -4,7 +4,10 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/align"
+	"repro/internal/scoring"
 	"repro/internal/seq"
+	"repro/internal/topalign"
 )
 
 func testConfig() Config {
@@ -196,4 +199,51 @@ func TestSegmentsMergeOnDiagonal(t *testing.T) {
 	if !found {
 		t.Fatal("no cluster on the tandem diagonal")
 	}
+}
+
+// TestExtendAllocatesPerRunNotPerWindow pins the slabs of the extend
+// stage: preparing a 2 500-residue balanced run — the engine, one task
+// and one window per candidate — and taking every window through its
+// first alignment, where its original row is recorded, allocates less
+// than once per window (a task, a window and a row copy each made it
+// three). Accepting is left out: it allocates per path pair, by design
+// (triangle.Set publishes a fresh column list).
+func TestExtendAllocatesPerRunNotPerWindow(t *testing.T) {
+	m := scoring.BLOSUM62
+	s := seq.SyntheticTitin(2500, 1).Codes
+	cfg, err := PresetConfig(PresetBalanced, seq.PrimaryLetters(m.Alphabet()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, err := BuildIndex(s, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cands := Candidates(Chain(x, cfg), cfg, len(s), m.MaxScore())
+	top := topalign.Config{Params: align.Params{Exch: m, Gap: scoring.DefaultProteinGap}, NumTops: 5}
+	sc := topalign.NewScratch()
+	windows := 0
+	allocs := testing.AllocsPerRun(5, func() {
+		e, err := topalign.NewEngine(s, top)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tasks := windowTasks(cands, e.Config().MinScore, &Stats{})
+		for _, task := range tasks {
+			if _, err := e.Realign(task, e.Triangle(), 0, sc); err != nil {
+				t.Fatal(err)
+			}
+			if !task.Win.Aligned() {
+				t.Fatal("first alignment recorded no original row")
+			}
+		}
+		windows = len(tasks)
+	})
+	if windows < 100 {
+		t.Fatalf("only %d windows: the input no longer exercises the stage", windows)
+	}
+	if allocs >= float64(windows) {
+		t.Errorf("%.0f allocations for %d windows, want fewer than one per window", allocs, windows)
+	}
+	t.Logf("%.0f allocations, %d windows", allocs, windows)
 }

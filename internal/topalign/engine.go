@@ -80,8 +80,9 @@ func (e *Engine) Tops() []TopAlignment { return e.tops }
 // Accept; concurrent readers must use TriangleSnapshot instead.
 func (e *Engine) Triangle() *triangle.Triangle { return e.tri }
 
-// TriangleSnapshot returns an immutable copy of the current triangle for
-// concurrent realignment.
+// TriangleSnapshot returns an immutable snapshot of the current triangle
+// for concurrent realignment: O(m) row headers, the column lists shared
+// copy-on-write with the live triangle.
 func (e *Engine) TriangleSnapshot() *triangle.Triangle { return e.tri.Clone() }
 
 // OrigRows exposes the original-bottom-row store (the distributed master
@@ -203,9 +204,10 @@ func (e *Engine) alignRect(w align.Rect, win *Window, tri *triangle.Triangle, sc
 	row := sc.A.ScoreWindow(e.cfg.Params, e.s, w, tri)
 	work := Work{First: orig == nil, Tier: sc.A.Tier(), Nanos: int64(time.Since(t0))}
 	if orig == nil {
-		// row is scratch-owned: both stores keep a copy
+		// row is scratch-owned: the store keeps a copy either way, a
+		// window's in its slabs only (16 k windows, not 16 k allocations)
 		if win != nil {
-			win.orig = append([]int32(nil), row...)
+			win.orig = e.orig.Keep(row)
 		} else {
 			e.orig.Put(w.Y1, row)
 		}

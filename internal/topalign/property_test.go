@@ -170,7 +170,7 @@ func TestEngineAccessors(t *testing.T) {
 	if e.Config().MinScore != 1 {
 		t.Errorf("default MinScore = %d", e.Config().MinScore)
 	}
-	if e.OrigRows().Len() != 0 {
+	if _, ok := e.OrigRows().Get(1); ok {
 		t.Error("fresh engine has stored rows")
 	}
 }

@@ -20,8 +20,8 @@ type Window struct {
 	Bound int32
 
 	// orig is the window's original (unmasked) bottom row, recorded on
-	// first alignment and used for shadow rejection on realignments —
-	// the windowed analogue of the engine's RowStore.
+	// first alignment and used for shadow rejection on realignments. The
+	// memory is the engine's (RowStore.Keep), the slice this window's.
 	orig []int32
 }
 

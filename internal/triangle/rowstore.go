@@ -5,28 +5,56 @@ import (
 	"sync"
 )
 
-// RowStore holds the bottom row of each split's first alignment (computed
+// RowStore holds the bottom row of each task's first alignment (computed
 // with an empty override triangle). These original rows are the reference
 // for shadow-alignment rejection: on realignment, a bottom-row cell is a
 // valid alignment ending only if its value equals the stored original.
 //
-// Storing all rows needs m(m-1)/2 entries in total (the paper's largest
-// data structure, ~1.2 GB for full-length titin as shorts). Rows are
-// allocated lazily as splits are first aligned. RowStore is safe for
+// Storing every split's row needs m(m-1)/2 int32 entries in total (the
+// paper's largest data structure: 2.4 GB for full-length titin, half
+// that as the paper's shorts), so nothing is sized up front: rows are
+// copied in as tasks are first aligned, into chunked slabs the store
+// owns — a row is written once and lives as long as the store, so there
+// is no free list — and the m-entry table of split rows appears with the
+// first Put (a windowed run only ever Keeps). RowStore is safe for
 // concurrent use; in the distributed runner the master owns the full
 // store and slaves keep a RowStore as an on-demand cache.
 type RowStore struct {
 	mu   sync.RWMutex
 	m    int
 	rows [][]int32 // indexed by split r (1..m-1); rows[r] has m-r entries
+	slab []int32   // the current chunk; its spare capacity is what Keep carves
 }
+
+// slabChunk is the slab granule in entries (256 KB), less for a sequence
+// whose split rows all fit in less. A row longer than a chunk gets a
+// slab of its own.
+const slabChunk = 1 << 16
 
 // NewRowStore returns an empty store for sequence length m.
 func NewRowStore(m int) *RowStore {
 	if m < 2 {
 		panic(fmt.Sprintf("triangle: sequence length %d too short", m))
 	}
-	return &RowStore{m: m, rows: make([][]int32, m)}
+	return &RowStore{m: m}
+}
+
+// Keep copies row into the store's slabs and returns the copy, which
+// must not be modified. It is how a window's original row is recorded:
+// the window holds the returned slice, the store only its memory.
+func (s *RowStore) Keep(row []int32) []int32 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.keep(row)
+}
+
+func (s *RowStore) keep(row []int32) []int32 {
+	if len(row) > cap(s.slab)-len(s.slab) {
+		s.slab = make([]int32, 0, max(min(slabChunk, s.m*(s.m-1)/2), len(row)))
+	}
+	at := len(s.slab)
+	s.slab = append(s.slab, row...)
+	return s.slab[at:len(s.slab):len(s.slab)]
 }
 
 // Put stores the original bottom row for split r, copying the input.
@@ -42,46 +70,22 @@ func (s *RowStore) Put(r int, row []int32) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.rows[r] != nil {
-		return
+	if s.rows == nil {
+		s.rows = make([][]int32, s.m)
 	}
-	cp := make([]int32, len(row))
-	copy(cp, row)
-	s.rows[r] = cp
+	if s.rows[r] == nil {
+		s.rows[r] = s.keep(row)
+	}
 }
 
 // Get returns the stored row for split r, or (nil, false) if the split
 // has not been aligned yet. The returned slice must not be modified.
 func (s *RowStore) Get(r int) ([]int32, bool) {
-	if r < 1 || r >= s.m {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if r < 1 || r >= len(s.rows) {
 		return nil, false
 	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	row := s.rows[r]
 	return row, row != nil
-}
-
-// Len returns the number of splits with a stored row.
-func (s *RowStore) Len() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	n := 0
-	for _, row := range s.rows {
-		if row != nil {
-			n++
-		}
-	}
-	return n
-}
-
-// Bytes returns the approximate memory footprint of the stored rows.
-func (s *RowStore) Bytes() int64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	var b int64
-	for _, row := range s.rows {
-		b += int64(len(row)) * 4
-	}
-	return b
 }

@@ -1,28 +1,45 @@
 package triangle
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
 
-func TestIndexLayout(t *testing.T) {
+// TestRowLayout pins what the kernels and the memory formula rely on:
+// a row's marked columns are kept ascending whatever order they were set
+// in, a clean row costs nothing beyond its header, and walking every row
+// with NextSet enumerates each marked pair exactly once, row-major.
+func TestRowLayout(t *testing.T) {
 	m := 7
 	tr := New(m)
-	// Row-major by i: (1,2),(1,3)...(1,7),(2,3)...(2,7),(3,4)...
-	want := 0
-	for i := 1; i < m; i++ {
-		if off := tr.RowOffset(i); off != want {
-			t.Fatalf("RowOffset(%d) = %d, want %d", i, off, want)
+	set := [][2]int{{2, 7}, {2, 3}, {5, 6}, {2, 5}, {1, 7}, {2, 5}}
+	for _, p := range set {
+		tr.Set(p[0], p[1])
+	}
+	if len(tr.rows) != m+1 {
+		t.Fatalf("%d row headers, want m+1 = %d", len(tr.rows), m+1)
+	}
+	want := [][2]int{{1, 7}, {2, 3}, {2, 5}, {2, 7}, {5, 6}}
+	var got [][2]int
+	for i := 0; i <= m; i++ {
+		if !slices.IsSorted(tr.rows[i]) {
+			t.Errorf("row %d not ascending: %v", i, tr.rows[i])
 		}
-		for j := i + 1; j <= m; j++ {
-			if idx := tr.Index(i, j); idx != want {
-				t.Fatalf("Index(%d,%d) = %d, want %d", i, j, idx, want)
-			}
-			want++
+		for j := tr.NextSet(i, 0, m+1); j >= 0; j = tr.NextSet(i, j+1, m+1) {
+			got = append(got, [2]int{i, j})
 		}
 	}
-	if want != tr.Pairs() {
-		t.Fatalf("enumerated %d pairs, Pairs() = %d", want, tr.Pairs())
+	if !slices.Equal(got, want) {
+		t.Errorf("enumerated %v, want %v", got, want)
+	}
+	if tr.Count() != len(want) {
+		t.Errorf("Count = %d, want %d", tr.Count(), len(want))
+	}
+	for _, i := range []int{0, 3, 4, 6, 7} {
+		if tr.rows[i] != nil {
+			t.Errorf("clean row %d holds a list", i)
+		}
 	}
 }
 
@@ -46,21 +63,30 @@ func TestSetGet(t *testing.T) {
 	}
 }
 
-func TestIndexPanicsOnBadPair(t *testing.T) {
+func TestBadPairPanics(t *testing.T) {
 	tr := New(5)
 	for _, p := range [][2]int{{0, 1}, {2, 2}, {3, 2}, {1, 6}} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("Index(%d,%d) did not panic", p[0], p[1])
-				}
+		for name, f := range map[string]func(){
+			"Set": func() { tr.Set(p[0], p[1]) },
+			"Get": func() { tr.Get(p[0], p[1]) },
+		} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s(%d,%d) did not panic", name, p[0], p[1])
+					}
+				}()
+				f()
 			}()
-			tr.Index(p[0], p[1])
-		}()
+		}
+	}
+	if tr.Count() != 0 {
+		t.Errorf("rejected pairs were counted: Count = %d", tr.Count())
 	}
 }
 
-func TestGetAtMatchesGet(t *testing.T) {
+// A pair is marked exactly when it is its own row's next set column.
+func TestGetMatchesNextSet(t *testing.T) {
 	tr := New(50)
 	tr.Set(10, 20)
 	tr.Set(10, 21)
@@ -68,40 +94,44 @@ func TestGetAtMatchesGet(t *testing.T) {
 	f := func(a, b uint8) bool {
 		i := 1 + int(a)%49
 		j := i + 1 + int(b)%(50-i)
-		return tr.GetAt(tr.Index(i, j)) == tr.Get(i, j)
+		return tr.Get(i, j) == (tr.NextSet(i, j, j+1) == j)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
+	if !tr.Get(10, 21) || tr.Get(10, 22) || tr.Get(11, 20) {
+		t.Error("Get disagrees with what was set")
+	}
 }
 
-// Property: NextSet agrees with a naive scan for random bit patterns and
-// random ranges, including empty ranges and ranges spanning several
-// words.
+// Property: NextSet agrees with a naive scan over the set pairs for
+// random rows and random column ranges, including empty ranges, ranges
+// that start at or left of the diagonal and ranges past column m.
 func TestNextSetProperty(t *testing.T) {
-	tr := New(40) // 780 pairs, ~13 words
-	setIdx := map[int]bool{}
-	// set a scattering of pairs
-	for _, p := range [][2]int{{1, 2}, {3, 30}, {10, 11}, {20, 40}, {39, 40}, {5, 25}} {
+	const m = 40
+	tr := New(m)
+	set := map[[2]int]bool{}
+	for _, p := range [][2]int{{1, 2}, {3, 30}, {3, 4}, {3, 40}, {10, 11}, {20, 40}, {39, 40}, {5, 25}} {
 		tr.Set(p[0], p[1])
-		setIdx[tr.Index(p[0], p[1])] = true
+		set[p] = true
 	}
-	f := func(a, b uint16) bool {
-		from := int(a) % tr.Pairs()
-		to := from + int(b)%(tr.Pairs()-from+1)
+	f := func(a uint8, b, c int8) bool {
+		i := int(a) % (m + 1)
+		from := int(b) % (m + 4) // negative, left of the diagonal, past m
+		to := from + int(c)%(m+4)
 		naive := -1
-		for k := from; k < to; k++ {
-			if setIdx[k] {
-				naive = k
+		for j := max(from, 0); j < to; j++ {
+			if set[[2]int{i, j}] {
+				naive = j
 				break
 			}
 		}
-		return tr.NextSet(from, to) == naive
+		return tr.NextSet(i, from, to) == naive
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 5000}); err != nil {
 		t.Error(err)
 	}
-	if got := New(100).NextSet(0, 4950); got != -1 {
+	if got := New(100).NextSet(1, 2, 101); got != -1 {
 		t.Errorf("fresh triangle: NextSet = %d, want -1", got)
 	}
 }
@@ -123,6 +153,21 @@ func TestCloneAndEqual(t *testing.T) {
 	}
 	if tr.Equal(New(21)) {
 		t.Error("triangles of different m reported equal")
+	}
+	// same count, same rows touched, different pairs
+	a, b := New(20), New(20)
+	a.Set(1, 5)
+	b.Set(1, 6)
+	if a.Equal(b) {
+		t.Error("triangles marking different pairs reported equal")
+	}
+	// the same pairs set in another order, through a clone
+	c := New(20)
+	c.Set(7, 19)
+	c = c.Clone()
+	c.Set(1, 5)
+	if !tr.Equal(c) || !c.Equal(tr) {
+		t.Error("triangles marking the same pairs reported unequal")
 	}
 }
 
@@ -147,14 +192,49 @@ func TestRowStore(t *testing.T) {
 	if got[2] != 3 {
 		t.Error("second Put overwrote the original row")
 	}
-	if s.Len() != 1 {
-		t.Errorf("Len = %d, want 1", s.Len())
-	}
-	if s.Bytes() != 28 {
-		t.Errorf("Bytes = %d, want 28", s.Bytes())
-	}
 	if _, ok := s.Get(0); ok {
 		t.Error("Get(0) returned a row")
+	}
+	if _, ok := s.Get(10); ok {
+		t.Error("Get(m) returned a row")
+	}
+}
+
+// Rows carved from one slab must not reach each other: a kept row has no
+// spare capacity to append into, and later rows leave earlier ones alone,
+// across a chunk boundary and for a row longer than a chunk.
+func TestRowStoreSlabs(t *testing.T) {
+	s := NewRowStore(1000)
+	if s.rows != nil {
+		t.Error("split-row table allocated before the first Put")
+	}
+	var kept [][]int32
+	sizes := []int{3, slabChunk - 10, 20, 2 * slabChunk, 1, 7}
+	for k, n := range sizes {
+		row := make([]int32, n)
+		for i := range row {
+			row[i] = int32(k + 1)
+		}
+		kept = append(kept, s.Keep(row))
+	}
+	if s.rows != nil {
+		t.Error("Keep allocated the split-row table")
+	}
+	for k, row := range kept {
+		if len(row) != sizes[k] || cap(row) != len(row) {
+			t.Errorf("row %d: len %d cap %d, want %d and no spare capacity", k, len(row), cap(row), sizes[k])
+		}
+		for i, v := range row {
+			if v != int32(k+1) {
+				t.Fatalf("row %d entry %d overwritten: %d", k, i, v)
+			}
+		}
+	}
+	// a tiny sequence does not pay for a whole chunk
+	small := NewRowStore(4)
+	small.Put(1, []int32{1, 2, 3})
+	if cap(small.slab) != 6 {
+		t.Errorf("m=4 slab holds %d entries, want m(m-1)/2 = 6", cap(small.slab))
 	}
 }
 
