@@ -1,9 +1,6 @@
 package repeats
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Consensus is a repeat family's per-column majority profile.
 type Consensus struct {
@@ -53,9 +50,8 @@ func DeriveConsensus(s []byte, fam Family) (Consensus, error) {
 		Codes:        make([]byte, unit),
 		Conservation: make([]float64, unit),
 	}
-	counts := make(map[byte]int)
 	for col := 0; col < unit; col++ {
-		clear(counts)
+		var counts [256]int
 		total := 0
 		for _, c := range fam.Copies {
 			pos := c.Start + col
@@ -66,26 +62,17 @@ func DeriveConsensus(s []byte, fam Family) (Consensus, error) {
 			total++
 		}
 		if total == 0 {
-			cons.Codes[col] = 0
 			continue
 		}
 		// deterministic majority: highest count, lowest code on ties
-		type cc struct {
-			code  byte
-			count int
-		}
-		ordered := make([]cc, 0, len(counts))
+		best := 0
 		for code, n := range counts {
-			ordered = append(ordered, cc{code, n})
-		}
-		sort.Slice(ordered, func(i, j int) bool {
-			if ordered[i].count != ordered[j].count {
-				return ordered[i].count > ordered[j].count
+			if n > counts[best] {
+				best = code
 			}
-			return ordered[i].code < ordered[j].code
-		})
-		cons.Codes[col] = ordered[0].code
-		cons.Conservation[col] = float64(ordered[0].count) / float64(total)
+		}
+		cons.Codes[col] = byte(best)
+		cons.Conservation[col] = float64(counts[best]) / float64(total)
 	}
 	return cons, nil
 }

@@ -3,7 +3,6 @@ package seedindex
 import (
 	"cmp"
 	"slices"
-	"sort"
 
 	"repro/internal/align"
 	"repro/internal/topalign"
@@ -13,18 +12,18 @@ import (
 // prefix positions [Start, End) match suffix positions [Start+D, End+D)
 // (0-based). Covered counts distinct covered residues, overlap-adjusted.
 type Segment struct {
-	D          int // diagonal j - i, >= 1
-	Start, End int // 0-based i-range, End exclusive
-	Covered    int
-	Seeds      int
+	D          int32 // diagonal j - i, >= 1
+	Start, End int32 // 0-based i-range, End exclusive
+	Covered    int32
+	Seeds      int32
 }
 
 // Cluster is a group of segments chained within one diagonal band.
 type Cluster struct {
-	IStart, IEnd int // 0-based i-range union, End exclusive
-	DMin, DMax   int
-	Covered      int
-	Seeds        int
+	IStart, IEnd int32 // 0-based i-range union, End exclusive
+	DMin, DMax   int32
+	Covered      int32
+	Seeds        int32
 }
 
 // ChainResult carries the chained clusters plus stage counts for stats.
@@ -43,163 +42,136 @@ type Candidate struct {
 	Seeds   int
 }
 
-// seedPair is a seed match between positions i and i+d, packed d high,
-// i low (both are non-negative int32s), so that pairs sort by diagonal
-// and then position as plain integers.
-type seedPair uint64
+// seedPairs enumerates the capped seed matches of the index — every
+// occurrence i with its next min(SuccPairs, remaining) same-seed
+// successors j, on diagonal d = j - i — and returns the i's grouped by
+// diagonal, ascending within each: diagonal d holds pairs[end[d-1]:end[d]].
+//
+// A pair (d, i) occurs once, positions are walked in i order, and d is a
+// small integer, so (d, i) order is one stable counting pass over d. The
+// walk runs twice, once to count each diagonal and once to place, instead
+// of buffering the pairs in between: it reads only the links.
+func seedPairs(x *Index, succPairs int) (pairs, end []int32) {
+	end = make([]int32, len(x.next)+1)
+	for i, j := range x.next {
+		for k := 0; j != 0 && k < succPairs; k++ {
+			end[int(j)-i+1]++
+			j = x.next[j]
+		}
+	}
+	total := int32(0)
+	for d, c := range end { // end[d] = the pairs on diagonals below d
+		total += c
+		end[d] = total
+	}
+	pairs = make([]int32, total)
+	for i, j := range x.next {
+		for k := 0; j != 0 && k < succPairs; k++ {
+			d := int(j) - i
+			pairs[end[d]] = int32(i)
+			end[d]++
+			j = x.next[j]
+		}
+	}
+	return pairs, end
+}
 
-func (p seedPair) d() int { return int(p >> 32) }
-func (p seedPair) i() int { return int(uint32(p)) }
+// mergeSegment merges the seeds of diagonal d at the front of is (their
+// ascending i's, not empty), each starting within mergeGap of the end of
+// the one before, and returns the segment and the i's after it.
+func mergeSegment(d int32, is []int32, span int32, mergeGap int) (Segment, []int32) {
+	seg := Segment{D: d, Start: is[0], End: is[0] + span, Covered: span, Seeds: 1}
+	k := 1
+	for ; k < len(is) && int(is[k]) <= int(seg.End)+mergeGap; k++ {
+		end := is[k] + span // past seg.End: the i's ascend strictly
+		seg.Covered += min(end-seg.End, span)
+		seg.End = end
+		seg.Seeds++
+	}
+	return seg, is[k:]
+}
+
+// diagRun is one diagonal inside a band merge: the segment merged off
+// the front of its seeds, and the seeds after it.
+type diagRun struct {
+	head Segment
+	rest []int32
+}
 
 // Chain enumerates capped seed-match pairs from the index, merges
 // same-diagonal runs into segments, and chains segments into clusters
 // within diagonal bands. The result is deterministic in the input.
 //
-// Each of the three lists is counted before it is allocated: grown by
-// append from nil, their 8-, 40- and 48-byte elements spent 40% of the
-// stage copying into bigger arrays and collecting the old ones.
+// Band bucketing keeps distinct repeat periodicities apart (a tandem
+// family appears at diagonals u, 2u, ... — each its own band, hence its
+// own candidates) while letting indel-wandering diagonals cluster. A
+// cluster takes its band's segments in (Start, D) order. Each diagonal
+// yields its segments in Start order already, so a band is a merge of at
+// most BandWidth such runs, ties going to the lower diagonal; a segment
+// is chained the moment it is merged and never stored.
 func Chain(x *Index, cfg Config) ChainResult {
-	span := x.Span()
-	npairs := 0
-	for _, key := range x.Keys() {
-		n := len(x.Occurrences(key))
-		// occurrence a pairs with its next min(SuccPairs, n-1-a) successors
-		if full := n - cfg.SuccPairs; full > 0 {
-			npairs += full*cfg.SuccPairs + cfg.SuccPairs*(cfg.SuccPairs-1)/2
-		} else {
-			npairs += n * (n - 1) / 2
-		}
-	}
-	pairs := make([]seedPair, 0, npairs)
-	for _, key := range x.Keys() {
-		occ := x.Occurrences(key)
-		for a := 0; a < len(occ); a++ {
-			hi := a + cfg.SuccPairs
-			if hi > len(occ)-1 {
-				hi = len(occ) - 1
-			}
-			for b := a + 1; b <= hi; b++ {
-				pairs = append(pairs, seedPair(occ[b]-occ[a])<<32|seedPair(occ[a]))
-			}
-		}
-	}
-	slices.Sort(pairs)
+	pairs, end := seedPairs(x, cfg.SuccPairs)
+	span := int32(x.span)
 
-	// Merge same-diagonal seeds within MergeGap into segments.
+	// A cluster holds at least one segment: count those first, so the
+	// list is sized by what it can hold, not by the pairs.
 	nsegs := 0
-	for k := 0; k < len(pairs); nsegs++ {
-		_, k = mergeSegment(pairs, k, span, cfg.MergeGap)
-	}
-	segs := make([]Segment, 0, nsegs)
-	for k := 0; k < len(pairs); {
-		var seg Segment
-		seg, k = mergeSegment(pairs, k, span, cfg.MergeGap)
-		segs = append(segs, seg)
-	}
-
-	// Chain segments into clusters within diagonal bands. Band bucketing
-	// keeps distinct repeat periodicities apart (a tandem family appears
-	// at diagonals u, 2u, ... — each its own band, hence its own
-	// candidates) while letting indel-wandering diagonals cluster.
-	// Segments come out of the merge in diagonal order, so each band is
-	// already one contiguous run: sorting the runs by (Start, D) is the
-	// sort by (band, Start, D), minus two divisions per comparison. Two
-	// segments of one diagonal never share a Start, so the order is total.
-	for lo := 0; lo < len(segs); {
-		band := segs[lo].D / cfg.BandWidth
-		hi := lo + 1
-		for hi < len(segs) && segs[hi].D/cfg.BandWidth == band {
-			hi++
+	for d := 1; d < len(end); d++ {
+		for is := pairs[end[d-1]:end[d]]; len(is) > 0; nsegs++ {
+			_, is = mergeSegment(int32(d), is, span, cfg.MergeGap)
 		}
-		slices.SortFunc(segs[lo:hi], func(a, b Segment) int {
-			if a.Start != b.Start {
-				return cmp.Compare(a.Start, b.Start)
+	}
+	clusters := make([]Cluster, 0, nsegs)
+	runs := make([]diagRun, 0, min(cfg.BandWidth, len(end)))
+	for lo := 0; lo < len(end); lo += cfg.BandWidth {
+		runs = runs[:0]
+		for d := max(lo, 1); d < min(lo+cfg.BandWidth, len(end)); d++ {
+			if is := pairs[end[d-1]:end[d]]; len(is) > 0 {
+				var r diagRun
+				r.head, r.rest = mergeSegment(int32(d), is, span, cfg.MergeGap)
+				runs = append(runs, r)
 			}
-			return cmp.Compare(a.D, b.D)
-		})
-		lo = hi
-	}
-	nclusters := 0
-	for k := 0; k < len(segs); nclusters++ {
-		_, k = chainCluster(segs, k, cfg)
-	}
-	clusters := make([]Cluster, 0, nclusters)
-	for k := 0; k < len(segs); {
-		var cl Cluster
-		cl, k = chainCluster(segs, k, cfg)
-		clusters = append(clusters, cl)
-	}
-	return ChainResult{Clusters: clusters, Pairs: len(pairs), Segments: len(segs)}
-}
-
-// mergeSegment merges the run of same-diagonal seeds that starts at
-// pairs[k], each within mergeGap of the segment so far, and returns the
-// segment and the index of the first pair after it.
-func mergeSegment(pairs []seedPair, k, span, mergeGap int) (Segment, int) {
-	d, i := pairs[k].d(), pairs[k].i()
-	seg := Segment{D: d, Start: i, End: i + span, Covered: span, Seeds: 1}
-	k++
-	for k < len(pairs) && pairs[k].d() == d && pairs[k].i() <= seg.End+mergeGap {
-		i = pairs[k].i()
-		if end := i + span; end > seg.End {
-			cov := end - seg.End
-			if cov > span {
-				cov = span
+		}
+		// covEnd tracks the union sweep over i-ranges: band-mates on
+		// nearby diagonals overlap in i, and summing their Covered
+		// outright would double-count stacked segments — an inflated
+		// cluster could then crowd out genuinely better-supported ones
+		// under MaxCandidates and sneak past MinMatched. Each segment
+		// contributes at most the length of its not-yet-covered i-suffix,
+		// so Covered never exceeds IEnd-IStart (segments arrive sorted by
+		// Start within the band, making the one-pass sweep exact).
+		var cl *Cluster
+		var covEnd int32
+		for len(runs) > 0 {
+			at := 0
+			for r := 1; r < len(runs); r++ {
+				if runs[r].head.Start < runs[at].head.Start {
+					at = r
+				}
 			}
-			seg.Covered += cov
-			seg.End = end
-		}
-		seg.Seeds++
-		k++
-	}
-	return seg, k
-}
-
-// chainCluster chains the run of band-mates that starts at segs[k], each
-// within ChainGap of the cluster so far, and returns the cluster and the
-// index of the first segment after it.
-func chainCluster(segs []Segment, k int, cfg Config) (Cluster, int) {
-	band := segs[k].D / cfg.BandWidth
-	cl := Cluster{IStart: segs[k].Start, IEnd: segs[k].End,
-		DMin: segs[k].D, DMax: segs[k].D,
-		Covered: segs[k].Covered, Seeds: segs[k].Seeds}
-	// covEnd tracks the union sweep over i-ranges: band-mates on
-	// nearby diagonals overlap in i, and summing their Covered
-	// outright would double-count stacked segments — an inflated
-	// cluster could then crowd out genuinely better-supported ones
-	// under MaxCandidates and sneak past MinMatched. Each segment
-	// contributes at most the length of its not-yet-covered i-suffix,
-	// so Covered never exceeds IEnd-IStart (segments arrive sorted by
-	// Start within the band, making the one-pass sweep exact).
-	covEnd := segs[k].End
-	k++
-	for k < len(segs) && segs[k].D/cfg.BandWidth == band && segs[k].Start <= cl.IEnd+cfg.ChainGap {
-		s := segs[k]
-		if s.End > cl.IEnd {
-			cl.IEnd = s.End
-		}
-		if s.D < cl.DMin {
-			cl.DMin = s.D
-		}
-		if s.D > cl.DMax {
-			cl.DMax = s.D
-		}
-		from := s.Start
-		if covEnd > from {
-			from = covEnd
-		}
-		if newLen := s.End - from; newLen > 0 {
-			cov := s.Covered
-			if cov > newLen {
-				cov = newLen
+			s := runs[at].head
+			if len(runs[at].rest) > 0 {
+				runs[at].head, runs[at].rest = mergeSegment(s.D, runs[at].rest, span, cfg.MergeGap)
+			} else {
+				runs = append(runs[:at], runs[at+1:]...)
 			}
-			cl.Covered += cov
-			covEnd = s.End
+			if cl == nil || int(s.Start) > int(cl.IEnd)+cfg.ChainGap {
+				clusters = append(clusters, Cluster{IStart: s.Start, IEnd: s.End,
+					DMin: s.D, DMax: s.D, Covered: s.Covered, Seeds: s.Seeds})
+				cl, covEnd = &clusters[len(clusters)-1], s.End
+				continue
+			}
+			cl.IEnd = max(cl.IEnd, s.End)
+			cl.DMin = min(cl.DMin, s.D)
+			cl.DMax = max(cl.DMax, s.D)
+			if newLen := s.End - max(s.Start, covEnd); newLen > 0 {
+				cl.Covered += min(s.Covered, newLen)
+				covEnd = s.End
+			}
+			cl.Seeds += s.Seeds
 		}
-		cl.Seeds += s.Seeds
-		k++
 	}
-	return cl, k
+	return ChainResult{Clusters: clusters, Pairs: len(pairs), Segments: nsegs}
 }
 
 // Candidates converts filtered clusters into candidate windows over a
@@ -216,59 +188,84 @@ func chainCluster(segs []Segment, k int, cfg Config) (Cluster, int) {
 // bottom row is the alignment's ending split, which must stay
 // seed-supported) and clamped so that Y1 < X0 always holds.
 func Candidates(ch ChainResult, cfg Config, n int, maxScore int32) []Candidate {
-	var cands []Candidate
-	for _, cl := range ch.Clusters {
-		if cl.Seeds < cfg.MinSeeds || cl.Covered < cfg.MinMatched {
-			continue
-		}
-		chunk := cl.DMin
-		if chunk < 1 {
-			chunk = 1
-		}
-		for t := cl.IStart; t < cl.IEnd; t += chunk {
-			tEnd := t + chunk
-			if tEnd > cl.IEnd {
-				tEnd = cl.IEnd
-			}
-			r := align.Rect{
-				Y0: t + 1 - cfg.Pad,
-				Y1: tEnd,
-				X0: t + cl.DMin + 1 - cfg.Pad,
-				X1: tEnd + cl.DMax + cfg.Pad,
-			}
-			if r.Y0 < 1 {
-				r.Y0 = 1
-			}
-			if r.X0 <= r.Y1 {
-				r.X0 = r.Y1 + 1
-			}
-			if r.X1 > n {
-				r.X1 = n
-			}
-			if r.X1 < r.X0 || r.Y1 < r.Y0 {
-				continue // degenerate after clamping (cluster at sequence end)
-			}
-			cands = append(cands, Candidate{
-				Rect:    r,
-				Bound:   admissibleBound(r, maxScore),
-				Covered: cl.Covered,
-				Seeds:   cl.Seeds,
-			})
+	// A window's top row is an integer in [1, n], so rectCmp order is one
+	// stable counting pass over it — the clusters walked twice, to count
+	// and to place — and then the few windows that share a top row
+	// ordered among themselves.
+	end := make([]int32, n+2)
+	eachWindow(ch.Clusters, cfg, n, func(r align.Rect, _ Cluster) { end[r.Y0+1]++ })
+	for y := 1; y < len(end); y++ { // end[y] = the windows above row y
+		end[y] += end[y-1]
+	}
+	cands := make([]Candidate, end[n+1])
+	eachWindow(ch.Clusters, cfg, n, func(r align.Rect, cl Cluster) {
+		cands[end[r.Y0]] = Candidate{Rect: r, Bound: admissibleBound(r, maxScore),
+			Covered: int(cl.Covered), Seeds: int(cl.Seeds)}
+		end[r.Y0]++
+	})
+	for y := 1; y <= n; y++ {
+		if row := cands[end[y-1]:end[y]]; len(row) > 1 {
+			slices.SortFunc(row, func(a, b Candidate) int { return rectCmp(a.Rect, b.Rect) })
 		}
 	}
 	if cfg.MaxCandidates > 0 && len(cands) > cfg.MaxCandidates {
-		// Keep the best-supported candidates; ties break positionally so
-		// the cap is deterministic.
-		sort.Slice(cands, func(a, b int) bool {
-			if cands[a].Covered != cands[b].Covered {
-				return cands[a].Covered > cands[b].Covered
-			}
-			return rectLess(cands[a].Rect, cands[b].Rect)
-		})
-		cands = cands[:cfg.MaxCandidates]
+		cands = capByCovered(cands, cfg.MaxCandidates)
 	}
-	sort.Slice(cands, func(a, b int) bool { return rectLess(cands[a].Rect, cands[b].Rect) })
 	return cands
+}
+
+// eachWindow calls visit with every candidate window of the filtered
+// clusters, in cluster order, and the cluster it was cut from.
+func eachWindow(clusters []Cluster, cfg Config, n int, visit func(align.Rect, Cluster)) {
+	for _, cl := range clusters {
+		if int(cl.Seeds) < cfg.MinSeeds || int(cl.Covered) < cfg.MinMatched {
+			continue
+		}
+		iEnd, dMin, dMax := int(cl.IEnd), int(cl.DMin), int(cl.DMax)
+		chunk := max(dMin, 1)
+		for t := int(cl.IStart); t < iEnd; t += chunk {
+			tEnd := min(t+chunk, iEnd)
+			r := align.Rect{
+				Y0: max(t+1-cfg.Pad, 1),
+				Y1: tEnd,
+				X0: max(t+dMin+1-cfg.Pad, tEnd+1),
+				X1: min(tEnd+dMax+cfg.Pad, n),
+			}
+			if r.X1 >= r.X0 && r.Y1 >= r.Y0 { // else degenerate after clamping (cluster at sequence end)
+				visit(r, cl)
+			}
+		}
+	}
+}
+
+// capByCovered keeps the k best-covered of cands (more than k of them, in
+// rectCmp order), in place and in that order. A histogram of Covered
+// finds what the k-th best covers: everything above that stays, and of
+// the windows at it the earliest — ties break positionally, so the cap
+// is deterministic.
+func capByCovered(cands []Candidate, k int) []Candidate {
+	most := 0
+	for _, c := range cands {
+		most = max(most, c.Covered)
+	}
+	count := make([]int, most+1)
+	for _, c := range cands {
+		count[c.Covered]++
+	}
+	cut := most
+	for ; count[cut] <= k; cut-- {
+		k -= count[cut]
+	}
+	kept := cands[:0]
+	for _, c := range cands {
+		if c.Covered == cut && k > 0 {
+			k--
+		} else if c.Covered <= cut {
+			continue
+		}
+		kept = append(kept, c)
+	}
+	return kept
 }
 
 // admissibleBound returns an upper bound on any alignment score inside
@@ -290,15 +287,9 @@ func admissibleBound(r align.Rect, maxScore int32) int32 {
 	return int32(b)
 }
 
-func rectLess(a, b align.Rect) bool {
-	if a.Y0 != b.Y0 {
-		return a.Y0 < b.Y0
-	}
-	if a.X0 != b.X0 {
-		return a.X0 < b.X0
-	}
-	if a.Y1 != b.Y1 {
-		return a.Y1 < b.Y1
-	}
-	return a.X1 < b.X1
+// rectCmp orders windows by top row, then left column, then bottom row,
+// then right column.
+func rectCmp(a, b align.Rect) int {
+	return cmp.Or(cmp.Compare(a.Y0, b.Y0), cmp.Compare(a.X0, b.X0),
+		cmp.Compare(a.Y1, b.Y1), cmp.Compare(a.X1, b.X1))
 }

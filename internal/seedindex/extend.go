@@ -4,15 +4,11 @@ import (
 	"repro/internal/topalign"
 )
 
-// Find runs the full seed-filter-extend pipeline over sequence s
-// (residue codes) and returns top alignments through the standard
-// best-first queue, plus the prefilter stage statistics.
-//
-// Stages are recorded as spans (prefilter.index, prefilter.chain,
-// prefilter.extend) under top.SpanParent so reprotrace attributes
-// prefilter time. Group lanes and the striped kernel do not apply to
-// windowed extension and are ignored.
-func Find(s []byte, cfg Config, top topalign.Config) (*topalign.Result, *Stats, error) {
+// scan runs the index and chain stages over s and returns the candidate
+// windows with the statistics of both stages, each stage under a span
+// (prefilter.index, prefilter.chain) of top.SpanParent, so reprotrace
+// attributes prefilter time.
+func scan(s []byte, cfg Config, maxScore int32, top topalign.Config) ([]Candidate, *Stats, error) {
 	st := &Stats{}
 	if n := int64(len(s)); n > 1 {
 		st.SequenceCells = n * (n - 1) / 2
@@ -30,18 +26,31 @@ func Find(s []byte, cfg Config, top topalign.Config) (*topalign.Result, *Stats, 
 	sp = top.Spans.Start(top.SpanParent, "prefilter.chain")
 	sp.SetRank(top.SpanRank)
 	ch := Chain(x, cfg)
-	cands := Candidates(ch, cfg, len(s), top.Params.Exch.MaxScore())
+	cands := Candidates(ch, cfg, len(s), maxScore)
 	sp.End()
 	st.Pairs, st.Segments, st.Clusters = ch.Pairs, ch.Segments, len(ch.Clusters)
 	st.Candidates = len(cands)
+	return cands, st, nil
+}
 
+// Find runs the full seed-filter-extend pipeline over sequence s
+// (residue codes) and returns top alignments through the standard
+// best-first queue, plus the prefilter stage statistics.
+//
+// The extension is recorded as a span (prefilter.extend) beside scan's
+// two. Group lanes do not apply to windowed extension and are ignored.
+func Find(s []byte, cfg Config, top topalign.Config) (*topalign.Result, *Stats, error) {
+	cands, st, err := scan(s, cfg, top.Params.Exch.MaxScore(), top)
+	if err != nil {
+		return nil, nil, err
+	}
 	e, err := topalign.NewEngine(s, top)
 	if err != nil {
 		return nil, nil, err
 	}
 	tasks := windowTasks(cands, e.Config().MinScore, st)
 
-	sp = top.Spans.Start(top.SpanParent, "prefilter.extend")
+	sp := top.Spans.Start(top.SpanParent, "prefilter.extend")
 	sp.SetRank(top.SpanRank)
 	err = topalign.RunWindows(e, tasks)
 	sp.End()
@@ -82,19 +91,10 @@ func windowTasks(cands []Candidate, minScore int32, st *Stats) []*topalign.Task 
 // come from the exact engine (bit-identical by construction) while the
 // scan supplies prefilter telemetry for the report and trace.
 func Scan(s []byte, cfg Config, maxScore int32) (*Stats, error) {
-	st := &Stats{}
-	if n := int64(len(s)); n > 1 {
-		st.SequenceCells = n * (n - 1) / 2
-	}
-	x, err := BuildIndex(s, cfg)
+	cands, st, err := scan(s, cfg, maxScore, topalign.Config{})
 	if err != nil {
 		return nil, err
 	}
-	st.Kmers, st.DroppedKmers, st.Positions = x.Kmers(), x.Dropped(), x.Positions()
-	ch := Chain(x, cfg)
-	cands := Candidates(ch, cfg, len(s), maxScore)
-	st.Pairs, st.Segments, st.Clusters = ch.Pairs, ch.Segments, len(ch.Clusters)
-	st.Candidates = len(cands)
 	for _, c := range cands {
 		st.WindowCells += c.Rect.Cells()
 	}

@@ -1,7 +1,6 @@
 package seedindex
 
 import (
-	"sort"
 	"testing"
 
 	"repro/internal/align"
@@ -26,9 +25,10 @@ func fuzzSeeds(f *testing.F) {
 
 // FuzzSeedIndex throws arbitrary byte sequences and knob values at
 // BuildIndex. Invalid configurations must be rejected with an error, and
-// every accepted index must satisfy its invariants: sorted keys, sorted
-// in-range occurrence positions, no indexed window containing a code
-// outside the primary alphabet, and no posting list above the cap.
+// every accepted index must satisfy its invariants: a link leads forward
+// to an in-range window sampling the same codes, none of them outside
+// the primary alphabet, and the links are exactly the oracle's posting
+// lists under the cap.
 func FuzzSeedIndex(f *testing.F) {
 	fuzzSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte, k int, maxOcc int, mask string) {
@@ -44,47 +44,21 @@ func FuzzSeedIndex(f *testing.F) {
 			}
 			return
 		}
-		span := cfg.Span()
-		offsets := make([]int, 0, cfg.Weight())
-		if mask != "" {
-			for i := range mask {
-				if mask[i] == '1' {
-					offsets = append(offsets, i)
-				}
+		offsets := cfg.offsets()
+		for p, j := range x.next {
+			if j == 0 {
+				continue
 			}
-		} else {
-			for i := 0; i < k; i++ {
-				offsets = append(offsets, i)
+			if int(j) <= p || int(j)+cfg.Span() > len(data) {
+				t.Fatalf("link %d -> %d does not lead forward to a window inside length %d", p, j, len(data))
 			}
-		}
-		keys := x.Keys()
-		if !sort.SliceIsSorted(keys, func(a, b int) bool { return keys[a] < keys[b] }) {
-			t.Fatal("index keys not sorted")
-		}
-		total := 0
-		for _, key := range keys {
-			occ := x.Occurrences(key)
-			if len(occ) == 0 || len(occ) > maxOcc {
-				t.Fatalf("posting list length %d violates cap %d", len(occ), maxOcc)
-			}
-			total += len(occ)
-			for i, p := range occ {
-				if i > 0 && occ[i-1] >= p {
-					t.Fatalf("occurrences not strictly increasing: %v", occ)
-				}
-				if p < 0 || int(p)+span > len(data) {
-					t.Fatalf("occurrence %d out of range for length %d", p, len(data))
-				}
-				for _, o := range offsets {
-					if data[int(p)+o] >= byte(cfg.Base) {
-						t.Fatalf("indexed window at %d samples out-of-alphabet code", p)
-					}
+			for _, o := range offsets {
+				if data[p+o] != data[int(j)+o] || data[p+o] >= byte(cfg.Base) {
+					t.Fatalf("link %d -> %d joins different or out-of-alphabet seeds", p, j)
 				}
 			}
 		}
-		if total != x.Positions() {
-			t.Fatalf("Positions() = %d, posting lists hold %d", x.Positions(), total)
-		}
+		checkIndexAgainstOracle(t, x, data, cfg)
 	})
 }
 
@@ -92,7 +66,8 @@ func FuzzSeedIndex(f *testing.F) {
 // arbitrary input and checks the downstream contract the extension stage
 // relies on: every candidate window validates against the sequence
 // length (Y1 < X0 included), bounds are positive, match the admissible
-// closed form, and candidates arrive in deterministic sorted order.
+// closed form, and candidates arrive in deterministic sorted order — and
+// every stage equals the sort-based oracle's.
 func FuzzChainCandidates(f *testing.F) {
 	fuzzSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte, k int, maxOcc int, mask string) {
@@ -133,5 +108,6 @@ func FuzzChainCandidates(f *testing.F) {
 			}
 			prev = &cands[i].Rect
 		}
+		checkAgainstOracle(t, data, cfg, maxScore)
 	})
 }

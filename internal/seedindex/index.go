@@ -1,15 +1,21 @@
 package seedindex
 
-import "sort"
+import (
+	"fmt"
+	"math"
+	"math/bits"
+)
 
-// Index is the k-mer (or spaced-seed) occurrence index of one sequence:
-// packed seed key -> ascending 0-based start positions. Keys whose
-// occurrence list exceeded the configured cap have been dropped.
+// Index is the k-mer (or spaced-seed) occurrence index of one sequence,
+// held as one link per position: next[p] is the nearest position after p
+// that carries p's seed, so a seed's occurrences are a chain in ascending
+// position order. 0 ends a chain — no position precedes 0 — and is also
+// what a position holds whose window was not indexed or whose seed
+// exceeded the occurrence cap.
 type Index struct {
-	post    map[uint64][]int32
-	keys    []uint64 // sorted kept keys, for deterministic iteration
+	next    []int32
 	span    int
-	weight  int
+	kmers   int
 	dropped int
 	pos     int
 }
@@ -23,23 +29,30 @@ func BuildIndex(s []byte, cfg Config) (*Index, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	span, base := cfg.Span(), uint64(cfg.Base)
-	// Sampled offsets within the seed window.
-	offs := make([]int, 0, cfg.Weight())
-	if cfg.Mask == "" {
-		for i := 0; i < cfg.K; i++ {
-			offs = append(offs, i)
-		}
-	} else {
-		for i := 0; i < len(cfg.Mask); i++ {
-			if cfg.Mask[i] == '1' {
-				offs = append(offs, i)
-			}
-		}
+	if perPos := min(cfg.SuccPairs, cfg.MaxOcc); len(s) > math.MaxInt32/perPos {
+		return nil, fmt.Errorf("seedindex: %d residues at up to %d seed pairs each overflow the int32 pair offsets",
+			len(s), perPos)
 	}
-	idx := &Index{post: make(map[uint64][]int32), span: span, weight: len(offs)}
-	n := len(s)
-	for p := 0; p+span <= n; p++ {
+	span, base, offs := cfg.Span(), uint64(cfg.Base), cfg.offsets()
+	idx := &Index{next: make([]int32, len(s)), span: span}
+	// Scanning right to left, the occurrence seen last is the leftmost so
+	// far: linking each position to it builds every chain in position
+	// order with one table entry per seed and no list to grow. The table
+	// is open-addressed at a load of at most one half — there are no more
+	// distinct seeds than windows, nor than base^weight — so building
+	// allocates the same few arrays whatever the sequence holds.
+	type head struct {
+		key          uint64
+		first, count int32 // count 0: the slot is free
+	}
+	windows := max(len(s)-span+1, 1)
+	distinct := 1 // min(windows, base^weight)
+	for range offs {
+		distinct = min(distinct*min(cfg.Base, 256), windows) // a code is a byte
+	}
+	shift := 64 - bits.Len(uint(2*distinct-1))
+	heads := make([]head, 1<<(64-shift))
+	for p := len(s) - span; p >= 0; p-- {
 		key := uint64(0)
 		ok := true
 		for _, o := range offs {
@@ -53,30 +66,36 @@ func BuildIndex(s []byte, cfg Config) (*Index, error) {
 		if !ok {
 			continue
 		}
-		idx.post[key] = append(idx.post[key], int32(p))
-	}
-	// Apply the occurrence cap and freeze a deterministic key order.
-	for key, occ := range idx.post {
-		if len(occ) > cfg.MaxOcc {
-			delete(idx.post, key)
-			idx.dropped++
-			continue
+		slot := key * 0x9E3779B97F4A7C15 >> shift // Fibonacci hashing
+		for heads[slot].count > 0 && heads[slot].key != key {
+			slot = (slot + 1) & uint64(len(heads)-1)
 		}
-		idx.keys = append(idx.keys, key)
-		idx.pos += len(occ)
+		h := &heads[slot]
+		if h.count > 0 {
+			idx.next[p] = h.first
+		}
+		h.key, h.first, h.count = key, int32(p), h.count+1
 	}
-	sort.Slice(idx.keys, func(a, b int) bool { return idx.keys[a] < idx.keys[b] })
+	// Apply the occurrence cap: a dropped seed's chain is unlinked.
+	for _, h := range heads {
+		switch {
+		case h.count == 0:
+		case int(h.count) <= cfg.MaxOcc:
+			idx.kmers++
+			idx.pos += int(h.count)
+		default:
+			idx.dropped++
+			p := h.first
+			for range h.count {
+				p, idx.next[p] = idx.next[p], 0
+			}
+		}
+	}
 	return idx, nil
 }
 
-// Span returns the seed window length in residues.
-func (x *Index) Span() int { return x.span }
-
-// Weight returns the number of sampled positions per seed.
-func (x *Index) Weight() int { return x.weight }
-
 // Kmers returns the number of distinct seeds kept.
-func (x *Index) Kmers() int { return len(x.keys) }
+func (x *Index) Kmers() int { return x.kmers }
 
 // Dropped returns the number of distinct seeds removed by the
 // occurrence cap.
@@ -84,11 +103,3 @@ func (x *Index) Dropped() int { return x.dropped }
 
 // Positions returns the total number of indexed occurrences.
 func (x *Index) Positions() int { return x.pos }
-
-// Occurrences returns the ascending start positions of seed key, or nil.
-// The caller must not modify the returned slice.
-func (x *Index) Occurrences(key uint64) []int32 { return x.post[key] }
-
-// Keys returns the kept seed keys in ascending order. The caller must
-// not modify the returned slice.
-func (x *Index) Keys() []uint64 { return x.keys }

@@ -9,10 +9,11 @@
 // alignment kernel only inside those regions. This package implements
 // that pipeline on top of the existing machinery:
 //
-//	index  — k-mer/spaced-seed index over the input (BuildIndex)
-//	filter — diagonal bucketing with per-seed occurrence caps (Pairs)
-//	chain  — seed segments -> clustered candidate windows with
-//	         admissible score upper bounds (Chain, Candidates)
+//	index  — k-mer/spaced-seed index over the input, one next-occurrence
+//	         link per position, with per-seed occurrence caps (BuildIndex)
+//	chain  — seed pairs by diagonal -> segments -> band clusters (Chain)
+//	         -> candidate windows with admissible score upper bounds
+//	         (Candidates); counting passes and merges in place of sorts
 //	extend — banded windowed extension through the topalign best-first
 //	         queue, so pruning stays sound (Find)
 //
@@ -146,6 +147,17 @@ func (c Config) Weight() int {
 		}
 	}
 	return w
+}
+
+// offsets returns the sampled offsets within the seed window, ascending.
+func (c Config) offsets() []int {
+	offs := make([]int, 0, c.Weight())
+	for i := 0; i < c.Span(); i++ {
+		if c.Mask == "" || c.Mask[i] == '1' {
+			offs = append(offs, i)
+		}
+	}
+	return offs
 }
 
 // Span returns the seed window length in residues.

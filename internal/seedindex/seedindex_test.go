@@ -23,12 +23,8 @@ func TestBuildIndexBasic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := x.Occurrences(0); !reflect.DeepEqual(got, []int32{0, 4}) {
-		t.Fatalf("AAA occurrences = %v, want [0 4]", got)
-	}
-	key := uint64(0*400 + 0*20 + 1) // "AAB"
-	if got := x.Occurrences(key); !reflect.DeepEqual(got, []int32{1, 5}) {
-		t.Fatalf("AAB occurrences = %v, want [1 5]", got)
+	if want := []int32{4, 5, 0, 0, 0, 0, 0, 0}; !reflect.DeepEqual(x.next, want) {
+		t.Fatalf("links = %v, want %v (AAA 0 -> 4, AAB 1 -> 5)", x.next, want)
 	}
 	if x.Positions() != 6 {
 		t.Fatalf("positions = %d, want 6", x.Positions())
@@ -43,17 +39,8 @@ func TestBuildIndexSkipsAmbiguity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, key := range x.Keys() {
-		for _, p := range x.Occurrences(key) {
-			for o := 0; o < 3; o++ {
-				if s[int(p)+o] >= 20 {
-					t.Fatalf("indexed window at %d contains ambiguity code", p)
-				}
-			}
-		}
-	}
-	if x.Positions() != 3 { // windows starting at 3, 4, 5
-		t.Fatalf("positions = %d, want 3", x.Positions())
+	if x.Positions() != 3 || x.Kmers() != 3 { // windows starting at 3, 4, 5
+		t.Fatalf("positions = %d kmers = %d, want 3 and 3", x.Positions(), x.Kmers())
 	}
 }
 
@@ -68,6 +55,9 @@ func TestBuildIndexOccurrenceCap(t *testing.T) {
 	if x.Kmers() != 0 || x.Dropped() != 1 {
 		t.Fatalf("kept %d dropped %d, want 0 kept 1 dropped", x.Kmers(), x.Dropped())
 	}
+	if ch := Chain(x, cfg); ch.Pairs != 0 {
+		t.Fatalf("dropped seed still pairs %d times", ch.Pairs)
+	}
 }
 
 func TestBuildIndexShortInput(t *testing.T) {
@@ -77,6 +67,20 @@ func TestBuildIndexShortInput(t *testing.T) {
 	}
 	if x.Kmers() != 0 || x.Positions() != 0 {
 		t.Fatalf("short input indexed %d kmers", x.Kmers())
+	}
+}
+
+// TestBuildIndexRejectsPairOverflow: positions and pair offsets are
+// int32, so an input whose capped pair count could exceed that is an
+// error, not a wrapped offset.
+func TestBuildIndexRejectsPairOverflow(t *testing.T) {
+	cfg := testConfig()
+	cfg.SuccPairs, cfg.MaxOcc = 1<<30, 1<<30
+	if _, err := BuildIndex([]byte{0, 1, 2}, cfg); err == nil {
+		t.Fatal("3 residues at 2^30 pairs each accepted")
+	}
+	if _, err := BuildIndex([]byte{0}, cfg); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -93,8 +97,7 @@ func TestSpacedSeedMask(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := uint64(0*20 + 2) // A_C
-	if got := x.Occurrences(key); !reflect.DeepEqual(got, []int32{0, 3}) {
+	if got := occurrencesFrom(x, 0); !reflect.DeepEqual(got, []int32{0, 3}) { // A_C
 		t.Fatalf("A_C occurrences = %v, want [0 3]", got)
 	}
 }
