@@ -84,11 +84,11 @@ func table2Input() []byte { return seq.SyntheticTitin(table2Len, 1).Codes }
 // BenchmarkTable2Conventional times one scalar matrix at the largest
 // split (the paper's "conventional" column).
 func BenchmarkTable2Conventional(b *testing.B) {
-	active := multialign.ActiveTier()
+	active := align.ActiveTier()
 	if err := multialign.SetKernelTier(multialign.TierScalar.String()); err != nil {
 		b.Fatal(err)
 	}
-	defer multialign.SetKernelTier(active.String()) //nolint:errcheck // it was active, so it is supported
+	defer align.SetKernelTier(active.String()) //nolint:errcheck // it was active, so it is supported
 	s := table2Input()
 	r := len(s) / 2
 	b.SetBytes(int64(r) * int64(len(s)-r))
@@ -102,14 +102,14 @@ func BenchmarkTable2Conventional(b *testing.B) {
 // the largest split with the group kernel forced to one vector tier (the
 // paper's SSE/SSE2 columns); b.SetBytes makes MB/s read as Mcells/s.
 func benchTable2Tier(b *testing.B, tier multialign.Tier, lanes int) {
-	active := multialign.ActiveTier()
-	if tier > active {
+	active := align.ActiveTier()
+	if tier > multialign.ActiveTier() {
 		b.Skipf("kernel tier %s unavailable (active tier %s)", tier, active)
 	}
 	if err := multialign.SetKernelTier(tier.String()); err != nil {
 		b.Fatal(err)
 	}
-	defer multialign.SetKernelTier(active.String()) //nolint:errcheck // it was active, so it is supported
+	defer align.SetKernelTier(active.String()) //nolint:errcheck // it was active, so it is supported
 	s := table2Input()
 	r0 := len(s)/2 - lanes/2
 	sc := multialign.NewScratch()
@@ -142,11 +142,11 @@ func BenchmarkTable2Int16x16(b *testing.B) { benchTable2Tier(b, multialign.TierI
 // the tier is forced to scalar so that the row-wise case, which is
 // ScoreMasked, does not run the vector row kernel.
 func BenchmarkStripingScalar(b *testing.B) {
-	active := multialign.ActiveTier()
+	active := align.ActiveTier()
 	if err := multialign.SetKernelTier(multialign.TierScalar.String()); err != nil {
 		b.Fatal(err)
 	}
-	defer multialign.SetKernelTier(active.String()) //nolint:errcheck // it was active, so it is supported
+	defer align.SetKernelTier(active.String()) //nolint:errcheck // it was active, so it is supported
 	s := seq.SyntheticTitin(8192, 1).Codes
 	r := len(s) / 2
 	for _, width := range []int{0, 1 << 30} { // default stripes vs one giant stripe

@@ -16,8 +16,8 @@ import (
 	"os"
 
 	"repro"
+	"repro/internal/align"
 	"repro/internal/atomicfile"
-	"repro/internal/multialign"
 	"repro/internal/obs"
 	"repro/internal/seq"
 )
@@ -47,20 +47,20 @@ func main() {
 		stats      = flag.Bool("stats", false, "print engine statistics")
 		showAln    = flag.Int("align", 0, "render the first N top alignments residue by residue")
 		metricsOut = flag.String("metrics-out", "", "write the metrics snapshot as JSON to this file (- for stdout)")
-		kernelTier = flag.String("kernel-tier", "", "force a group-kernel tier: scalar, int32x8, int16x16 (default auto)")
+		kernelTier = flag.String("kernel-tier", "", "cap the kernel tier: scalar, int32x8, int16x16, u8x32 (default auto)")
 		diag       = flag.Bool("diag", false, "print SIMD kernel-tier diagnostics and exit")
 	)
 	flag.Parse()
 
 	if *kernelTier != "" { // unset leaves a REPRO_KERNEL_TIER override in force
-		if err := multialign.SetKernelTier(*kernelTier); err != nil {
+		if err := align.SetKernelTier(*kernelTier); err != nil {
 			fatal(err)
 		}
 	}
 	if *diag {
 		fmt.Printf("kernel tiers: detected=%s active=%s (avx2=%t avx512=%t)\n",
-			multialign.DetectedTier(), multialign.ActiveTier(),
-			multialign.DetectedTier() >= multialign.TierInt32x8, multialign.DetectedAVX512())
+			align.DetectedTier(), align.ActiveTier(),
+			align.DetectedTier() >= align.TierInt32x8, align.DetectedAVX512())
 		return
 	}
 

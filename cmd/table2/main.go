@@ -41,7 +41,7 @@ func main() {
 
 	// conventional: one scalar matrix — the Go row, not align's vector row
 	// kernel, which would make this column a SIMD one too
-	active := multialign.ActiveTier()
+	active := align.ActiveTier()
 	if err := multialign.SetKernelTier(multialign.TierScalar.String()); err != nil {
 		fatal(err)
 	}

@@ -2,16 +2,26 @@
 
 package align
 
-// rowScan16 (row_amd64.s) computes one matrix row over nb blocks of 16
+// scan16 (row_amd64.s) computes rows matrix rows over nb blocks of 16
 // columns in saturating int16 lanes: cells into cur (and, widened, into
-// out32 when it is not nil), column gap maxima advanced in maxY. prev
-// points one element before the row above's boundary column, cur at the
-// first column's cell, ex at the first column's exchange value.
+// out32 when it is not nil), column gap maxima advanced in maxY, the two
+// row buffers swapped after every row. prev points one element before the
+// row above's boundary column, cur at the first column's cell; row y's
+// exchange values start at prof + codes[y-1]*stride bytes.
 //
 //go:noescape
-func rowScan16(prev, cur, maxY, ex *int16, out32 *int32, nb int, open, ext int16)
+func scan16(prev, cur, maxY, prof *int16, codes *byte, rows, stride int, out32 *int32, nb int, open, ext int16)
 
-// rowScan8 is the exact int32 twin: nb blocks of 8 columns.
+// scanU8 is scan16 on the byte rung, 32 columns per block and no out32:
+// it returns the 1-based row at which a cell reached the flag level, and
+// stops there, or 0. A row reads its column gap maxima from maxY and
+// writes them to maxYout, and the two buffers swap after every row, so a
+// flagged row leaves the row above it and the gap maxima it read intact.
+//
+//go:noescape
+func scanU8(prev, cur, maxY, maxYout, prof *uint8, codes *byte, rows, stride, nb int, k *u8Consts) int
+
+// rowScan8 is the exact int32 twin, one row: nb blocks of 8 columns.
 //
 //go:noescape
 func rowScan8(prev, cur, maxY *int32, ex *int16, nb int, open, ext int32)

@@ -8,6 +8,14 @@ DATA lastWord<>+16(SB)/8, $0x0f0e0f0e0f0e0f0e
 DATA lastWord<>+24(SB)/8, $0x0f0e0f0e0f0e0f0e
 GLOBL lastWord<>(SB), RODATA|NOPTR, $32
 
+// VPSHUFB control: every byte of a 128-bit half takes that half's last
+// byte.
+DATA lastByte<>+0(SB)/8, $0x0f0f0f0f0f0f0f0f
+DATA lastByte<>+8(SB)/8, $0x0f0f0f0f0f0f0f0f
+DATA lastByte<>+16(SB)/8, $0x0f0f0f0f0f0f0f0f
+DATA lastByte<>+24(SB)/8, $0x0f0f0f0f0f0f0f0f
+GLOBL lastByte<>(SB), RODATA|NOPTR, $32
+
 // Lane distances 1..16 as dwords, in the order VPACKSSDW wants its two
 // sources so that the packed words come out 1..16.
 DATA dist16a<>+0(SB)/4, $1
@@ -40,11 +48,11 @@ DATA dist8<>+24(SB)/4, $7
 DATA dist8<>+28(SB)/4, $8
 GLOBL dist8<>(SB), RODATA|NOPTR, $32
 
-// func rowScan16(prev, cur, maxY, ex *int16, out32 *int32, nb int, open, ext int16)
+// func scan16(prev, cur, maxY, prof *int16, codes *byte, rows, stride int, out32 *int32, nb int, open, ext int16)
 //
-// One matrix row of the Figure 3 recurrence over nb blocks of 16
+// rows matrix rows of the Figure 3 recurrence over nb blocks of 16
 // neighbouring columns, 16 saturating int16 lanes per ymm register.
-// Column i of the row needs, from the row above P only,
+// Column i of a row needs, from the row above P only,
 //
 //	d     = P[i]                                  (diagonal)
 //	mx[i] = max over j < i of P[j] - open - (i-j)*ext   (MaxX)
@@ -63,24 +71,32 @@ GLOBL dist8<>(SB), RODATA|NOPTR, $32
 // a ramp past 32767 clips there and still drives its candidate below 0.
 //
 // prev points one element before the boundary column of the row above
-// (P[-1], kept 0), cur at column 0's cell of this row; out32, when not
-// nil, receives the cells widened to int32 as well (traceback matrices).
-// Prologue order matters: every move into an X register precedes the
-// first 256-bit instruction, or each call pays an SSE/AVX transition.
-TEXT ·rowScan16(SB), NOSPLIT, $0-52
-	MOVQ    prev+0(FP), SI
-	MOVQ    cur+8(FP), DI
-	MOVQ    maxY+16(FP), BX
-	MOVQ    ex+24(FP), DX
-	MOVQ    out32+32(FP), R13
-	MOVQ    nb+40(FP), CX
-	MOVWLZX open+48(FP), R8
-	MOVWLZX ext+50(FP), R9
-	LEAL    (R8)(R9*1), R10
-	VMOVD   R8, X14
-	VMOVD   R9, X13
-	VMOVD   R10, X12
+// (P[-1], kept 0), cur at column 0's cell of this row; the two buffers
+// swap after every row, so the last row ends in cur when rows is odd.
+// Row y reads its exchange values at prof + codes[y-1]*stride bytes.
+// out32, when not nil, receives every row widened to int32 as well
+// (traceback matrices), rows laid out as the traceback arena's: the next
+// row starts two int32 (pad, boundary) past the end of this one. The
+// constants are built once per call. Prologue order matters: every move
+// into an X register precedes the first 256-bit instruction, or each
+// call pays an SSE/AVX transition.
+TEXT ·scan16(SB), NOSPLIT, $0-76
+	MOVQ    prev+0(FP), R11
+	MOVQ    cur+8(FP), R12
+	MOVQ    prof+24(FP), R8
+	MOVQ    codes+32(FP), R9
+	MOVQ    rows+40(FP), R10
+	MOVQ    out32+56(FP), R13
+	MOVWLZX open+72(FP), AX
+	MOVWLZX ext+74(FP), CX
+	LEAL    (AX)(CX*1), DX
+	VMOVD   AX, X14
+	VMOVD   CX, X13
+	VMOVD   DX, X12
+	MOVQ    nb+64(FP), CX
 	TESTQ   CX, CX
+	JZ      done16
+	TESTQ   R10, R10
 	JZ      done16
 
 	VPBROADCASTD X13, Y0                 // ext as dwords
@@ -97,8 +113,17 @@ TEXT ·rowScan16(SB), NOSPLIT, $0-52
 	VPERM2I128   $0x11, Y8, Y8, Y7
 	VPSHUFB      Y6, Y7, Y7              // 16 ext
 	VPXOR        Y15, Y15, Y15           // zero, for the clamp
-	VPCMPEQW     Y5, Y5, Y5
-	VPSLLW       $15, Y5, Y5             // carry-in: -32768, MaxX of column 0
+
+row16:
+	MOVQ     R11, SI                     // the row above
+	MOVQ     R12, DI                     // this row
+	MOVQ     maxY+16(FP), BX
+	MOVBQZX  (R9), DX
+	IMULQ    stride+48(FP), DX
+	ADDQ     R8, DX                      // this row's exchange values
+	MOVQ     nb+64(FP), CX
+	VPCMPEQW Y5, Y5, Y5
+	VPSLLW   $15, Y5, Y5                 // carry-in: -32768, MaxX of column 0
 
 loop16:
 	VMOVDQU    (SI), Y0                  // P[i-1]
@@ -150,7 +175,144 @@ next16:
 	DECQ CX
 	JNZ  loop16
 
+	TESTQ R13, R13
+	JZ    swap16
+	ADDQ  $8, R13                        // the next arena row's pad and boundary
+
+swap16:
+	LEAQ  -4(R12), AX                    // this row, from its pad, is the next row's row above
+	LEAQ  4(R11), R12
+	MOVQ  AX, R11
+	INCQ  R9
+	DECQ  R10
+	JNZ   row16
+
 done16:
+	VZEROUPPER
+	RET
+
+// func scanU8(prev, cur, maxY, maxYout, prof *uint8, codes *byte, rows, stride, nb int, k *u8Consts) int
+//
+// scan16 in 32 unsigned byte lanes per ymm register, nb blocks of 32
+// columns, for score-only passes: four in-half scan steps (1, 2, 4, 8
+// bytes), every subtraction saturating at 0 — exact because d >= 0 takes
+// part in every max — and the carry handed on as mx's last lane, which is
+// max(block scan, carry - 32 ext). The profile holds each exchange value
+// plus the bias; adding it and subtracting the bias, both saturating,
+// is max(0, best + e) for every cell whose true value stays below
+// 255 - bias, and a cell that reaches it reads exactly 255 - bias. Y4
+// keeps the maximum of the call's cells, and after every row the kernel
+// checks it: at the flag level it returns that row (1-based) at once,
+// otherwise it returns 0 after rows rows. A row reads its column gap
+// maxima from maxY and writes them to maxYout, and the two swap after
+// every row like the row buffers, so a flagged row leaves the state it
+// started from — the row above and the gap maxima — untouched for the
+// int16 rung to carry on from. k holds the model's vectors (u8Consts);
+// prev, cur, codes, stride and the row swap are scan16's.
+TEXT ·scanU8(SB), NOSPLIT, $0-88
+	MOVQ    prev+0(FP), R11
+	MOVQ    cur+8(FP), R12
+	MOVQ    prof+32(FP), R8
+	MOVQ    codes+40(FP), R9
+	MOVQ    rows+48(FP), R10
+	MOVQ    k+72(FP), AX
+	MOVQ    $0, ret+80(FP)
+	MOVQ    nb+64(FP), CX
+	TESTQ   CX, CX
+	JZ      doneU8
+	TESTQ   R10, R10
+	JZ      doneU8
+
+	VMOVDQU  0(AX), Y14                  // open
+	VMOVDQU  32(AX), Y13                 // ext
+	VMOVDQU  64(AX), Y12                 // open + ext
+	VMOVDQU  96(AX), Y11                 // 2 ext
+	VMOVDQU  128(AX), Y10                // 4 ext
+	VMOVDQU  160(AX), Y7                 // 8 ext
+	VMOVDQU  192(AX), Y9                 // high half (1..16) ext, low half 0
+	VMOVDQU  224(AX), Y8                 // (1..32) ext
+	VMOVDQU  256(AX), Y15                // bias
+	VMOVDQU  lastByte<>(SB), Y6
+	VPXOR    Y4, Y4, Y4                  // the call's cell maximum
+
+rowU8:
+	MOVQ    R11, SI                      // the row above
+	MOVQ    R12, DI                      // this row
+	MOVQ    maxY+16(FP), BX              // gap maxima in
+	MOVQ    maxYout+24(FP), AX           // and out
+	MOVBQZX (R9), DX
+	IMULQ   stride+56(FP), DX
+	ADDQ    R8, DX                       // this row's biased exchange values
+	MOVQ    nb+64(FP), CX
+	VPXOR   Y5, Y5, Y5                   // carry-in: 0, MaxX of column 0 clamped
+
+loopU8:
+	VMOVDQU    (SI), Y0                  // P[i-1]
+	VMOVDQU    1(SI), Y1                 // d = P[i]
+	VPSUBUSB   Y12, Y0, Y0               // T
+	VPSLLDQ    $1, Y0, Y2
+	VPSUBUSB   Y13, Y2, Y2
+	VPMAXUB    Y2, Y0, Y0
+	VPSLLDQ    $2, Y0, Y2
+	VPSUBUSB   Y11, Y2, Y2
+	VPMAXUB    Y2, Y0, Y0
+	VPSLLDQ    $4, Y0, Y2
+	VPSUBUSB   Y10, Y2, Y2
+	VPMAXUB    Y2, Y0, Y0
+	VPSLLDQ    $8, Y0, Y2
+	VPSUBUSB   Y7, Y2, Y2
+	VPMAXUB    Y2, Y0, Y0                // scanned within each half
+	VPERM2I128 $0x08, Y0, Y0, Y2
+	VPSHUFB    Y6, Y2, Y2                // low half's last lane, in the high half
+	VPSUBUSB   Y9, Y2, Y2
+	VPMAXUB    Y2, Y0, Y0                // scanned across the block
+	VPSUBUSB   Y8, Y5, Y2
+	VPMAXUB    Y2, Y0, Y2                // mx = max(block scan, decayed carry)
+	VPERM2I128 $0x11, Y2, Y2, Y5
+	VPSHUFB    Y6, Y5, Y5                // carry for the next block: mx's last lane
+	VMOVDQU    (BX), Y3                  // maxY
+	VPMAXUB    Y1, Y2, Y2
+	VPMAXUB    Y3, Y2, Y2                // max(d, mx, maxY)
+	VPADDUSB   (DX), Y2, Y2              // + e + bias
+	VPSUBUSB   Y15, Y2, Y2               // - bias, clamped at zero
+	VPMAXUB    Y2, Y4, Y4
+	VMOVDQU    Y2, (DI)
+	VPSUBUSB   Y14, Y1, Y1               // g = d - open
+	VPMAXUB    Y3, Y1, Y1
+	VPSUBUSB   Y13, Y1, Y1
+	VMOVDQU    Y1, (AX)                  // maxY out = max(g, maxY) - ext
+	ADDQ       $32, SI
+	ADDQ       $32, DI
+	ADDQ       $32, BX
+	ADDQ       $32, AX
+	ADDQ       $32, DX
+	DECQ       CX
+	JNZ        loopU8
+
+	VPADDUSB Y15, Y4, Y0                 // a cell at the flag level reads 255
+	VPCMPEQB Y1, Y1, Y1
+	VPCMPEQB Y1, Y0, Y0
+	VPTEST   Y0, Y0
+	JNZ      flagU8
+	MOVQ     maxY+16(FP), AX             // the gap maxima written are the next row's in
+	MOVQ     maxYout+24(FP), BX
+	MOVQ     BX, maxY+16(FP)
+	MOVQ     AX, maxYout+24(FP)
+	LEAQ     -2(R12), AX                 // this row, from its pad, is the next row's row above
+	LEAQ     2(R11), R12
+	MOVQ     AX, R11
+	INCQ     R9
+	DECQ     R10
+	JNZ      rowU8
+	JMP      doneU8
+
+flagU8:
+	MOVQ rows+48(FP), AX
+	SUBQ R10, AX
+	INCQ AX
+	MOVQ AX, ret+80(FP)
+
+doneU8:
 	VZEROUPPER
 	RET
 

@@ -3,8 +3,10 @@ package align
 import (
 	"fmt"
 	"math/rand/v2"
+	"slices"
 	"testing"
 
+	"repro/internal/scoring"
 	"repro/internal/triangle"
 )
 
@@ -49,12 +51,14 @@ func refRow(prev, gapMax []int32, exch []int16, s2 []byte, open, ext int32, tri 
 }
 
 // TestRowKernelsMatchGoRow is the row half of the row-kernel harness:
-// one call of each row kernel — gotohRow, rowScan16, rowScan8 — and, with
-// override bits at the mask columns, the kernel followed by zeroMasked,
-// against refRow, on row states a matrix need not be able to reach: cur
-// and maxY must come out bit for bit, for every width across the first
-// three blocks and either side of later block boundaries, under every
-// harness model the kernel's tier accepts.
+// one row of each row kernel — gotohRow, scan16, rowScan8, scanU8 — and,
+// with override bits at the mask columns, the kernel followed by
+// zeroMasked, against refRow, on row states a matrix need not be able to
+// reach: cur and maxY must come out bit for bit, for every width across
+// the first three blocks and either side of later block boundaries, under
+// every harness model the kernel's tier accepts. The byte kernel gets the
+// row states below its flag level, with its gap chains clamped at zero,
+// and must flag exactly the rows whose reference reaches that level.
 func TestRowKernelsMatchGoRow(t *testing.T) {
 	if DetectedTier() < TierInt16x16 {
 		t.Skip("needs AVX2")
@@ -113,15 +117,18 @@ func TestRowKernelsMatchGoRow(t *testing.T) {
 							p16[2+i] = int16(above[i])
 							m16[i] = int16(gapMax[i])
 						}
-						rowScan16(&p16[0], &c16[2], &m16[0], &ex[0], nil, nb, int16(open), int16(ext))
+						scan16(&p16[0], &c16[2], &m16[0], &ex[0], new(byte), 1, 0, nil, nb, int16(open), int16(ext))
 						if masked {
 							zeroMasked(c16[2:2+n], tri, 1, 2)
 						}
 						for i := 0; i < n; i++ {
 							if int32(c16[2+i]) != cur[1+i] || int32(m16[i]) != maxY[1+i] {
-								t.Fatalf("%s: rowScan16 column %d: cur %d maxY %d, reference %d and %d", where, i+1, c16[2+i], m16[i], cur[1+i], maxY[1+i])
+								t.Fatalf("%s: scan16 column %d: cur %d maxY %d, reference %d and %d", where, i+1, c16[2+i], m16[i], cur[1+i], maxY[1+i])
 							}
 						}
+					}
+					if model.ok8 {
+						checkScanU8(t, where, model, exch, s2, above, gapMax, mask)
 					}
 					if model.ok32 {
 						const block = RowBlock / 2
@@ -145,6 +152,63 @@ func TestRowKernelsMatchGoRow(t *testing.T) {
 	}
 }
 
+// checkScanU8 runs one byte-kernel row over the row state of
+// TestRowKernelsMatchGoRow mapped into bytes: cells above are brought
+// under the flag level, since no byte pass is ever handed one, and so are
+// gap maxima coming in, which the kernel moreover keeps clamped at zero. A row
+// whose unmasked reference reaches the flag level must flag and leave the
+// row above and the gap maxima it read as they were, for the int16 rung
+// to carry on from; any other must match the reference cell for cell, its
+// gap maxima, written to the other buffer, clamped.
+func checkScanU8(t *testing.T, where string, m rowModel, exch []int16, s2 []byte, above, gapMax []int32, tri *triangle.Triangle) {
+	t.Helper()
+	n := len(s2)
+	limit := 255 - m.bias8
+	prev, gm := make([]int32, n+1), make([]int32, n)
+	for i, v := range above {
+		prev[1+i] = v % limit
+		gm[i] = gapMax[i]
+		if gm[i] > 0 {
+			gm[i] %= limit
+		}
+	}
+	gapMax = gm
+	open, ext := m.p.Gap.Open, m.p.Gap.Ext
+	unmasked, _ := refRow(prev, gapMax, exch, s2, open, ext, nil)
+	reaches := slices.Max(unmasked[1:]) >= limit
+
+	const block = 2 * RowBlock
+	nb := (n + block - 1) / block
+	p8, c8, m8, m8out := make([]uint8, 2+block*nb), make([]uint8, 2+block*nb), make([]uint8, block*nb), make([]uint8, block*nb)
+	ex8 := make([]uint8, block*nb)
+	for i, c := range s2 {
+		p8[2+i] = uint8(prev[1+i])
+		m8[i] = uint8(max(0, gapMax[i]))
+		ex8[i] = uint8(int32(exch[c]) + m.bias8)
+	}
+	p8in, m8in := slices.Clone(p8), slices.Clone(m8)
+	k := newU8Consts(m.p, m.bias8)
+	flagged := scanU8(&p8[0], &c8[2], &m8[0], &m8out[0], &ex8[0], new(byte), 1, 0, nb, &k)
+	if (flagged != 0) != reaches {
+		t.Fatalf("%s: scanU8 returned %d, but the reference reaching %d is %v", where, flagged, limit, reaches)
+	}
+	if !slices.Equal(p8, p8in) || !slices.Equal(m8, m8in) {
+		t.Fatalf("%s: scanU8 wrote over the row above or the gap maxima it read", where)
+	}
+	if reaches {
+		return
+	}
+	cur, maxY := refRow(prev, gapMax, exch, s2, open, ext, tri)
+	if tri != nil {
+		zeroMasked(c8[2:2+n], tri, 1, 2)
+	}
+	for i := 0; i < n; i++ {
+		if int32(c8[2+i]) != cur[1+i] || int32(m8out[i]) != max(0, maxY[1+i]) {
+			t.Fatalf("%s: scanU8 column %d: cur %d maxY %d, reference %d and %d", where, i+1, c8[2+i], m8out[i], cur[1+i], max(0, maxY[1+i]))
+		}
+	}
+}
+
 // BenchmarkRowCall is what one call of each vector row kernel costs at
 // one block and at 16 columns: the fixed part of a row, which bounds
 // the throughput of narrow windows (multialign has the group kernels'
@@ -155,13 +219,17 @@ func BenchmarkRowCall(b *testing.B) {
 	}
 	prev16, cur16, maxY16 := make([]int16, 2+16), make([]int16, 2+16), make([]int16, 16)
 	prev32, cur32, maxY32 := make([]int32, 2+16), make([]int32, 2+16), make([]int32, 16)
+	prev8, cur8, maxY8, maxYout8 := make([]uint8, 2+32), make([]uint8, 2+32), make([]uint8, 32), make([]uint8, 32)
 	ex := make([]int16, 32)
+	ex8 := make([]uint8, 64)
+	k := newU8Consts(Params{Gap: scoring.DefaultProteinGap}, 4)
 	for _, k := range []struct {
 		name string
 		cols int
 		call func()
 	}{
-		{"rowScan16", 16, func() { rowScan16(&prev16[0], &cur16[2], &maxY16[0], &ex[0], nil, 1, 11, 1) }},
+		{"scan16", 16, func() { scan16(&prev16[0], &cur16[2], &maxY16[0], &ex[0], new(byte), 1, 0, nil, 1, 11, 1) }},
+		{"scanU8", 32, func() { scanU8(&prev8[0], &cur8[2], &maxY8[0], &maxYout8[0], &ex8[0], new(byte), 1, 0, 1, &k) }},
 		{"rowScan8", 8, func() { rowScan8(&prev32[0], &cur32[2], &maxY32[0], &ex[0], 1, 11, 1) }},
 		{"rowScan8", 16, func() { rowScan8(&prev32[0], &cur32[2], &maxY32[0], &ex[0], 2, 11, 1) }},
 	} {

@@ -10,8 +10,12 @@ const (
 	hasAVX512 = false
 )
 
-func rowScan16(prev, cur, maxY, ex *int16, out32 *int32, nb int, open, ext int16) {
+func scan16(prev, cur, maxY, prof *int16, codes *byte, rows, stride int, out32 *int32, nb int, open, ext int16) {
 	panic("align: int16x16 row kernel selected without AVX2")
+}
+
+func scanU8(prev, cur, maxY, maxYout, prof *uint8, codes *byte, rows, stride, nb int, k *u8Consts) int {
+	panic("align: u8x32 row kernel selected without AVX2")
 }
 
 func rowScan8(prev, cur, maxY *int32, ex *int16, nb int, open, ext int32) {

@@ -19,6 +19,9 @@ func rowTiers() []Tier {
 	if DetectedTier() >= TierInt16x16 {
 		tiers = append(tiers, TierInt16x16)
 	}
+	if DetectedTier() >= TierU8x32 {
+		tiers = append(tiers, TierU8x32)
+	}
 	return tiers
 }
 
@@ -293,4 +296,140 @@ func equalI32(a, b []int32) bool {
 		}
 	}
 	return true
+}
+
+// byteBoundaryCase builds a homopolymer window whose largest cell is
+// exactly hi*h, like multialign's satBoundaryCase: with a match-only
+// diagonal, cell (y, x) is hi*min(y, x), and a window h rows high and
+// w >= h columns wide — a whole number of byte blocks, with the same
+// residue after it — peaks at hi*h in its bottom row, the columns the
+// kernel computes past the window included.
+func byteBoundaryCase(hi, lo int16, h int) (p Params, s []byte, w Rect) {
+	p = Params{Exch: scoring.Unit("sat8", seq.DNA, hi, lo), Gap: scoring.PaperGap}
+	width := (h + 2*RowBlock) / (2 * RowBlock) * (2 * RowBlock)
+	s = make([]byte, h+width+2*RowBlock)
+	return p, s, Rect{Y0: 1, Y1: h, X0: h + 1, X1: h + width}
+}
+
+// Property: driving the peak cell to either side of the byte rung's flag
+// level, 255 - bias with bias = -MinScore, must flip the flag exactly
+// there: one below runs clean on the byte rung, at the level and one
+// past it the pass flags at the first row that reaches it, hands over to
+// the int16 rung there and counts that one row as wasted. The bottom row
+// equals the Go row's on both sides, and a masked realignment of a clean
+// window stays clean (masking only lowers cells).
+func TestByteSaturationBoundaryProperty(t *testing.T) {
+	if DetectedTier() < TierU8x32 {
+		t.Skip("the byte rung needs AVX2")
+	}
+	defer forceTier(t, TierU8x32)()
+	for _, m := range []struct{ hi, lo int16 }{{1, -1}, {1, -4}, {1, -10}, {5, -4}, {2, -1}} {
+		level := 255 + int(m.lo)
+		for _, peak := range []int{level - 1, level, level + 1} {
+			h := peak / int(m.hi)
+			if h*int(m.hi) != peak {
+				continue // hi does not divide this peak: no homopolymer reaches it
+			}
+			p, s, w := byteBoundaryCase(m.hi, m.lo, h)
+			sc := NewScratch()
+			got := append([]int32(nil), sc.ScoreWindow(p, s, w, nil)...)
+			where := fmt.Sprintf("hi=%d lo=%d peak=%d", m.hi, m.lo, peak)
+			if best := MaxRowScore(got); int(best) != peak {
+				t.Fatalf("%s: best score %d, the case does not reach its peak", where, best)
+			}
+			wantTier, wantWasted := TierU8x32, int64(0)
+			if peak >= level {
+				wantTier, wantWasted = TierInt16x16, int64(w.W()) // the flagged row, computed again
+
+			}
+			if sc.Tier() != wantTier || sc.Wasted() != wantWasted {
+				t.Fatalf("%s: served by %s with %d wasted cells, want %s with %d", where, sc.Tier(), sc.Wasted(), wantTier, wantWasted)
+			}
+			restore := forceTier(t, TierScalar)
+			want := new(Scratch).ScoreWindow(p, s, w, nil)
+			restore()
+			if !equalI32(got, want) {
+				t.Fatalf("%s: bottom row differs from the Go row's", where)
+			}
+			if peak >= level {
+				continue
+			}
+			tri := triangle.New(len(s))
+			for y := w.Y0; y <= w.Y1; y++ {
+				tri.Set(y, w.X0+y-1) // one pair per row, down a diagonal
+			}
+			sc.ScoreWindow(p, s, w, tri)
+			if sc.Tier() != TierU8x32 || sc.Wasted() != 0 {
+				t.Fatalf("%s: masked realignment of a clean window served by %s with %d wasted cells", where, sc.Tier(), sc.Wasted())
+			}
+		}
+	}
+}
+
+// Property: a pass that flags part-way down hands the rows above the
+// flag to the int16 rung, which carries on from them — the row above and
+// the column gap maxima, clamped at zero — and must end on the Go row's
+// bottom row, masked or not. The windows are splits of tandem arrays, so
+// real gapped alignments cross the flag level somewhere in the middle;
+// the test fails if no window hands over with rows left below its flag.
+func TestByteHandOverProperty(t *testing.T) {
+	if DetectedTier() < TierU8x32 {
+		t.Skip("the byte rung needs AVX2")
+	}
+	defer forceTier(t, TierU8x32)()
+	dna := seq.Tandem(seq.TandemSpec{Alpha: seq.DNA, UnitLen: 70, Copies: 6, FlankLen: 40,
+		Profile: seq.MutationProfile{SubstRate: 0.08, IndelRate: 0.03, IndelExt: 0.5}, Seed: 3}).Codes
+	protein := seq.Tandem(seq.TandemSpec{UnitLen: 60, Copies: 6, FlankLen: 40,
+		Profile: seq.MutationProfile{SubstRate: 0.1, IndelRate: 0.03, IndelExt: 0.5}, Seed: 4}).Codes
+	midway := 0
+	for _, c := range []struct {
+		name string
+		p    Params
+		s    []byte
+	}{
+		{"dna-unit", Params{Exch: scoring.DNAUnit, Gap: scoring.Gap{Open: 8, Ext: 2}}, dna},
+		{"paper-dna", Params{Exch: scoring.PaperDNA, Gap: scoring.PaperGap}, dna},
+		{"BLOSUM62", Params{Exch: scoring.BLOSUM62, Gap: scoring.DefaultProteinGap}, protein},
+	} {
+		level := 255 - exchBias(c.p.Exch)
+		sc := NewScratch()
+		for h := 40; h < len(c.s)-40; h += 23 {
+			w := Rect{Y0: 1, Y1: h, X0: h + 1, X1: len(c.s)}
+			tri := triangle.New(len(c.s))
+			for y := w.Y0; y <= w.Y1 && y+70 <= len(c.s); y += 3 {
+				tri.Set(y, y+70) // every third pair of the first copy's diagonal
+			}
+			for _, mask := range []*triangle.Triangle{nil, tri} {
+				where := fmt.Sprintf("%s h=%d masked=%v", c.name, h, mask != nil)
+				got := append([]int32(nil), sc.ScoreWindow(c.p, c.s, w, mask)...)
+				tier, wasted := sc.Tier(), sc.Wasted()
+				restore := forceTier(t, TierScalar)
+				ref := new(Scratch)
+				want := append([]int32(nil), ref.ScoreWindow(c.p, c.s, w, mask)...)
+				mtx := ref.MatrixWindow(c.p, c.s, w, mask)
+				restore()
+				if !equalI32(got, want) {
+					t.Fatalf("%s: bottom row differs from the Go row's", where)
+				}
+				first := 0 // the first row holding a cell at the level
+				for y := 1; y <= w.H() && first == 0; y++ {
+					if MaxRowScore(mtx[y][1:]) >= level {
+						first = y
+					}
+				}
+				if first == 0 {
+					continue // the kernel may still flag on a padding column: either tier is right
+				}
+				if tier != TierInt16x16 || wasted != int64(w.W()) {
+					t.Fatalf("%s: row %d reaches %d, but the pass ran on %s with %d wasted cells", where, first, level, tier, wasted)
+				}
+				if first < w.H() {
+					midway++
+				}
+			}
+		}
+	}
+	if midway == 0 {
+		t.Fatal("no window flagged above its bottom row: the hand-over went untested")
+	}
 }

@@ -33,16 +33,37 @@ func ScoreMasked(p Params, s1, s2 []byte, tri *triangle.Triangle, r int) []int32
 // operands sit at offset (dy, dx) in global pair space — local cell
 // (y, x) is the pair (dy+y, dx+x) — which only the override mask needs
 // to know: a split r is (0, r), a window (Y0-1, X0-1). tri == nil
-// disables masking. The rows run on the tier RowTier names (recorded for
-// Scratch.Tier). All working memory comes from the receiver; the
-// returned bottom row is arena-owned.
-func (sc *Scratch) score(p Params, s1, h []byte, x0, x1 int, tri *triangle.Triangle, dy, dx int) []int32 {
+// disables masking. The rows run on the tier RowTier names, or first on
+// the byte rung when byteOK and the model and the active tier admit it:
+// at the first row holding a cell at the byte rung's flag level the pass
+// hands over to the int16 rung, which computes that row again and the
+// rows below it, and the flagged row's cells are counted as wasted
+// (Scratch.Wasted). The tier that served the call is recorded for
+// Scratch.Tier: int16x16 for a pass that handed over. All working memory
+// comes from the receiver; the returned bottom row is arena-owned.
+func (sc *Scratch) score(p Params, s1, h []byte, x0, x1 int, tri *triangle.Triangle, dy, dx int, byteOK bool) []int32 {
 	s2 := h[x0:x1]
 	len1, len2 := len(s1), len(s2)
 	bottom := growI32(&sc.bottom, len2)
-	switch sc.rowTier(p, len1, len2) {
+	tier := sc.rowTier(p, len1, len2)
+	sc.wasted = 0
+	resume := false
+	if byteOK && len1 > 0 && sc.model.byteRung(len1, len2) {
+		row, flagged := sc.rowsU8(p, s1, h, x0, len2, tri, dy, dx)
+		if flagged == 0 {
+			sc.tier = TierU8x32
+			for i, v := range row[2 : 2+len2] {
+				bottom[i] = int32(v)
+			}
+			return bottom
+		}
+		sc.handOver(len2)
+		s1, dy, resume = s1[flagged-1:], dy+flagged-1, true
+		sc.wasted = Cells(1, len2)
+	}
+	switch tier {
 	case TierInt16x16:
-		for i, v := range sc.rows16(p, s1, h, x0, len2, tri, dy, dx, nil, 0)[2 : 2+len2] {
+		for i, v := range sc.rows16(p, s1, h, x0, len2, tri, dy, dx, nil, 0, resume)[2 : 2+len2] {
 			bottom[i] = int32(v)
 		}
 		return bottom

@@ -26,9 +26,14 @@ type Scratch struct {
 	edgeM, edgeMaxX []int32 // striped kernel's inter-stripe carries
 
 	prev16, cur16, maxY16 []int16  // the int16 row kernel's row buffers
-	prof                  Profile  // the vector kernels' query profile (Scratch.Profile)
+	prev8, cur8           []uint8  // the byte kernel's row buffers
+	maxY8, maxYout8       []uint8  // and its column gap maxima, in and out
+	prof                  Profile  // the vector kernels' own query profile (Scratch.Profile)
+	shared                *Profile // a profile shared with other goroutines (ShareProfile)
 	model                 rowModel // tier facts of the last scoring model
+	k8                    u8Consts // the byte kernel's vectors for model
 	tier                  Tier     // tier of the last score or matrix call
+	wasted                int64    // cells the last call's flagged byte pass threw away
 
 	flat []int32   // full-matrix arena (traceback path)
 	rows [][]int32 // row headers over flat
@@ -54,22 +59,32 @@ func growI32(buf *[]int32, n int) []int32 {
 func (sc *Scratch) rowTier(p Params, h, w int) Tier {
 	if sc.model.p != p {
 		sc.model = newRowModel(p)
+		if sc.model.ok8 {
+			sc.k8 = newU8Consts(p, sc.model.bias8)
+		}
 	}
 	sc.tier = sc.model.tier(h, w)
 	return sc.tier
 }
 
 // Tier reports the kernel tier that served the last score or matrix
-// call on sc: what RowTier resolved for its shape and scoring model.
+// call on sc: what RowTier resolved for its shape and scoring model, or
+// TierU8x32 for a ScoreWindow pass the byte rung completed.
 func (sc *Scratch) Tier() Tier { return sc.tier }
+
+// Wasted reports the cells the last score call computed on the byte rung
+// and threw away: the row that reached the flag level, which the int16
+// rung computed again, carrying on from the rows above it. Zero when the
+// call did not hand over.
+func (sc *Scratch) Wasted() int64 { return sc.wasted }
 
 // Score is the scratch-based variant of the package-level Score: the
 // returned row is arena-owned and valid until the next call on sc.
 func (sc *Scratch) Score(p Params, s1, s2 []byte) []int32 {
-	return sc.score(p, s1, s2, 0, len(s2), nil, 0, 0)
+	return sc.score(p, s1, s2, 0, len(s2), nil, 0, 0, false)
 }
 
 // ScoreMasked is the scratch-based variant of ScoreMasked.
 func (sc *Scratch) ScoreMasked(p Params, s1, s2 []byte, tri *triangle.Triangle, r int) []int32 {
-	return sc.score(p, s1, s2, 0, len(s2), tri, 0, r)
+	return sc.score(p, s1, s2, 0, len(s2), tri, 0, r, false)
 }

@@ -14,7 +14,9 @@ import (
 // vector of neighbouring matrices, one column): wider tiers are strictly
 // faster per core but carry preconditions — the int32 tier needs AVX2,
 // the int16 tier additionally needs the scoring model to fit 16-bit lane
-// arithmetic (Int16ParamsOK). Every tier produces bit-identical rows.
+// arithmetic (Int16ParamsOK), and the byte tier serves only score-only
+// window passes that the int16 tier would serve. Every tier produces
+// bit-identical rows.
 type Tier uint8
 
 const (
@@ -28,12 +30,23 @@ const (
 	// vector register: twice the cells per instruction, for alignments
 	// whose scores stay below SatLimit16.
 	TierInt16x16
+	// TierU8x32 is the byte rung: an AVX2 kernel with 32 saturating
+	// unsigned byte lanes per vector register, twice the int16 rung's
+	// width. It runs ScoreWindow's passes (a prefilter window's first
+	// alignment and its masked realignments) where the int16 rung would;
+	// a sticky flag catches the first row that reaches the top of the
+	// byte range, and the int16 rung computes that row again and the rest
+	// of the pass. Matrices, tracebacks and the group kernels never run
+	// on it.
+	TierU8x32
 )
 
 // String names the tier as it appears in the bench ledger, metrics and
 // the REPRO_KERNEL_TIER override.
 func (t Tier) String() string {
 	switch t {
+	case TierU8x32:
+		return "u8x32"
 	case TierInt16x16:
 		return "int16x16"
 	case TierInt32x8:
@@ -52,16 +65,18 @@ func ParseTier(name string) (Tier, error) {
 		return TierInt32x8, nil
 	case "int16x16":
 		return TierInt16x16, nil
+	case "u8x32":
+		return TierU8x32, nil
 	}
-	return TierScalar, fmt.Errorf("align: unknown kernel tier %q (have scalar, int32x8, int16x16)", name)
+	return TierScalar, fmt.Errorf("align: unknown kernel tier %q (have scalar, int32x8, int16x16, u8x32)", name)
 }
 
-// detectedTier is the widest tier the CPU supports. Both vector tiers
-// need only AVX2; AVX-512 is detected (DetectedAVX512) but not yet used
-// for kernel selection — the 32-lane widening is a future tier.
+// detectedTier is the widest tier the CPU supports. Every vector tier,
+// the 32-lane byte rung included, needs only AVX2; AVX-512 is detected
+// (DetectedAVX512) but no kernel uses it.
 var detectedTier = func() Tier {
 	if hasAVX2 {
-		return TierInt16x16
+		return TierU8x32
 	}
 	return TierScalar
 }()
@@ -71,8 +86,8 @@ var detectedTier = func() Tier {
 func DetectedTier() Tier { return detectedTier }
 
 // DetectedAVX512 reports whether the CPU and OS support the AVX-512
-// foundation + BW instructions the future 32-lane tier would need. It is
-// diagnostic only: no kernel uses AVX-512 yet.
+// foundation + BW instructions. It is diagnostic only: no kernel uses
+// AVX-512 (the 32-lane rung, u8x32, runs on AVX2).
 func DetectedAVX512() bool { return hasAVX512 }
 
 // tierOverride holds a runtime-settable tier cap: -1 means "no override,
@@ -106,7 +121,7 @@ func envTier(v string, detected Tier, warn io.Writer) int32 {
 
 // SetKernelTier overrides the active kernel tier at runtime. The empty
 // string or "auto" clears the override; otherwise the name must parse
-// (scalar, int32x8, int16x16) and the tier must be supported by this
+// (scalar, int32x8, int16x16, u8x32) and the tier must be supported by this
 // CPU. Safe for concurrent use with running kernels: each kernel call
 // reads the override once.
 func SetKernelTier(name string) error {
@@ -182,8 +197,24 @@ func Int16Proven(p Params, dim int) bool {
 const maxGapInt32 = 1 << 24
 
 // RowBlock is the column count of one int16 vector block, and the width
-// below which a row is not worth a vector call.
+// below which a row is not worth a vector call. A byte block is twice as
+// wide.
 const RowBlock = 16
+
+// The byte rung's lane arithmetic (DESIGN.md section 15). A byte cell
+// holds the true value; the profile holds each exchange value plus the
+// model's bias, -MinScore, so that one saturating add and one saturating
+// subtract of the bias compute max(0, best + e). A cell whose true value
+// reaches 255 - bias reads exactly 255 - bias (the add clips at 255, the
+// subtract takes the bias off), so a cell at that level is the flag, and
+// a row without one is exact, because the rows above it had none either;
+// a pass hands over to the int16 rung at the first row with one. Gap
+// chains are clamped at zero instead of running negative: every cell
+// takes the max of its chains and the diagonal, which is >= 0, so a
+// negative chain value never wins. A model fits the rung when every
+// biased exchange value fits a byte, MaxScore + bias <= 255; a wide
+// spread only lowers the flag level, which costs hand-overs, not
+// exactness.
 
 // rowModel is what choosing a row tier needs to know about a scoring
 // model; a Scratch keeps the last one so a run of windows under one
@@ -192,6 +223,8 @@ type rowModel struct {
 	p          Params
 	hi         int64 // largest exchange value
 	ok16, ok32 bool  // the model fits int16 / int32 lane arithmetic
+	ok8        bool  // the model fits the byte rung
+	bias8      int32 // the byte rung's profile bias: -MinScore, or 0
 }
 
 func newRowModel(p Params) rowModel {
@@ -202,6 +235,8 @@ func newRowModel(p Params) rowModel {
 	m.hi = int64(p.Exch.MaxScore())
 	m.ok16 = Int16ParamsOK(p)
 	m.ok32 = p.Gap.Open >= 0 && p.Gap.Ext >= 0 && p.Gap.Open+p.Gap.Ext < maxGapInt32
+	m.bias8 = exchBias(p.Exch)
+	m.ok8 = m.ok16 && m.hi+int64(m.bias8) <= 255
 	return m
 }
 
@@ -218,10 +253,17 @@ func (m *rowModel) tier(h, w int) Tier {
 	if t == TierScalar || w < RowBlock || !m.ok32 {
 		return TierScalar
 	}
-	if t == TierInt16x16 && m.int16Proven(min(h, w)) {
+	if t >= TierInt16x16 && m.int16Proven(min(h, w)) {
 		return TierInt16x16
 	}
 	return TierInt32x8
+}
+
+// byteRung reports whether a ScoreWindow pass over an h x w window runs
+// on the byte rung: the active tier reaches it, the model fits it, and
+// the int16 rung, which finishes a flagged pass, would serve the window.
+func (m *rowModel) byteRung(h, w int) bool {
+	return m.ok8 && ActiveTier() >= TierU8x32 && m.tier(h, w) == TierInt16x16
 }
 
 // RowTier is the tier the row kernel runs an h x w matrix (or window)
@@ -229,7 +271,10 @@ func (m *rowModel) tier(h, w int) Tier {
 // scoring model admit. Rows narrower than one 16-column block stay on
 // the Go row; the int16 rung needs the Int16Proven bound over the
 // smaller side — no sticky flag, no re-run; everything else the vector
-// unit can serve runs the exact int32 twin.
+// unit can serve runs the exact int32 twin. The row ladder tops out at
+// int16x16: where RowTier says int16x16 and the byte rung is active,
+// ScoreWindow runs the pass on the byte rung first (Scratch.Tier says
+// which served it).
 func RowTier(p Params, h, w int) Tier {
 	m := newRowModel(p)
 	return m.tier(h, w)

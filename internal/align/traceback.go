@@ -56,7 +56,7 @@ func (sc *Scratch) matrix(p Params, s1, h []byte, x0, x1 int, tri *triangle.Tria
 	}
 	switch tier {
 	case TierInt16x16:
-		sc.rows16(p, s1, h, x0, len2, tri, dy, dx, flat, stride)
+		sc.rows16(p, s1, h, x0, len2, tri, dy, dx, flat, stride, false)
 		return m
 	case TierInt32x8:
 		sc.rows8(p, s1, h, x0, len2, tri, dy, dx, flat, stride)

@@ -48,10 +48,20 @@ func (w Rect) Validate(m int) error {
 
 // ScoreWindow computes the windowed local-alignment matrix of s against
 // itself over window w and returns the window's bottom row (row w.Y1,
-// columns w.X0..w.X1). tri == nil disables override masking. The
-// returned row is arena-owned and valid until the next call on sc.
+// columns w.X0..w.X1). tri == nil disables override masking. It is the
+// byte rung's entry point: where the int16 rung would serve the window
+// and the byte rung is active, the pass runs in bytes first and hands
+// over to the int16 rung at the first row with a cell at the flag level
+// (Tier and Wasted report what happened). The returned row is
+// arena-owned and valid until the next call on sc.
 func (sc *Scratch) ScoreWindow(p Params, s []byte, w Rect, tri *triangle.Triangle) []int32 {
-	return sc.score(p, s[w.Y0-1:w.Y1], s, w.X0-1, w.X1, tri, w.Y0-1, w.X0-1)
+	return sc.score(p, s[w.Y0-1:w.Y1], s, w.X0-1, w.X1, tri, w.Y0-1, w.X0-1, true)
+}
+
+// ScoreWindowWide is ScoreWindow without the byte rung: the pass runs on
+// the tier RowTier names. The engine's split passes take it.
+func (sc *Scratch) ScoreWindowWide(p Params, s []byte, w Rect, tri *triangle.Triangle) []int32 {
+	return sc.score(p, s[w.Y0-1:w.Y1], s, w.X0-1, w.X1, tri, w.Y0-1, w.X0-1, false)
 }
 
 // MatrixWindow computes the full windowed matrix with rows 0..H and

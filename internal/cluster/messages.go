@@ -62,7 +62,8 @@ type msgJob struct {
 // one lane, Lanes entries in group mode. Rows is non-nil only for first
 // alignments: the original bottom row per member. The Work (First, Tier,
 // Rerun, ShadowEnds, and Nanos: kernel wall time, excluding row fetches)
-// is what the master hands to Engine.Count.
+// is what the master hands to Engine.Count; its Wasted stays home, since
+// only window passes, which no slave runs, can waste cells.
 //
 // Spans, when non-empty, is the OBT1-encoded batch of spans the slave
 // recorded for this job, with Start times on the slave's local

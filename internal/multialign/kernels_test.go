@@ -161,8 +161,8 @@ func groupStarts(m int) []int {
 // nothing). One Scratch serves a whole tier, so arena reuse across
 // shrinking and growing groups is exercised too.
 func TestScoreGroupAuto(t *testing.T) {
-	prev := ActiveTier()
-	defer SetKernelTier(prev.String()) //nolint:errcheck // prev was active, so it is supported
+	prev := align.ActiveTier()
+	defer align.SetKernelTier(prev.String()) //nolint:errcheck // prev was active, so it is supported
 	scratch := map[Tier]*Scratch{TierScalar: NewScratch(), TierInt32x8: NewScratch(), TierInt16x16: NewScratch()}
 	for _, kp := range kernelParams {
 		for _, in := range kernelInputs {

@@ -97,7 +97,7 @@ func (sc *Scratch) ScoreGroupAuto(p align.Params, s []byte, r0, lanes int, tri *
 			break
 		}
 		r := r0 + k
-		copy(bottom, sc.row.ScoreWindow(p, s, align.Rect{Y0: 1, Y1: r, X0: r + 1, X1: m}, tri))
+		copy(bottom, sc.row.ScoreWindowWide(p, s, align.Rect{Y0: 1, Y1: r, X0: r + 1, X1: m}, tri))
 		g.Tier = max(g.Tier, sc.row.Tier())
 	}
 	return g, nil

@@ -6,7 +6,9 @@ import "repro/internal/align"
 // CPU detection, the REPRO_KERNEL_TIER / SetKernelTier override and the
 // int16 lane bounds — is declared once, in package align, whose row
 // kernel climbs it too; the names below are the same ones, kept here for
-// the callers that think in groups.
+// the callers that think in groups. The group ladder tops out at
+// int16x16: align's byte rung (u8x32) serves score-only window passes
+// only, so this package reads an active or detected u8x32 as int16x16.
 type Tier = align.Tier
 
 const (
@@ -25,22 +27,25 @@ const (
 // ParseTier is the inverse of Tier.String.
 func ParseTier(name string) (Tier, error) { return align.ParseTier(name) }
 
-// DetectedTier reports the widest kernel tier the CPU supports,
+// DetectedTier reports the widest group kernel tier the CPU supports,
 // independent of any override.
-func DetectedTier() Tier { return align.DetectedTier() }
+func DetectedTier() Tier { return min(align.DetectedTier(), TierInt16x16) }
 
 // DetectedAVX512 reports whether the CPU and OS support the AVX-512
-// foundation + BW instructions the future 32-lane tier would need.
+// foundation + BW instructions (diagnostic only; no kernel uses them).
 func DetectedAVX512() bool { return align.DetectedAVX512() }
 
 // SetKernelTier overrides the active kernel tier at runtime, for the
 // group kernels and align's row kernel alike; see align.SetKernelTier.
 func SetKernelTier(name string) error { return align.SetKernelTier(name) }
 
-// ActiveTier returns the tier kernels currently select from: the runtime
-// override when set, the detected tier otherwise. The effective tier of
-// a particular call can be narrower (see TierFor).
-func ActiveTier() Tier { return align.ActiveTier() }
+// ActiveTier returns the group tier kernels currently select from: the
+// runtime override when set, the detected tier otherwise, u8x32 read as
+// int16x16. The effective tier of a particular call can be narrower (see
+// TierFor). It is the group view only: passing it back to SetKernelTier
+// caps a u8x32 process at int16x16, so code that saves and restores the
+// override reads align.ActiveTier instead.
+func ActiveTier() Tier { return min(align.ActiveTier(), TierInt16x16) }
 
 // The int16 lane-arithmetic bounds (see align.SatLimit16): satLimit16 is
 // the sticky-saturation threshold — any cell value reaching it sets the

@@ -77,6 +77,21 @@ func TestTierForNarrowing(t *testing.T) {
 			t.Errorf("%s: tier %s, want %s", c.name, got, c.want)
 		}
 	}
+	// align's byte rung serves windows only: an active u8x32 reads as
+	// int16x16 here, and groups run where they ran before
+	if align.DetectedTier() >= align.TierU8x32 {
+		if err := SetKernelTier("u8x32"); err != nil {
+			t.Fatal(err)
+		}
+		if ActiveTier() != TierInt16x16 || DetectedTier() != TierInt16x16 {
+			t.Errorf("under u8x32: active %s, detected %s, want int16x16 for both", ActiveTier(), DetectedTier())
+		}
+		for _, c := range cases {
+			if got := TierFor(c.p, 500, c.lanes); got != c.want {
+				t.Errorf("%s under u8x32: tier %s, want %s", c.name, got, c.want)
+			}
+		}
+	}
 }
 
 // Int16Proven must be exactly the hi*dim < satLimit16 predicate over the

@@ -53,9 +53,10 @@ type Usage struct {
 	CacheBytesRead    int64 `json:"cache_bytes_read,omitempty"`
 	CacheBytesWritten int64 `json:"cache_bytes_written,omitempty"`
 	// KernelTiers is the tier mix: alignments served per kernel tier
-	// name, plus "rerun" for int16 saturation re-runs (those alignments
-	// are counted under both the int16 tier and "rerun" — the re-run is
-	// extra work, not a different serving tier).
+	// name, plus "rerun" for saturation re-runs — an int16 group re-run in
+	// int32, a byte window pass finished in int16 (those alignments are
+	// counted under both the tier that served them and "rerun" — the
+	// re-run is extra work, not a different serving tier).
 	KernelTiers map[string]int64 `json:"kernel_tiers,omitempty"`
 }
 

@@ -147,8 +147,8 @@ func TestFilterPresetRecall(t *testing.T) {
 
 // TestFilterPresetsBackendIndependent asserts that fast and balanced
 // return the same result regardless of the Workers/Slaves options: the
-// windowed driver is sequential by design so cache entries stay
-// shareable across backends.
+// windowed driver is one loop whatever the backend, so cache entries
+// stay shareable across backends.
 func TestFilterPresetsBackendIndependent(t *testing.T) {
 	q := seq.Tandem(seq.TandemSpec{UnitLen: 60, Copies: 6, FlankLen: 40,
 		Profile: moderate, Seed: 42})
@@ -178,7 +178,7 @@ func TestFilterPresetsBackendIndependent(t *testing.T) {
 				t.Fatalf("%s/%s: %v", preset, name, err)
 			}
 			if !reflect.DeepEqual(got.Tops, base.Tops) {
-				t.Errorf("%s/%s: tops differ from sequential windowed run", preset, name)
+				t.Errorf("%s/%s: tops differ from the default windowed run", preset, name)
 			}
 		}
 	}

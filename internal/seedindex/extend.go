@@ -1,6 +1,7 @@
 package seedindex
 
 import (
+	"repro/internal/obs/attrib"
 	"repro/internal/topalign"
 )
 
@@ -37,16 +38,32 @@ func scan(s []byte, cfg Config, maxScore int32, top topalign.Config) ([]Candidat
 // (residue codes) and returns top alignments through the standard
 // best-first queue, plus the prefilter stage statistics.
 //
-// The extension is recorded as a span (prefilter.extend) beside scan's
-// two. Group lanes do not apply to windowed extension and are ignored.
+// The extension is topalign.RunWindows: one best-first loop over the
+// candidate windows, their first alignments computed ahead on the other
+// cores and on the byte rung where scores are small. It is recorded as a
+// span (prefilter.extend) beside scan's two. Group lanes do not apply to
+// windowed extension and are ignored.
 func Find(s []byte, cfg Config, top topalign.Config) (*topalign.Result, *Stats, error) {
+	e, engErr := topalign.NewEngine(s, top)
+	if engErr == nil {
+		// The query profile the extension reads, built on another core
+		// beside the index and chain stages, and billed to the run.
+		profiled := make(chan struct{})
+		go func() {
+			defer close(profiled)
+			var sw attrib.Stopwatch
+			sw.Start()
+			e.WindowProfile()
+			top.Counters.AddCPU(sw.Stop())
+		}()
+		defer func() { <-profiled }()
+	}
 	cands, st, err := scan(s, cfg, top.Params.Exch.MaxScore(), top)
 	if err != nil {
 		return nil, nil, err
 	}
-	e, err := topalign.NewEngine(s, top)
-	if err != nil {
-		return nil, nil, err
+	if engErr != nil {
+		return nil, nil, engErr
 	}
 	tasks := windowTasks(cands, e.Config().MinScore, st)
 

@@ -41,9 +41,10 @@ type Params struct {
 	Speculative bool `json:"speculative,omitempty"`
 	// Preset selects the seed-filter-extend prefilter for long inputs:
 	// "" (exact engine), "fast", "balanced", or "sensitive" (exact
-	// engine + prefilter telemetry). Fast and balanced run the
-	// sequential windowed driver regardless of backend, so cache
-	// entries stay backend-shareable.
+	// engine + prefilter telemetry). Fast and balanced run the windowed
+	// driver regardless of backend — one best-first loop, with window
+	// first alignments computed ahead on every core — so their reports,
+	// and cache entries, are the same for every backend.
 	Preset string `json:"preset,omitempty"`
 	// SeedK, SeedMask, SeedMaxOcc, SeedBand and SeedPad override
 	// individual prefilter knobs (0/"" = preset default). Valid only

@@ -24,15 +24,15 @@ import (
 )
 
 // NumTiers is the size of the per-tier alignment counter array. It
-// must cover every multialign.Tier ordinal; stats cannot import
-// multialign (multialign threads *Counters through its scratch), so
-// the engine asserts the correspondence in a test.
-const NumTiers = 3
+// must cover every align.Tier ordinal, the byte rung included; stats
+// cannot import the kernel packages (they thread *Counters through their
+// scratches), so the engine asserts the correspondence in a test.
+const NumTiers = 4
 
 // TierNames maps tier ordinals to the exposition names used in
 // per-tier counters and Usage.KernelTiers. Index i is
-// multialign.Tier(i).String().
-var TierNames = [NumTiers]string{"scalar", "int32x8", "int16x16"}
+// align.Tier(i).String().
+var TierNames = [NumTiers]string{"scalar", "int32x8", "int16x16", "u8x32"}
 
 // Counters accumulates engine activity. Safe for concurrent use; the
 // zero value is ready.
@@ -45,9 +45,10 @@ type Counters struct {
 	specWaste    obs.Counter // scheduler results computed against a triangle since superseded
 	alignNanos   obs.Histogram
 
-	cpuNanos  obs.Counter           // thread CPU attributed to compute goroutines
-	tierAlign [NumTiers]obs.Counter // alignments served per kernel tier
-	tierRerun obs.Counter           // int16 saturation re-runs (extra int32 passes)
+	cpuNanos    obs.Counter           // thread CPU attributed to compute goroutines
+	tierAlign   [NumTiers]obs.Counter // alignments served per kernel tier
+	tierRerun   obs.Counter           // saturation re-runs (a narrow pass finished one rung wider)
+	wastedCells obs.Counter           // cells a saturated pass threw away
 }
 
 // Bind registers every counter in reg under the engine/ namespace, so
@@ -69,6 +70,7 @@ func (c *Counters) Bind(reg *obs.Registry) {
 		reg.BindCounter("engine/alignments_tier/"+TierNames[i], &c.tierAlign[i])
 	}
 	reg.BindCounter("engine/tier_reruns", &c.tierRerun)
+	reg.BindCounter("engine/wasted_cells", &c.wastedCells)
 }
 
 // AddAlignment records one score-only alignment over the given number of
@@ -115,9 +117,10 @@ func (c *Counters) AddCPU(ns int64) {
 }
 
 // AddTierAlignments attributes n alignments to kernel tier ordinal
-// tier; rerun marks the batch as having needed an int32 re-run after
-// int16 saturation (counted separately — the alignments still belong
-// to the tier that finally served them).
+// tier; rerun marks the batch as having needed a re-run after a
+// saturation flag — an int16 group re-run in int32, a byte window pass
+// handed over to int16 at its flagged row — counted separately: the
+// alignments still belong to the tier that finally served them.
 func (c *Counters) AddTierAlignments(tier int, n int64, rerun bool) {
 	if c == nil || tier < 0 || tier >= NumTiers || n <= 0 {
 		return
@@ -126,6 +129,17 @@ func (c *Counters) AddTierAlignments(tier int, n int64, rerun bool) {
 	if rerun {
 		c.tierRerun.Add(n)
 	}
+}
+
+// AddWastedCells records cells a saturated pass computed and threw away:
+// a byte pass's flagged row, which the int16 rung computes again. They
+// are not in the cells counter, which counts each alignment's matrix
+// once.
+func (c *Counters) AddWastedCells(n int64) {
+	if c == nil || n == 0 {
+		return
+	}
+	c.wastedCells.Add(n)
 }
 
 // AddTraceback records one full-matrix traceback over cells entries.
@@ -167,10 +181,12 @@ type Snapshot struct {
 	// AlignLatency is the per-alignment wall-time histogram.
 	AlignLatency obs.HistogramSnapshot
 	// CPUNanos is attributed thread CPU; TierAlignments/TierReruns the
-	// kernel-tier mix (see AddTierAlignments).
+	// kernel-tier mix (see AddTierAlignments); WastedCells what the
+	// saturated passes threw away (AddWastedCells).
 	CPUNanos       int64
 	TierAlignments [NumTiers]int64
 	TierReruns     int64
+	WastedCells    int64
 }
 
 // KernelTiers renders the tier mix as the exposition map used by
@@ -216,6 +232,7 @@ func (c *Counters) AddSnapshot(s Snapshot) {
 		c.tierAlign[i].Add(n)
 	}
 	c.tierRerun.Add(s.TierReruns)
+	c.wastedCells.Add(s.WastedCells)
 }
 
 // Snapshot returns the current counter values (zero Snapshot for nil).
@@ -233,6 +250,7 @@ func (c *Counters) Snapshot() Snapshot {
 		AlignLatency: c.alignNanos.Snapshot(),
 		CPUNanos:     c.cpuNanos.Load(),
 		TierReruns:   c.tierRerun.Load(),
+		WastedCells:  c.wastedCells.Load(),
 	}
 	for i := range c.tierAlign {
 		s.TierAlignments[i] = c.tierAlign[i].Load()

@@ -3,6 +3,7 @@ package topalign
 import (
 	"fmt"
 	"slices"
+	"sync"
 	"time"
 
 	"repro/internal/align"
@@ -11,13 +12,16 @@ import (
 )
 
 // Scratch bundles the kernel arenas one worker needs for the full task
-// cycle: the scalar score kernel, group kernels, and the traceback
-// matrix. Whoever drives the engine owns the arenas: one Scratch per
-// worker goroutine under a scheduler, one per Run for the sequential
-// loop. See align.Scratch for the ownership rules.
+// cycle: the scalar score kernel, group kernels, the traceback matrix,
+// and a slab for the window rows it computes. Whoever drives the engine
+// owns the arenas: one Scratch per worker goroutine under a scheduler,
+// one per Run for the sequential loop and one per lookahead helper. See
+// align.Scratch for the ownership rules.
 type Scratch struct {
 	A align.Scratch
 	G multialign.Scratch
+
+	rows *triangle.Slab // the window original rows this goroutine computed (Engine.firstPass)
 }
 
 // NewScratch returns an empty Scratch.
@@ -30,16 +34,21 @@ func NewScratch() *Scratch { return &Scratch{} }
 //
 // Engine methods are not self-synchronising. Realign is pure with
 // respect to the triangle snapshot passed in (the row store is
-// internally locked, a window's original row belongs to its one task),
+// internally locked, a window's original row belongs to its one task
+// and sits in the slab of the scratch that computed it),
 // so schedulers may realign distinct tasks concurrently as long as each
 // concurrent caller brings its own Scratch. Accept mutates the engine
 // and must be serialised.
 type Engine struct {
-	s    []byte
-	cfg  Config
-	tri  *triangle.Triangle
-	orig *triangle.RowStore
-	tops []TopAlignment
+	s     []byte
+	cfg   Config
+	tri   *triangle.Triangle
+	orig  *triangle.RowStore
+	tops  []TopAlignment
+	ahead *lookahead // RunWindows' first-pass helpers while it runs; nil otherwise
+
+	profOnce sync.Once
+	prof     *align.Profile // WindowProfile's
 }
 
 // NewEngine validates the configuration and prepares the state for
@@ -85,6 +94,15 @@ func (e *Engine) Triangle() *triangle.Triangle { return e.tri }
 // copy-on-write with the live triangle.
 func (e *Engine) TriangleSnapshot() *triangle.Triangle { return e.tri.Clone() }
 
+// WindowProfile returns the query profile of the engine's sequence that
+// every goroutine of RunWindows reads, building it on first use. A caller
+// with a core to spare can build it ahead: seedindex.Find does, beside
+// its index and chain stages.
+func (e *Engine) WindowProfile() *align.Profile {
+	e.profOnce.Do(func() { e.prof = align.NewProfile(e.cfg.Params.Exch, e.s) })
+	return e.prof
+}
+
 // OrigRows exposes the original-bottom-row store (the distributed master
 // serves replicas from it).
 func (e *Engine) OrigRows() *triangle.RowStore { return e.orig }
@@ -98,7 +116,8 @@ func (e *Engine) OrigRows() *triangle.RowStore { return e.orig }
 type Work struct {
 	First      bool       // the task's first (unmasked) alignment, not a realignment
 	Tier       align.Tier // kernel tier that served the operation
-	Rerun      bool       // the int16 group kernel saturated and was re-run in int32
+	Rerun      bool       // a narrow pass saturated and was finished one rung wider
+	Wasted     int64      // cells the saturated pass threw away (align.Scratch.Wasted)
 	ShadowEnds int64      // bottom-row endings rejected as shadows
 	Nanos      int64      // kernel wall time
 }
@@ -166,6 +185,7 @@ func (e *Engine) Count(t *Task, w Work) {
 	c.AddAlignments(int64(members), cells, !w.First)
 	c.ObserveAlignLatencyPer(time.Duration(w.Nanos), members)
 	c.AddTierAlignments(int(w.Tier), int64(members), w.Rerun)
+	c.AddWastedCells(w.Wasted)
 	c.AddShadowEnds(w.ShadowEnds)
 }
 
@@ -197,24 +217,73 @@ func (e *Engine) origRow(r int, win *Window) []int32 {
 // shadow rejection — and what it ran. win is the window the rectangle
 // belongs to, nil for split w.Y1. A rectangle with no original row yet
 // is on its first alignment (Realign passes tri == nil): its bottom row
-// becomes the original.
+// becomes the original. A window's first alignment may already have
+// been computed ahead (lookahead.take). Window passes start on the byte
+// rung; split passes never do.
 func (e *Engine) alignRect(w align.Rect, win *Window, tri *triangle.Triangle, sc *Scratch) (int32, Work) {
 	orig := e.origRow(w.Y1, win) // nil on the first alignment: nothing to reject
-	t0 := time.Now()
-	row := sc.A.ScoreWindow(e.cfg.Params, e.s, w, tri)
-	work := Work{First: orig == nil, Tier: sc.A.Tier(), Nanos: int64(time.Since(t0))}
-	if orig == nil {
-		// row is scratch-owned: the store keeps a copy either way, a
-		// window's in its slabs only (16 k windows, not 16 k allocations)
-		if win != nil {
-			win.orig = e.orig.Keep(row)
+	if orig == nil && win != nil {
+		var f firstAlignment
+		if a := e.ahead; a != nil && win.slot != nil {
+			f = a.take(e, win, sc)
 		} else {
-			e.orig.Put(w.Y1, row)
+			f = e.firstPass(w, sc)
 		}
+		win.orig = f.row
+		return f.score, f.work
+	}
+	var row []int32
+	var work Work
+	if orig == nil {
+		row, work = e.pass(w, nil, false, sc)
+		e.orig.Put(w.Y1, row) // row is scratch-owned: Put copies it
+		work.First = true
+	} else {
+		row, work = e.pass(w, tri, win != nil, sc)
 	}
 	var score int32
 	_, score, work.ShadowEnds = align.BestValidEnd(row, orig)
 	return score, work
+}
+
+// pass runs one score-only pass over w against tri, on the byte rung
+// when byteOK (align.Scratch.ScoreWindow), and reports what it ran. The
+// row is scratch-owned.
+func (e *Engine) pass(w align.Rect, tri *triangle.Triangle, byteOK bool, sc *Scratch) ([]int32, Work) {
+	t0 := time.Now()
+	var row []int32
+	if byteOK {
+		row = sc.A.ScoreWindow(e.cfg.Params, e.s, w, tri)
+	} else {
+		row = sc.A.ScoreWindowWide(e.cfg.Params, e.s, w, tri)
+	}
+	wasted := sc.A.Wasted()
+	return row, Work{Tier: sc.A.Tier(), Rerun: wasted > 0, Wasted: wasted, Nanos: int64(time.Since(t0))}
+}
+
+// firstAlignment is a window's first alignment: its bottom row, kept
+// (Engine.firstPass), its score — the row's best ending, none of which is
+// a shadow yet — and what it ran.
+type firstAlignment struct {
+	row   []int32
+	score int32
+	work  Work
+}
+
+// firstPass computes window rectangle w's first (unmasked) alignment,
+// keeping its bottom row in sc's slab rather than one allocation per
+// window. It reads only the sequence and writes only sc, so lookahead
+// helpers run it concurrently with the driving loop.
+func (e *Engine) firstPass(w align.Rect, sc *Scratch) firstAlignment {
+	row, work := e.pass(w, nil, true, sc)
+	if sc.rows == nil {
+		slab := triangle.NewSlab(len(e.s))
+		sc.rows = &slab
+	}
+	work.First = true
+	f := firstAlignment{row: sc.rows.Keep(row), work: work}
+	_, f.score, _ = align.BestValidEnd(f.row, nil)
+	return f
 }
 
 // alignGroup aligns the fixed group of GroupLanes neighbouring splits

@@ -54,8 +54,11 @@ func Decide(cfg Config, head *Task, tops int) Decision {
 // hand it their initial queues, the cluster master the queue it is left
 // with when its last slave dies. Tasks keep whatever score and stamp
 // they carry (stale scores are upper bounds), so a queue may be drained
-// from any state. sc supplies the kernel arenas.
+// from any state. sc supplies the kernel arenas. The loop counts itself
+// engaged while it runs, which sizes any lookahead helpers (RunWindows).
 func Run(e *Engine, q *TaskQueue, sc *Scratch) error {
+	engaged.Add(1)
+	defer engaged.Add(-1)
 	cfg := e.Config()
 	for {
 		switch Decide(cfg, q.Peek(), e.NumTopsFound()) {

@@ -21,8 +21,12 @@ type Window struct {
 
 	// orig is the window's original (unmasked) bottom row, recorded on
 	// first alignment and used for shadow rejection on realignments. The
-	// memory is the engine's (RowStore.Keep), the slice this window's.
+	// memory is a slab of the scratch that computed it (Engine.firstPass),
+	// the slice this window's.
 	orig []int32
+	// slot is where a lookahead helper puts the first alignment it
+	// computes ahead of the loop; nil outside RunWindows.
+	slot *slot
 }
 
 // Aligned reports whether the window has had its first (unmasked)
@@ -33,7 +37,13 @@ func (w *Window) Aligned() bool { return w.orig != nil }
 // completion: it checks the caller-built tasks, queues them at the
 // scores they carry (their admissible bounds) and hands the queue to
 // Run, which terminates when NumTops alignments are accepted or the
-// best remaining upper bound drops below MinScore.
+// best remaining upper bound drops below MinScore. Run stays the one
+// loop, on this goroutine; with GOMAXPROCS above one, helpers compute
+// never-aligned windows' first alignments ahead of it on the cores no
+// other engine loop of the process is using (lookahead). A first alignment ignores the triangle, so who
+// computes it changes nothing the loop decides or counts: the report
+// and the work counters are those of the loop alone. All goroutines of
+// the run read one query profile.
 //
 // The kernels index the sequence and the override triangle by the
 // rectangle without checking it, so every task is validated before the
@@ -57,5 +67,8 @@ func RunWindows(e *Engine, tasks []*Task) error {
 		}
 		q.Push(t)
 	}
-	return Run(e, q, NewScratch())
+	defer e.startLookahead(tasks)()
+	sc := NewScratch()
+	sc.A.ShareProfile(e.WindowProfile())
+	return Run(e, q, sc)
 }

@@ -1,11 +1,13 @@
 package topalign
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
 	"repro/internal/align"
 	"repro/internal/multialign"
+	"repro/internal/obs/attrib"
 	"repro/internal/scoring"
 	"repro/internal/seq"
 	"repro/internal/stats"
@@ -14,7 +16,9 @@ import (
 // A split is a window: RunWindows over one full-split window per split,
 // queued at Infinity like Find's initial tasks, must perform exactly
 // Find's alignments, realignments and tracebacks — same tops (index,
-// split, score, pairs) and the same engine-counted cell total.
+// split, score, pairs) and the same engine-counted cell total. Windows
+// may run on the byte rung where splits run int16x16: folded into the
+// rung that finishes a flagged pass, the tier mix is the same.
 func TestRunWindowsFullSplitsMatchFind(t *testing.T) {
 	dnaTandem := seq.Tandem(seq.TandemSpec{Alpha: seq.DNA, UnitLen: 30, Copies: 6, FlankLen: 20,
 		Profile: seq.MutationProfile{SubstRate: 0.1}, Seed: 5})
@@ -61,7 +65,10 @@ func TestRunWindowsFullSplitsMatchFind(t *testing.T) {
 				got.Realignments != want.Stats.Realignments || got.Tracebacks != want.Stats.Tracebacks {
 				t.Errorf("work differs: windows %v, splits %v", got, want.Stats)
 			}
-			if got.TierAlignments != want.Stats.TierAlignments {
+			mix := got.TierAlignments
+			mix[align.TierInt16x16] += mix[align.TierU8x32]
+			mix[align.TierU8x32] = 0
+			if mix != want.Stats.TierAlignments {
 				t.Errorf("kernel-tier mix differs: windows %v, splits %v", got.TierAlignments, want.Stats.TierAlignments)
 			}
 		})
@@ -140,8 +147,8 @@ func TestRunWindowsUnalignedZeroStamp(t *testing.T) {
 // a rectangle under one block wide, or past the int16 score bound, shows
 // up as what it ran, whatever tier is forced.
 func TestAlignRectCountsTheRowTier(t *testing.T) {
-	prev := multialign.ActiveTier()
-	defer multialign.SetKernelTier(prev.String()) //nolint:errcheck // prev was active, so it is supported
+	prev := align.ActiveTier()               // the whole ladder: multialign reads u8x32 as int16x16
+	defer align.SetKernelTier(prev.String()) //nolint:errcheck // prev was active, so it is supported
 	codes := seq.SyntheticTitin(200, 1).Codes
 	// W:W scores 17 under PAM250: poly-W splits of 1883 and more rows by as
 	// many columns pass the int16 bound.
@@ -192,5 +199,82 @@ func TestAlignRectCountsTheRowTier(t *testing.T) {
 		if got := e.Config().Counters.Snapshot().TierAlignments; got != want {
 			t.Errorf("%s windows: tier mix %v, want %v", tier, got, want)
 		}
+	}
+}
+
+// RunWindows meters none of its caller's CPU — repro.Analyze's stopwatch
+// does — so the counters' CPU after a run is what the lookahead helpers
+// billed themselves: some under GOMAXPROCS 2, where one helper sorts the
+// windows and computes first alignments; none under GOMAXPROCS 1, where
+// the loop runs alone, nor under GOMAXPROCS 2 while another engine loop
+// of the process holds the second core. The loop counts itself engaged
+// while it runs.
+func TestLookaheadBillsItsHelpers(t *testing.T) {
+	if !attrib.ThreadCPUSupported() {
+		t.Skip("no per-thread CPU clock on this platform")
+	}
+	codes := seq.SyntheticTitin(300, 4).Codes
+	for _, c := range []struct {
+		procs, others int32
+		helped        bool
+	}{{1, 0, false}, {2, 0, true}, {2, 1, false}} {
+		func() {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(int(c.procs)))
+			engaged.Add(c.others)
+			defer engaged.Add(-c.others)
+			counters := &stats.Counters{}
+			var seen int32 // the most goroutines engaged while the loop realigned
+			onRealign := func(*Task, int) { seen = max(seen, engaged.Load()) }
+			e, err := NewEngine(codes, Config{Params: proteinParams, NumTops: 5, Counters: counters, OnRealign: onRealign})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var tasks []*Task
+			for r := 1; r < len(codes); r++ {
+				rect := align.Rect{Y0: 1, Y1: r, X0: r + 1, X1: len(codes)}
+				tasks = append(tasks, &Task{R: r, Score: Infinity, AlignedWith: -1, Win: &Window{Rect: rect, Bound: Infinity}})
+			}
+			if err := RunWindows(e, tasks); err != nil {
+				t.Fatal(err)
+			}
+			if cpu := counters.Snapshot().CPUNanos; (cpu > 0) != c.helped {
+				t.Errorf("GOMAXPROCS %d, %d other loops: helpers billed %d ns", c.procs, c.others, cpu)
+			}
+			if seen < c.others+1 {
+				t.Errorf("GOMAXPROCS %d: %d goroutines engaged during the run, want the loop and the %d others at least", c.procs, seen, c.others)
+			}
+			if n := engaged.Load(); n != c.others {
+				t.Errorf("GOMAXPROCS %d: %d goroutines engaged after the run, want the %d others", c.procs, n, c.others)
+			}
+		}()
+	}
+}
+
+// Helper places: a run reserves the cores its loop and the other engaged
+// goroutines leave free, and a helper gives its place up once as many
+// goroutines more are engaged than there are cores — one retirement per
+// goroutine in excess, not one per helper that looks.
+func TestHelperPlaces(t *testing.T) {
+	defer engaged.Store(engaged.Load())
+	engaged.Store(0)
+	if got := reserveHelpers(4); got != 3 || engaged.Load() != 3 {
+		t.Fatalf("idle process, 4 cores: reserved %d, engaged %d; want 3, 3", got, engaged.Load())
+	}
+	if reserveHelpers(4) != 0 {
+		t.Fatal("reserved helpers with every core taken")
+	}
+	engaged.Add(1) // the loop that reserved them
+	if retire(4) {
+		t.Fatal("a helper retired with no goroutine in excess")
+	}
+	engaged.Add(2) // two more loops start
+	retired := 0
+	for h := 0; h < 3; h++ {
+		if retire(4) {
+			retired++
+		}
+	}
+	if retired != 2 || engaged.Load() != 4 {
+		t.Errorf("two loops over 4 cores: %d helpers retired, engaged %d; want 2, 4", retired, engaged.Load())
 	}
 }

@@ -14,16 +14,16 @@ import (
 // paper's largest data structure: 2.4 GB for full-length titin, half
 // that as the paper's shorts), so nothing is sized up front: rows are
 // copied in as tasks are first aligned, into chunked slabs the store
-// owns — a row is written once and lives as long as the store, so there
-// is no free list — and the m-entry table of split rows appears with the
-// first Put (a windowed run only ever Keeps). RowStore is safe for
-// concurrent use; in the distributed runner the master owns the full
-// store and slaves keep a RowStore as an on-demand cache.
+// owns (Slab), and the m-entry table of split rows appears with the
+// first Put. Windows keep their rows in the slabs of the goroutines that
+// compute them instead. RowStore is safe for concurrent use; in the
+// distributed runner the master owns the full store and slaves keep a
+// RowStore as an on-demand cache.
 type RowStore struct {
 	mu   sync.RWMutex
 	m    int
 	rows [][]int32 // indexed by split r (1..m-1); rows[r] has m-r entries
-	slab []int32   // the current chunk; its spare capacity is what Keep carves
+	slab Slab      // where Put copies rows to
 }
 
 // slabChunk is the slab granule in entries (256 KB), less for a sequence
@@ -36,25 +36,33 @@ func NewRowStore(m int) *RowStore {
 	if m < 2 {
 		panic(fmt.Sprintf("triangle: sequence length %d too short", m))
 	}
-	return &RowStore{m: m}
+	return &RowStore{m: m, slab: NewSlab(m)}
 }
 
-// Keep copies row into the store's slabs and returns the copy, which
-// must not be modified. It is how a window's original row is recorded:
-// the window holds the returned slice, the store only its memory.
-func (s *RowStore) Keep(row []int32) []int32 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.keep(row)
+// Slab carves rows out of chunked memory: a row is written once and
+// lives as long as whoever holds it, so there is no free list. A Slab is
+// for one goroutine at a time — a RowStore keeps one under its lock, and
+// each goroutine of a windowed run keeps the window rows it computes in
+// its own, so that they never wait on each other.
+type Slab struct {
+	chunk int     // the granule in entries
+	buf   []int32 // the current chunk; its spare capacity is what Keep carves
 }
 
-func (s *RowStore) keep(row []int32) []int32 {
-	if len(row) > cap(s.slab)-len(s.slab) {
-		s.slab = make([]int32, 0, max(min(slabChunk, s.m*(s.m-1)/2), len(row)))
+// NewSlab returns an empty slab for the rows of a sequence of length m.
+func NewSlab(m int) Slab {
+	return Slab{chunk: min(slabChunk, max(1, m*(m-1)/2))}
+}
+
+// Keep copies row into the slab and returns the copy, which has no spare
+// capacity to append into.
+func (s *Slab) Keep(row []int32) []int32 {
+	if len(row) > cap(s.buf)-len(s.buf) {
+		s.buf = make([]int32, 0, max(s.chunk, len(row)))
 	}
-	at := len(s.slab)
-	s.slab = append(s.slab, row...)
-	return s.slab[at:len(s.slab):len(s.slab)]
+	at := len(s.buf)
+	s.buf = append(s.buf, row...)
+	return s.buf[at:len(s.buf):len(s.buf)]
 }
 
 // Put stores the original bottom row for split r, copying the input.
@@ -74,7 +82,7 @@ func (s *RowStore) Put(r int, row []int32) {
 		s.rows = make([][]int32, s.m)
 	}
 	if s.rows[r] == nil {
-		s.rows[r] = s.keep(row)
+		s.rows[r] = s.slab.Keep(row)
 	}
 }
 

@@ -84,9 +84,11 @@ type Options struct {
 	// construction) but adds prefilter telemetry to the report; "fast"
 	// and "balanced" restrict alignment to seed-supported candidate
 	// windows, trading sensitivity for orders-of-magnitude less work.
-	// Fast and balanced always use the sequential windowed driver, so
-	// their results are deterministic regardless of Workers/Slaves;
-	// those knobs select the backend only for the exact presets.
+	// Fast and balanced run the windowed driver whatever Workers and
+	// Slaves say: one best-first loop, with the windows' first
+	// alignments computed ahead of it on every core (GOMAXPROCS), so
+	// their results are deterministic and backend-independent; those
+	// knobs select the backend only for the exact presets.
 	Preset string
 	// SeedK, SeedMask, SeedMaxOcc, SeedBand and SeedPad override
 	// individual prefilter knobs (zero value = preset default): seed
@@ -161,10 +163,13 @@ type Stats struct {
 	RealignmentReduction float64
 	// Lanes is the lane count the run used — Options.Lanes with 0
 	// resolved — and KernelTier the kernel tier that lane count and the
-	// scoring model select ("scalar", "int32x8", or "int16x16").
-	// Individual alignments can still run narrower (int16 saturation
-	// re-runs a group in int32, a matrix under 16 columns wide takes the
-	// Go row); this is the widest tier the run was served by.
+	// scoring model select on the group and row ladder ("scalar",
+	// "int32x8", or "int16x16"). Individual alignments can still run
+	// narrower (int16 saturation re-runs a group in int32, a matrix under
+	// 16 columns wide takes the Go row), and the fast and balanced
+	// presets run window passes on the byte rung in front of int16x16;
+	// Usage.KernelTiers counts what each alignment ran ("u8x32" for the
+	// byte rung).
 	Lanes      int    `json:"Lanes,omitempty"`
 	KernelTier string `json:"KernelTier,omitempty"`
 }
@@ -333,18 +338,19 @@ func analyze(q *seq.Sequence, exch *scoring.Matrix, opt Options) (*Report, error
 		pstats *seedindex.Stats
 	)
 	// Resource attribution: the driver goroutine pins its thread and
-	// meters its own CPU across the engine run (for the sequential and
-	// windowed drivers that is all the compute; for parallel/cluster it
-	// is the scheduling loop — the workers meter themselves into the
-	// same counters). The heap-alloc delta is process-global, accurate
+	// meters its own CPU across the engine run (for the sequential
+	// driver that is all the compute; for the windowed driver, the loop;
+	// for parallel/cluster the scheduling loop — the windowed driver's
+	// helpers and the workers meter themselves into the same counters). The heap-alloc delta is process-global, accurate
 	// when requests run one at a time (the bench configuration).
 	alloc0 := attrib.HeapAllocBytes()
 	var sw attrib.Stopwatch
 	sw.Start()
 	switch {
 	case opt.Preset == seedindex.PresetFast || opt.Preset == seedindex.PresetBalanced:
-		// Windowed extension through the best-first queue; always the
-		// sequential driver, so results are backend-independent.
+		// Windowed extension through the best-first queue: one loop,
+		// whatever the backend, so results are backend-independent. Its
+		// lookahead helpers meter their own CPU into counters.
 		res, pstats, err = seedindex.Find(q.Codes, pcfg, cfg)
 	case opt.Slaves > 0:
 		res, err = cluster.RunLocal(q.Codes,
@@ -442,9 +448,10 @@ func analyze(q *seq.Sequence, exch *scoring.Matrix, opt Options) (*Report, error
 // time on align's row kernel, which picks its tier per matrix: an exact
 // run is named by its middle split, the shape with the highest score
 // bound, and the fast and balanced presets — windows, whatever the lane
-// count — by the widest tier the scoring model admits. A matrix under
-// one block wide or past the int16 bound runs narrower, and shows up as
-// what it ran in Usage.KernelTiers.
+// count — by the widest row tier the scoring model admits. The row
+// ladder tops out at int16x16; window passes that run on the byte rung
+// in front of it, a matrix under one block wide and one past the int16
+// bound all show up as what they ran in Usage.KernelTiers.
 func kernelFor(p align.Params, n, lanes int, preset string) (int, align.Tier) {
 	if preset == seedindex.PresetFast || preset == seedindex.PresetBalanced {
 		return 1, align.RowTier(p, align.RowBlock, align.RowBlock)
