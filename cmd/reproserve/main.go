@@ -32,7 +32,6 @@ import (
 	"repro/internal/jobstore"
 	"repro/internal/obs"
 	"repro/internal/obs/profile"
-	"repro/internal/obs/slo"
 	"repro/internal/obs/trace"
 	"repro/internal/serve"
 )
@@ -57,9 +56,6 @@ func main() {
 		profEvery = flag.Duration("profile-interval", 30*time.Second, "continuous profiler cycle period")
 		profCPU   = flag.Duration("profile-cpu", 2*time.Second, "CPU profile length per cycle")
 		profKeep  = flag.Int("profile-keep", 64, "capture files kept in the on-disk ring")
-		sloAvail  = flag.Float64("slo-availability", 0, "availability SLO target, e.g. 0.999 (0 = default)")
-		sloLatP   = flag.Float64("slo-latency-target", 0, "latency SLO good fraction, e.g. 0.99 (0 = default)")
-		sloLatThr = flag.Duration("slo-latency-threshold", 0, "latency SLO threshold (0 = default 2s)")
 	)
 	flag.Parse()
 
@@ -112,11 +108,6 @@ func main() {
 		Metrics:        reg,
 		Traces:         col,
 		Profiles:       prof,
-		SLO: slo.Config{
-			AvailabilityTarget: *sloAvail,
-			LatencyTarget:      *sloLatP,
-			LatencyThreshold:   *sloLatThr,
-		},
 	})
 	srv.Start()
 

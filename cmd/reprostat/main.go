@@ -1,11 +1,10 @@
 // Command reprostat is a top-like aggregator over one or more
 // reproserve shards: it polls each shard's /metrics JSON snapshot (and
 // /debug/profiles ring index) on an interval, prints per-shard request
-// rates, attributed CPU, process CPU, kernel tier mix, SLO burn rates,
-// and profile-ring state, and reconciles the sum of per-request CPU
-// attribution against the process CPU clock — the continuous check
-// that the attribution layer accounts for the cycles the process
-// actually burns.
+// rates, attributed CPU, process CPU, kernel tier mix and profile-ring
+// state, and reconciles the sum of per-request CPU attribution against
+// the process CPU clock — the continuous check that the attribution
+// layer accounts for the cycles the process actually burns.
 //
 //	reprostat http://127.0.0.1:8081 http://127.0.0.1:8082
 //	reprostat -once -json http://127.0.0.1:8081
@@ -181,8 +180,9 @@ func (r recon) deviation() float64 {
 
 func printTable(client *http.Client, shards []string, cur, prev map[string]*obs.Snapshot, ival time.Duration) {
 	secs := ival.Seconds()
-	fmt.Printf("%-28s %8s %10s %10s %10s %6s %8s %9s\n",
-		"SHARD", "REQ/S", "CPU/S", "ENG/S", "PROC/S", "BURN", "TIERS", "PROFILES")
+	// The tier column's header names its shares in tierMix's order.
+	fmt.Printf("%-28s %8s %10s %10s %10s %13s %9s\n",
+		"SHARD", "REQ/S", "CPU/S", "ENG/S", "PROC/S", "I16/I32/SC/U8", "PROFILES")
 	for _, s := range shards {
 		c := cur[s]
 		if c == nil {
@@ -199,11 +199,11 @@ func printTable(client *http.Client, shards []string, cur, prev map[string]*obs.
 			return fmtNS(int64(float64(v) / secs))
 		}
 		nProf, profB := profileRing(client, s)
-		fmt.Printf("%-28s %8.1f %10s %10s %10s %6s %8s %6d/%s\n",
+		fmt.Printf("%-28s %8.1f %10s %10s %10s %13s %6d/%s\n",
 			trimShard(s),
 			float64(reqs)/ifElse(p == nil, 1, secs),
 			rate(r.AttribNS), rate(r.EngineNS), rate(r.ProcNS),
-			burnOf(c), tierMix(c), nProf, fmtBytes(profB))
+			tierMix(c), nProf, fmtBytes(profB))
 	}
 }
 
@@ -245,19 +245,9 @@ func fmtBytes(b int64) string {
 	}
 }
 
-// burnOf renders the worst fast-window burn across SLO objectives.
-func burnOf(s *obs.Snapshot) string {
-	worst := int64(0)
-	for name, v := range s.Gauges {
-		if strings.HasPrefix(name, "slo/") && strings.HasSuffix(name, "/fast_burn_milli") && v > worst {
-			worst = v
-		}
-	}
-	return fmt.Sprintf("%.1f", float64(worst)/1000)
-}
-
 // tierMix renders the kernel tier alignment mix as percentage shares in
-// counter-name order: int16x16/int32x8/scalar.
+// counter-name order: int16x16/int32x8/scalar/u8x32 (four shares, one
+// per engine/alignments_tier/ counter).
 func tierMix(s *obs.Snapshot) string {
 	var names []string
 	for name := range s.Counters {

@@ -1,14 +1,13 @@
 // Command reprotrace analyses one request trace: it fetches the JSON
-// span batch served at GET /trace/{id} (reproserve or the repromaster
-// debug listener), prints the critical-path breakdown — where the
-// request's wall time actually went: queue wait, cache, dispatch,
-// communication, kernels, speculation waste, straggler stall — and can
-// reconcile the attributed total against an externally measured
+// span document served at GET /trace/{id} (reproserve, reprorouter or
+// the repromaster debug listener), prints the critical-path breakdown —
+// where the request's wall time actually went: queue wait, cache,
+// dispatch, communication, kernels, speculation waste, straggler stall —
+// and can reconcile the attributed total against an externally measured
 // end-to-end latency.
 //
 //	reprotrace http://127.0.0.1:8080/trace/<id>
 //	reprotrace -e2e-ms 123.4 -check 0.10 http://127.0.0.1:8080/trace/<id>
-//	reprotrace -chrome out.json http://127.0.0.1:8080/trace/<id>
 //
 // The input may also be a file (or - for stdin) holding the same JSON,
 // so traces can be archived and analysed offline.
@@ -30,9 +29,8 @@ import (
 
 func main() {
 	var (
-		e2eMS  = flag.Float64("e2e-ms", 0, "externally measured end-to-end latency to reconcile against (0 = use the root span)")
-		check  = flag.Float64("check", 0, "fail unless the attributed total is within this fraction of the end-to-end latency (0 disables)")
-		chrome = flag.String("chrome", "", "also write the trace as Chrome trace_event JSON to this file (- for stdout)")
+		e2eMS = flag.Float64("e2e-ms", 0, "externally measured end-to-end latency to reconcile against (0 = use the root span)")
+		check = flag.Float64("check", 0, "fail unless the attributed total is within this fraction of the end-to-end latency (0 disables)")
 	)
 	flag.Parse()
 	if flag.NArg() != 1 {
@@ -52,24 +50,8 @@ func main() {
 	if err := json.Unmarshal(raw, &doc); err != nil {
 		fatal(fmt.Errorf("parsing trace: %w", err))
 	}
-	spans := trace.FromJSON(doc.Spans)
 
-	if *chrome != "" {
-		out := os.Stdout
-		if *chrome != "-" {
-			f, err := os.Create(*chrome)
-			if err != nil {
-				fatal(err)
-			}
-			defer f.Close()
-			out = f
-		}
-		if err := trace.WriteChrome(out, spans); err != nil {
-			fatal(err)
-		}
-	}
-
-	rpt, err := trace.AnalyzeCriticalPath(spans)
+	rpt, err := trace.AnalyzeCriticalPath(trace.FromJSON(doc.Spans))
 	if err != nil {
 		fatal(err)
 	}

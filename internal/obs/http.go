@@ -15,13 +15,10 @@ import (
 
 // DebugServer is the opt-in HTTP debug listener:
 //
-//	GET /metrics             JSON registry snapshot
-//	GET /metrics?format=prom Prometheus text exposition (also selected
-//	                         by an Accept header preferring text/plain)
-//	GET /trace/{id}          one request trace as a span tree
-//	GET /trace/{id}?format=chrome  the same trace as Chrome trace_event
-//	                         JSON (opens directly in Perfetto)
-//	GET /debug/pprof/*       the standard pprof handlers
+//	GET /metrics         JSON registry snapshot, or OpenMetrics (see
+//	                     WantsOpenMetrics)
+//	GET /trace/{id}      one request trace as a span tree
+//	GET /debug/pprof/*   the standard pprof handlers
 //
 // It is meant for operators, not end users: StartDebug binds loopback
 // when the address has no host, and nothing authenticates requests, so
@@ -33,22 +30,6 @@ type DebugServer struct {
 
 	ln  net.Listener
 	srv *http.Server
-}
-
-// WantsProm reports whether the request asks for the Prometheus text
-// exposition: ?format=prom, or an Accept header naming text/plain
-// without naming application/json first.
-func WantsProm(r *http.Request) bool {
-	switch r.URL.Query().Get("format") {
-	case "prom", "prometheus":
-		return true
-	case "json":
-		return false
-	}
-	accept := r.Header.Get("Accept")
-	jsonAt := strings.Index(accept, "application/json")
-	plainAt := strings.Index(accept, "text/plain")
-	return plainAt >= 0 && (jsonAt < 0 || plainAt < jsonAt)
 }
 
 // WantsOpenMetrics reports whether the request asks for the
@@ -69,10 +50,9 @@ func WantsOpenMetrics(r *http.Request) bool {
 // shares, so the debug listener, the serving daemon and the router
 // answer them identically:
 //
-//	GET /metrics     reg, content-negotiated (JSON, Prometheus text,
-//	                 OpenMetrics with exemplars); left out when reg is nil
-//	GET /trace/{id}  one trace from col as a span tree, or Chrome
-//	                 trace_event JSON with ?format=chrome; left out when
+//	GET /metrics     reg as JSON, or OpenMetrics with exemplars; left
+//	                 out when reg is nil
+//	GET /trace/{id}  one trace from col as a span tree; left out when
 //	                 col is nil
 //
 // refresh, when non-nil, runs before each /metrics snapshot: the place
@@ -86,41 +66,37 @@ func Mount(mux *http.ServeMux, reg *Registry, col *trace.Collector, refresh func
 				refresh()
 			}
 			if col != nil {
-				// Monotone by construction: the total never decreases.
-				c := reg.Counter("trace/spans_dropped")
-				if d := int64(col.DroppedTotal()); d > c.Load() {
-					c.Add(d - c.Load())
-				}
+				raiseTo(reg.Counter("trace/spans_dropped"), int64(col.DroppedTotal()))
 			}
-			handleMetrics(w, r, reg)
+			if WantsOpenMetrics(r) {
+				w.Header().Set("Content-Type", OpenMetricsContentType)
+				WriteOpenMetrics(w, reg.Snapshot()) //nolint:errcheck // client gone mid-body
+				return
+			}
+			writeJSON(w, reg.Snapshot())
 		})
 	}
 	if col != nil {
 		mux.HandleFunc("GET /trace/{id}", func(w http.ResponseWriter, r *http.Request) {
-			handleTraceByID(w, r, col, r.PathValue("id"))
+			handleTraceByID(w, col, r.PathValue("id"))
 		})
 	}
 }
 
-// handleMetrics serves a registry snapshot with content negotiation
-// between JSON, the Prometheus text format, and OpenMetrics.
-func handleMetrics(w http.ResponseWriter, r *http.Request, reg *Registry) {
-	if WantsOpenMetrics(r) {
-		w.Header().Set("Content-Type", OpenMetricsContentType)
-		WriteOpenMetrics(w, reg.Snapshot()) //nolint:errcheck // client gone mid-body
-		return
+// raiseTo lifts c to v unless it already reads at least v. Concurrent
+// scrapes race here; the CAS lets only one of them add any given gap,
+// so the counter never overshoots the total it mirrors.
+func raiseTo(c *Counter, v int64) {
+	for {
+		cur := c.v.Load()
+		if v <= cur || c.v.CompareAndSwap(cur, v) {
+			return
+		}
 	}
-	if WantsProm(r) {
-		w.Header().Set("Content-Type", PromContentType)
-		WritePrometheus(w, reg.Snapshot()) //nolint:errcheck // client gone mid-body
-		return
-	}
-	writeJSON(w, reg.Snapshot())
 }
 
-// handleTraceByID serves one trace from col as a span tree (default) or
-// Chrome trace_event JSON (?format=chrome).
-func handleTraceByID(w http.ResponseWriter, r *http.Request, col *trace.Collector, id string) {
+// handleTraceByID serves one trace from col as a span tree.
+func handleTraceByID(w http.ResponseWriter, col *trace.Collector, id string) {
 	tid, ok := trace.ParseTraceID(id)
 	if !ok {
 		http.Error(w, "bad trace id", http.StatusBadRequest)
@@ -129,11 +105,6 @@ func handleTraceByID(w http.ResponseWriter, r *http.Request, col *trace.Collecto
 	spans, dropped, ok := col.Get(tid)
 	if !ok {
 		http.Error(w, "unknown trace", http.StatusNotFound)
-		return
-	}
-	if r.URL.Query().Get("format") == "chrome" {
-		w.Header().Set("Content-Type", "application/json")
-		trace.WriteChrome(w, spans) //nolint:errcheck
 		return
 	}
 	// The complete flag is the dropped-marker consumers key off: a

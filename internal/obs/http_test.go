@@ -6,10 +6,14 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/obs/trace"
 )
 
 func TestDebugServerEndpoints(t *testing.T) {
@@ -65,6 +69,55 @@ func TestDebugServerEndpoints(t *testing.T) {
 
 	if body := get("/debug/pprof/cmdline"); len(body) == 0 {
 		t.Fatal("pprof cmdline empty")
+	}
+}
+
+// TestSpansDroppedMatchesCollector: every /metrics scrape raises
+// trace/spans_dropped to the collector's lifetime drop total. Scrapes
+// that race on the same gap must raise it once between them, not add
+// it once each.
+func TestSpansDroppedMatchesCollector(t *testing.T) {
+	reg := NewRegistry()
+	col := trace.NewCollector(1, 1)
+	rec := col.Rec(trace.NewTraceID())
+	var arrive sync.WaitGroup
+	mux := http.NewServeMux()
+	Mount(mux, reg, col, func() {
+		// Hold each scrape until the whole round has arrived, so they
+		// reach the counter sync together.
+		arrive.Done()
+		arrive.Wait()
+	})
+	scrape := func() {
+		mux.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	}
+	dropped := reg.Counter("trace/spans_dropped")
+	check := func(when string) {
+		t.Helper()
+		if got, want := dropped.Load(), int64(col.DroppedTotal()); got != want {
+			t.Fatalf("%s: trace/spans_dropped = %d, collector dropped %d", when, got, want)
+		}
+	}
+
+	rec.Add(trace.Span{}) // fills the one-span buffer
+	rec.Add(trace.Span{}) // dropped
+	arrive.Add(1)
+	scrape()
+	check("one scrape")
+	const scrapes = 64
+	for round := 0; round < 1000; round++ {
+		rec.Add(trace.Span{})
+		arrive.Add(scrapes)
+		var wg sync.WaitGroup
+		for i := 0; i < scrapes; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				scrape()
+			}()
+		}
+		wg.Wait()
+		check(fmt.Sprintf("round %d of %d concurrent scrapes", round, scrapes))
 	}
 }
 

@@ -7,18 +7,14 @@ import (
 	"strings"
 )
 
-// Prometheus text exposition (format version 0.0.4) and OpenMetrics
-// 1.0 exposition for a registry snapshot, so the debug endpoints can be
-// scraped with standard tooling. Metric names are sanitised to the
-// Prometheus grammar ("serve/e2e_ns" -> "serve_e2e_ns"); histogram
-// buckets keep their power-of-two nanosecond boundaries as cumulative
-// le labels. Registry names may carry a label set built with
-// LabeledName ("router/shard_requests{shard=\"http://h:1\"}"); label
-// values are escaped per the exposition format spec (backslash, quote,
-// newline) at exposition time.
-
-// PromContentType is the Content-Type of the text exposition format.
-const PromContentType = "text/plain; version=0.0.4; charset=utf-8"
+// OpenMetrics 1.0 exposition for a registry snapshot, so the debug
+// endpoints can be scraped with standard tooling. Metric names are
+// sanitised to the Prometheus grammar ("serve/e2e_ns" ->
+// "serve_e2e_ns"); histogram buckets keep their power-of-two nanosecond
+// boundaries as cumulative le labels. Registry names may carry a label
+// set built with LabeledName ("router/shard_requests{shard=\"http://h:1\"}");
+// label values are escaped per the exposition format spec (backslash,
+// quote, newline) at exposition time.
 
 // OpenMetricsContentType is the Content-Type of the OpenMetrics 1.0
 // text format (exemplar-capable).
@@ -30,7 +26,7 @@ const OpenMetricsContentType = "application/openmetrics-text; version=1.0.0; cha
 // value, ... Values are escaped at build time (backslash, quote,
 // newline — the exposition spec's escape set), so the stored name is
 // unambiguous, JSON snapshots show the escaped form verbatim, and the
-// Prometheus/OpenMetrics writers can emit the label clause as-is.
+// OpenMetrics writer can emit the label clause as-is.
 func LabeledName(base string, pairs ...string) string {
 	if len(pairs) == 0 || len(pairs)%2 != 0 {
 		return base
@@ -180,33 +176,19 @@ func (t *typeTracker) family(pn, kind string) {
 	_, t.err = fmt.Fprintf(t.w, "# TYPE %s %s\n", pn, kind)
 }
 
-// WritePrometheus renders the snapshot in the Prometheus text format.
-// Names are emitted in lexical order, so the output is stable for a
-// given snapshot.
-func WritePrometheus(w io.Writer, s Snapshot) error {
-	return writeExposition(w, s, false)
-}
-
 // WriteOpenMetrics renders the snapshot in the OpenMetrics 1.0 text
 // format: counters gain the _total suffix, histogram le values are
 // canonical floats, buckets carry exemplars when their histogram has
-// them, and the document ends with # EOF.
+// them, and the document ends with # EOF. Names are emitted in lexical
+// order, so the output is stable for a given snapshot.
 func WriteOpenMetrics(w io.Writer, s Snapshot) error {
-	return writeExposition(w, s, true)
-}
-
-func writeExposition(w io.Writer, s Snapshot, om bool) error {
 	t := &typeTracker{w: w}
 	for _, name := range sortedKeys(s.Counters) {
 		base, pairs := splitLabeled(name)
 		pn := promName(base)
 		t.family(pn, "counter")
-		suffix := ""
-		if om {
-			suffix = "_total"
-		}
 		if t.err == nil {
-			_, t.err = fmt.Fprintf(w, "%s%s%s %d\n", pn, suffix, renderLabels(pairs, "", ""), s.Counters[name])
+			_, t.err = fmt.Fprintf(w, "%s_total%s %d\n", pn, renderLabels(pairs, "", ""), s.Counters[name])
 		}
 	}
 	for _, name := range sortedKeys(s.Gauges) {
@@ -226,10 +208,8 @@ func writeExposition(w io.Writer, s Snapshot, om bool) error {
 			break
 		}
 		exemplars := map[int]Exemplar{}
-		if om {
-			for _, e := range h.Exemplars {
-				exemplars[e.Bucket] = e.Exemplar
-			}
+		for _, e := range h.Exemplars {
+			exemplars[e.Bucket] = e.Exemplar
 		}
 		// Bucket i counts observations in [2^i, 2^(i+1)) ns: cumulative
 		// counts against upper bounds 2^(i+1), with the last bucket as
@@ -238,7 +218,7 @@ func writeExposition(w io.Writer, s Snapshot, om bool) error {
 		for i := 0; i < HistogramBuckets-1 && t.err == nil; i++ {
 			cum += h.Buckets[i]
 			_, t.err = fmt.Fprintf(w, "%s_bucket%s %d%s\n",
-				pn, renderLabels(pairs, "le", leValue(int64(1)<<(i+1), om)),
+				pn, renderLabels(pairs, "le", strconv.FormatInt(int64(1)<<(i+1), 10)+".0"),
 				cum, exemplarSuffix(exemplars, i))
 		}
 		if t.err != nil {
@@ -251,20 +231,10 @@ func writeExposition(w io.Writer, s Snapshot, om bool) error {
 			pn, renderLabels(pairs, "", ""), h.Sum,
 			pn, renderLabels(pairs, "", ""), h.Count)
 	}
-	if om && t.err == nil {
+	if t.err == nil {
 		_, t.err = io.WriteString(w, "# EOF\n")
 	}
 	return t.err
-}
-
-// leValue renders a bucket upper bound: plain integer for Prometheus
-// 0.0.4, canonical float ("2.0") for OpenMetrics.
-func leValue(v int64, om bool) string {
-	s := strconv.FormatInt(v, 10)
-	if om {
-		s += ".0"
-	}
-	return s
 }
 
 // exemplarSuffix renders a bucket's OpenMetrics exemplar clause

@@ -20,53 +20,21 @@ func TestPromName(t *testing.T) {
 		"9lives":                 "_9lives",
 		"a:b":                    "a:b",
 	}
+	reg := NewRegistry()
 	for in, want := range cases {
 		if got := promName(in); got != want {
 			t.Errorf("promName(%q) = %q, want %q", in, got, want)
 		}
+		reg.Gauge(in).Set(1)
 	}
-}
-
-func TestWritePrometheus(t *testing.T) {
-	reg := NewRegistry()
-	reg.Counter("serve/requests").Add(3)
-	reg.Gauge("serve/queue_depth").Set(2)
-	reg.Histogram("serve/e2e_ns").Observe(3 * time.Nanosecond) // bucket [2,4)
-	reg.Histogram("serve/e2e_ns").Observe(3 * time.Nanosecond)
-
 	var sb strings.Builder
-	if err := WritePrometheus(&sb, reg.Snapshot()); err != nil {
+	if err := WriteOpenMetrics(&sb, reg.Snapshot()); err != nil {
 		t.Fatal(err)
 	}
-	out := sb.String()
-	for _, want := range []string{
-		"# TYPE serve_requests counter\nserve_requests 3\n",
-		"# TYPE serve_queue_depth gauge\nserve_queue_depth 2\n",
-		"# TYPE serve_e2e_ns histogram\n",
-		`serve_e2e_ns_bucket{le="2"} 0`,
-		`serve_e2e_ns_bucket{le="4"} 2`,
-		`serve_e2e_ns_bucket{le="+Inf"} 2`,
-		"serve_e2e_ns_sum 6\n",
-		"serve_e2e_ns_count 2\n",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("exposition missing %q:\n%s", want, out)
+	for _, want := range cases {
+		if !strings.Contains(sb.String(), "# TYPE "+want+" gauge\n"+want+" 1\n") {
+			t.Errorf("exposition missing family %q:\n%s", want, sb.String())
 		}
-	}
-	// Cumulative le buckets must be monotonic.
-	last := int64(-1)
-	for _, line := range strings.Split(out, "\n") {
-		if !strings.HasPrefix(line, "serve_e2e_ns_bucket") {
-			continue
-		}
-		var v int64
-		if _, err := fmt.Sscanf(line[strings.LastIndex(line, " ")+1:], "%d", &v); err != nil {
-			t.Fatalf("bad bucket line %q", line)
-		}
-		if v < last {
-			t.Fatalf("bucket counts not cumulative at %q", line)
-		}
-		last = v
 	}
 }
 
@@ -80,15 +48,15 @@ func TestPromLabelEscaping(t *testing.T) {
 	reg.Counter(LabeledName("router/shard_requests", "shard", "http://ok:1")).Add(2)
 
 	var sb strings.Builder
-	if err := WritePrometheus(&sb, reg.Snapshot()); err != nil {
+	if err := WriteOpenMetrics(&sb, reg.Snapshot()); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
-	want := `router_shard_requests{shard="http://evil\"\nshard\\:8080"} 5`
+	want := `router_shard_requests_total{shard="http://evil\"\nshard\\:8080"} 5`
 	if !strings.Contains(out, want) {
 		t.Errorf("exposition missing escaped line %q:\n%s", want, out)
 	}
-	if !strings.Contains(out, `router_shard_requests{shard="http://ok:1"} 2`) {
+	if !strings.Contains(out, `router_shard_requests_total{shard="http://ok:1"} 2`) {
 		t.Errorf("exposition missing plain labeled line:\n%s", out)
 	}
 	// One TYPE line for the whole family, not one per label set.
@@ -120,8 +88,8 @@ func TestLabeledNameRoundTrip(t *testing.T) {
 }
 
 // TestWriteOpenMetrics: counters gain _total, le bounds are canonical
-// floats, exemplars render with trace IDs, and the document ends with
-// # EOF.
+// floats, buckets are cumulative, exemplars render with trace IDs, and
+// the document ends with # EOF.
 func TestWriteOpenMetrics(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("serve/requests").Add(3)
@@ -129,6 +97,7 @@ func TestWriteOpenMetrics(t *testing.T) {
 	h := reg.Histogram("serve/e2e_ns")
 	tid := trace.NewTraceID().String()
 	h.ObserveExemplar(3*time.Nanosecond, tid) // bucket [2,4)
+	h.Observe(3 * time.Nanosecond)
 
 	var sb strings.Builder
 	if err := WriteOpenMetrics(&sb, reg.Snapshot()); err != nil {
@@ -137,10 +106,13 @@ func TestWriteOpenMetrics(t *testing.T) {
 	out := sb.String()
 	for _, want := range []string{
 		"# TYPE serve_requests counter\nserve_requests_total 3\n",
-		"serve_queue_depth 1\n",
+		"# TYPE serve_queue_depth gauge\nserve_queue_depth 1\n",
+		"# TYPE serve_e2e_ns histogram\n",
 		`serve_e2e_ns_bucket{le="2.0"} 0`,
-		fmt.Sprintf(`serve_e2e_ns_bucket{le="4.0"} 1 # {trace_id="%s"} 3 `, tid),
-		`serve_e2e_ns_bucket{le="+Inf"} 1`,
+		fmt.Sprintf(`serve_e2e_ns_bucket{le="4.0"} 2 # {trace_id="%s"} 3 `, tid),
+		`serve_e2e_ns_bucket{le="+Inf"} 2`,
+		"serve_e2e_ns_sum 6\n",
+		"serve_e2e_ns_count 2\n",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("openmetrics missing %q:\n%s", want, out)
@@ -149,20 +121,27 @@ func TestWriteOpenMetrics(t *testing.T) {
 	if !strings.HasSuffix(out, "# EOF\n") {
 		t.Errorf("openmetrics does not end with # EOF:\n%s", out[len(out)-40:])
 	}
-	// A plain Prometheus scrape of the same registry must not carry
-	// exemplars or _total.
-	sb.Reset()
-	if err := WritePrometheus(&sb, reg.Snapshot()); err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(sb.String(), "trace_id") || strings.Contains(sb.String(), "_total") {
-		t.Errorf("prometheus 0.0.4 output leaked openmetrics syntax:\n%s", sb.String())
+	// Cumulative le buckets must be monotonic.
+	last := int64(-1)
+	for _, line := range strings.Split(out, "\n") {
+		if !strings.HasPrefix(line, "serve_e2e_ns_bucket") {
+			continue
+		}
+		var v int64
+		if _, err := fmt.Sscanf(strings.Fields(line)[1], "%d", &v); err != nil {
+			t.Fatalf("bad bucket line %q", line)
+		}
+		if v < last {
+			t.Fatalf("bucket counts not cumulative at %q", line)
+		}
+		last = v
 	}
 }
 
 // TestMetricsContentNegotiation exercises the /metrics endpoint's format
-// selection: JSON by default, Prometheus text via ?format=prom or an
-// Accept header preferring text/plain.
+// selection: JSON by default, OpenMetrics via ?format=openmetrics or an
+// Accept header naming application/openmetrics-text. Any other format
+// value, or an Accept header naming only text/plain, gets JSON.
 func TestMetricsContentNegotiation(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("engine/alignments").Add(7)
@@ -200,29 +179,34 @@ func TestMetricsContentNegotiation(t *testing.T) {
 		t.Errorf("default body not a JSON snapshot: %v, %q", err, body)
 	}
 
-	body, ct = get(base+"?format=prom", "")
-	if ct != PromContentType {
-		t.Errorf("prom Content-Type = %q, want %q", ct, PromContentType)
-	}
-	if !strings.Contains(body, "engine_alignments 7") {
-		t.Errorf("prom body missing counter:\n%s", body)
+	for _, c := range []struct{ format, accept string }{
+		{"prom", ""},
+		{"prometheus", ""},
+		{"", "text/plain"},
+	} {
+		if _, ct = get(base+"?format="+c.format, c.accept); !strings.HasPrefix(ct, "application/json") {
+			t.Errorf("format %q Accept %q got %q, want JSON", c.format, c.accept, ct)
+		}
 	}
 
-	if body, ct = get(base, "text/plain"); ct != PromContentType || !strings.Contains(body, "# TYPE") {
-		t.Errorf("Accept: text/plain got %q", ct)
+	for _, c := range []struct{ query, accept string }{
+		{"?format=openmetrics", ""},
+		{"", "application/openmetrics-text; version=1.0.0"},
+	} {
+		body, ct = get(base+c.query, c.accept)
+		if ct != OpenMetricsContentType || !strings.Contains(body, "engine_alignments_total 7\n") ||
+			!strings.HasSuffix(body, "# EOF\n") {
+			t.Errorf("query %q Accept %q got %q:\n%s", c.query, c.accept, ct, body)
+		}
 	}
-	// A scraper preferring JSON keeps JSON even when text/plain trails.
-	if _, ct = get(base, "application/json, text/plain"); !strings.HasPrefix(ct, "application/json") {
-		t.Errorf("Accept json-first got %q", ct)
-	}
-	// ?format=json overrides any Accept header.
-	if _, ct = get(base+"?format=json", "text/plain"); !strings.HasPrefix(ct, "application/json") {
+	// An explicit ?format wins over Accept.
+	if _, ct = get(base+"?format=json", "application/openmetrics-text"); !strings.HasPrefix(ct, "application/json") {
 		t.Errorf("format=json got %q", ct)
 	}
 }
 
 // TestTraceByIDEndpoint exercises GET /trace/{id}: the span tree with
-// its drop count, the Chrome export, and the error paths.
+// its drop count, and the error paths.
 func TestTraceByIDEndpoint(t *testing.T) {
 	col := trace.NewCollector(4, 8)
 	rec := col.Rec(trace.NewTraceID())
@@ -261,19 +245,6 @@ func TestTraceByIDEndpoint(t *testing.T) {
 	if len(doc.Tree) != 1 || doc.Tree[0].Name != "request" ||
 		len(doc.Tree[0].Children) != 1 || doc.Tree[0].Children[0].Name != "engine" {
 		t.Errorf("tree wrong: %+v", doc.Tree)
-	}
-
-	chrome, err := http.Get(base + rec.TraceID().String() + "?format=chrome")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer chrome.Body.Close()
-	var events []map[string]any
-	if err := json.NewDecoder(chrome.Body).Decode(&events); err != nil {
-		t.Fatalf("chrome export: %v", err)
-	}
-	if len(events) < 3 { // 2 spans + at least one process_name metadata
-		t.Errorf("chrome export has %d events", len(events))
 	}
 
 	for path, want := range map[string]int{

@@ -1,11 +1,6 @@
 package trace
 
-import (
-	"encoding/json"
-	"fmt"
-	"io"
-	"sort"
-)
+import "sort"
 
 // SpanJSON is the stable JSON rendering of one span, used by the
 // GET /trace/{id} endpoints and consumed by cmd/reprotrace.
@@ -103,59 +98,4 @@ func BuildTree(spans []Span) []*Node {
 	}
 	rebase(roots)
 	return roots
-}
-
-// chromeEvent is one Chrome trace_event entry ("X" = complete event,
-// "M" = metadata). Perfetto and chrome://tracing open arrays of these
-// directly.
-type chromeEvent struct {
-	Name string         `json:"name"`
-	Cat  string         `json:"cat,omitempty"`
-	Ph   string         `json:"ph"`
-	TS   float64        `json:"ts"`  // microseconds
-	Dur  float64        `json:"dur"` // microseconds
-	PID  int64          `json:"pid"`
-	TID  int64          `json:"tid"`
-	Args map[string]any `json:"args,omitempty"`
-}
-
-// WriteChrome renders spans as a Chrome trace_event JSON array that
-// opens directly in Perfetto (ui.perfetto.dev) or chrome://tracing.
-// Each rank becomes a "process" row; metadata events name the rows.
-func WriteChrome(w io.Writer, spans []Span) error {
-	events := make([]chromeEvent, 0, len(spans)+4)
-	ranks := map[int32]bool{}
-	for _, sp := range spans {
-		// pid must be non-negative for the viewers; shift rank by one so
-		// the server (-1) lands on pid 0, master on 1, slave N on N+1.
-		pid := int64(sp.Rank) + 1
-		events = append(events, chromeEvent{
-			Name: sp.Name, Cat: "repro", Ph: "X",
-			TS: float64(sp.Start) / 1e3, Dur: float64(sp.Dur) / 1e3,
-			PID: pid, TID: 1,
-			Args: map[string]any{"arg": sp.Arg, "span": sp.ID.String()},
-		})
-		if !ranks[sp.Rank] {
-			ranks[sp.Rank] = true
-			label := fmt.Sprintf("slave rank %d", sp.Rank)
-			switch {
-			case sp.Rank < 0:
-				label = "server"
-			case sp.Rank == 0:
-				label = "cluster master"
-			}
-			events = append(events, chromeEvent{
-				Name: "process_name", Ph: "M", PID: pid, TID: 1,
-				Args: map[string]any{"name": label},
-			})
-		}
-	}
-	sort.SliceStable(events, func(i, j int) bool {
-		if events[i].Ph != events[j].Ph {
-			return events[i].Ph == "M"
-		}
-		return events[i].TS < events[j].TS
-	})
-	enc := json.NewEncoder(w)
-	return enc.Encode(events)
 }

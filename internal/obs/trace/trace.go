@@ -1,7 +1,8 @@
 // Package trace is the distributed request-tracing layer: spans with
 // trace/parent links, a bounded per-trace buffer, W3C-style traceparent
-// propagation, a stable binary codec (OBT1), Chrome trace_event export,
-// and a critical-path analyzer over the span DAG of a finished request.
+// propagation, a stable binary codec (OBT1), the JSON span document
+// GET /trace/{id} serves, and a critical-path analyzer over the span
+// DAG of a finished request.
 //
 // The design follows the same rules as package obs: every type is safe
 // on a nil receiver, so tracing can be threaded through hot paths as

@@ -1,8 +1,6 @@
 package trace
 
 import (
-	"bytes"
-	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -343,30 +341,4 @@ func TestJSONRoundTripAndChrome(t *testing.T) {
 		}
 	}
 
-	var buf bytes.Buffer
-	if err := WriteChrome(&buf, in); err != nil {
-		t.Fatal(err)
-	}
-	var events []map[string]any
-	if err := json.Unmarshal(buf.Bytes(), &events); err != nil {
-		t.Fatalf("chrome export is not a JSON array: %v", err)
-	}
-	var complete, meta int
-	pids := map[float64]bool{}
-	for _, ev := range events {
-		switch ev["ph"] {
-		case "X":
-			complete++
-			pids[ev["pid"].(float64)] = true
-		case "M":
-			meta++
-		}
-	}
-	if complete != 2 || meta != 2 {
-		t.Errorf("chrome events: %d complete, %d metadata, want 2/2", complete, meta)
-	}
-	// rank -1 -> pid 0, rank 2 -> pid 3: viewers need non-negative pids.
-	if !pids[0] || !pids[3] {
-		t.Errorf("pids = %v, want {0, 3}", pids)
-	}
 }

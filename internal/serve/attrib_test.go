@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/obs/attrib"
-	"repro/internal/obs/slo"
 	"repro/internal/obs/trace"
 )
 
@@ -87,54 +86,6 @@ func TestAnalyzeResourceAttribution(t *testing.T) {
 	}
 }
 
-// TestSLOEndpointAndGauges checks GET /slo carries burn fields and that
-// a /metrics scrape publishes slo gauges plus the proc CPU gauge.
-func TestSLOEndpointAndGauges(t *testing.T) {
-	reg := obs.NewRegistry()
-	_, ts := newTestServer(t, Config{Workers: 1, Metrics: reg})
-
-	post(t, ts.URL, Request{Sequence: "ATGCATGCATGC", Params: Params{Matrix: "paper-dna", Tops: 2}})
-
-	resp, err := http.Get(ts.URL + "/slo")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var doc struct {
-		Objectives []slo.Status `json:"objectives"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
-		t.Fatal(err)
-	}
-	if len(doc.Objectives) != 2 {
-		t.Fatalf("objectives = %d, want 2", len(doc.Objectives))
-	}
-	av := doc.Objectives[0]
-	if av.Name != "availability" || av.Target <= 0 {
-		t.Fatalf("bad objective: %+v", av)
-	}
-	if av.Fast.Good < 1 {
-		t.Errorf("served request not scored: %+v", av.Fast)
-	}
-	if av.Fast.Burn != 0 {
-		t.Errorf("healthy server burning: %+v", av.Fast)
-	}
-
-	// Scrape /metrics to trigger gauge publication.
-	mresp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	mresp.Body.Close()
-	snap := reg.Snapshot()
-	if _, ok := snap.Gauges["slo/availability/fast_burn_milli"]; !ok {
-		t.Error("slo gauges not published on scrape")
-	}
-	if attrib.ThreadCPUSupported() && snap.Gauges["proc/cpu_ns"] <= 0 {
-		t.Error("proc/cpu_ns gauge not set on scrape")
-	}
-}
-
 // omSampleLine matches one OpenMetrics sample line: name, optional
 // label clause, value, then optionally an exemplar clause.
 var omSampleLine = regexp.MustCompile(
@@ -143,7 +94,8 @@ var omSampleLine = regexp.MustCompile(
 // TestOpenMetricsExemplarScrape is the golden scrape test: drive real
 // requests through a traced server, scrape /metrics?format=openmetrics,
 // validate the exposition line by line, and resolve every sampled
-// exemplar's trace ID through GET /trace/{id}.
+// exemplar's trace ID through GET /trace/{id}. The scrape also sets the
+// proc/cpu_ns gauge.
 func TestOpenMetricsExemplarScrape(t *testing.T) {
 	reg := obs.NewRegistry()
 	col := trace.NewCollector(0, 0)
@@ -216,14 +168,8 @@ func TestOpenMetricsExemplarScrape(t *testing.T) {
 	if !strings.Contains(out, "serve_requests_total ") {
 		t.Error("counters lack _total suffix")
 	}
-}
-
-// TestShedScoresSLO checks a shed request burns availability.
-func TestShedScoresSLO(t *testing.T) {
-	s := New(Config{Workers: 1})
-	s.recordShed(causeQueueFull)
-	snap := s.SLO().Snapshot()
-	if snap[0].Fast.Bad != 1 {
-		t.Fatalf("shed not scored bad: %+v", snap[0].Fast)
+	// The scrape refreshes proc/cpu_ns, reprostat's CPU denominator.
+	if attrib.ThreadCPUSupported() && reg.Snapshot().Gauges["proc/cpu_ns"] <= 0 {
+		t.Error("proc/cpu_ns gauge not set on scrape")
 	}
 }

@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/obs/attrib"
-	"repro/internal/obs/slo"
 	"repro/internal/obs/trace"
 )
 
@@ -26,11 +25,9 @@ const maxBodyBytes = 8 << 20
 //	POST /v1/jobs      durable async analysis (when Config.Jobs set);
 //	                   see the route comments below for the job routes
 //	GET  /healthz      liveness + drain state
-//	GET  /metrics      metrics snapshot, JSON, Prometheus text or
-//	                   OpenMetrics (when Config.Metrics set)
-//	GET  /trace/{id}   one request trace (when Config.Traces set);
-//	                   ?format=chrome for Perfetto-loadable JSON
-//	GET  /slo          burn-rate status per objective
+//	GET  /metrics      metrics snapshot, JSON or OpenMetrics (when
+//	                   Config.Metrics set)
+//	GET  /trace/{id}   one request trace (when Config.Traces set)
 //	GET  /debug/profiles[/{name}]  continuous-profiler ring
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
@@ -48,17 +45,10 @@ func (s *Server) Handler() http.Handler {
 		mux.HandleFunc("GET /v1/jobs/{id}/events", s.handleJobEvents)
 	}
 	// /metrics and /trace/{id} are the routes shared with every other
-	// listener. Scrape-time gauges: burn rates are computed on read, and
-	// proc/cpu_ns gives reprostat the denominator for CPU reconciliation
-	// without a second endpoint.
+	// listener. The scrape-time gauge proc/cpu_ns gives reprostat the
+	// denominator for CPU reconciliation without a second endpoint.
 	obs.Mount(mux, s.cfg.Metrics, s.cfg.Traces, func() {
-		s.slo.Publish(s.cfg.Metrics)
 		s.cfg.Metrics.Gauge("proc/cpu_ns").Set(attrib.ProcessCPU())
-	})
-	mux.HandleFunc("GET /slo", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, struct {
-			Objectives []slo.Status `json:"objectives"`
-		}{s.slo.Snapshot()})
 	})
 	// Continuous-profiler ring (404 when no profiler is configured —
 	// the handlers are nil-safe, so the routes always exist).

@@ -43,7 +43,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/obs/attrib"
 	"repro/internal/obs/profile"
-	"repro/internal/obs/slo"
 	"repro/internal/obs/trace"
 	"repro/internal/stats"
 )
@@ -106,14 +105,8 @@ type Config struct {
 	// Traces, when non-nil, stores per-request span traces. POST
 	// /v1/analyze then honours an incoming W3C traceparent header (or
 	// starts a fresh trace), answers with X-Trace-Id, and GET
-	// /trace/{id} serves the finished trace as a span tree or Chrome
-	// trace_event JSON.
+	// /trace/{id} serves the finished trace as a span tree.
 	Traces *trace.Collector
-	// SLO configures the burn-rate tracker (zero value = 99.9%
-	// availability, 99% of requests under 2s). The tracker is always
-	// on — it costs a few atomic adds per request — and is served on
-	// GET /slo and as slo/ gauges on /metrics.
-	SLO slo.Config
 	// Profiles, when non-nil, is the continuous profiler whose capture
 	// ring is served on GET /debug/profiles. The server does not start
 	// or stop it — lifecycle belongs to the daemon (cmd/reproserve).
@@ -191,8 +184,8 @@ type Server struct {
 	engineNS      *obs.Histogram
 
 	// Resource attribution (DESIGN.md §16): per-request usage
-	// histograms, the attributed-CPU total reprostat reconciles against
-	// proc/cpu_ns, and the SLO burn tracker.
+	// histograms and the attributed-CPU total reprostat reconciles
+	// against proc/cpu_ns.
 	usageCPUNS    *obs.Histogram
 	usageCells    *obs.Histogram
 	usageAllocB   *obs.Histogram
@@ -201,7 +194,6 @@ type Server struct {
 	cacheBytesIn  *obs.Counter    // report bytes served from cache (reads)
 	cacheBytesOut *obs.Counter    // report bytes written through to cache
 	engineCtrs    *stats.Counters // lifetime engine/ counters, folded per run
-	slo           *slo.Tracker
 
 	jobsSubmitted *obs.Counter
 	jobsDeduped   *obs.Counter
@@ -246,7 +238,6 @@ func New(cfg Config) *Server {
 		cacheBytesIn:  cfg.Metrics.Counter("serve/cache_bytes_read"),
 		cacheBytesOut: cfg.Metrics.Counter("serve/cache_bytes_written"),
 		engineCtrs:    &stats.Counters{},
-		slo:           slo.New(cfg.SLO),
 	}
 	// One lifetime engine counter set, bound once: every engine run
 	// folds its per-run snapshot in (repro.Options.Counters), so the
@@ -377,10 +368,6 @@ func (s *Server) recordShed(cause shedCause) {
 	case causeRateLimit:
 		s.shedRateLimit.Inc()
 	}
-	// A shed request is an availability failure the client saw; score
-	// it against every objective so burn tracks what users experience,
-	// not just what the engine ran.
-	s.slo.Record(false, 0)
 }
 
 // admit places a job on the queue, or reports the shed cause. For
@@ -437,7 +424,6 @@ func (s *Server) worker() {
 			}
 			s.e2eNS.ObserveExemplar(e2e, tid)
 		}
-		s.slo.Record(err == nil, e2e)
 		if usage != nil {
 			usage.QueueWaitNanos = qwait.Nanoseconds()
 			s.observeUsage(usage)
@@ -458,9 +444,6 @@ func (s *Server) observeUsage(u *attrib.Usage) {
 	s.cacheBytesIn.Add(u.CacheBytesRead)
 	s.cacheBytesOut.Add(u.CacheBytesWritten)
 }
-
-// SLO exposes the burn-rate tracker (for the HTTP layer and tests).
-func (s *Server) SLO() *slo.Tracker { return s.slo }
 
 // compute satisfies a job from the cache or the engine. Results are
 // cached pre-encoded: a hit serves stored bytes, so the hot path never

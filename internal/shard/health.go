@@ -2,8 +2,6 @@ package shard
 
 import (
 	"context"
-	"encoding/json"
-	"io"
 	"math/rand/v2"
 	"net/http"
 	"sync"
@@ -45,7 +43,6 @@ type probeState struct {
 	fails    int       // consecutive probe failures
 	nextAt   time.Time // earliest next probe while down
 	draining bool
-	burning  bool // any SLO objective paging on the shard's /slo
 }
 
 // probeTimeout bounds one /healthz round trip; a shard that cannot
@@ -138,7 +135,6 @@ func (m *monitor) probe(shard string) {
 	switch {
 	case resp.StatusCode == http.StatusOK:
 		m.setUp(shard)
-		m.probeSLO(ctx, shard)
 	case resp.StatusCode == http.StatusServiceUnavailable:
 		// Draining: a deliberate, graceful exit — not a failure, so the
 		// backoff clock does not grow, but the shard must stop receiving
@@ -207,46 +203,4 @@ func (m *monitor) setDown(shard string, draining bool) {
 // when it answers /healthz again.
 func (m *monitor) markDown(shard string) {
 	m.setDown(shard, false)
-}
-
-// probeSLO piggybacks on a successful health probe to read the shard's
-// burn state (GET /slo). A shard with any objective paging stays in the
-// ring — it is alive and must keep its keys' cache locality — but the
-// router demotes it behind non-burning alternatives when picking among
-// equivalent targets (the admission hint). Probe failures clear the
-// flag: no fresh signal means no demotion.
-func (m *monitor) probeSLO(ctx context.Context, shard string) {
-	burning := false
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, shard+"/slo", nil)
-	if err == nil {
-		if resp, err := m.client.Do(req); err == nil {
-			if resp.StatusCode == http.StatusOK {
-				var doc struct {
-					Objectives []struct {
-						Burning bool `json:"burning"`
-					} `json:"objectives"`
-				}
-				body, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-				if json.Unmarshal(body, &doc) == nil {
-					for _, o := range doc.Objectives {
-						burning = burning || o.Burning
-					}
-				}
-			}
-			resp.Body.Close()
-		}
-	}
-	m.mu.Lock()
-	if st := m.state[shard]; st != nil {
-		st.burning = burning
-	}
-	m.mu.Unlock()
-}
-
-// isBurning reports the shard's last-probed SLO burn state.
-func (m *monitor) isBurning(shard string) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	st := m.state[shard]
-	return st != nil && st.burning
 }

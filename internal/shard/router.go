@@ -53,14 +53,13 @@ type Router struct {
 	hot     *hotTracker
 	client  *http.Client
 
-	requests    *obs.Counter
-	retries     *obs.Counter
-	shared      *obs.Counter
-	hotFanout   *obs.Counter
-	failovers   *obs.Counter
-	sloDemotion *obs.Counter
-	ringSize    *obs.Gauge
-	upstreamNS  *obs.Histogram
+	requests   *obs.Counter
+	retries    *obs.Counter
+	shared     *obs.Counter
+	hotFanout  *obs.Counter
+	failovers  *obs.Counter
+	ringSize   *obs.Gauge
+	upstreamNS *obs.Histogram
 
 	shardMu     sync.Mutex
 	shardReqs   map[string]*obs.Counter
@@ -91,14 +90,13 @@ func New(cfg Config) *Router {
 		hot:     newHotTracker(cfg.HotKeyThreshold, time.Second),
 		client:  client,
 
-		requests:    cfg.Metrics.Counter("router/requests"),
-		retries:     cfg.Metrics.Counter("router/retries"),
-		shared:      cfg.Metrics.Counter("router/flight_shared"),
-		hotFanout:   cfg.Metrics.Counter("router/hot_fanout"),
-		failovers:   cfg.Metrics.Counter("router/failovers"),
-		sloDemotion: cfg.Metrics.Counter("router/slo_demotions"),
-		ringSize:    cfg.Metrics.Gauge("router/ring_size"),
-		upstreamNS:  cfg.Metrics.Histogram("router/upstream_ns"),
+		requests:   cfg.Metrics.Counter("router/requests"),
+		retries:    cfg.Metrics.Counter("router/retries"),
+		shared:     cfg.Metrics.Counter("router/flight_shared"),
+		hotFanout:  cfg.Metrics.Counter("router/hot_fanout"),
+		failovers:  cfg.Metrics.Counter("router/failovers"),
+		ringSize:   cfg.Metrics.Gauge("router/ring_size"),
+		upstreamNS: cfg.Metrics.Histogram("router/upstream_ns"),
 
 		shardReqs: make(map[string]*obs.Counter),
 		shardErrs: make(map[string]*obs.Counter),
@@ -125,9 +123,9 @@ func (rt *Router) shardCounters(shard string) (reqs, errs *obs.Counter) {
 	defer rt.shardMu.Unlock()
 	if rt.shardReqs[shard] == nil {
 		// Per-shard counters carry the shard URL as a label rather than a
-		// flattened name segment: the Prometheus/OpenMetrics writers
-		// escape the value, so a hostile or merely odd URL cannot corrupt
-		// the exposition.
+		// flattened name segment: the OpenMetrics writer escapes the
+		// value, so a hostile or merely odd URL cannot corrupt the
+		// exposition.
 		rt.shardReqs[shard] = rt.cfg.Metrics.Counter(obs.LabeledName("router/shard_requests", "shard", shard))
 		rt.shardErrs[shard] = rt.cfg.Metrics.Counter(obs.LabeledName("router/shard_errors", "shard", shard))
 	}
@@ -142,7 +140,8 @@ func (rt *Router) shardCounters(shard string) (reqs, errs *obs.Counter) {
 //	GET  /v1/jobs/{id}         route to the accepting shard (learned)
 //	GET  /v1/jobs/{id}/events  SSE proxy to the accepting shard
 //	GET  /healthz              router liveness + ring size
-//	GET  /metrics              router metrics (when Config.Metrics set)
+//	GET  /metrics              router metrics, JSON or OpenMetrics (when
+//	                           Config.Metrics set)
 //	GET  /trace/{id}           merged router+shard trace (when Traces set)
 func (rt *Router) Handler() http.Handler {
 	mux := http.NewServeMux()
@@ -212,45 +211,17 @@ func (rt *Router) targets(key string, now time.Time) (list []string, hot bool) {
 	if replicas > len(all) {
 		replicas = len(all)
 	}
-	if replicas > 1 {
-		// Round-robin within the replica set; the rotation preserves the
-		// failover spares after it.
-		set := make([]string, 0, len(all))
-		off := int(rr % uint64(replicas))
-		for i := 0; i < replicas; i++ {
-			set = append(set, all[(off+i)%replicas])
-		}
-		list = append(set, all[replicas:]...)
-	} else {
-		list = all
+	if replicas < 2 {
+		return all, hot
 	}
-	return rt.demoteBurning(list), hot
-}
-
-// demoteBurning applies the SLO admission hint: when the preferred
-// shard is burning its error budget (any objective paging on /slo) and
-// a non-burning alternative exists, stable-partition non-burning shards
-// to the front. Burning shards stay in the list — they are alive, and
-// if the whole fleet is burning the ordering is unchanged — but new
-// work prefers shards with budget to spend.
-func (rt *Router) demoteBurning(list []string) []string {
-	if len(list) < 2 || !rt.mon.isBurning(list[0]) {
-		return list
+	// Round-robin within the replica set; the rotation preserves the
+	// failover spares after it.
+	set := make([]string, 0, len(all))
+	off := int(rr % uint64(replicas))
+	for i := 0; i < replicas; i++ {
+		set = append(set, all[(off+i)%replicas])
 	}
-	healthy := make([]string, 0, len(list))
-	burning := make([]string, 0, 2)
-	for _, s := range list {
-		if rt.mon.isBurning(s) {
-			burning = append(burning, s)
-		} else {
-			healthy = append(healthy, s)
-		}
-	}
-	if len(healthy) == 0 {
-		return list
-	}
-	rt.sloDemotion.Inc()
-	return append(healthy, burning...)
+	return append(set, all[replicas:]...), hot
 }
 
 func (rt *Router) handleAnalyze(w http.ResponseWriter, r *http.Request) {

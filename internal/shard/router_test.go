@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -88,8 +89,10 @@ type fakeShard struct {
 	reqs     atomic.Int64
 	delay    time.Duration
 	draining atomic.Bool
-	burning  atomic.Bool
 	ts       *httptest.Server
+
+	mu   sync.Mutex
+	seen []string // "METHOD /path" of every request, in arrival order
 }
 
 func newFakeShard(t *testing.T, delay time.Duration) *fakeShard {
@@ -103,9 +106,6 @@ func newFakeShard(t *testing.T, delay time.Duration) *fakeShard {
 		}
 		w.WriteHeader(http.StatusOK)
 	})
-	mux.HandleFunc("GET /slo", func(w http.ResponseWriter, r *http.Request) {
-		fmt.Fprintf(w, `{"objectives":[{"name":"availability","burning":%v}]}`, f.burning.Load())
-	})
 	mux.HandleFunc("POST /v1/analyze", func(w http.ResponseWriter, r *http.Request) {
 		if f.draining.Load() {
 			w.WriteHeader(http.StatusServiceUnavailable)
@@ -118,7 +118,12 @@ func newFakeShard(t *testing.T, delay time.Duration) *fakeShard {
 		w.Header().Set("Content-Type", "application/json")
 		fmt.Fprintf(w, `{"cache":"miss","elapsed_ms":0,"report":{}}`)
 	})
-	f.ts = httptest.NewServer(mux)
+	f.ts = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		f.mu.Lock()
+		f.seen = append(f.seen, r.Method+" "+r.URL.Path)
+		f.mu.Unlock()
+		mux.ServeHTTP(w, r)
+	}))
 	t.Cleanup(f.ts.Close)
 	return f
 }
@@ -257,9 +262,10 @@ func TestRouterFailover(t *testing.T) {
 	}
 }
 
-// TestRouterDrainingShardLeavesRing: a 503 /healthz (the serve drain
-// signal) removes the shard from the ring via the probe loop, and
-// requests during the drain fail over with zero client-visible errors.
+// TestRouterDrainingShardLeavesRing: one probe round is one GET
+// /healthz per shard, a 503 /healthz (the serve drain signal) removes
+// the shard from the ring via the probe loop, and requests during the
+// drain fail over with zero client-visible errors.
 func TestRouterDrainingShardLeavesRing(t *testing.T) {
 	draining := newFakeShard(t, 0)
 	healthy := newFakeShard(t, 0)
@@ -267,6 +273,15 @@ func TestRouterDrainingShardLeavesRing(t *testing.T) {
 		Shards:        []string{draining.ts.URL, healthy.ts.URL},
 		ProbeInterval: 10 * time.Millisecond,
 	})
+	rt.mon.probeAll()
+	for _, f := range []*fakeShard{draining, healthy} {
+		f.mu.Lock()
+		seen := strings.Join(f.seen, ", ")
+		f.mu.Unlock()
+		if seen != "GET /healthz" {
+			t.Fatalf("one probe round sent %q to %s, want only GET /healthz", seen, f.ts.URL)
+		}
+	}
 	rt.Start()
 	defer rt.Close()
 
@@ -396,63 +411,6 @@ func TestRouterKillShardUnderLoad(t *testing.T) {
 
 // TestRouterJobs: job submission routes on the cache key, and status /
 // list / events lookups find the accepting shard.
-// TestRouterSLODemotion: a shard whose /slo reports a paging burn rate
-// stays in the ring but loses new work to a non-burning alternative.
-func TestRouterSLODemotion(t *testing.T) {
-	f1, f2 := newFakeShard(t, 0), newFakeShard(t, 0)
-	shards := map[string]*fakeShard{f1.ts.URL: f1, f2.ts.URL: f2}
-	rt, rts := newTestRouter(t, Config{
-		Shards:        []string{f1.ts.URL, f2.ts.URL},
-		ProbeInterval: 20 * time.Millisecond,
-	})
-	rt.Start()
-	t.Cleanup(rt.Close)
-
-	req := analyzeReq("ATGCATGCATGCATGC")
-	resp := postRouter(t, rts.URL, req)
-	home := resp.Header.Get("X-Router-Shard")
-	resp.Body.Close()
-	if shards[home] == nil {
-		t.Fatalf("unknown home shard %q", home)
-	}
-
-	// Light the home shard's burn signal and wait for a probe cycle to
-	// pick it up.
-	shards[home].burning.Store(true)
-	deadline := time.Now().Add(2 * time.Second)
-	for !rt.mon.isBurning(home) {
-		if time.Now().After(deadline) {
-			t.Fatal("probe loop never observed the burn state")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-
-	resp = postRouter(t, rts.URL, req)
-	moved := resp.Header.Get("X-Router-Shard")
-	resp.Body.Close()
-	if moved == home {
-		t.Fatalf("burning shard %s still preferred", home)
-	}
-	if rt.sloDemotion.Load() == 0 {
-		t.Fatal("router/slo_demotions not incremented")
-	}
-
-	// Budget recovered: traffic returns home (cache locality restored).
-	shards[home].burning.Store(false)
-	for rt.mon.isBurning(home) {
-		if time.Now().After(deadline) {
-			t.Fatal("probe loop never cleared the burn state")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	resp = postRouter(t, rts.URL, req)
-	back := resp.Header.Get("X-Router-Shard")
-	resp.Body.Close()
-	if back != home {
-		t.Fatalf("recovered shard not restored: got %s, want %s", back, home)
-	}
-}
-
 func TestRouterJobs(t *testing.T) {
 	store, err := jobstore.Open(t.TempDir(), nil)
 	if err != nil {
