@@ -181,8 +181,8 @@ func (r recon) deviation() float64 {
 func printTable(client *http.Client, shards []string, cur, prev map[string]*obs.Snapshot, ival time.Duration) {
 	secs := ival.Seconds()
 	// The tier column's header names its shares in tierMix's order.
-	fmt.Printf("%-28s %8s %10s %10s %10s %13s %9s\n",
-		"SHARD", "REQ/S", "CPU/S", "ENG/S", "PROC/S", "I16/I32/SC/U8", "PROFILES")
+	fmt.Printf("%-28s %8s %10s %10s %10s %13s %6s %9s\n",
+		"SHARD", "REQ/S", "CPU/S", "ENG/S", "PROC/S", "I16/I32/SC/U8", "SPEC", "PROFILES")
 	for _, s := range shards {
 		c := cur[s]
 		if c == nil {
@@ -199,11 +199,11 @@ func printTable(client *http.Client, shards []string, cur, prev map[string]*obs.
 			return fmtNS(int64(float64(v) / secs))
 		}
 		nProf, profB := profileRing(client, s)
-		fmt.Printf("%-28s %8.1f %10s %10s %10s %13s %6d/%s\n",
+		fmt.Printf("%-28s %8.1f %10s %10s %10s %13s %6s %6d/%s\n",
 			trimShard(s),
 			float64(reqs)/ifElse(p == nil, 1, secs),
 			rate(r.AttribNS), rate(r.EngineNS), rate(r.ProcNS),
-			tierMix(c), nProf, fmtBytes(profB))
+			tierMix(c), specShare(c, p), nProf, fmtBytes(profB))
 	}
 }
 
@@ -268,6 +268,17 @@ func tierMix(s *obs.Snapshot) string {
 		parts = append(parts, fmt.Sprintf("%.0f", 100*float64(s.Counters[n])/float64(total)))
 	}
 	return strings.Join(parts, "/")
+}
+
+// specShare renders the interval's speculation waste — results a
+// scheduler or the sequential loop's helpers computed and nobody took
+// (engine/spec_waste) — as a share of the interval's alignments.
+func specShare(cur, prev *obs.Snapshot) string {
+	aligned := delta(cur, prev, "engine/alignments")
+	if aligned <= 0 {
+		return "-"
+	}
+	return fmt.Sprintf("%.1f%%", 100*float64(delta(cur, prev, "engine/spec_waste"))/float64(aligned))
 }
 
 // jsonDoc is the -json output shape: per-shard reconciliation plus the

@@ -101,6 +101,9 @@ func Run(e *topalign.Engine, pcfg Config) error {
 			wsp.SetRank(cfg.SpanRank)
 			wsp.SetArg(int64(idx))
 			defer wsp.End()
+			// A worker holds a core: the sequential loop's helpers of
+			// other analyses in the process leave it alone.
+			defer topalign.Engage()()
 			// Pin the worker to its thread and attribute its CPU for
 			// the whole loop — one clock read per worker, not per task.
 			var sw attrib.Stopwatch

@@ -1,12 +1,15 @@
 package parallel
 
 import (
+	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/align"
 	"repro/internal/cluster"
+	"repro/internal/obs/attrib"
 	"repro/internal/scoring"
 	"repro/internal/seq"
 	"repro/internal/stats"
@@ -339,5 +342,48 @@ func TestSpeculativeSnapshotsStayFrozen(t *testing.T) {
 	if len(seen) < 2 || !final.tri.Equal(e.Triangle()) || len(final.pairs) != e.Triangle().Count() {
 		t.Errorf("held %d snapshots, the last with %d pairs; the run ended with %d tops and %d pairs",
 			len(seen), len(final.pairs), e.NumTopsFound(), e.Triangle().Count())
+	}
+}
+
+// Workers take places too: while a two-worker run is in flight at
+// GOMAXPROCS 2, the sequential loop of another analysis gets no helper
+// beside it — it bills no helper CPU — and once the run is over the
+// workers' places are given back, so the same analysis gets its helper.
+func TestWorkersTakePlaces(t *testing.T) {
+	if !attrib.ThreadCPUSupported() {
+		t.Skip("no per-thread CPU clock on this platform")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	codes := seq.SyntheticTitin(900, 3).Codes
+	helperCPU := func() int64 {
+		c := &stats.Counters{}
+		if _, err := topalign.Find(codes, topalign.Config{Params: proteinParams, NumTops: 3, Counters: c}); err != nil {
+			t.Fatal(err)
+		}
+		return c.Snapshot().CPUNanos // the loop meters nothing itself: this is its helpers'
+	}
+	var inside atomic.Int32
+	hold := make(chan struct{})
+	cfg := topalign.Config{Params: proteinParams, NumTops: 3, OnRealign: func(*topalign.Task, int) {
+		inside.Add(1)
+		<-hold
+	}}
+	done := make(chan error, 1)
+	go func() {
+		_, err := Find(codes, cfg, Config{Workers: 2})
+		done <- err
+	}()
+	for inside.Load() < 2 { // both workers are in a realignment
+		runtime.Gosched()
+	}
+	if cpu := helperCPU(); cpu != 0 {
+		t.Errorf("beside two running workers the loop's helpers billed %d ns, want none started", cpu)
+	}
+	close(hold)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if cpu := helperCPU(); cpu == 0 {
+		t.Error("after the workers finished the loop got no helper: their places were not given back")
 	}
 }

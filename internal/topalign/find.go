@@ -54,9 +54,20 @@ func Decide(cfg Config, head *Task, tops int) Decision {
 // hand it their initial queues, the cluster master the queue it is left
 // with when its last slave dies. Tasks keep whatever score and stamp
 // they carry (stale scores are upper bounds), so a queue may be drained
-// from any state. sc supplies the kernel arenas. The loop counts itself
-// engaged while it runs, which sizes any lookahead helpers (RunWindows).
+// from any state. sc supplies the kernel arenas.
+//
+// The loop stays one goroutine that decides, accepts, applies and
+// counts; on the cores no other engine goroutine of the process holds
+// (engaged), helpers compute the tasks it will (re)align next: first
+// alignments in queue order, and after each acceptance the split and
+// group realignments behind the one the loop is on (lookahead). What a
+// helper computed is applied by the loop only if it is for the triangle
+// the loop is at, so the report, the work counters and the OnRealign
+// sequence are those of the loop alone, whatever the core count; only
+// CPU, latency and engine/spec_waste differ.
 func Run(e *Engine, q *TaskQueue, sc *Scratch) error {
+	a := e.startHelpers(q) // nil when no helper starts
+	defer a.stop(e)
 	engaged.Add(1)
 	defer engaged.Add(-1)
 	cfg := e.Config()
@@ -72,7 +83,7 @@ func Run(e *Engine, q *TaskQueue, sc *Scratch) error {
 			q.Push(t)
 		case Realign:
 			t := q.Pop()
-			w, err := e.Realign(t, e.Triangle(), e.NumTopsFound(), sc)
+			w, err := a.realign(e, q, t, sc)
 			if err != nil {
 				return err
 			}

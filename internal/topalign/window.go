@@ -21,12 +21,9 @@ type Window struct {
 
 	// orig is the window's original (unmasked) bottom row, recorded on
 	// first alignment and used for shadow rejection on realignments. The
-	// memory is a slab of the scratch that computed it (Engine.firstPass),
+	// memory is a slab of the scratch that computed it (Scratch.keep),
 	// the slice this window's.
 	orig []int32
-	// slot is where a lookahead helper puts the first alignment it
-	// computes ahead of the loop; nil outside RunWindows.
-	slot *slot
 }
 
 // Aligned reports whether the window has had its first (unmasked)
@@ -37,12 +34,10 @@ func (w *Window) Aligned() bool { return w.orig != nil }
 // completion: it checks the caller-built tasks, queues them at the
 // scores they carry (their admissible bounds) and hands the queue to
 // Run, which terminates when NumTops alignments are accepted or the
-// best remaining upper bound drops below MinScore. Run stays the one
-// loop, on this goroutine; with GOMAXPROCS above one, helpers compute
-// never-aligned windows' first alignments ahead of it on the cores no
-// other engine loop of the process is using (lookahead). A first alignment ignores the triangle, so who
-// computes it changes nothing the loop decides or counts: the report
-// and the work counters are those of the loop alone. All goroutines of
+// best remaining upper bound drops below MinScore. Run's helpers compute
+// never-aligned windows' first alignments ahead of the loop; window
+// realignments stay the loop's, being a few microseconds each against a
+// triangle snapshot of a millisecond at 60 k residues. All goroutines of
 // the run read one query profile.
 //
 // The kernels index the sequence and the override triangle by the
@@ -67,7 +62,6 @@ func RunWindows(e *Engine, tasks []*Task) error {
 		}
 		q.Push(t)
 	}
-	defer e.startLookahead(tasks)()
 	sc := NewScratch()
 	sc.A.ShareProfile(e.WindowProfile())
 	return Run(e, q, sc)

@@ -1,6 +1,8 @@
 package topalign
 
 import (
+	"math/rand/v2"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -276,5 +278,62 @@ func TestHelperPlaces(t *testing.T) {
 	}
 	if retired != 2 || engaged.Load() != 4 {
 		t.Errorf("two loops over 4 cores: %d helpers retired, engaged %d; want 2, 4", retired, engaged.Load())
+	}
+}
+
+// A report is a function of the task set: windows that tie on their bound
+// and bottom row, and keep tying after alignment — a homopolymer, an
+// exact repeated unit — are accepted in the queue's rectangle order
+// whatever order they are handed over in, and with or without helpers.
+func TestWindowTiesAreOrderFree(t *testing.T) {
+	homopolymer, err := seq.DNA.Encode(strings.Repeat("A", 160))
+	if err != nil {
+		t.Fatal(err)
+	}
+	units, err := seq.DNA.Encode(strings.Repeat("ACGTTGCA", 20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, in := range []struct {
+		name  string
+		codes []byte
+	}{{"homopolymer", homopolymer}, {"exact-unit", units}} {
+		m := len(in.codes)
+		var rects []align.Rect
+		for _, y1 := range []int{48, 64, 80} {
+			for _, y0 := range []int{y1 - 31, y1 - 15} {
+				for _, x0 := range []int{y1 + 1, y1 + 9, y1 + 17, y1 + 33} {
+					if x1 := x0 + 31; x1 <= m {
+						rects = append(rects, align.Rect{Y0: y0, Y1: y1, X0: x0, X1: x1})
+					}
+				}
+			}
+		}
+		run := func(procs int, perm []int) []TopAlignment {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			e, err := NewEngine(in.codes, Config{Params: dnaParams, NumTops: 10})
+			if err != nil {
+				t.Fatal(err)
+			}
+			tasks := make([]*Task, len(perm))
+			for i, j := range perm {
+				tasks[i] = &Task{R: rects[j].Y1, Score: 1000, AlignedWith: -1, Win: &Window{Rect: rects[j], Bound: 1000}}
+			}
+			if err := RunWindows(e, tasks); err != nil {
+				t.Fatal(err)
+			}
+			return e.Tops()
+		}
+		ident := make([]int, len(rects))
+		for i := range ident {
+			ident[i] = i
+		}
+		want := run(1, ident)
+		r := rand.New(rand.NewPCG(7, uint64(m)))
+		for trial := 0; trial < 12; trial++ {
+			if got := run(1+trial%2, r.Perm(len(rects))); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s trial %d: tops depend on the order the windows were handed over in", in.name, trial)
+			}
+		}
 	}
 }

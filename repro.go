@@ -13,10 +13,12 @@
 //	for _, top := range report.Tops { ... }
 //	for _, fam := range report.Families { ... }
 //
-// Options select the execution engine: sequential (default),
-// shared-memory workers (Workers > 1), or an in-process master/slave
-// cluster (Slaves > 0) that exercises the same protocol as the
-// repromaster/reproworker binaries.
+// Options select the execution engine: sequential (default: one
+// best-first loop, with the tasks it will align next computed ahead of it
+// on the cores no other analysis of the process holds, and a report that
+// is the one-core report), shared-memory workers (Workers > 1), or an
+// in-process master/slave cluster (Slaves > 0) that exercises the same
+// protocol as the repromaster/reproworker binaries.
 package repro
 
 import (
@@ -85,10 +87,11 @@ type Options struct {
 	// and "balanced" restrict alignment to seed-supported candidate
 	// windows, trading sensitivity for orders-of-magnitude less work.
 	// Fast and balanced run the windowed driver whatever Workers and
-	// Slaves say: one best-first loop, with the windows' first
-	// alignments computed ahead of it on every core (GOMAXPROCS), so
-	// their results are deterministic and backend-independent; those
-	// knobs select the backend only for the exact presets.
+	// Slaves say: the default engine's one best-first loop, with the
+	// windows' first alignments computed ahead of it on every core
+	// (GOMAXPROCS), so their results are deterministic and
+	// backend-independent; those knobs select the backend only for the
+	// exact presets.
 	Preset string
 	// SeedK, SeedMask, SeedMaxOcc, SeedBand and SeedPad override
 	// individual prefilter knobs (zero value = preset default): seed
@@ -338,11 +341,12 @@ func analyze(q *seq.Sequence, exch *scoring.Matrix, opt Options) (*Report, error
 		pstats *seedindex.Stats
 	)
 	// Resource attribution: the driver goroutine pins its thread and
-	// meters its own CPU across the engine run (for the sequential
-	// driver that is all the compute; for the windowed driver, the loop;
-	// for parallel/cluster the scheduling loop — the windowed driver's
-	// helpers and the workers meter themselves into the same counters). The heap-alloc delta is process-global, accurate
-	// when requests run one at a time (the bench configuration).
+	// meters its own CPU across the engine run (for the sequential and
+	// windowed drivers, the one loop; for parallel/cluster, the
+	// scheduling loop). The loop's helpers and the workers meter
+	// themselves into the same counters. The heap-alloc delta is
+	// process-global, accurate when requests run one at a time (the bench
+	// configuration).
 	alloc0 := attrib.HeapAllocBytes()
 	var sw attrib.Stopwatch
 	sw.Start()
@@ -350,7 +354,7 @@ func analyze(q *seq.Sequence, exch *scoring.Matrix, opt Options) (*Report, error
 	case opt.Preset == seedindex.PresetFast || opt.Preset == seedindex.PresetBalanced:
 		// Windowed extension through the best-first queue: one loop,
 		// whatever the backend, so results are backend-independent. Its
-		// lookahead helpers meter their own CPU into counters.
+		// helpers meter their own CPU into counters.
 		res, pstats, err = seedindex.Find(q.Codes, pcfg, cfg)
 	case opt.Slaves > 0:
 		res, err = cluster.RunLocal(q.Codes,
