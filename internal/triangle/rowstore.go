@@ -12,11 +12,12 @@ import (
 //
 // Storing every split's row needs m(m-1)/2 int32 entries in total (the
 // paper's largest data structure: 2.4 GB for full-length titin, half
-// that as the paper's shorts), so nothing is sized up front: rows are
-// copied in as tasks are first aligned, into chunked slabs the store
-// owns (Slab), and the m-entry table of split rows appears with the
-// first Put. Windows keep their rows in the slabs of the goroutines that
-// compute them instead. RowStore is safe for concurrent use; in the
+// that as the paper's shorts), so nothing is sized up front: rows come
+// in as tasks are first aligned — copied into chunked slabs the store
+// owns (Put), or handed over from the slab of the goroutine that computed
+// them (Adopt) — and the m-entry table of split rows appears with the
+// first row. Windows keep their rows in those goroutines' slabs and never
+// reach the store. RowStore is safe for concurrent use; in the
 // distributed runner the master owns the full store and slaves keep a
 // RowStore as an on-demand cache.
 type RowStore struct {
@@ -69,7 +70,14 @@ func (s *Slab) Keep(row []int32) []int32 {
 // A second Put for the same split is ignored: the original row never
 // changes once computed (the paper computes it exactly once, with the
 // empty triangle).
-func (s *RowStore) Put(r int, row []int32) {
+func (s *RowStore) Put(r int, row []int32) { s.put(r, row, true) }
+
+// Adopt stores row as split r's original row without copying it: the
+// caller hands it over and never writes it again — a row a goroutine kept
+// in its own Slab. Like Put, it ignores a second row for the same split.
+func (s *RowStore) Adopt(r int, row []int32) { s.put(r, row, false) }
+
+func (s *RowStore) put(r int, row []int32, copyRow bool) {
 	if r < 1 || r >= s.m {
 		panic(fmt.Sprintf("triangle: split %d out of range for m=%d", r, s.m))
 	}
@@ -82,7 +90,10 @@ func (s *RowStore) Put(r int, row []int32) {
 		s.rows = make([][]int32, s.m)
 	}
 	if s.rows[r] == nil {
-		s.rows[r] = s.slab.Keep(row)
+		if copyRow {
+			row = s.slab.Keep(row)
+		}
+		s.rows[r] = row
 	}
 }
 

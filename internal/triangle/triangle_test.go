@@ -192,6 +192,13 @@ func TestRowStore(t *testing.T) {
 	if got[2] != 3 {
 		t.Error("second Put overwrote the original row")
 	}
+	// Adopt keeps the row it is handed, and ignores a second one as Put does
+	kept := []int32{4, 4, 4, 4, 4}
+	s.Adopt(5, kept)
+	s.Adopt(5, []int32{0, 0, 0, 0, 0})
+	if got, _ := s.Get(5); &got[0] != &kept[0] {
+		t.Error("Adopt did not keep the row it was handed")
+	}
 	if _, ok := s.Get(0); ok {
 		t.Error("Get(0) returned a row")
 	}
