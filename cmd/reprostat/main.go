@@ -271,7 +271,7 @@ func tierMix(s *obs.Snapshot) string {
 }
 
 // specShare renders the interval's speculation waste — results a
-// scheduler or the sequential loop's helpers computed and nobody took
+// scheduler or a windowed run's helpers computed and nobody took
 // (engine/spec_waste) — as a share of the interval's alignments.
 func specShare(cur, prev *obs.Snapshot) string {
 	aligned := delta(cur, prev, "engine/alignments")

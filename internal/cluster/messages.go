@@ -11,6 +11,7 @@ package cluster
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"repro/internal/align"
 	"repro/internal/mpi"
@@ -104,7 +105,11 @@ func appendU32(b []byte, v uint32) []byte {
 	return binary.LittleEndian.AppendUint32(b, v)
 }
 
+// appendI32s appends vs with its length, growing b once: a row is
+// thousands of values, and growing by append per value cost the master
+// a dozen allocations per row it served.
 func appendI32s(b []byte, vs []int32) []byte {
+	b = slices.Grow(b, 4+4*len(vs))
 	b = appendU32(b, uint32(len(vs)))
 	for _, v := range vs {
 		b = appendU32(b, uint32(v))
@@ -297,7 +302,7 @@ func decodeTop(b []byte) (msgTop, error) {
 }
 
 func (m msgRow) encode() []byte {
-	b := appendU32(nil, uint32(m.R))
+	b := appendU32(make([]byte, 0, 8+4*len(m.Row)), uint32(m.R))
 	return appendI32s(b, m.Row)
 }
 

@@ -23,6 +23,12 @@
 //     This mode provably yields bit-identical results to the sequential
 //     algorithm and is the default for correctness-sensitive callers.
 //
+// Strict mode sized by the process (Config.Workers 0, Run) is the engine
+// of every default exact analysis (repro.Analyze). Its tops are the
+// sequential loop's; with more than one worker its work counters vary by
+// a few percent from run to run, since which stale task a worker
+// realigns against which snapshot is up to timing.
+//
 // Scheduling discipline (reworked for scalability):
 //
 //   - The queue is the only state guarded by the mutex; workers hold it
@@ -59,12 +65,21 @@ import (
 
 // Config controls the shared-memory scheduler.
 type Config struct {
-	// Workers is the number of worker goroutines; 0 means GOMAXPROCS.
+	// Workers is the number of worker goroutines. 0 sizes the run by
+	// what the process can spare (Run); N > 0 runs N workers.
 	Workers int
 	// Speculative enables the paper's acceptance rule (see package
 	// comment). Off = strict mode, bit-identical to sequential.
 	Speculative bool
 }
+
+// minHelpedCells is the least an exact run's splits must hold, in cells
+// (m³/6 for m residues: 1<<24 at m ≈ 465), for a process-sized run to
+// start workers beside its first. A worker's start, and the hand-offs of
+// an acceptance's realignments between workers, cost about the same
+// whatever the run; below this the CPU they add outgrows the wall time
+// they save (EXPERIMENTS.md, "The exact loop on every core").
+const minHelpedCells = 1 << 24
 
 // Find computes top alignments with the shared-memory scheduler.
 func Find(s []byte, cfg topalign.Config, pcfg Config) (*topalign.Result, error) {
@@ -78,14 +93,28 @@ func Find(s []byte, cfg topalign.Config, pcfg Config) (*topalign.Result, error) 
 	return e.Result(), nil
 }
 
-// Run drives an engine to completion with pcfg.Workers goroutines.
+// Run drives an engine to completion with pcfg.Workers goroutines. With
+// Workers 0 the process sizes the run: one worker, plus one per core no
+// engine goroutine of the process holds (topalign.Reserve), so two
+// analyses that start together cannot both take every core; a run whose
+// splits hold fewer than minHelpedCells gets one worker. The workers
+// after the first give their place up between tasks once more goroutines
+// are engaged than there are cores (topalign.Retire). One worker hands
+// the queue to topalign.Run, the one-core loop.
 func Run(e *topalign.Engine, pcfg Config) error {
-	workers := pcfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	procs := int32(runtime.GOMAXPROCS(0))
+	workers, sized := pcfg.Workers, pcfg.Workers <= 0
+	if sized {
+		workers = 1
+		if m := int64(e.Len()); (m-1)*m*(m+1)/6 >= minHelpedCells {
+			workers += int(topalign.Reserve(procs))
+		}
+	}
+	if workers == 1 {
+		return topalign.Run(e, topalign.InitialQueue(e), topalign.NewScratch())
 	}
 
-	st := &sched{e: e, queue: topalign.InitialQueue(e), spec: pcfg.Speculative}
+	st := &sched{e: e, queue: topalign.InitialQueue(e), spec: pcfg.Speculative, procs: procs}
 	st.snap.Store(&snapState{tri: e.TriangleSnapshot(), tops: e.NumTopsFound()})
 	st.cond = sync.NewCond(&st.mu)
 
@@ -101,15 +130,22 @@ func Run(e *topalign.Engine, pcfg Config) error {
 			wsp.SetRank(cfg.SpanRank)
 			wsp.SetArg(int64(idx))
 			defer wsp.End()
-			// A worker holds a core: the sequential loop's helpers of
-			// other analyses in the process leave it alone.
-			defer topalign.Engage()()
+			// A worker holds a core, so helpers and process-sized workers
+			// of other analyses leave it alone: it counts itself, or
+			// holds a place Run reserved, and gives it back unless it
+			// retired.
+			reserved := sized && idx > 0
+			if !reserved {
+				topalign.Engage()
+			}
 			// Pin the worker to its thread and attribute its CPU for
 			// the whole loop — one clock read per worker, not per task.
 			var sw attrib.Stopwatch
 			sw.Start()
 			defer func() { cfg.Counters.AddCPU(sw.Stop()) }()
-			st.worker(topalign.NewScratch())
+			if !st.worker(topalign.NewScratch(), reserved) {
+				topalign.Release()
+			}
 		}(w)
 	}
 	wg.Wait()
@@ -141,19 +177,26 @@ type sched struct {
 	done      bool
 	err       error
 
-	spec bool
+	spec  bool
+	procs int32 // GOMAXPROCS when the run started
 }
 
 // worker is the scheduling loop each goroutine runs, with its own
 // kernel scratch. What to do with the queue head is topalign.Decide's
 // answer; the loop adds what only a concurrent scheduler has — results
 // in flight that can overturn a Stop, the strict-mode gate on Accept,
-// and the wake-ups.
-func (st *sched) worker(sc *topalign.Scratch) {
+// and the wake-ups. A worker on a reserved place retires between tasks
+// when more goroutines are engaged than cores, passing on the wake-up it
+// may have been sent, and reports that it did.
+func (st *sched) worker(sc *topalign.Scratch, reserved bool) (retired bool) {
 	cfg := st.e.Config()
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	for !st.done {
+		if reserved && topalign.Retire(st.procs) {
+			st.cond.Signal()
+			return true
+		}
 		snap := st.snap.Load() // coherent: stores happen under mu
 		switch topalign.Decide(cfg, st.queue.Peek(), snap.tops) {
 		case topalign.Stop:
@@ -199,6 +242,7 @@ func (st *sched) worker(sc *topalign.Scratch) {
 			st.cond.Signal()
 		}
 	}
+	return
 }
 
 // accept performs the acceptance (including the sequential traceback)

@@ -1,15 +1,18 @@
 package parallel
 
 import (
+	"reflect"
 	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/align"
 	"repro/internal/cluster"
-	"repro/internal/obs/attrib"
+	"repro/internal/dessim"
+	"repro/internal/obs/trace"
 	"repro/internal/scoring"
 	"repro/internal/seq"
 	"repro/internal/stats"
@@ -221,6 +224,58 @@ func TestStrictDifferential(t *testing.T) {
 			t.Errorf("seed %d cluster: strict run reports %d wasted realignments", seed, w)
 		}
 	}
+
+	// Process-sized runs, the default analysis's engine, over the gate:
+	// under GOMAXPROCS 1 (the one-core loop), 2 and 4, at one, eight and
+	// sixteen lanes, on a protein and a DNA input, the same tops as the
+	// one-core loop. The dessim trace is recorded by that loop whatever
+	// the core count. CI runs this under -race at GOMAXPROCS 1, 2 and 4.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	tandem := seq.Tandem(seq.TandemSpec{Alpha: seq.DNA, UnitLen: 40, Copies: 10, FlankLen: 60,
+		Profile: seq.MutationProfile{SubstRate: 0.1, IndelRate: 0.01, IndelExt: 0.5}, Seed: 3})
+	dna := align.Params{Exch: scoring.DNAUnit, Gap: scoring.DefaultGap(scoring.DNAUnit)}
+	for _, in := range []struct {
+		name  string
+		codes []byte
+		p     align.Params
+	}{
+		{"titin-700", seq.SyntheticTitin(700, 1).Codes, proteinParams},
+		{"dna-tandem", tandem.Codes, dna},
+	} {
+		for _, lanes := range []int{1, 8, 16} {
+			cfg := topalign.Config{Params: in.p, NumTops: 12, GroupLanes: lanes}
+			want, err := topalign.Find(in.codes, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, procs := range []int{1, 2, 4} {
+				runtime.GOMAXPROCS(procs)
+				workers := spansNamed("parallel.worker", func(rec *trace.Recorder) {
+					traced := cfg
+					traced.Spans = rec
+					got, err := Find(in.codes, traced, Config{})
+					if err != nil {
+						t.Fatalf("%s lanes %d GOMAXPROCS %d: %v", in.name, lanes, procs, err)
+					}
+					assertSameTops(t, got.Tops, want.Tops)
+				})
+				if procs > 1 && workers != procs || procs == 1 && workers != 0 {
+					t.Errorf("%s lanes %d GOMAXPROCS %d: %d workers, want one per core (the loop alone on one)", in.name, lanes, procs, workers)
+				}
+			}
+		}
+		record := func(procs int) *dessim.Trace {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			tr, err := dessim.Record(in.codes, topalign.Config{Params: in.p, NumTops: 12})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return tr
+		}
+		if !reflect.DeepEqual(record(4), record(1)) {
+			t.Errorf("%s: dessim trace under GOMAXPROCS 4 differs from GOMAXPROCS 1's", in.name)
+		}
+	}
 }
 
 // TestStrictHammer stress-tests the reworked scheduler: many more
@@ -329,7 +384,7 @@ func TestSpeculativeSnapshotsStayFrozen(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			st.worker(topalign.NewScratch())
+			st.worker(topalign.NewScratch(), false)
 		}()
 	}
 	wg.Wait()
@@ -345,45 +400,161 @@ func TestSpeculativeSnapshotsStayFrozen(t *testing.T) {
 	}
 }
 
-// Workers take places too: while a two-worker run is in flight at
-// GOMAXPROCS 2, the sequential loop of another analysis gets no helper
-// beside it — it bills no helper CPU — and once the run is over the
-// workers' places are given back, so the same analysis gets its helper.
-func TestWorkersTakePlaces(t *testing.T) {
-	if !attrib.ThreadCPUSupported() {
-		t.Skip("no per-thread CPU clock on this platform")
+// engagedNow is how many goroutines of the process are engaged in engine
+// work: it reserves every free place and gives them back.
+func engagedNow() int32 {
+	const many = 1 << 20
+	n := topalign.Reserve(many)
+	for i := int32(0); i < n; i++ {
+		topalign.Release()
 	}
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
-	codes := seq.SyntheticTitin(900, 3).Codes
-	helperCPU := func() int64 {
-		c := &stats.Counters{}
-		if _, err := topalign.Find(codes, topalign.Config{Params: proteinParams, NumTops: 3, Counters: c}); err != nil {
-			t.Fatal(err)
+	return many - 1 - n
+}
+
+// spansNamed runs fn with a fresh span recorder and counts the spans
+// called name it recorded.
+func spansNamed(name string, fn func(*trace.Recorder)) int {
+	col := trace.NewCollector(0, 0)
+	id := trace.NewTraceID()
+	fn(col.Rec(id))
+	spans, _, _ := col.Get(id)
+	n := 0
+	for _, sp := range spans {
+		if sp.Name == name {
+			n++
 		}
-		return c.Snapshot().CPUNanos // the loop meters nothing itself: this is its helpers'
 	}
-	var inside atomic.Int32
-	hold := make(chan struct{})
+	return n
+}
+
+// holdRun starts Find over codes with pcfg and returns once two workers
+// are inside a realignment, each held there. step lets the two go on;
+// every realignment after theirs is held until finish, which then waits
+// for the run and returns its error. calls counts the realignments begun.
+func holdRun(codes []byte, pcfg Config) (calls *atomic.Int32, step func(), finish func() error) {
+	calls = new(atomic.Int32)
+	first, rest := make(chan struct{}), make(chan struct{})
 	cfg := topalign.Config{Params: proteinParams, NumTops: 3, OnRealign: func(*topalign.Task, int) {
-		inside.Add(1)
-		<-hold
+		if calls.Add(1) <= 2 {
+			<-first
+		} else {
+			<-rest
+		}
 	}}
 	done := make(chan error, 1)
 	go func() {
-		_, err := Find(codes, cfg, Config{Workers: 2})
+		_, err := Find(codes, cfg, pcfg)
 		done <- err
 	}()
-	for inside.Load() < 2 { // both workers are in a realignment
+	for calls.Load() < 2 { // two workers are held, since a held one realigns nothing more
 		runtime.Gosched()
 	}
-	if cpu := helperCPU(); cpu != 0 {
-		t.Errorf("beside two running workers the loop's helpers billed %d ns, want none started", cpu)
+	var once sync.Once
+	step = func() { once.Do(func() { close(first) }) }
+	return calls, step, func() error {
+		step()
+		close(rest)
+		return <-done
 	}
-	close(hold)
-	if err := <-done; err != nil {
-		t.Fatal(err)
+}
+
+// Places, at GOMAXPROCS 2. A process-sized run (Workers 0, the default
+// analysis's engine) over the gate starts two workers; under it, one,
+// which is the one-core loop and records no worker span. Beside a held
+// Workers: 2 run it gets one, and a windowed run gets no helper (no
+// topalign.lookahead span); once that run is over both get their second
+// core back. Every run reports the one-core loop's tops. Then the
+// retirement rows: with a run's two workers held inside a realignment, a
+// third goroutine engages and the workers go on; a process-sized run's
+// second worker gives its place up between tasks, the engaged count
+// falling back to GOMAXPROCS, while a Workers: 2 run's two workers both
+// realign again. The engaged count is back at its start after each row.
+func TestWorkersTakePlaces(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	start := engagedNow()
+	over := seq.SyntheticTitin(500, 3).Codes  // (m³-m)/6 ≈ 20.8 M cells
+	under := seq.SyntheticTitin(300, 3).Codes // ≈ 4.5 M
+	windowed := func(rec *trace.Recorder) {
+		codes := under
+		e, err := topalign.NewEngine(codes, topalign.Config{Params: proteinParams, NumTops: 3, Spans: rec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var tasks []*topalign.Task
+		for r := 1; r < len(codes); r++ {
+			rect := align.Rect{Y0: 1, Y1: r, X0: r + 1, X1: len(codes)}
+			tasks = append(tasks, &topalign.Task{R: r, Score: topalign.Infinity, AlignedWith: -1, Win: &topalign.Window{Rect: rect, Bound: topalign.Infinity}})
+		}
+		if err := topalign.RunWindows(e, tasks); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if cpu := helperCPU(); cpu == 0 {
-		t.Error("after the workers finished the loop got no helper: their places were not given back")
+	for _, c := range []struct {
+		name    string
+		codes   []byte
+		beside  bool // a Workers: 2 run holds both cores
+		workers int  // parallel.worker spans of the process-sized run
+		helpers bool // a windowed run starts topalign.lookahead spans
+	}{
+		{"over the gate", over, false, 2, true},
+		{"under the gate", under, false, 0, true},
+		{"beside a Workers 2 run", over, true, 0, false},
+	} {
+		var finish func() error
+		if c.beside {
+			_, _, finish = holdRun(over, Config{Workers: 2})
+		}
+		want, err := topalign.Find(c.codes, topalign.Config{Params: proteinParams, NumTops: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		workers := spansNamed("parallel.worker", func(rec *trace.Recorder) {
+			got, err := Find(c.codes, topalign.Config{Params: proteinParams, NumTops: 3, Spans: rec}, Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertSameTops(t, got.Tops, want.Tops)
+		})
+		if workers != c.workers {
+			t.Errorf("%s: %d worker spans, want %d", c.name, workers, c.workers)
+		}
+		if helpers := spansNamed("topalign.lookahead", windowed); (helpers > 0) != c.helpers {
+			t.Errorf("%s: a windowed run started %d helpers", c.name, helpers)
+		}
+		if finish != nil {
+			if err := finish(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if n := engagedNow(); n != start {
+			t.Errorf("%s: %d goroutines engaged after the runs, want %d", c.name, n, start)
+		}
+	}
+	for _, c := range []struct {
+		name    string
+		pcfg    Config
+		retires bool
+	}{
+		{"process-sized", Config{}, true},
+		{"Workers 2", Config{Workers: 2}, false},
+	} {
+		calls, step, finish := holdRun(over, c.pcfg)
+		topalign.Engage() // a third goroutine
+		step()
+		deadline := time.Now().Add(10 * time.Second)
+		for engagedNow() != start+2 && calls.Load() < 4 && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		retired := engagedNow() == start+2
+		if retired != c.retires || retired && calls.Load() > 3 {
+			t.Errorf("%s: %d goroutines engaged, %d realignments begun; a worker retired: %t, want %t", c.name, engagedNow()-start, calls.Load(), retired, c.retires)
+		}
+		if err := finish(); err != nil {
+			t.Fatal(err)
+		}
+		topalign.Release()
+		if n := engagedNow(); n != start {
+			t.Errorf("%s: %d goroutines engaged after the run, want %d", c.name, n, start)
+		}
 	}
 }

@@ -63,9 +63,11 @@ type Request struct {
 	// Sequence is the residue string to analyse.
 	Sequence string `json:"sequence"`
 	Params
-	// Backend selects the execution engine: "sequential" (default),
-	// "parallel" (shared-memory workers), or "cluster" (in-process
-	// master/slave cluster).
+	// Backend selects the execution engine: "sequential" (default:
+	// repro.Analyze's default engine, the sequential loop on one core or
+	// strict workers on the cores the process can spare), "parallel"
+	// (shared-memory workers), or "cluster" (in-process master/slave
+	// cluster).
 	Backend string `json:"backend,omitempty"`
 	// Workers sizes the parallel backend (0 = GOMAXPROCS).
 	Workers int `json:"workers,omitempty"`

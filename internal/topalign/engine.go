@@ -15,7 +15,7 @@ import (
 // cycle: the scalar score kernel, group kernels, the traceback matrix,
 // and a slab for the original rows it computes. Whoever drives the engine
 // owns the arenas: one Scratch per worker goroutine under a scheduler,
-// one per Run for the sequential loop and one per helper. See
+// one per Run for the sequential loop and one per window helper. See
 // align.Scratch for the ownership rules.
 type Scratch struct {
 	A align.Scratch
@@ -128,8 +128,8 @@ type Work struct {
 // one task operation behind every driver: a split task aligns the window
 // [1..R] x [R+1..m], a group task its GroupLanes neighbouring splits
 // with the group kernel, a window task its Rect. It is compute and apply
-// in one call; the sequential loop's helpers run compute alone, ahead of
-// the loop, and the loop applies what they computed (Run).
+// in one call; a windowed run's helpers run compute alone, ahead of the
+// loop, and the loop applies what they computed (Run).
 //
 // A task's first alignment ignores tri: it is unmasked, recorded as the
 // original row that later alignments are shadow-checked against, and —
@@ -303,8 +303,7 @@ func (e *Engine) pass(w align.Rect, tri *triangle.Triangle, byteOK bool, sc *Scr
 
 // keep copies row into sc's slab, which keeps the original rows the
 // goroutine owning sc computes: a window's for Window.orig, a split's or
-// group's for the row store to adopt — on a helper, once the loop takes
-// the first alignment from its slot.
+// group's for the row store to adopt.
 func (sc *Scratch) keep(e *Engine, row []int32) []int32 {
 	if sc.rows == nil {
 		slab := triangle.NewSlab(len(e.s))

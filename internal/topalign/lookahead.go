@@ -8,144 +8,101 @@ import (
 	"sync/atomic"
 
 	"repro/internal/obs/attrib"
-	"repro/internal/triangle"
 )
 
 // lookaheadPerHelper is how many first alignments each helper may have
-// finished beyond those the loop has consumed: the first-pass lookahead
-// is a fixed multiple of the helper count. It bounds the passes computed
-// for nothing when the run stops, and the rows they keep. Of 4, 8, 16 and
-// 64, 16 read best on small protein windows and 64 no better; every pass
-// past the loop's last is pure cost, and a DNA window is millions of
-// cells. Realignments go one task per helper and one for the loop deep
-// (lookahead.publish).
+// finished beyond those the loop has consumed: the lookahead is a fixed
+// multiple of the helper count. It bounds the passes computed for nothing
+// when the run stops, and the rows they keep. Of 4, 8, 16 and 64, 16 read
+// best on small protein windows and 64 no better; every pass past the
+// loop's last is pure cost, and a DNA window is millions of cells.
 const lookaheadPerHelper = 16
 
-// A slot's word packs a generation above two state bits. The generation
-// says what the slot's result is for: genFirst the task's first
-// alignment, genTaken nothing yet (the first alignment is the loop's),
-// realignGen(k) a realignment against the triangle of k tops. A helper
-// moves a slot free → claimed → done under one generation; the loop
-// takes a done result of the generation it is about to compute and frees
-// the slot, or marks a free slot with that generation and computes the
-// task itself, which keeps helpers off it.
+// Slot states. A helper moves a slot free → claimed → done, the loop
+// done → taken when it applies the result, or free → taken when it
+// computes the window itself.
 const (
-	slotFree int64 = iota
+	slotFree int32 = iota
 	slotClaimed
 	slotDone
-
-	genFirst int64 = 0
-	genTaken int64 = 1
+	slotTaken
 )
 
-// realignGen is the generation of a realignment against the triangle of
-// k tops; k >= 1, since nothing is realigned before the first top.
-func realignGen(k int) int64 { return int64(k) + 1 }
-
-// slot is where a helper computes one task ahead of the loop: res and err
-// are written by the helper that claimed the slot before it stores
-// slotDone, and read by the loop only after it has seen slotDone.
+// slot holds one window's first alignment computed ahead of the loop:
+// res and err are written by the helper that claimed the slot before it
+// stores slotDone, and read by the loop only after it has seen slotDone.
 type slot struct {
-	word atomic.Int64
-	task *Task
-	res  realignment
-	err  error
+	state atomic.Int32
+	task  *Task
+	res   realignment
+	err   error
 }
 
-// plan is the loop's list of the tasks it will realign next against the
-// triangle of version tops — the stale tasks behind the one it is on, in
-// the order it will pop them (TaskQueue.stale) — for the helpers to
-// claim in order.
-type plan struct {
-	version int
-	tri     *triangle.Triangle
-	tasks   []*Task
-	next    atomic.Int32 // the next entry a helper may claim
-}
-
-// lookahead is the sequential loop's helpers: up to GOMAXPROCS-1
+// lookahead is a windowed run's first-pass helpers: up to GOMAXPROCS-1
 // goroutines, one per core the engaged count leaves free, that compute
-// tasks ahead of the loop into the tasks' slots (Engine.compute) and
-// leave the loop to apply and count them. There are two kinds of work,
-// the claim of each kind running in the order the queue will pop:
-//
-//   - first alignments of never-aligned tasks (splits, groups, windows),
-//     at most limit beyond the ones the loop has consumed. A first
-//     alignment ignores the triangle, so it is a function of the task.
-//   - realignments of split and group tasks against the current
-//     triangle: after each acceptance the loop publishes a snapshot of
-//     the triangle, and at each realignment the next stale tasks behind
-//     it, one per helper and one for the loop (publish). An acceptance
-//     makes what was computed against the older triangle waste; the
-//     slot's generation keeps the loop from taking it.
-//
-// Helpers touch neither the queue nor the task, store no original row,
-// call no OnRealign and count nothing but their CPU and the waste.
+// never-aligned windows' first alignments (Engine.compute) into the
+// windows' slots, in the order the queue will pop them, at most limit
+// passes beyond the ones the loop has consumed. A first alignment ignores
+// the triangle, so it is a function of the window alone and needs nothing
+// the loop changes. Helpers touch neither the queue, the task nor the
+// triangle, and count nothing but their CPU and the waste: the loop
+// applies the result (realign) and counts it as if it had computed it.
 type lookahead struct {
-	slots   []slot
-	order   atomic.Pointer[[]int32] // the never-aligned tasks' slots in queue order, once the first helper has sorted them
-	sorted  chan struct{}           // closed when order is set
-	firsts  int64                   // len(order): the never-aligned tasks
-	next    atomic.Int64            // the next position of order a helper may claim
-	taken   atomic.Int64            // first alignments the loop has consumed
-	limit   int64                   // helpers * lookaheadPerHelper
-	plan    atomic.Pointer[plan]    // realignments to claim; never set on a windowed run
-	helpers int
-	procs   int32 // GOMAXPROCS when the run started
-	windows bool  // a windowed run: first alignments only, one shared profile
-
-	// the loop's own
-	snap     *triangle.Triangle // the triangle the plans are against
-	snapTops int
-	frontier []int
-
-	parked  atomic.Int32 // helpers waiting for work
-	waiting atomic.Bool  // the loop waits for a helper's result
-	wake    chan struct{}
-	landed  chan struct{}
-	quit    chan struct{}
-	wg      sync.WaitGroup
+	slots  []slot                  // one per never-aligned window, in task order
+	order  atomic.Pointer[[]int32] // slots in queue order, once the first helper has sorted them
+	sorted chan struct{}           // closed when order is set
+	next   atomic.Int64            // the next position of order a helper may claim
+	taken  atomic.Int64            // first alignments the loop has consumed
+	limit  int64                   // helpers * lookaheadPerHelper
+	parked atomic.Int32            // helpers waiting for the loop to consume
+	procs  int32                   // GOMAXPROCS when the run started
+	wake   chan struct{}
+	quit   chan struct{}
+	wg     sync.WaitGroup
 }
 
 // engaged counts the goroutines of this process that run engine work
-// and take a core for it: every Run loop — the exact sequential driver,
-// a windowed run's loop, a cluster master finishing alone — every
-// helper, and every shared-memory worker (Engage). Helpers are sized from
-// it, so that analyses running side by side (a serve worker pool) keep a
-// core each before any helper gets one, and a helper retires when a loop
-// starting later finds every core taken. Cluster slaves are not counted.
-// It is package state on purpose: the cores it shares out are the
-// process's, and the analyses that compete for them have no caller in
-// common.
+// and take a core for it: every Run loop — the exact one-core loop, a
+// windowed run's loop, a cluster master finishing alone — every helper,
+// and every shared-memory worker (Engage, Reserve). Helpers and
+// process-sized workers are sized from it, so that analyses running side
+// by side (a serve worker pool) keep a core each before any of them gets
+// a second, and a helper or such a worker retires when a loop starting
+// later finds every core taken. Cluster slaves are not counted. It is
+// package state on purpose: the cores it shares out are the process's,
+// and the analyses that compete for them have no caller in common.
 var engaged atomic.Int32
 
-// Engage counts the calling goroutine as engaged in engine work until
-// release is called, so that the sequential loop's helpers leave its core
-// alone. A scheduler's workers call it (package parallel).
-func Engage() (release func()) {
-	engaged.Add(1)
-	return func() { engaged.Add(-1) }
-}
+// Engage counts the calling goroutine as engaged in engine work until it
+// calls Release, so that helpers and process-sized workers of other
+// analyses leave its core alone. A scheduler's workers call it (package
+// parallel).
+func Engage() { engaged.Add(1) }
 
-// reserveHelpers claims up to procs-1 helper places beside the calling
-// loop, which is not counted yet: as many as leave no more engaged
-// goroutines than procs.
-func reserveHelpers(procs int32) int32 {
+// Release gives back one engaged place: one Engage counted or Reserve
+// claimed.
+func Release() { engaged.Add(-1) }
+
+// Reserve claims up to procs-1 places beside the calling goroutine,
+// which is not counted yet: as many as leave no more engaged goroutines
+// than procs. The caller gives each one back with Release, or with
+// Retire.
+func Reserve(procs int32) int32 {
 	for {
 		n := engaged.Load()
-		helpers := procs - 1 - n
-		if helpers < 1 {
+		places := procs - 1 - n
+		if places < 1 {
 			return 0
 		}
-		if engaged.CompareAndSwap(n, n+helpers) {
-			return helpers
+		if engaged.CompareAndSwap(n, n+places) {
+			return places
 		}
 	}
 }
 
-// retire gives up a helper's place when more goroutines are engaged than
+// Retire gives up a reserved place when more goroutines are engaged than
 // procs, and reports whether it did.
-func retire(procs int32) bool {
+func Retire(procs int32) bool {
 	for {
 		n := engaged.Load()
 		if n <= procs {
@@ -157,66 +114,39 @@ func retire(procs int32) bool {
 	}
 }
 
-// minHelpedCells is the least an exact run's splits must hold, in cells
-// (m³/6 for m residues: 1<<24 at m ≈ 465), for its loop to start helpers.
-// A helper's start, and the hand-offs of a realignment chain, cost about
-// the same whatever the run; below this the CPU they add outgrows the
-// wall time they save. On titin-like inputs at GOMAXPROCS 2 (16 lanes),
-// helpers took 200 residues +9% wall, 300 −11% and 400 −14% for +25-28%
-// CPU, and 500 −27% and 900 −30% for +11-12% (EXPERIMENTS.md). Windowed
-// runs, whose helpers only stream first alignments, are not gated.
-const minHelpedCells = 1 << 24
-
-// startHelpers starts the helpers over queue q, or returns nil and starts
-// nothing: with no core to spare (GOMAXPROCS 1, or as many engaged
-// goroutines as cores), with fewer than two tasks, on an exact run under
-// minHelpedCells, or on a windowed run with fewer than two windows to
-// align for the first time.
+// startHelpers starts the helpers over windowed queue q's never-aligned
+// windows, or returns nil and starts nothing: on an exact queue, whose
+// loop runs alone (the multi-core scheduler of exact runs is package
+// parallel), with no core to spare (GOMAXPROCS 1, or as many engaged
+// goroutines as cores), or with fewer than two windows to align for the
+// first time.
 func (e *Engine) startHelpers(q *TaskQueue) *lookahead {
 	procs := int32(runtime.GOMAXPROCS(0))
-	if procs < 2 || q.Len() < 2 {
+	if procs < 2 || q.Len() < 2 || q.h[0].Win == nil {
 		return nil
 	}
-	a := &lookahead{procs: procs, windows: q.h[0].Win != nil}
-	if m := int64(len(e.s)); !a.windows && (m-1)*m*(m+1)/6 < minHelpedCells {
-		return nil
-	}
-	n := 0
+	a := &lookahead{slots: make([]slot, 0, q.Len()), procs: procs}
+	keys := make([]queueKey, 0, q.Len())
 	for _, t := range q.h {
-		if !a.windows || !t.Win.Aligned() {
-			n++
+		if !t.Win.Aligned() {
+			desc := ^(uint32(t.Score) ^ 1<<31) // order-preserving for int32, then flipped
+			keys = append(keys, queueKey{order: uint64(desc)<<32 | uint64(uint32(t.R)), slot: int32(len(a.slots))})
+			a.slots = append(a.slots, slot{task: t})
 		}
 	}
-	if n < 2 {
+	if len(a.slots) < 2 {
 		return nil
 	}
-	helpers := int(reserveHelpers(procs))
+	helpers := int(Reserve(procs))
 	if helpers == 0 {
 		return nil
-	}
-	a.slots = make([]slot, 0, n)
-	keys := make([]queueKey, 0, n)
-	for _, t := range q.h {
-		if a.windows && t.Win.Aligned() {
-			continue
-		}
-		a.slots = append(a.slots, slot{task: t})
-		s := &a.slots[len(a.slots)-1]
-		if e.origRow(t.R, t.Win) != nil {
-			s.word.Store(genTaken << 2) // only realignments left
-			continue
-		}
-		desc := ^(uint32(t.Score) ^ 1<<31) // order-preserving for int32, then flipped
-		keys = append(keys, queueKey{order: uint64(desc)<<32 | uint64(uint32(t.R)), slot: int32(len(a.slots) - 1)})
 	}
 	for i := range a.slots {
 		a.slots[i].task.spec = &a.slots[i]
 	}
-	a.helpers, a.firsts = helpers, int64(len(keys))
 	a.limit = int64(helpers * lookaheadPerHelper)
 	a.sorted = make(chan struct{})
-	a.wake = make(chan struct{}, helpers) // a token per helper: a nudge never blocks, no parked helper is missed
-	a.landed = make(chan struct{}, 1)
+	a.wake = make(chan struct{}, helpers) // a token per helper: consumed never blocks, no parked helper is missed
 	a.quit = make(chan struct{})
 	a.wg.Add(helpers)
 	go a.helper(e, 0, keys)
@@ -226,9 +156,9 @@ func (e *Engine) startHelpers(q *TaskQueue) *lookahead {
 	return a
 }
 
-// stop stops the helpers, if any, counts each result a helper finished
-// and the loop never took as spec waste (engine/spec_waste), and detaches
-// the slots.
+// stop stops the helpers, if any, counts each first alignment a helper
+// finished and the loop never took as spec waste (engine/spec_waste),
+// and detaches the slots.
 func (a *lookahead) stop(e *Engine) {
 	if a == nil {
 		return
@@ -238,27 +168,27 @@ func (a *lookahead) stop(e *Engine) {
 	for i := range a.slots {
 		s := &a.slots[i]
 		s.task.spec = nil
-		if s.word.Load()&3 == slotDone {
+		if s.state.Load() == slotDone {
 			e.cfg.Counters.AddSpecWaste()
 		}
 	}
 }
 
-// queueKey is a never-aligned task's place in the queue's order (before),
-// taken before the loop starts changing task scores: order packs score
-// descending, then R ascending, into one ascending key.
+// queueKey is a never-aligned window's place in the queue's order
+// (before), taken before the loop starts changing task scores: order
+// packs score descending, then R ascending, into one ascending key.
 type queueKey struct {
 	order uint64
-	slot  int32 // the task's slot
+	slot  int32 // the window's slot
 }
 
-// sort publishes the never-aligned tasks' slots in the queue's order.
-// Windows that tie on score and R are ordered by their rectangles, as
-// the queue orders them; a rectangle does not change, so the helper
-// reads it while the loop runs.
+// sort publishes the slots in the queue's order. Windows that tie on
+// score and R are ordered by their rectangles, as the queue orders them;
+// a rectangle does not change, so the helper reads it while the loop
+// runs.
 func (a *lookahead) sort(keys []queueKey) {
 	slices.SortFunc(keys, func(x, y queueKey) int {
-		if c := cmp.Compare(x.order, y.order); c != 0 || !a.windows {
+		if c := cmp.Compare(x.order, y.order); c != 0 {
 			return c
 		}
 		p, q := a.slots[x.slot].task.Win.Rect, a.slots[y.slot].task.Win.Rect
@@ -278,12 +208,13 @@ func (a *lookahead) sort(keys []queueKey) {
 	close(a.sorted)
 }
 
-// helper is one helper goroutine: it computes what it can claim with its
-// own scratch, parking when there is nothing, and retiring when the
-// process has more engaged goroutines than cores. The first helper sorts
-// the never-aligned tasks into queue order, while the loop computes the
-// first of them itself. Like a parallel worker, a helper bills its thread
-// CPU to the run and records one span for its whole life.
+// helper is one helper goroutine: it claims windows in queue order and
+// computes their first alignments with its own scratch, parking when it
+// is limit passes ahead of the loop, and retiring when the process has
+// more engaged goroutines than cores. The first helper sorts the windows
+// into that order, while the loop computes the first of them itself.
+// Like a parallel worker, a helper bills its thread CPU to the run and
+// records one span for its whole life.
 func (a *lookahead) helper(e *Engine, idx int, keys []queueKey) {
 	defer a.wg.Done()
 	cfg := e.cfg
@@ -298,13 +229,13 @@ func (a *lookahead) helper(e *Engine, idx int, keys []queueKey) {
 		a.sort(keys)
 	}
 	if a.work(e) {
-		engaged.Add(-1)
+		Release()
 	}
 }
 
-// work computes what the helper claims until the run is over, a windowed
-// run's windows are exhausted or the helper retires, and reports whether
-// the helper still holds its engaged place.
+// work claims and computes first alignments until the list is exhausted,
+// the run is over or the helper retires, and reports whether the helper
+// still holds its engaged place.
 func (a *lookahead) work(e *Engine) bool {
 	select {
 	case <-a.sorted:
@@ -312,83 +243,54 @@ func (a *lookahead) work(e *Engine) bool {
 		return true
 	}
 	sc := NewScratch()
-	if a.windows {
-		sc.A.ShareProfile(e.WindowProfile())
-	}
+	sc.A.ShareProfile(e.WindowProfile())
 	for {
 		select {
 		case <-a.quit:
 			return true
 		default:
 		}
-		if retire(a.procs) {
+		if Retire(a.procs) {
 			return false
 		}
-		if !a.step(e, sc) && !a.park() {
+		if s := a.claim(); s != nil {
+			a.compute(e, s, sc)
+		} else if !a.park() {
 			return true
 		}
 	}
 }
 
-// step claims one task — the current plan's next realignment, else the
-// next first alignment within the lookahead — and computes it into its
-// slot with sc. It reports whether there was one to claim.
-func (a *lookahead) step(e *Engine, sc *Scratch) bool {
-	if p := a.plan.Load(); p != nil {
-		gen := realignGen(p.version)
-		for {
-			j := int(p.next.Add(1)) - 1
-			if j >= len(p.tasks) {
-				break
-			}
-			s := p.tasks[j].spec
-			if w := s.word.Load(); w&3 == slotFree && w>>2 < gen && s.word.CompareAndSwap(w, gen<<2|slotClaimed) {
-				a.compute(e, s, gen, p.tri, p.version, sc)
-				return true
-			}
-		}
-	}
+// claim claims the next free window within the lookahead, or returns
+// nil when there is none: the order is not sorted yet, the list is
+// exhausted, or the helpers are limit passes ahead of the loop.
+func (a *lookahead) claim() *slot {
 	order := a.order.Load()
 	if order == nil {
-		return false
+		return nil
 	}
 	for {
 		j := a.next.Load()
 		if j >= int64(len(*order)) || j >= a.taken.Load()+a.limit {
-			return false
+			return nil
 		}
-		if s := &a.slots[(*order)[j]]; a.next.CompareAndSwap(j, j+1) && s.word.CompareAndSwap(genFirst<<2|slotFree, genFirst<<2|slotClaimed) {
-			a.compute(e, s, genFirst, nil, 0, sc)
-			return true
-		}
-	}
-}
-
-// compute computes the task of s, which the caller has claimed for
-// generation gen, into s, and tells a waiting loop. A first alignment's
-// rows stay in sc's slab until the row store adopts them.
-func (a *lookahead) compute(e *Engine, s *slot, gen int64, tri *triangle.Triangle, topNum int, sc *Scratch) {
-	s.err = e.compute(s.task, gen == genFirst, tri, topNum, sc, &s.res)
-	s.word.Store(gen<<2 | slotDone)
-	if a.waiting.Load() {
-		select {
-		case a.landed <- struct{}{}:
-		default:
+		if s := &a.slots[(*order)[j]]; a.next.CompareAndSwap(j, j+1) && s.state.CompareAndSwap(slotFree, slotClaimed) {
+			return s
 		}
 	}
 }
 
-// park waits until the loop has published more work. It returns false
-// when the helper should end: a windowed run's windows are exhausted, or
-// the run is over.
+// park waits until the loop has consumed another first alignment. It
+// returns false when the helper should end: the list is exhausted or the
+// run is over.
 func (a *lookahead) park() bool {
-	if a.windows && a.next.Load() >= a.firsts {
+	if a.next.Load() >= int64(len(a.slots)) {
 		return false
 	}
 	a.parked.Add(1)
 	defer a.parked.Add(-1)
-	if a.claimable() {
-		return true // the loop published work since step looked
+	if a.next.Load() < a.taken.Load()+a.limit {
+		return true // the loop consumed one since claim looked
 	}
 	select {
 	case <-a.wake:
@@ -398,113 +300,54 @@ func (a *lookahead) park() bool {
 	}
 }
 
-// claimable reports whether step would find something to claim.
-func (a *lookahead) claimable() bool {
-	if p := a.plan.Load(); p != nil && int(p.next.Load()) < len(p.tasks) {
-		return true
-	}
-	j := a.next.Load()
-	return j < a.firsts && j < a.taken.Load()+a.limit
+// compute computes the first alignment of the window of s, which the
+// caller has claimed, into s. Its original row stays in sc's slab, which
+// the window keeps once the loop applies the result.
+func (a *lookahead) compute(e *Engine, s *slot, sc *Scratch) {
+	s.err = e.compute(s.task, true, nil, 0, sc, &s.res)
+	s.state.Store(slotDone)
 }
 
-// nudge wakes a parked helper.
-func (a *lookahead) nudge() {
+// realign is the loop's Realign of task t, just popped, against the live
+// triangle; with no helpers, or for anything but a window's first
+// alignment, it is Engine.Realign. A window's first alignment comes from
+// its slot when a helper has finished it, and is computed on the spot
+// when no helper has claimed it. While a helper is still on it the loop
+// computes the next claimable window; when none is left it computes t
+// itself rather than wait, since a window pass can be millions of cells,
+// and the helper's result becomes waste. Either way the loop applies the
+// result: the helpers' work reaches the engine only here.
+func (a *lookahead) realign(e *Engine, t *Task, sc *Scratch) (Work, error) {
+	s := t.spec // nil unless a helper may compute t
+	if s != nil && !t.Win.Aligned() {
+		defer a.consumed()
+		for {
+			if s.state.CompareAndSwap(slotDone, slotTaken) {
+				if s.err == nil {
+					e.apply(t, &s.res, e.NumTopsFound())
+				}
+				return s.res.work, s.err
+			}
+			if s.state.CompareAndSwap(slotFree, slotTaken) {
+				break
+			}
+			next := a.claim()
+			if next == nil {
+				break
+			}
+			a.compute(e, next, sc)
+		}
+	}
+	return e.Realign(t, e.Triangle(), e.NumTopsFound(), sc)
+}
+
+// consumed advances the lookahead by one and wakes a parked helper.
+func (a *lookahead) consumed() {
+	a.taken.Add(1)
 	if a.parked.Load() > 0 {
 		select {
 		case a.wake <- struct{}{}:
 		default:
 		}
-	}
-}
-
-// publish is the loop's plan before it realigns a task against the
-// triangle of k tops: the next stale tasks in the queue, against a
-// snapshot of the triangle taken once per acceptance. The plan holds one
-// task per helper and one for the loop, which computes the first free
-// entry itself while a helper holds the task it popped: with one per
-// helper only, the loop took the entry a helper finishing its task would
-// have gone to next, and the helper parked. An acceptance wastes at most
-// the plan.
-func (a *lookahead) publish(e *Engine, q *TaskQueue, k int) {
-	if a.snap == nil || a.snapTops != k {
-		a.snap, a.snapTops = e.TriangleSnapshot(), k
-	}
-	p := &plan{version: k, tri: a.snap}
-	p.tasks, a.frontier = q.stale(k, a.helpers+1, e.cfg.MinScore, a.frontier)
-	a.plan.Store(p)
-	a.nudge()
-}
-
-// realign is the loop's Realign of task t, just popped, against the live
-// triangle of k = NumTopsFound tops; with no helpers (a nil) or none for
-// t, it is Engine.Realign. On a split or group realignment it first
-// publishes the plan behind t. Then it takes t's result from its slot
-// when a helper has computed it for this triangle; while a helper is
-// still on it the loop computes the next task it can claim, and when
-// there is none it waits for a split or group and computes a window
-// itself, since a window pass can be millions of cells; otherwise it
-// computes t itself. Either way the loop applies the result: the helpers'
-// work reaches the engine only here.
-func (a *lookahead) realign(e *Engine, q *TaskQueue, t *Task, sc *Scratch) (Work, error) {
-	k := e.NumTopsFound()
-	first := e.origRow(t.R, t.Win) == nil
-	s := t.spec // nil unless a helper may compute t
-	if s == nil || (a.windows && !first) {
-		return e.Realign(t, e.Triangle(), k, sc)
-	}
-	want, after := genFirst, genTaken
-	if !first {
-		want, after = realignGen(k), realignGen(k)
-		a.publish(e, q, k)
-	}
-	for {
-		w := s.word.Load()
-		gen, state := w>>2, w&3
-		switch {
-		case state == slotDone && gen == want:
-			if s.err != nil {
-				return s.res.work, s.err
-			}
-			e.apply(t, &s.res, k)
-			s.word.Store(after<<2 | slotFree)
-			a.consumed(first)
-			return s.res.work, nil
-		case state == slotClaimed && gen == want:
-			if a.step(e, sc) {
-				continue
-			}
-			if !a.windows {
-				a.wait(s, w)
-				continue
-			}
-			// a window: the helper's pass will be waste
-		case state == slotClaimed:
-			// a helper on an older triangle: its result will be waste
-		case !s.word.CompareAndSwap(w, after<<2|slotFree):
-			continue
-		case state == slotDone:
-			e.cfg.Counters.AddSpecWaste() // computed against an older triangle
-		}
-		a.consumed(first)
-		return e.Realign(t, e.Triangle(), k, sc)
-	}
-}
-
-// wait waits until the word of s is no longer w: a helper has finished
-// the result the loop needs.
-func (a *lookahead) wait(s *slot, w int64) {
-	a.waiting.Store(true)
-	if s.word.Load() == w {
-		<-a.landed
-	}
-	a.waiting.Store(false)
-}
-
-// consumed advances the first-pass lookahead by one and wakes a parked
-// helper.
-func (a *lookahead) consumed(first bool) {
-	if first {
-		a.taken.Add(1)
-		a.nudge()
 	}
 }

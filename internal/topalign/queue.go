@@ -32,7 +32,7 @@ type Task struct {
 	Win *Window
 
 	index int   // heap bookkeeping
-	spec  *slot // where helpers compute the task ahead of Run's loop; nil outside it
+	spec  *slot // where a helper computes the window's first alignment ahead of Run's loop; nil outside it
 }
 
 // TaskQueue is a max-heap of tasks in one total order (before):
@@ -118,38 +118,4 @@ func (h *taskHeap) Pop() any {
 	t.index = -1
 	*h = old[:n-1]
 	return t
-}
-
-// stale returns, in pop order, up to n of the tasks the loop will realign
-// against the triangle of k tops before anything else: the queue's stale
-// tasks from its head on, up to the first one the loop would not realign
-// there (current, never aligned, or under minScore). It walks the heap
-// best first instead of sorting it; front is the walk's buffer.
-func (q *TaskQueue) stale(k, n int, minScore int32, front []int) ([]*Task, []int) {
-	h := q.h
-	out := make([]*Task, 0, n)
-	front = front[:0]
-	if len(h) > 0 {
-		front = append(front, 0)
-	}
-	for len(out) < n && len(front) > 0 {
-		b := 0
-		for i := 1; i < len(front); i++ {
-			if h.Less(front[i], front[b]) {
-				b = i
-			}
-		}
-		i := front[b]
-		front[b] = front[len(front)-1]
-		front = front[:len(front)-1]
-		t := h[i]
-		if t.AlignedWith < 0 || t.AlignedWith >= k || t.Score < minScore {
-			break
-		}
-		out = append(out, t)
-		for c := 2*i + 1; c <= 2*i+2 && c < len(h); c++ {
-			front = append(front, c)
-		}
-	}
-	return out, front
 }

@@ -259,20 +259,20 @@ func TestLookaheadBillsItsHelpers(t *testing.T) {
 func TestHelperPlaces(t *testing.T) {
 	defer engaged.Store(engaged.Load())
 	engaged.Store(0)
-	if got := reserveHelpers(4); got != 3 || engaged.Load() != 3 {
+	if got := Reserve(4); got != 3 || engaged.Load() != 3 {
 		t.Fatalf("idle process, 4 cores: reserved %d, engaged %d; want 3, 3", got, engaged.Load())
 	}
-	if reserveHelpers(4) != 0 {
+	if Reserve(4) != 0 {
 		t.Fatal("reserved helpers with every core taken")
 	}
 	engaged.Add(1) // the loop that reserved them
-	if retire(4) {
+	if Retire(4) {
 		t.Fatal("a helper retired with no goroutine in excess")
 	}
 	engaged.Add(2) // two more loops start
 	retired := 0
 	for h := 0; h < 3; h++ {
-		if retire(4) {
+		if Retire(4) {
 			retired++
 		}
 	}

@@ -13,12 +13,14 @@
 //	for _, top := range report.Tops { ... }
 //	for _, fam := range report.Families { ... }
 //
-// Options select the execution engine: sequential (default: one
-// best-first loop, with the tasks it will align next computed ahead of it
-// on the cores no other analysis of the process holds, and a report that
-// is the one-core report), shared-memory workers (Workers > 1), or an
-// in-process master/slave cluster (Slaves > 0) that exercises the same
-// protocol as the repromaster/reproworker binaries.
+// Options select the execution engine: shared-memory workers in strict
+// mode (default: one worker plus one per core no other analysis of the
+// process holds, on inputs over ~465 residues; Workers > 1 for a fixed
+// count), or an in-process master/slave cluster (Slaves > 0) that
+// exercises the same protocol as the repromaster/reproworker binaries.
+// One worker is the sequential best-first loop. Tops and families are
+// the sequential loop's whatever the engine; with more than one worker
+// the work counters in Stats vary by a few percent from run to run.
 package repro
 
 import (
@@ -45,9 +47,9 @@ import (
 // sequences".
 const DefaultNumTops = 20
 
-// Options configures an analysis. The zero value gives a sequential
-// protein analysis with BLOSUM62, affine gaps 10+k, and DefaultNumTops
-// top alignments.
+// Options configures an analysis. The zero value gives a strict
+// shared-memory protein analysis with BLOSUM62, affine gaps 10+k, and
+// DefaultNumTops top alignments.
 type Options struct {
 	// Matrix names the exchange matrix: "BLOSUM62" (default), "PAM250",
 	// "dna-unit", or "paper-dna". The matrix determines the alphabet.
@@ -66,8 +68,12 @@ type Options struct {
 	// a group size. Strict-mode reports are identical whatever the
 	// value; Stats.Lanes and Stats.KernelTier say what a run used.
 	Lanes int
-	// Workers > 1 runs the shared-memory scheduler with that many
-	// goroutines.
+	// Workers sizes the shared-memory scheduler that runs exact
+	// analyses: 0 (default) runs one worker plus one per core no other
+	// engine goroutine of the process holds, the extra workers only on
+	// inputs over ~465 residues and each giving its core up when later
+	// analyses need it; 1 runs the sequential loop on one core; N > 1
+	// runs N workers.
 	Workers int
 	// Slaves > 0 runs an in-process master/slave cluster instead, with
 	// ThreadsPerSlave workers per slave.
@@ -87,11 +93,11 @@ type Options struct {
 	// and "balanced" restrict alignment to seed-supported candidate
 	// windows, trading sensitivity for orders-of-magnitude less work.
 	// Fast and balanced run the windowed driver whatever Workers and
-	// Slaves say: the default engine's one best-first loop, with the
-	// windows' first alignments computed ahead of it on every core
-	// (GOMAXPROCS), so their results are deterministic and
-	// backend-independent; those knobs select the backend only for the
-	// exact presets.
+	// Slaves say: one best-first loop, with the windows' first
+	// alignments computed ahead of it on the cores no other engine
+	// goroutine of the process holds, so their results and work counters
+	// are deterministic and backend-independent; those knobs select the
+	// backend only for the exact presets.
 	Preset string
 	// SeedK, SeedMask, SeedMaxOcc, SeedBand and SeedPad override
 	// individual prefilter knobs (zero value = preset default): seed
@@ -341,10 +347,10 @@ func analyze(q *seq.Sequence, exch *scoring.Matrix, opt Options) (*Report, error
 		pstats *seedindex.Stats
 	)
 	// Resource attribution: the driver goroutine pins its thread and
-	// meters its own CPU across the engine run (for the sequential and
-	// windowed drivers, the one loop; for parallel/cluster, the
-	// scheduling loop). The loop's helpers and the workers meter
-	// themselves into the same counters. The heap-alloc delta is
+	// meters its own CPU across the engine run (the one loop of a
+	// windowed or one-worker run, the cluster's master). Window helpers
+	// and shared-memory workers meter themselves into the same
+	// counters. The heap-alloc delta is
 	// process-global, accurate when requests run one at a time (the bench
 	// configuration).
 	alloc0 := attrib.HeapAllocBytes()
@@ -361,11 +367,11 @@ func analyze(q *seq.Sequence, exch *scoring.Matrix, opt Options) (*Report, error
 			cluster.Config{Top: cfg, Speculative: opt.Speculative, Metrics: opt.Metrics,
 				Spans: opt.Spans, SpanParent: esp.ID()},
 			cluster.LocalSpec{Slaves: opt.Slaves, ThreadsPerSlave: opt.ThreadsPerSlave})
-	case opt.Workers > 1:
-		res, err = parallel.Find(q.Codes, cfg,
-			parallel.Config{Workers: opt.Workers, Speculative: opt.Speculative})
 	default:
-		res, err = topalign.Find(q.Codes, cfg)
+		// Workers 0 sizes the run by the process and 1 is the one-core
+		// loop, both strict; Speculative applies to Workers > 1 only.
+		res, err = parallel.Find(q.Codes, cfg,
+			parallel.Config{Workers: opt.Workers, Speculative: opt.Speculative && opt.Workers > 1})
 	}
 	counters.AddCPU(sw.Stop())
 	if err == nil && opt.Preset == seedindex.PresetSensitive {
