@@ -475,14 +475,13 @@ func TestWorkersTakePlaces(t *testing.T) {
 	over := seq.SyntheticTitin(500, 3).Codes  // (m³-m)/6 ≈ 20.8 M cells
 	under := seq.SyntheticTitin(300, 3).Codes // ≈ 4.5 M
 	windowed := func(rec *trace.Recorder) {
-		codes := under
-		e, err := topalign.NewEngine(codes, topalign.Config{Params: proteinParams, NumTops: 3, Spans: rec})
+		e, err := topalign.NewEngine(under, topalign.Config{Params: proteinParams, NumTops: 3, Spans: rec})
 		if err != nil {
 			t.Fatal(err)
 		}
 		var tasks []*topalign.Task
-		for r := 1; r < len(codes); r++ {
-			rect := align.Rect{Y0: 1, Y1: r, X0: r + 1, X1: len(codes)}
+		for r := 1; r < len(under); r++ {
+			rect := align.Rect{Y0: 1, Y1: r, X0: r + 1, X1: len(under)}
 			tasks = append(tasks, &topalign.Task{R: r, Score: topalign.Infinity, AlignedWith: -1, Win: &topalign.Window{Rect: rect, Bound: topalign.Infinity}})
 		}
 		if err := topalign.RunWindows(e, tasks); err != nil {
