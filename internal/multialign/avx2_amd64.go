@@ -33,7 +33,8 @@ func rowAVX16Fast(prev, cur, maxY, ex *int16, n int, open, ext int16, mx *int16)
 // y+1 is written in place over row y-1 in buffer a, halving the row
 // traffic that bounds the single-row kernel. d and v are 16-lane carry
 // blocks holding the row y-1 and row y values of the column before the
-// span. rowAVX16PairFast drops saturation tracking.
+// span, carried out as those of its last column so the next span
+// resumes there. rowAVX16PairFast drops saturation tracking.
 //
 //go:noescape
 func rowAVX16Pair(a, maxY, exY, exY1 *int16, n int, open, ext int16, mxY, mxY1, d, v *int16, sat *uint32)
@@ -48,7 +49,9 @@ func rowAVX16PairFast(a, maxY, exY, exY1 *int16, n int, open, ext int16, mxY, mx
 // knows neither border nor mask, and need not: the diagonal and both gap
 // chains read only the row above, already repaired, so the cells it gets
 // wrong in this row are put right before anything reads them (the same
-// post-pass align.zeroMasked is for the row kernels).
+// post-pass align.zeroMasked is for the row kernels). avx16's two-row
+// sweeps are the one place a row is read before its post-pass, so they
+// repair the first row's border and mask where the second row reads them.
 
 // zeroBorder re-zeroes the boundary cells of an interleaved row of n
 // columns: lane k's matrix starts at column k+1, so at columns
@@ -203,49 +206,65 @@ func (sc *Scratch) avx16(p align.Params, s []byte, r0 int, tri *triangle.Triangl
 	for y <= yMax {
 		ex := prof.Row(s[y-1])[r0-1:]
 		hit := maskHit(tri, y, r0, n)
-		// Pair rows whenever neither row is masked or captured (capture
-		// rows are r0..r0+15, so everything below r0 qualifies; the pair
-		// kernel feeds row y's cells to row y+1 from registers, so a row
-		// with a hit to zero cannot go through it): row y's prefix and
-		// row y+1's prefix run in the single-row kernel so the left
-		// border can be repaired before it feeds forward, then the pair
-		// kernel sweeps both rows over the remaining columns.
-		if y+1 <= yMax && y+1 < r0 && n >= 17 && hit < 0 {
-			if maskHit(tri, y+1, r0, n) < 0 {
-				ex1 := prof.Row(s[y])[r0-1:]
-				for i := range mx {
-					mx[i] = negInf16
-					mx1[i] = negInf16
-				}
-				const pre = 16
-				if proven {
-					rowAVX16Fast(&prev[0], &cur[16], &maxY[16], &ex[1], pre, open, ext, &mx[0])
-				} else {
-					rowAVX16(&prev[0], &cur[16], &maxY[16], &ex[1], pre, open, ext, &mx[0], &sat)
-				}
-				zeroBorder(cur, 16, pre)
-				copy(dc[:], prev[16*pre:16*pre+16]) // row y-1 at column pre, before overwrite
-				copy(vc[:], cur[16*pre:16*pre+16])  // row y at column pre
-				if proven {
-					rowAVX16Fast(&cur[0], &prev[16], &maxY[16], &ex1[1], pre, open, ext, &mx1[0])
-				} else {
-					rowAVX16(&cur[0], &prev[16], &maxY[16], &ex1[1], pre, open, ext, &mx1[0], &sat)
-				}
-				zeroBorder(prev, 16, pre)
-				if proven {
-					rowAVX16PairFast(&prev[16*(pre+1)], &maxY[16*(pre+1)], &ex[pre+1], &ex1[pre+1],
-						n-pre, open, ext, &mx[0], &mx1[0], &dc[0], &vc[0])
-				} else {
-					rowAVX16Pair(&prev[16*(pre+1)], &maxY[16*(pre+1)], &ex[pre+1], &ex1[pre+1],
-						n-pre, open, ext, &mx[0], &mx1[0], &dc[0], &vc[0], &sat)
-				}
-				if sat != 0 {
-					return true
-				}
-				// prev now holds row y+1; cur is scratch again — no swap.
-				y += 2
-				continue
+		// Pair every two rows below the capture rows (r0..r0+15): row
+		// y's prefix and row y+1's prefix run in the single-row kernel so
+		// the left border can be repaired before it feeds forward, then
+		// the pair kernel sweeps both rows over the remaining columns.
+		// Within a row the cells feed only the row below, so row y's
+		// overrides matter where row y+1 reads them: in the prefix they
+		// are cleared in cur, further right the sweep stops on each hit
+		// column and the next span starts from a zeroed v carry. Row
+		// y+1's own hits are zeroed after the sweep, like a single row's.
+		if y+1 <= yMax && y+1 < r0 && n >= 17 {
+			ex1 := prof.Row(s[y])[r0-1:]
+			for i := range mx {
+				mx[i] = negInf16
+				mx1[i] = negInf16
 			}
+			const pre = 16
+			if proven {
+				rowAVX16Fast(&prev[0], &cur[16], &maxY[16], &ex[1], pre, open, ext, &mx[0])
+			} else {
+				rowAVX16(&prev[0], &cur[16], &maxY[16], &ex[1], pre, open, ext, &mx[0], &sat)
+			}
+			zeroBorder(cur, 16, pre)
+			for ; hit >= 0 && hit-r0 <= pre; hit = tri.NextSet(y, hit+1, r0+n+1) {
+				c := hit - r0
+				clear(cur[16*c : 16*(c+1)])
+			}
+			copy(dc[:], prev[16*pre:16*pre+16]) // row y-1 at column pre, before overwrite
+			copy(vc[:], cur[16*pre:16*pre+16])  // row y at column pre
+			if proven {
+				rowAVX16Fast(&cur[0], &prev[16], &maxY[16], &ex1[1], pre, open, ext, &mx1[0])
+			} else {
+				rowAVX16(&cur[0], &prev[16], &maxY[16], &ex1[1], pre, open, ext, &mx1[0], &sat)
+			}
+			zeroBorder(prev, 16, pre)
+			for c0 := pre + 1; c0 <= n; {
+				c1 := n // the span is c0..c1, ending on row y's next hit
+				if hit >= 0 {
+					c1 = hit - r0
+				}
+				if proven {
+					rowAVX16PairFast(&prev[16*c0], &maxY[16*c0], &ex[c0], &ex1[c0],
+						c1-c0+1, open, ext, &mx[0], &mx1[0], &dc[0], &vc[0])
+				} else {
+					rowAVX16Pair(&prev[16*c0], &maxY[16*c0], &ex[c0], &ex1[c0],
+						c1-c0+1, open, ext, &mx[0], &mx1[0], &dc[0], &vc[0], &sat)
+				}
+				if hit >= 0 {
+					vc = [16]int16{}
+					hit = tri.NextSet(y, hit+1, r0+n+1)
+				}
+				c0 = c1 + 1
+			}
+			if sat != 0 {
+				return true
+			}
+			zeroMasked(prev, 16, tri, y+1, r0, maskHit(tri, y+1, r0, n))
+			// prev now holds row y+1; cur is scratch again — no swap.
+			y += 2
+			continue
 		}
 		for i := range mx {
 			mx[i] = negInf16

@@ -209,12 +209,16 @@ done16:
 //	vYprev  = vY
 //
 // d and v point at 16-lane carry blocks: the row y-1 value and row y
-// value of the column preceding the span (the caller computes the first
-// columns with the single-row kernel — the left-border lanes need
-// fixups the pair sweep cannot apply, because row y's cells feed row
-// y+1 in-register). Saturation of either row's cells accumulates into
-// *sat exactly as in rowAVX16. The caller guarantees the span contains
-// no overridden or left-border columns.
+// value of the column preceding the span on entry, of the span's last
+// column on exit, so a sweep may stop after any column and resume (the
+// caller computes the first columns with the single-row kernel — the
+// left-border lanes need fixups the pair sweep cannot apply, because row
+// y's cells feed row y+1 in-register). Saturation of either row's cells
+// accumulates into *sat exactly as in rowAVX16. The caller guarantees
+// the span contains no left-border columns; it may end on one of row
+// y's overridden columns, whose zero the caller then writes into *v
+// before the next span, and row y+1's overridden columns are zeroed
+// after the sweep — within a row the cells feed only the row below.
 #define COLPAIRSAT(off, eoff) \
 	VMOVDQU      off(BX), Y1      \ // maxY[c]
 	VPMAXSW      Y1, Y4, Y2       \
@@ -309,6 +313,10 @@ exitp:
 	VMOVDQU   Y4, (AX) // mxY carry-out
 	MOVQ      mxY1+56(FP), R8
 	VMOVDQU   Y12, (R8) // mxY1 carry-out
+	MOVQ      d+64(FP), R8
+	VMOVDQU   Y11, (R8) // dY carry-out (row y-1 at the span's last column)
+	MOVQ      v+72(FP), R8
+	VMOVDQU   Y13, (R8) // vY carry-out (row y at the span's last column)
 	VPMOVMSKB Y10, R8
 	MOVL      (R11), R9
 	ORL       R8, R9
@@ -406,6 +414,10 @@ exitpf:
 	VMOVDQU Y4, (AX)
 	MOVQ    mxY1+56(FP), R8
 	VMOVDQU Y12, (R8)
+	MOVQ    d+64(FP), R8
+	VMOVDQU Y11, (R8)
+	MOVQ    v+72(FP), R8
+	VMOVDQU Y13, (R8)
 
 donepf:
 	VZEROUPPER

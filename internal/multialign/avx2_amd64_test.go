@@ -2,6 +2,8 @@ package multialign
 
 import (
 	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -78,6 +80,73 @@ func TestRowKernelsZeroColumns(t *testing.T) {
 	for i := range cur32 {
 		if cur32[i] != 42 {
 			t.Fatalf("rowAVX8 n=0 wrote cur[%d]=%d", i, cur32[i])
+		}
+	}
+}
+
+// The pair kernels carry dY and vY out as well as in, so a sweep may
+// stop after any column and resume: one call over n columns must leave
+// a, maxY, both gap carries, d, v and the flag exactly as two calls over
+// columns [1, k] and [k+1, n] do, for every k. The states are random
+// row values, low and near the saturation threshold.
+func TestPairKernelSplitInvariance(t *testing.T) {
+	if DetectedTier() < TierInt16x16 {
+		t.Skip("needs AVX2")
+	}
+	const n, open, ext = 37, 11, 1
+	type state struct {
+		a, maxY       []int16
+		mx, mx1, d, v [16]int16
+		sat           uint32
+	}
+	rng := rand.New(rand.NewSource(5))
+	for _, base := range []int{0, satLimit16 - 400} {
+		val := func() int16 { return int16(base + rng.Intn(400)) }
+		var in state
+		in.a, in.maxY = make([]int16, 16*n), make([]int16, 16*n)
+		exY, exY1 := make([]int16, n), make([]int16, n)
+		for i := range in.a {
+			in.a[i], in.maxY[i] = val(), val()-int16(rng.Intn(50))
+		}
+		for c := range exY {
+			exY[c], exY1[c] = int16(rng.Intn(31)-15), int16(rng.Intn(31)-15)
+		}
+		for i := range in.mx {
+			in.mx[i], in.mx1[i], in.d[i], in.v[i] = val()-30, val()-30, val(), val()
+		}
+		for _, kern := range []struct {
+			name string
+			call func(st *state, c0, cols int)
+		}{
+			{"rowAVX16Pair", func(st *state, c0, cols int) {
+				rowAVX16Pair(&st.a[16*c0], &st.maxY[16*c0], &exY[c0], &exY1[c0], cols, open, ext,
+					&st.mx[0], &st.mx1[0], &st.d[0], &st.v[0], &st.sat)
+			}},
+			{"rowAVX16PairFast", func(st *state, c0, cols int) {
+				rowAVX16PairFast(&st.a[16*c0], &st.maxY[16*c0], &exY[c0], &exY1[c0], cols, open, ext,
+					&st.mx[0], &st.mx1[0], &st.d[0], &st.v[0])
+			}},
+		} {
+			clone := func() state {
+				st := in
+				st.a, st.maxY = slices.Clone(in.a), slices.Clone(in.maxY)
+				return st
+			}
+			whole := clone()
+			kern.call(&whole, 0, n)
+			if kern.name == "rowAVX16Pair" && (whole.sat != 0) != (base > 0) {
+				t.Fatalf("%s base=%d: sat=%#x; only the high state should flag", kern.name, base, whole.sat)
+			}
+			for k := 1; k < n; k++ {
+				got := clone()
+				kern.call(&got, 0, k)
+				kern.call(&got, k, n-k)
+				if !slices.Equal(got.a, whole.a) || !slices.Equal(got.maxY, whole.maxY) ||
+					got.mx != whole.mx || got.mx1 != whole.mx1 || got.d != whole.d || got.v != whole.v ||
+					got.sat != whole.sat {
+					t.Fatalf("%s base=%d: split after column %d differs from one sweep", kern.name, base, k)
+				}
+			}
 		}
 	}
 }

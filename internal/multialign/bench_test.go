@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/seq"
+	"repro/internal/triangle"
 )
 
 // benchGroupCells is the lane-cell count the group kernels compute for a
@@ -37,22 +38,34 @@ func BenchmarkScoreGroupAuto8(b *testing.B) {
 	}
 }
 
+// BenchmarkScoreGroupAuto16 times a 16-lane group clean and in the
+// realignment shape: one override per row below r0, as an accepted
+// alignment leaves them (row y paired with r0+y).
 func BenchmarkScoreGroupAuto16(b *testing.B) {
 	for _, n := range []int{1200, 4096} {
 		s := seq.SyntheticTitin(n, 1).Codes
 		r0 := n / 2
+		masked := triangle.New(n)
+		for y := 1; y < r0; y++ {
+			masked.Set(y, r0+y)
+		}
 		sc := NewScratch()
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			b.SetBytes(benchGroupCells(n, r0, 16))
-			for i := 0; i < b.N; i++ {
-				g, err := sc.ScoreGroupAuto(protein, s, r0, 16, nil)
-				if err != nil {
-					b.Fatal(err)
+		for _, tc := range []struct {
+			name string
+			tri  *triangle.Triangle
+		}{{"clean", nil}, {"masked", masked}} {
+			b.Run(fmt.Sprintf("n=%d/%s", n, tc.name), func(b *testing.B) {
+				b.SetBytes(benchGroupCells(n, r0, 16))
+				for i := 0; i < b.N; i++ {
+					g, err := sc.ScoreGroupAuto(protein, s, r0, 16, tc.tri)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if g.Rerun {
+						b.Fatal("benchmark input saturated the int16 kernel")
+					}
 				}
-				if g.Rerun {
-					b.Fatal("benchmark input saturated the int16 kernel")
-				}
-			}
-		})
+			})
+		}
 	}
 }

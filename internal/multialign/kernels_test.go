@@ -61,6 +61,9 @@ var kernelTriangles = []struct {
 	{"accepted-path", acceptedPath},
 	{"lane-borders", laneBorders},
 	{"pair-neighbours", pairNeighbours},
+	{"pair-first-rows", pairHits(true, false)},
+	{"pair-second-rows", pairHits(false, true)},
+	{"pair-both-rows", pairHits(true, true)},
 }
 
 // laneBorders marks, for every group start of the harness, the columns
@@ -86,9 +89,10 @@ func laneBorders(_ align.Params, s []byte) *triangle.Triangle {
 }
 
 // pairNeighbours marks every third row densely and leaves the two rows
-// between clean: below a group's start those are the rows the int16
-// kernel pairs, so each marked row sits directly above and below a pair
-// and must itself stay out of the pair kernel.
+// between clean. Below a group's start the int16 kernel pairs rows
+// (1, 2), (3, 4), ..., so the marked rows alternate between a pair's
+// first row, whose hits split the pair sweep, and its second, zeroed
+// after the sweep, each time beside a clean row.
 func pairNeighbours(_ align.Params, s []byte) *triangle.Triangle {
 	m := len(s)
 	tri := triangle.New(m)
@@ -98,6 +102,32 @@ func pairNeighbours(_ align.Params, s []byte) *triangle.Triangle {
 		}
 	}
 	return tri
+}
+
+// pairHits marks, for every group start of the harness, the columns
+// where the int16 kernel's pair sweep meets the mask — prefix columns 1,
+// 8 and 16, the first swept column 17, three adjacent columns (1-column
+// spans) and the group's last column — in the first rows of the pairs
+// below the start (odd rows), their second rows (even rows), or both.
+func pairHits(first, second bool) func(align.Params, []byte) *triangle.Triangle {
+	return func(_ align.Params, s []byte) *triangle.Triangle {
+		m := len(s)
+		tri := triangle.New(m)
+		for _, r0 := range groupStarts(m) {
+			n := m - r0
+			for _, c := range []int{1, 8, 16, 17, n / 2, n/2 + 1, n/2 + 2, n} {
+				if c < 1 || c > n {
+					continue
+				}
+				for y := 1; y < r0; y++ {
+					if y%2 == 1 && first || y%2 == 0 && second {
+						tri.Set(y, r0+c)
+					}
+				}
+			}
+		}
+		return tri
+	}
 }
 
 // randomTriangle marks each pair with probability frac, and always the
@@ -216,17 +246,31 @@ func TestScoreGroupAuto(t *testing.T) {
 							if g.R0 != r0 || len(g.Bottoms) != lanes {
 								t.Fatalf("%s: group R0=%d with %d rows", where, g.R0, len(g.Bottoms))
 							}
-							for k, got := range g.Bottoms {
-								r := r0 + k
-								if r > m-1 {
-									if got != nil {
-										t.Fatalf("%s: lane %d beyond the last split is not nil", where, k)
+							check := func(where string, bottoms [][]int32) {
+								for k, got := range bottoms {
+									r := r0 + k
+									if r > m-1 {
+										if got != nil {
+											t.Fatalf("%s: lane %d beyond the last split is not nil", where, k)
+										}
+										continue
 									}
-									continue
+									if !equalRows(got, want(r)) {
+										t.Fatalf("%s lane %d (split %d): rows differ\n got %v\nwant %v", where, k, r, got, want(r))
+									}
 								}
-								if !equalRows(got, want(r)) {
-									t.Fatalf("%s lane %d (split %d): rows differ\n got %v\nwant %v", where, k, r, got, want(r))
+							}
+							check(where, g.Bottoms)
+							if g.Tier == TierInt16x16 && Int16Proven(kp.p, m, r0, lanes) {
+								// The harness's groups are too small to be
+								// unproven; run each again on the
+								// saturation-tracking kernels too.
+								sc := scratch[tier]
+								g := sc.newGroup(m, r0, lanes)
+								if sc.avx16(kp.p, s, r0, tri, g.Bottoms, false) {
+									t.Fatalf("%s unproven: spurious saturation flag", where)
 								}
+								check(where+" unproven", g.Bottoms)
 							}
 						}
 					}
