@@ -254,6 +254,25 @@ func TestBestValidEnd(t *testing.T) {
 	if endX != 0 || score != 0 {
 		t.Errorf("all-zero: got (%d,%d), want (0,0)", endX, score)
 	}
+	for _, c := range []struct {
+		name         string
+		bottom, orig []int32
+		endX         int
+		score        int32
+		rejected     int64
+	}{
+		// a changed cell that is no longer positive is not a shadow
+		{"v<=0 differs", []int32{0, -2, 4}, []int32{3, 5, 4}, 3, 4, 0},
+		// equal maxima: the first column wins, with or without orig
+		{"tie", []int32{2, 7, 1, 7}, nil, 2, 7, 0},
+		{"tie masked", []int32{2, 7, 1, 7}, []int32{2, 7, 1, 7}, 2, 7, 0},
+		{"all zero masked", []int32{0, 0, 0}, []int32{0, 4, 0}, 0, 0, 0},
+	} {
+		endX, score, rejected := BestValidEnd(c.bottom, c.orig)
+		if endX != c.endX || score != c.score || rejected != c.rejected {
+			t.Errorf("%s: got (%d,%d,%d), want (%d,%d,%d)", c.name, endX, score, rejected, c.endX, c.score, c.rejected)
+		}
+	}
 }
 
 func TestTracebackErrors(t *testing.T) {

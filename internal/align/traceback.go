@@ -170,12 +170,20 @@ func (sc *Scratch) traceback(p Params, m [][]int32, s1, s2 []byte, tri *triangle
 // Appendix A. Rejected counts the positive cells skipped as shadows.
 // If no valid positive cell exists, endX is 0 and score 0.
 func BestValidEnd(bottom, orig []int32) (endX int, score int32, rejected int64) {
-	for i, v := range bottom {
-		if v <= 0 {
-			continue
+	if orig == nil {
+		for i, v := range bottom {
+			if v > score {
+				score, endX = v, i+1
+			}
 		}
-		if orig != nil && orig[i] != v {
-			rejected++
+		return endX, score, 0
+	}
+	orig = orig[:len(bottom)]
+	for i, v := range bottom {
+		if v != orig[i] {
+			if v > 0 {
+				rejected++
+			}
 			continue
 		}
 		if v > score {

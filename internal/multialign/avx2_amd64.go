@@ -28,42 +28,48 @@ func rowAVX16(prev, cur, maxY, ex *int16, n int, open, ext int16, mx *int16, sat
 //go:noescape
 func rowAVX16Fast(prev, cur, maxY, ex *int16, n int, open, ext int16, mx *int16)
 
-// rowAVX16Pair advances TWO matrix rows (y, y+1) in one column sweep:
-// row y's cells stay in registers and feed row y+1's diagonal, and row
-// y+1 is written in place over row y-1 in buffer a, halving the row
-// traffic that bounds the single-row kernel. d and v are 16-lane carry
-// blocks holding the row y-1 and row y values of the column before the
-// span, carried out as those of its last column so the next span
-// resumes there. rowAVX16PairFast drops saturation tracking.
+// rowAVX16Pair advances TWO matrix rows (y, y+1) in one column sweep
+// over the group columns c0..c0+n-1: row y's cells stay in registers and
+// feed row y+1's diagonal, and row y+1 is written in place over row y-1
+// in buffer a, halving the row traffic that bounds the single-row
+// kernel. Over columns 1..15 both rows' cells pass through the border
+// mask (borderMask16) before anything reads them. Row y is stored into
+// cur too unless cur is nil. d and v are 16-lane carry blocks holding the
+// row y-1 and row y values of the column before the span, carried out as
+// those of its last column so the next span resumes there.
+// rowAVX16PairFast drops saturation tracking.
 //
 //go:noescape
-func rowAVX16Pair(a, maxY, exY, exY1 *int16, n int, open, ext int16, mxY, mxY1, d, v *int16, sat *uint32)
+func rowAVX16Pair(a, cur, maxY, exY, exY1 *int16, c0, n int, open, ext int16, mxY, mxY1, d, v *int16, sat *uint32)
 
 //go:noescape
-func rowAVX16PairFast(a, maxY, exY, exY1 *int16, n int, open, ext int16, mxY, mxY1, d, v *int16)
+func rowAVX16PairFast(a, cur, maxY, exY, exY1 *int16, c0, n int, open, ext int16, mxY, mxY1, d, v *int16)
 
-// The two group drivers below are the same five steps per matrix row:
-// look up the row's query-profile slice, run the assembly over columns
-// 1..n in one call, re-zero the left border, zero the overridden columns,
-// capture the bottom row of the lane whose matrix ends here. The assembly
-// knows neither border nor mask, and need not: the diagonal and both gap
-// chains read only the row above, already repaired, so the cells it gets
-// wrong in this row are put right before anything reads them (the same
-// post-pass align.zeroMasked is for the row kernels). avx16's two-row
-// sweeps are the one place a row is read before its post-pass, so they
-// repair the first row's border and mask where the second row reads them.
-
-// zeroBorder re-zeroes the boundary cells of an interleaved row of n
-// columns: lane k's matrix starts at column k+1, so at columns
-// c < lanes the lanes k >= c lie on or left of their boundary column.
-func zeroBorder[T int16 | int32](row []T, lanes, n int) {
-	for c := 1; c < lanes && c <= n; c++ {
-		b := row[lanes*c : lanes*(c+1)]
-		for k := c; k < lanes; k++ {
-			b[k] = 0
+// borderMask16 is the left border of a 16-lane group, read by the pair
+// kernels: block c keeps the lanes k < c and zeroes the rest. Lane k's
+// matrix starts at column k+1, so at columns c < 16 the lanes k >= c lie
+// on or left of their boundary column and must read zero.
+var borderMask16 = func() (t [16][16]int16) {
+	for c := range t {
+		for k := 0; k < c; k++ {
+			t[c][k] = -1
 		}
 	}
-}
+	return t
+}()
+
+// The group drivers compute rows 1..r0+lanes-1 of a group over its n
+// columns. Per row they look up the row's query-profile slice, run the
+// assembly over columns 1..n in one call, zero the overridden columns
+// and capture the bottom row of the lane whose matrix ends there. The
+// assembly knows no mask, and need not: the diagonal and both gap chains
+// read only the row above, already repaired, so the cells it gets wrong
+// in this row are put right before anything reads them (the same
+// post-pass align.zeroMasked is for the row kernels). avx16's two-row
+// sweeps are the one place a row is read before its post-pass, so they
+// stop on each of the first row's overridden columns. The left border —
+// the lanes k >= c of the columns c < lanes — must read zero too: avx8
+// re-zeroes it after each row, avx16's pair kernels mask it as they go.
 
 // maskHit returns the first overridden global column of row y among the
 // n columns of the group at r0 — column c is the pair (y, r0+c) — or -1
@@ -81,10 +87,22 @@ func maskHit(tri *triangle.Triangle, y, r0, n int) int {
 // computed row, from the first hit maskHit found (the group's columns run
 // to the sequence end, so the rest of triangle row y is its range): an
 // overridden pair is the same cell of every lane's matrix.
-func zeroMasked[T int16 | int32](row []T, lanes int, tri *triangle.Triangle, y, r0, hit int) {
+func zeroMasked[B any](row []B, tri *triangle.Triangle, y, r0, hit int) {
+	var zero B
 	for j := hit; j >= 0; j = tri.NextSet(y, j+1, tri.M()+1) {
-		c := j - r0
-		clear(row[lanes*c : lanes*(c+1)])
+		row[j-r0] = zero
+	}
+}
+
+// fill sets every block of row to b, doubling the filled prefix with
+// each copy.
+func fill[B any](row []B, b B) {
+	if len(row) == 0 {
+		return
+	}
+	row[0] = b
+	for i := 1; i < len(row); i *= 2 {
+		copy(row[i:], row[:i])
 	}
 }
 
@@ -96,16 +114,16 @@ func (sc *Scratch) avx8(p align.Params, s []byte, r0 int, tri *triangle.Triangle
 	m := len(s)
 	n := m - r0 // column c is global position j = r0+c
 
-	prev := growI32(&sc.prev, 8*(n+1))
-	cur := growI32(&sc.cur, 8*(n+1))
-	maxY := growI32(&sc.maxY, 8*(n+1))
-	for i := range prev {
-		prev[i] = 0 // zero boundary row (arena may hold stale values)
-		maxY[i] = negInf
+	prev := grow(&sc.prev, n+1)
+	cur := grow(&sc.cur, n+1)
+	maxY := grow(&sc.maxY, n+1)
+	var inf [8]int32
+	for i := range inf {
+		inf[i] = negInf
 	}
-	for i := 0; i < 8; i++ {
-		cur[i] = 0 // becomes the boundary column block after the swap
-	}
+	clear(prev) // zero boundary row (arena may hold stale values)
+	fill(maxY, inf)
+	cur[0] = [8]int32{} // becomes the boundary column block after the swap
 
 	// Query profile (Farrar-style): prof[a][c] = Score(a, s[r0+c-1]),
 	// built lazily for the distinct residues of s[:yMax] so each row is
@@ -118,19 +136,13 @@ func (sc *Scratch) avx8(p align.Params, s []byte, r0 int, tri *triangle.Triangle
 		}
 	}
 	alpha := maxCode + 1
-	prof := growI32(&sc.prof, alpha*(n+1))
-	built := growBool(&sc.profBuilt, alpha)
-	for i := range built {
-		built[i] = false
-	}
+	prof := grow(&sc.prof, alpha*(n+1))
+	built := grow(&sc.profBuilt, alpha)
+	clear(built)
 	suf := s[r0:]
 
 	open, ext := p.Gap.Open, p.Gap.Ext
-	yMax := r0 + 7
-	if yMax > m-1 {
-		yMax = m - 1
-	}
-	var mx [8]int32
+	yMax := min(r0+7, m-1)
 	for y := 1; y <= yMax; y++ {
 		ch := s[y-1]
 		ex := prof[int(ch)*(n+1) : (int(ch)+1)*(n+1)]
@@ -141,16 +153,16 @@ func (sc *Scratch) avx8(p align.Params, s []byte, r0 int, tri *triangle.Triangle
 				ex[c] = int32(row[suf[c-1]])
 			}
 		}
-		for i := range mx {
-			mx[i] = negInf
+		mx := inf
+		rowAVX8(&prev[0][0], &cur[1][0], &maxY[1][0], &ex[1], n, open, ext, &mx[0])
+		for c := 1; c < 8 && c <= n; c++ {
+			clear(cur[c][c:]) // the left border
 		}
-		rowAVX8(&prev[0], &cur[8], &maxY[8], &ex[1], n, open, ext, &mx[0])
-		zeroBorder(cur, 8, n)
-		zeroMasked(cur, 8, tri, y, r0, maskHit(tri, y, r0, n))
+		zeroMasked(cur, tri, y, r0, maskHit(tri, y, r0, n))
 		if k := y - r0; k >= 0 && k < 8 && k < len(bots) && bots[k] != nil {
 			bottom := bots[k]
 			for c := k + 1; c <= n; c++ {
-				bottom[c-k-1] = cur[8*c+k]
+				bottom[c-k-1] = cur[c][k]
 			}
 		}
 		prev, cur = cur, prev
@@ -163,32 +175,32 @@ func (sc *Scratch) avx8(p align.Params, s []byte, r0 int, tri *triangle.Triangle
 // column stride, twice the matrices). It reports whether any lane's cell
 // value reached satLimit16, in which case the bottom rows are unreliable
 // and the caller must re-run the group through the exact int32 kernel.
-// When proven is true (Int16Proven), the no-tracking row kernel runs and
-// the return value is always false.
+// When proven is true (Int16Proven), the no-tracking kernels run and the
+// return value is always false.
 //
 // Unflagged results are bit-identical to the int32 kernels: all values
 // stay below satLimit16, so the saturating adds and subtracts behave
 // exactly (the negInf16 initials decay toward -32768 under saturating
 // subtraction, but like the scalar kernel's -2^29 they always lose the
 // maxima to real values — see tier.go for the bounds). The cells the
-// post-passes zero need no flag case of their own: a border cell is
-// max(d=0, gaps<0) + e < Bias, and an overridden cell computed unmasked
-// is at most its value in the group's first alignment — masking only
-// lowers values — so it can flag only where that alignment flagged too.
+// border mask and the mask post-pass zero need no flag case of their
+// own: a border cell is max(d=0, gaps<0) + e < Bias, and an overridden
+// cell computed unmasked is at most its value in the group's first
+// alignment — masking only lowers values — so it can flag only where
+// that alignment flagged too.
 func (sc *Scratch) avx16(p align.Params, s []byte, r0 int, tri *triangle.Triangle, bots [][]int32, proven bool) bool {
 	m := len(s)
 	n := m - r0 // column c is global position j = r0+c
 
-	prev := growI16(&sc.prev16, 16*(n+1))
-	cur := growI16(&sc.cur16, 16*(n+1))
-	maxY := growI16(&sc.maxY16, 16*(n+1))
-	for i := range prev {
-		prev[i] = 0 // zero boundary row (arena may hold stale values)
-		maxY[i] = negInf16
+	prev := grow(&sc.prev16, n+1)
+	cur := grow(&sc.cur16, n+1)
+	maxY := grow(&sc.maxY16, n+1)
+	var inf [16]int16
+	for i := range inf {
+		inf[i] = negInf16
 	}
-	for i := 0; i < 16; i++ {
-		cur[i] = 0 // becomes the boundary column block after the swap
-	}
+	clear(prev) // zero boundary row (arena may hold stale values)
+	fill(maxY, inf)
 
 	// The int16 query profile is the row kernel's own (align.Profile),
 	// run-wide and shared with the scalar rung: a row holds the exchange
@@ -196,102 +208,91 @@ func (sc *Scratch) avx16(p align.Params, s []byte, r0 int, tri *triangle.Triangl
 	prof := sc.row.Profile(p.Exch, s, r0, m)
 
 	open, ext := int16(p.Gap.Open), int16(p.Gap.Ext)
-	yMax := r0 + 15
-	if yMax > m-1 {
-		yMax = m - 1
-	}
-	var mx, mx1, dc, vc [16]int16
+	yMax := min(r0+15, m-1)
 	var sat uint32
 	y := 1
-	for y <= yMax {
+	for ; y < yMax; y += 2 {
+		// Rows y and y+1 in sweeps from column 1, the border masked in the
+		// kernel. Within a row the cells feed only the row below, so row
+		// y's overrides matter where row y+1 reads them: the sweep stops
+		// on each hit column and the next span starts from a zeroed v
+		// carry. Row y+1's own hits are zeroed after the sweep, like a
+		// single row's. In the capture rows (r0..r0+15) the sweep keeps
+		// row y in cur, its hits zeroed there as the spans end.
 		ex := prof.Row(s[y-1])[r0-1:]
+		ex1 := prof.Row(s[y])[r0-1:]
+		mx, mx1, d, v := inf, inf, [16]int16{}, [16]int16{}
+		keep := y >= r0
 		hit := maskHit(tri, y, r0, n)
-		// Pair every two rows below the capture rows (r0..r0+15): row
-		// y's prefix and row y+1's prefix run in the single-row kernel so
-		// the left border can be repaired before it feeds forward, then
-		// the pair kernel sweeps both rows over the remaining columns.
-		// Within a row the cells feed only the row below, so row y's
-		// overrides matter where row y+1 reads them: in the prefix they
-		// are cleared in cur, further right the sweep stops on each hit
-		// column and the next span starts from a zeroed v carry. Row
-		// y+1's own hits are zeroed after the sweep, like a single row's.
-		if y+1 <= yMax && y+1 < r0 && n >= 17 {
-			ex1 := prof.Row(s[y])[r0-1:]
-			for i := range mx {
-				mx[i] = negInf16
-				mx1[i] = negInf16
+		for c0 := 1; c0 <= n; {
+			c1 := n // the span is c0..c1, ending on row y's next hit
+			if hit >= 0 {
+				c1 = hit - r0
 			}
-			const pre = 16
+			var out *int16
+			if keep {
+				out = &cur[c0][0]
+			}
 			if proven {
-				rowAVX16Fast(&prev[0], &cur[16], &maxY[16], &ex[1], pre, open, ext, &mx[0])
+				rowAVX16PairFast(&prev[c0][0], out, &maxY[c0][0], &ex[c0], &ex1[c0], c0, c1-c0+1,
+					open, ext, &mx[0], &mx1[0], &d[0], &v[0])
 			} else {
-				rowAVX16(&prev[0], &cur[16], &maxY[16], &ex[1], pre, open, ext, &mx[0], &sat)
+				rowAVX16Pair(&prev[c0][0], out, &maxY[c0][0], &ex[c0], &ex1[c0], c0, c1-c0+1,
+					open, ext, &mx[0], &mx1[0], &d[0], &v[0], &sat)
 			}
-			zeroBorder(cur, 16, pre)
-			for ; hit >= 0 && hit-r0 <= pre; hit = tri.NextSet(y, hit+1, r0+n+1) {
-				c := hit - r0
-				clear(cur[16*c : 16*(c+1)])
-			}
-			copy(dc[:], prev[16*pre:16*pre+16]) // row y-1 at column pre, before overwrite
-			copy(vc[:], cur[16*pre:16*pre+16])  // row y at column pre
-			if proven {
-				rowAVX16Fast(&cur[0], &prev[16], &maxY[16], &ex1[1], pre, open, ext, &mx1[0])
-			} else {
-				rowAVX16(&cur[0], &prev[16], &maxY[16], &ex1[1], pre, open, ext, &mx1[0], &sat)
-			}
-			zeroBorder(prev, 16, pre)
-			for c0 := pre + 1; c0 <= n; {
-				c1 := n // the span is c0..c1, ending on row y's next hit
-				if hit >= 0 {
-					c1 = hit - r0
+			if hit >= 0 {
+				v = [16]int16{}
+				if keep {
+					cur[c1] = [16]int16{}
 				}
-				if proven {
-					rowAVX16PairFast(&prev[16*c0], &maxY[16*c0], &ex[c0], &ex1[c0],
-						c1-c0+1, open, ext, &mx[0], &mx1[0], &dc[0], &vc[0])
-				} else {
-					rowAVX16Pair(&prev[16*c0], &maxY[16*c0], &ex[c0], &ex1[c0],
-						c1-c0+1, open, ext, &mx[0], &mx1[0], &dc[0], &vc[0], &sat)
-				}
-				if hit >= 0 {
-					vc = [16]int16{}
-					hit = tri.NextSet(y, hit+1, r0+n+1)
-				}
-				c0 = c1 + 1
+				hit = tri.NextSet(y, hit+1, r0+n+1)
 			}
-			if sat != 0 {
-				return true
-			}
-			zeroMasked(prev, 16, tri, y+1, r0, maskHit(tri, y+1, r0, n))
-			// prev now holds row y+1; cur is scratch again — no swap.
-			y += 2
-			continue
-		}
-		for i := range mx {
-			mx[i] = negInf16
-		}
-		if proven {
-			rowAVX16Fast(&prev[0], &cur[16], &maxY[16], &ex[1], n, open, ext, &mx[0])
-		} else {
-			rowAVX16(&prev[0], &cur[16], &maxY[16], &ex[1], n, open, ext, &mx[0], &sat)
+			c0 = c1 + 1
 		}
 		if sat != 0 {
 			// Saturated rows will be discarded wholesale; stop early so
 			// the int32 re-run pays for the group only once.
 			return true
 		}
-		zeroBorder(cur, 16, n)
-		zeroMasked(cur, 16, tri, y, r0, hit)
-		if k := y - r0; k >= 0 && k < 16 && k < len(bots) && bots[k] != nil {
-			bottom := bots[k]
-			for c := k + 1; c <= n; c++ {
-				bottom[c-k-1] = int32(cur[16*c+k])
-			}
+		zeroMasked(prev, tri, y+1, r0, maskHit(tri, y+1, r0, n))
+		// prev now holds row y+1 (written in place, no swap), cur row y if kept.
+		if keep {
+			capture16(bots, cur, y-r0)
 		}
-		prev, cur = cur, prev
-		y++
+		capture16(bots, prev, y+1-r0)
 	}
-	sc.prev16, sc.cur16 = prev, cur
+	if y == yMax {
+		// The group's odd last row runs the single-row kernel. Nothing
+		// reads its border cells: no row follows, and its lane's bottom
+		// row starts right of them.
+		ex := prof.Row(s[y-1])[r0-1:]
+		mx := inf
+		if proven {
+			rowAVX16Fast(&prev[0][0], &cur[1][0], &maxY[1][0], &ex[1], n, open, ext, &mx[0])
+		} else {
+			rowAVX16(&prev[0][0], &cur[1][0], &maxY[1][0], &ex[1], n, open, ext, &mx[0], &sat)
+		}
+		if sat != 0 {
+			return true
+		}
+		zeroMasked(cur, tri, y, r0, maskHit(tri, y, r0, n))
+		capture16(bots, cur, y-r0)
+	}
 	return false
+}
+
+// capture16 copies lane k's bottom row out of the int16 row that ends
+// its matrix: the lane's cells of columns k+1..n. Lanes outside the
+// group or without a destination are skipped.
+func capture16(bots [][]int32, row [][16]int16, k int) {
+	if k < 0 || k >= 16 || k >= len(bots) || bots[k] == nil {
+		return
+	}
+	bottom := bots[k]
+	cols := row[k+1:][:len(bottom)]
+	for i := range cols {
+		bottom[i] = int32(cols[i][k])
+	}
 }
 
 // negInf matches the scalar kernel's -infinity headroom.

@@ -89,8 +89,8 @@ done:
 //
 // The caller guarantees the segment contains no overridden columns.
 // Left-border columns may be included: their gap chains depend only on
-// prev, so the Go driver just re-zeroes the affected lane cells after
-// the row.
+// prev, and the one row the driver gives this kernel, a group's odd last
+// row, is read by no row below and captured right of its border.
 // The column body is macro-expanded at four fixed offsets per iteration
 // (indexed addressing, one pointer bump per quad) because the loop is
 // issue-bound: per-column pointer/counter overhead is a third of the
@@ -179,69 +179,85 @@ done16:
 	VZEROUPPER
 	RET
 
-// func rowAVX16Fast(prev, cur, maxY, ex *int16, n int, open, ext int16, mx *int16)
+// func rowAVX16Pair(a, cur, maxY, exY, exY1 *int16, c0, n int, open, ext int16, mxY, mxY1, d, v *int16, sat *uint32)
 //
-// rowAVX16 without saturation tracking, for groups where Int16Proven
-// established that no cell can reach satLimit16: the compare+accumulate
-// pair per column is dropped, which is the common case for realistic
-// scoring models (BLOSUM62 proves clean up to ~2900-residue matrices).
-// func rowAVX16Pair(a, maxY, exY, exY1 *int16, n int, open, ext int16, mxY, mxY1, d, v *int16, sat *uint32)
-//
-// Two matrix rows (y, y+1) in one column sweep, 16 saturating int16
-// lanes. This is the throughput kernel: the single-row kernels are
-// memory-bound on the prev/cur row traffic once the interleaved rows
-// spill out of L1, and pairing halves it — row y's cells live only in
-// registers (Y13 carries v_y(c-1), the diagonal input of row y+1) and
-// are never stored, while row y+1 is written in place over row y-1 in
-// the same buffer `a` (each column loads the old value before storing,
-// so the y-1 row keeps serving as row y's diagonal input).
+// Two matrix rows (y, y+1) in one column sweep over the group columns
+// c0..c0+n-1, 16 saturating int16 lanes. This is the throughput kernel:
+// the single-row kernels are memory-bound on the prev/cur row traffic
+// once the interleaved rows spill out of L1, and pairing halves it — row
+// y's cells live in registers (Y13 carries v_y(c-1), the diagonal input
+// of row y+1), while row y+1 is written in place over row y-1 in the
+// same buffer `a` (each column loads the old value before storing, so the
+// y-1 row keeps serving as row y's diagonal input). a, cur, maxY, exY
+// and exY1 point at column c0.
 //
 // Per column c:
 //
-//	vY      = max(0, adds(max(dY, mxY, maxY[c]), eY[c]))    // in-register only
+//	vY      = max(0, adds(max(dY, mxY, maxY[c]), eY[c])) & border[c]
+//	cur[c]  = vY                                            // only if cur != nil
 //	gY      = subs(dY, open); mxY = subs(max(gY, mxY), ext)
 //	maxY'   = subs(max(gY, maxY[c]), ext)                   // after row y
 //	dY      = a[c]                                          // old row y-1 value
-//	vY1     = max(0, adds(max(vYprev, mxY1, maxY'), eY1[c]))
+//	vY1     = max(0, adds(max(vYprev, mxY1, maxY'), eY1[c])) & border[c]
 //	a[c]    = vY1                                           // row y+1 in place
 //	gY1     = subs(vYprev, open); mxY1 = subs(max(gY1, mxY1), ext)
 //	maxY[c] = subs(max(gY1, maxY'), ext)                    // after row y+1
 //	vYprev  = vY
 //
+// border[c] is block c of ·borderMask16: lane k's matrix starts at
+// column k+1, so over columns 1..15 the lanes k >= c lie on or left of
+// their boundary column and both rows' cells there are zeroed before
+// anything reads them. From column 16 on every lane is inside its matrix
+// and the loop runs without the mask. A sweep from column 1 starts from
+// zero d and v carries: column 0 is every lane's boundary. The gap
+// chains need no mask, since they read only the row above, already
+// masked.
+//
 // d and v point at 16-lane carry blocks: the row y-1 value and row y
 // value of the column preceding the span on entry, of the span's last
-// column on exit, so a sweep may stop after any column and resume (the
-// caller computes the first columns with the single-row kernel — the
-// left-border lanes need fixups the pair sweep cannot apply, because row
-// y's cells feed row y+1 in-register). Saturation of either row's cells
-// accumulates into *sat exactly as in rowAVX16. The caller guarantees
-// the span contains no left-border columns; it may end on one of row
-// y's overridden columns, whose zero the caller then writes into *v
-// before the next span, and row y+1's overridden columns are zeroed
-// after the sweep — within a row the cells feed only the row below.
-#define COLPAIRSAT(off, eoff) \
+// column on exit, so a sweep may stop after any column and resume. The
+// caller stops a span on each of row y's overridden columns and writes
+// its zero into *v before the next span (and into cur, when it keeps row
+// y); row y+1's overridden columns are zeroed after the sweep — within a
+// row the cells feed only the row below. Row y is stored into cur only
+// when the caller captures a bottom row from it; otherwise cur is nil
+// and row y never leaves the registers. Saturation of either row's cells
+// accumulates into *sat exactly as in rowAVX16. rowAVX16PairFast drops
+// the saturation tracking.
+//
+// The column body is split into its steps so the masked, storing and
+// plain loops share them:
+//
+//	PAIRY    row y's cell into Y2
+//	PAIRYGAP row y's gap chains; Y1 = maxY', Y11 = next dY
+//	PAIRY1   row y+1's cell into Y0
+//	PAIRY1ST row y+1's store, its gap chains, vYprev = vY
+//	SATCHK   OR a cell register's saturated lanes into Y10
+#define PAIRY(off, eoff) \
 	VMOVDQU      off(BX), Y1      \ // maxY[c]
 	VPMAXSW      Y1, Y4, Y2       \
 	VPMAXSW      Y11, Y2, Y2      \ // max(dY, mxY, maxY)
 	VPBROADCASTW eoff(DX), Y3     \ // eY
 	VPADDSW      Y3, Y2, Y2       \
-	VPMAXSW      Y7, Y2, Y2       \ // vY (in-register only)
-	VPCMPGTW     Y8, Y2, Y9       \
-	VPOR         Y9, Y10, Y10     \
+	VPMAXSW      Y7, Y2, Y2       // vY
+
+#define PAIRYGAP(off) \
 	VPSUBSW      Y5, Y11, Y0      \ // gY = dY - open
 	VPMAXSW      Y0, Y4, Y4       \
 	VPSUBSW      Y6, Y4, Y4       \ // mxY
 	VPMAXSW      Y0, Y1, Y1       \
 	VPSUBSW      Y6, Y1, Y1       \ // maxY after row y
-	VMOVDQU      off(SI), Y11     \ // next dY = row y-1 at c, before overwrite
+	VMOVDQU      off(SI), Y11     // next dY = row y-1 at c, before overwrite
+
+#define PAIRY1(eoff) \
 	VPMAXSW      Y1, Y12, Y0      \
 	VPMAXSW      Y13, Y0, Y0      \ // max(vYprev, mxY1, maxY')
 	VPBROADCASTW eoff(R12), Y3    \ // eY1
 	VPADDSW      Y3, Y0, Y0       \
-	VPMAXSW      Y7, Y0, Y0       \ // vY1
+	VPMAXSW      Y7, Y0, Y0       // vY1
+
+#define PAIRY1ST(off) \
 	VMOVDQU      Y0, off(SI)      \ // row y+1 over row y-1
-	VPCMPGTW     Y8, Y0, Y9       \
-	VPOR         Y9, Y10, Y10     \
 	VPSUBSW      Y5, Y13, Y3      \ // gY1 = vYprev - open
 	VPMAXSW      Y3, Y12, Y12     \
 	VPSUBSW      Y6, Y12, Y12     \ // mxY1
@@ -250,72 +266,168 @@ done16:
 	VMOVDQU      Y1, off(BX)      \
 	VMOVDQA      Y2, Y13          // vY becomes row y+1's next diagonal
 
-TEXT ·rowAVX16Pair(SB), NOSPLIT, $0-88
+#define SATCHK(r) \
+	VPCMPGTW     Y8, r, Y9        \
+	VPOR         Y9, Y10, Y10
+
+#define COLPAIRSAT(off, eoff) \
+	PAIRY(off, eoff)  \
+	SATCHK(Y2)        \
+	PAIRYGAP(off)     \
+	PAIRY1(eoff)      \
+	PAIRY1ST(off)     \
+	SATCHK(Y0)
+
+// COLPAIRSAT without the saturation compare+accumulate pairs, for
+// provably clean groups.
+#define COLPAIR(off, eoff) \
+	PAIRY(off, eoff)  \
+	PAIRYGAP(off)     \
+	PAIRY1(eoff)      \
+	PAIRY1ST(off)
+
+// COLPAIRSAT and COLPAIR storing row y's cell into cur too.
+#define COLPAIRSATKEEP(off, eoff) \
+	PAIRY(off, eoff)    \
+	VMOVDQU Y2, off(DI) \
+	SATCHK(Y2)          \
+	PAIRYGAP(off)       \
+	PAIRY1(eoff)        \
+	PAIRY1ST(off)       \
+	SATCHK(Y0)
+
+#define COLPAIRKEEP(off, eoff) \
+	PAIRY(off, eoff)    \
+	VMOVDQU Y2, off(DI) \
+	PAIRYGAP(off)       \
+	PAIRY1(eoff)        \
+	PAIRY1ST(off)
+
+// BORDERCOLS leaves in R8 the number of border columns of the span,
+// clamp(16-c0, 0, n) for c0 in R13 and n in CX, in CX the columns after
+// them, and in R13 the address of column c0's mask block.
+#define BORDERCOLS \
+	XORQ    R8, R8                \
+	MOVQ    $16, R9               \
+	SUBQ    R13, R9               \
+	CMOVQGT R9, R8                \
+	CMPQ    R8, CX                \
+	CMOVQGT CX, R8                \
+	SUBQ    R8, CX                \
+	SHLQ    $5, R13               \
+	LEAQ    ·borderMask16(SB), R9 \
+	ADDQ    R9, R13
+
+// PAIRSTEP advances the span pointers by cols columns.
+#define PAIRSTEP(cols) \
+	ADDQ $(32*cols), SI \
+	ADDQ $(32*cols), BX \
+	ADDQ $(2*cols), DX  \
+	ADDQ $(2*cols), R12
+
+TEXT ·rowAVX16Pair(SB), NOSPLIT, $0-104
 	MOVQ a+0(FP), SI
-	MOVQ maxY+8(FP), BX
-	MOVQ exY+16(FP), DX
-	MOVQ exY1+24(FP), R12
-	MOVQ n+32(FP), CX
-	MOVQ sat+80(FP), R11
+	MOVQ cur+8(FP), DI
+	MOVQ maxY+16(FP), BX
+	MOVQ exY+24(FP), DX
+	MOVQ exY1+32(FP), R12
+	MOVQ c0+40(FP), R13
+	MOVQ n+48(FP), CX
+	MOVQ sat+96(FP), R11
 	TESTQ CX, CX
 	JZ   donep
 
 	// SSE moves first, as in rowAVX8.
-	MOVWLZX      open+40(FP), R8
-	MOVQ         R8, X5
-	MOVWLZX      ext+42(FP), R9
-	MOVQ         R9, X6
 	MOVL         $0x7CFF7CFF, R10 // satLimit16-1 word pair
 	MOVQ         R10, X8
+	MOVWLZX      open+56(FP), R8
+	MOVQ         R8, X5
+	MOVWLZX      ext+58(FP), R9
+	MOVQ         R9, X6
 	VPBROADCASTW X5, Y5
 	VPBROADCASTW X6, Y6
 	VPXOR        Y7, Y7, Y7
+	MOVQ         mxY+64(FP), AX
+	VMOVDQU      (AX), Y4  // mxY carry-in
+	MOVQ         mxY1+72(FP), R8
+	VMOVDQU      (R8), Y12 // mxY1 carry-in
+	MOVQ         d+80(FP), R8
+	VMOVDQU      (R8), Y11 // dY carry-in (row y-1 at span start - 1)
+	MOVQ         v+88(FP), R8
+	VMOVDQU      (R8), Y13 // vY carry-in (row y at span start - 1)
+	BORDERCOLS
 	VPBROADCASTD X8, Y8
 	VPXOR        Y10, Y10, Y10
-	MOVQ         mxY+48(FP), AX
-	VMOVDQU      (AX), Y4  // mxY carry-in
-	MOVQ         mxY1+56(FP), R8
-	VMOVDQU      (R8), Y12 // mxY1 carry-in
-	MOVQ         d+64(FP), R8
-	VMOVDQU      (R8), Y11 // dY carry-in (row y-1 at span start - 1)
-	MOVQ         v+72(FP), R8
-	VMOVDQU      (R8), Y13 // vY carry-in (row y at span start - 1)
+	TESTQ        R8, R8
+	JZ           mainp
 
-	MOVQ CX, R8
-	SHRQ $1, R8 // column pairs
-	ANDQ $1, CX
+borderp:
+	VMOVDQU (R13), Y14 // border mask of column c
+	PAIRY(0, 0)
+	VPAND   Y14, Y2, Y2
+	SATCHK(Y2)
+	TESTQ   DI, DI
+	JZ      borderp1
+	VMOVDQU Y2, (DI)
+	ADDQ    $32, DI
+
+borderp1:
+	PAIRYGAP(0)
+	PAIRY1(0)
+	VPAND   Y14, Y0, Y0
+	PAIRY1ST(0)
+	SATCHK(Y0)
+	PAIRSTEP(1)
+	ADDQ    $32, R13
+	DECQ    R8
+	JNZ     borderp
+
+mainp:
+	MOVQ  CX, R8
+	SHRQ  $1, R8 // column pairs
+	ANDQ  $1, CX
+	TESTQ DI, DI
+	JNZ   keepp
 	TESTQ R8, R8
-	JZ   tailp
+	JZ    tailp
 
 loopp:
 	COLPAIRSAT(0, 0)
 	COLPAIRSAT(32, 2)
-	ADDQ $64, SI
-	ADDQ $64, BX
-	ADDQ $4, DX
-	ADDQ $4, R12
+	PAIRSTEP(2)
 	DECQ R8
 	JNZ  loopp
 
-	TESTQ CX, CX
-	JZ   exitp
-
 tailp:
+	TESTQ CX, CX
+	JZ    exitp
 	COLPAIRSAT(0, 0)
-	ADDQ $32, SI
-	ADDQ $32, BX
-	ADDQ $2, DX
-	ADDQ $2, R12
-	DECQ CX
-	JNZ  tailp
+	JMP   exitp
+
+keepp: // the same loop, storing row y into cur
+	TESTQ R8, R8
+	JZ    keeptailp
+
+keeploopp:
+	COLPAIRSATKEEP(0, 0)
+	COLPAIRSATKEEP(32, 2)
+	PAIRSTEP(2)
+	ADDQ $64, DI
+	DECQ R8
+	JNZ  keeploopp
+
+keeptailp:
+	TESTQ CX, CX
+	JZ    exitp
+	COLPAIRSATKEEP(0, 0)
 
 exitp:
 	VMOVDQU   Y4, (AX) // mxY carry-out
-	MOVQ      mxY1+56(FP), R8
+	MOVQ      mxY1+72(FP), R8
 	VMOVDQU   Y12, (R8) // mxY1 carry-out
-	MOVQ      d+64(FP), R8
+	MOVQ      d+80(FP), R8
 	VMOVDQU   Y11, (R8) // dY carry-out (row y-1 at the span's last column)
-	MOVQ      v+72(FP), R8
+	MOVQ      v+88(FP), R8
 	VMOVDQU   Y13, (R8) // vY carry-out (row y at the span's last column)
 	VPMOVMSKB Y10, R8
 	MOVL      (R11), R9
@@ -326,97 +438,103 @@ donep:
 	VZEROUPPER
 	RET
 
-// COLPAIRSAT without the saturation compare+accumulate pairs, for
-// provably clean groups.
-#define COLPAIR(off, eoff) \
-	VMOVDQU      off(BX), Y1      \
-	VPMAXSW      Y1, Y4, Y2       \
-	VPMAXSW      Y11, Y2, Y2      \
-	VPBROADCASTW eoff(DX), Y3     \
-	VPADDSW      Y3, Y2, Y2       \
-	VPMAXSW      Y7, Y2, Y2       \
-	VPSUBSW      Y5, Y11, Y0      \
-	VPMAXSW      Y0, Y4, Y4       \
-	VPSUBSW      Y6, Y4, Y4       \
-	VPMAXSW      Y0, Y1, Y1       \
-	VPSUBSW      Y6, Y1, Y1       \
-	VMOVDQU      off(SI), Y11     \
-	VPMAXSW      Y1, Y12, Y0      \
-	VPMAXSW      Y13, Y0, Y0      \
-	VPBROADCASTW eoff(R12), Y3    \
-	VPADDSW      Y3, Y0, Y0       \
-	VPMAXSW      Y7, Y0, Y0       \
-	VMOVDQU      Y0, off(SI)      \
-	VPSUBSW      Y5, Y13, Y3      \
-	VPMAXSW      Y3, Y12, Y12     \
-	VPSUBSW      Y6, Y12, Y12     \
-	VPMAXSW      Y3, Y1, Y1       \
-	VPSUBSW      Y6, Y1, Y1       \
-	VMOVDQU      Y1, off(BX)      \
-	VMOVDQA      Y2, Y13
-
-// func rowAVX16PairFast(a, maxY, exY, exY1 *int16, n int, open, ext int16, mxY, mxY1, d, v *int16)
-TEXT ·rowAVX16PairFast(SB), NOSPLIT, $0-80
+// func rowAVX16PairFast(a, cur, maxY, exY, exY1 *int16, c0, n int, open, ext int16, mxY, mxY1, d, v *int16)
+TEXT ·rowAVX16PairFast(SB), NOSPLIT, $0-96
 	MOVQ a+0(FP), SI
-	MOVQ maxY+8(FP), BX
-	MOVQ exY+16(FP), DX
-	MOVQ exY1+24(FP), R12
-	MOVQ n+32(FP), CX
+	MOVQ cur+8(FP), DI
+	MOVQ maxY+16(FP), BX
+	MOVQ exY+24(FP), DX
+	MOVQ exY1+32(FP), R12
+	MOVQ c0+40(FP), R13
+	MOVQ n+48(FP), CX
 	TESTQ CX, CX
 	JZ   donepf
 
 	// SSE moves first, as in rowAVX8.
-	MOVWLZX      open+40(FP), R8
+	MOVWLZX      open+56(FP), R8
 	MOVQ         R8, X5
-	MOVWLZX      ext+42(FP), R9
+	MOVWLZX      ext+58(FP), R9
 	MOVQ         R9, X6
 	VPBROADCASTW X5, Y5
 	VPBROADCASTW X6, Y6
 	VPXOR        Y7, Y7, Y7
-	MOVQ         mxY+48(FP), AX
-	VMOVDQU      (AX), Y4
-	MOVQ         mxY1+56(FP), R8
-	VMOVDQU      (R8), Y12
-	MOVQ         d+64(FP), R8
-	VMOVDQU      (R8), Y11
-	MOVQ         v+72(FP), R8
-	VMOVDQU      (R8), Y13
-
-	MOVQ CX, R8
-	SHRQ $1, R8
-	ANDQ $1, CX
+	MOVQ         mxY+64(FP), AX
+	VMOVDQU      (AX), Y4  // mxY carry-in
+	MOVQ         mxY1+72(FP), R8
+	VMOVDQU      (R8), Y12 // mxY1 carry-in
+	MOVQ         d+80(FP), R8
+	VMOVDQU      (R8), Y11 // dY carry-in (row y-1 at span start - 1)
+	MOVQ         v+88(FP), R8
+	VMOVDQU      (R8), Y13 // vY carry-in (row y at span start - 1)
+	BORDERCOLS
 	TESTQ R8, R8
-	JZ   tailpf
+	JZ    mainpf
+
+borderpf:
+	VMOVDQU (R13), Y14
+	PAIRY(0, 0)
+	VPAND   Y14, Y2, Y2
+	TESTQ   DI, DI
+	JZ      borderpf1
+	VMOVDQU Y2, (DI)
+	ADDQ    $32, DI
+
+borderpf1:
+	PAIRYGAP(0)
+	PAIRY1(0)
+	VPAND   Y14, Y0, Y0
+	PAIRY1ST(0)
+	PAIRSTEP(1)
+	ADDQ    $32, R13
+	DECQ    R8
+	JNZ     borderpf
+
+mainpf:
+	MOVQ  CX, R8
+	SHRQ  $1, R8
+	ANDQ  $1, CX
+	TESTQ DI, DI
+	JNZ   keeppf
+	TESTQ R8, R8
+	JZ    tailpf
 
 looppf:
 	COLPAIR(0, 0)
 	COLPAIR(32, 2)
-	ADDQ $64, SI
-	ADDQ $64, BX
-	ADDQ $4, DX
-	ADDQ $4, R12
+	PAIRSTEP(2)
 	DECQ R8
 	JNZ  looppf
 
-	TESTQ CX, CX
-	JZ   exitpf
-
 tailpf:
+	TESTQ CX, CX
+	JZ    exitpf
 	COLPAIR(0, 0)
-	ADDQ $32, SI
-	ADDQ $32, BX
-	ADDQ $2, DX
-	ADDQ $2, R12
-	DECQ CX
-	JNZ  tailpf
+	JMP   exitpf
+
+keeppf:
+	TESTQ R8, R8
+	JZ    keeptailpf
+
+keeplooppf:
+	COLPAIRKEEP(0, 0)
+	COLPAIRKEEP(32, 2)
+	PAIRSTEP(2)
+	ADDQ $64, DI
+	DECQ R8
+	JNZ  keeplooppf
+
+keeptailpf:
+	TESTQ CX, CX
+	JZ    exitpf
+	COLPAIRKEEP(0, 0)
 
 exitpf:
 	VMOVDQU Y4, (AX)
-	MOVQ    mxY1+56(FP), R8
+	MOVQ    mxY1+72(FP), R8
 	VMOVDQU Y12, (R8)
-	MOVQ    d+64(FP), R8
+	MOVQ    d+80(FP), R8
 	VMOVDQU Y11, (R8)
-	MOVQ    v+72(FP), R8
+	MOVQ    v+88(FP), R8
 	VMOVDQU Y13, (R8)
 
 donepf:
@@ -440,6 +558,12 @@ donepf:
 	VPSUBSW      Y6, Y1, Y1      \
 	VMOVDQU      Y1, off(BX)
 
+// func rowAVX16Fast(prev, cur, maxY, ex *int16, n int, open, ext int16, mx *int16)
+//
+// rowAVX16 without saturation tracking, for groups where Int16Proven
+// established that no cell can reach satLimit16: the compare+accumulate
+// pair per column is dropped, which is the common case for realistic
+// scoring models (BLOSUM62 proves clean up to ~2900-residue matrices).
 TEXT ·rowAVX16Fast(SB), NOSPLIT, $0-56
 	MOVQ prev+0(FP), SI
 	MOVQ cur+8(FP), DI

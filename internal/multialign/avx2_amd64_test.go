@@ -85,17 +85,20 @@ func TestRowKernelsZeroColumns(t *testing.T) {
 }
 
 // The pair kernels carry dY and vY out as well as in, so a sweep may
-// stop after any column and resume: one call over n columns must leave
-// a, maxY, both gap carries, d, v and the flag exactly as two calls over
-// columns [1, k] and [k+1, n] do, for every k. The states are random
-// row values, low and near the saturation threshold.
+// stop after any column and resume: one sweep over group columns 1..n
+// must leave a, cur, maxY, both gap carries, d, v and the flag exactly as
+// two sweeps over columns [1, k] and [k+1, n] do, for every k — inside
+// the border prefix (k <= 15, where the second sweep starts masked too),
+// on its edge and past it — with row y kept in cur and without. The
+// states are random row values, low and near the saturation threshold.
+// Every sweep must leave the border cells of both rows zero.
 func TestPairKernelSplitInvariance(t *testing.T) {
 	if DetectedTier() < TierInt16x16 {
 		t.Skip("needs AVX2")
 	}
 	const n, open, ext = 37, 11, 1
 	type state struct {
-		a, maxY       []int16
+		a, cur, maxY  []int16 // interleaved, 16 lanes per column 0..n
 		mx, mx1, d, v [16]int16
 		sat           uint32
 	}
@@ -103,10 +106,10 @@ func TestPairKernelSplitInvariance(t *testing.T) {
 	for _, base := range []int{0, satLimit16 - 400} {
 		val := func() int16 { return int16(base + rng.Intn(400)) }
 		var in state
-		in.a, in.maxY = make([]int16, 16*n), make([]int16, 16*n)
-		exY, exY1 := make([]int16, n), make([]int16, n)
+		in.a, in.cur, in.maxY = make([]int16, 16*(n+1)), make([]int16, 16*(n+1)), make([]int16, 16*(n+1))
+		exY, exY1 := make([]int16, n+1), make([]int16, n+1)
 		for i := range in.a {
-			in.a[i], in.maxY[i] = val(), val()-int16(rng.Intn(50))
+			in.a[i], in.cur[i], in.maxY[i] = val(), val(), val()-int16(rng.Intn(50))
 		}
 		for c := range exY {
 			exY[c], exY1[c] = int16(rng.Intn(31)-15), int16(rng.Intn(31)-15)
@@ -116,35 +119,56 @@ func TestPairKernelSplitInvariance(t *testing.T) {
 		}
 		for _, kern := range []struct {
 			name string
-			call func(st *state, c0, cols int)
+			call func(st *state, keep bool, c0, cols int)
 		}{
-			{"rowAVX16Pair", func(st *state, c0, cols int) {
-				rowAVX16Pair(&st.a[16*c0], &st.maxY[16*c0], &exY[c0], &exY1[c0], cols, open, ext,
+			{"rowAVX16Pair", func(st *state, keep bool, c0, cols int) {
+				var out *int16
+				if keep {
+					out = &st.cur[16*c0]
+				}
+				rowAVX16Pair(&st.a[16*c0], out, &st.maxY[16*c0], &exY[c0], &exY1[c0], c0, cols, open, ext,
 					&st.mx[0], &st.mx1[0], &st.d[0], &st.v[0], &st.sat)
 			}},
-			{"rowAVX16PairFast", func(st *state, c0, cols int) {
-				rowAVX16PairFast(&st.a[16*c0], &st.maxY[16*c0], &exY[c0], &exY1[c0], cols, open, ext,
+			{"rowAVX16PairFast", func(st *state, keep bool, c0, cols int) {
+				var out *int16
+				if keep {
+					out = &st.cur[16*c0]
+				}
+				rowAVX16PairFast(&st.a[16*c0], out, &st.maxY[16*c0], &exY[c0], &exY1[c0], c0, cols, open, ext,
 					&st.mx[0], &st.mx1[0], &st.d[0], &st.v[0])
 			}},
 		} {
-			clone := func() state {
-				st := in
-				st.a, st.maxY = slices.Clone(in.a), slices.Clone(in.maxY)
-				return st
-			}
-			whole := clone()
-			kern.call(&whole, 0, n)
-			if kern.name == "rowAVX16Pair" && (whole.sat != 0) != (base > 0) {
-				t.Fatalf("%s base=%d: sat=%#x; only the high state should flag", kern.name, base, whole.sat)
-			}
-			for k := 1; k < n; k++ {
-				got := clone()
-				kern.call(&got, 0, k)
-				kern.call(&got, k, n-k)
-				if !slices.Equal(got.a, whole.a) || !slices.Equal(got.maxY, whole.maxY) ||
-					got.mx != whole.mx || got.mx1 != whole.mx1 || got.d != whole.d || got.v != whole.v ||
-					got.sat != whole.sat {
-					t.Fatalf("%s base=%d: split after column %d differs from one sweep", kern.name, base, k)
+			for _, keep := range []bool{false, true} {
+				where := fmt.Sprintf("%s base=%d keep=%v", kern.name, base, keep)
+				clone := func() state {
+					st := in
+					st.a, st.cur, st.maxY = slices.Clone(in.a), slices.Clone(in.cur), slices.Clone(in.maxY)
+					return st
+				}
+				whole := clone()
+				kern.call(&whole, keep, 1, n)
+				if kern.name == "rowAVX16Pair" && (whole.sat != 0) != (base > 0) {
+					t.Fatalf("%s: sat=%#x; only the high state should flag", where, whole.sat)
+				}
+				if keep == slices.Equal(whole.cur, in.cur) {
+					t.Fatalf("%s: cur written %v", where, !keep)
+				}
+				for c := 1; c < 16; c++ {
+					for k := c; k < 16; k++ {
+						if whole.a[16*c+k] != 0 || keep && whole.cur[16*c+k] != 0 {
+							t.Fatalf("%s: border cell lane %d column %d not zero", where, k, c)
+						}
+					}
+				}
+				for k := 1; k < n; k++ {
+					got := clone()
+					kern.call(&got, keep, 1, k)
+					kern.call(&got, keep, k+1, n-k)
+					if !slices.Equal(got.a, whole.a) || !slices.Equal(got.cur, whole.cur) || !slices.Equal(got.maxY, whole.maxY) ||
+						got.mx != whole.mx || got.mx1 != whole.mx1 || got.d != whole.d || got.v != whole.v ||
+						got.sat != whole.sat {
+						t.Fatalf("%s: split after column %d differs from one sweep", where, k)
+					}
 				}
 			}
 		}
@@ -176,10 +200,10 @@ func BenchmarkRowCall(b *testing.B) {
 			{"rowAVX16", func() { rowAVX16(&prev16[0], &cur16[16], &maxY16[16], &ex16[1], n, 11, 1, &mx[0], &sat) }},
 			{"rowAVX16Fast", func() { rowAVX16Fast(&prev16[0], &cur16[16], &maxY16[16], &ex16[1], n, 11, 1, &mx[0]) }},
 			{"rowAVX16Pair", func() {
-				rowAVX16Pair(&prev16[16], &maxY16[16], &ex16[1], &ex16b[1], n, 11, 1, &mx[0], &mx1[0], &d[0], &v[0], &sat)
+				rowAVX16Pair(&prev16[16], nil, &maxY16[16], &ex16[1], &ex16b[1], 16, n, 11, 1, &mx[0], &mx1[0], &d[0], &v[0], &sat)
 			}},
 			{"rowAVX16PairFast", func() {
-				rowAVX16PairFast(&prev16[16], &maxY16[16], &ex16[1], &ex16b[1], n, 11, 1, &mx[0], &mx1[0], &d[0], &v[0])
+				rowAVX16PairFast(&prev16[16], nil, &maxY16[16], &ex16[1], &ex16b[1], 16, n, 11, 1, &mx[0], &mx1[0], &d[0], &v[0])
 			}},
 		} {
 			b.Run(fmt.Sprintf("%s/n=%d", k.name, n), func(b *testing.B) {

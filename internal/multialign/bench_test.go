@@ -40,9 +40,10 @@ func BenchmarkScoreGroupAuto8(b *testing.B) {
 
 // BenchmarkScoreGroupAuto16 times a 16-lane group clean and in the
 // realignment shape: one override per row below r0, as an accepted
-// alignment leaves them (row y paired with r0+y).
+// alignment leaves them (row y paired with r0+y). n=300 is the size of a
+// typical serving request, where the work around the kernel shows most.
 func BenchmarkScoreGroupAuto16(b *testing.B) {
-	for _, n := range []int{1200, 4096} {
+	for _, n := range []int{300, 1200, 4096} {
 		s := seq.SyntheticTitin(n, 1).Codes
 		r0 := n / 2
 		masked := triangle.New(n)

@@ -61,9 +61,11 @@ var kernelTriangles = []struct {
 	{"accepted-path", acceptedPath},
 	{"lane-borders", laneBorders},
 	{"pair-neighbours", pairNeighbours},
-	{"pair-first-rows", pairHits(true, false)},
-	{"pair-second-rows", pairHits(false, true)},
-	{"pair-both-rows", pairHits(true, true)},
+	{"pair-first-rows", pairHits(false, true, false)},
+	{"pair-second-rows", pairHits(false, false, true)},
+	{"pair-both-rows", pairHits(false, true, true)},
+	{"capture-first-rows", pairHits(true, true, false)},
+	{"capture-second-rows", pairHits(true, false, true)},
 }
 
 // laneBorders marks, for every group start of the harness, the columns
@@ -105,22 +107,30 @@ func pairNeighbours(_ align.Params, s []byte) *triangle.Triangle {
 }
 
 // pairHits marks, for every group start of the harness, the columns
-// where the int16 kernel's pair sweep meets the mask — prefix columns 1,
-// 8 and 16, the first swept column 17, three adjacent columns (1-column
-// spans) and the group's last column — in the first rows of the pairs
-// below the start (odd rows), their second rows (even rows), or both.
-func pairHits(first, second bool) func(align.Params, []byte) *triangle.Triangle {
+// where the int16 kernel's pair sweep meets the mask — border columns 1,
+// 8 and 15, the first columns past the border 16 and 17, three adjacent
+// columns (1-column spans) and the group's last column — in the first
+// rows of the pairs (odd rows), their second rows (even rows), or both.
+// The rows are those below the group start, or with capture the capture
+// rows r0..r0+15, where the sweep also stores row y. The harness's group
+// starts are odd and even, so the capture rows begin on either row of a
+// pair; row r0+k is lane k's bottom row, read right of column k only.
+func pairHits(capture, first, second bool) func(align.Params, []byte) *triangle.Triangle {
 	return func(_ align.Params, s []byte) *triangle.Triangle {
 		m := len(s)
 		tri := triangle.New(m)
 		for _, r0 := range groupStarts(m) {
 			n := m - r0
-			for _, c := range []int{1, 8, 16, 17, n / 2, n/2 + 1, n/2 + 2, n} {
-				if c < 1 || c > n {
+			y0, y1 := 1, r0-1
+			if capture {
+				y0, y1 = r0, min(r0+15, m-1)
+			}
+			for y := y0; y <= y1; y++ {
+				if y%2 == 1 && !first || y%2 == 0 && !second {
 					continue
 				}
-				for y := 1; y < r0; y++ {
-					if y%2 == 1 && first || y%2 == 0 && second {
+				for _, c := range []int{1, 8, 15, 16, 17, n / 2, n/2 + 1, n/2 + 2, n} {
+					if c >= max(1, y-r0+1) && c <= n { // right of the diagonal
 						tri.Set(y, r0+c)
 					}
 				}

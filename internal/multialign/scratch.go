@@ -17,11 +17,11 @@ import "repro/internal/align"
 type Scratch struct {
 	row align.Scratch // the row kernel's own arena (scalar tier) and the int16 query profile
 
-	prev, cur, maxY []int32 // interleaved int32 lane rows (8-lane AVX2 kernel)
-	prof            []int32 // query profile: per-character exchange rows
+	prev, cur, maxY [][8]int32 // int32 lane rows, one block per column (8-lane AVX2 kernel)
+	prof            []int32    // query profile: per-character exchange rows
 	profBuilt       []bool
 
-	prev16, cur16, maxY16 []int16 // interleaved int16 lane rows (16-lane AVX2 kernel; its profile is row's)
+	prev16, cur16, maxY16 [][16]int16 // int16 lane rows, one block per column (16-lane AVX2 kernel; its profile is row's)
 
 	arena []int32   // bottom-row storage
 	heads [][]int32 // lane headers over arena
@@ -31,27 +31,11 @@ type Scratch struct {
 // NewScratch returns an empty Scratch.
 func NewScratch() *Scratch { return &Scratch{} }
 
-// growI32 resizes *buf to n entries, reusing capacity when possible.
+// grow resizes *buf to n entries, reusing capacity when possible.
 // Contents are unspecified; callers reset what they read.
-func growI32(buf *[]int32, n int) []int32 {
+func grow[T any](buf *[]T, n int) []T {
 	if cap(*buf) < n {
-		*buf = make([]int32, n)
-	}
-	*buf = (*buf)[:n]
-	return *buf
-}
-
-func growI16(buf *[]int16, n int) []int16 {
-	if cap(*buf) < n {
-		*buf = make([]int16, n)
-	}
-	*buf = (*buf)[:n]
-	return *buf
-}
-
-func growBool(buf *[]bool, n int) []bool {
-	if cap(*buf) < n {
-		*buf = make([]bool, n)
+		*buf = make([]T, n)
 	}
 	*buf = (*buf)[:n]
 	return *buf
@@ -67,7 +51,7 @@ func (sc *Scratch) newGroup(m, r0, lanes int) *Group {
 			total += m - r
 		}
 	}
-	arena := growI32(&sc.arena, total)
+	arena := grow(&sc.arena, total)
 	if cap(sc.heads) < lanes {
 		sc.heads = make([][]int32, lanes)
 	}

@@ -20,6 +20,8 @@ type Matrix struct {
 	alpha  *seq.Alphabet
 	n      int
 	scores []int16 // n*n, row-major
+
+	maxScore, minScore int32 // extremes of scores, fixed at construction
 }
 
 // NewMatrix builds a matrix from a full n×n score table in alphabet code
@@ -37,6 +39,7 @@ func NewMatrix(name string, alpha *seq.Alphabet, table [][]int16) (*Matrix, erro
 		}
 		copy(m.scores[i*n:(i+1)*n], row)
 	}
+	m.setExtremes()
 	return m, nil
 }
 
@@ -54,7 +57,18 @@ func Unit(name string, alpha *seq.Alphabet, match, mismatch int16) *Matrix {
 			}
 		}
 	}
+	m.setExtremes()
 	return m
+}
+
+// setExtremes records the largest and smallest entries, which the kernel
+// tier checks ask for on every group.
+func (m *Matrix) setExtremes() {
+	m.maxScore, m.minScore = int32(m.scores[0]), int32(m.scores[0])
+	for _, s := range m.scores {
+		m.maxScore = max(m.maxScore, int32(s))
+		m.minScore = min(m.minScore, int32(s))
+	}
 }
 
 // Name returns the matrix name.
@@ -90,26 +104,10 @@ func (m *Matrix) IsSymmetric() bool {
 
 // MaxScore returns the largest entry in the matrix (the best achievable
 // per-residue score, used for score-bound reasoning).
-func (m *Matrix) MaxScore() int32 {
-	best := int32(m.scores[0])
-	for _, s := range m.scores {
-		if int32(s) > best {
-			best = int32(s)
-		}
-	}
-	return best
-}
+func (m *Matrix) MaxScore() int32 { return m.maxScore }
 
 // MinScore returns the smallest entry in the matrix.
-func (m *Matrix) MinScore() int32 {
-	worst := int32(m.scores[0])
-	for _, s := range m.scores {
-		if int32(s) < worst {
-			worst = int32(s)
-		}
-	}
-	return worst
-}
+func (m *Matrix) MinScore() int32 { return m.minScore }
 
 // Gap is the affine gap model: a gap of length k >= 1 costs Open + k*Ext.
 type Gap struct {

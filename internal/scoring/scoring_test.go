@@ -141,6 +141,23 @@ func TestMaxScore(t *testing.T) {
 	}
 }
 
+// MaxScore and MinScore are fixed when a matrix is built; they must
+// equal a scan of its entries.
+func TestExtremesMatchScan(t *testing.T) {
+	for _, m := range []*Matrix{BLOSUM62, PAM250, DNAUnit, PaperDNA, Unit("u", seq.Protein, 7, -3)} {
+		n := m.Alphabet().Len()
+		hi, lo := m.Score(0, 0), m.Score(0, 0)
+		for a := 0; a < n; a++ {
+			for b := 0; b < n; b++ {
+				hi, lo = max(hi, m.Score(byte(a), byte(b))), min(lo, m.Score(byte(a), byte(b)))
+			}
+		}
+		if m.MaxScore() != hi || m.MinScore() != lo {
+			t.Errorf("%s: MaxScore, MinScore = %d, %d; a scan gives %d, %d", m.Name(), m.MaxScore(), m.MinScore(), hi, lo)
+		}
+	}
+}
+
 func TestByName(t *testing.T) {
 	for _, name := range []string{"BLOSUM62", "PAM250", "dna-unit", "paper-dna"} {
 		m, ok := ByName(name)
