@@ -1,6 +1,7 @@
 package seedindex
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/scoring"
@@ -21,7 +22,9 @@ var frontEndInputs = []struct {
 }
 
 // BenchmarkFrontEnd times the three stages that decide where to align,
-// each on the output of the one before, under the balanced preset.
+// each on the output of the one before, under the balanced preset. Chain
+// runs on the cores the process has; ChainOneCore pins GOMAXPROCS to 1,
+// so one run at -cpu 2 reads the split's gain as the ratio of the two.
 func BenchmarkFrontEnd(b *testing.B) {
 	for _, in := range frontEndInputs {
 		s := in.s()
@@ -43,6 +46,13 @@ func BenchmarkFrontEnd(b *testing.B) {
 			}
 		})
 		b.Run(in.name+"/Chain", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				ch = Chain(x, cfg)
+			}
+		})
+		b.Run(in.name+"/ChainOneCore", func(b *testing.B) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				ch = Chain(x, cfg)

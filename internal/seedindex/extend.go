@@ -1,6 +1,8 @@
 package seedindex
 
 import (
+	"sync"
+
 	"repro/internal/obs/attrib"
 	"repro/internal/topalign"
 )
@@ -8,8 +10,9 @@ import (
 // scan runs the index and chain stages over s and returns the candidate
 // windows with the statistics of both stages, each stage under a span
 // (prefilter.index, prefilter.chain) of top.SpanParent, so reprotrace
-// attributes prefilter time.
-func scan(s []byte, cfg Config, maxScore int32, top topalign.Config) ([]Candidate, *Stats, error) {
+// attributes prefilter time. chained, when not nil, is called once the
+// chain's workers are done, before the candidates are cut.
+func scan(s []byte, cfg Config, maxScore int32, top topalign.Config, chained func()) ([]Candidate, *Stats, error) {
 	st := &Stats{}
 	if n := int64(len(s)); n > 1 {
 		st.SequenceCells = n * (n - 1) / 2
@@ -26,7 +29,10 @@ func scan(s []byte, cfg Config, maxScore int32, top topalign.Config) ([]Candidat
 
 	sp = top.Spans.Start(top.SpanParent, "prefilter.chain")
 	sp.SetRank(top.SpanRank)
-	ch := Chain(x, cfg)
+	ch := chainOnCores(x, cfg, crew{counters: top.Counters, spans: top.Spans, parent: sp.ID(), rank: top.SpanRank})
+	if chained != nil {
+		chained()
+	}
 	cands := Candidates(ch, cfg, len(s), maxScore)
 	sp.End()
 	st.Pairs, st.Segments, st.Clusters = ch.Pairs, ch.Segments, len(ch.Clusters)
@@ -44,28 +50,32 @@ func scan(s []byte, cfg Config, maxScore int32, top topalign.Config) ([]Candidat
 // span (prefilter.extend) beside scan's two. Group lanes do not apply to
 // windowed extension and are ignored.
 func Find(s []byte, cfg Config, top topalign.Config) (*topalign.Result, *Stats, error) {
-	e, engErr := topalign.NewEngine(s, top)
-	if engErr == nil {
-		// The query profile the extension reads, built on another core
-		// beside the index and chain stages, and billed to the run.
-		profiled := make(chan struct{})
+	e, err := topalign.NewEngine(s, top)
+	if err != nil {
+		return nil, nil, err
+	}
+	// The query profile the extension reads is built on another core
+	// beside the candidates stage, once the chain's workers are done: it
+	// holds an engaged place, billed to the run, and gives it back before
+	// the extension sizes its helpers.
+	var profiled sync.WaitGroup
+	cands, st, err := scan(s, cfg, top.Params.Exch.MaxScore(), top, func() {
+		profiled.Add(1)
+		topalign.Engage()
 		go func() {
-			defer close(profiled)
+			defer profiled.Done()
+			defer topalign.Release()
 			var sw attrib.Stopwatch
 			sw.Start()
 			e.WindowProfile()
 			top.Counters.AddCPU(sw.Stop())
 		}()
-		defer func() { <-profiled }()
-	}
-	cands, st, err := scan(s, cfg, top.Params.Exch.MaxScore(), top)
+	})
 	if err != nil {
 		return nil, nil, err
 	}
-	if engErr != nil {
-		return nil, nil, engErr
-	}
 	tasks := windowTasks(cands, e.Config().MinScore, st)
+	profiled.Wait()
 
 	sp := top.Spans.Start(top.SpanParent, "prefilter.extend")
 	sp.SetRank(top.SpanRank)
@@ -108,7 +118,7 @@ func windowTasks(cands []Candidate, minScore int32, st *Stats) []*topalign.Task 
 // come from the exact engine (bit-identical by construction) while the
 // scan supplies prefilter telemetry for the report and trace.
 func Scan(s []byte, cfg Config, maxScore int32) (*Stats, error) {
-	cands, st, err := scan(s, cfg, maxScore, topalign.Config{})
+	cands, st, err := scan(s, cfg, maxScore, topalign.Config{}, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package seedindex
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/align"
@@ -67,7 +68,9 @@ func FuzzSeedIndex(f *testing.F) {
 // relies on: every candidate window validates against the sequence
 // length (Y1 < X0 included), bounds are positive, match the admissible
 // closed form, and candidates arrive in deterministic sorted order — and
-// every stage equals the sort-based oracle's.
+// every stage equals the sort-based oracle's. Its inputs are too short
+// for Chain to split, so it also chains each in three parts, which must
+// change nothing.
 func FuzzChainCandidates(f *testing.F) {
 	fuzzSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte, k int, maxOcc int, mask string) {
@@ -86,7 +89,14 @@ func FuzzChainCandidates(f *testing.F) {
 		}
 		m, _ := scoring.ByName("BLOSUM62")
 		maxScore := m.MaxScore()
-		cands := Candidates(Chain(x, cfg), cfg, len(data), maxScore)
+		ch := Chain(x, cfg)
+		split := newChainer(x, cfg, 3)
+		split.segments(crew{})
+		if got := split.chain(crew{}); !reflect.DeepEqual(got, ch) {
+			t.Fatalf("three parts chain %d pairs %d segments %d clusters, one part %d/%d/%d",
+				got.Pairs, got.Segments, len(got.Clusters), ch.Pairs, ch.Segments, len(ch.Clusters))
+		}
+		cands := Candidates(ch, cfg, len(data), maxScore)
 		if len(cands) > cfg.MaxCandidates {
 			t.Fatalf("%d candidates exceed cap %d", len(cands), cfg.MaxCandidates)
 		}

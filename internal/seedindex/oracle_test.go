@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"cmp"
 	"fmt"
+	"reflect"
 	"slices"
 	"sort"
 	"testing"
@@ -14,9 +15,9 @@ import (
 
 // The oracle is the front end this package ran before the flat index: a
 // map of posting lists, pairs put in (d, i) order by a comparison sort,
-// segments put in (band, Start, D) order by another, candidates sorted
-// through sort.Slice. Every stage of the real one must match it element
-// for element.
+// segments merged diagonal by diagonal and put in (band, Start, D) order
+// by another, candidates sorted through sort.Slice. Every stage of the
+// real one must match it element for element.
 
 type oracleIndex struct {
 	post    map[uint64][]int32
@@ -65,7 +66,9 @@ type oraclePair uint64
 func (p oraclePair) d() int { return int(p >> 32) }
 func (p oraclePair) i() int { return int(uint32(p)) }
 
-func oracleChain(x *oracleIndex, cfg Config) ([]oraclePair, []Segment, []Cluster) {
+// oracleChain returns the pairs in (d, i) order, the segments — clusters
+// of one diagonal — in (band, Start, D) order, and the clusters.
+func oracleChain(x *oracleIndex, cfg Config) ([]oraclePair, []Cluster, []Cluster) {
 	span := cfg.Span()
 	var pairs []oraclePair
 	for _, key := range x.keys {
@@ -82,20 +85,20 @@ func oracleChain(x *oracleIndex, cfg Config) ([]oraclePair, []Segment, []Cluster
 	}
 	slices.Sort(pairs)
 
-	var segs []Segment
+	var segs []Cluster
 	for k := 0; k < len(pairs); {
 		d, i := pairs[k].d(), pairs[k].i()
-		seg := Segment{D: int32(d), Start: int32(i), End: int32(i + span), Covered: int32(span), Seeds: 1}
+		seg := Cluster{IStart: int32(i), IEnd: int32(i + span), DMin: int32(d), DMax: int32(d), Covered: int32(span), Seeds: 1}
 		k++
-		for k < len(pairs) && pairs[k].d() == d && pairs[k].i() <= int(seg.End)+cfg.MergeGap {
+		for k < len(pairs) && pairs[k].d() == d && pairs[k].i() <= int(seg.IEnd)+cfg.MergeGap {
 			i = pairs[k].i()
-			if end := i + span; end > int(seg.End) {
-				cov := end - int(seg.End)
+			if end := i + span; end > int(seg.IEnd) {
+				cov := end - int(seg.IEnd)
 				if cov > span {
 					cov = span
 				}
 				seg.Covered += int32(cov)
-				seg.End = int32(end)
+				seg.IEnd = int32(end)
 			}
 			seg.Seeds++
 			k++
@@ -103,42 +106,38 @@ func oracleChain(x *oracleIndex, cfg Config) ([]oraclePair, []Segment, []Cluster
 		segs = append(segs, seg)
 	}
 
-	// The band merge consumes segments in this order without storing it.
-	merged := slices.Clone(segs)
-	band := func(s Segment) int { return int(s.D) / cfg.BandWidth }
-	slices.SortFunc(merged, func(a, b Segment) int {
-		return cmp.Or(cmp.Compare(band(a), band(b)), cmp.Compare(a.Start, b.Start), cmp.Compare(a.D, b.D))
+	band := func(s Cluster) int { return int(s.DMin) / cfg.BandWidth }
+	slices.SortFunc(segs, func(a, b Cluster) int {
+		return cmp.Or(cmp.Compare(band(a), band(b)), cmp.Compare(a.IStart, b.IStart), cmp.Compare(a.DMin, b.DMin))
 	})
 	var clusters []Cluster
-	for k := 0; k < len(merged); {
-		cl := Cluster{IStart: merged[k].Start, IEnd: merged[k].End,
-			DMin: merged[k].D, DMax: merged[k].D,
-			Covered: merged[k].Covered, Seeds: merged[k].Seeds}
-		covEnd := merged[k].End
-		b := band(merged[k])
+	for k := 0; k < len(segs); {
+		cl := segs[k]
+		covEnd := segs[k].IEnd
+		b := band(segs[k])
 		k++
-		for k < len(merged) && band(merged[k]) == b && int(merged[k].Start) <= int(cl.IEnd)+cfg.ChainGap {
-			s := merged[k]
-			if s.End > cl.IEnd {
-				cl.IEnd = s.End
+		for k < len(segs) && band(segs[k]) == b && int(segs[k].IStart) <= int(cl.IEnd)+cfg.ChainGap {
+			s := segs[k]
+			if s.IEnd > cl.IEnd {
+				cl.IEnd = s.IEnd
 			}
-			if s.D < cl.DMin {
-				cl.DMin = s.D
+			if s.DMin < cl.DMin {
+				cl.DMin = s.DMin
 			}
-			if s.D > cl.DMax {
-				cl.DMax = s.D
+			if s.DMax > cl.DMax {
+				cl.DMax = s.DMax
 			}
-			from := s.Start
+			from := s.IStart
 			if covEnd > from {
 				from = covEnd
 			}
-			if newLen := s.End - from; newLen > 0 {
+			if newLen := s.IEnd - from; newLen > 0 {
 				cov := s.Covered
 				if cov > newLen {
 					cov = newLen
 				}
 				cl.Covered += cov
-				covEnd = s.End
+				covEnd = s.IEnd
 			}
 			cl.Seeds += s.Seeds
 			k++
@@ -252,7 +251,9 @@ func checkIndexAgainstOracle(t testing.TB, x *Index, s []byte, cfg Config) *orac
 
 // checkAgainstOracle runs both front ends on s and fails on the first
 // stage whose output differs: the index, then pairs, segments, clusters
-// and candidates element for element.
+// and candidates element for element. The pairs are compared in the
+// order the walks visit them, (i, d), and the oracle's are re-sorted to
+// it; the segments in the order they are placed, (band, Start, D).
 func checkAgainstOracle(t testing.TB, s []byte, cfg Config, maxScore int32) {
 	t.Helper()
 	x, err := BuildIndex(s, cfg)
@@ -261,25 +262,16 @@ func checkAgainstOracle(t testing.TB, s []byte, cfg Config, maxScore int32) {
 	}
 	ox := checkIndexAgainstOracle(t, x, s, cfg)
 	wantPairs, wantSegs, wantClusters := oracleChain(ox, cfg)
-	pairs, end := seedPairs(x, cfg.SuccPairs)
+	slices.SortFunc(wantPairs, func(a, b oraclePair) int { return cmp.Or(cmp.Compare(a.i(), b.i()), cmp.Compare(a.d(), b.d())) })
+	c := newChainer(x, cfg, 1)
 	var gotPairs []oraclePair
-	var segs []Segment
-	for d := 1; d < len(end); d++ {
-		is := pairs[end[d-1]:end[d]]
-		for _, i := range is {
-			gotPairs = append(gotPairs, oraclePair(d)<<32|oraclePair(i))
-		}
-		for len(is) > 0 {
-			var seg Segment
-			seg, is = mergeSegment(int32(d), is, int32(cfg.Span()), cfg.MergeGap)
-			segs = append(segs, seg)
-		}
-	}
+	c.pairs(0, len(x.next), func(i, d int) { gotPairs = append(gotPairs, oraclePair(d)<<32|oraclePair(i)) })
 	if !slices.Equal(gotPairs, wantPairs) {
 		t.Fatalf("pairs differ: %d, oracle %d%s", len(gotPairs), len(wantPairs), firstDiff(gotPairs, wantPairs))
 	}
-	if !slices.Equal(segs, wantSegs) {
-		t.Fatalf("segments differ: %d, oracle %d%s", len(segs), len(wantSegs), firstDiff(segs, wantSegs))
+	c.segments(crew{})
+	if !slices.Equal(c.segs, wantSegs) {
+		t.Fatalf("segments differ: %d, oracle %d%s", len(c.segs), len(wantSegs), firstDiff(c.segs, wantSegs))
 	}
 	ch := Chain(x, cfg)
 	if ch.Pairs != len(wantPairs) || ch.Segments != len(wantSegs) {
@@ -303,15 +295,21 @@ func firstDiff[T comparable](got, want []T) string {
 	return ""
 }
 
-// TestChainMatchesOracle holds the sort-free front end to the sort-based
-// one it replaced, stage by stage, over inputs that reach each of its
-// branches: dense protein diagonals (every band a full merge), tandem
-// DNA whose segments start together on neighbouring diagonals (the tie
-// rule), homopolymer runs over the occurrence cap, windows skipped for
-// ambiguity codes, inputs shorter than the seed, a spaced mask, and the
-// knobs at both ends (one successor or eight, one-diagonal bands or
-// sixteen, a pad that makes windows share a top row).
-func TestChainMatchesOracle(t *testing.T) {
+// oracleCase is one input and configuration of the oracle's table.
+type oracleCase struct {
+	name string
+	s    []byte
+	cfg  Config
+}
+
+// oracleCases are inputs that reach each branch of the front end: dense
+// protein diagonals, tandem DNA whose segments start together on
+// neighbouring diagonals (the tie rule), homopolymer runs over the
+// occurrence cap, windows skipped for ambiguity codes, inputs shorter
+// than the seed, a spaced mask, and the knobs at both ends (one
+// successor or eight, one-diagonal bands or sixteen, a pad that makes
+// windows share a top row, gaps and bands wider than the input).
+func oracleCases(t testing.TB) []oracleCase {
 	tandem := func(subst float64, seed uint64) []byte {
 		return seq.Tandem(seq.TandemSpec{Alpha: seq.DNA, UnitLen: 37, Copies: 40, FlankLen: 100,
 			Profile: seq.MutationProfile{SubstRate: subst, IndelRate: 0.02, IndelExt: 0.5}, Seed: seed}).Codes
@@ -336,9 +334,11 @@ func TestChainMatchesOracle(t *testing.T) {
 		{"shorter-than-span", 20, []byte{3, 1}},
 		{"empty", 4, nil},
 	}
+	var cases []oracleCase
 	for _, in := range inputs {
-		cfgs := map[string]Config{}
-		add := func(name string, cfg Config) { cfgs[name] = cfg }
+		add := func(name string, cfg Config) {
+			cases = append(cases, oracleCase{in.name + "/" + name, in.s, cfg})
+		}
 		for _, preset := range []string{PresetFast, PresetBalanced} {
 			cfg, err := PresetConfig(preset, in.base)
 			if err != nil {
@@ -365,10 +365,81 @@ func TestChainMatchesOracle(t *testing.T) {
 		// neither sizes an array nor wraps an int32
 		knobs.BandWidth, knobs.MergeGap, knobs.ChainGap = 1<<40, 1<<40, 1<<40
 		add("unbounded", knobs)
-		for name, cfg := range cfgs {
-			t.Run(in.name+"/"+name, func(t *testing.T) {
-				checkAgainstOracle(t, in.s, cfg, 11)
-			})
+	}
+	return cases
+}
+
+// TestChainMatchesOracle holds the sort-free front end to the sort-based
+// one it replaced, stage by stage, over the oracle's table.
+func TestChainMatchesOracle(t *testing.T) {
+	for _, c := range oracleCases(t) {
+		t.Run(c.name, func(t *testing.T) {
+			checkAgainstOracle(t, c.s, c.cfg, 11)
+		})
+	}
+}
+
+// TestChainSplitInvariance: whatever the part count — more parts than
+// bands or than positions, parts whose walk range or band range is
+// empty — the segments are placed and the clusters chained exactly as by
+// one part, over the oracle's table.
+func TestChainSplitInvariance(t *testing.T) {
+	for _, c := range oracleCases(t) {
+		t.Run(c.name, func(t *testing.T) {
+			x, err := BuildIndex(c.s, c.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var wantSegs []Cluster
+			var want ChainResult
+			for parts := 1; parts <= 5; parts++ {
+				ch := newChainer(x, c.cfg, parts)
+				ch.segments(crew{})
+				segs := slices.Clone(ch.segs)
+				got := ch.chain(crew{})
+				if parts == 1 {
+					wantSegs, want = segs, got
+					continue
+				}
+				if !slices.Equal(segs, wantSegs) {
+					t.Fatalf("%d parts: segments differ from one part's%s", parts, firstDiff(segs, wantSegs))
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%d parts: %d pairs %d segments %d clusters, one part %d/%d/%d%s", parts,
+						got.Pairs, got.Segments, len(got.Clusters), want.Pairs, want.Segments, len(want.Clusters),
+						firstDiff(got.Clusters, want.Clusters))
+				}
+			}
+		})
+	}
+}
+
+// TestChainSplitAnyBoundary moves the boundary between two parts across
+// every position of a mutated tandem array, so that some boundary falls
+// right after each seed, within reach of the next on its diagonal and
+// exactly at reach: the part after must skip a segment's seeds exactly
+// when the part before follows it past the boundary.
+func TestChainSplitAnyBoundary(t *testing.T) {
+	s := seq.Tandem(seq.TandemSpec{UnitLen: 23, Copies: 12, FlankLen: 20,
+		Profile: seq.MutationProfile{SubstRate: 0.15, IndelRate: 0.02, IndelExt: 0.5}, Seed: 3}).Codes
+	for _, gap := range []int{0, 8} {
+		cfg := testConfig()
+		cfg.MergeGap = gap
+		x, err := BuildIndex(s, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		one := newChainer(x, cfg, 1)
+		one.segments(crew{})
+		want := one.chain(crew{})
+		for b := 0; b <= len(s); b++ {
+			c := newChainer(x, cfg, 2)
+			c.parts[0].hi, c.parts[1].lo = b, b
+			c.segments(crew{})
+			if got := c.chain(crew{}); !reflect.DeepEqual(got, want) {
+				t.Fatalf("merge gap %d, boundary at %d: %d segments %d clusters, one part %d/%d%s", gap, b,
+					got.Segments, len(got.Clusters), want.Segments, len(want.Clusters), firstDiff(got.Clusters, want.Clusters))
+			}
 		}
 	}
 }

@@ -11,9 +11,10 @@
 //
 //	index  — k-mer/spaced-seed index over the input, one next-occurrence
 //	         link per position, with per-seed occurrence caps (BuildIndex)
-//	chain  — seed pairs by diagonal -> segments -> band clusters (Chain)
+//	chain  — seed pairs in position order -> segments placed by band ->
+//	         band clusters (Chain), on the cores the process can spare
 //	         -> candidate windows with admissible score upper bounds
-//	         (Candidates); counting passes and merges in place of sorts
+//	         (Candidates); counting passes in place of sorts
 //	extend — banded windowed extension through the topalign best-first
 //	         queue, so pruning stays sound (Find)
 //

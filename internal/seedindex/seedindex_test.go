@@ -2,11 +2,15 @@ package seedindex
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/align"
+	"repro/internal/obs/attrib"
+	"repro/internal/obs/trace"
 	"repro/internal/scoring"
 	"repro/internal/seq"
+	"repro/internal/stats"
 	"repro/internal/topalign"
 )
 
@@ -249,4 +253,52 @@ func TestExtendAllocatesPerRunNotPerWindow(t *testing.T) {
 		t.Errorf("%.0f allocations for %d windows, want fewer than one per window", allocs, windows)
 	}
 	t.Logf("%.0f allocations, %d windows", allocs, windows)
+}
+
+// TestFindRejectsEngineFirst: a run whose engine configuration is invalid
+// fails before the prefilter starts — no index is built and no stage span
+// recorded — with the engine's error, even when the prefilter
+// configuration is invalid too.
+func TestFindRejectsEngineFirst(t *testing.T) {
+	col := trace.NewCollector(0, 0)
+	id := trace.NewTraceID()
+	top := topalign.Config{Params: align.Params{Exch: scoring.BLOSUM62, Gap: scoring.DefaultProteinGap},
+		NumTops: 0, Spans: col.Rec(id)}
+	cfg := testConfig()
+	cfg.K = 0 // BuildIndex would reject this
+	_, _, err := Find(seq.SyntheticTitin(2000, 1).Codes, cfg, top)
+	if err == nil || !strings.Contains(err.Error(), "NumTops") {
+		t.Fatalf("Find returned %v, want the engine's NumTops error", err)
+	}
+	if spans, _, _ := col.Get(id); len(spans) != 0 {
+		t.Fatalf("Find recorded %d spans (first %q) before rejecting the engine config", len(spans), spans[0].Name)
+	}
+}
+
+// TestChainBillsItsWorkers: a chain split in two bills the second part's
+// thread CPU to the run's counters; one part bills nothing, as the
+// caller's own stopwatch covers it.
+func TestChainBillsItsWorkers(t *testing.T) {
+	if !attrib.ThreadCPUSupported() {
+		t.Skip("no per-thread CPU clock on this platform")
+	}
+	s := seq.SyntheticTitin(20000, 1).Codes
+	cfg, err := PresetConfig(PresetBalanced, 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, err := BuildIndex(s, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, parts := range []int{1, 2} {
+		counters := &stats.Counters{}
+		cr := crew{counters: counters}
+		c := newChainer(x, cfg, parts)
+		c.segments(cr)
+		c.chain(cr)
+		if cpu := counters.Snapshot().CPUNanos; (cpu > 0) != (parts > 1) {
+			t.Errorf("%d parts billed %d ns of thread CPU", parts, cpu)
+		}
+	}
 }
