@@ -1,7 +1,8 @@
 // Package align implements the Smith-Waterman/Gotoh local alignment
 // kernels of the paper (Figure 3), including the override-masked variants
 // used during top-alignment search, the cache-aware striped kernel of
-// Section 4.1, and full-matrix traceback.
+// Section 4.1, and traceback, over a whole matrix or through row blocks
+// recomputed from a masked pass's checkpoints.
 //
 // Conventions: s1 is the vertical sequence (the prefix of a split), s2
 // the horizontal one (the suffix). Matrix coordinates are 1-based:

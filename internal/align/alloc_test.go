@@ -47,31 +47,61 @@ func TestScoreKernelsZeroAllocsWarm(t *testing.T) {
 	}
 }
 
-// The traceback path reuses the Scratch full-matrix arena and pair
-// accumulator; on a warm scratch a same-size traceback should stay
-// within a couple of allocations (the returned Alignment itself).
+// The traceback paths reuse the Scratch arenas — the matrix or block
+// arena, the checkpoints and the pair accumulator; on a warm scratch a
+// same-size traceback should stay within a couple of allocations (the
+// returned Alignment itself): the full-matrix Traceback, and the block
+// traceback after the masked pass that keeps its checkpoints, with the
+// window in blocks of the default height and of a few rows.
 func TestTracebackLowAllocsWarm(t *testing.T) {
 	p := Params{Exch: scoring.BLOSUM62, Gap: scoring.DefaultProteinGap}
 	full := seq.SyntheticTitin(200, 5)
 	r := full.Len() / 2
 	s1, s2 := full.Codes[:r], full.Codes[r:]
+	w := Rect{Y0: 1, Y1: r, X0: r + 1, X1: full.Len()}
+	tri := triangle.New(full.Len())
+	tri.Set(10, 150)
 
 	sc := NewScratch()
-	run := func() {
-		mtx := sc.Matrix(p, s1, s2, nil, r)
-		endX, _, _ := BestValidEnd(mtx[len(s1)][1:], nil)
-		if endX == 0 {
-			t.Fatal("no alignment end found")
-		}
-		if _, err := sc.Traceback(p, mtx, s1, s2, nil, r, endX); err != nil {
+	cases := []struct {
+		name string
+		k    int // block rows; 0 = the default
+		run  func()
+	}{
+		{"matrix", 0, func() {
+			mtx := sc.Matrix(p, s1, s2, nil, r)
+			endX, _, _ := BestValidEnd(mtx[len(s1)][1:], nil)
+			if endX == 0 {
+				t.Fatal("no alignment end found")
+			}
+			if _, err := sc.Traceback(p, mtx, s1, s2, nil, r, endX); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"blocks", 0, nil},
+		{"blocks of 7 rows", 7, nil},
+	}
+	blocks := func() {
+		sc.ScoreWindow(p, full.Codes, w, tri)
+		if _, err := sc.TracebackBlocks(p, full.Codes, w, tri, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
-	run()
-	// The Alignment struct and its retained Pairs copy are returned to
-	// the caller, so they are necessarily fresh allocations; everything
-	// else must come from the arena.
-	if allocs := testing.AllocsPerRun(20, run); allocs > 3 {
-		t.Errorf("traceback: %.1f allocs/op on warm scratch, want <= 3", allocs)
+	for _, c := range cases {
+		if c.run == nil {
+			c.run = blocks
+		}
+		restore := setBlockRows(c.k)
+		c.run()
+		// The Alignment struct and its retained Pairs copy are returned to
+		// the caller, so they are necessarily fresh allocations; everything
+		// else must come from the arena.
+		if allocs := testing.AllocsPerRun(20, c.run); allocs > 3 {
+			t.Errorf("traceback (%s): %.1f allocs/op on warm scratch, want <= 3", c.name, allocs)
+		}
+		if c.k > 0 && sc.Blocks() < 2 {
+			t.Errorf("traceback (%s): %d blocks, want several", c.name, sc.Blocks())
+		}
+		restore()
 	}
 }

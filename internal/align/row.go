@@ -22,7 +22,8 @@ import (
 // window's first column, the vertical residue codes and the profile's
 // row stride, and swaps its two row buffers after each row, so an
 // unmasked pass is one call. A masked pass is one call per row, because
-// zeroMasked runs between rows.
+// zeroMasked runs between rows, and keeps its checkpoint rows (keepRow)
+// for the block traceback.
 
 // Profile is the query profile of the vector kernels: row a holds
 // Exch[a][h[x]] for every position x of one horizontal sequence h, so a
@@ -247,6 +248,7 @@ func (sc *Scratch) rowsU8(p Params, s1, h []byte, x0, n int, tri *triangle.Trian
 			zeroMasked(cur[2:2+n], tri, dy+y, dx+1)
 			prev, cur = cur, prev
 			maxY, maxYout = maxYout, maxY
+			keepRow(&sc.ck, dy+y, prev[2:2+n], maxY[:n])
 		}
 	}
 	sc.prev8, sc.cur8, sc.maxY8, sc.maxYout8 = prev, cur, maxY, maxYout // keep the swaps so reuse stays coherent
@@ -261,22 +263,36 @@ func (sc *Scratch) rowsU8(p Params, s1, h []byte, x0, n int, tri *triangle.Trian
 // and a chain at or below 0 stays there.
 func (sc *Scratch) handOver(n int) {
 	nb := (n + RowBlock - 1) / RowBlock
+	widen(growI16(&sc.prev16, 2+RowBlock*nb), sc.prev8)
+	widen(growI16(&sc.maxY16, RowBlock*nb), sc.maxY8)
+}
+
+// load16 loads a checkpoint's state — a row's cells and the column gap
+// maxima the row below starts from, int32, n columns — into the int16
+// row buffers, so that rows16 carries on from there. Every cell fits:
+// the int16 rung only serves matrices whose cells it proves below
+// SatLimit16. A gap maximum below NegInf16 is NegInf16: any value <= 0
+// stands for every other one (handOver).
+func (sc *Scratch) load16(cells, maxY []int32, n int) {
+	nb := (n + RowBlock - 1) / RowBlock
 	prev := growI16(&sc.prev16, 2+RowBlock*nb)
-	maxY := growI16(&sc.maxY16, RowBlock*nb)
-	for i := range prev {
-		prev[i] = int16(sc.prev8[i])
+	mY := growI16(&sc.maxY16, RowBlock*nb)
+	clear(prev)
+	widen(prev[2:2+n], cells)
+	for i := range mY {
+		mY[i] = NegInf16
 	}
-	for i := range maxY {
-		maxY[i] = int16(sc.maxY8[i])
+	for i, v := range maxY[:n] {
+		mY[i] = int16(max(v, NegInf16))
 	}
 }
 
 // rows16 runs the int16 row kernel over every row of the matrix of s1
 // against columns h[x0:x0+n] and returns the bottom row's buffer (in the
 // layout above). It starts from the zero boundary row, or, when resume is
-// set, from the state handOver left in the row buffers. When flat is not
-// nil it is a traceback matrix arena of the given row stride in the same
-// layout, and every row is also written there widened to int32.
+// set, from the state handOver or load16 left in the row buffers. When
+// flat is not nil it is a matrix arena of the given row stride in the
+// same layout, and every row is also written there widened to int32.
 // Unmasked, the pass is one kernel call.
 func (sc *Scratch) rows16(p Params, s1, h []byte, x0, n int, tri *triangle.Triangle, dy, dx int, flat []int32, stride int, resume bool) []int16 {
 	nb := (n + RowBlock - 1) / RowBlock
@@ -309,10 +325,12 @@ func (sc *Scratch) rows16(p Params, s1, h []byte, x0, n int, tri *triangle.Trian
 		for y := 1; y <= len(s1); y++ {
 			scan16(&prev[0], &cur[2], &maxY[0], base, &s1[y-1], 1, 2*prof.stride, out32(y), nb, open, ext)
 			zeroMasked(cur[2:2+n], tri, dy+y, dx+1)
+			prev, cur = cur, prev
 			if flat != nil {
 				zeroMasked(flat[y*stride+2:y*stride+2+n], tri, dy+y, dx+1)
+			} else {
+				keepRow(&sc.ck, dy+y, prev[2:2+n], maxY[:n])
 			}
-			prev, cur = cur, prev
 		}
 	}
 	sc.prev16, sc.cur16 = prev, cur // keep the swap so reuse stays coherent
@@ -321,8 +339,9 @@ func (sc *Scratch) rows16(p Params, s1, h []byte, x0, n int, tri *triangle.Trian
 
 // rows8 is the exact int32 kernel's driver, in blocks of 8 columns, one
 // call per row. With a traceback arena the rows are computed in place
-// there and the return value is nil.
-func (sc *Scratch) rows8(p Params, s1, h []byte, x0, n int, tri *triangle.Triangle, dy, dx int, flat []int32, stride int) []int32 {
+// there, from the arena's first row and, when resume is set, the column
+// gap maxima in sc.maxY, and the return value is nil.
+func (sc *Scratch) rows8(p Params, s1, h []byte, x0, n int, tri *triangle.Triangle, dy, dx int, flat []int32, stride int, resume bool) []int32 {
 	const block = RowBlock / 2
 	nb := (n + block - 1) / block
 	var prev, cur []int32
@@ -332,9 +351,9 @@ func (sc *Scratch) rows8(p Params, s1, h []byte, x0, n int, tri *triangle.Triang
 		clear(prev)
 		cur[0], cur[1] = 0, 0
 	}
-	maxY := growI32(&sc.maxY, block*nb)
-	for i := range maxY {
-		maxY[i] = negInf
+	maxY := sc.maxY
+	if !resume {
+		maxY = sc.gapMaxima32(n, block)
 	}
 	prof := sc.Profile(p.Exch, h, x0, x0+n)
 	open, ext := p.Gap.Open, p.Gap.Ext
@@ -349,6 +368,9 @@ func (sc *Scratch) rows8(p Params, s1, h []byte, x0, n int, tri *triangle.Triang
 		}
 		if flat == nil {
 			prev, cur = cur, prev
+			if tri != nil {
+				keepRow(&sc.ck, dy+y, prev[2:2+n], maxY[:n])
+			}
 		}
 	}
 	if flat != nil {

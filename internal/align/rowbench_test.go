@@ -12,7 +12,8 @@ import (
 // BenchmarkScoreWindowShapes is the row kernel's shape sweep
 // (EXPERIMENTS.md "Row kernel"): ScoreWindow over four window shapes,
 // then the largest-but-one again against a triangle holding one accepted
-// alignment (a re-alignment) and as a traceback matrix. MB/s reads as
+// alignment (a re-alignment), as a whole matrix, and as the block
+// traceback that reads the re-alignment's checkpoints. MB/s reads as
 // Mcells/s; run it under each REPRO_KERNEL_TIER for the three rungs.
 func BenchmarkScoreWindowShapes(b *testing.B) {
 	p := Params{Exch: scoring.BLOSUM62, Gap: scoring.DefaultProteinGap}
@@ -44,7 +45,17 @@ func BenchmarkScoreWindowShapes(b *testing.B) {
 		sc := NewScratch()
 		b.SetBytes(rect.Cells())
 		for i := 0; i < b.N; i++ {
-			sc.MatrixWindow(p, s, rect, tri)
+			matrixWindow(sc, p, s, rect, tri)
+		}
+	})
+	b.Run("700x750/blocks", func(b *testing.B) {
+		sc := NewScratch()
+		sc.ScoreWindow(p, s, rect, tri) // the realignment whose checkpoints the trace reads
+		b.SetBytes(rect.Cells())
+		for i := 0; i < b.N; i++ {
+			if _, err := sc.TracebackBlocks(p, s, rect, tri, nil); err != nil {
+				b.Fatal(err)
+			}
 		}
 	})
 }

@@ -164,8 +164,8 @@ func rowCases(short bool) []rowCase {
 }
 
 // TestRowTiersMatchGoRows is the driver half of the row-kernel harness:
-// under each forced tier, ScoreWindow's bottom row, every MatrixWindow
-// cell, the column gap maxima the call leaves behind and the traceback
+// under each forced tier, ScoreWindow's bottom row, every cell of the
+// window's matrix, the column gap maxima the call leaves behind and the traceback
 // from the best ending must equal what the forced-scalar tier produces —
 // the Go row gotohRow and its zeroMasked pass, themselves held to the
 // naive oracles by checkWindow and TestMaskedMatchesNaiveBorderProperty —
@@ -183,7 +183,7 @@ func TestRowTiersMatchGoRows(t *testing.T) {
 	}
 	run := func(sc *Scratch, c rowCase) (o outcome) {
 		o.bottom = append(o.bottom, sc.ScoreWindow(c.p, c.s, c.w, c.tri)...)
-		mtx := sc.MatrixWindow(c.p, c.s, c.w, c.tri)
+		mtx := matrixWindow(sc, c.p, c.s, c.w, c.tri)
 		for _, row := range mtx {
 			o.cells = append(o.cells, append([]int32(nil), row...))
 		}
@@ -200,7 +200,7 @@ func TestRowTiersMatchGoRows(t *testing.T) {
 		}
 		if endX, _, _ := BestValidEnd(o.bottom, nil); endX > 0 {
 			var err error
-			if o.aln, err = sc.TracebackWindow(c.p, mtx, c.s, c.w, c.tri, endX); err != nil {
+			if o.aln, err = tracebackWindow(sc, c.p, mtx, c.s, c.w, c.tri, endX); err != nil {
 				t.Fatalf("%s: traceback: %v", c.name, err)
 			}
 		}
@@ -406,7 +406,7 @@ func TestByteHandOverProperty(t *testing.T) {
 				restore := forceTier(t, TierScalar)
 				ref := new(Scratch)
 				want := append([]int32(nil), ref.ScoreWindow(c.p, c.s, w, mask)...)
-				mtx := ref.MatrixWindow(c.p, c.s, w, mask)
+				mtx := matrixWindow(ref, c.p, c.s, w, mask)
 				restore()
 				if !equalI32(got, want) {
 					t.Fatalf("%s: bottom row differs from the Go row's", where)

@@ -39,9 +39,21 @@ func ScoreMasked(p Params, s1, s2 []byte, tri *triangle.Triangle, r int) []int32
 // hands over to the int16 rung, which computes that row again and the
 // rows below it, and the flagged row's cells are counted as wasted
 // (Scratch.Wasted). The tier that served the call is recorded for
-// Scratch.Tier: int16x16 for a pass that handed over. All working memory
-// comes from the receiver; the returned bottom row is arena-owned.
+// Scratch.Tier: int16x16 for a pass that handed over. A masked pass
+// keeps checkpoints for the block traceback (TracebackBlocks). All
+// working memory comes from the receiver; the returned bottom row is
+// arena-owned.
 func (sc *Scratch) score(p Params, s1, h []byte, x0, x1 int, tri *triangle.Triangle, dy, dx int, byteOK bool) []int32 {
+	sc.ck.start(s1, x1-x0, tri, dy)
+	bottom := sc.pass(p, s1, h, x0, x1, tri, dy, dx, byteOK)
+	if tri != nil {
+		sc.ck.finish(p, s1, h[x0:x1], tri, dx, bottom)
+	}
+	return bottom
+}
+
+// pass is score's row loop, on the rungs it names.
+func (sc *Scratch) pass(p Params, s1, h []byte, x0, x1 int, tri *triangle.Triangle, dy, dx int, byteOK bool) []int32 {
 	s2 := h[x0:x1]
 	len1, len2 := len(s1), len(s2)
 	bottom := growI32(&sc.bottom, len2)
@@ -68,7 +80,7 @@ func (sc *Scratch) score(p Params, s1, h []byte, x0, x1 int, tri *triangle.Trian
 		}
 		return bottom
 	case TierInt32x8:
-		copy(bottom, sc.rows8(p, s1, h, x0, len2, tri, dy, dx, nil, 0)[2:])
+		copy(bottom, sc.rows8(p, s1, h, x0, len2, tri, dy, dx, nil, 0, false)[2:])
 		return bottom
 	}
 	prev := growI32(&sc.prev, len2+1) // M[y-1][*]
@@ -83,10 +95,11 @@ func (sc *Scratch) score(p Params, s1, h []byte, x0, x1 int, tri *triangle.Trian
 	for y := 1; y <= len1; y++ {
 		cur[0] = 0
 		gotohRow(prev, cur, maxY, p.Exch.Row(s1[y-1]), s2, open, ext, negInf)
-		if tri != nil {
-			zeroMasked(cur[1:], tri, dy+y, dx+1)
-		}
 		prev, cur = cur, prev
+		if tri != nil {
+			zeroMasked(prev[1:], tri, dy+y, dx+1)
+			keepRow(&sc.ck, dy+y, prev[1:], maxY[1:])
+		}
 	}
 	sc.prev, sc.cur = prev, cur // keep the swap so reuse stays coherent
 	copy(bottom, prev[1:])

@@ -35,10 +35,12 @@ type Scratch struct {
 	tier                  Tier     // tier of the last score or matrix call
 	wasted                int64    // cells the last call's flagged byte pass threw away
 
-	flat []int32   // full-matrix arena (traceback path)
+	flat []int32   // matrix arena: a whole matrix or one traceback block
 	rows [][]int32 // row headers over flat
 
-	rev []Pair // traceback path accumulator
+	ck  checkpoints // the last masked score pass's, for the block traceback
+	src tbSource    // the rows traceback reads
+	rev []Pair      // traceback path accumulator
 }
 
 // NewScratch returns an empty Scratch.

@@ -63,21 +63,3 @@ func (sc *Scratch) ScoreWindow(p Params, s []byte, w Rect, tri *triangle.Triangl
 func (sc *Scratch) ScoreWindowWide(p Params, s []byte, w Rect, tri *triangle.Triangle) []int32 {
 	return sc.score(p, s[w.Y0-1:w.Y1], s, w.X0-1, w.X1, tri, w.Y0-1, w.X0-1, false)
 }
-
-// MatrixWindow computes the full windowed matrix with rows 0..H and
-// columns 0..W (row and column 0 are the zero boundary); cell (y, x)
-// covers global pair (w.Y0-1+y, w.X0-1+x). Used for tracebacks of
-// accepted alignments. The matrix is arena-owned and valid until the
-// next call on sc.
-func (sc *Scratch) MatrixWindow(p Params, s []byte, w Rect, tri *triangle.Triangle) [][]int32 {
-	return sc.matrix(p, s[w.Y0-1:w.Y1], s, w.X0-1, w.X1, tri, w.Y0-1, w.X0-1)
-}
-
-// TracebackWindow reconstructs the alignment ending at window bottom-row
-// column endX (1-based, window-local) from a matrix produced by
-// MatrixWindow with the same parameters and mask. Returned pairs are in
-// window-local coordinates; callers map (Y, X) to global positions
-// (w.Y0-1+Y, w.X0-1+X).
-func (sc *Scratch) TracebackWindow(p Params, m [][]int32, s []byte, w Rect, tri *triangle.Triangle, endX int) (Alignment, error) {
-	return sc.traceback(p, m, s[w.Y0-1:w.Y1], s[w.X0-1:w.X1], tri, w.Y0-1, w.X0-1, endX)
-}

@@ -88,9 +88,9 @@ func TestScoreWindowSubwindowConsistency(t *testing.T) {
 	}
 }
 
-// checkWindow holds the three windowed entry points to the naiveWindow
-// oracle on one rectangle and one mask (nil = unmasked): ScoreWindow's
-// bottom row, every MatrixWindow cell, and — when the window holds a
+// checkWindow holds the windowed kernels to the naiveWindow oracle on
+// one rectangle and one mask (nil = unmasked): ScoreWindow's bottom row,
+// every cell of the window's matrix, and — when the window holds a
 // positive alignment — that the traceback from the best ending lands on
 // the oracle's score over positive, un-overridden, strictly increasing
 // cells — under each kernel tier this CPU has. Shared by the table test
@@ -106,7 +106,7 @@ func checkWindow(t testing.TB, p Params, s []byte, w Rect, mask *triangle.Triang
 
 func checkWindowOnActiveTier(t testing.TB, p Params, s []byte, w Rect, mask *triangle.Triangle) {
 	t.Helper()
-	mtx := new(Scratch).MatrixWindow(p, s, w, mask)
+	mtx := matrixWindow(new(Scratch), p, s, w, mask)
 	bottom := new(Scratch).ScoreWindow(p, s, w, mask)
 	naive := naiveWindow(p, s, w, mask)
 	for x := 1; x <= w.W(); x++ {
@@ -127,7 +127,7 @@ func checkWindowOnActiveTier(t testing.TB, p Params, s []byte, w Rect, mask *tri
 	if endX == 0 {
 		return
 	}
-	a, err := new(Scratch).TracebackWindow(p, mtx, s, w, mask, endX)
+	a, err := tracebackWindow(new(Scratch), p, mtx, s, w, mask, endX)
 	if err != nil {
 		t.Fatalf("window %+v masked=%v: traceback: %v", w, mask != nil, err)
 	}
@@ -182,8 +182,24 @@ func naiveWindow(p Params, s []byte, w Rect, tri *triangle.Triangle) [][]int32 {
 	return m
 }
 
-// TestTracebackWindowMatchesFull checks that windowed traceback over the
-// full split window reconstructs the same pairs as the full traceback.
+// matrixWindow is the window's whole matrix, rows 0..H and columns
+// 0..W (row and column 0 the zero boundary): one block from the zero
+// boundary over every row. Cell (y, x) covers global pair
+// (w.Y0-1+y, w.X0-1+x).
+func matrixWindow(sc *Scratch, p Params, s []byte, w Rect, tri *triangle.Triangle) [][]int32 {
+	return sc.matrix(p, s[w.Y0-1:w.Y1], s, w.X0-1, w.X1, tri, w.Y0-1, w.X0-1, 0, w.H(), nil, nil)
+}
+
+// tracebackWindow is the traceback body over a whole window matrix from
+// matrixWindow; pairs are window-local.
+func tracebackWindow(sc *Scratch, p Params, m [][]int32, s []byte, w Rect, tri *triangle.Triangle, endX int) (Alignment, error) {
+	sc.src = tbSource{m: m}
+	return sc.traceback(p, s[w.Y0-1:w.Y1], s[w.X0-1:w.X1], tri, w.Y0-1, w.X0-1, endX)
+}
+
+// TestTracebackWindowMatchesFull checks that the block traceback over
+// the full split window, forced into blocks of a few rows, reconstructs
+// the same pairs as the full traceback of the split's matrix.
 func TestTracebackWindowMatchesFull(t *testing.T) {
 	p := windowParams(t)
 	s := seq.Tandem(seq.TandemSpec{UnitLen: 18, Copies: 4, FlankLen: 8,
@@ -191,8 +207,8 @@ func TestTracebackWindowMatchesFull(t *testing.T) {
 	m := len(s)
 	r := m / 2
 	w := Rect{Y0: 1, Y1: r, X0: r + 1, X1: m}
+	tri := triangle.New(m) // no pair set: the window is clean, but the pass keeps checkpoints
 	full := Matrix(p, s[:r], s[r:], nil, r)
-	win := new(Scratch).MatrixWindow(p, s, w, nil)
 	endX, score, _ := BestValidEnd(full[r][1:], nil)
 	if endX == 0 {
 		t.Skip("no positive alignment in this synthetic input")
@@ -201,23 +217,28 @@ func TestTracebackWindowMatchesFull(t *testing.T) {
 	if err != nil {
 		t.Fatalf("full traceback: %v", err)
 	}
-	gotA, err := new(Scratch).TracebackWindow(p, win, s, w, nil, endX)
-	if err != nil {
-		t.Fatalf("window traceback: %v", err)
-	}
-	if gotA.Score != wantA.Score || gotA.Score != score {
-		t.Fatalf("scores differ: window %d, full %d, row %d", gotA.Score, wantA.Score, score)
-	}
-	if len(gotA.Pairs) != len(wantA.Pairs) {
-		t.Fatalf("pair counts differ: window %d, full %d", len(gotA.Pairs), len(wantA.Pairs))
-	}
-	for i := range wantA.Pairs {
-		// Full traceback pairs are split-local (Y in prefix, X in suffix);
-		// window pairs are window-local. Both map to the same globals.
-		wg := Pair{Y: wantA.Pairs[i].Y, X: r + wantA.Pairs[i].X}
-		gg := Pair{Y: w.Y0 - 1 + gotA.Pairs[i].Y, X: w.X0 - 1 + gotA.Pairs[i].X}
-		if wg != gg {
-			t.Fatalf("pair %d differs: window %+v, full %+v", i, gg, wg)
+	for _, k := range []int{5, r} {
+		defer setBlockRows(k)()
+		sc := new(Scratch)
+		sc.ScoreWindow(p, s, w, tri)
+		gotA, err := sc.TracebackBlocks(p, s, w, tri, nil)
+		if err != nil {
+			t.Fatalf("k=%d: block traceback: %v", k, err)
+		}
+		if gotA.Score != wantA.Score || gotA.Score != score {
+			t.Fatalf("k=%d: scores differ: blocks %d, full %d, row %d", k, gotA.Score, wantA.Score, score)
+		}
+		if len(gotA.Pairs) != len(wantA.Pairs) {
+			t.Fatalf("k=%d: pair counts differ: blocks %d, full %d", k, len(gotA.Pairs), len(wantA.Pairs))
+		}
+		for i := range wantA.Pairs {
+			// Full traceback pairs are split-local (Y in prefix, X in suffix);
+			// window pairs are window-local. Both map to the same globals.
+			wg := Pair{Y: wantA.Pairs[i].Y, X: r + wantA.Pairs[i].X}
+			gg := Pair{Y: w.Y0 - 1 + gotA.Pairs[i].Y, X: w.X0 - 1 + gotA.Pairs[i].X}
+			if wg != gg {
+				t.Fatalf("k=%d: pair %d differs: blocks %+v, full %+v", k, i, gg, wg)
+			}
 		}
 	}
 }

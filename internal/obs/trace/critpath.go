@@ -61,7 +61,7 @@ func Category(name string) string {
 		return CatDispatch
 	case "cluster.dispatch", "slave.job", "slave.row_fetch":
 		return CatComm
-	case "slave.kernel", "engine.accept", "parallel.worker", "topalign.lookahead":
+	case "slave.kernel", "engine.accept", "engine.accept.pass", "parallel.worker", "topalign.lookahead":
 		return CatKernel
 	case "slave.kernel.wasted":
 		return CatSpecWaste

@@ -342,3 +342,27 @@ func TestJSONRoundTripAndChrome(t *testing.T) {
 	}
 
 }
+
+// An accept's own checkpointing pass is kernel time like the accept
+// around it: an engine span holding an engine.accept with an
+// engine.accept.pass child attributes both to the kernel.
+func TestCriticalPathAcceptPassIsKernel(t *testing.T) {
+	rootID, aID := NewSpanID(), NewSpanID()
+	spans := []Span{
+		{ID: rootID, Name: "engine", Start: 0, Dur: 100},
+		{ID: aID, Parent: rootID, Name: "engine.accept", Start: 10, Dur: 60},
+		{ID: NewSpanID(), Parent: aID, Name: "engine.accept.pass", Start: 20, Dur: 30},
+	}
+	rpt, err := AnalyzeCriticalPath(spans)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range rpt.Entries {
+		if want := map[string]int64{CatKernel: 60, CatDispatch: 40}[e.Category]; e.NS != want {
+			t.Errorf("%s = %d, want %d", e.Category, e.NS, want)
+		}
+	}
+	if Category("engine.accept.pass") != CatKernel {
+		t.Errorf("engine.accept.pass is %s, want %s", Category("engine.accept.pass"), CatKernel)
+	}
+}

@@ -65,7 +65,8 @@ func TestCandidateBoundsAdmissible(t *testing.T) {
 							t.Fatalf("reproducer: matrix=%s preset=%s profile=%d spec=%+v window=%+v: %v",
 								mat, preset, pi, spec, c.Rect, err)
 						}
-						mtx := sc.MatrixWindow(p, s, c.Rect, nil)
+						w := c.Rect // unmasked: the window's matrix is the matrix of its operands
+						mtx := sc.Matrix(p, s[w.Y0-1:w.Y1], s[w.X0-1:w.X1], nil, 0)
 						var max int32
 						for _, row := range mtx {
 							for _, v := range row {

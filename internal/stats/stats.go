@@ -38,9 +38,9 @@ var TierNames = [NumTiers]string{"scalar", "int32x8", "int16x16", "u8x32"}
 // zero value is ready.
 type Counters struct {
 	alignments   obs.Counter // score-only matrix computations
-	cells        obs.Counter // matrix entries computed
+	cells        obs.Counter // matrix entries: score passes, plus each traced rectangle whole
 	realignments obs.Counter // alignments beyond each task's first
-	tracebacks   obs.Counter // full-matrix traceback computations
+	tracebacks   obs.Counter // accepted alignments traced back
 	shadowEnds   obs.Counter // bottom-row cells rejected as shadows
 	specWaste    obs.Counter // scheduler results computed against a triangle since superseded
 	alignNanos   obs.Histogram
@@ -142,7 +142,10 @@ func (c *Counters) AddWastedCells(n int64) {
 	c.wastedCells.Add(n)
 }
 
-// AddTraceback records one full-matrix traceback over cells entries.
+// AddTraceback records one traceback of an accepted alignment and the
+// cells of its rectangle: the logical rectangle, whole, not the cells
+// the row blocks recomputed (fewer) nor an accept's own checkpointing
+// pass (more), so the count is a function of the tops alone.
 func (c *Counters) AddTraceback(cells int64) {
 	if c == nil {
 		return

@@ -12,10 +12,12 @@ import (
 )
 
 // Scratch bundles the kernel arenas one worker needs for the full task
-// cycle: the scalar score kernel, group kernels, the traceback matrix,
-// and a slab for the original rows it computes. Whoever drives the engine
-// owns the arenas: one Scratch per worker goroutine under a scheduler,
-// one per Run for the sequential loop and one per window helper. See
+// cycle: the row kernels, whose last masked pass keeps the checkpoints
+// that an Accept of the same rectangle against the same triangle traces
+// back from; the group kernels; the traceback's row blocks; and a slab
+// for the original rows it computes. Whoever drives the engine owns the
+// arenas: one Scratch per worker goroutine under a scheduler, one per
+// Run for the sequential loop and one per window helper. See
 // align.Scratch for the ownership rules.
 type Scratch struct {
 	A align.Scratch
@@ -351,14 +353,22 @@ func (e *Engine) alignGroup(r0 int, first bool, tri *triangle.Triangle, sc *Scra
 }
 
 // Accept accepts task t's current alignment as the next top alignment:
-// it recomputes the full matrix of the task's rectangle (for a group,
-// its best member's) against the current triangle, tracebacks from the
-// best valid ending, marks the path's residue pairs in the triangle, and
-// records the result. The returned alignment's pairs are in global
-// coordinates; Split is the rectangle's bottom row — the split itself,
-// or for a window the global prefix position the alignment ends at, the
-// same split the exact engine would have found it under. Accept mutates
-// the engine: callers serialise it.
+// it takes the best valid ending of the task's rectangle (for a group,
+// its best member's) against the current triangle, traces the alignment
+// back from it, marks the path's residue pairs in the triangle, and
+// records the result. The trace recomputes the rectangle in row blocks
+// from the checkpoints of a masked pass over it against the current
+// triangle (align.Scratch.TracebackBlocks), never the whole matrix: the
+// pass that made the task acceptable, when it was sc's last one — a
+// window the loop realigned just before — or one Accept runs itself,
+// recorded as an engine.accept.pass span, unless the rectangle is a
+// single block. The engine.accept span's Arg is the number of blocks
+// recomputed; the traceback counter counts the whole rectangle. The
+// returned alignment's pairs are in global coordinates; Split is the
+// rectangle's bottom row — the split itself, or for a window the global
+// prefix position the alignment ends at, the same split the exact
+// engine would have found it under. Accept mutates the engine: callers
+// serialise it.
 func (e *Engine) Accept(t *Task, sc *Scratch) (TopAlignment, error) {
 	w := e.splitRect(t.R)
 	switch {
@@ -378,21 +388,23 @@ func (e *Engine) Accept(t *Task, sc *Scratch) (TopAlignment, error) {
 	}
 	sp := e.cfg.Spans.Start(e.cfg.SpanParent, "engine.accept")
 	sp.SetRank(e.cfg.SpanRank)
-	sp.SetArg(int64(w.Y1))
 	defer sp.End()
 	orig := e.origRow(w.Y1, t.Win)
 	if orig == nil {
 		return TopAlignment{}, fmt.Errorf("topalign: accepting %+v that was never aligned", w)
 	}
-	mtx := sc.A.MatrixWindow(e.cfg.Params, e.s, w, e.tri)
-	e.cfg.Counters.AddTraceback(w.Cells())
-	endX, score, _ := align.BestValidEnd(mtx[w.H()][1:], orig)
-	if endX == 0 || score <= 0 {
-		return TopAlignment{}, fmt.Errorf("topalign: %+v has no valid alignment to accept", w)
+	if sc.A.NeedsPass(e.cfg.Params, e.s, w, e.tri) {
+		pass := e.cfg.Spans.Start(sp.ID(), "engine.accept.pass")
+		pass.SetRank(e.cfg.SpanRank)
+		pass.SetArg(int64(w.Y1))
+		e.pass(w, e.tri, t.Win != nil, sc)
+		pass.End()
 	}
-	a, err := sc.A.TracebackWindow(e.cfg.Params, mtx, e.s, w, e.tri, endX)
+	a, err := sc.A.TracebackBlocks(e.cfg.Params, e.s, w, e.tri, orig)
+	e.cfg.Counters.AddTraceback(w.Cells())
+	sp.SetArg(int64(sc.A.Blocks()))
 	if err != nil {
-		return TopAlignment{}, fmt.Errorf("topalign: %+v: %w", w, err)
+		return TopAlignment{}, fmt.Errorf("topalign: accepting %+v: %w", w, err)
 	}
 	top := TopAlignment{
 		Index: len(e.tops) + 1,

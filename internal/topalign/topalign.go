@@ -87,9 +87,11 @@ type Config struct {
 	// safe to call concurrently, like Realign itself.
 	OnRealign func(t *Task, tops int)
 	// Spans, when non-nil, records request-scoped trace spans: one
-	// engine.accept span per accepted top alignment, parented under
-	// SpanParent and stamped with SpanRank. Bounded by NumTops, so a
-	// traced run adds no per-task recording cost. Whoever sets Spans
+	// engine.accept span per accepted top alignment (with an
+	// engine.accept.pass child when the accept runs its own
+	// checkpointing pass), parented under SpanParent and stamped with
+	// SpanRank. Bounded by NumTops, so a traced run adds no per-task
+	// recording cost. Whoever sets Spans
 	// sets SpanRank too (-1 local/server, 0 cluster master).
 	Spans      *trace.Recorder
 	SpanParent trace.SpanID
