@@ -6,8 +6,8 @@
 //
 // With -data DIR the daemon becomes durable (DESIGN.md section 12):
 // results persist in a checksummed disk cache tier that survives
-// restarts, and POST /v1/jobs journals work in a write-ahead job
-// store so accepted jobs survive even SIGKILL.
+// restarts, and POST /v1/jobs writes and fsyncs one checksummed record
+// per job before answering 202, so accepted jobs survive even SIGKILL.
 //
 //	reproserve -addr :8080 -workers 8 -queue 64 -cache 512 -data /var/lib/repro
 //	curl -s localhost:8080/v1/analyze -d '{"sequence":"ATGCATGCATGC","matrix":"paper-dna","tops":3}'
@@ -46,7 +46,7 @@ func main() {
 		maxSeq  = flag.Int("max-seq", 100000, "maximum sequence length admitted")
 		drainT  = flag.Duration("drain-timeout", 30*time.Second, "how long SIGTERM waits for queued work")
 		traces  = flag.Int("traces", trace.DefaultMaxTraces, "request traces retained for /trace/{id} (0 = default, -1 = disable)")
-		dataDir = flag.String("data", "", "durability dir: persistent disk cache + crash-safe job journal (empty = in-memory only)")
+		dataDir = flag.String("data", "", "durability dir: persistent disk cache + crash-safe job records (empty = in-memory only)")
 		cacheB  = flag.Int64("cache-bytes", 0, "result cache byte budget (0 = default)")
 		jobW    = flag.Int("job-workers", 0, "async job worker pool size (0 = default)")
 		rateL   = flag.Float64("rate-limit", 0, "admitted requests per second (0 = unlimited)")
@@ -75,7 +75,7 @@ func main() {
 		if err != nil {
 			fatal(fmt.Errorf("open job store: %w", err))
 		}
-		defer jobs.Close() //nolint:errcheck // compaction is best-effort on exit
+		defer jobs.Close() //nolint:errcheck // every record is already durable; Close only stops writes
 	}
 	var prof *profile.Profiler
 	if *profDir != "" {

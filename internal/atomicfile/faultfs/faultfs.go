@@ -1,9 +1,10 @@
 // Package faultfs wraps an atomicfile.FS with seeded, deterministic
-// disk-fault injection — torn writes, read-side bit flips, and a
-// finite ENOSPC byte budget — so the durable subsystems (jobstore WAL,
-// disk cache tier) can be tested against the failure modes they claim
-// to survive, without real disk errors. It is the filesystem analogue
-// of internal/mpi/faultcomm.
+// disk-fault injection — read-side bit flips and a finite ENOSPC byte
+// budget — so the durable subsystems (job records, disk cache tier) can
+// be tested against the failure modes they claim to survive, without
+// real disk errors. Writes go through the inner FS's atomic WriteFile,
+// which cannot tear. It is the filesystem analogue of
+// internal/mpi/faultcomm.
 //
 // The wrapper is transparent when Config is zero. Determinism: every
 // probabilistic decision draws from one PCG stream seeded by
@@ -29,25 +30,20 @@ var ErrNoSpace = &os.PathError{Op: "write", Path: "(faultfs)", Err: syscall.ENOS
 type Config struct {
 	// Seed initialises the decision stream.
 	Seed uint64
-	// TornWriteProb makes an append-file Write persist only a random
-	// strict prefix of the buffer before reporting an I/O error — the
-	// crash-mid-append fault that leaves a torn tail record in a WAL.
-	TornWriteProb float64
 	// BitFlipProb makes ReadFile flip one random bit of the returned
 	// data — at-rest corruption, what checksummed readers must catch.
 	BitFlipProb float64
-	// WriteBudget is the total number of bytes (across WriteFile and
-	// appends) that may be written before every further write fails
-	// with ErrNoSpace. 0 = unlimited. Partial writes consume what
-	// remains of the budget first, like a really full disk.
+	// WriteBudget is the total number of bytes WriteFile may write
+	// before every further write fails with ErrNoSpace. 0 = unlimited.
+	// A write that does not fit uses up what remains, like a really
+	// full disk.
 	WriteBudget int64
 }
 
 // Stats counts the faults actually injected.
 type Stats struct {
-	TornWrites int64
-	BitFlips   int64
-	NoSpace    int64
+	BitFlips int64
+	NoSpace  int64
 }
 
 // FS is a fault-injecting atomicfile.FS.
@@ -73,28 +69,15 @@ func (f *FS) Stats() Stats {
 	return f.stats
 }
 
-// charge consumes n bytes of the write budget, returning how many may
-// actually be written and whether the budget ran out.
-func (f *FS) charge(n int) (allowed int, full bool) {
-	if f.cfg.WriteBudget <= 0 {
-		return n, false
-	}
-	left := f.cfg.WriteBudget - f.written
-	if left >= int64(n) {
-		f.written += int64(n)
-		return n, false
-	}
-	if left < 0 {
-		left = 0
-	}
-	f.written += left
-	f.stats.NoSpace++
-	return int(left), true
-}
-
 func (f *FS) WriteFile(path string, data []byte, perm os.FileMode) error {
 	f.mu.Lock()
-	_, full := f.charge(len(data))
+	full := f.cfg.WriteBudget > 0 && f.written+int64(len(data)) > f.cfg.WriteBudget
+	if full {
+		f.written = f.cfg.WriteBudget
+		f.stats.NoSpace++
+	} else {
+		f.written += int64(len(data))
+	}
 	f.mu.Unlock()
 	if full {
 		// The temp-file write fails before the rename: the destination
@@ -125,53 +108,7 @@ func (f *FS) ReadFile(path string) ([]byte, error) {
 	return data, err
 }
 
-func (f *FS) OpenAppend(path string) (atomicfile.AppendFile, error) {
-	af, err := f.inner.OpenAppend(path)
-	if err != nil {
-		return nil, err
-	}
-	return &appendFile{f: f, inner: af}, nil
-}
-
-func (f *FS) Rename(oldpath, newpath string) error { return f.inner.Rename(oldpath, newpath) }
-func (f *FS) Remove(path string) error             { return f.inner.Remove(path) }
-func (f *FS) Truncate(path string, size int64) error {
-	return f.inner.Truncate(path, size)
-}
+func (f *FS) Rename(oldpath, newpath string) error         { return f.inner.Rename(oldpath, newpath) }
+func (f *FS) Remove(path string) error                     { return f.inner.Remove(path) }
 func (f *FS) MkdirAll(path string, perm os.FileMode) error { return f.inner.MkdirAll(path, perm) }
 func (f *FS) ReadDir(path string) ([]os.DirEntry, error)   { return f.inner.ReadDir(path) }
-func (f *FS) Stat(path string) (os.FileInfo, error)        { return f.inner.Stat(path) }
-
-// appendFile injects torn writes and the ENOSPC budget on the append
-// path — the one place a partial record can reach disk.
-type appendFile struct {
-	f     *FS
-	inner atomicfile.AppendFile
-}
-
-func (a *appendFile) Write(p []byte) (int, error) {
-	a.f.mu.Lock()
-	n := len(p)
-	torn := n > 0 && a.f.rng.Float64() < a.f.cfg.TornWriteProb
-	if torn {
-		n = a.f.rng.IntN(n) // strict prefix, possibly empty
-		a.f.stats.TornWrites++
-	}
-	allowed, full := a.f.charge(n)
-	a.f.mu.Unlock()
-
-	wrote, err := a.inner.Write(p[:allowed])
-	if err != nil {
-		return wrote, err
-	}
-	if full {
-		return wrote, ErrNoSpace
-	}
-	if torn {
-		return wrote, &os.PathError{Op: "write", Path: "(faultfs)", Err: syscall.EIO}
-	}
-	return wrote, nil
-}
-
-func (a *appendFile) Sync() error  { return a.inner.Sync() }
-func (a *appendFile) Close() error { return a.inner.Close() }

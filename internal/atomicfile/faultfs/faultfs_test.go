@@ -3,8 +3,10 @@ package faultfs
 import (
 	"bytes"
 	"errors"
+	"math/bits"
 	"os"
 	"path/filepath"
+	"slices"
 	"syscall"
 	"testing"
 
@@ -22,51 +24,8 @@ func TestTransparentWhenZero(t *testing.T) {
 	if err != nil || string(got) != "hello" {
 		t.Fatalf("ReadFile = %q, %v", got, err)
 	}
-	af, err := fsys.OpenAppend(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := af.Write([]byte(" world")); err != nil {
-		t.Fatal(err)
-	}
-	if err := af.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	if err := af.Close(); err != nil {
-		t.Fatal(err)
-	}
-	got, _ = fsys.ReadFile(path)
-	if string(got) != "hello world" {
-		t.Fatalf("after append: %q", got)
-	}
 	if s := fsys.Stats(); s != (Stats{}) {
 		t.Fatalf("zero config injected faults: %+v", s)
-	}
-}
-
-func TestTornWriteLeavesStrictPrefix(t *testing.T) {
-	dir := t.TempDir()
-	fsys := Wrap(atomicfile.OS(), Config{Seed: 7, TornWriteProb: 1})
-	path := filepath.Join(dir, "wal")
-	af, err := fsys.OpenAppend(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	record := bytes.Repeat([]byte{0xAB}, 100)
-	n, err := af.Write(record)
-	if err == nil {
-		t.Fatal("torn write reported success")
-	}
-	if n >= len(record) {
-		t.Fatalf("torn write persisted %d of %d bytes, want a strict prefix", n, len(record))
-	}
-	af.Close()
-	onDisk, _ := os.ReadFile(path)
-	if len(onDisk) != n || !bytes.Equal(onDisk, record[:n]) {
-		t.Fatalf("on disk %d bytes, reported %d", len(onDisk), n)
-	}
-	if fsys.Stats().TornWrites != 1 {
-		t.Fatalf("stats: %+v", fsys.Stats())
 	}
 }
 
@@ -119,56 +78,37 @@ func TestWriteBudgetENOSPC(t *testing.T) {
 	if s := fsys.Stats(); s.NoSpace != 1 {
 		t.Fatalf("stats: %+v", s)
 	}
-
-	// Appends hit the same budget: the bytes that still fit reach the
-	// disk (a partial record — exactly what a full disk does to a WAL).
-	fsys = Wrap(atomicfile.OS(), Config{WriteBudget: 10})
-	af, err := fsys.OpenAppend(filepath.Join(dir, "wal"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := af.Write([]byte("12345678")); err != nil {
-		t.Fatal(err)
-	}
-	n, werr := af.Write([]byte("abcdefgh"))
-	if !errors.Is(werr, syscall.ENOSPC) {
-		t.Fatalf("append err = %v, want ENOSPC", werr)
-	}
-	if n != 2 { // 10-byte budget minus the 8 already appended
-		t.Fatalf("append persisted %d bytes, want 2", n)
-	}
-	af.Close()
-	onDisk, _ := os.ReadFile(filepath.Join(dir, "wal"))
-	if string(onDisk) != "12345678ab" {
-		t.Fatalf("wal contents %q", onDisk)
-	}
 }
 
 func TestSeedDeterminism(t *testing.T) {
-	run := func() (torn []int) {
-		dir := t.TempDir()
-		fsys := Wrap(atomicfile.OS(), Config{Seed: 42, TornWriteProb: 0.5})
-		af, _ := fsys.OpenAppend(filepath.Join(dir, "wal"))
-		defer af.Close()
+	path := filepath.Join(t.TempDir(), "f")
+	if err := os.WriteFile(path, bytes.Repeat([]byte{0x55}, 32), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// run records, per read, where the flip landed (-1 for none).
+	run := func() (flips []int) {
+		fsys := Wrap(atomicfile.OS(), Config{Seed: 42, BitFlipProb: 0.5})
 		for i := 0; i < 20; i++ {
-			n, err := af.Write(bytes.Repeat([]byte{byte(i)}, 32))
+			data, err := fsys.ReadFile(path)
 			if err != nil {
-				torn = append(torn, n)
+				t.Fatal(err)
 			}
+			at := -1
+			for j, b := range data {
+				if b != 0x55 {
+					at = 8*j + bits.TrailingZeros8(b^0x55)
+				}
+			}
+			flips = append(flips, at)
 		}
-		return torn
+		return flips
 	}
 	a, b := run(), run()
-	if len(a) == 0 {
-		t.Fatal("no torn writes at prob 0.5 over 20 records")
+	if !slices.ContainsFunc(a, func(at int) bool { return at >= 0 }) {
+		t.Fatal("no bit flips at prob 0.5 over 20 reads")
 	}
-	if len(a) != len(b) {
+	if !slices.Equal(a, b) {
 		t.Fatalf("runs diverged: %v vs %v", a, b)
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("runs diverged at %d: %v vs %v", i, a, b)
-		}
 	}
 }
 

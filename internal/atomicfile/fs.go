@@ -1,47 +1,27 @@
 package atomicfile
 
-import (
-	"io"
-	"os"
-)
+import "os"
 
-// FS is the filesystem surface the durable subsystems (the jobstore
-// write-ahead log, the disk cache tier) are written against. Production
-// code uses OS(); crash and disk-chaos tests inject
-// atomicfile/faultfs.FS, which decorates an inner FS with seeded torn
-// writes, bit flips, and ENOSPC — the same wrap-the-transport pattern
-// as internal/mpi/faultcomm.
+// FS is the filesystem surface Records (and so the job store and the
+// disk cache tier) is written against. Production code uses OS(); crash
+// and disk-chaos tests inject atomicfile/faultfs.FS, which decorates an
+// inner FS with seeded bit flips and ENOSPC — the same
+// wrap-the-transport pattern as internal/mpi/faultcomm.
 type FS interface {
-	// WriteFile writes data to path atomically (temp file + rename):
-	// readers never observe a partial file, and on error the previous
-	// contents are untouched.
+	// WriteFile writes data to path atomically and durably (see the
+	// package WriteFile): readers never observe a partial file, and on
+	// error the previous contents are untouched.
 	WriteFile(path string, data []byte, perm os.FileMode) error
 	// ReadFile returns the contents of path.
 	ReadFile(path string) ([]byte, error)
-	// OpenAppend opens path for appending, creating it if absent.
-	// Appends are NOT atomic — a crash can leave a torn tail record,
-	// which is why every append-log record carries its own checksum.
-	OpenAppend(path string) (AppendFile, error)
 	// Rename moves a file (same-directory renames are atomic).
 	Rename(oldpath, newpath string) error
 	// Remove deletes a file.
 	Remove(path string) error
-	// Truncate resizes path (log compaction truncates the WAL to 0).
-	Truncate(path string, size int64) error
 	// MkdirAll creates a directory tree.
 	MkdirAll(path string, perm os.FileMode) error
 	// ReadDir lists a directory.
 	ReadDir(path string) ([]os.DirEntry, error)
-	// Stat describes a file.
-	Stat(path string) (os.FileInfo, error)
-}
-
-// AppendFile is an open append-only file. Sync flushes to stable
-// storage; a record is only considered durable after Sync returns.
-type AppendFile interface {
-	io.Writer
-	Sync() error
-	Close() error
 }
 
 // OS returns the real-filesystem FS.
@@ -53,17 +33,8 @@ func (osFS) WriteFile(path string, data []byte, perm os.FileMode) error {
 	return WriteFile(path, data, perm)
 }
 
-func (osFS) ReadFile(path string) ([]byte, error) { return os.ReadFile(path) }
-
-func (osFS) OpenAppend(path string) (AppendFile, error) {
-	return os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-}
-
-func (osFS) Rename(oldpath, newpath string) error { return os.Rename(oldpath, newpath) }
-func (osFS) Remove(path string) error             { return os.Remove(path) }
-func (osFS) Truncate(path string, size int64) error {
-	return os.Truncate(path, size)
-}
+func (osFS) ReadFile(path string) ([]byte, error)         { return os.ReadFile(path) }
+func (osFS) Rename(oldpath, newpath string) error         { return os.Rename(oldpath, newpath) }
+func (osFS) Remove(path string) error                     { return os.Remove(path) }
 func (osFS) MkdirAll(path string, perm os.FileMode) error { return os.MkdirAll(path, perm) }
 func (osFS) ReadDir(path string) ([]os.DirEntry, error)   { return os.ReadDir(path) }
-func (osFS) Stat(path string) (os.FileInfo, error)        { return os.Stat(path) }

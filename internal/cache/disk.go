@@ -1,33 +1,23 @@
 package cache
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
-	"encoding/hex"
 	"fmt"
-	"path/filepath"
-	"strings"
 
 	"repro/internal/atomicfile"
 	"repro/internal/obs"
 )
 
 // Disk is the persistent tier under the in-memory LRU: one
-// content-addressed file per entry, written atomically, with a
-// SHA-256 footer verified on every read. Corruption is never served —
-// a file whose checksum does not match is quarantined under a ".bad"
-// suffix, counted, and treated as a miss, so the worst a flipped bit
-// can cost is a recompute. Warm state therefore survives restarts
-// (and SIGKILL: atomic writes mean a crash mid-Put leaves either the
-// old file or no file, never a torn one).
-//
-// File layout: [4B big-endian key length][key][value][32B SHA-256 over
-// everything before the footer]. Embedding the key makes the directory
-// self-describing, which is what lets Scan pre-warm the LRU after a
-// restart without an index file.
+// content-addressed atomicfile record per entry, <key>.res, written
+// atomically and durably, with a SHA-256 footer verified on every read.
+// Corruption is never served — a damaged file is quarantined under a
+// ".bad" suffix, counted, and treated as a miss, so the worst a flipped
+// bit can cost is a recompute. Warm state therefore survives restarts
+// (and SIGKILL: a crash mid-Put leaves either the old file or no file,
+// never a torn one). The record embeds its key, which is what lets Scan
+// pre-warm the LRU after a restart without an index file.
 type Disk struct {
-	dir  string
-	fsys atomicfile.FS
+	recs *atomicfile.Records
 
 	hits     obs.Counter
 	misses   obs.Counter
@@ -36,18 +26,14 @@ type Disk struct {
 	writeErr obs.Counter
 }
 
-const diskSuffix = ".res"
-
 // OpenDisk opens (creating if needed) a disk tier rooted at dir.
 // fsys nil selects the real filesystem; tests inject faultfs.
 func OpenDisk(dir string, fsys atomicfile.FS) (*Disk, error) {
-	if fsys == nil {
-		fsys = atomicfile.OS()
-	}
-	if err := fsys.MkdirAll(dir, 0o755); err != nil {
+	recs, err := atomicfile.OpenRecords(dir, ".res", fsys)
+	if err != nil {
 		return nil, fmt.Errorf("cache: disk tier: %w", err)
 	}
-	return &Disk{dir: dir, fsys: fsys}, nil
+	return &Disk{recs: recs}, nil
 }
 
 // Bind registers the tier's counters in reg under the cache/disk_*
@@ -63,67 +49,19 @@ func (d *Disk) Bind(reg *obs.Registry) {
 	reg.BindCounter("cache/disk_write_errors", &d.writeErr)
 }
 
-// path maps a cache key to its file. Keys from the serving layer are
-// already lowercase hex; anything else is re-addressed through SHA-256
-// so arbitrary keys cannot escape the directory.
-func (d *Disk) path(key string) string {
-	safe := len(key) > 0 && len(key) <= 128
-	for i := 0; safe && i < len(key); i++ {
-		c := key[i]
-		safe = c == '-' || c == '_' ||
-			('0' <= c && c <= '9') || ('a' <= c && c <= 'z') || ('A' <= c && c <= 'Z')
-	}
-	if !safe {
-		sum := sha256.Sum256([]byte(key))
-		key = hex.EncodeToString(sum[:])
-	}
-	return filepath.Join(d.dir, key+diskSuffix)
-}
-
-// encode frames key+val with the checksum footer.
-func encode(key string, val []byte) []byte {
-	buf := make([]byte, 0, 4+len(key)+len(val)+sha256.Size)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(key)))
-	buf = append(buf, key...)
-	buf = append(buf, val...)
-	sum := sha256.Sum256(buf)
-	return append(buf, sum[:]...)
-}
-
-// decode verifies the footer and recovers (key, val). ok is false for
-// any framing or checksum failure.
-func decode(data []byte) (key string, val []byte, ok bool) {
-	if len(data) < 4+sha256.Size {
-		return "", nil, false
-	}
-	body, foot := data[:len(data)-sha256.Size], data[len(data)-sha256.Size:]
-	if sha256.Sum256(body) != [sha256.Size]byte(foot) {
-		return "", nil, false
-	}
-	klen := binary.BigEndian.Uint32(body)
-	if int64(4)+int64(klen) > int64(len(body)) {
-		return "", nil, false
-	}
-	return string(body[4 : 4+klen]), body[4+klen:], true
-}
-
 // Get returns the stored value for key. A missing file is a plain
-// miss; a present-but-corrupt file is quarantined (renamed to
-// <name>.bad), counted under cache/disk_corrupt, and reported as a
-// miss — corrupt bytes are never returned.
+// miss; a present-but-corrupt file is quarantined, counted under
+// cache/disk_corrupt, and reported as a miss — corrupt bytes are never
+// returned.
 func (d *Disk) Get(key string) ([]byte, bool) {
 	if d == nil {
 		return nil, false
 	}
-	path := d.path(key)
-	data, err := d.fsys.ReadFile(path)
-	if err != nil {
-		d.misses.Inc()
-		return nil, false
+	val, ok, corrupt := d.recs.Get(key)
+	if corrupt {
+		d.corrupt.Inc()
 	}
-	storedKey, val, ok := decode(data)
-	if !ok || storedKey != key {
-		d.quarantine(path)
+	if !ok {
 		d.misses.Inc()
 		return nil, false
 	}
@@ -138,7 +76,7 @@ func (d *Disk) Put(key string, val []byte) error {
 	if d == nil {
 		return nil
 	}
-	if err := d.fsys.WriteFile(d.path(key), encode(key, val), 0o644); err != nil {
+	if err := d.recs.Put(key, val); err != nil {
 		d.writeErr.Inc()
 		return err
 	}
@@ -146,44 +84,18 @@ func (d *Disk) Put(key string, val []byte) error {
 	return nil
 }
 
-// quarantine moves a corrupt file aside so it is kept for post-mortems
-// but can never be served; if even the rename fails, the file is
-// removed outright.
-func (d *Disk) quarantine(path string) {
-	d.corrupt.Inc()
-	if err := d.fsys.Rename(path, path+".bad"); err != nil {
-		d.fsys.Remove(path) //nolint:errcheck // already corrupt; best effort
-	}
-}
-
 // Scan verifies every entry in the tier and calls fn(key, val) for
-// each good one, quarantining corrupt files as it goes. fn returning
-// false stops the scan. Used to pre-warm the in-memory LRU on restart.
+// each good one, quarantining and counting corrupt files as it goes.
+// fn returning false stops the scan. Used to pre-warm the in-memory LRU
+// on restart.
 func (d *Disk) Scan(fn func(key string, val []byte) bool) error {
 	if d == nil {
 		return nil
 	}
-	ents, err := d.fsys.ReadDir(d.dir)
+	corrupt, err := d.recs.Scan(fn)
+	d.corrupt.Add(int64(corrupt))
 	if err != nil {
 		return fmt.Errorf("cache: disk scan: %w", err)
-	}
-	for _, e := range ents {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), diskSuffix) {
-			continue
-		}
-		path := filepath.Join(d.dir, e.Name())
-		data, err := d.fsys.ReadFile(path)
-		if err != nil {
-			continue
-		}
-		key, val, ok := decode(data)
-		if !ok {
-			d.quarantine(path)
-			continue
-		}
-		if !fn(key, val) {
-			break
-		}
 	}
 	return nil
 }
@@ -194,17 +106,7 @@ func (d *Disk) Len() int {
 	if d == nil {
 		return 0
 	}
-	ents, err := d.fsys.ReadDir(d.dir)
-	if err != nil {
-		return 0
-	}
-	n := 0
-	for _, e := range ents {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), diskSuffix) {
-			n++
-		}
-	}
-	return n
+	return d.recs.Len()
 }
 
 // Dir returns the tier's root directory.
@@ -212,7 +114,7 @@ func (d *Disk) Dir() string {
 	if d == nil {
 		return ""
 	}
-	return d.dir
+	return d.recs.Dir()
 }
 
 // CorruptCount returns how many corrupt files have been quarantined.

@@ -2,6 +2,7 @@ package cache
 
 import (
 	"bytes"
+	"encoding/hex"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -31,6 +32,38 @@ func TestDiskRoundTrip(t *testing.T) {
 	}
 	if d.Len() != 1 {
 		t.Fatalf("Len = %d", d.Len())
+	}
+}
+
+// A .res file in the layout every earlier release wrote —
+// [4B key length][key][value][SHA-256] — is served as it is, so an
+// existing cache directory stays warm. The bytes are fixed here, not
+// produced by the code under test: the test fails if the layout drifts.
+func TestDiskServesGoldenLayout(t *testing.T) {
+	const golden = "00000008" + "3031323361626364" + "7b22546f7073223a5b312c325d7d" +
+		"4354b4cfafd1fc9bfdb0f76066f4ba0c2ab716d43182de2cbe61c353d77654a2"
+	raw, err := hex.DecodeString(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "0123abcd.res"), raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	d, err := OpenDisk(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, ok := d.Get("0123abcd")
+	if !ok || string(got) != `{"Tops":[1,2]}` {
+		t.Fatalf("Get = %q, %v", got, ok)
+	}
+	// Writing the same entry reproduces the same bytes.
+	if err := d.Put("0123abcd", got); err != nil {
+		t.Fatal(err)
+	}
+	if again, _ := os.ReadFile(filepath.Join(dir, "0123abcd.res")); !bytes.Equal(again, raw) {
+		t.Fatalf("Put wrote %x, want %x", again, raw)
 	}
 }
 

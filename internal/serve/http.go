@@ -35,7 +35,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/healthz", s.handleHealth)
 	if s.jobs != nil {
 		// Durable async jobs (when Config.Jobs set):
-		//	POST /v1/jobs              journal an analysis, 202 {job_id}
+		//	POST /v1/jobs              record an analysis, 202 {job_id}
 		//	GET  /v1/jobs              list all known jobs
 		//	GET  /v1/jobs/{id}         status; Done jobs carry the report
 		//	GET  /v1/jobs/{id}/events  SSE progress stream

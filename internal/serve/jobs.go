@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"net/http"
+	"strings"
 	"time"
 
 	"repro/internal/cache"
@@ -13,8 +14,9 @@ import (
 )
 
 // This file is the durable async job subsystem: POST /v1/jobs accepts
-// an analysis, journals it in the write-ahead job store, and answers
-// 202 with a job id — from that moment the work survives SIGKILL. A
+// an analysis, writes and fsyncs its record in the job store, and
+// answers 202 with a job id — from that moment the work survives
+// SIGKILL and power loss. A
 // dedicated worker pool claims pending jobs, runs them through the
 // shared result cache (so jobs, /v1/analyze, and restarts all
 // deduplicate through the same content-addressed key), and degrades
@@ -59,7 +61,7 @@ func jobStatusOf(j jobstore.Job) JobStatus {
 }
 
 // handleJobSubmit is POST /v1/jobs: same body as /v1/analyze, but the
-// work is journaled and executed asynchronously. 202 is a durability
+// work is recorded durably and executed asynchronously. 202 is a durability
 // promise: once the id is returned, the job is recovered and re-run
 // across any number of crashes until it reaches a terminal state.
 func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
@@ -109,14 +111,14 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		TraceID: traceID,
 	})
 	if err != nil {
-		// The journal append failed (e.g. disk full): accepting would
-		// break the 202 promise, so refuse loudly.
-		writeError(w, http.StatusServiceUnavailable, "job journal unavailable: "+err.Error())
+		// The record could not be made durable (e.g. disk full):
+		// accepting would break the 202 promise, so refuse loudly.
+		writeError(w, http.StatusServiceUnavailable, "job store unavailable: "+err.Error())
 		return
 	}
 	s.jobsSubmitted.Inc()
 	s.kickJobs()
-	// The 202 renders what Submit journalled, not a re-read of the store:
+	// The 202 renders what Submit recorded, not a re-read of the store:
 	// a worker may already have claimed the job.
 	writeJSON(w, http.StatusAccepted, jobStatusOf(j))
 }
@@ -357,8 +359,8 @@ func (s *Server) executeJob(j jobstore.Job, req *Request) {
 			select {
 			case <-time.After(s.retryDelay(i)):
 			case <-s.jobStop:
-				// Draining mid-chain: leave the job Running in the
-				// journal; the next Open requeues and re-runs it.
+				// Draining mid-chain: leave the job Running in its
+				// record; the next Open requeues and re-runs it.
 				bsp.End()
 				return
 			}
@@ -377,7 +379,7 @@ func (s *Server) executeJob(j jobstore.Job, req *Request) {
 		if err == nil {
 			s.jobsCompleted.Inc()
 			// Key is where computeJob stored the result: not the key the
-			// job carries when an older key version journalled it.
+			// job carries when an older key version recorded it.
 			key := CacheKey(req)
 			s.jobs.Update(j.ID, func(x *jobstore.Job) { x.State, x.Key = jobstore.Done, key }) //nolint:errcheck
 			return
@@ -385,18 +387,7 @@ func (s *Server) executeJob(j jobstore.Job, req *Request) {
 		lastErr = err
 	}
 	s.failJob(j.ID, fmt.Errorf("all backends failed (%s): %w",
-		joinChain(chain), lastErr))
-}
-
-func joinChain(chain []string) string {
-	out := ""
-	for i, b := range chain {
-		if i > 0 {
-			out += "->"
-		}
-		out += b
-	}
-	return out
+		strings.Join(chain, "->"), lastErr))
 }
 
 // computeJob runs one attempt on one backend through the shared

@@ -78,10 +78,11 @@ type Config struct {
 	Disk *cache.Disk
 	// Jobs, when non-nil, enables the durable async job API
 	// (POST /v1/jobs, GET /v1/jobs/{id}, SSE /v1/jobs/{id}/events) and
-	// is its write-ahead store. On Start, interrupted jobs found in the
-	// store are recovered and re-enqueued. Job results live in the
-	// result cache, so setting Jobs overrides CacheEntries < 0 back to
-	// the default capacity.
+	// is its durable store: one record per job, written and fsynced on
+	// every transition. On Start, interrupted jobs found in the store
+	// are recovered and re-enqueued. Job results live in the result
+	// cache, so setting Jobs overrides CacheEntries < 0 back to the
+	// default capacity.
 	Jobs *jobstore.Store
 	// JobWorkers sizes the async job worker pool (0 = 2). Async jobs
 	// run beside the synchronous pool, so slow chromosome-scale jobs
@@ -460,15 +461,23 @@ func (s *Server) compute(j *job) ([]byte, cache.Outcome, *attrib.Usage, error) {
 	// of the cache layer. Ride-alongs and hits leave it nil — their
 	// cost is the cached bytes they read, not the leader's CPU.
 	var engineUsage *attrib.Usage
-	if s.cache == nil {
-		run := func() (any, error) {
-			rep, err := s.runEngine(j.req, j.rec, j.root)
-			if err != nil {
-				return nil, err
-			}
-			engineUsage = rep.Usage
-			return json.Marshal(rep)
+	// With a cache, the engine span nests under cache.lookup.
+	parent := j.root
+	var csp *trace.Active
+	if s.cache != nil {
+		csp = j.rec.Start(j.root, "cache.lookup")
+		defer csp.End()
+		parent = csp.ID()
+	}
+	run := func() (any, error) {
+		rep, err := s.runEngine(j.req, j.rec, parent)
+		if err != nil {
+			return nil, err
 		}
+		engineUsage = rep.Usage
+		return json.Marshal(rep)
+	}
+	if s.cache == nil {
 		v, err := run()
 		if err != nil {
 			return nil, cache.Miss, nil, err
@@ -476,16 +485,6 @@ func (s *Server) compute(j *job) ([]byte, cache.Outcome, *attrib.Usage, error) {
 		usage := &attrib.Usage{}
 		usage.Add(engineUsage)
 		return v.([]byte), cache.Miss, usage, nil
-	}
-	csp := j.rec.Start(j.root, "cache.lookup")
-	defer csp.End()
-	run := func() (any, error) {
-		rep, err := s.runEngine(j.req, j.rec, csp.ID())
-		if err != nil {
-			return nil, err
-		}
-		engineUsage = rep.Usage
-		return json.Marshal(rep)
 	}
 	v, outcome, err := s.cache.GetOrCompute(CacheKey(j.req), run)
 	switch outcome {

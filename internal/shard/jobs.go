@@ -13,34 +13,8 @@ import (
 // Job routing. Submission routes on the content-addressed cache key,
 // exactly like /v1/analyze, so a job and an interactive request for
 // the same analysis land on the same shard and deduplicate through its
-// cache and job store. Job IDs, however, are shard-local, so the
-// router learns id -> shard from each 202 and routes status/SSE
-// lookups there; an unknown id (router restarted, or the map aged it
-// out) falls back to asking every live shard.
-
-// maxJobOwners bounds the learned id->shard map. At the cap the map is
-// reset rather than LRU-tracked: the fallback fan-out still finds any
-// forgotten job, so the map is purely an optimisation.
-const maxJobOwners = 8192
-
-func (rt *Router) learnJobOwner(id, shard string) {
-	if id == "" {
-		return
-	}
-	rt.jobOwnersMu.Lock()
-	if len(rt.jobOwners) >= maxJobOwners {
-		rt.jobOwners = make(map[string]string)
-	}
-	rt.jobOwners[id] = shard
-	rt.jobOwnersMu.Unlock()
-}
-
-func (rt *Router) jobOwner(id string) (string, bool) {
-	rt.jobOwnersMu.Lock()
-	defer rt.jobOwnersMu.Unlock()
-	s, ok := rt.jobOwners[id]
-	return s, ok
-}
+// cache and job store. Job IDs, however, are shard-local, so status
+// and SSE lookups ask every live shard until one knows the id.
 
 func (rt *Router) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	rt.requests.Inc()
@@ -63,28 +37,13 @@ func (rt *Router) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	targets, _ := rt.targets(key, time.Now())
 	res := rt.forward(r.Context(), rec, root.ID(), http.MethodPost, "/v1/jobs", body, targets)
-	if res.err == nil && res.status == http.StatusAccepted {
-		var st serve.JobStatus
-		if json.Unmarshal(res.body, &st) == nil {
-			rt.learnJobOwner(st.JobID, res.shard)
-		}
-	}
 	rt.writeUpstream(w, res, false)
-}
-
-// jobTargets returns where to look for job id: the learned owner, or
-// every live shard when unknown.
-func (rt *Router) jobTargets(id string) []string {
-	if owner, ok := rt.jobOwner(id); ok {
-		return []string{owner}
-	}
-	return rt.ring.Nodes()
 }
 
 func (rt *Router) handleJobGet(w http.ResponseWriter, r *http.Request) {
 	rt.requests.Inc()
 	id := r.PathValue("id")
-	for _, shard := range rt.jobTargets(id) {
+	for _, shard := range rt.ring.Nodes() {
 		res, err := rt.roundTrip(r.Context(), shard, http.MethodGet, "/v1/jobs/"+id, nil, nil, nil)
 		if err != nil {
 			rt.mon.markDown(shard)
@@ -93,7 +52,6 @@ func (rt *Router) handleJobGet(w http.ResponseWriter, r *http.Request) {
 		if res.status == http.StatusNotFound {
 			continue
 		}
-		rt.learnJobOwner(id, shard)
 		rt.writeUpstream(w, res, false)
 		return
 	}
@@ -131,7 +89,7 @@ func (rt *Router) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotImplemented, "streaming unsupported")
 		return
 	}
-	for _, shard := range rt.jobTargets(id) {
+	for _, shard := range rt.ring.Nodes() {
 		hreq, err := http.NewRequestWithContext(r.Context(), http.MethodGet, shard+"/v1/jobs/"+id+"/events", nil)
 		if err != nil {
 			continue
@@ -145,7 +103,6 @@ func (rt *Router) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 			resp.Body.Close()
 			continue
 		}
-		rt.learnJobOwner(id, shard)
 		w.Header().Set("Content-Type", resp.Header.Get("Content-Type"))
 		w.Header().Set("X-Router-Shard", shard)
 		w.WriteHeader(resp.StatusCode)

@@ -61,11 +61,9 @@ type Router struct {
 	ringSize   *obs.Gauge
 	upstreamNS *obs.Histogram
 
-	shardMu     sync.Mutex
-	shardReqs   map[string]*obs.Counter
-	shardErrs   map[string]*obs.Counter
-	jobOwnersMu sync.Mutex
-	jobOwners   map[string]string // job id -> shard that accepted it
+	shardMu   sync.Mutex
+	shardReqs map[string]*obs.Counter
+	shardErrs map[string]*obs.Counter
 }
 
 // New builds a router over the given shards.
@@ -100,7 +98,6 @@ func New(cfg Config) *Router {
 
 		shardReqs: make(map[string]*obs.Counter),
 		shardErrs: make(map[string]*obs.Counter),
-		jobOwners: make(map[string]string),
 	}
 	rt.mon = newMonitor(rt.ring, cfg.Shards, client, cfg.ProbeInterval, func(string, bool) {
 		rt.ringSize.Set(int64(rt.ring.Len()))
