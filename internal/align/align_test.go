@@ -78,8 +78,11 @@ func TestFigure2Traceback(t *testing.T) {
 
 func TestScoreEmptyOperands(t *testing.T) {
 	s := seq.DNA.MustEncode("ACGT")
-	if got := Score(paperParams, nil, s); len(got) != 4 || MaxRowScore(got) != 0 {
-		t.Errorf("empty s1: %v", got)
+	wide := seq.Random(seq.DNA, segWidth, 1).Codes // a row in segments on the int16 rung
+	for _, s2 := range [][]byte{s, wide} {
+		if got := Score(paperParams, nil, s2); len(got) != len(s2) || MaxRowScore(got) != 0 {
+			t.Errorf("empty s1 against %d columns: %v", len(s2), got)
+		}
 	}
 	if got := Score(paperParams, s, nil); len(got) != 0 {
 		t.Errorf("empty s2: %v", got)

@@ -35,12 +35,12 @@ func TestScoreKernelsZeroAllocsWarm(t *testing.T) {
 		{"ScoreWindow", func() { sc.ScoreWindow(p, full.Codes, Rect{Y0: 5, Y1: 60, X0: 100, X1: 260}, nil) }},
 		{"ScoreWindow masked", func() { sc.ScoreWindow(p, full.Codes, Rect{Y0: 5, Y1: 60, X0: 100, X1: 260}, tri) }},
 	}
-	for _, tier := range rowTiers() {
-		restore := forceTier(t, tier)
+	for _, rung := range rowRungs() {
+		restore := rung.force(t)
 		for _, c := range cases {
 			c.f() // warm the arena
 			if allocs := testing.AllocsPerRun(50, c.f); allocs != 0 {
-				t.Errorf("%s on %s: %.1f allocs/op on warm scratch, want 0", c.name, tier, allocs)
+				t.Errorf("%s on %s: %.1f allocs/op on warm scratch, want 0", c.name, rung, allocs)
 			}
 		}
 		restore()
@@ -52,7 +52,8 @@ func TestScoreKernelsZeroAllocsWarm(t *testing.T) {
 // same-size traceback should stay within a couple of allocations (the
 // returned Alignment itself): the full-matrix Traceback, and the block
 // traceback after the masked pass that keeps its checkpoints, with the
-// window in blocks of the default height and of a few rows.
+// window in blocks of the default height and of a few rows, and from
+// checkpoints a pass in segmented rows kept.
 func TestTracebackLowAllocsWarm(t *testing.T) {
 	p := Params{Exch: scoring.BLOSUM62, Gap: scoring.DefaultProteinGap}
 	full := seq.SyntheticTitin(200, 5)
@@ -67,8 +68,9 @@ func TestTracebackLowAllocsWarm(t *testing.T) {
 		name string
 		k    int // block rows; 0 = the default
 		run  func()
+		segs bool // the masked pass in segmented rows, on the int16 rung
 	}{
-		{"matrix", 0, func() {
+		{name: "matrix", run: func() {
 			mtx := sc.Matrix(p, s1, s2, nil, r)
 			endX, _, _ := BestValidEnd(mtx[len(s1)][1:], nil)
 			if endX == 0 {
@@ -78,8 +80,9 @@ func TestTracebackLowAllocsWarm(t *testing.T) {
 				t.Fatal(err)
 			}
 		}},
-		{"blocks", 0, nil},
-		{"blocks of 7 rows", 7, nil},
+		{"blocks", 0, nil, false},
+		{"blocks of 7 rows", 7, nil, false},
+		{"blocks of 7 rows from segments", 7, nil, true},
 	}
 	blocks := func() {
 		sc.ScoreWindow(p, full.Codes, w, tri)
@@ -91,6 +94,14 @@ func TestTracebackLowAllocsWarm(t *testing.T) {
 		if c.run == nil {
 			c.run = blocks
 		}
+		if c.segs && DetectedTier() < TierInt16x16 {
+			continue
+		}
+		rung := rowRung{tier: ActiveTier()}
+		if c.segs {
+			rung = rowRung{tier: TierInt16x16, segs: true}
+		}
+		restoreRung := rung.force(t)
 		restore := setBlockRows(c.k)
 		c.run()
 		// The Alignment struct and its retained Pairs copy are returned to
@@ -103,5 +114,6 @@ func TestTracebackLowAllocsWarm(t *testing.T) {
 			t.Errorf("traceback (%s): %d blocks, want several", c.name, sc.Blocks())
 		}
 		restore()
+		restoreRung()
 	}
 }

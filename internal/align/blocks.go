@@ -53,6 +53,15 @@ type checkpoints struct {
 	cells  []int32 // checkpoint c (row c*k) at [(c-1)*n, c*n)
 	maxY   []int32 // the column gap maxima row c*k+1 starts from, likewise
 	bottom []int32 // the pass's bottom row
+
+	// A pass in segmented rows keeps its checkpoints from segFrom on as
+	// it holds its rows, segs > 0 vectors of 16 int16 each, in cells16
+	// and maxY16 (those before segFrom, which a byte pass kept before it
+	// handed over, are in cells and maxY); a block reads a checkpoint's
+	// columns out of them (state) into top and topMaxY.
+	segs, segFrom   int
+	cells16, maxY16 []int16
+	top, topMaxY    []int32
 }
 
 // start begins a score pass of s1 against n columns at row offset dy:
@@ -63,7 +72,7 @@ func (ck *checkpoints) start(s1 []byte, n int, tri *triangle.Triangle, dy int) {
 		return
 	}
 	ck.tri = nil
-	ck.h, ck.n, ck.dy = len(s1), n, dy
+	ck.h, ck.n, ck.dy, ck.segs = len(s1), n, dy, 0
 	ck.k = blockRows(ck.h, n)
 	c := max(0, (ck.h-1)/ck.k)
 	growI32(&ck.cells, c*n)
@@ -90,13 +99,54 @@ func (ck *checkpoints) describes(p Params, s1, s2 []byte, dy, dx int, tri *trian
 // global row y — the row's cells and the column gap maxima the next row
 // starts from — when y is a checkpoint row of the pass.
 func keepRow[T uint8 | int16 | int32](ck *checkpoints, y int, cells, maxY []T) {
-	y -= ck.dy
-	if y%ck.k != 0 || y >= ck.h {
+	if c, ok := ck.index(y); ok {
+		at := c * ck.n
+		widen(ck.cells[at:at+ck.n], cells)
+		widen(ck.maxY[at:at+ck.n], maxY)
+	}
+}
+
+// keepSegs is keepRow for a pass in segmented rows (segs vectors a row),
+// which keeps the state as it stands.
+func (ck *checkpoints) keepSegs(y, segs int, cells, maxY []int16) {
+	c, ok := ck.index(y)
+	if !ok {
 		return
 	}
-	at := (y/ck.k - 1) * ck.n
-	widen(ck.cells[at:at+ck.n], cells)
-	widen(ck.maxY[at:at+ck.n], maxY)
+	size := segs * RowBlock
+	if ck.segs != segs {
+		ck.segs, ck.segFrom = segs, c
+		n := max(0, (ck.h-1)/ck.k) * size
+		growI16(&ck.cells16, n)
+		growI16(&ck.maxY16, n)
+	}
+	copy(ck.cells16[c*size:], cells[:size])
+	copy(ck.maxY16[c*size:], maxY[:size])
+}
+
+// index reports which checkpoint global row y is, counting from 0, and
+// whether it is one.
+func (ck *checkpoints) index(y int) (c int, ok bool) {
+	y -= ck.dy
+	if y%ck.k != 0 || y >= ck.h {
+		return 0, false
+	}
+	return y/ck.k - 1, true
+}
+
+// state returns checkpoint c's cells and column gap maxima (c >= 1,
+// counting the zero boundary as 0), n columns of each, in column order.
+func (ck *checkpoints) state(c, n int) (cells, maxY []int32) {
+	if ck.segs == 0 || c-1 < ck.segFrom {
+		at := (c - 1) * ck.n
+		return ck.cells[at : at+n], ck.maxY[at : at+n]
+	}
+	size := ck.segs * RowBlock
+	at := (c - 1) * size
+	cells, maxY = growI32(&ck.top, n), growI32(&ck.topMaxY, n)
+	unstripe(cells, ck.cells16[at:at+size], ck.segs)
+	unstripe(maxY, ck.maxY16[at:at+size], ck.segs)
+	return cells, maxY
 }
 
 // widen copies a row state into a wider lane type. A byte state widens
@@ -153,8 +203,7 @@ func (sc *Scratch) loadBlock(b, n int) {
 	y0, y1 := b*src.k, min(b*src.k+src.k, len(src.s1))
 	var top, maxY []int32
 	if b > 0 {
-		at := (b - 1) * sc.ck.n
-		top, maxY = sc.ck.cells[at:at+n], sc.ck.maxY[at:at+n]
+		top, maxY = sc.ck.state(b, n)
 	}
 	src.m = sc.matrix(src.p, src.s1, src.h, src.x0, src.x0+n, src.tri, src.dy, src.dx, y0, y1, top, maxY)
 	src.y0 = y0

@@ -74,7 +74,7 @@ type blockCoverage struct {
 func checkBlocks(t testing.TB, sc *Scratch, c blockCase, k int, cov *blockCoverage) {
 	t.Helper()
 	defer setBlockRows(k)()
-	where := fmt.Sprintf("%s k=%d tier %s", c.name, k, ActiveTier())
+	where := fmt.Sprintf("%s k=%d tier %s segmented from %d", c.name, k, ActiveTier(), segWidthOverride)
 	sc.ScoreWindow(c.p, c.s, c.w, c.tri)
 	if c.w.H() > k && sc.NeedsPass(c.p, c.s, c.w, c.tri) {
 		t.Fatalf("%s: the masked pass left no checkpoints", where)
@@ -195,16 +195,18 @@ func randomPairs(m int, w Rect, rng *rand.Rand) *triangle.Triangle {
 
 // TestTracebackBlocksMatchNaive is the block traceback's differential
 // test: with blocks forced to 1, 2, 3 and 7 rows, under every rung this
-// CPU has, the traceback after a masked pass must equal Traceback over
-// NaiveMatrix pair for pair, on windows that between them take vertical
+// CPU has (the int16 and byte rungs also in segmented rows), the
+// traceback after a masked pass must equal Traceback over NaiveMatrix
+// pair for pair, on windows that between them take vertical
 // gaps across block boundaries, end in a partial block, end short of
 // the window's last column and, on the byte rung, hand over to int16 on
 // a checkpoint row and off one. One Scratch serves a whole tier, so the
 // checkpoints of every pass meet the arena left by the one before.
 func TestTracebackBlocksMatchNaive(t *testing.T) {
 	cases := blockCases(t)
-	for _, tier := range rowTiers() {
-		restore := forceTier(t, tier)
+	for _, rung := range rowRungs() {
+		restore := rung.force(t)
+		tier := rung.tier
 		var cov blockCoverage
 		sc := NewScratch()
 		for _, k := range []int{1, 2, 3, 7} {
@@ -213,12 +215,12 @@ func TestTracebackBlocksMatchNaive(t *testing.T) {
 			}
 		}
 		restore()
-		t.Logf("%s: %+v", tier, cov)
+		t.Logf("%s: %+v", rung, cov)
 		if cov.multi == 0 || cov.partial == 0 || cov.cut == 0 || cov.vertical == 0 {
-			t.Errorf("%s: a case went untested: %+v", tier, cov)
+			t.Errorf("%s: a case went untested: %+v", rung, cov)
 		}
 		if tier == TierU8x32 && (cov.handOn == 0 || cov.handOff == 0) {
-			t.Errorf("%s: hand-overs on and off a checkpoint row went untested: %+v", tier, cov)
+			t.Errorf("%s: hand-overs on and off a checkpoint row went untested: %+v", rung, cov)
 		}
 	}
 }
@@ -277,7 +279,8 @@ func TestCheckpointsFollowThePass(t *testing.T) {
 
 // FuzzTracebackBlocks drives the block traceback over arbitrary
 // windows, masks (FuzzScoreWindow's five kinds) and block heights 1..8
-// against Traceback over NaiveMatrix, under every rung this CPU has.
+// against Traceback over NaiveMatrix, under every rung this CPU has, the
+// int16 and byte rungs also in segmented rows.
 func FuzzTracebackBlocks(f *testing.F) {
 	repeat := []byte("MKVLAAGIWQRSTMKVLAAGIWQRSTMKVIAAGLWQKSTPEMKVLAAGIWQRST")
 	for kind := uint8(0); kind < 5; kind++ {
@@ -295,8 +298,8 @@ func FuzzTracebackBlocks(f *testing.F) {
 			tri = triangle.New(len(s)) // the block traceback masks by the engine's triangle, never nil
 		}
 		c := newBlockCase(t, "fuzz", p, s, w, tri)
-		for _, tier := range rowTiers() {
-			restore := forceTier(t, tier)
+		for _, rung := range rowRungs() {
+			restore := rung.force(t)
 			checkBlocks(t, NewScratch(), c, 1+int(k%8), nil)
 			restore()
 		}

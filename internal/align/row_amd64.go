@@ -25,3 +25,20 @@ func scanU8(prev, cur, maxY, maxYout, prof *uint8, codes *byte, rows, stride, nb
 //
 //go:noescape
 func rowScan8(prev, cur, maxY *int32, ex *int16, nb int, open, ext int32)
+
+// seg16 is scan16 in segmented rows (segments.go): segs vectors a row,
+// lane j holding columns j*segs+1 .. j*segs+segs, every row buffer
+// preceded by a slot vector, no shuffle inside the row. carry holds the
+// 16 lanes of the segments' horizontal carry between calls, then the
+// chain ends it was made from (segCarry); redo makes the call rebuild
+// it, and prev's slot, from prev first. ramp holds (segs-1-v)*ext for
+// every vector v but the last, 32767 there, each broadcast to a vector.
+//
+//go:noescape
+func seg16(prev, cur, maxY, prof *int16, codes *byte, rows, stride, segs int, carry, ramp *int16, k *segConsts, redo bool)
+
+// segProfileRow looks segs*16 residue codes up in tab, the exchange
+// values of one vertical residue as bytes: one row of seg16's profile.
+//
+//go:noescape
+func segProfileRow(dst *int16, codes *uint8, tab *segTable, segs int)

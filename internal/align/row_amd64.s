@@ -124,6 +124,7 @@ row16:
 	MOVQ     nb+64(FP), CX
 	VPCMPEQW Y5, Y5, Y5
 	VPSLLW   $15, Y5, Y5                 // carry-in: -32768, MaxX of column 0
+	PCALIGN $64
 
 loop16:
 	VMOVDQU    (SI), Y0                  // P[i-1]
@@ -245,6 +246,7 @@ rowU8:
 	ADDQ    R8, DX                       // this row's biased exchange values
 	MOVQ    nb+64(FP), CX
 	VPXOR   Y5, Y5, Y5                   // carry-in: 0, MaxX of column 0 clamped
+	PCALIGN $64
 
 loopU8:
 	VMOVDQU    (SI), Y0                  // P[i-1]
@@ -347,6 +349,7 @@ TEXT ·rowScan8(SB), NOSPLIT, $0-48
 	VPXOR        Y15, Y15, Y15
 	VPCMPEQD     Y5, Y5, Y5
 	VPSLLD       $29, Y5, Y5             // carry-in: -2^29, MaxX of column 0
+	PCALIGN $64
 
 loop8:
 	VMOVDQU    (SI), Y0                  // P[i-1]
@@ -387,5 +390,209 @@ loop8:
 	JNZ        loop8
 
 done8:
+	VZEROUPPER
+	RET
+
+// CARRY_SEG turns a row's segment chains into the next row's carries
+// (seg16): in Y1 the maximum over each segment's vectors v of the cell
+// minus ramp[v], in Y3 the row's slot; out in Y0 the MaxX of every
+// segment's first column. Less open, Y1 is the chain over vectors
+// 0..segs-2; the slot's term (minus segs*ext) completes it with the
+// column in front of the segment, and the end of segment j-1 is segment
+// j's candidate; a scan of 1, 2, 4 and 8 lanes, minus segs*ext per lane,
+// brings in those further left. The chain ends, before open comes off,
+// go to the carry buffer's second vector, where a mask pass reads which
+// cells they rest on. AX points at the segConsts, R14 at the carry
+// buffer; Y4 is clobbered.
+#define CARRY_SEG \
+	VPSUBSW    64(AX), Y3, Y3 \
+	VPMAXSW    Y3, Y1, Y1 \
+	VMOVDQU    Y1, 32(R14) \
+	VPSUBSW    Y14, Y1, Y1 \
+	VPERM2I128 $0x08, Y1, Y1, Y4 \
+	VPALIGNR   $14, Y4, Y1, Y0 \
+	VPERM2I128 $0x08, Y0, Y0, Y4 \
+	VPALIGNR   $14, Y4, Y0, Y4 \
+	VPSUBSW    64(AX), Y4, Y4 \
+	VPMAXSW    Y4, Y0, Y0 \
+	VPERM2I128 $0x08, Y0, Y0, Y4 \
+	VPALIGNR   $12, Y4, Y0, Y4 \
+	VPSUBSW    96(AX), Y4, Y4 \
+	VPMAXSW    Y4, Y0, Y0 \
+	VPERM2I128 $0x08, Y0, Y0, Y4 \
+	VPALIGNR   $8, Y4, Y0, Y4 \
+	VPSUBSW    128(AX), Y4, Y4 \
+	VPMAXSW    Y4, Y0, Y0 \
+	VPERM2I128 $0x08, Y0, Y0, Y4 \
+	VPSUBSW    160(AX), Y4, Y4 \
+	VPMAXSW    Y4, Y0, Y0
+
+// SEG_STEP computes vector v of a segmented row (seg16), v the one at
+// BX+off bytes past the first: d is the row above's vector v-1, or its
+// slot for v = 0.
+#define SEG_STEP(off) \
+	VMOVDQU off(R11)(BX*1), Y3 \
+	VPSUBSW Y14, Y3, Y4 \
+	VPMAXSW Y3, Y0, Y6 \
+	VMOVDQU off(CX)(BX*1), Y5 \
+	VPMAXSW Y5, Y6, Y6 \
+	VPADDSW off(DX)(BX*1), Y6, Y6 \
+	VPMAXSW Y15, Y6, Y6 \
+	VMOVDQU Y6, 32+off(R12)(BX*1) \
+	VPMAXSW Y4, Y5, Y5 \
+	VPSUBSW Y13, Y5, Y5 \
+	VMOVDQU Y5, off(CX)(BX*1) \
+	VPMAXSW Y4, Y0, Y0 \
+	VPSUBSW Y13, Y0, Y0 \
+	VPSUBSW off(SI)(BX*1), Y6, Y2 \
+	VPMAXSW Y2, Y1, Y1
+
+// func seg16(prev, cur, maxY, prof *int16, codes *byte, rows, stride, segs int, carry, ramp *int16, k *segConsts, redo bool)
+//
+// scan16 in segmented rows (DESIGN.md section 17, "Wide windows are
+// segmented"): lane j owns the segs columns j*segs+1 .. j*segs+segs, and
+// vector v of a row holds column v+1 of every segment, so every step of
+// the row is element-wise and no block shuffles a lane. A row buffer is
+// segs+1 vectors: a slot, then vectors 0..segs-1. The slot holds the
+// row's last vector moved up one lane (lane 0 the boundary, 0), so that
+// vector v-1 of the row above is column v's diagonal in every lane, the
+// slot included for v = 0.
+//
+// MaxX runs down each segment in a register — mx(v+1) = max(mx(v),
+// d(v) - open) - ext — from a carry: mx of the segment's first column,
+// which depends on the segments to its left. Since MaxX reads only the
+// row above, the carries are known before the row starts: while a row is
+// computed, Y1 keeps the maximum of its cells minus ramp[v] =
+// (segs-1-v)*ext, which less open is the same chain's end over its
+// vectors 0..segs-2 (the next row's diagonals 1..segs-1; ramp[segs-1]
+// is 32767, which drives the last vector's term to 0 or below), and
+// CARRY_SEG turns that and the slot into the next row's carries: one
+// shuffle sequence per row, not per block. Every fill (the slot's lane
+// 0, the scan's vacated lanes, a saturated ramp) leaves a candidate at 0
+// or below, which d >= 0 always beats, as in scan16.
+//
+// With redo set, the call first rebuilds the slot and the carry from
+// prev itself, as after a mask has zeroed cells of it or a hand-over
+// has written it; otherwise it takes the carry the last call left in
+// carry. It always leaves the carry for the row after its last one
+// there, and the chain ends it was made from after it (CARRY_SEG). The
+// row buffers swap after every row like scan16's; row y's profile
+// vectors start at prof + codes[y-1]*stride bytes. k holds open, ext,
+// and segs*ext times 1, 2, 4, 8, saturated (segConsts).
+TEXT ·seg16(SB), NOSPLIT, $0-89
+	MOVQ  prev+0(FP), R11
+	MOVQ  cur+8(FP), R12
+	MOVQ  prof+24(FP), R8
+	MOVQ  codes+32(FP), R9
+	MOVQ  rows+40(FP), R10
+	MOVQ  segs+56(FP), R13
+	MOVQ  carry+64(FP), R14
+	MOVQ  ramp+72(FP), SI
+	MOVQ  k+80(FP), AX
+	TESTQ R13, R13
+	JZ    doneSeg
+	TESTQ R10, R10
+	JZ    doneSeg
+	SHLQ  $5, R13                        // the row's vectors end at 32*segs past vector 0
+
+	VMOVDQU  0(AX), Y14                  // open
+	VMOVDQU  32(AX), Y13                 // ext
+	VPXOR    Y15, Y15, Y15               // zero, for the clamp
+	VPCMPEQW Y7, Y7, Y7
+	VPSLLW   $15, Y7, Y7                 // -32768
+	MOVBLZX  redo+88(FP), DX
+	TESTL    DX, DX
+	JNZ      redoSeg
+	VMOVDQU  (R14), Y0                   // the carry the last call left
+	JMP      rowSeg
+
+redoSeg:
+	VMOVDQU    0(R11)(R13*1), Y3         // the row above's last vector
+	VPERM2I128 $0x08, Y3, Y3, Y4
+	VPALIGNR   $14, Y4, Y3, Y3           // up one lane: the slot
+	VMOVDQU    Y3, (R11)
+	VMOVDQA    Y7, Y1
+	XORQ       BX, BX
+
+redoLoop:
+	VMOVDQU 32(R11)(BX*1), Y4
+	VPSUBSW (SI)(BX*1), Y4, Y4
+	VPMAXSW Y4, Y1, Y1
+	ADDQ    $32, BX
+	CMPQ    BX, R13
+	JLT     redoLoop
+	CARRY_SEG
+
+rowSeg:
+	MOVBQZX (R9), DX
+	IMULQ   stride+48(FP), DX
+	ADDQ    R8, DX                       // this row's profile vectors
+	MOVQ    maxY+16(FP), CX
+	VMOVDQA Y7, Y1
+	XORQ    BX, BX
+	TESTQ   $32, R13
+	JZ      loopSeg
+	MOVQ    $-32, BX                     // an odd count enters the pair at its second vector
+	JMP     secondSeg
+	PCALIGN $64
+
+loopSeg:
+	SEG_STEP(0)
+
+secondSeg:
+	SEG_STEP(32)
+	ADDQ $64, BX
+	CMPQ BX, R13
+	JLT  loopSeg
+
+	VPERM2I128 $0x08, Y6, Y6, Y4
+	VPALIGNR   $14, Y4, Y6, Y3           // the last vector up one lane
+	VMOVDQU    Y3, (R12)                 // this row's slot
+	CARRY_SEG
+	MOVQ       R11, BX                   // this row is the next row's row above
+	MOVQ       R12, R11
+	MOVQ       BX, R12
+	INCQ       R9
+	DECQ       R10
+	JNZ        rowSeg
+
+	VMOVDQU Y0, (R14)
+
+doneSeg:
+	VZEROUPPER
+	RET
+
+// func segProfileRow(dst *int16, codes *uint8, tab *segTable, segs int)
+//
+// One row of seg16's profile: dst[i] = the exchange value of codes[i]
+// for the segs*16 codes, 16 a step. VPSHUFB looks each code up in the
+// table of codes 0..15 and in that of 16..31 (both read the code's low
+// four bits), a compare against 15 picks the one that applies, and the
+// bytes are sign-extended to int16.
+TEXT ·segProfileRow(SB), NOSPLIT, $0-32
+	MOVQ  dst+0(FP), DI
+	MOVQ  codes+8(FP), SI
+	MOVQ  tab+16(FP), AX
+	MOVQ  segs+24(FP), CX
+	TESTQ CX, CX
+	JZ    doneProf
+	VMOVDQU 0(AX), X5                    // codes 0..15
+	VMOVDQU 16(AX), X6                   // codes 16..31
+	VMOVDQU 32(AX), X7                   // 15
+
+loopProf:
+	VMOVDQU   (SI), X0
+	VPCMPGTB  X7, X0, X1                 // code > 15
+	VPSHUFB   X0, X5, X2
+	VPSHUFB   X0, X6, X3
+	VPBLENDVB X1, X3, X2, X4
+	VPMOVSXBW X4, Y4
+	VMOVDQU   Y4, (DI)
+	ADDQ      $16, SI
+	ADDQ      $32, DI
+	DECQ      CX
+	JNZ       loopProf
+
+doneProf:
 	VZEROUPPER
 	RET

@@ -1,9 +1,13 @@
 package align
 
 import (
+	"debug/elf"
+	"debug/gosym"
 	"fmt"
 	"math/rand/v2"
+	"os"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/scoring"
@@ -51,14 +55,15 @@ func refRow(prev, gapMax []int32, exch []int16, s2 []byte, open, ext int32, tri 
 }
 
 // TestRowKernelsMatchGoRow is the row half of the row-kernel harness:
-// one row of each row kernel — gotohRow, scan16, rowScan8, scanU8 — and,
-// with override bits at the mask columns, the kernel followed by
-// zeroMasked, against refRow, on row states a matrix need not be able to
-// reach: cur and maxY must come out bit for bit, for every width across
-// the first three blocks and either side of later block boundaries, under
-// every harness model the kernel's tier accepts. The byte kernel gets the
-// row states below its flag level, with its gap chains clamped at zero,
-// and must flag exactly the rows whose reference reaches that level.
+// one row of each row kernel — gotohRow, scan16, seg16, rowScan8,
+// scanU8 — and, with override bits at the mask columns, the kernel
+// followed by zeroMasked, against refRow, on row states a matrix need
+// not be able to reach: cur and maxY must come out bit for bit, for every
+// width across the first three blocks and either side of later block
+// boundaries, under every harness model the kernel's tier accepts. The
+// byte kernel gets the row states below its flag level, with its gap
+// chains clamped at zero, and must flag exactly the rows whose reference
+// reaches that level.
 func TestRowKernelsMatchGoRow(t *testing.T) {
 	if DetectedTier() < TierInt16x16 {
 		t.Skip("needs AVX2")
@@ -127,6 +132,9 @@ func TestRowKernelsMatchGoRow(t *testing.T) {
 							}
 						}
 					}
+					if model.ok16 {
+						checkSeg16(t, where, rm.p, exch, s2, above, gapMax, mask, cur, maxY)
+					}
 					if model.ok8 {
 						checkScanU8(t, where, model, exch, s2, above, gapMax, mask)
 					}
@@ -148,6 +156,47 @@ func TestRowKernelsMatchGoRow(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// checkSeg16 runs one row of the segmented kernel over the row state of
+// TestRowKernelsMatchGoRow laid out in segments, carry and slot rebuilt
+// from the row above (redo), and holds it to the reference cur and maxY:
+// every carry between segments is exercised, since the row above is
+// arbitrary.
+func checkSeg16(t *testing.T, where string, p Params, exch []int16, s2 []byte, above, gapMax []int32, tri *triangle.Triangle, cur, maxY []int32) {
+	t.Helper()
+	n := len(s2)
+	segs := (n + RowBlock - 1) / RowBlock
+	prev, next, mY := make([]int16, RowBlock*(segs+1)), make([]int16, RowBlock*(segs+1)), make([]int16, RowBlock*segs)
+	ex := make([]int16, RowBlock*segs)
+	row := make([]int16, n)
+	for i, c := range s2 {
+		row[i] = exch[c]
+	}
+	stripe(ex, row, n, segs, 0)
+	lay := func(dst []int16, src []int32, fill int16) {
+		for i, v := range src {
+			row[i] = int16(v)
+		}
+		stripe(dst, row, n, segs, fill)
+	}
+	lay(prev[RowBlock:], above, 0)
+	lay(mY, gapMax, NegInf16)
+	var m segModel
+	m.set(p, segs)
+	var carry [2][RowBlock]int16
+	seg16(&prev[0], &next[0], &mY[0], &ex[0], new(byte), 1, 0, segs, &carry[0][0], &m.ramp[0], &m.k, true)
+	if tri != nil {
+		zeroMaskedSegs(next[RowBlock:], segs, tri, 1, 2, n, &carry[1], m.ramp)
+	}
+	gotCur, gotMaxY := make([]int32, n), make([]int32, n)
+	unstripe(gotCur, next[RowBlock:], segs)
+	unstripe(gotMaxY, mY, segs)
+	for i := 0; i < n; i++ {
+		if gotCur[i] != cur[1+i] || gotMaxY[i] != maxY[1+i] {
+			t.Fatalf("%s: seg16 column %d: cur %d maxY %d, reference %d and %d", where, i+1, gotCur[i], gotMaxY[i], cur[1+i], maxY[1+i])
 		}
 	}
 }
@@ -238,5 +287,72 @@ func BenchmarkRowCall(b *testing.B) {
 				k.call()
 			}
 		})
+	}
+}
+
+// The inner loops of the row kernels start on a 64-byte boundary
+// (PCALIGN $64 in row_amd64.s): the instruction at the label after
+// every PCALIGN must sit at an address divisible by 64 in this very
+// binary. Addresses come from the binary's pc-line table, the one go
+// tool objdump prints beside each instruction, read with debug/gosym:
+// objdump's decoder loses step on some VEX encodings and can skip the
+// instruction looked for.
+func TestRowKernelLoopsAreAligned(t *testing.T) {
+	src, err := os.ReadFile("row_amd64.s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var heads []int // line numbers of the first instruction after the label after each PCALIGN
+	lines := strings.Split(string(src), "\n")
+	for i, l := range lines {
+		if strings.TrimSpace(l) != "PCALIGN $64" {
+			continue
+		}
+		j := i + 1
+		for j < len(lines) && !strings.HasSuffix(strings.TrimSpace(lines[j]), ":") {
+			j++ // to the label
+		}
+		for j++; j < len(lines); j++ {
+			if f := strings.TrimSpace(lines[j]); f != "" && !strings.HasPrefix(f, "//") {
+				heads = append(heads, j+1)
+				break
+			}
+		}
+	}
+	if len(heads) < 4 {
+		t.Fatalf("found %d PCALIGN loop heads in row_amd64.s, want one per kernel (4)", len(heads))
+	}
+	exe, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	bin, err := elf.Open(exe)
+	if err != nil {
+		t.Skipf("not an ELF binary: %v", err)
+	}
+	defer bin.Close()
+	pclntab, err := bin.Section(".gopclntab").Data()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tab, err := gosym.NewTable(nil, gosym.NewLineTable(pclntab, bin.Section(".text").Addr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	file := ""
+	for name := range tab.Files {
+		if strings.HasSuffix(name, "align/row_amd64.s") {
+			file = name
+		}
+	}
+	for _, line := range heads {
+		pc, fn, err := tab.LineToPC(file, line)
+		if err != nil {
+			t.Errorf("row_amd64.s:%d, a loop head, has no address: %v", line, err)
+			continue
+		}
+		if pc%64 != 0 {
+			t.Errorf("row_amd64.s:%d, the loop head in %s, is at %#x: not 64-byte aligned", line, fn.Name, pc)
+		}
 	}
 }

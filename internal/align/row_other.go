@@ -21,3 +21,11 @@ func scanU8(prev, cur, maxY, maxYout, prof *uint8, codes *byte, rows, stride, nb
 func rowScan8(prev, cur, maxY *int32, ex *int16, nb int, open, ext int32) {
 	panic("align: int32x8 row kernel selected without AVX2")
 }
+
+func seg16(prev, cur, maxY, prof *int16, codes *byte, rows, stride, segs int, carry, ramp *int16, k *segConsts, redo bool) {
+	panic("align: segmented int16x16 row kernel selected without AVX2")
+}
+
+func segProfileRow(dst *int16, codes *uint8, tab *segTable, segs int) {
+	panic("align: segmented int16x16 row kernel selected without AVX2")
+}

@@ -2,6 +2,7 @@ package align
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -41,6 +42,62 @@ func forceTier(t testing.TB, tier Tier) (restore func()) {
 	}
 }
 
+// setSegWidth sends every int16 score pass at least w columns wide to
+// the segmented kernel until the returned func puts the previous width
+// back.
+func setSegWidth(w int) (restore func()) {
+	prev := segWidthOverride
+	segWidthOverride = w
+	return func() { segWidthOverride = prev }
+}
+
+// rowRung is one way the harnesses run a window: a forced tier and, on
+// the int16 and byte rungs, whether every int16 score pass one block wide
+// or more runs in segmented rows (segs), as only passes segWidth wide do
+// outside the tests.
+type rowRung struct {
+	tier Tier
+	segs bool
+}
+
+func (r rowRung) String() string {
+	if r.segs {
+		return r.tier.String() + "/segmented"
+	}
+	return r.tier.String()
+}
+
+// rowRungs are rowTiers, then the int16 and byte rungs again in
+// segmented rows.
+func rowRungs() []rowRung {
+	var rungs []rowRung
+	for _, tier := range rowTiers() {
+		rungs = append(rungs, rowRung{tier: tier})
+	}
+	for _, tier := range rowTiers() {
+		if tier >= TierInt16x16 {
+			rungs = append(rungs, rowRung{tier: tier, segs: true})
+		}
+	}
+	return rungs
+}
+
+// force runs the rung until the returned func puts the previous tier and
+// segment width back.
+func (r rowRung) force(t testing.TB) (restore func()) {
+	t.Helper()
+	restoreTier := forceTier(t, r.tier)
+	w := 0
+	if r.segs {
+		w = RowBlock
+	}
+	restoreSegs := setSegWidth(w)
+	return func() {
+		restoreSegs()
+		restoreTier()
+	}
+}
+
 // rowWidths are the widths the harnesses sweep: every width across the
 // first three int16 blocks, and one column either side of later block
 // boundaries.
@@ -57,15 +114,19 @@ func rowWidths() []int {
 
 // maskColumns are the columns (1-based) whose override bits the
 // harnesses set in a width-n row: either side of the first block
-// boundary of both vector widths (8 and 16 columns) and the two ends.
+// boundary of both vector widths (8 and 16 columns), either side of the
+// first, middle and last segment boundaries of segmented rows, and the
+// two ends.
 func maskColumns(n int) []int {
+	segs := (n + RowBlock - 1) / RowBlock
 	var cols []int
-	for _, c := range []int{1, 7, 8, 15, 16, 17, n} {
-		if c <= n && (len(cols) == 0 || cols[len(cols)-1] != c) {
+	for _, c := range []int{1, 7, 8, 15, 16, 17, segs, segs + 1, 8 * segs, 8*segs + 1, 15 * segs, 15*segs + 1, n} {
+		if c <= n {
 			cols = append(cols, c)
 		}
 	}
-	return cols
+	slices.Sort(cols)
+	return slices.Compact(cols)
 }
 
 // rowModels are the scoring models of the row harnesses: the everyday
@@ -82,6 +143,7 @@ var rowModels = []struct {
 	{"BLOSUM62", Params{Exch: scoring.BLOSUM62, Gap: scoring.DefaultProteinGap}},
 	{"PAM250", Params{Exch: scoring.PAM250, Gap: scoring.DefaultProteinGap}},
 	{"paper-dna", Params{Exch: scoring.PaperDNA, Gap: scoring.PaperGap}},
+	{"dna-unit", Params{Exch: scoring.DNAUnit, Gap: scoring.Gap{Open: 8, Ext: 2}}},
 	{"open0", Params{Exch: scoring.DNAUnit, Gap: scoring.Gap{Open: 0, Ext: 1}}},
 	{"ext-saturates-ramp", Params{Exch: scoring.Unit("u", seq.DNA, 40, -30), Gap: scoring.Gap{Open: 5, Ext: 2100}}},
 	{"ext-at-bound", Params{Exch: scoring.Unit("u", seq.DNA, 9, -7), Gap: scoring.Gap{Open: 0, Ext: MaxGapInt16 - 1}}},
@@ -169,25 +231,34 @@ func rowCases(short bool) []rowCase {
 // from the best ending must equal what the forced-scalar tier produces —
 // the Go row gotohRow and its zeroMasked pass, themselves held to the
 // naive oracles by checkWindow and TestMaskedMatchesNaiveBorderProperty —
-// and the call must have run on the tier RowTier promises. One Scratch
-// serves a whole tier, so arena and query-profile reuse across shapes,
+// and the call must have run on the tier RowTier promises. The int16 and
+// byte rungs run a second time with every score pass in segmented rows,
+// whose column gap maxima are held to the Go row's as well. One Scratch
+// serves a whole rung, so arena and query-profile reuse across shapes,
 // sequences and models is exercised too. (Mutation-checked: dropping the
 // low-to-high hand-over, the block carry, or zeroMasked's store each
-// fails it.)
+// fails it, and so does dropping the carry between segments.)
 func TestRowTiersMatchGoRows(t *testing.T) {
 	type outcome struct {
-		bottom []int32
-		cells  [][]int32
-		maxY   []int32
-		aln    Alignment
+		bottom  []int32
+		cells   [][]int32
+		maxY    []int32
+		segMaxY []int32 // a segmented score pass's, in column order
+		handed  bool    // the byte rung handed that pass over
+		aln     Alignment
 	}
 	run := func(sc *Scratch, c rowCase) (o outcome) {
 		o.bottom = append(o.bottom, sc.ScoreWindow(c.p, c.s, c.w, c.tri)...)
+		n := c.w.W()
+		if sc.Tier() == TierInt16x16 && segmentedRows(n) {
+			o.segMaxY = make([]int32, n)
+			unstripe(o.segMaxY, sc.segMaxY, (n+RowBlock-1)/RowBlock)
+			o.handed = sc.Wasted() > 0
+		}
 		mtx := matrixWindow(sc, c.p, c.s, c.w, c.tri)
 		for _, row := range mtx {
 			o.cells = append(o.cells, append([]int32(nil), row...))
 		}
-		n := c.w.W()
 		switch sc.Tier() {
 		case TierInt16x16:
 			for _, v := range sc.maxY16[:n] {
@@ -208,32 +279,41 @@ func TestRowTiersMatchGoRows(t *testing.T) {
 	}
 	cases := rowCases(testing.Short())
 	want := make([]outcome, len(cases))
-	for _, tier := range rowTiers() {
-		restore := forceTier(t, tier)
+	for _, rung := range rowRungs() {
+		restore := rung.force(t)
+		tier := rung.tier
 		sc := NewScratch()
 		for i, c := range cases {
 			got := run(sc, c)
 			if wantTier := min(tier, c.want); sc.Tier() != wantTier || RowTier(c.p, c.w.H(), c.w.W()) != wantTier {
-				t.Fatalf("%s under %s: ran on %s, RowTier says %s, want %s", c.name, tier, sc.Tier(), RowTier(c.p, c.w.H(), c.w.W()), wantTier)
+				t.Fatalf("%s under %s: ran on %s, RowTier says %s, want %s", c.name, rung, sc.Tier(), RowTier(c.p, c.w.H(), c.w.W()), wantTier)
 			}
 			if tier == TierScalar {
 				want[i] = got
 				continue
 			}
 			ref := want[i]
+			if wantMaxY := ref.maxY; got.segMaxY != nil {
+				if got.handed { // a byte state's gap maxima are clamped at 0, which stands for any value <= 0
+					got.segMaxY, wantMaxY = clampI32(got.segMaxY), clampI32(wantMaxY)
+				}
+				if !equalI32(got.segMaxY, wantMaxY) {
+					t.Fatalf("%s under %s: the segmented pass's column gap maxima\n got %v\nwant %v", c.name, rung, got.segMaxY, wantMaxY)
+				}
+			}
 			if !equalI32(got.bottom, ref.bottom) {
-				t.Fatalf("%s under %s: bottom row\n got %v\nwant %v", c.name, tier, got.bottom, ref.bottom)
+				t.Fatalf("%s under %s: bottom row\n got %v\nwant %v", c.name, rung, got.bottom, ref.bottom)
 			}
 			for y := range ref.cells {
 				if !equalI32(got.cells[y], ref.cells[y]) {
-					t.Fatalf("%s under %s: matrix row %d\n got %v\nwant %v", c.name, tier, y, got.cells[y], ref.cells[y])
+					t.Fatalf("%s under %s: matrix row %d\n got %v\nwant %v", c.name, rung, y, got.cells[y], ref.cells[y])
 				}
 			}
 			if !equalI32(got.maxY, ref.maxY) {
-				t.Fatalf("%s under %s: column gap maxima\n got %v\nwant %v", c.name, tier, got.maxY, ref.maxY)
+				t.Fatalf("%s under %s: column gap maxima\n got %v\nwant %v", c.name, rung, got.maxY, ref.maxY)
 			}
 			if got.aln.Score != ref.aln.Score || fmt.Sprint(got.aln.Pairs) != fmt.Sprint(ref.aln.Pairs) {
-				t.Fatalf("%s under %s: traceback %+v, want %+v", c.name, tier, got.aln, ref.aln)
+				t.Fatalf("%s under %s: traceback %+v, want %+v", c.name, rung, got.aln, ref.aln)
 			}
 		}
 		restore()
@@ -284,6 +364,15 @@ func TestRowProfileFollowsTheResidues(t *testing.T) {
 	if got, want := sc.ScoreWindow(pam, a, w, nil), new(Scratch).ScoreWindow(pam, a, w, nil); !equalI32(got, want) {
 		t.Fatalf("stale profile after switching matrices:\n got %v\nwant %v", got, want)
 	}
+}
+
+// clampI32 returns a copy of a clamped at 0 from below.
+func clampI32(a []int32) []int32 {
+	out := make([]int32, len(a))
+	for i, v := range a {
+		out[i] = max(v, 0)
+	}
+	return out
 }
 
 func equalI32(a, b []int32) bool {
@@ -372,11 +461,21 @@ func TestByteSaturationBoundaryProperty(t *testing.T) {
 // bottom row, masked or not. The windows are splits of tandem arrays, so
 // real gapped alignments cross the flag level somewhere in the middle;
 // the test fails if no window hands over with rows left below its flag.
+// It runs twice: on the row scan, and with every int16 pass in segmented
+// rows, where the hand-over lays the byte state out in segments.
 func TestByteHandOverProperty(t *testing.T) {
 	if DetectedTier() < TierU8x32 {
 		t.Skip("the byte rung needs AVX2")
 	}
 	defer forceTier(t, TierU8x32)()
+	checkHandOvers(t)
+	defer setSegWidth(RowBlock)()
+	checkHandOvers(t)
+}
+
+// checkHandOvers is TestByteHandOverProperty's body on the segment
+// width in force.
+func checkHandOvers(t *testing.T) {
 	dna := seq.Tandem(seq.TandemSpec{Alpha: seq.DNA, UnitLen: 70, Copies: 6, FlankLen: 40,
 		Profile: seq.MutationProfile{SubstRate: 0.08, IndelRate: 0.03, IndelExt: 0.5}, Seed: 3}).Codes
 	protein := seq.Tandem(seq.TandemSpec{UnitLen: 60, Copies: 6, FlankLen: 40,
@@ -400,7 +499,7 @@ func TestByteHandOverProperty(t *testing.T) {
 				tri.Set(y, y+70) // every third pair of the first copy's diagonal
 			}
 			for _, mask := range []*triangle.Triangle{nil, tri} {
-				where := fmt.Sprintf("%s h=%d masked=%v", c.name, h, mask != nil)
+				where := fmt.Sprintf("%s h=%d masked=%v segmented from %d", c.name, h, mask != nil, segWidthOverride)
 				got := append([]int32(nil), sc.ScoreWindow(c.p, c.s, w, mask)...)
 				tier, wasted := sc.Tier(), sc.Wasted()
 				restore := forceTier(t, TierScalar)

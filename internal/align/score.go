@@ -38,11 +38,12 @@ func ScoreMasked(p Params, s1, s2 []byte, tri *triangle.Triangle, r int) []int32
 // at the first row holding a cell at the byte rung's flag level the pass
 // hands over to the int16 rung, which computes that row again and the
 // rows below it, and the flagged row's cells are counted as wasted
-// (Scratch.Wasted). The tier that served the call is recorded for
-// Scratch.Tier: int16x16 for a pass that handed over. A masked pass
-// keeps checkpoints for the block traceback (TracebackBlocks). All
-// working memory comes from the receiver; the returned bottom row is
-// arena-owned.
+// (Scratch.Wasted). On the int16 rung a window segWidth columns wide or
+// more runs in segmented rows (rowsSegs), a narrower one on the row scan
+// (rows16). The tier that served the call is recorded for Scratch.Tier:
+// int16x16 for a pass that handed over. A masked pass keeps checkpoints
+// for the block traceback (TracebackBlocks). All working memory comes
+// from the receiver; the returned bottom row is arena-owned.
 func (sc *Scratch) score(p Params, s1, h []byte, x0, x1 int, tri *triangle.Triangle, dy, dx int, byteOK bool) []int32 {
 	sc.ck.start(s1, x1-x0, tri, dy)
 	bottom := sc.pass(p, s1, h, x0, x1, tri, dy, dx, byteOK)
@@ -69,12 +70,21 @@ func (sc *Scratch) pass(p Params, s1, h []byte, x0, x1 int, tri *triangle.Triang
 			}
 			return bottom
 		}
-		sc.handOver(len2)
 		s1, dy, resume = s1[flagged-1:], dy+flagged-1, true
 		sc.wasted = Cells(1, len2)
 	}
 	switch tier {
 	case TierInt16x16:
+		if segmentedRows(len2) {
+			if resume {
+				sc.handOverSegs(len2)
+			}
+			sc.rowsSegs(p, s1, h, x0, len2, tri, dy, dx, resume, bottom)
+			return bottom
+		}
+		if resume {
+			sc.handOver(len2)
+		}
 		for i, v := range sc.rows16(p, s1, h, x0, len2, tri, dy, dx, nil, 0, resume)[2 : 2+len2] {
 			bottom[i] = int32(v)
 		}

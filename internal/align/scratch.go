@@ -35,6 +35,12 @@ type Scratch struct {
 	tier                  Tier     // tier of the last score or matrix call
 	wasted                int64    // cells the last call's flagged byte pass threw away
 
+	segPrev, segCur  []int16            // the segmented kernel's row buffers, slot first
+	segMaxY, segProf []int16            // its column gap maxima and profile rows, in segments
+	segCodes         []uint8            // the window's residues, in segments
+	segCarry         [2][RowBlock]int16 // the horizontal carry between its calls, and the chain ends it came from
+	segModel         segModel           // its constants for the last model and width
+
 	flat []int32   // matrix arena: a whole matrix or one traceback block
 	rows [][]int32 // row headers over flat
 

@@ -93,12 +93,13 @@ func TestScoreWindowSubwindowConsistency(t *testing.T) {
 // every cell of the window's matrix, and — when the window holds a
 // positive alignment — that the traceback from the best ending lands on
 // the oracle's score over positive, un-overridden, strictly increasing
-// cells — under each kernel tier this CPU has. Shared by the table test
-// above and FuzzScoreWindow.
+// cells — under each kernel tier this CPU has, the int16 and byte rungs
+// also in segmented rows. Shared by the table test above and
+// FuzzScoreWindow.
 func checkWindow(t testing.TB, p Params, s []byte, w Rect, mask *triangle.Triangle) {
 	t.Helper()
-	for _, tier := range rowTiers() {
-		restore := forceTier(t, tier)
+	for _, rung := range rowRungs() {
+		restore := rung.force(t)
 		checkWindowOnActiveTier(t, p, s, w, mask)
 		restore()
 	}

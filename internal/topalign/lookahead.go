@@ -1,9 +1,7 @@
 package topalign
 
 import (
-	"cmp"
 	"runtime"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -41,21 +39,19 @@ type slot struct {
 // lookahead is a windowed run's first-pass helpers: up to GOMAXPROCS-1
 // goroutines, one per core the engaged count leaves free, that compute
 // never-aligned windows' first alignments (Engine.compute) into the
-// windows' slots, in the order the queue will pop them, at most limit
-// passes beyond the ones the loop has consumed. A first alignment ignores
-// the triangle, so it is a function of the window alone and needs nothing
-// the loop changes. Helpers touch neither the queue, the task nor the
+// windows' slots, in the order the queue will pop them (its list of
+// never-aligned tasks), at most limit passes beyond the ones the loop
+// has consumed. A first alignment ignores the triangle, so it is a
+// function of the window alone and needs nothing the loop changes. Helpers touch neither the queue, the task nor the
 // triangle, and count nothing but their CPU and the waste: the loop
 // applies the result (realign) and counts it as if it had computed it.
 type lookahead struct {
-	slots  []slot                  // one per never-aligned window, in task order
-	order  atomic.Pointer[[]int32] // slots in queue order, once the first helper has sorted them
-	sorted chan struct{}           // closed when order is set
-	next   atomic.Int64            // the next position of order a helper may claim
-	taken  atomic.Int64            // first alignments the loop has consumed
-	limit  int64                   // helpers * lookaheadPerHelper
-	parked atomic.Int32            // helpers waiting for the loop to consume
-	procs  int32                   // GOMAXPROCS when the run started
+	slots  []slot       // one per never-aligned window, in queue order
+	next   atomic.Int64 // the next slot a helper may claim
+	taken  atomic.Int64 // first alignments the loop has consumed
+	limit  int64        // helpers * lookaheadPerHelper
+	parked atomic.Int32 // helpers waiting for the loop to consume
+	procs  int32        // GOMAXPROCS when the run started
 	wake   chan struct{}
 	quit   chan struct{}
 	wg     sync.WaitGroup
@@ -122,15 +118,13 @@ func Retire(procs int32) bool {
 // first time.
 func (e *Engine) startHelpers(q *TaskQueue) *lookahead {
 	procs := int32(runtime.GOMAXPROCS(0))
-	if procs < 2 || q.Len() < 2 || q.h[0].Win == nil {
+	list := q.neverAligned()
+	if procs < 2 || len(list) < 2 || list[0].Win == nil {
 		return nil
 	}
-	a := &lookahead{slots: make([]slot, 0, q.Len()), procs: procs}
-	keys := make([]queueKey, 0, q.Len())
-	for _, t := range q.h {
+	a := &lookahead{slots: make([]slot, 0, len(list)), procs: procs}
+	for _, t := range list {
 		if !t.Win.Aligned() {
-			desc := ^(uint32(t.Score) ^ 1<<31) // order-preserving for int32, then flipped
-			keys = append(keys, queueKey{order: uint64(desc)<<32 | uint64(uint32(t.R)), slot: int32(len(a.slots))})
 			a.slots = append(a.slots, slot{task: t})
 		}
 	}
@@ -145,13 +139,11 @@ func (e *Engine) startHelpers(q *TaskQueue) *lookahead {
 		a.slots[i].task.spec = &a.slots[i]
 	}
 	a.limit = int64(helpers * lookaheadPerHelper)
-	a.sorted = make(chan struct{})
 	a.wake = make(chan struct{}, helpers) // a token per helper: consumed never blocks, no parked helper is missed
 	a.quit = make(chan struct{})
 	a.wg.Add(helpers)
-	go a.helper(e, 0, keys)
-	for h := 1; h < helpers; h++ {
-		go a.helper(e, h, nil)
+	for h := 0; h < helpers; h++ {
+		go a.helper(e, h)
 	}
 	return a
 }
@@ -174,48 +166,13 @@ func (a *lookahead) stop(e *Engine) {
 	}
 }
 
-// queueKey is a never-aligned window's place in the queue's order
-// (before), taken before the loop starts changing task scores: order
-// packs score descending, then R ascending, into one ascending key.
-type queueKey struct {
-	order uint64
-	slot  int32 // the window's slot
-}
-
-// sort publishes the slots in the queue's order. Windows that tie on
-// score and R are ordered by their rectangles, as the queue orders them;
-// a rectangle does not change, so the helper reads it while the loop
-// runs.
-func (a *lookahead) sort(keys []queueKey) {
-	slices.SortFunc(keys, func(x, y queueKey) int {
-		if c := cmp.Compare(x.order, y.order); c != 0 {
-			return c
-		}
-		p, q := a.slots[x.slot].task.Win.Rect, a.slots[y.slot].task.Win.Rect
-		switch {
-		case rectBefore(p, q):
-			return -1
-		case rectBefore(q, p):
-			return 1
-		}
-		return 0
-	})
-	order := make([]int32, len(keys))
-	for j, k := range keys {
-		order[j] = k.slot
-	}
-	a.order.Store(&order)
-	close(a.sorted)
-}
-
 // helper is one helper goroutine: it claims windows in queue order and
 // computes their first alignments with its own scratch, parking when it
 // is limit passes ahead of the loop, and retiring when the process has
-// more engaged goroutines than cores. The first helper sorts the windows
-// into that order, while the loop computes the first of them itself.
-// Like a parallel worker, a helper bills its thread CPU to the run and
-// records one span for its whole life.
-func (a *lookahead) helper(e *Engine, idx int, keys []queueKey) {
+// more engaged goroutines than cores. Like a parallel worker, a helper
+// bills its thread CPU to the run and records one span for its whole
+// life.
+func (a *lookahead) helper(e *Engine, idx int) {
 	defer a.wg.Done()
 	cfg := e.cfg
 	sp := cfg.Spans.Start(cfg.SpanParent, "topalign.lookahead")
@@ -225,9 +182,6 @@ func (a *lookahead) helper(e *Engine, idx int, keys []queueKey) {
 	var sw attrib.Stopwatch
 	sw.Start()
 	defer func() { cfg.Counters.AddCPU(sw.Stop()) }()
-	if keys != nil {
-		a.sort(keys)
-	}
 	if a.work(e) {
 		Release()
 	}
@@ -237,11 +191,6 @@ func (a *lookahead) helper(e *Engine, idx int, keys []queueKey) {
 // the run is over or the helper retires, and reports whether the helper
 // still holds its engaged place.
 func (a *lookahead) work(e *Engine) bool {
-	select {
-	case <-a.sorted:
-	case <-a.quit:
-		return true
-	}
 	sc := NewScratch()
 	sc.A.ShareProfile(e.WindowProfile())
 	for {
@@ -262,19 +211,15 @@ func (a *lookahead) work(e *Engine) bool {
 }
 
 // claim claims the next free window within the lookahead, or returns
-// nil when there is none: the order is not sorted yet, the list is
-// exhausted, or the helpers are limit passes ahead of the loop.
+// nil when there is none: the list is exhausted, or the helpers are limit
+// passes ahead of the loop.
 func (a *lookahead) claim() *slot {
-	order := a.order.Load()
-	if order == nil {
-		return nil
-	}
 	for {
 		j := a.next.Load()
-		if j >= int64(len(*order)) || j >= a.taken.Load()+a.limit {
+		if j >= int64(len(a.slots)) || j >= a.taken.Load()+a.limit {
 			return nil
 		}
-		if s := &a.slots[(*order)[j]]; a.next.CompareAndSwap(j, j+1) && s.state.CompareAndSwap(slotFree, slotClaimed) {
+		if s := &a.slots[j]; a.next.CompareAndSwap(j, j+1) && s.state.CompareAndSwap(slotFree, slotClaimed) {
 			return s
 		}
 	}
