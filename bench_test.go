@@ -273,9 +273,9 @@ func BenchmarkAnalyzeLanes(b *testing.B) {
 		{"dna", "dna-unit", func(n int) string { return dnaTandem(n, 1) }},
 		{"dna-paper", "paper-dna", func(n int) string { return dnaTandem(n, 3) }},
 	} {
-		for _, n := range []int{60, 80, 120, 160, 200, 250, 300, 350, 400, 600, 900} {
+		for _, n := range []int{60, 80, 120, 160, 200, 250, 300, 350, 400, 600, 900, 1200, 1500, 2000} {
 			s := in.gen(n)
-			for _, lanes := range []int{1, 8, 16, 0} {
+			for _, lanes := range []int{1, 8, 16, 32, 0} {
 				b.Run(fmt.Sprintf("%s/n=%d/lanes=%d", in.name, n, lanes), func(b *testing.B) {
 					var cells int64
 					for i := 0; i < b.N; i++ {

@@ -32,7 +32,7 @@ func main() {
 		gapOpen    = flag.Int("gap-open", 0, "gap opening penalty (0 = matrix default)")
 		gapExt     = flag.Int("gap-ext", 0, "gap extension penalty (0 = matrix default)")
 		minScore   = flag.Int("min-score", 0, "stop when no alignment reaches this score")
-		lanes      = flag.Int("lanes", 0, "matrices aligned per task: 0 = choose (default), 1, 4, 8, or 16")
+		lanes      = flag.Int("lanes", 0, "matrices aligned per task: 0 = choose (default), 1, 4, 8, 16, or 32")
 		workers    = flag.Int("workers", 0, "shared-memory worker goroutines (0 = one per core the process can spare, 1 = sequential)")
 		slaves     = flag.Int("slaves", 0, "run an in-process cluster with this many slaves")
 		threads    = flag.Int("threads", 1, "worker threads per cluster slave")

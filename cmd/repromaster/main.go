@@ -34,7 +34,7 @@ func main() {
 		titinLen = flag.Int("titin", 0, "analyse a synthetic titin-like protein of this length")
 		matrix   = flag.String("matrix", "BLOSUM62", "exchange matrix name")
 		tops     = flag.Int("tops", 25, "number of top alignments")
-		lanes    = flag.Int("lanes", 0, "matrices aligned per task: 0 = choose (default), 1, 4, 8, or 16")
+		lanes    = flag.Int("lanes", 0, "matrices aligned per task: 0 = choose (default), 1, 4, 8, 16, or 32")
 		spec     = flag.Bool("speculative", true, "speculative acceptance (paper mode)")
 		timeout  = flag.Duration("timeout", 2*time.Minute, "worker connection timeout")
 

@@ -60,7 +60,7 @@ func NewProfile(exch *scoring.Matrix, h []byte) *Profile {
 	pf.bind(exch, h)
 	for a := range pf.built {
 		pf.Row(byte(a))
-		pf.row8(byte(a))
+		pf.Row8(byte(a))
 	}
 	pf.complete = true
 	return pf
@@ -88,6 +88,10 @@ func (pf *Profile) bind(exch *scoring.Matrix, h []byte) {
 func exchBias(exch *scoring.Matrix) int32 {
 	return max(0, -exch.MinScore())
 }
+
+// ByteBias is the bias of the byte rows (Row8): what the byte rung adds
+// to every exchange value so that none is negative.
+func (pf *Profile) ByteBias() uint8 { return uint8(exchBias(pf.exch)) }
 
 // Profile returns the profile sc's kernels read for columns h[x0:x1]
 // under exch: the shared one when it serves them, otherwise sc's own,
@@ -124,8 +128,8 @@ func (pf *Profile) Row(a byte) []int16 {
 	return row
 }
 
-// row8 is Row for the byte rung: each value plus exchBias.
-func (pf *Profile) row8(a byte) []uint8 {
+// Row8 is Row for the byte rung: each value plus ByteBias.
+func (pf *Profile) Row8(a byte) []uint8 {
 	if len(pf.rows8) == 0 {
 		growU8(&pf.rows8, len(pf.rows))
 	}
@@ -150,7 +154,7 @@ func (pf *Profile) need(s1 []byte, rung Tier) {
 	}
 	for _, a := range s1 {
 		if rung == TierU8x32 {
-			pf.row8(a)
+			pf.Row8(a)
 		} else {
 			pf.Row(a)
 		}

@@ -1,15 +1,12 @@
 package align
 
 import (
-	"debug/elf"
-	"debug/gosym"
 	"fmt"
 	"math/rand/v2"
-	"os"
 	"slices"
-	"strings"
 	"testing"
 
+	"repro/internal/asmtest"
 	"repro/internal/scoring"
 	"repro/internal/triangle"
 )
@@ -291,68 +288,7 @@ func BenchmarkRowCall(b *testing.B) {
 }
 
 // The inner loops of the row kernels start on a 64-byte boundary
-// (PCALIGN $64 in row_amd64.s): the instruction at the label after
-// every PCALIGN must sit at an address divisible by 64 in this very
-// binary. Addresses come from the binary's pc-line table, the one go
-// tool objdump prints beside each instruction, read with debug/gosym:
-// objdump's decoder loses step on some VEX encodings and can skip the
-// instruction looked for.
+// (PCALIGN $64 in row_amd64.s), one per kernel.
 func TestRowKernelLoopsAreAligned(t *testing.T) {
-	src, err := os.ReadFile("row_amd64.s")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var heads []int // line numbers of the first instruction after the label after each PCALIGN
-	lines := strings.Split(string(src), "\n")
-	for i, l := range lines {
-		if strings.TrimSpace(l) != "PCALIGN $64" {
-			continue
-		}
-		j := i + 1
-		for j < len(lines) && !strings.HasSuffix(strings.TrimSpace(lines[j]), ":") {
-			j++ // to the label
-		}
-		for j++; j < len(lines); j++ {
-			if f := strings.TrimSpace(lines[j]); f != "" && !strings.HasPrefix(f, "//") {
-				heads = append(heads, j+1)
-				break
-			}
-		}
-	}
-	if len(heads) < 4 {
-		t.Fatalf("found %d PCALIGN loop heads in row_amd64.s, want one per kernel (4)", len(heads))
-	}
-	exe, err := os.Executable()
-	if err != nil {
-		t.Fatal(err)
-	}
-	bin, err := elf.Open(exe)
-	if err != nil {
-		t.Skipf("not an ELF binary: %v", err)
-	}
-	defer bin.Close()
-	pclntab, err := bin.Section(".gopclntab").Data()
-	if err != nil {
-		t.Fatal(err)
-	}
-	tab, err := gosym.NewTable(nil, gosym.NewLineTable(pclntab, bin.Section(".text").Addr))
-	if err != nil {
-		t.Fatal(err)
-	}
-	file := ""
-	for name := range tab.Files {
-		if strings.HasSuffix(name, "align/row_amd64.s") {
-			file = name
-		}
-	}
-	for _, line := range heads {
-		pc, fn, err := tab.LineToPC(file, line)
-		if err != nil {
-			t.Errorf("row_amd64.s:%d, a loop head, has no address: %v", line, err)
-			continue
-		}
-		if pc%64 != 0 {
-			t.Errorf("row_amd64.s:%d, the loop head in %s, is at %#x: not 64-byte aligned", line, fn.Name, pc)
-		}
-	}
+	asmtest.LoopHeadsAligned(t, "align/row_amd64.s", 4)
 }

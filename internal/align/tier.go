@@ -15,8 +15,8 @@ import (
 // faster per core but carry preconditions — the int32 tier needs AVX2,
 // the int16 tier additionally needs the scoring model to fit 16-bit lane
 // arithmetic (Int16ParamsOK), and the byte tier serves only score-only
-// window passes that the int16 tier would serve. Every tier produces
-// bit-identical rows.
+// window passes that the int16 tier would serve and multialign's 32-lane
+// groups. Every tier produces bit-identical rows.
 type Tier uint8
 
 const (
@@ -36,7 +36,8 @@ const (
 	// alignment and its masked realignments) where the int16 rung would;
 	// a sticky flag catches the first row that reaches the top of the
 	// byte range, and the int16 rung computes that row again and the rest
-	// of the pass. Matrices, tracebacks and the group kernels never run
+	// of the pass. multialign's 32-lane groups run on it too, re-run on
+	// the int16 rung when a pass flags. Matrices and tracebacks never run
 	// on it.
 	TierU8x32
 )
@@ -239,6 +240,11 @@ func newRowModel(p Params) rowModel {
 	m.ok8 = m.ok16 && m.hi+int64(m.bias8) <= 255
 	return m
 }
+
+// ByteParamsOK reports whether the scoring model fits the byte rung:
+// it fits int16 lane arithmetic, and every exchange value plus the
+// profile's ByteBias fits a byte.
+func ByteParamsOK(p Params) bool { return newRowModel(p).ok8 }
 
 // int16Proven is Int16Proven for the model. A largest exchange value of
 // zero or less proves it for any size: cells are clamped at zero and

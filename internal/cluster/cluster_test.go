@@ -66,7 +66,7 @@ func TestStatsParityWithSequential(t *testing.T) {
 		s.AlignLatency, s.CPUNanos = obs.HistogramSnapshot{}, 0 // time, not work
 		return s
 	}
-	for _, lanes := range []int{1, 16} {
+	for _, lanes := range []int{1, 16, 32} {
 		cfg := func() topalign.Config {
 			return topalign.Config{Params: proteinParams, NumTops: 8, GroupLanes: lanes, Counters: &stats.Counters{}}
 		}
@@ -338,13 +338,13 @@ func TestMessageRoundTrips(t *testing.T) {
 		t.Errorf("job round trip: %+v, %v", j2, err)
 	}
 
-	res := msgResult{R: 7, Version: 3, Work: topalign.Work{First: true, ShadowEnds: 9},
+	res := msgResult{R: 7, Version: 3, Work: topalign.Work{First: true, Tier: align.TierInt16x16, Rerun: true, Wasted: 5, ShadowEnds: 9},
 		Scores: []int32{10, -2, 0}, Rows: [][]int32{{1, 2}, {3}, {}}}
 	r2, err := decodeResult(res.encode())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r2.R != 7 || r2.Version != 3 || !r2.First || r2.ShadowEnds != 9 || len(r2.Scores) != 3 || r2.Scores[1] != -2 ||
+	if r2.R != 7 || r2.Version != 3 || !r2.First || r2.Work != res.Work || len(r2.Scores) != 3 || r2.Scores[1] != -2 ||
 		len(r2.Rows) != 3 || len(r2.Rows[0]) != 2 || r2.Rows[0][1] != 2 {
 		t.Errorf("result round trip: %+v", r2)
 	}

@@ -40,7 +40,7 @@ type msgSetup struct {
 	Matrix  string // embedded exchange-matrix name (scoring.ByName)
 	GapOpen int32
 	GapExt  int32
-	Lanes   uint8 // 1, 4, 8, or 16 (the master's resolved GroupLanes)
+	Lanes   uint8 // 1, 4, 8, 16, or 32 (the master's resolved GroupLanes)
 	Trace   trace.TraceID
 }
 
@@ -62,9 +62,8 @@ type msgJob struct {
 // scores are exact for, 0 for a first alignment. Scores has one entry at
 // one lane, Lanes entries in group mode. Rows is non-nil only for first
 // alignments: the original bottom row per member. The Work (First, Tier,
-// Rerun, ShadowEnds, and Nanos: kernel wall time, excluding row fetches)
-// is what the master hands to Engine.Count; its Wasted stays home, since
-// only window passes, which no slave runs, can waste cells.
+// Rerun, Wasted, ShadowEnds, and Nanos: kernel wall time, excluding row
+// fetches) is what the master hands to Engine.Count.
 //
 // Spans, when non-empty, is the OBT1-encoded batch of spans the slave
 // recorded for this job, with Start times on the slave's local
@@ -257,6 +256,7 @@ func (m msgResult) encode() []byte {
 	b = appendU32(b, uint32(m.Tier))
 	b = appendBool(b, m.Rerun)
 	b = appendU64(b, uint64(m.ShadowEnds))
+	b = appendU64(b, uint64(m.Wasted))
 	return b
 }
 
@@ -282,6 +282,7 @@ func decodeResult(b []byte) (msgResult, error) {
 	m.Tier = align.Tier(r.u32())
 	m.Rerun = r.bool()
 	m.ShadowEnds = int64(r.u64())
+	m.Wasted = int64(r.u64())
 	return m, r.err
 }
 

@@ -13,8 +13,8 @@ import (
 // Scratch: lane buffers, the query profile, the scalar rung's row arena
 // and the Group's bottom rows all live in the Scratch. This pins the
 // zero-allocation hot-path contract for the SIMD-style level (DESIGN.md
-// section 10). Four lanes always resolve to the scalar rung; 8 and 16
-// resolve to the widest tier the host and REPRO_KERNEL_TIER allow.
+// section 10). Four lanes always resolve to the scalar rung; 8, 16 and
+// 32 resolve to the widest tier the host and REPRO_KERNEL_TIER allow.
 func TestGroupKernelsZeroAllocsWarm(t *testing.T) {
 	p := align.Params{Exch: scoring.BLOSUM62, Gap: scoring.DefaultProteinGap}
 	full := seq.SyntheticTitin(300, 9)
@@ -26,6 +26,9 @@ func TestGroupKernelsZeroAllocsWarm(t *testing.T) {
 		tri.Set(pr[0], pr[1])
 	}
 
+	dna := align.Params{Exch: scoring.DNAUnit, Gap: scoring.Gap{Open: 8, Ext: 2}}
+	homo := make([]byte, 160) // its group at 40 flags on the byte rung
+
 	sc := NewScratch()
 	cases := []struct {
 		name string
@@ -34,6 +37,9 @@ func TestGroupKernelsZeroAllocsWarm(t *testing.T) {
 		{"ScoreGroupAuto-4", func() error { _, err := sc.ScoreGroupAuto(p, s, r0, 4, tri); return err }},
 		{"ScoreGroupAuto-8", func() error { _, err := sc.ScoreGroupAuto(p, s, r0, 8, tri); return err }},
 		{"ScoreGroupAuto-16", func() error { _, err := sc.ScoreGroupAuto(p, s, r0, 16, tri); return err }},
+		{"ScoreGroupAuto-32", func() error { _, err := sc.ScoreGroupAuto(p, s, r0, 32, tri); return err }},
+		// a byte pass that flags and re-runs as two int16 halves
+		{"ScoreGroupAuto-32-rerun", func() error { _, err := sc.ScoreGroupAuto(dna, homo, 40, 32, nil); return err }},
 	}
 	for _, c := range cases {
 		if err := c.f(); err != nil { // warm the arena

@@ -58,6 +58,30 @@ var borderMask16 = func() (t [16][16]int16) {
 	return t
 }()
 
+// rowU8Pair is rowAVX16Pair on the byte rung: 32 unsigned byte lanes at
+// the same 32-byte column stride, the exchange values read from align's
+// biased byte profile rows, the border masked by borderMask8. It keeps a
+// running maximum of the sweep's cells and ORs into *flag the lanes that
+// reached 255-bias, where a cell clips; rows computed under a nonzero
+// flag are unreliable. rowU8 is its single-row twin for a group's odd
+// last row.
+//
+//go:noescape
+func rowU8Pair(a, cur, maxY, exY, exY1 *uint8, c0, n int, open, ext, bias uint8, mxY, mxY1, d, v *uint8, flag *uint32)
+
+//go:noescape
+func rowU8(prev, cur, maxY, ex *uint8, n int, open, ext, bias uint8, mx *uint8, flag *uint32)
+
+// borderMask8 is borderMask16 for the 32 lanes of a byte group.
+var borderMask8 = func() (t [32][32]uint8) {
+	for c := range t {
+		for k := 0; k < c; k++ {
+			t[c][k] = 0xff
+		}
+	}
+	return t
+}()
+
 // The group drivers compute rows 1..r0+lanes-1 of a group over its n
 // columns. Per row they look up the row's query-profile slice, run the
 // assembly over columns 1..n in one call, zero the overridden columns
@@ -257,9 +281,9 @@ func (sc *Scratch) avx16(p align.Params, s []byte, r0 int, tri *triangle.Triangl
 		zeroMasked(prev, tri, y+1, r0, maskHit(tri, y+1, r0, n))
 		// prev now holds row y+1 (written in place, no swap), cur row y if kept.
 		if keep {
-			capture16(bots, cur, y-r0)
+			capture[int16](bots, cur, y-r0)
 		}
-		capture16(bots, prev, y+1-r0)
+		capture[int16](bots, prev, y+1-r0)
 	}
 	if y == yMax {
 		// The group's odd last row runs the single-row kernel. Nothing
@@ -276,16 +300,93 @@ func (sc *Scratch) avx16(p align.Params, s []byte, r0 int, tri *triangle.Triangl
 			return true
 		}
 		zeroMasked(cur, tri, y, r0, maskHit(tri, y, r0, n))
-		capture16(bots, cur, y-r0)
+		capture[int16](bots, cur, y-r0)
 	}
 	return false
 }
 
-// capture16 copies lane k's bottom row out of the int16 row that ends
-// its matrix: the lane's cells of columns k+1..n. Lanes outside the
+// u8x32 is the 32-lane byte kernel body: avx16's sweeps with 32 unsigned
+// byte lanes per ymm register at the same 32-byte column stride, the
+// exchange values read from align's biased byte profile (Profile.Row8).
+// It stops after the first sweep that flags a cell at the byte rung's
+// clip level, 255-bias, and returns the rows it had computed then: the
+// bottom rows are unreliable and the caller re-runs the group on the
+// int16 rung. It returns 0 when no cell flagged, and then the bottom
+// rows are exact (DESIGN.md section 15): no cell reached the level, so
+// every saturating op computed the true value. Gap chains start at 0,
+// not negInf: the byte chains clamp at zero.
+func (sc *Scratch) u8x32(p align.Params, s []byte, r0 int, tri *triangle.Triangle, bots [][]int32) (flagged int) {
+	m := len(s)
+	n := m - r0 // column c is global position j = r0+c
+
+	prev := grow(&sc.prev8, n+1)
+	cur := grow(&sc.cur8, n+1)
+	maxY := grow(&sc.maxY8, n+1)
+	clear(prev) // zero boundary row (arena may hold stale values)
+	clear(maxY)
+
+	prof := sc.row.Profile(p.Exch, s, r0, m)
+	bias := prof.ByteBias()
+	open, ext := uint8(min(p.Gap.Open, 255)), uint8(min(p.Gap.Ext, 255))
+	yMax := min(r0+31, m-1)
+	var flag uint32
+	y := 1
+	for ; y < yMax; y += 2 {
+		// avx16's row pairs: spans stop on row y's hits, row y+1's are
+		// zeroed after the sweep, capture rows keep row y in cur.
+		ex := prof.Row8(s[y-1])[r0-1:]
+		ex1 := prof.Row8(s[y])[r0-1:]
+		var mx, mx1, d, v [32]uint8
+		keep := y >= r0
+		hit := maskHit(tri, y, r0, n)
+		for c0 := 1; c0 <= n; {
+			c1 := n
+			if hit >= 0 {
+				c1 = hit - r0
+			}
+			var out *uint8
+			if keep {
+				out = &cur[c0][0]
+			}
+			rowU8Pair(&prev[c0][0], out, &maxY[c0][0], &ex[c0], &ex1[c0], c0, c1-c0+1,
+				open, ext, bias, &mx[0], &mx1[0], &d[0], &v[0], &flag)
+			if hit >= 0 {
+				v = [32]uint8{}
+				if keep {
+					cur[c1] = [32]uint8{}
+				}
+				hit = tri.NextSet(y, hit+1, r0+n+1)
+			}
+			c0 = c1 + 1
+		}
+		if flag != 0 {
+			return y + 1
+		}
+		zeroMasked(prev, tri, y+1, r0, maskHit(tri, y+1, r0, n))
+		if keep {
+			capture[uint8](bots, cur, y-r0)
+		}
+		capture[uint8](bots, prev, y+1-r0)
+	}
+	if y == yMax {
+		ex := prof.Row8(s[y-1])[r0-1:]
+		var mx [32]uint8
+		rowU8(&prev[0][0], &cur[1][0], &maxY[1][0], &ex[1], n, open, ext, bias, &mx[0], &flag)
+		if flag != 0 {
+			return y
+		}
+		zeroMasked(cur, tri, y, r0, maskHit(tri, y, r0, n))
+		capture[uint8](bots, cur, y-r0)
+	}
+	return 0
+}
+
+// capture copies lane k's bottom row out of the int16 or byte row that
+// ends its matrix: the lane's cells of columns k+1..n. Lanes outside the
 // group or without a destination are skipped.
-func capture16(bots [][]int32, row [][16]int16, k int) {
-	if k < 0 || k >= 16 || k >= len(bots) || bots[k] == nil {
+func capture[E int16 | uint8, B [16]E | [32]E](bots [][]int32, row []B, k int) {
+	var lanes B
+	if k < 0 || k >= len(lanes) || k >= len(bots) || bots[k] == nil {
 		return
 	}
 	bottom := bots[k]

@@ -390,6 +390,7 @@ mainp:
 	JNZ   keepp
 	TESTQ R8, R8
 	JZ    tailp
+	PCALIGN $64
 
 loopp:
 	COLPAIRSAT(0, 0)
@@ -497,6 +498,7 @@ mainpf:
 	JNZ   keeppf
 	TESTQ R8, R8
 	JZ    tailpf
+	PCALIGN $64
 
 looppf:
 	COLPAIR(0, 0)
@@ -618,5 +620,290 @@ exitf:
 	VMOVDQU Y4, (AX) // mx carry-out
 
 donef:
+	VZEROUPPER
+	RET
+
+// func rowU8Pair(a, cur, maxY, exY, exY1 *uint8, c0, n int, open, ext, bias uint8, mxY, mxY1, d, v *uint8, flag *uint32)
+//
+// rowAVX16Pair on the byte rung: 32 neighbouring matrices per ymm
+// register, one unsigned byte lane each, at the same 32-byte column
+// stride, so a sweep moves the same bytes per column as the int16 pair
+// and carries twice the lanes. The recurrence is rowAVX16Pair's with
+// one-for-one byte ops (DESIGN.md section 15):
+//
+//	vY      = subus(addus(maxu(dY, mxY, maxY[c]), eY[c]+bias), bias) & border[c]
+//	gY      = subus(dY, open); mxY = subus(maxu(gY, mxY), ext)
+//	maxY'   = subus(maxu(gY, maxY[c]), ext)
+//
+// and row y+1 likewise, from vYprev, mxY1 and maxY'.
+//
+// exY and exY1 are rows of align's biased byte profile (each exchange
+// value plus bias), so the add and the subtract of the bias compute
+// max(0, best + e) for every cell whose true value stays below
+// 255 - bias, and a cell that reaches that level reads exactly
+// 255 - bias. The gap chains clamp at 0 instead of running negative:
+// the diagonal, >= 0, takes part in every cell's max, so a chain at or
+// below 0 never wins. open and ext come saturated at 255, which the
+// clamp makes exact. border[c] is block c of ·borderMask8: over columns
+// 1..31 the lanes k >= c are zeroed. Y10 keeps the running maximum of
+// every cell register, after the mask; on exit the lanes whose maximum
+// reached 255 - bias OR their bits into *flag, and a nonzero flag
+// obliges the caller to discard the rows. Carries, the in-place row
+// y+1, the optional store of row y into cur and the span contract are
+// rowAVX16Pair's.
+#define PAIRY8(off, eoff) \
+	VMOVDQU      off(BX), Y1      \ // maxY[c]
+	VPMAXUB      Y1, Y4, Y2       \
+	VPMAXUB      Y11, Y2, Y2      \ // max(dY, mxY, maxY)
+	VPBROADCASTB eoff(DX), Y3     \ // eY + bias
+	VPADDUSB     Y3, Y2, Y2       \
+	VPSUBUSB     Y7, Y2, Y2       // vY
+
+#define PAIRYGAP8(off) \
+	VPSUBUSB     Y5, Y11, Y0      \ // gY = dY - open
+	VPMAXUB      Y0, Y4, Y4       \
+	VPSUBUSB     Y6, Y4, Y4       \ // mxY
+	VPMAXUB      Y0, Y1, Y1       \
+	VPSUBUSB     Y6, Y1, Y1       \ // maxY after row y
+	VMOVDQU      off(SI), Y11     // next dY = row y-1 at c, before overwrite
+
+#define PAIRY18(eoff) \
+	VPMAXUB      Y1, Y12, Y0      \
+	VPMAXUB      Y13, Y0, Y0      \ // max(vYprev, mxY1, maxY')
+	VPBROADCASTB eoff(R12), Y3    \ // eY1 + bias
+	VPADDUSB     Y3, Y0, Y0       \
+	VPSUBUSB     Y7, Y0, Y0       // vY1
+
+#define PAIRY1ST8(off) \
+	VMOVDQU      Y0, off(SI)      \ // row y+1 over row y-1
+	VPSUBUSB     Y5, Y13, Y3      \ // gY1 = vYprev - open
+	VPMAXUB      Y3, Y12, Y12     \
+	VPSUBUSB     Y6, Y12, Y12     \ // mxY1
+	VPMAXUB      Y3, Y1, Y1       \
+	VPSUBUSB     Y6, Y1, Y1       \ // maxY after row y+1
+	VMOVDQU      Y1, off(BX)      \
+	VMOVDQA      Y2, Y13          // vY becomes row y+1's next diagonal
+
+#define PEAK8(r) \
+	VPMAXUB      r, Y10, Y10
+
+#define COLPAIR8(off, eoff) \
+	PAIRY8(off, eoff) \
+	PEAK8(Y2)         \
+	PAIRYGAP8(off)    \
+	PAIRY18(eoff)     \
+	PAIRY1ST8(off)    \
+	PEAK8(Y0)
+
+#define COLPAIR8KEEP(off, eoff) \
+	PAIRY8(off, eoff)   \
+	VMOVDQU Y2, off(DI) \
+	PEAK8(Y2)           \
+	PAIRYGAP8(off)      \
+	PAIRY18(eoff)       \
+	PAIRY1ST8(off)      \
+	PEAK8(Y0)
+
+// BORDERCOLS8 is BORDERCOLS for 32 lanes: clamp(32-c0, 0, n) border
+// columns in R8, the rest in CX, column c0's ·borderMask8 block in R13.
+#define BORDERCOLS8 \
+	XORQ    R8, R8               \
+	MOVQ    $32, R9              \
+	SUBQ    R13, R9              \
+	CMOVQGT R9, R8               \
+	CMPQ    R8, CX               \
+	CMOVQGT CX, R8               \
+	SUBQ    R8, CX               \
+	SHLQ    $5, R13              \
+	LEAQ    ·borderMask8(SB), R9 \
+	ADDQ    R9, R13
+
+#define PAIRSTEP8(cols) \
+	ADDQ $(32*cols), SI \
+	ADDQ $(32*cols), BX \
+	ADDQ $cols, DX      \
+	ADDQ $cols, R12
+
+// FLAG8 ORs into *R11 the byte mask of the lanes of Y10 at the flag
+// level: adding the bias takes a lane at 255 - bias to 255.
+#define FLAG8 \
+	VPADDUSB  Y7, Y10, Y10 \
+	VPCMPEQB  Y9, Y9, Y9   \
+	VPCMPEQB  Y9, Y10, Y10 \
+	VPMOVMSKB Y10, R8      \
+	MOVL      (R11), R9    \
+	ORL       R8, R9       \
+	MOVL      R9, (R11)
+
+TEXT ·rowU8Pair(SB), NOSPLIT, $0-104
+	MOVQ a+0(FP), SI
+	MOVQ cur+8(FP), DI
+	MOVQ maxY+16(FP), BX
+	MOVQ exY+24(FP), DX
+	MOVQ exY1+32(FP), R12
+	MOVQ c0+40(FP), R13
+	MOVQ n+48(FP), CX
+	MOVQ flag+96(FP), R11
+	TESTQ CX, CX
+	JZ   donep8
+
+	// SSE moves first, as in rowAVX8.
+	MOVBLZX      open+56(FP), R8
+	MOVQ         R8, X5
+	MOVBLZX      ext+57(FP), R9
+	MOVQ         R9, X6
+	MOVBLZX      bias+58(FP), R10
+	MOVQ         R10, X7
+	VPBROADCASTB X5, Y5
+	VPBROADCASTB X6, Y6
+	VPBROADCASTB X7, Y7
+	MOVQ         mxY+64(FP), AX
+	VMOVDQU      (AX), Y4  // mxY carry-in
+	MOVQ         mxY1+72(FP), R8
+	VMOVDQU      (R8), Y12 // mxY1 carry-in
+	MOVQ         d+80(FP), R8
+	VMOVDQU      (R8), Y11 // dY carry-in
+	MOVQ         v+88(FP), R8
+	VMOVDQU      (R8), Y13 // vY carry-in
+	VPXOR        Y10, Y10, Y10 // the sweep's cell maximum
+	BORDERCOLS8
+	TESTQ        R8, R8
+	JZ           mainp8
+
+borderp8:
+	VMOVDQU (R13), Y14 // border mask of column c
+	PAIRY8(0, 0)
+	VPAND   Y14, Y2, Y2
+	PEAK8(Y2)
+	TESTQ   DI, DI
+	JZ      borderp81
+	VMOVDQU Y2, (DI)
+	ADDQ    $32, DI
+
+borderp81:
+	PAIRYGAP8(0)
+	PAIRY18(0)
+	VPAND   Y14, Y0, Y0
+	PAIRY1ST8(0)
+	PEAK8(Y0)
+	PAIRSTEP8(1)
+	ADDQ    $32, R13
+	DECQ    R8
+	JNZ     borderp8
+
+mainp8:
+	MOVQ  CX, R8
+	SHRQ  $1, R8 // column pairs
+	ANDQ  $1, CX
+	TESTQ DI, DI
+	JNZ   keepp8
+	TESTQ R8, R8
+	JZ    tailp8
+	PCALIGN $64
+
+loopp8:
+	COLPAIR8(0, 0)
+	COLPAIR8(32, 1)
+	PAIRSTEP8(2)
+	DECQ R8
+	JNZ  loopp8
+
+tailp8:
+	TESTQ CX, CX
+	JZ    exitp8
+	COLPAIR8(0, 0)
+	JMP   exitp8
+
+keepp8: // the same loop, storing row y into cur
+	TESTQ R8, R8
+	JZ    keeptailp8
+
+keeploopp8:
+	COLPAIR8KEEP(0, 0)
+	COLPAIR8KEEP(32, 1)
+	PAIRSTEP8(2)
+	ADDQ $64, DI
+	DECQ R8
+	JNZ  keeploopp8
+
+keeptailp8:
+	TESTQ CX, CX
+	JZ    exitp8
+	COLPAIR8KEEP(0, 0)
+
+exitp8:
+	VMOVDQU Y4, (AX) // mxY carry-out
+	MOVQ    mxY1+72(FP), R8
+	VMOVDQU Y12, (R8) // mxY1 carry-out
+	MOVQ    d+80(FP), R8
+	VMOVDQU Y11, (R8) // dY carry-out
+	MOVQ    v+88(FP), R8
+	VMOVDQU Y13, (R8) // vY carry-out
+	FLAG8
+
+donep8:
+	VZEROUPPER
+	RET
+
+// func rowU8(prev, cur, maxY, ex *uint8, n int, open, ext, bias uint8, mx *uint8, flag *uint32)
+//
+// One row of the byte group, for a group's odd last row: rowAVX16's
+// single-row sweep over n columns with rowU8Pair's byte ops and flag.
+// Like rowAVX16's, its border cells are left unmasked: no row reads
+// them, and its lane's bottom row starts right of them.
+#define COLU8(off, eoff) \
+	VMOVDQU      off(SI), Y0     \ // d = prev column block
+	VMOVDQU      off(BX), Y1     \ // maxY[c]
+	VPMAXUB      Y1, Y4, Y2      \
+	VPMAXUB      Y0, Y2, Y2      \ // max(d, mx, maxY)
+	VPBROADCASTB eoff(DX), Y3    \ // e + bias
+	VPADDUSB     Y3, Y2, Y2      \
+	VPSUBUSB     Y7, Y2, Y2      \ // v
+	VPMAXUB      Y2, Y10, Y10    \
+	VMOVDQU      Y2, off(DI)     \ // cur[c] = v
+	VPSUBUSB     Y5, Y0, Y0      \ // g = d - open
+	VPMAXUB      Y0, Y4, Y4      \
+	VPSUBUSB     Y6, Y4, Y4      \ // mx = max(g, mx) - ext
+	VPMAXUB      Y0, Y1, Y1      \
+	VPSUBUSB     Y6, Y1, Y1      \
+	VMOVDQU      Y1, off(BX)     // maxY[c] = max(g, maxY) - ext
+
+TEXT ·rowU8(SB), NOSPLIT, $0-64
+	MOVQ prev+0(FP), SI
+	MOVQ cur+8(FP), DI
+	MOVQ maxY+16(FP), BX
+	MOVQ ex+24(FP), DX
+	MOVQ n+32(FP), CX
+	MOVQ mx+48(FP), AX
+	MOVQ flag+56(FP), R11
+	TESTQ CX, CX
+	JZ   doneu8
+
+	// SSE moves first, as in rowAVX8.
+	MOVBLZX      open+40(FP), R8
+	MOVQ         R8, X5
+	MOVBLZX      ext+41(FP), R9
+	MOVQ         R9, X6
+	MOVBLZX      bias+42(FP), R10
+	MOVQ         R10, X7
+	VPBROADCASTB X5, Y5
+	VPBROADCASTB X6, Y6
+	VPBROADCASTB X7, Y7
+	VPXOR        Y10, Y10, Y10
+	VMOVDQU      (AX), Y4 // mx carry-in
+
+rowu8:
+	COLU8(0, 0)
+	ADDQ $32, SI
+	ADDQ $32, DI
+	ADDQ $32, BX
+	INCQ DX
+	DECQ CX
+	JNZ  rowu8
+
+	VMOVDQU Y4, (AX) // mx carry-out
+	FLAG8
+
+doneu8:
 	VZEROUPPER
 	RET

@@ -5,6 +5,10 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+
+	"repro/internal/align"
+	"repro/internal/asmtest"
+	"repro/internal/scoring"
 )
 
 // The assembly flag must flip exactly at satLimit16: a cell value of
@@ -37,6 +41,143 @@ func TestRowAVX16FlagBoundary(t *testing.T) {
 		}
 		if want := int16(satLimit16 - 10 + int(tc.e)); cur[0] != want {
 			t.Errorf("e=%d: cur[0]=%d, want %d", tc.e, cur[0], want)
+		}
+	}
+}
+
+// byteModels are the scoring models the byte kernels' unit tests run
+// under: their biases, and so their flag levels 255-bias, differ.
+var byteModels = []struct {
+	name string
+	p    align.Params
+}{
+	{"BLOSUM62", protein},
+	{"PAM250", align.Params{Exch: scoring.PAM250, Gap: scoring.DefaultProteinGap}},
+	{"dna-unit", align.Params{Exch: scoring.DNAUnit, Gap: scoring.Gap{Open: 8, Ext: 2}}},
+}
+
+// The byte kernels' flag must flip exactly at the clip level 255-bias:
+// a cell one below it is exact and clean, a cell whose true value
+// reaches it reads exactly the level and flags. The cell is a diagonal
+// plus the model's largest exchange value, in the single-row kernel and
+// in row y of a pair sweep past the border.
+func TestRowU8FlagBoundary(t *testing.T) {
+	if align.DetectedTier() < TierU8x32 {
+		t.Skip("needs AVX2")
+	}
+	for _, bm := range byteModels {
+		bias := uint8(-bm.p.Exch.MinScore())
+		level := 255 - int(bias)
+		e := int(bm.p.Exch.MaxScore())
+		open, ext := uint8(bm.p.Gap.Open), uint8(bm.p.Gap.Ext)
+		for _, tc := range []struct {
+			diag     int
+			wantFlag bool
+		}{
+			{level - e - 1, false},
+			{level - e, true},
+			{level - e + 1, true}, // clipped: reads the level too
+		} {
+			where := fmt.Sprintf("%s diag=%d+%d (level %d)", bm.name, tc.diag, e, level)
+			want := uint8(min(tc.diag+e, level))
+			ex := []uint8{uint8(e) + bias}
+			var prev, cur, maxY, mx [32]uint8
+			for i := range prev {
+				prev[i] = uint8(tc.diag)
+			}
+			var flag uint32
+			rowU8(&prev[0], &cur[0], &maxY[0], &ex[0], 1, open, ext, bias, &mx[0], &flag)
+			if (flag != 0) != tc.wantFlag || cur[0] != want {
+				t.Errorf("%s rowU8: flag=%#x cell=%d, want flag %v cell %d", where, flag, cur[0], tc.wantFlag, want)
+			}
+			// rowU8Pair at column 32, the first past the border: d carries
+			// row y-1 of column 31, row y+1 adds the smallest value
+			var a, mx1, d, v [32]uint8
+			for i := range d {
+				d[i] = uint8(tc.diag)
+			}
+			cur, maxY, mx, flag = [32]uint8{}, [32]uint8{}, [32]uint8{}, 0
+			ex1 := []uint8{0}
+			rowU8Pair(&a[0], &cur[0], &maxY[0], &ex[0], &ex1[0], 32, 1, open, ext, bias, &mx[0], &mx1[0], &d[0], &v[0], &flag)
+			if (flag != 0) != tc.wantFlag || cur[31] != want {
+				t.Errorf("%s rowU8Pair: flag=%#x cell=%d, want flag %v cell %d", where, flag, cur[31], tc.wantFlag, want)
+			}
+		}
+	}
+}
+
+// TestPairKernelSplitInvariance for the byte pair kernel: one sweep over
+// group columns 1..n leaves a, cur, maxY, the carries and the flag
+// exactly as two sweeps split after any column do — inside the 32-column
+// border prefix, on its edge and past it — with row y kept and without,
+// from random states low and near the flag level; and every sweep leaves
+// the border cells of both rows zero.
+func TestU8PairKernelSplitInvariance(t *testing.T) {
+	if align.DetectedTier() < TierU8x32 {
+		t.Skip("needs AVX2")
+	}
+	const n, open, ext, bias = 71, 11, 1, 4
+	type state struct {
+		a, cur, maxY  []uint8 // interleaved, 32 lanes per column 0..n
+		mx, mx1, d, v [32]uint8
+		flag          uint32
+	}
+	rng := rand.New(rand.NewSource(5))
+	for _, base := range []int{0, 255 - bias - 60} {
+		val := func() uint8 { return uint8(base + rng.Intn(60)) }
+		low := func(k int) uint8 { return uint8(max(base+rng.Intn(60)-k, 0)) } // a gap chain, below the cells
+		var in state
+		in.a, in.cur, in.maxY = make([]uint8, 32*(n+1)), make([]uint8, 32*(n+1)), make([]uint8, 32*(n+1))
+		exY, exY1 := make([]uint8, n+1), make([]uint8, n+1)
+		for i := range in.a {
+			in.a[i], in.cur[i], in.maxY[i] = val(), val(), low(rng.Intn(20))
+		}
+		for c := range exY {
+			exY[c], exY1[c] = uint8(rng.Intn(16)), uint8(rng.Intn(16)) // biased: -4..11
+		}
+		for i := range in.mx {
+			in.mx[i], in.mx1[i], in.d[i], in.v[i] = low(20), low(20), val(), val()
+		}
+		call := func(st *state, keep bool, c0, cols int) {
+			var out *uint8
+			if keep {
+				out = &st.cur[32*c0]
+			}
+			rowU8Pair(&st.a[32*c0], out, &st.maxY[32*c0], &exY[c0], &exY1[c0], c0, cols, open, ext, bias,
+				&st.mx[0], &st.mx1[0], &st.d[0], &st.v[0], &st.flag)
+		}
+		for _, keep := range []bool{false, true} {
+			where := fmt.Sprintf("base=%d keep=%v", base, keep)
+			clone := func() state {
+				st := in
+				st.a, st.cur, st.maxY = slices.Clone(in.a), slices.Clone(in.cur), slices.Clone(in.maxY)
+				return st
+			}
+			whole := clone()
+			call(&whole, keep, 1, n)
+			if (whole.flag != 0) != (base > 0) {
+				t.Fatalf("%s: flag=%#x; only the high state should flag", where, whole.flag)
+			}
+			if keep == slices.Equal(whole.cur, in.cur) {
+				t.Fatalf("%s: cur written %v", where, !keep)
+			}
+			for c := 1; c < 32; c++ {
+				for k := c; k < 32; k++ {
+					if whole.a[32*c+k] != 0 || keep && whole.cur[32*c+k] != 0 {
+						t.Fatalf("%s: border cell lane %d column %d not zero", where, k, c)
+					}
+				}
+			}
+			for k := 1; k < n; k++ {
+				got := clone()
+				call(&got, keep, 1, k)
+				call(&got, keep, k+1, n-k)
+				if !slices.Equal(got.a, whole.a) || !slices.Equal(got.cur, whole.cur) || !slices.Equal(got.maxY, whole.maxY) ||
+					got.mx != whole.mx || got.mx1 != whole.mx1 || got.d != whole.d || got.v != whole.v ||
+					got.flag != whole.flag {
+					t.Fatalf("%s: split after column %d differs from one sweep", where, k)
+				}
+			}
 		}
 	}
 }
@@ -187,9 +328,11 @@ func BenchmarkRowCall(b *testing.B) {
 	const cols = 17 // one column block in front of the span
 	prev32, cur32, maxY32 := make([]int32, 8*cols), make([]int32, 8*cols), make([]int32, 8*cols)
 	prev16, cur16, maxY16 := make([]int16, 16*cols), make([]int16, 16*cols), make([]int16, 16*cols)
-	ex32, ex16, ex16b := make([]int32, cols), make([]int16, cols), make([]int16, cols)
+	prev8, cur8, maxY8 := make([]uint8, 32*cols), make([]uint8, 32*cols), make([]uint8, 32*cols)
+	ex32, ex16, ex16b, ex8 := make([]int32, cols), make([]int16, cols), make([]int16, cols), make([]uint8, cols)
 	var mx32 [8]int32
 	var mx, mx1, d, v [16]int16
+	var mx8, mx18, d8, v8 [32]uint8
 	var sat uint32
 	for _, n := range []int{1, 16} {
 		for _, k := range []struct {
@@ -205,6 +348,10 @@ func BenchmarkRowCall(b *testing.B) {
 			{"rowAVX16PairFast", func() {
 				rowAVX16PairFast(&prev16[16], nil, &maxY16[16], &ex16[1], &ex16b[1], 16, n, 11, 1, &mx[0], &mx1[0], &d[0], &v[0])
 			}},
+			{"rowU8", func() { rowU8(&prev8[0], &cur8[32], &maxY8[32], &ex8[1], n, 11, 1, 4, &mx8[0], &sat) }},
+			{"rowU8Pair", func() {
+				rowU8Pair(&prev8[32], nil, &maxY8[32], &ex8[1], &ex8[1], 32, n, 11, 1, 4, &mx8[0], &mx18[0], &d8[0], &v8[0], &sat)
+			}},
 		} {
 			b.Run(fmt.Sprintf("%s/n=%d", k.name, n), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
@@ -212,5 +359,44 @@ func BenchmarkRowCall(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// The inner loops of the pair kernels start on a 64-byte boundary
+// (PCALIGN $64 in avx2_amd64.s): rowAVX16Pair's, rowAVX16PairFast's and
+// rowU8Pair's.
+func TestPairKernelLoopsAreAligned(t *testing.T) {
+	asmtest.LoopHeadsAligned(t, "multialign/avx2_amd64.s", 3)
+}
+
+// BenchmarkPairKernels is the byte rung's gate: lane-cells per second
+// (MB/s reads as Mcells/s) of one pair sweep from column 1 — two rows,
+// 16 lanes on rowAVX16PairFast, 32 on rowU8Pair — over the column counts
+// of BenchmarkScoreGroupAuto16's groups at n = 300, 600 and 1 200.
+func BenchmarkPairKernels(b *testing.B) {
+	if align.DetectedTier() < TierU8x32 {
+		b.Skip("needs AVX2")
+	}
+	for _, n := range []int{150, 300, 600} {
+		a16, maxY16, ex16 := make([][16]int16, n+1), make([][16]int16, n+1), make([]int16, n+1)
+		a8, maxY8, ex8 := make([][32]uint8, n+1), make([][32]uint8, n+1), make([]uint8, n+1)
+		for c := range ex16 {
+			ex16[c], ex8[c] = int16(c%7-3), uint8(c%7+1) // the same values, biased by 4
+		}
+		var mx, mx1, d, v [16]int16
+		var mx8, mx18, d8, v8 [32]uint8
+		var flag uint32
+		b.Run(fmt.Sprintf("rowAVX16PairFast/n=%d", n), func(b *testing.B) {
+			b.SetBytes(int64(2 * 16 * n))
+			for i := 0; i < b.N; i++ {
+				rowAVX16PairFast(&a16[1][0], nil, &maxY16[1][0], &ex16[1], &ex16[1], 1, n, 11, 1, &mx[0], &mx1[0], &d[0], &v[0])
+			}
+		})
+		b.Run(fmt.Sprintf("rowU8Pair/n=%d", n), func(b *testing.B) {
+			b.SetBytes(int64(2 * 32 * n))
+			for i := 0; i < b.N; i++ {
+				rowU8Pair(&a8[1][0], nil, &maxY8[1][0], &ex8[1], &ex8[1], 1, n, 11, 1, 4, &mx8[0], &mx18[0], &d8[0], &v8[0], &flag)
+			}
+		})
 	}
 }

@@ -18,3 +18,7 @@ func (sc *Scratch) avx8(p align.Params, s []byte, r0 int, tri *triangle.Triangle
 func (sc *Scratch) avx16(p align.Params, s []byte, r0 int, tri *triangle.Triangle, bots [][]int32, proven bool) bool {
 	panic("multialign: int16x16 tier selected without AVX2")
 }
+
+func (sc *Scratch) u8x32(p align.Params, s []byte, r0 int, tri *triangle.Triangle, bots [][]int32) int {
+	panic("multialign: u8x32 tier selected without AVX2")
+}

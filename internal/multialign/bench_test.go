@@ -42,8 +42,16 @@ func BenchmarkScoreGroupAuto8(b *testing.B) {
 // realignment shape: one override per row below r0, as an accepted
 // alignment leaves them (row y paired with r0+y). n=300 is the size of a
 // typical serving request, where the work around the kernel shows most.
-func BenchmarkScoreGroupAuto16(b *testing.B) {
-	for _, n := range []int{300, 1200, 4096} {
+func BenchmarkScoreGroupAuto16(b *testing.B) { benchScoreGroupAuto(b, 16, []int{300, 1200, 4096}) }
+
+// BenchmarkScoreGroupAuto32 is BenchmarkScoreGroupAuto16 for the byte
+// rung's 32-lane groups, at lengths whose groups stay under its flag
+// level (BLOSUM62 titin), so every call is one byte pass: lane-cells/s
+// against the 16-lane figure is the byte kernel's gain.
+func BenchmarkScoreGroupAuto32(b *testing.B) { benchScoreGroupAuto(b, 32, []int{300, 600}) }
+
+func benchScoreGroupAuto(b *testing.B, lanes int, lengths []int) {
+	for _, n := range lengths {
 		s := seq.SyntheticTitin(n, 1).Codes
 		r0 := n / 2
 		masked := triangle.New(n)
@@ -56,14 +64,14 @@ func BenchmarkScoreGroupAuto16(b *testing.B) {
 			tri  *triangle.Triangle
 		}{{"clean", nil}, {"masked", masked}} {
 			b.Run(fmt.Sprintf("n=%d/%s", n, tc.name), func(b *testing.B) {
-				b.SetBytes(benchGroupCells(n, r0, 16))
+				b.SetBytes(benchGroupCells(n, r0, lanes))
 				for i := 0; i < b.N; i++ {
-					g, err := sc.ScoreGroupAuto(protein, s, r0, 16, tc.tri)
+					g, err := sc.ScoreGroupAuto(protein, s, r0, lanes, tc.tri)
 					if err != nil {
 						b.Fatal(err)
 					}
 					if g.Rerun {
-						b.Fatal("benchmark input saturated the int16 kernel")
+						b.Fatalf("benchmark input saturated the %s kernel", TierFor(protein, n, lanes))
 					}
 				}
 			})

@@ -176,3 +176,75 @@ func TestInt16UnprovenCleanRun(t *testing.T) {
 		}
 	}
 }
+
+// Saturating inputs on the byte rung: a PAM250 titin group and a
+// homopolymer group whose passes reach the byte range's top must re-run
+// on the int16 rung — both 16-lane halves — and report it, and every
+// bottom row must equal the oracle's. A group below the level on the
+// same input stays on the byte rung. The homopolymer's oracle is
+// align.NaiveMatrix; Equation 1 costs a row and a column per cell, too
+// much at 4 000 residues, so the titin rows are compared with the Go row
+// kernel (the scalar rung, itself checked against NaiveMatrix).
+func TestByteGroupSaturation(t *testing.T) {
+	prev := align.ActiveTier()
+	if err := align.SetKernelTier("u8x32"); err != nil {
+		t.Skip(err)
+	}
+	defer align.SetKernelTier(prev.String()) //nolint:errcheck // prev was active, so it is supported
+	pam := align.Params{Exch: scoring.PAM250, Gap: scoring.DefaultProteinGap}
+	dna := align.Params{Exch: scoring.DNAUnit, Gap: scoring.Gap{Open: 8, Ext: 2}}
+	titin := seq.SyntheticTitin(4000, 1).Codes
+	homo := make([]byte, 160) // +5 a residue: 255-bias = 251 is passed from row 51
+	naive := func(p align.Params, s []byte, r int, tri *triangle.Triangle) []int32 {
+		return align.NaiveMatrix(p, s[:r], s[r:], tri, r)[r][1:]
+	}
+	goRows := func(p align.Params, s []byte, r int, tri *triangle.Triangle) []int32 {
+		if err := align.SetKernelTier("scalar"); err != nil {
+			t.Fatal(err)
+		}
+		defer align.SetKernelTier("u8x32") //nolint:errcheck // set above
+		return align.ScoreMasked(p, s[:r], s[r:], tri, r)
+	}
+	masked := func(m, r0 int) *triangle.Triangle {
+		tri := triangle.New(m)
+		for y := 1; y < r0; y += 3 {
+			tri.Set(y, r0+y)
+		}
+		return tri
+	}
+	sc := NewScratch()
+	for _, tc := range []struct {
+		name   string
+		p      align.Params
+		s      []byte
+		r0     int
+		tri    *triangle.Triangle
+		rerun  bool
+		oracle func(align.Params, []byte, int, *triangle.Triangle) []int32
+	}{
+		{"pam250-titin4000", pam, titin, 200, nil, true, goRows},
+		{"pam250-titin4000-masked", pam, titin, 200, masked(len(titin), 200), true, goRows},
+		{"pam250-titin4000-clean", pam, titin, 150, nil, false, goRows},
+		{"homopolymer", dna, homo, 40, nil, true, naive},
+		{"homopolymer-masked", dna, homo, 40, masked(len(homo), 40), true, naive},
+		{"homopolymer-clean", dna, homo, 3, nil, false, naive},
+	} {
+		g, err := sc.ScoreGroupAuto(tc.p, tc.s, tc.r0, 32, tc.tri)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantTier := TierU8x32
+		if tc.rerun {
+			wantTier = TierInt16x16
+		}
+		if g.Rerun != tc.rerun || g.Tier != wantTier || (g.Wasted > 0) != tc.rerun {
+			t.Errorf("%s: tier %s rerun %v wasted %d, want %s rerun %v", tc.name, g.Tier, g.Rerun, g.Wasted, wantTier, tc.rerun)
+		}
+		for k, got := range g.Bottoms {
+			r := tc.r0 + k
+			if want := tc.oracle(tc.p, tc.s, r, tc.tri); !equalRows(got, want) {
+				t.Fatalf("%s lane %d (split %d): bottom row differs from the oracle's", tc.name, k, r)
+			}
+		}
+	}
+}

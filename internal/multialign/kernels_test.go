@@ -70,13 +70,14 @@ var kernelTriangles = []struct {
 
 // laneBorders marks, for every group start of the harness, the columns
 // either side of the left border of every lane count — group columns 1,
-// 7, 8, 15, 16, 17 and the last — in two rows out of three, so the
-// post-passes that zero border and mask meet on the same column blocks.
+// 7, 8, 15, 16, 17, 31, 32, 33 and the last — in two rows out of three,
+// so the post-passes that zero border and mask meet on the same column
+// blocks.
 func laneBorders(_ align.Params, s []byte) *triangle.Triangle {
 	m := len(s)
 	tri := triangle.New(m)
 	for _, r0 := range groupStarts(m) {
-		for _, c := range []int{1, 7, 8, 15, 16, 17, m - r0} {
+		for _, c := range []int{1, 7, 8, 15, 16, 17, 31, 32, 33, m - r0} {
 			if c > m-r0 {
 				continue // the group has fewer columns
 			}
@@ -107,14 +108,15 @@ func pairNeighbours(_ align.Params, s []byte) *triangle.Triangle {
 }
 
 // pairHits marks, for every group start of the harness, the columns
-// where the int16 kernel's pair sweep meets the mask — border columns 1,
-// 8 and 15, the first columns past the border 16 and 17, three adjacent
-// columns (1-column spans) and the group's last column — in the first
-// rows of the pairs (odd rows), their second rows (even rows), or both.
-// The rows are those below the group start, or with capture the capture
-// rows r0..r0+15, where the sweep also stores row y. The harness's group
-// starts are odd and even, so the capture rows begin on either row of a
-// pair; row r0+k is lane k's bottom row, read right of column k only.
+// where the pair sweeps meet the mask — border columns 1, 8, 15 and 31,
+// the first columns past the 16-lane border 16 and 17 and past the
+// 32-lane border 32 and 33, three adjacent columns (1-column spans) and
+// the group's last column — in the first rows of the pairs (odd rows),
+// their second rows (even rows), or both. The rows are those below the
+// group start, or with capture the capture rows r0..r0+31, where the
+// sweep also stores row y. The harness's group starts are odd and even,
+// so the capture rows begin on either row of a pair; row r0+k is lane
+// k's bottom row, read right of column k only.
 func pairHits(capture, first, second bool) func(align.Params, []byte) *triangle.Triangle {
 	return func(_ align.Params, s []byte) *triangle.Triangle {
 		m := len(s)
@@ -123,13 +125,13 @@ func pairHits(capture, first, second bool) func(align.Params, []byte) *triangle.
 			n := m - r0
 			y0, y1 := 1, r0-1
 			if capture {
-				y0, y1 = r0, min(r0+15, m-1)
+				y0, y1 = r0, min(r0+31, m-1)
 			}
 			for y := y0; y <= y1; y++ {
 				if y%2 == 1 && !first || y%2 == 0 && !second {
 					continue
 				}
-				for _, c := range []int{1, 8, 15, 16, 17, n / 2, n/2 + 1, n/2 + 2, n} {
+				for _, c := range []int{1, 8, 15, 16, 17, 31, 32, 33, n / 2, n/2 + 1, n/2 + 2, n} {
 					if c >= max(1, y-r0+1) && c <= n { // right of the diagonal
 						tri.Set(y, r0+c)
 					}
@@ -203,7 +205,8 @@ func groupStarts(m int) []int {
 func TestScoreGroupAuto(t *testing.T) {
 	prev := align.ActiveTier()
 	defer align.SetKernelTier(prev.String()) //nolint:errcheck // prev was active, so it is supported
-	scratch := map[Tier]*Scratch{TierScalar: NewScratch(), TierInt32x8: NewScratch(), TierInt16x16: NewScratch()}
+	scratch := map[Tier]*Scratch{TierScalar: NewScratch(), TierInt32x8: NewScratch(), TierInt16x16: NewScratch(), TierU8x32: NewScratch()}
+	var byteGroups, byteReruns int
 	for _, kp := range kernelParams {
 		for _, in := range kernelInputs {
 			s := in.gen(kp.p.Exch.Alphabet())
@@ -219,14 +222,14 @@ func TestScoreGroupAuto(t *testing.T) {
 					}
 					return row
 				}
-				for _, tier := range []Tier{TierScalar, TierInt32x8, TierInt16x16} {
-					if tier > DetectedTier() {
+				for _, tier := range []Tier{TierScalar, TierInt32x8, TierInt16x16, TierU8x32} {
+					if tier > align.DetectedTier() {
 						continue
 					}
 					if err := SetKernelTier(tier.String()); err != nil {
 						t.Fatal(err)
 					}
-					for _, lanes := range []int{4, 8, 16} {
+					for _, lanes := range []int{4, 8, 16, 32} {
 						for _, r0 := range groupStarts(m) {
 							where := fmt.Sprintf("%s/%s/%s tier=%s lanes=%d r0=%d", kp.name, in.name, kt.name, tier, lanes, r0)
 							g, err := scratch[tier].ScoreGroupAuto(kp.p, s, r0, lanes, tri)
@@ -236,6 +239,9 @@ func TestScoreGroupAuto(t *testing.T) {
 							// the forced tier, narrowed by what the group shape
 							// and the scoring model admit
 							wantTier := tier
+							if lanes < 32 || !align.ByteParamsOK(kp.p) {
+								wantTier = min(wantTier, TierInt16x16)
+							}
 							if lanes < 16 || kp.name == "wide" {
 								wantTier = min(wantTier, TierInt32x8)
 							}
@@ -247,11 +253,22 @@ func TestScoreGroupAuto(t *testing.T) {
 									wantTier = max(wantTier, align.RowTier(kp.p, r, m-r))
 								}
 							}
+							if wantTier == TierU8x32 {
+								byteGroups++
+							}
+							if wantTier == TierU8x32 && g.Rerun {
+								byteReruns++
+								// the byte pass flagged: the int16 rung
+								// computed the group again
+								wantTier = TierInt16x16
+								if g.Wasted <= 0 {
+									t.Fatalf("%s: byte re-run wasted %d cells", where, g.Wasted)
+								}
+							} else if g.Rerun || g.Wasted != 0 {
+								t.Fatalf("%s: spurious saturation re-run (%d cells wasted)", where, g.Wasted)
+							}
 							if g.Tier != wantTier {
 								t.Fatalf("%s: served by tier %s, want %s", where, g.Tier, wantTier)
-							}
-							if g.Rerun {
-								t.Fatalf("%s: spurious saturation re-run", where)
 							}
 							if g.R0 != r0 || len(g.Bottoms) != lanes {
 								t.Fatalf("%s: group R0=%d with %d rows", where, g.R0, len(g.Bottoms))
@@ -271,7 +288,7 @@ func TestScoreGroupAuto(t *testing.T) {
 								}
 							}
 							check(where, g.Bottoms)
-							if g.Tier == TierInt16x16 && Int16Proven(kp.p, m, r0, lanes) {
+							if g.Tier == TierInt16x16 && lanes == 16 && Int16Proven(kp.p, m, r0, lanes) {
 								// The harness's groups are too small to be
 								// unproven; run each again on the
 								// saturation-tracking kernels too.
@@ -290,6 +307,12 @@ func TestScoreGroupAuto(t *testing.T) {
 	}
 	if DetectedTier() < TierInt16x16 {
 		t.Log("vector tiers unavailable on this CPU: only the scalar rung was checked")
+	}
+	if align.DetectedTier() >= TierU8x32 {
+		t.Logf("%d byte groups, %d of them re-run on the int16 rung", byteGroups, byteReruns)
+		if byteReruns*2 > byteGroups {
+			t.Errorf("%d of %d byte groups re-run: the harness barely reaches the byte kernel's clean path", byteReruns, byteGroups)
+		}
 	}
 }
 
@@ -313,7 +336,7 @@ func TestScoreGroupErrors(t *testing.T) {
 	if _, err := sc.ScoreGroupAuto(dna, s, 8, 4, nil); err == nil {
 		t.Error("r0=len(s) accepted")
 	}
-	for _, lanes := range []int{0, 1, 3, 5, 32} {
+	for _, lanes := range []int{0, 1, 3, 5, 64} {
 		if _, err := sc.ScoreGroupAuto(dna, s, 1, lanes, nil); err == nil {
 			t.Errorf("lane count %d accepted", lanes)
 		}

@@ -22,6 +22,7 @@ type Scratch struct {
 	profBuilt       []bool
 
 	prev16, cur16, maxY16 [][16]int16 // int16 lane rows, one block per column (16-lane AVX2 kernel; its profile is row's)
+	prev8, cur8, maxY8    [][32]uint8 // byte lane rows, one block per column (32-lane AVX2 kernel; its profile is row's)
 
 	arena []int32   // bottom-row storage
 	heads [][]int32 // lane headers over arena

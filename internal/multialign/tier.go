@@ -6,9 +6,9 @@ import "repro/internal/align"
 // CPU detection, the REPRO_KERNEL_TIER / SetKernelTier override and the
 // int16 lane bounds — is declared once, in package align, whose row
 // kernel climbs it too; the names below are the same ones, kept here for
-// the callers that think in groups. The group ladder tops out at
-// int16x16: align's byte rung (u8x32) serves score-only window passes
-// only, so this package reads an active or detected u8x32 as int16x16.
+// the callers that think in groups. The byte rung (u8x32) serves 32-lane
+// groups only (TierFor): ActiveTier and DetectedTier, which callers read
+// as the widest tier a 16-lane group runs on, read it as int16x16.
 type Tier = align.Tier
 
 const (
@@ -22,13 +22,17 @@ const (
 	// per vector register (rowAVX16): twice the cells per instruction,
 	// guarded by a sticky saturation flag and an int32 re-run.
 	TierInt16x16 = align.TierInt16x16
+	// TierU8x32 is the AVX2 byte kernel with 32 saturating unsigned byte
+	// lanes per vector register (rowU8Pair), for 32-lane groups: a group
+	// whose pass reaches the top of the byte range re-runs on int16x16.
+	TierU8x32 = align.TierU8x32
 )
 
 // ParseTier is the inverse of Tier.String.
 func ParseTier(name string) (Tier, error) { return align.ParseTier(name) }
 
-// DetectedTier reports the widest group kernel tier the CPU supports,
-// independent of any override.
+// DetectedTier reports the widest kernel tier the CPU supports for a
+// 16-lane group, independent of any override: u8x32 reads as int16x16.
 func DetectedTier() Tier { return min(align.DetectedTier(), TierInt16x16) }
 
 // DetectedAVX512 reports whether the CPU and OS support the AVX-512
@@ -39,10 +43,10 @@ func DetectedAVX512() bool { return align.DetectedAVX512() }
 // group kernels and align's row kernel alike; see align.SetKernelTier.
 func SetKernelTier(name string) error { return align.SetKernelTier(name) }
 
-// ActiveTier returns the group tier kernels currently select from: the
+// ActiveTier returns the tier a 16-lane group currently selects from: the
 // runtime override when set, the detected tier otherwise, u8x32 read as
-// int16x16. The effective tier of a particular call can be narrower (see
-// TierFor). It is the group view only: passing it back to SetKernelTier
+// int16x16. The effective tier of a particular call can be narrower, and
+// a 32-lane call's wider (see TierFor). It is the group view only: passing it back to SetKernelTier
 // caps a u8x32 process at int16x16, so code that saves and restores the
 // override reads align.ActiveTier instead.
 func ActiveTier() Tier { return min(align.ActiveTier(), TierInt16x16) }
@@ -56,13 +60,17 @@ const (
 	maxGapInt16 = align.MaxGapInt16
 )
 
-// TierFor resolves the effective kernel tier for one group call: the
+// TierFor resolves the effective kernel tier for one group call: align's
 // active tier, narrowed by what the group shape and scoring model
-// support. The int16 tier serves only full 16-lane groups whose
-// parameters fit 16-bit arithmetic; the int32 vector kernel needs groups
-// of at least 8 lanes.
+// support. The byte tier serves only 32-lane groups whose parameters fit
+// the byte rung (align.ByteParamsOK); the int16 tier needs at least 16
+// lanes and parameters that fit 16-bit arithmetic; the int32 vector
+// kernel needs groups of at least 8 lanes.
 func TierFor(p align.Params, m, lanes int) Tier {
-	t := ActiveTier()
+	t := align.ActiveTier()
+	if t >= TierU8x32 && (lanes < 32 || !align.ByteParamsOK(p)) {
+		t = TierInt16x16
+	}
 	if t >= TierInt16x16 && (lanes < 16 || !align.Int16ParamsOK(p)) {
 		t = TierInt32x8
 	}

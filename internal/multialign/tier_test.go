@@ -54,7 +54,7 @@ func TestTierForNarrowing(t *testing.T) {
 		t.Skip("narrowing ladder needs the full tier set")
 	}
 	defer SetKernelTier("auto")
-	if err := SetKernelTier("auto"); err != nil {
+	if err := SetKernelTier("int16x16"); err != nil {
 		t.Fatal(err)
 	}
 	okP := align.Params{Exch: scoring.BLOSUM62, Gap: scoring.DefaultProteinGap}
@@ -77,8 +77,26 @@ func TestTierForNarrowing(t *testing.T) {
 			t.Errorf("%s: tier %s, want %s", c.name, got, c.want)
 		}
 	}
-	// align's byte rung serves windows only: an active u8x32 reads as
-	// int16x16 here, and groups run where they ran before
+	// The byte rung serves 32-lane groups only. The contract callers of
+	// ActiveTier and DetectedTier rely on: an active u8x32 reads as
+	// int16x16 there, and groups of 8 and 16 lanes run where they ran
+	// before.
+	byteCases := []struct {
+		name string
+		p    align.Params
+		want Tier
+	}{
+		{"full-32", okP, TierU8x32},
+		// fits int16 but not a byte: 200 plus the bias of 100 passes 255
+		{"int16-only", align.Params{Exch: scoring.Unit("b", seq.DNA, 200, -100), Gap: scoring.PaperGap}, TierInt16x16},
+		{"wide-scores-32", wide, TierInt32x8},
+		{"big-gap-32", bigGap, TierInt32x8},
+	}
+	for _, c := range byteCases {
+		if got := TierFor(c.p, 500, 32); got != min(c.want, TierInt16x16) {
+			t.Errorf("%s under int16x16: tier %s, want %s", c.name, got, min(c.want, TierInt16x16))
+		}
+	}
 	if align.DetectedTier() >= align.TierU8x32 {
 		if err := SetKernelTier("u8x32"); err != nil {
 			t.Fatal(err)
@@ -88,6 +106,11 @@ func TestTierForNarrowing(t *testing.T) {
 		}
 		for _, c := range cases {
 			if got := TierFor(c.p, 500, c.lanes); got != c.want {
+				t.Errorf("%s under u8x32: tier %s, want %s", c.name, got, c.want)
+			}
+		}
+		for _, c := range byteCases {
+			if got := TierFor(c.p, 500, 32); got != c.want {
 				t.Errorf("%s under u8x32: tier %s, want %s", c.name, got, c.want)
 			}
 		}

@@ -118,8 +118,9 @@ func (c *Counters) AddCPU(ns int64) {
 
 // AddTierAlignments attributes n alignments to kernel tier ordinal
 // tier; rerun marks the batch as having needed a re-run after a
-// saturation flag — an int16 group re-run in int32, a byte window pass
-// handed over to int16 at its flagged row — counted separately: the
+// saturation flag — an int16 group re-run in int32, a byte group re-run
+// in int16, a byte window pass handed over to int16 at its flagged row —
+// counted separately: the
 // alignments still belong to the tier that finally served them.
 func (c *Counters) AddTierAlignments(tier int, n int64, rerun bool) {
 	if c == nil || tier < 0 || tier >= NumTiers || n <= 0 {
@@ -132,9 +133,10 @@ func (c *Counters) AddTierAlignments(tier int, n int64, rerun bool) {
 }
 
 // AddWastedCells records cells a saturated pass computed and threw away:
-// a byte pass's flagged row, which the int16 rung computes again. They
-// are not in the cells counter, which counts each alignment's matrix
-// once.
+// a byte window pass's flagged row, which the int16 rung computes again,
+// or the member cells a flagged byte group had computed before its int16
+// re-run. They are not in the cells counter, which counts each
+// alignment's matrix once.
 func (c *Counters) AddWastedCells(n int64) {
 	if c == nil || n == 0 {
 		return

@@ -330,7 +330,7 @@ func (e *Engine) alignGroup(r0 int, first bool, tri *triangle.Triangle, sc *Scra
 	if err != nil {
 		return scores, nil, Work{}, fmt.Errorf("topalign: group %d: %w", r0, err)
 	}
-	work := Work{First: first, Tier: g.Tier, Rerun: g.Rerun, Nanos: int64(time.Since(t0))}
+	work := Work{First: first, Tier: g.Tier, Rerun: g.Rerun, Wasted: g.Wasted, Nanos: int64(time.Since(t0))}
 	if cap(scores) < lanes {
 		scores = make([]int32, lanes)
 	}

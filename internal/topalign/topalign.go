@@ -24,6 +24,7 @@ import (
 	"repro/internal/align"
 	"repro/internal/multialign"
 	"repro/internal/obs/trace"
+	"repro/internal/seq"
 	"repro/internal/stats"
 )
 
@@ -72,10 +73,11 @@ type Config struct {
 	MinScore int32
 	// GroupLanes selects the SIMD-style neighbour-group scheduling of
 	// Section 4.1: 0 lets the engine choose (ResolveLanes); 1 aligns one
-	// matrix per task; 4, 8, or 16 align a fixed group of neighbouring
+	// matrix per task; 4, 8, 16 or 32 align a fixed group of neighbouring
 	// matrices per task using the group kernels (16 enables the int16x16
-	// AVX2 tier where supported). Engine.Config reports the resolved
-	// value, never 0.
+	// AVX2 tier where supported, 32 the u8x32 byte tier). Engine.Config
+	// reports the resolved value, never 0; a cluster master ships it to
+	// its slaves.
 	GroupLanes int
 	// Counters receives instrumentation; may be nil.
 	Counters *stats.Counters
@@ -111,9 +113,9 @@ func (c Config) withDefaults(n int) (Config, error) {
 		c.MinScore = 1
 	}
 	switch c.GroupLanes {
-	case 0, 1, 4, 8, 16:
+	case 0, 1, 4, 8, 16, 32:
 	default:
-		return c, fmt.Errorf("topalign: GroupLanes %d must be 0, 1, 4, 8, or 16", c.GroupLanes)
+		return c, fmt.Errorf("topalign: GroupLanes %d must be 0, 1, 4, 8, 16, or 32", c.GroupLanes)
 	}
 	c.GroupLanes = ResolveLanes(c.Params, n, c.GroupLanes)
 	return c, nil
@@ -121,30 +123,49 @@ func (c Config) withDefaults(n int) (Config, error) {
 
 // groupCrossover is the sequence length below which a defaulted lane
 // count resolves to 1. A group task realigns all its members when one
-// is stale, so groups compute more cells than splits (2.5x at n=200,
-// 1.8x at 300, 1.2x at 900), and since align's row kernel runs one
-// matrix 16 columns per instruction, one split at a time is no longer
-// the slow way: on protein inputs 16 lanes lose 20-50% to it at
-// n=120-250, draw (within 5%) from 280 to 340 and win from 350; 8 lanes
-// against int32 rows cross at the same place; the DNA inputs would
-// accept 160. The sweep is in EXPERIMENTS.md ("Lane resolution");
-// BenchmarkAnalyzeLanes re-derives it.
-const groupCrossover = 300
+// is stale, so groups compute more cells than splits (on titin 2.1x at
+// n=250 with 16 lanes and 3.1x with 32, 1.8x and 2.5x at 300, 1.3x and
+// 1.5x at 900), and align's row kernel runs one matrix 16 columns per
+// instruction, so one split at a time is the fast way for short inputs.
+// On the titin input 32-lane byte groups lose to it at n=160 and draw
+// at 120 and 200 (PAM250 titin wins from 160); both protein inputs win
+// from 250 (by 14% and 1.7x), and by 1.7x at 300. 16-lane groups win on
+// every input from 160. The sweep is in EXPERIMENTS.md ("Lane
+// resolution"); BenchmarkAnalyzeLanes re-derives it.
+const groupCrossover = 250
+
+// byteGroupMaxLen is the longest sequence a defaulted lane count resolves
+// to 32-lane byte groups for. Scores grow with length, and so does the
+// share of groups whose byte pass reaches the top of the byte range and
+// re-runs on the int16 rung: on both protein inputs of
+// BenchmarkAnalyzeLanes 32 lanes are level with 16 or up to 23% ahead
+// from 250 to 1 500 residues, and 25-37% behind at 2 000 (PAM250 40%
+// behind at 1 750).
+const byteGroupMaxLen = 1500
 
 // ResolveLanes is the lane count a run of n residues under p uses when
-// asked for lanes: an explicit 1, 4, 8 or 16 is kept; 0 means "choose"
-// and resolves to the widest exact kernel tier that can serve the
-// scoring model — 16 when multialign.TierFor grants int16x16, 8 when
-// only int32x8, 1 when the active tier is scalar or n is below
-// groupCrossover. Never 4: four lanes reach no vector kernel. Reports
-// are bit-identical across lane counts in strict mode, so the choice is
-// an execution detail.
+// asked for lanes: an explicit 1, 4, 8, 16 or 32 is kept; 0 means
+// "choose". Below groupCrossover that is 1. From there to
+// byteGroupMaxLen a protein model the byte rung serves
+// (multialign.TierFor grants u8x32 to 32 lanes) gets 32. Nucleotide
+// models never do: their tandem repeats score past the byte range within
+// a few hundred residues (45% of dna-unit group alignments re-run at
+// n=300, 96% at 600), and 32 lanes lost to 16 by 17-55% from n=300 on
+// under dna-unit and by 13-51% from 600 on under paper-dna. Otherwise it is the widest exact kernel
+// tier that can serve the model — 16 when multialign.TierFor grants
+// int16x16 to 16 lanes, 8 when only int32x8, 1 when the active tier is
+// scalar. Never 4: four lanes reach no vector kernel. Reports are
+// bit-identical across lane counts in strict mode, so the choice is an
+// execution detail.
 func ResolveLanes(p align.Params, n, lanes int) int {
 	if lanes != 0 {
 		return lanes
 	}
 	if n < groupCrossover {
 		return 1
+	}
+	if n <= byteGroupMaxLen && p.Exch.Alphabet() != seq.DNA && multialign.TierFor(p, n, 32) == multialign.TierU8x32 {
+		return 32
 	}
 	switch multialign.TierFor(p, n, 16) {
 	case multialign.TierInt16x16:

@@ -17,7 +17,7 @@ import (
 
 // crossover is topalign's groupCrossover as seen from outside: the
 // battery straddles it, and says so when the constant moves.
-const crossover = 300
+const crossover = 250
 
 // TestLanesDifferential is what lets Lanes leave serve.CacheKey: in
 // strict mode the report — tops and families — is the same for every
@@ -68,7 +68,7 @@ func TestLanesDifferential(t *testing.T) {
 				t.Fatalf("%s n=%d: reference found no top alignment, the row proves nothing", in.name, n)
 			}
 			for _, b := range backends {
-				for _, lanes := range []int{0, 1, 4, 8, 16} {
+				for _, lanes := range []int{0, 1, 4, 8, 16, 32} {
 					if n > crossover && (lanes == 1 || lanes == 4) {
 						// one split-by-split run of this length costs seconds
 						// on the Go rows under the race detector; the shorter
@@ -118,15 +118,16 @@ func forceTier(t *testing.T, tier multialign.Tier) {
 
 // Lanes 0 follows the active tier: on a host whose widest tier is
 // scalar it resolves to one matrix per task, never to a 16-lane group
-// of scalar alignments, and under int32x8 to 8. The report stays the
-// lanes-1 report and names the lanes and the tier that ran.
+// of scalar alignments, under int32x8 to 8, under int16x16 to 16 and
+// under u8x32 to 32. The report stays the lanes-1 report and names the
+// lanes and the tier that ran.
 func TestLanesZeroFollowsTheActiveTier(t *testing.T) {
 	s := seq.SyntheticTitin(300, 5).String()
 	want, err := repro.Analyze("x", s, repro.Options{NumTops: 8, Lanes: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, lanes := range []int{1, 8, 16} { // indexed by tier: scalar, int32x8, int16x16
+	for i, lanes := range []int{1, 8, 16, 32} { // indexed by tier: scalar, int32x8, int16x16, u8x32
 		tier := multialign.Tier(i)
 		t.Run(tier.String(), func(t *testing.T) {
 			forceTier(t, tier)
@@ -150,7 +151,7 @@ func TestLanesZeroFollowsTheActiveTier(t *testing.T) {
 // Usage.KernelTiers — whether the lane count was given or chosen.
 func TestKernelTierNamesTheTierThatRan(t *testing.T) {
 	s := seq.SyntheticTitin(300, 6).String()
-	for _, lanes := range []int{0, 1, 8, 16} {
+	for _, lanes := range []int{0, 1, 8, 16, 32} {
 		rep, err := repro.Analyze("x", s, repro.Options{NumTops: 8, Lanes: lanes})
 		if err != nil {
 			t.Fatal(err)

@@ -62,10 +62,11 @@ type Options struct {
 	// MinScore stops the search when no remaining alignment reaches it.
 	MinScore int
 	// Lanes is how many neighbouring matrices one task aligns together:
-	// 0 (default) lets the engine choose the widest exact kernel tier
-	// the CPU and scoring model support (16, 8, or 1 for short inputs
-	// and CPUs without AVX2), 1 pins the scalar kernel, 4, 8 and 16 pin
-	// a group size. Strict-mode reports are identical whatever the
+	// 0 (default) lets the engine choose (topalign.ResolveLanes): 32 on
+	// the byte rung for protein inputs up to 1 500 residues, otherwise
+	// the widest exact kernel tier the CPU and scoring model support (16
+	// or 8), and 1 for short inputs and CPUs without AVX2; 1 pins the
+	// scalar kernel, 4, 8, 16 and 32 pin a group size. Strict-mode reports are identical whatever the
 	// value; Stats.Lanes and Stats.KernelTier say what a run used.
 	Lanes int
 	// Workers sizes the shared-memory scheduler that runs exact
@@ -453,12 +454,14 @@ func analyze(q *seq.Sequence, exch *scoring.Matrix, opt Options) (*Report, error
 }
 
 // kernelFor resolves the lane count and kernel tier an analysis of n
-// residues runs with, by the engine's own rule. Groups of 8 or 16 run
-// the group kernel TierFor names. Everything else is one matrix at a
-// time on align's row kernel, which picks its tier per matrix: an exact
-// run is named by its middle split, the shape with the highest score
-// bound, and the fast and balanced presets — windows, whatever the lane
-// count — by the widest row tier the scoring model admits. The row
+// residues runs with, by the engine's own rule. Groups of 8, 16 or 32
+// run the group kernel TierFor names: u8x32 for the byte rung's 32-lane
+// groups, whose flagged passes re-run on int16x16 and show up as that in
+// Usage.KernelTiers. Everything else is one matrix at a time on align's
+// row kernel, which picks its tier per matrix: an exact run is named by
+// its middle split, the shape with the highest score bound, and the fast
+// and balanced presets — windows, whatever the lane count — by the
+// widest row tier the scoring model admits. The row
 // ladder tops out at int16x16; window passes that run on the byte rung
 // in front of it, a matrix under one block wide and one past the int16
 // bound all show up as what they ran in Usage.KernelTiers.
