@@ -25,7 +25,6 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"path/filepath"
 	"reflect"
 	"sort"
 	"strconv"
@@ -35,7 +34,6 @@ import (
 
 	"repro"
 	"repro/internal/atomicfile"
-	"repro/internal/jobstore"
 	"repro/internal/seq"
 	"repro/internal/serve"
 )
@@ -54,7 +52,6 @@ func main() {
 		verify   = flag.Bool("verify", true, "differentially verify every response against a local run")
 		workers  = flag.Int("workers", 0, "(with -self) server worker pool size")
 		queue    = flag.Int("queue", 0, "(with -self) server queue depth")
-		jobsN    = flag.Int("jobs", 0, "exercise the async job API first: submit N durable jobs, poll to completion, verify")
 		longLen  = flag.Int("long-len", 0, "long-input phase: analyse one synthetic sequence of this length with the prefilter preset end-to-end before the load phase (0 disables)")
 		longPre  = flag.String("long-preset", "fast", "prefilter preset for the long-input phase: fast, balanced, sensitive")
 		outP     = flag.String("out", "-", "output JSON path (- for stdout)")
@@ -96,13 +93,6 @@ func main() {
 	tr := &http.Transport{MaxIdleConns: *clients * 2, MaxIdleConnsPerHost: *clients * 2}
 	client := &http.Client{Transport: tr}
 	base := "http://" + *addr
-
-	// Async-job phase (before the cold warmup, so jobs take the cold
-	// path): submit, poll to terminal state, verify against truth.
-	var jobsDone int64
-	if *jobsN > 0 {
-		jobsDone = runJobsPhase(client, base, pool, truth, *tops, *backend, *jobsN)
-	}
 
 	// Long-input phase: one chromosome-scale sequence through the
 	// seed-filter-extend preset, end to end over the API — asserting the
@@ -236,7 +226,6 @@ func main() {
 		Errors:      errCount.Load(),
 		Shed:        shed429.Load(),
 		Divergences: divergences.Load(),
-		JobsDone:    jobsDone,
 		LongInput:   longDoc,
 	}
 	doc.P50MS, doc.P99MS = summarise(all)
@@ -276,7 +265,6 @@ type result struct {
 	P50MS       float64     `json:"p50_ms"`
 	P99MS       float64     `json:"p99_ms"`
 	HitRate     float64     `json:"hit_rate"`
-	JobsDone    int64       `json:"jobs_done,omitempty"`
 	LongInput   *longResult `json:"long_input,omitempty"`
 }
 
@@ -322,79 +310,6 @@ func retryAfter(resp *http.Response) time.Duration {
 		d = 250 * time.Millisecond
 	}
 	return d
-}
-
-// runJobsPhase drives the durable async API: n submissions round-robin
-// over the sequence pool, polled to a terminal state and differentially
-// verified like the synchronous responses. Identical in-flight
-// submissions are expected to dedup into one job.
-func runJobsPhase(client *http.Client, base string, pool []*seq.Sequence, truth []*repro.Report, tops int, backend string, n int) (done int64) {
-	type pending struct {
-		id  string
-		idx int
-	}
-	var jobs []pending
-	deduped := 0
-	for i := 0; i < n; i++ {
-		idx := i % len(pool)
-		q := pool[idx]
-		body, _ := json.Marshal(serve.Request{
-			ID: q.ID, Sequence: q.String(),
-			Params: serve.Params{Tops: tops}, Backend: backend,
-		})
-		resp, err := client.Post(base+"/v1/jobs", "application/json", bytes.NewReader(body))
-		if err != nil {
-			fatal(fmt.Errorf("job submit %d: %w", i, err))
-		}
-		raw, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode == http.StatusNotFound {
-			fatal(fmt.Errorf("server has no job API; run reproserve with -data"))
-		}
-		if resp.StatusCode != http.StatusAccepted {
-			fatal(fmt.Errorf("job submit %d: status %d: %.200s", i, resp.StatusCode, raw))
-		}
-		var st serve.JobStatus
-		if err := json.Unmarshal(raw, &st); err != nil {
-			fatal(fmt.Errorf("job submit %d: %w", i, err))
-		}
-		if st.Deduped {
-			deduped++
-		}
-		jobs = append(jobs, pending{st.JobID, idx})
-	}
-	deadline := time.Now().Add(5 * time.Minute)
-	for _, j := range jobs {
-		for {
-			if time.Now().After(deadline) {
-				fatal(fmt.Errorf("job %s did not finish", j.id))
-			}
-			resp, err := client.Get(base + "/v1/jobs/" + j.id)
-			if err != nil {
-				fatal(fmt.Errorf("job poll %s: %w", j.id, err))
-			}
-			var st serve.JobStatus
-			perr := json.NewDecoder(resp.Body).Decode(&st)
-			resp.Body.Close()
-			if perr != nil {
-				fatal(fmt.Errorf("job poll %s: %w", j.id, perr))
-			}
-			if st.State == "failed" {
-				fatal(fmt.Errorf("job %s failed: %s", j.id, st.Error))
-			}
-			if st.State == "done" && len(st.Report) > 0 {
-				var rep repro.Report
-				if json.Unmarshal(st.Report, &rep) != nil || (truth != nil && !sameAnalysis(truth[j.idx], &rep)) {
-					fatal(fmt.Errorf("job %s result diverges from the local sequential run", j.id))
-				}
-				done++
-				break
-			}
-			time.Sleep(25 * time.Millisecond)
-		}
-	}
-	fmt.Fprintf(os.Stderr, "reproload: jobs %d submitted, %d deduped, %d verified done\n", n, deduped, done)
-	return done
 }
 
 // longResult summarises the long-input phase.
@@ -471,29 +386,12 @@ func runLongPhase(client *http.Client, base string, length int, preset string, t
 	return res
 }
 
-// startSelf runs an in-process reproserve on an ephemeral port, with
-// the durable job API backed by a throwaway data dir so -jobs works
-// without an external daemon.
+// startSelf runs an in-process reproserve on an ephemeral port.
 func startSelf(workers, queue int) (addr string, shutdown func(), err error) {
-	dataDir, err := os.MkdirTemp("", "reproload-data-*")
-	if err != nil {
-		return "", nil, err
-	}
-	jobs, err := jobstore.Open(filepath.Join(dataDir, "jobs"), nil)
-	if err != nil {
-		os.RemoveAll(dataDir) //nolint:errcheck
-		return "", nil, err
-	}
-	srv := serve.New(serve.Config{
-		Workers:    workers,
-		QueueDepth: queue,
-		Jobs:       jobs,
-	})
+	srv := serve.New(serve.Config{Workers: workers, QueueDepth: queue})
 	srv.Start()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		jobs.Close()          //nolint:errcheck
-		os.RemoveAll(dataDir) //nolint:errcheck
 		return "", nil, err
 	}
 	httpSrv := &http.Server{Handler: srv.Handler()}
@@ -503,8 +401,6 @@ func startSelf(workers, queue int) (addr string, shutdown func(), err error) {
 		defer cancel()
 		httpSrv.Shutdown(ctx) //nolint:errcheck
 		srv.Drain(ctx)        //nolint:errcheck
-		jobs.Close()          //nolint:errcheck
-		os.RemoveAll(dataDir) //nolint:errcheck
 	}
 	return ln.Addr().String(), shutdown, nil
 }

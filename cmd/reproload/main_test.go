@@ -9,32 +9,18 @@ import (
 	"repro/internal/seq"
 )
 
-// TestJobsPhaseAgainstSelf drives the real helpers end to end: an
-// in-process durable server, the async-job phase (submit, dedup, poll,
-// verify) and the long-input phase (preset reaches the engine, response
-// verified against a local run, repeat served from the cache).
-func TestJobsPhaseAgainstSelf(t *testing.T) {
+// TestLongPhaseAgainstSelf drives the real helpers end to end: an
+// in-process server and the long-input phase (preset reaches the
+// engine, response verified against a local run, repeat served from
+// the cache).
+func TestLongPhaseAgainstSelf(t *testing.T) {
 	addr, shutdown, err := startSelf(2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer shutdown()
 
-	pool := []*seq.Sequence{seq.SyntheticTitin(120, 1), seq.SyntheticTitin(120, 2)}
-	truth := make([]*repro.Report, len(pool))
-	for i, q := range pool {
-		truth[i], err = repro.Analyze(q.ID, q.String(), repro.Options{NumTops: 3})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	client := &http.Client{}
-	base := "http://" + addr
-	if done := runJobsPhase(client, base, pool, truth, 3, "sequential", 4); done != 4 {
-		t.Fatalf("jobs done = %d, want 4", done)
-	}
-	long := runLongPhase(client, base, 2000, "fast", 3, 1, true)
+	long := runLongPhase(&http.Client{}, "http://"+addr, 2000, "fast", 3, 1, true)
 	if !long.Verified || long.RepeatCache != "hit" || long.SeqLen != 2000 {
 		t.Errorf("long-input phase = %+v", long)
 	}

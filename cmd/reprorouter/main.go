@@ -1,8 +1,8 @@
 // Command reprorouter is the stateless scale-out gateway: it
-// consistent-hash routes POST /v1/analyze and the /v1/jobs API on the
-// content-addressed cache key to a fleet of reproserve shards, so each
-// shard's cache holds a disjoint slice of the keyspace and fleet cache
-// capacity grows with the number of shards (see DESIGN.md section 14).
+// consistent-hash routes POST /v1/analyze on the content-addressed
+// cache key to a fleet of reproserve shards, so each shard's cache
+// holds a disjoint slice of the keyspace and fleet cache capacity
+// grows with the number of shards (see DESIGN.md section 14).
 //
 // Concurrent identical requests collapse into one upstream call per
 // key (distributed singleflight); failed shards are retried on the

@@ -2,16 +2,11 @@
 // front door over the repeat-detection engines, with a bounded
 // admission queue, per-request deadlines, 429 backpressure, a
 // content-addressed LRU result cache with singleflight dedup, and
-// graceful drain on SIGTERM (see DESIGN.md section 9).
+// graceful drain on SIGTERM (see DESIGN.md section 9). Results live in
+// memory only: a restart starts with a cold cache.
 //
-// With -data DIR the daemon becomes durable (DESIGN.md section 12):
-// results persist in a checksummed disk cache tier that survives
-// restarts, and POST /v1/jobs writes and fsyncs one checksummed record
-// per job before answering 202, so accepted jobs survive even SIGKILL.
-//
-//	reproserve -addr :8080 -workers 8 -queue 64 -cache 512 -data /var/lib/repro
+//	reproserve -addr :8080 -workers 8 -queue 64 -cache 512
 //	curl -s localhost:8080/v1/analyze -d '{"sequence":"ATGCATGCATGC","matrix":"paper-dna","tops":3}'
-//	curl -s localhost:8080/v1/jobs -d '{"sequence":"ATGCATGCATGC","matrix":"paper-dna","tops":3}'
 //	curl -s localhost:8080/metrics
 package main
 
@@ -24,12 +19,9 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"syscall"
 	"time"
 
-	"repro/internal/cache"
-	"repro/internal/jobstore"
 	"repro/internal/obs"
 	"repro/internal/obs/profile"
 	"repro/internal/obs/trace"
@@ -46,9 +38,7 @@ func main() {
 		maxSeq  = flag.Int("max-seq", 100000, "maximum sequence length admitted")
 		drainT  = flag.Duration("drain-timeout", 30*time.Second, "how long SIGTERM waits for queued work")
 		traces  = flag.Int("traces", trace.DefaultMaxTraces, "request traces retained for /trace/{id} (0 = default, -1 = disable)")
-		dataDir = flag.String("data", "", "durability dir: persistent disk cache + crash-safe job records (empty = in-memory only)")
 		cacheB  = flag.Int64("cache-bytes", 0, "result cache byte budget (0 = default)")
-		jobW    = flag.Int("job-workers", 0, "async job worker pool size (0 = default)")
 		rateL   = flag.Float64("rate-limit", 0, "admitted requests per second (0 = unlimited)")
 		rateB   = flag.Int("rate-burst", 0, "rate-limit burst size (0 = ceil(rate-limit))")
 
@@ -63,19 +53,6 @@ func main() {
 	var col *trace.Collector
 	if *traces >= 0 {
 		col = trace.NewCollector(*traces, 0)
-	}
-	var disk *cache.Disk
-	var jobs *jobstore.Store
-	if *dataDir != "" {
-		var err error
-		if disk, err = cache.OpenDisk(filepath.Join(*dataDir, "cache"), nil); err != nil {
-			fatal(fmt.Errorf("open disk cache: %w", err))
-		}
-		jobs, err = jobstore.Open(filepath.Join(*dataDir, "jobs"), nil)
-		if err != nil {
-			fatal(fmt.Errorf("open job store: %w", err))
-		}
-		defer jobs.Close() //nolint:errcheck // every record is already durable; Close only stops writes
 	}
 	var prof *profile.Profiler
 	if *profDir != "" {
@@ -100,9 +77,6 @@ func main() {
 		MaxSequenceLen: *maxSeq,
 		CacheEntries:   *cacheN,
 		CacheBytes:     *cacheB,
-		Disk:           disk,
-		Jobs:           jobs,
-		JobWorkers:     *jobW,
 		RateLimit:      *rateL,
 		RateBurst:      *rateB,
 		Metrics:        reg,

@@ -3,9 +3,8 @@
 // into place, and the directory is fsynced, so readers never observe a
 // truncated or half-written file, an interrupted writer can never
 // corrupt an existing one, and a write that returned nil survives a
-// power cut. Load-test documents, metrics snapshots, profile captures
-// and the checksummed Records (cache entries, job records) are written
-// this way.
+// power cut. Load-test documents, metrics snapshots and profile
+// captures are written this way.
 package atomicfile
 
 import (

@@ -3,13 +3,10 @@
 // identical analysis requests hit a stored result instead of re-running
 // the engine, and concurrent identical requests share one computation.
 //
-// It is two tiers. The in-memory LRU is bounded both by entry count
-// and by bytes (entries are pre-encoded report JSON, whose sizes vary
-// by orders of magnitude, so a count bound alone would leave memory
-// unbounded). The optional disk tier (Disk) persists entries as
-// checksummed content-addressed files, so warm state survives
-// restarts: a memory miss falls through to disk before the engine
-// runs, and Prewarm reloads the LRU on startup.
+// It lives in memory only: an LRU bounded both by entry count and by
+// bytes (entries are pre-encoded report JSON, whose sizes vary by
+// orders of magnitude, so a count bound alone would leave memory
+// unbounded). Results do not outlive the process.
 //
 // The cache stores opaque values under string keys; the serving layer
 // derives keys from SHA-256(sequence) plus the canonicalised analysis
@@ -26,8 +23,8 @@ import (
 	"repro/internal/obs"
 )
 
-// Cache is a fixed-capacity LRU with integrated singleflight and an
-// optional persistent tier. All methods are safe for concurrent use.
+// Cache is a fixed-capacity LRU with integrated singleflight. All
+// methods are safe for concurrent use.
 type Cache struct {
 	mu       sync.Mutex
 	capacity int
@@ -36,7 +33,6 @@ type Cache struct {
 	ll       *list.List // front = most recently used
 	items    map[string]*list.Element
 	inflight map[string]*call
-	disk     *Disk
 
 	hits      obs.Counter
 	misses    obs.Counter
@@ -53,18 +49,11 @@ type entry struct {
 	size int64
 }
 
-// call is one in-flight computation (or disk read) other requests can
-// wait on.
+// call is one in-flight computation other requests can wait on.
 type call struct {
-	done    chan struct{}
-	val     any
-	outcome Outcome
-	err     error
-	// absent marks a call that resolved without producing a value: a
-	// disk-only probe (Get) whose key was on neither tier. Waiters from
-	// GetOrCompute re-enter the lookup and run the computation
-	// themselves; waiters from Get report a miss.
-	absent bool
+	done chan struct{}
+	val  any
+	err  error
 }
 
 // DefaultCapacity is the entry capacity New(0) selects.
@@ -107,49 +96,6 @@ func NewSized(capacity int, maxBytes int64) *Cache {
 	}
 }
 
-// AttachDisk backs the LRU with a persistent tier: memory misses fall
-// through to disk, and computed values are written through. Call
-// before serving traffic.
-func (c *Cache) AttachDisk(d *Disk) {
-	c.mu.Lock()
-	c.disk = d
-	c.mu.Unlock()
-}
-
-// Disk returns the attached persistent tier (nil when none).
-func (c *Cache) Disk() *Disk {
-	if c == nil {
-		return nil
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.disk
-}
-
-// Prewarm loads up to max entries (0 = capacity) from the disk tier
-// into the LRU, verifying checksums as it goes, and returns how many
-// were loaded. Corrupt files are quarantined, never loaded.
-func (c *Cache) Prewarm(max int) int {
-	d := c.Disk()
-	if d == nil {
-		return 0
-	}
-	if max <= 0 {
-		max = c.capacity
-	}
-	loaded := 0
-	d.Scan(func(key string, val []byte) bool { //nolint:errcheck // dir unreadable = nothing to warm
-		c.mu.Lock()
-		if _, ok := c.items[key]; !ok && c.bytes+int64(len(val)) <= c.maxBytes {
-			c.insertLocked(key, val)
-			loaded++
-		}
-		c.mu.Unlock()
-		return loaded < max
-	})
-	return loaded
-}
-
 // sizeOf measures a stored value's memory charge.
 func sizeOf(val any) int64 {
 	switch v := val.(type) {
@@ -163,8 +109,7 @@ func sizeOf(val any) int64 {
 }
 
 // Bind registers the cache's counters in reg under the cache/
-// namespace (including the disk tier's, when attached). No-op when
-// reg is nil.
+// namespace. No-op when reg is nil.
 func (c *Cache) Bind(reg *obs.Registry) {
 	if c == nil || reg == nil {
 		return
@@ -176,7 +121,6 @@ func (c *Cache) Bind(reg *obs.Registry) {
 	reg.BindCounter("cache/oversize", &c.oversize)
 	reg.BindGauge("cache/entries", &c.entries)
 	reg.BindGauge("cache/bytes", &c.bytesG)
-	c.Disk().Bind(reg)
 }
 
 // Outcome reports how GetOrCompute satisfied a request.
@@ -190,9 +134,6 @@ const (
 	// Shared: an identical computation was already in flight; this
 	// call waited for it instead of recomputing.
 	Shared
-	// DiskHit: the value was read (and checksum-verified) from the
-	// persistent tier instead of recomputed.
-	DiskHit
 )
 
 // String names the outcome for response metadata.
@@ -204,102 +145,51 @@ func (o Outcome) String() string {
 		return "miss"
 	case Shared:
 		return "shared"
-	case DiskHit:
-		return "disk"
 	}
 	return "unknown"
 }
 
 // Get returns the cached value for key, if any, marking it recently
-// used. A memory miss falls through to the disk tier (the value is
-// promoted into the LRU). The fall-through goes through the in-flight
-// table: concurrent Gets for the same cold key share one checksummed
-// disk read, and a Get racing an in-flight computation waits for it
-// instead of reporting a spurious miss.
+// used. It never waits on an in-flight computation: a key still being
+// computed is a miss.
 func (c *Cache) Get(key string) (any, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.items[key]; ok {
+		c.ll.MoveToFront(el)
+		c.hits.Inc()
+		return el.Value.(*entry).val, true
+	}
+	c.misses.Inc()
+	return nil, false
+}
+
+// GetOrCompute returns the value for key, computing it with fn on a
+// miss. Concurrent calls for the same key share one fn invocation: the
+// first caller runs it, the rest block until it finishes (Outcome
+// Shared). A successful value is inserted into the LRU; an error is
+// returned to every waiter and nothing is cached.
+func (c *Cache) GetOrCompute(key string, fn func() (any, error)) (any, Outcome, error) {
 	c.mu.Lock()
 	if el, ok := c.items[key]; ok {
 		c.ll.MoveToFront(el)
 		c.hits.Inc()
 		val := el.Value.(*entry).val
 		c.mu.Unlock()
-		return val, true
+		return val, Hit, nil
 	}
-	if cl, ok := c.inflight[key]; ok {
+	if waiting, ok := c.inflight[key]; ok {
 		c.mu.Unlock()
-		<-cl.done
-		if cl.absent || cl.err != nil {
-			return nil, false
-		}
-		return cl.val, true
+		<-waiting.done
+		c.shared.Inc()
+		return waiting.val, Shared, waiting.err
 	}
 	cl := &call{done: make(chan struct{})}
 	c.inflight[key] = cl
-	disk := c.disk
 	c.mu.Unlock()
 
-	if val, ok := disk.Get(key); ok {
-		cl.val, cl.outcome = val, DiskHit
-	} else {
-		cl.absent = true
-		c.misses.Inc()
-	}
-
-	c.mu.Lock()
-	delete(c.inflight, key)
-	if !cl.absent {
-		c.insertLocked(key, cl.val)
-	}
-	c.mu.Unlock()
-	close(cl.done)
-	if cl.absent {
-		return nil, false
-	}
-	return cl.val, true
-}
-
-// GetOrCompute returns the value for key, computing it with fn on a
-// full miss. Lookup order is memory, then the in-flight table, then
-// the disk tier, then fn. Concurrent calls for the same key share one
-// disk read or fn invocation: the first caller runs it, the rest block
-// until it finishes (Outcome Shared). A successful value is inserted
-// into the LRU (and, for computed []byte values, written through to
-// disk); an error is returned to every waiter and nothing is cached.
-func (c *Cache) GetOrCompute(key string, fn func() (any, error)) (any, Outcome, error) {
-	var cl *call
-	for cl == nil {
-		c.mu.Lock()
-		if el, ok := c.items[key]; ok {
-			c.ll.MoveToFront(el)
-			c.hits.Inc()
-			val := el.Value.(*entry).val
-			c.mu.Unlock()
-			return val, Hit, nil
-		}
-		if waiting, ok := c.inflight[key]; ok {
-			c.mu.Unlock()
-			<-waiting.done
-			if waiting.absent {
-				// The in-flight call was a disk-only probe (Get) that
-				// found nothing; it cannot satisfy a compute request.
-				// Re-enter the lookup and run the computation.
-				continue
-			}
-			c.shared.Inc()
-			return waiting.val, Shared, waiting.err
-		}
-		cl = &call{done: make(chan struct{}), outcome: Miss}
-		c.inflight[key] = cl
-		c.mu.Unlock()
-	}
-	disk := c.Disk()
-
-	if val, ok := disk.Get(key); ok {
-		cl.val, cl.outcome = val, DiskHit
-	} else {
-		cl.val, cl.err = fn()
-		c.misses.Inc()
-	}
+	cl.val, cl.err = fn()
+	c.misses.Inc()
 
 	c.mu.Lock()
 	delete(c.inflight, key)
@@ -308,15 +198,7 @@ func (c *Cache) GetOrCompute(key string, fn func() (any, error)) (any, Outcome, 
 	}
 	c.mu.Unlock()
 	close(cl.done)
-	if cl.err == nil && cl.outcome == Miss {
-		// Write-through: persist freshly computed values so they
-		// survive a restart. Failures (e.g. ENOSPC) degrade the disk
-		// tier, not the response.
-		if b, ok := cl.val.([]byte); ok {
-			disk.Put(key, b) //nolint:errcheck // counted in cache/disk_write_errors
-		}
-	}
-	return cl.val, cl.outcome, cl.err
+	return cl.val, Miss, cl.err
 }
 
 // Add inserts a value directly (replacing any existing entry for key).
@@ -357,14 +239,14 @@ func (c *Cache) insertLocked(key string, val any) {
 	c.bytesG.Set(c.bytes)
 }
 
-// Len returns the number of cached entries in memory.
+// Len returns the number of cached entries.
 func (c *Cache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.ll.Len()
 }
 
-// Bytes returns the summed size of the values cached in memory.
+// Bytes returns the summed size of the cached values.
 func (c *Cache) Bytes() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -118,62 +118,7 @@ func TestSingleflightDedup(t *testing.T) {
 	}
 }
 
-// TestConcurrentGetSharesDiskRead is the regression test for the disk
-// fall-through bypassing the singleflight table: concurrent Gets for
-// the same cold key must share exactly one checksummed disk read, every
-// caller must see the value, and the outcome must be counted as a disk
-// hit (not silently unrecorded).
-func TestConcurrentGetSharesDiskRead(t *testing.T) {
-	d, err := OpenDisk(t.TempDir(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Put("k", []byte("persisted")); err != nil {
-		t.Fatal(err)
-	}
-	c := New(8)
-	c.AttachDisk(d)
-	reg := obs.NewRegistry()
-	c.Bind(reg)
-
-	const waiters = 32
-	var wg sync.WaitGroup
-	start := make(chan struct{})
-	for i := 0; i < waiters; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			<-start
-			v, ok := c.Get("k")
-			if !ok {
-				t.Errorf("waiter %d: miss on disk-resident key", i)
-				return
-			}
-			if string(v.([]byte)) != "persisted" {
-				t.Errorf("waiter %d: got %q", i, v)
-			}
-		}(i)
-	}
-	close(start)
-	wg.Wait()
-
-	snap := reg.Snapshot()
-	if got := snap.Counters["cache/disk_hits"]; got != 1 {
-		t.Errorf("disk_hits = %d, want 1 (singleflight should share one read)", got)
-	}
-	if got := snap.Counters["cache/misses"]; got != 0 {
-		t.Errorf("misses = %d, want 0 (key was on disk)", got)
-	}
-	// The disk hit promotes the value: a later Get is a memory hit.
-	if _, ok := c.Get("k"); !ok {
-		t.Fatal("promoted key missing from memory tier")
-	}
-	if snap := reg.Snapshot(); snap.Counters["cache/hits"] == 0 {
-		t.Error("promotion did not register a memory hit")
-	}
-}
-
-// TestGetMissCounted pins that a full miss through Get (neither tier)
+// TestGetMissCounted pins that a miss through Get
 // increments the miss counter exactly once per probe.
 func TestGetMissCounted(t *testing.T) {
 	c := New(8)
@@ -184,29 +129,6 @@ func TestGetMissCounted(t *testing.T) {
 	}
 	if got := reg.Snapshot().Counters["cache/misses"]; got != 1 {
 		t.Errorf("misses = %d, want 1", got)
-	}
-}
-
-// TestGetAbsentThenCompute exercises the absent-call handoff: a Get
-// probe that finds nothing must not poison a concurrent GetOrCompute,
-// which re-enters the lookup and runs the computation itself.
-func TestGetAbsentThenCompute(t *testing.T) {
-	c := New(8)
-	for i := 0; i < 50; i++ {
-		key := fmt.Sprintf("k%d", i)
-		var wg sync.WaitGroup
-		wg.Add(2)
-		go func() { defer wg.Done(); c.Get(key) }()
-		var v any
-		var err error
-		go func() {
-			defer wg.Done()
-			v, _, err = c.GetOrCompute(key, func() (any, error) { return "computed", nil })
-		}()
-		wg.Wait()
-		if err != nil || v != "computed" {
-			t.Fatalf("iter %d: v=%v err=%v", i, v, err)
-		}
 	}
 }
 
@@ -262,5 +184,71 @@ func TestEvictionSingleflightRace(t *testing.T) {
 	}
 	if snap.Counters["cache/evictions"] == 0 {
 		t.Error("expected evictions with 12 keys in a 4-entry cache")
+	}
+}
+
+func TestByteBoundEviction(t *testing.T) {
+	// 10 entries allowed by count, but only ~3 by bytes.
+	c := NewSized(10, 3*100)
+	for i := 0; i < 6; i++ {
+		c.Add(fmt.Sprintf("k%d", i), make([]byte, 100))
+	}
+	if c.Len() != 3 {
+		t.Fatalf("Len = %d, want 3 (byte bound)", c.Len())
+	}
+	if c.Bytes() != 300 {
+		t.Fatalf("Bytes = %d, want 300", c.Bytes())
+	}
+	// Newest survive, oldest evicted.
+	if _, ok := c.Get("k5"); !ok {
+		t.Fatal("newest entry evicted")
+	}
+	if _, ok := c.Get("k0"); ok {
+		t.Fatal("oldest entry survived the byte bound")
+	}
+	_, _, ev := c.Stats()
+	if ev != 3 {
+		t.Fatalf("evictions = %d, want 3", ev)
+	}
+}
+
+func TestOversizeValueNeverCached(t *testing.T) {
+	c := NewSized(10, 100)
+	got, out, err := c.GetOrCompute("big", func() (any, error) {
+		return make([]byte, 1000), nil
+	})
+	if err != nil || out != Miss || len(got.([]byte)) != 1000 {
+		t.Fatalf("oversize serve: %v %v", out, err)
+	}
+	if c.Len() != 0 || c.Bytes() != 0 {
+		t.Fatalf("oversize value cached: len %d bytes %d", c.Len(), c.Bytes())
+	}
+	// Normal entries still cache fine afterwards.
+	c.Add("small", make([]byte, 10))
+	if c.Len() != 1 {
+		t.Fatal("small entry not cached")
+	}
+}
+
+// Replacing an entry adjusts the byte account instead of leaking it.
+func TestReplaceAdjustsBytes(t *testing.T) {
+	c := NewSized(4, 1000)
+	c.Add("k", make([]byte, 100))
+	c.Add("k", make([]byte, 300))
+	if c.Bytes() != 300 {
+		t.Fatalf("Bytes = %d, want 300", c.Bytes())
+	}
+	if c.Len() != 1 {
+		t.Fatalf("Len = %d, want 1", c.Len())
+	}
+}
+
+func TestOutcomeStrings(t *testing.T) {
+	for o, want := range map[Outcome]string{
+		Hit: "hit", Miss: "miss", Shared: "shared", Outcome(99): "unknown",
+	} {
+		if got := o.String(); got != want {
+			t.Errorf("Outcome(%d).String() = %q, want %q", o, got, want)
+		}
 	}
 }

@@ -48,9 +48,6 @@ type Config struct {
 	// MaxCaptures bounds the ring: the total number of capture files
 	// kept, oldest deleted first (0 = 64).
 	MaxCaptures int
-	// FS is the filesystem (nil = atomicfile.OS()); tests inject fakes
-	// or fault-injecting wrappers.
-	FS atomicfile.FS
 	// Metrics, when non-nil, receives profiler telemetry:
 	// profile/captures, profile/capture_errors, profile/ring_bytes.
 	Metrics *obs.Registry
@@ -61,7 +58,6 @@ type Config struct {
 // code can thread an optional *Profiler without branching.
 type Profiler struct {
 	cfg  Config
-	fs   atomicfile.FS
 	stop chan struct{}
 	done chan struct{}
 
@@ -100,16 +96,11 @@ func New(cfg Config) (*Profiler, error) {
 	if cfg.MaxCaptures <= 0 {
 		cfg.MaxCaptures = 64
 	}
-	fs := cfg.FS
-	if fs == nil {
-		fs = atomicfile.OS()
-	}
-	if err := fs.MkdirAll(cfg.Dir, 0o755); err != nil {
+	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("profile: %w", err)
 	}
 	p := &Profiler{
 		cfg:       cfg,
-		fs:        fs,
 		stop:      make(chan struct{}),
 		done:      make(chan struct{}),
 		captures:  cfg.Metrics.Counter("profile/captures"),
@@ -198,7 +189,7 @@ func (p *Profiler) CaptureNow() {
 }
 
 func (p *Profiler) write(name string, data []byte) {
-	if err := p.fs.WriteFile(filepath.Join(p.cfg.Dir, name), data, 0o644); err != nil {
+	if err := atomicfile.WriteFile(filepath.Join(p.cfg.Dir, name), data, 0o644); err != nil {
 		p.capErrors.Inc()
 		return
 	}
@@ -228,7 +219,7 @@ func (p *Profiler) List() []Capture {
 	if p == nil {
 		return nil
 	}
-	ents, err := p.fs.ReadDir(p.cfg.Dir)
+	ents, err := os.ReadDir(p.cfg.Dir)
 	if err != nil {
 		return nil
 	}
@@ -266,7 +257,7 @@ func (p *Profiler) Read(name string) ([]byte, error) {
 	if _, _, ok := parseCapture(name); !ok {
 		return nil, os.ErrNotExist
 	}
-	return p.fs.ReadFile(filepath.Join(p.cfg.Dir, name))
+	return os.ReadFile(filepath.Join(p.cfg.Dir, name))
 }
 
 // trim deletes oldest captures past MaxCaptures.
@@ -275,7 +266,7 @@ func (p *Profiler) trim() {
 	defer p.mu.Unlock()
 	caps := p.List()
 	for len(caps) > p.cfg.MaxCaptures {
-		if err := p.fs.Remove(filepath.Join(p.cfg.Dir, caps[0].Name)); err != nil {
+		if err := os.Remove(filepath.Join(p.cfg.Dir, caps[0].Name)); err != nil {
 			p.capErrors.Inc()
 			return // avoid spinning on an undeletable file
 		}

@@ -59,10 +59,13 @@ func (f Family) UnitLen() int {
 	return lens[len(lens)/2]
 }
 
+// DefaultMinPairs is the MinPairs a value <= 0 selects.
+const DefaultMinPairs = 3
+
 // Options tunes delineation.
 type Options struct {
 	// MinPairs drops top alignments with fewer matched pairs (too weak
-	// to delineate anything). Default 3.
+	// to delineate anything). Default DefaultMinPairs.
 	MinPairs int
 	// MinOverlapFrac is the fraction of the shorter segment two
 	// segments must share to be the same copy. Default 0.5.
@@ -76,7 +79,7 @@ type Options struct {
 
 func (o Options) withDefaults() Options {
 	if o.MinPairs <= 0 {
-		o.MinPairs = 3
+		o.MinPairs = DefaultMinPairs
 	}
 	if o.MinOverlapFrac <= 0 || o.MinOverlapFrac > 1 {
 		o.MinOverlapFrac = 0.5

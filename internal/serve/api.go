@@ -8,6 +8,7 @@ import (
 	"strings"
 
 	"repro"
+	"repro/internal/repeats"
 	"repro/internal/scoring"
 	"repro/internal/seedindex"
 	"repro/internal/seq"
@@ -27,12 +28,13 @@ type Params struct {
 	Tops int `json:"tops,omitempty"`
 	// MinScore stops the search when no alignment reaches it.
 	MinScore int `json:"min_score,omitempty"`
-	// MinPairs filters top alignments during delineation.
+	// MinPairs filters top alignments during delineation (default
+	// repeats.DefaultMinPairs).
 	MinPairs int `json:"min_pairs,omitempty"`
 	// Lanes sets how many neighbouring matrices one task aligns: 0 (the
-	// engine chooses the widest exact kernel tier), 1 (one matrix per
-	// task), 4, 8, or 16. Strict-mode reports are identical for every
-	// value, so like Backend it is not part of the cache key.
+	// engine chooses, see repro.Options.Lanes), 1 (one matrix per
+	// task), 4, 8, 16, or 32. Strict-mode reports are identical for
+	// every value, so like Backend it is not part of the cache key.
 	Lanes int `json:"lanes,omitempty"`
 	// Speculative selects the paper's speculative acceptance rule for
 	// the parallel backends. Off = strict: every backend returns a
@@ -156,10 +158,13 @@ func (r *Request) canonicalise(maxSeqLen int) error {
 	if r.MinScore <= 0 {
 		r.MinScore = 1
 	}
+	if r.MinPairs <= 0 {
+		r.MinPairs = repeats.DefaultMinPairs
+	}
 	switch r.Lanes {
-	case 0, 1, 4, 8, 16:
+	case 0, 1, 4, 8, 16, 32:
 	default:
-		return fmt.Errorf("lanes %d must be 0, 1, 4, 8, or 16", r.Lanes)
+		return fmt.Errorf("lanes %d must be 0, 1, 4, 8, 16, or 32", r.Lanes)
 	}
 	if r.Preset != "" && !seedindex.ValidPreset(r.Preset) {
 		return fmt.Errorf("unknown preset %q (have fast, balanced, sensitive)", r.Preset)

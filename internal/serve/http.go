@@ -22,8 +22,6 @@ const maxBodyBytes = 8 << 20
 // Handler returns the daemon's HTTP mux:
 //
 //	POST /v1/analyze   run (or cache-serve) one analysis
-//	POST /v1/jobs      durable async analysis (when Config.Jobs set);
-//	                   see the route comments below for the job routes
 //	GET  /healthz      liveness + drain state
 //	GET  /metrics      metrics snapshot, JSON or OpenMetrics (when
 //	                   Config.Metrics set)
@@ -33,17 +31,6 @@ func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/analyze", s.handleAnalyze)
 	mux.HandleFunc("/healthz", s.handleHealth)
-	if s.jobs != nil {
-		// Durable async jobs (when Config.Jobs set):
-		//	POST /v1/jobs              record an analysis, 202 {job_id}
-		//	GET  /v1/jobs              list all known jobs
-		//	GET  /v1/jobs/{id}         status; Done jobs carry the report
-		//	GET  /v1/jobs/{id}/events  SSE progress stream
-		mux.HandleFunc("POST /v1/jobs", s.handleJobSubmit)
-		mux.HandleFunc("GET /v1/jobs", s.handleJobList)
-		mux.HandleFunc("GET /v1/jobs/{id}", s.handleJobGet)
-		mux.HandleFunc("GET /v1/jobs/{id}/events", s.handleJobEvents)
-	}
 	// /metrics and /trace/{id} are the routes shared with every other
 	// listener. The scrape-time gauge proc/cpu_ns gives reprostat the
 	// denominator for CPU reconciliation without a second endpoint.

@@ -38,7 +38,6 @@ import (
 
 	"repro"
 	"repro/internal/cache"
-	"repro/internal/jobstore"
 	"repro/internal/multialign"
 	"repro/internal/obs"
 	"repro/internal/obs/attrib"
@@ -71,26 +70,6 @@ type Config struct {
 	// whose sizes span orders of magnitude, so the entry-count bound
 	// alone does not bound memory.
 	CacheBytes int64
-	// Disk, when non-nil, is the persistent tier under the LRU:
-	// checksummed content-addressed files that survive restarts.
-	// Memory misses fall through to it, computed results are written
-	// through, and Start pre-warms the LRU from it.
-	Disk *cache.Disk
-	// Jobs, when non-nil, enables the durable async job API
-	// (POST /v1/jobs, GET /v1/jobs/{id}, SSE /v1/jobs/{id}/events) and
-	// is its durable store: one record per job, written and fsynced on
-	// every transition. On Start, interrupted jobs found in the store
-	// are recovered and re-enqueued. Job results live in the result
-	// cache, so setting Jobs overrides CacheEntries < 0 back to the
-	// default capacity.
-	Jobs *jobstore.Store
-	// JobWorkers sizes the async job worker pool (0 = 2). Async jobs
-	// run beside the synchronous pool, so slow chromosome-scale jobs
-	// cannot starve interactive /v1/analyze traffic.
-	JobWorkers int
-	// JobRetryBase is the base of the jittered exponential backoff
-	// between retry-chain attempts (0 = 500ms; tests shrink it).
-	JobRetryBase time.Duration
 	// RateLimit caps admitted /v1/analyze requests per second with a
 	// token bucket (0 = unlimited). Unlike QueueDepth, which bounds
 	// memory, the rate limit bounds sustained engine load — it gives a
@@ -130,12 +109,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxSequenceLen == 0 {
 		c.MaxSequenceLen = 100000
 	}
-	if c.JobWorkers <= 0 {
-		c.JobWorkers = 2
-	}
-	if c.JobRetryBase <= 0 {
-		c.JobRetryBase = 500 * time.Millisecond
-	}
 	if c.RateLimit > 0 && c.RateBurst <= 0 {
 		c.RateBurst = int(math.Ceil(c.RateLimit))
 	}
@@ -161,15 +134,6 @@ type Server struct {
 
 	wg sync.WaitGroup
 
-	// async job runtime (zero unless cfg.Jobs is set)
-	jobs    *jobstore.Store
-	jobStop chan struct{}
-	jobKick chan struct{}
-	jobWG   sync.WaitGroup
-	// failBackend, when non-nil, makes job attempts on the named
-	// backends fail — the retry-chain test hook.
-	failBackend func(backend string) error
-
 	// metrics (all nil-safe when cfg.Metrics is nil)
 	requests      *obs.Counter
 	admitted      *obs.Counter
@@ -193,15 +157,8 @@ type Server struct {
 	usageQueueNS  *obs.Histogram
 	attribCPU     *obs.Counter
 	cacheBytesIn  *obs.Counter    // report bytes served from cache (reads)
-	cacheBytesOut *obs.Counter    // report bytes written through to cache
+	cacheBytesOut *obs.Counter    // report bytes written to cache
 	engineCtrs    *stats.Counters // lifetime engine/ counters, folded per run
-
-	jobsSubmitted *obs.Counter
-	jobsDeduped   *obs.Counter
-	jobsCompleted *obs.Counter
-	jobsFailed    *obs.Counter
-	jobsRetries   *obs.Counter
-	jobsRecovered *obs.Counter
 }
 
 // New builds a server; call Start before serving requests.
@@ -223,13 +180,6 @@ func New(cfg Config) *Server {
 		admissionNS:   cfg.Metrics.Histogram("serve/admission_wait_ns"),
 		e2eNS:         cfg.Metrics.Histogram("serve/e2e_ns"),
 		engineNS:      cfg.Metrics.Histogram("serve/engine_ns"),
-
-		jobsSubmitted: cfg.Metrics.Counter("serve/jobs_submitted"),
-		jobsDeduped:   cfg.Metrics.Counter("serve/jobs_deduped"),
-		jobsCompleted: cfg.Metrics.Counter("serve/jobs_completed"),
-		jobsFailed:    cfg.Metrics.Counter("serve/jobs_failed"),
-		jobsRetries:   cfg.Metrics.Counter("serve/jobs_retries"),
-		jobsRecovered: cfg.Metrics.Counter("serve/jobs_recovered"),
 
 		usageCPUNS:    cfg.Metrics.Histogram("serve/usage_cpu_ns"),
 		usageCells:    cfg.Metrics.Histogram("serve/usage_cells"),
@@ -254,43 +204,18 @@ func New(cfg Config) *Server {
 	if cfg.RateLimit > 0 {
 		s.bucket = newTokenBucket(cfg.RateLimit, cfg.RateBurst, time.Now())
 	}
-	if cfg.CacheEntries >= 0 || cfg.Jobs != nil {
-		entries := cfg.CacheEntries
-		if entries < 0 {
-			entries = 0 // jobs need somewhere to put results
-		}
-		s.cache = cache.NewSized(entries, cfg.CacheBytes)
-		if cfg.Disk != nil {
-			s.cache.AttachDisk(cfg.Disk)
-		}
+	if cfg.CacheEntries >= 0 {
+		s.cache = cache.NewSized(cfg.CacheEntries, cfg.CacheBytes)
 		s.cache.Bind(cfg.Metrics)
-	}
-	if cfg.Jobs != nil {
-		s.jobs = cfg.Jobs
-		s.jobs.Bind(cfg.Metrics)
-		s.jobStop = make(chan struct{})
-		s.jobKick = make(chan struct{}, 1)
 	}
 	return s
 }
 
-// Start launches the worker pool, pre-warms the cache from the disk
-// tier, and — when a job store is configured — recovers interrupted
-// jobs and launches the async job workers.
+// Start launches the worker pool.
 func (s *Server) Start() {
 	for i := 0; i < s.cfg.Workers; i++ {
 		s.wg.Add(1)
 		go s.worker()
-	}
-	if s.cache != nil {
-		s.cache.Prewarm(0)
-	}
-	if s.jobs != nil {
-		s.recoverJobs()
-		for i := 0; i < s.cfg.JobWorkers; i++ {
-			s.jobWG.Add(1)
-			go s.jobWorker()
-		}
 	}
 }
 
@@ -308,13 +233,9 @@ func (s *Server) Drain(ctx context.Context) error {
 	s.admitMu.Lock()
 	s.admitMu.Unlock() //nolint:staticcheck // empty critical section is the barrier
 	close(s.queue)
-	if s.jobStop != nil {
-		close(s.jobStop)
-	}
 	done := make(chan struct{})
 	go func() {
 		s.wg.Wait()
-		s.jobWG.Wait()
 		close(done)
 	}()
 	select {
@@ -487,11 +408,8 @@ func (s *Server) compute(j *job) ([]byte, cache.Outcome, *attrib.Usage, error) {
 		return v.([]byte), cache.Miss, usage, nil
 	}
 	v, outcome, err := s.cache.GetOrCompute(CacheKey(j.req), run)
-	switch outcome {
-	case cache.Shared:
+	if outcome == cache.Shared {
 		csp.SetName("cache.wait")
-	case cache.DiskHit:
-		csp.SetName("cache.disk")
 	}
 	if err != nil {
 		return nil, outcome, nil, err
@@ -500,7 +418,7 @@ func (s *Server) compute(j *job) ([]byte, cache.Outcome, *attrib.Usage, error) {
 	usage := &attrib.Usage{}
 	usage.Add(engineUsage)
 	if outcome == cache.Miss {
-		// We computed and wrote the entry through the cache tiers.
+		// We computed and wrote the entry into the cache.
 		usage.CacheBytesWritten = int64(len(rep))
 	} else {
 		usage.CacheBytesRead = int64(len(rep))
@@ -540,17 +458,13 @@ func (s *Server) runEngine(req *Request, rec *trace.Recorder, parent trace.SpanI
 	// request dimension (a flame graph filtered on kernel_tier=int16x16
 	// shows exactly the int16 ladder's CPU). Labels follow every
 	// goroutine the engine spawns.
-	backend := req.Backend
-	if backend == "" {
-		backend = BackendSequential
-	}
 	preset := req.Preset
 	if preset == "" {
 		preset = "exact"
 	}
 	labels := pprof.Labels(
 		"trace_id", rec.TraceID().String(),
-		"backend", backend,
+		"backend", req.Backend,
 		"kernel_tier", repro.KernelTierFor(req.Matrix, req.GapOpen, req.GapExt, len(req.Sequence), req.Lanes, req.Preset),
 		"preset", preset,
 	)

@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/obs/trace"
+	"repro/internal/repeats"
 	"repro/internal/seq"
 )
 
@@ -116,6 +117,12 @@ func TestCacheKeyCanonicalisation(t *testing.T) {
 	if got := decode(t, raw).Cache; got != "hit" {
 		t.Errorf("equivalent spelling = %q, want hit (key not canonical)", got)
 	}
+	// min_pairs 0 selects the delineation default, so it shares the
+	// entry of an explicit default.
+	_, raw = post(t, ts.URL, Request{Sequence: "ATGCATGCATGC", Params: Params{Matrix: "paper-dna", Tops: 3, MinPairs: repeats.DefaultMinPairs}})
+	if got := decode(t, raw).Cache; got != "hit" {
+		t.Errorf("explicit default min_pairs = %q, want hit (key not canonical)", got)
+	}
 	// A different parameter must not collide.
 	_, raw = post(t, ts.URL, Request{Sequence: "ATGCATGCATGC", Params: Params{Matrix: "paper-dna", Tops: 2}})
 	if got := decode(t, raw).Cache; got != "miss" {
@@ -133,7 +140,7 @@ func TestCacheKeyIgnoresLanes(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := CacheKey(&base)
-	for _, lanes := range []int{0, 1, 4, 8, 16} {
+	for _, lanes := range []int{0, 1, 4, 8, 16, 32} {
 		r := Request{Sequence: "ATGCATGCATGC", Params: Params{Matrix: "paper-dna", Tops: 3, Lanes: lanes}}
 		if err := r.canonicalise(0); err != nil {
 			t.Fatal(err)
@@ -317,7 +324,7 @@ func TestGracefulDrain(t *testing.T) {
 }
 
 func TestBadRequests(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1, MaxSequenceLen: 64, Jobs: openStore(t, t.TempDir())})
+	_, ts := newTestServer(t, Config{Workers: 1, MaxSequenceLen: 64})
 	cases := []struct {
 		name string
 		req  Request
@@ -339,35 +346,26 @@ func TestBadRequests(t *testing.T) {
 		if resp.StatusCode != tc.want {
 			t.Errorf("%s: status %d, want %d (%s)", tc.name, resp.StatusCode, tc.want, raw)
 		}
-		// Canonicalisation rejects on the async route too, before a job
-		// is journalled (a 422 is only found by running the engine).
-		if tc.want == http.StatusBadRequest {
-			if jresp, _ := postJob(t, ts.URL, tc.req); jresp.StatusCode != tc.want {
-				t.Errorf("%s: /v1/jobs status %d, want %d", tc.name, jresp.StatusCode, tc.want)
-			}
-		}
 	}
 	// A removed field is an unknown field.
-	for _, path := range []string{"/v1/analyze", "/v1/jobs"} {
-		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(`{"sequence":"ATGC","striped":true}`))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("%s with \"striped\": status %d, want 400", path, resp.StatusCode)
-		}
+	resp, err := http.Post(ts.URL+"/v1/analyze", "application/json", strings.NewReader(`{"sequence":"ATGC","striped":true}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("\"striped\": status %d, want 400", resp.StatusCode)
 	}
 	// The limit itself is admitted, and the error names it.
 	if err := (&Request{Sequence: "ATGC", Workers: maxFanout, Slaves: maxFanout}).canonicalise(0); err != nil {
 		t.Errorf("fan-out at the limit rejected: %v", err)
 	}
-	err := (&Request{Sequence: "ATGC", Slaves: maxFanout + 1}).canonicalise(0)
+	err = (&Request{Sequence: "ATGC", Slaves: maxFanout + 1}).canonicalise(0)
 	if err == nil || !strings.Contains(err.Error(), fmt.Sprint(maxFanout)) {
 		t.Errorf("over-limit error %v does not name the limit %d", err, maxFanout)
 	}
 
-	resp, err := http.Get(ts.URL + "/v1/analyze")
+	resp, err = http.Get(ts.URL + "/v1/analyze")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -131,22 +131,14 @@ func (rt *Router) shardCounters(shard string) (reqs, errs *obs.Counter) {
 
 // Handler returns the gateway's HTTP mux:
 //
-//	POST /v1/analyze           route on cache key, singleflight, retry
-//	POST /v1/jobs              route on cache key
-//	GET  /v1/jobs              fan out to all shards, merge
-//	GET  /v1/jobs/{id}         route to the accepting shard (learned)
-//	GET  /v1/jobs/{id}/events  SSE proxy to the accepting shard
-//	GET  /healthz              router liveness + ring size
-//	GET  /metrics              router metrics, JSON or OpenMetrics (when
-//	                           Config.Metrics set)
-//	GET  /trace/{id}           merged router+shard trace (when Traces set)
+//	POST /v1/analyze   route on cache key, singleflight, retry
+//	GET  /healthz      router liveness + ring size
+//	GET  /metrics      router metrics, JSON or OpenMetrics (when
+//	                   Config.Metrics set)
+//	GET  /trace/{id}   merged router+shard trace (when Traces set)
 func (rt *Router) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/analyze", rt.handleAnalyze)
-	mux.HandleFunc("POST /v1/jobs", rt.handleJobSubmit)
-	mux.HandleFunc("GET /v1/jobs", rt.handleJobList)
-	mux.HandleFunc("GET /v1/jobs/{id}", rt.handleJobGet)
-	mux.HandleFunc("GET /v1/jobs/{id}/events", rt.handleJobEvents)
 	mux.HandleFunc("GET /healthz", rt.handleHealth)
 	// The router's /trace/{id} merges shard halves, so only /metrics is
 	// the shared route here.
@@ -173,7 +165,7 @@ func (rt *Router) handleHealth(w http.ResponseWriter, r *http.Request) {
 	}{state, rt.ring.Nodes()})
 }
 
-// decodeRequest parses and canonicalises an analyze/job body so the
+// decodeRequest parses and canonicalises an analyze body so the
 // router derives exactly the cache key the shard will.
 func (rt *Router) decodeRequest(w http.ResponseWriter, r *http.Request) (*serve.Request, string, bool) {
 	var req serve.Request
@@ -254,7 +246,7 @@ func (rt *Router) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 
 	res, sharedFlight := rt.flights.do(key, func() *upstreamResult {
 		targets, _ := rt.targets(key, time.Now())
-		return rt.forward(r.Context(), rec, root.ID(), http.MethodPost, "/v1/analyze", body, targets)
+		return rt.forward(r.Context(), rec, root.ID(), body, targets)
 	})
 	if sharedFlight {
 		rt.shared.Inc()
@@ -263,12 +255,12 @@ func (rt *Router) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	rt.writeUpstream(w, res, sharedFlight)
 }
 
-// forward tries targets in order until one answers. Transport errors
-// mark the shard down (passive failure detection) and fail over to the
-// next ring node; a draining shard's 503 fails over without marking —
-// the probe loop handles its ring exit. Any other status is the
-// answer.
-func (rt *Router) forward(ctx context.Context, rec *trace.Recorder, parent trace.SpanID, method, path string, body []byte, targets []string) *upstreamResult {
+// forward POSTs body to /v1/analyze on targets in order until one
+// answers. Transport errors mark the shard down (passive failure
+// detection) and fail over to the next ring node; a draining shard's
+// 503 fails over without marking — the probe loop handles its ring
+// exit. Any other status is the answer.
+func (rt *Router) forward(ctx context.Context, rec *trace.Recorder, parent trace.SpanID, body []byte, targets []string) *upstreamResult {
 	if len(targets) == 0 {
 		return &upstreamResult{err: fmt.Errorf("no live shards")}
 	}
@@ -281,7 +273,7 @@ func (rt *Router) forward(ctx context.Context, rec *trace.Recorder, parent trace
 		reqs, errs := rt.shardCounters(shard)
 		reqs.Inc()
 		up := rec.Start(parent, "router.upstream")
-		res, err := rt.roundTrip(ctx, shard, method, path, body, rec, up)
+		res, err := rt.roundTrip(ctx, shard, http.MethodPost, "/v1/analyze", body, rec, up)
 		up.End()
 		if err != nil {
 			errs.Inc()

@@ -14,7 +14,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/jobstore"
 	"repro/internal/obs"
 	"repro/internal/obs/trace"
 	"repro/internal/serve"
@@ -406,81 +405,6 @@ func TestRouterKillShardUnderLoad(t *testing.T) {
 
 	if n := failures.Load(); n != 0 {
 		t.Fatalf("%d client-visible failures after shard kill, want 0", n)
-	}
-}
-
-// TestRouterJobs: job submission routes on the cache key, and status /
-// list / events lookups find the accepting shard.
-func TestRouterJobs(t *testing.T) {
-	store, err := jobstore.Open(t.TempDir(), nil)
-	if err != nil {
-		t.Fatalf("jobstore: %v", err)
-	}
-	_, s1 := startShard(t, serve.Config{Workers: 1, Jobs: store, JobWorkers: 1})
-	_, s2 := startShard(t, serve.Config{Workers: 1})
-	_, rts := newTestRouter(t, Config{Shards: []string{s1.URL, s2.URL}})
-
-	// Submit until a job lands on the shard that has a job store (the
-	// other answers 501/400; the point is routing, so pick a key that
-	// maps to s1).
-	var st serve.JobStatus
-	submitted := false
-	for i := 0; i < 64 && !submitted; i++ {
-		req := analyzeReq("ATGCATGCATGC")
-		req.Params.Tops = 1 + i // walk the keyspace until a key maps to s1
-		body, _ := json.Marshal(req)
-		resp, err := http.Post(rts.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
-		if err != nil {
-			t.Fatalf("submit: %v", err)
-		}
-		if resp.StatusCode == http.StatusAccepted {
-			readJSON(t, resp, &st)
-			submitted = true
-		} else {
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-		}
-	}
-	if !submitted || st.JobID == "" {
-		t.Fatal("no job submission reached the job-enabled shard")
-	}
-
-	// Status lookup routes to the accepting shard.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		resp, err := http.Get(rts.URL + "/v1/jobs/" + st.JobID)
-		if err != nil {
-			t.Fatalf("job get: %v", err)
-		}
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("job get: status %d", resp.StatusCode)
-		}
-		var cur serve.JobStatus
-		readJSON(t, resp, &cur)
-		if cur.State == "done" {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("job stuck in state %q", cur.State)
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
-
-	// The merged list contains the job.
-	resp, err := http.Get(rts.URL + "/v1/jobs")
-	if err != nil {
-		t.Fatalf("job list: %v", err)
-	}
-	var list struct {
-		Jobs []serve.JobStatus `json:"jobs"`
-	}
-	readJSON(t, resp, &list)
-	found := false
-	for _, j := range list.Jobs {
-		found = found || j.JobID == st.JobID
-	}
-	if !found {
-		t.Fatalf("job %s missing from merged list of %d", st.JobID, len(list.Jobs))
 	}
 }
 

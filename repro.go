@@ -66,8 +66,9 @@ type Options struct {
 	// the byte rung for protein inputs up to 1 500 residues, otherwise
 	// the widest exact kernel tier the CPU and scoring model support (16
 	// or 8), and 1 for short inputs and CPUs without AVX2; 1 pins the
-	// scalar kernel, 4, 8, 16 and 32 pin a group size. Strict-mode reports are identical whatever the
-	// value; Stats.Lanes and Stats.KernelTier say what a run used.
+	// scalar kernel, 4, 8, 16 and 32 pin a group size. Strict-mode
+	// reports are identical whatever the value; Stats.Lanes and
+	// Stats.KernelTier say what a run used.
 	Lanes int
 	// Workers sizes the shared-memory scheduler that runs exact
 	// analyses: 0 (default) runs one worker plus one per core no other
@@ -174,12 +175,13 @@ type Stats struct {
 	// Lanes is the lane count the run used — Options.Lanes with 0
 	// resolved — and KernelTier the kernel tier that lane count and the
 	// scoring model select on the group and row ladder ("scalar",
-	// "int32x8", or "int16x16"). Individual alignments can still run
-	// narrower (int16 saturation re-runs a group in int32, a matrix under
-	// 16 columns wide takes the Go row), and the fast and balanced
-	// presets run window passes on the byte rung in front of int16x16;
-	// Usage.KernelTiers counts what each alignment ran ("u8x32" for the
-	// byte rung).
+	// "int32x8", "int16x16", or "u8x32" for 32-lane groups on the byte
+	// rung). Individual alignments can still run narrower (a byte group
+	// that reaches the byte range re-runs on int16x16, int16 saturation
+	// re-runs a group in int32, a matrix under 16 columns wide takes the
+	// Go row), and the fast and balanced presets run window passes on
+	// the byte rung in front of int16x16; Usage.KernelTiers counts what
+	// each alignment ran.
 	Lanes      int    `json:"Lanes,omitempty"`
 	KernelTier string `json:"KernelTier,omitempty"`
 }
