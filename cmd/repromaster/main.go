@@ -2,7 +2,8 @@
 // computation over TCP (Section 4.3 of the paper). It listens until the
 // expected number of reproworker processes connect, farms out alignment
 // tasks, performs acceptances and tracebacks, and prints the resulting
-// top alignments.
+// top alignments. A lost worker fails the run: the master exits non-zero
+// with an error naming the worker's rank.
 //
 //	repromaster -addr :7946 -slaves 2 -titin 2000 -tops 25
 //	reproworker -addr host:7946 -threads 2   (on each worker machine)
@@ -38,10 +39,7 @@ func main() {
 		spec     = flag.Bool("speculative", true, "speculative acceptance (paper mode)")
 		timeout  = flag.Duration("timeout", 2*time.Minute, "worker connection timeout")
 
-		hbInterval  = flag.Duration("hb-interval", 2*time.Second, "heartbeat interval (negative disables)")
-		hbTimeout   = flag.Duration("hb-timeout", 8*time.Second, "declare a worker dead after this much silence")
-		taskTimeout = flag.Duration("task-timeout", 30*time.Second, "re-dispatch a task unanswered for this long (0 disables)")
-		debugAddr   = flag.String("debug-addr", "", "serve /metrics, /trace/{id} and pprof on this address (e.g. :9621; binds localhost unless a host is given; empty disables)")
+		debugAddr = flag.String("debug-addr", "", "serve /metrics, /trace/{id} and pprof on this address (e.g. :9621; binds localhost unless a host is given; empty disables)")
 	)
 	flag.Parse()
 
@@ -85,12 +83,7 @@ func main() {
 	}
 
 	fmt.Fprintf(os.Stderr, "repromaster: waiting for %d workers on %s...\n", *slaves, *addr)
-	opts := mpi.DefaultTCPOptions()
-	opts.AcceptTimeout = *timeout
-	opts.HeartbeatInterval = *hbInterval
-	opts.HeartbeatTimeout = *hbTimeout
-	opts.Metrics = reg
-	comm, err := mpi.ListenTCPOpts(*addr, *slaves+1, opts)
+	comm, err := mpi.ListenTCP(*addr, *slaves+1, *timeout)
 	if err != nil {
 		fatal(err)
 	}
@@ -106,7 +99,6 @@ func main() {
 			Counters:   &stats.Counters{},
 		},
 		Speculative: *spec,
-		TaskTimeout: *taskTimeout,
 		Metrics:     reg,
 	}
 	// With debug endpoints on, trace the run: the master records its own

@@ -2,8 +2,8 @@
 // span document served at GET /trace/{id} (reproserve, reprorouter or
 // the repromaster debug listener), prints the critical-path breakdown —
 // where the request's wall time actually went: queue wait, cache,
-// dispatch, communication, kernels, speculation waste, straggler stall —
-// and can reconcile the attributed total against an externally measured
+// dispatch, communication, kernels, speculation waste — and can
+// reconcile the attributed total against an externally measured
 // end-to-end latency.
 //
 //	reprotrace http://127.0.0.1:8080/trace/<id>

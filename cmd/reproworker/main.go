@@ -4,18 +4,14 @@
 // number of worker threads (one process per SMP node, one thread per
 // CPU, as in the paper).
 //
-// The worker is crash-tolerant on both ends: it dials the master with
-// exponential backoff plus jitter (workers are typically launched
-// before or alongside the master), and if the master connection drops
-// mid-run it reconnects and rejoins under a fresh rank instead of
-// exiting, until the retry budget is exhausted.
+// Workers are started alongside the master, so the worker retries its
+// dial at a fixed interval within -timeout. Once connected it serves
+// until the master sends stop (exit 0) or the connection drops (exit 1).
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
-	"math/rand/v2"
 	"os"
 	"runtime"
 	"time"
@@ -27,13 +23,10 @@ import (
 
 func main() {
 	var (
-		addr       = flag.String("addr", "127.0.0.1:7946", "repromaster address")
-		threads    = flag.Int("threads", runtime.GOMAXPROCS(0), "worker threads")
-		timeout    = flag.Duration("timeout", time.Minute, "retry budget for (re)connecting to the master")
-		rejoin     = flag.Bool("rejoin", true, "reconnect and rejoin after losing the master mid-run")
-		hbInterval = flag.Duration("hb-interval", 2*time.Second, "heartbeat interval (negative disables)")
-		hbTimeout  = flag.Duration("hb-timeout", 8*time.Second, "declare the master dead after this much silence")
-		debugAddr  = flag.String("debug-addr", "", "serve /metrics and pprof on this address (binds localhost unless a host is given; empty disables)")
+		addr      = flag.String("addr", "127.0.0.1:7946", "repromaster address")
+		threads   = flag.Int("threads", runtime.GOMAXPROCS(0), "worker threads")
+		timeout   = flag.Duration("timeout", time.Minute, "how long to keep trying to reach the master")
+		debugAddr = flag.String("debug-addr", "", "serve /metrics and pprof on this address (binds localhost unless a host is given; empty disables)")
 	)
 	flag.Parse()
 
@@ -48,53 +41,32 @@ func main() {
 		fmt.Fprintf(os.Stderr, "reproworker: debug endpoints on http://%s/{metrics,debug/pprof}\n", dbg.Addr)
 	}
 
-	opts := mpi.DefaultTCPOptions()
-	opts.HeartbeatInterval = *hbInterval
-	opts.HeartbeatTimeout = *hbTimeout
-	opts.Metrics = reg
-
-	for {
-		comm, err := dialRetry(*addr, *timeout, opts)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "reproworker: connected as rank %d of %d, %d threads\n",
-			comm.Rank(), comm.Size(), *threads)
-		err = cluster.RunSlaveOpts(comm, cluster.SlaveOptions{Threads: *threads, Metrics: reg})
-		comm.Close()
-		switch {
-		case err == nil:
-			fmt.Fprintln(os.Stderr, "reproworker: done")
-			return
-		case errors.Is(err, cluster.ErrMasterDown) && *rejoin:
-			fmt.Fprintln(os.Stderr, "reproworker: master connection lost; attempting to rejoin")
-		default:
-			fatal(err)
-		}
+	comm, err := dialRetry(*addr, *timeout)
+	if err != nil {
+		fatal(err)
 	}
+	defer comm.Close()
+	fmt.Fprintf(os.Stderr, "reproworker: connected as rank %d of %d, %d threads\n",
+		comm.Rank(), comm.Size(), *threads)
+	if err := cluster.RunSlaveOpts(comm, cluster.SlaveOptions{Threads: *threads, Metrics: reg}); err != nil {
+		fatal(err)
+	}
+	fmt.Fprintln(os.Stderr, "reproworker: done")
 }
 
-// dialRetry dials the master with exponential backoff plus full jitter
-// until a connection succeeds or the budget elapses; the jitter keeps a
-// fleet of restarting workers from stampeding the master in lockstep.
-func dialRetry(addr string, budget time.Duration, opts mpi.TCPOptions) (mpi.Comm, error) {
+// dialRetry dials the master every 200 ms until a connection succeeds
+// or the budget elapses.
+func dialRetry(addr string, budget time.Duration) (mpi.Comm, error) {
 	deadline := time.Now().Add(budget)
-	backoff := 200 * time.Millisecond
-	const maxBackoff = 5 * time.Second
 	for {
-		attempt := min(maxBackoff, time.Until(deadline))
-		if attempt <= 0 {
-			attempt = time.Second
-		}
-		comm, err := mpi.DialTCPOpts(addr, attempt, opts)
+		comm, err := mpi.DialTCP(addr, time.Second)
 		if err == nil {
 			return comm, nil
 		}
 		if time.Now().After(deadline) {
-			return nil, fmt.Errorf("retry budget exhausted: %w", err)
+			return nil, fmt.Errorf("master not reachable within %v: %w", budget, err)
 		}
-		time.Sleep(backoff/2 + rand.N(backoff/2))
-		backoff = min(2*backoff, maxBackoff)
+		time.Sleep(200 * time.Millisecond)
 	}
 }
 

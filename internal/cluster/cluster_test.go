@@ -152,98 +152,6 @@ func TestClusterValidation(t *testing.T) {
 	}
 }
 
-// Failure injection: killing a slave mid-run must not lose tasks — the
-// master requeues them and the run completes on the surviving slaves
-// with correct results.
-func TestClusterSlaveDeathRecovers(t *testing.T) {
-	q := seq.SyntheticTitin(140, 9)
-	want, err := topalign.Find(q.Codes, topCfg(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	world := mpi.NewLocal(4) // master + 3 slaves
-	var wg sync.WaitGroup
-	for i := 1; i <= 2; i++ {
-		wg.Add(1)
-		go func(rank int) {
-			defer wg.Done()
-			defer world[rank].Close()
-			RunSlave(world[rank], 1)
-		}(i)
-	}
-	// slave 3 dies after its first few jobs
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		c := world[3]
-		msg, err := c.Recv() // setup
-		if err != nil || msg.Tag != tagSetup {
-			c.Close()
-			return
-		}
-		c.Send(0, tagReady, nil)
-		// take one job, never answer, then die
-		for {
-			msg, err = c.Recv()
-			if err != nil {
-				return
-			}
-			if msg.Tag == tagJob {
-				c.Close()
-				return
-			}
-			if msg.Tag == tagStop {
-				c.Close()
-				return
-			}
-		}
-	}()
-
-	got, err := RunMaster(world[0], q.Codes, Config{Top: topCfg(5)})
-	world[0].Close()
-	wg.Wait()
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameTops(t, got.Tops, want.Tops)
-}
-
-// All slaves dying must not abort (or hang) the run: the master
-// finishes the remaining queue with its own engine and the results
-// still match the sequential algorithm exactly.
-func TestClusterAllSlavesDie(t *testing.T) {
-	q := seq.SyntheticTitin(60, 1)
-	want, err := topalign.Find(q.Codes, topCfg(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	world := mpi.NewLocal(2)
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		c := world[1]
-		if msg, err := c.Recv(); err != nil || msg.Tag != tagSetup {
-			c.Close()
-			return
-		}
-		c.Send(0, tagReady, nil)
-		if msg, err := c.Recv(); err == nil && msg.Tag == tagJob {
-			c.Close() // die holding the job
-			return
-		}
-		c.Close()
-	}()
-	got, err := RunMaster(world[0], q.Codes, Config{Top: topCfg(3)})
-	world[0].Close()
-	wg.Wait()
-	if err != nil {
-		t.Fatalf("master did not fall back locally: %v", err)
-	}
-	assertSameTops(t, got.Tops, want.Tops)
-}
-
 // The same protocol over the TCP transport: a 3-rank world on loopback.
 func TestClusterOverTCP(t *testing.T) {
 	q := seq.SyntheticTitin(100, 4)

@@ -29,7 +29,7 @@ const (
 	tagRowReq  mpi.Tag = 6 // slave -> master: need original row for r
 	tagRow     mpi.Tag = 7 // master -> slave: original row for r
 	tagStop    mpi.Tag = 8 // master -> slaves: shut down
-	tagRefused mpi.Tag = 9 // slave -> master: setup rejected (bad config)
+	tagRefused mpi.Tag = 9 // slave -> master: cannot go on (bad setup, failed job); Data = reason
 )
 
 // msgSetup carries everything a slave needs to start working. Trace,
@@ -68,8 +68,8 @@ type msgJob struct {
 // Spans, when non-empty, is the OBT1-encoded batch of spans the slave
 // recorded for this job, with Start times on the slave's local
 // monotonic timeline; SlaveNow is that timeline's value at encode time,
-// so the master can re-base the spans onto its own timeline using the
-// link round-trip time (see master.absorbSpans).
+// so the master can re-base the spans onto its own timeline (see
+// master.absorbSpans).
 // CPUNanos is the worker thread's CPU time for the job (thread clock,
 // so row-fetch waits cost nothing), folded into the request's Usage
 // record like the Work, crossing the process boundary like Spans.

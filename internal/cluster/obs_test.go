@@ -40,14 +40,10 @@ func TestClusterTelemetryEndToEnd(t *testing.T) {
 	defer dbg.Close()
 
 	addr := freeAddr(t)
-	opts := mpi.DefaultTCPOptions()
-	opts.AcceptTimeout = 5 * time.Second
-	opts.HeartbeatInterval = 20 * time.Millisecond // several beats within the short run
-	opts.Metrics = reg
 	masterCh := make(chan mpi.Comm, 1)
 	listenErr := make(chan error, 1)
 	go func() {
-		m, err := mpi.ListenTCPOpts(addr, 3, opts)
+		m, err := mpi.ListenTCP(addr, 3, 5*time.Second)
 		if err != nil {
 			listenErr <- err
 			return
@@ -154,7 +150,7 @@ scrape:
 			t.Errorf("rank %d dispatched no tasks", rank)
 		}
 	}
-	// Strict scalar no-fault run: every dispatch produced exactly one
+	// Strict scalar run: every dispatch produced exactly one
 	// result, each accounted as one engine alignment on the master, and
 	// the registry-bound engine counters must agree with the final
 	// stats.Snapshot returned in the result.
@@ -172,9 +168,6 @@ scrape:
 	}
 	if jobs := sumRankCounters(snap, "cluster/jobs_done/rank"); jobs != total {
 		t.Errorf("slave jobs_done sum %d != dispatch total %d", jobs, total)
-	}
-	if hb := snap.Counters["mpi/hb_sent"]; hb == 0 {
-		t.Error("no heartbeats recorded despite shared transport registry")
 	}
 
 	if w, ok := snap.Counters["engine/spec_waste"]; !ok || w != 0 {

@@ -18,14 +18,8 @@ import (
 )
 
 // ErrMasterDown reports that a slave lost its master connection mid-run
-// (as opposed to a clean stop). Workers may react by reconnecting and
-// rejoining a still-running master under a fresh rank.
+// (as opposed to a clean stop).
 var ErrMasterDown = errors.New("cluster: master connection lost")
-
-// rowRetryInterval is how long a slave waits for a requested original
-// row before asking again (the reply may have been lost; duplicate
-// replies are discarded by deliverRow).
-const rowRetryInterval = 200 * time.Millisecond
 
 // SlaveOptions configures a slave rank beyond its thread count.
 type SlaveOptions struct {
@@ -40,7 +34,10 @@ type SlaveOptions struct {
 // serves alignment jobs with `threads` worker goroutines (>= 1) sharing
 // one triangle replica and one original-row cache — one slave process
 // per SMP node, several threads per process, as in the paper.
-// It returns when the master sends stop or the connection drops.
+// It returns when the master sends stop or the connection drops. A
+// setup it cannot use, or a job that fails, is reported to the master
+// (tagRefused, with the error's text), which fails the run and sends
+// stop; RunSlave then returns that error.
 func RunSlave(comm mpi.Comm, threads int) error {
 	return RunSlaveOpts(comm, SlaveOptions{Threads: threads})
 }
@@ -162,7 +159,17 @@ func (sl *slave) run(threads int) error {
 			// slave aligns without per-job allocation.
 			sc := &workScratch{}
 			for job := range sl.jobs {
-				if err := sl.work(job, sc); err != nil {
+				err := sl.work(job, sc)
+				if errors.Is(err, ErrMasterDown) {
+					return // the receive loop sees the stop or the loss
+				}
+				if err != nil {
+					// The receive loop is blocked in Recv: the master's
+					// stop, answering this report, is what ends it. If
+					// the report cannot be sent, the master is gone and
+					// the loop sees that instead.
+					err = fmt.Errorf("cluster: slave %d, job for split %d: %w", sl.comm.Rank(), job.R, err)
+					sl.comm.Send(0, tagRefused, []byte(err.Error()))
 					errCh <- err
 					return
 				}
@@ -173,11 +180,6 @@ func (sl *slave) run(threads int) error {
 
 recv:
 	for loopErr == nil {
-		select {
-		case loopErr = <-errCh:
-			break recv
-		default:
-		}
 		msg, err := sl.comm.Recv()
 		if err != nil {
 			loopErr = err
@@ -230,6 +232,11 @@ recv:
 	}
 	sl.mu.Unlock()
 	wg.Wait()
+	select {
+	case werr := <-errCh:
+		return werr // the failure the master was told of ends the run
+	default:
+	}
 	if loopErr == mpi.ErrClosed {
 		loopErr = nil
 	}
@@ -262,10 +269,10 @@ func (sl *slave) deliverRow(r int, row []int32) {
 
 // fetchRow makes sure the engine's row store holds the original bottom
 // row of split r, fetching it from the master on a miss. Fetch latency
-// (request to delivery, including any re-requests) lands in the
-// cluster/row_fetch_ns histogram, and in a slave.row_fetch span when the
-// job is traced — a hit records neither, so the span count stays
-// proportional to actual communication.
+// (request to delivery) lands in the cluster/row_fetch_ns histogram,
+// and in a slave.row_fetch span when the job is traced — a hit records
+// neither, so the span count stays proportional to actual
+// communication.
 func (sl *slave) fetchRow(r int, sc *workScratch) error {
 	if _, ok := sl.e.OrigRows().Get(r); ok {
 		return nil
@@ -277,31 +284,19 @@ func (sl *slave) fetchRow(r int, sc *workScratch) error {
 	sl.mu.Lock()
 	sl.rowWaiters[r] = ch
 	sl.mu.Unlock()
-	if err := sl.comm.Send(0, tagRowReq, msgRow{R: int32(r)}.encode()); err != nil {
+	if err := sl.send(tagRowReq, msgRow{R: int32(r)}.encode()); err != nil {
 		return err
 	}
 	var row []int32
-	timer := time.NewTimer(rowRetryInterval)
-	defer timer.Stop()
-wait:
-	for {
-		select {
-		case got, ok := <-ch:
-			if !ok {
-				return mpi.ErrClosed
-			}
-			row = got
-			break wait
-		case <-timer.C:
-			// The reply may have been dropped; ask again.
-			if err := sl.comm.Send(0, tagRowReq, msgRow{R: int32(r)}.encode()); err != nil {
-				return err
-			}
-			timer.Reset(rowRetryInterval)
-		case <-sl.quit:
-			// Receive loop is gone; no reply can ever arrive.
-			return mpi.ErrClosed
+	select {
+	case got, ok := <-ch:
+		if !ok {
+			return ErrMasterDown
 		}
+		row = got
+	case <-sl.quit:
+		// Receive loop is gone; no reply can ever arrive.
+		return ErrMasterDown
 	}
 	if len(row) != sl.e.Len()-r {
 		return fmt.Errorf("cluster: master sent row for split %d with %d entries, want %d",
@@ -369,6 +364,9 @@ func (sl *slave) work(job msgJob, sc *workScratch) error {
 		sc.job = trace.NewSpanID()
 		jobStart = sl.now()
 	}
+	if job.R < 1 || int(job.R) > sl.e.NumSplits() {
+		return fmt.Errorf("split out of range [1, %d]", sl.e.NumSplits())
+	}
 	// A job is Engine.Realign against the replica. The engine tells a
 	// first alignment by its row store, so the original rows of a task
 	// aligned elsewhere before (the job says which) are fetched first.
@@ -404,7 +402,7 @@ func (sl *slave) work(job msgJob, sc *workScratch) error {
 	if sc.traced {
 		// Close the job span, stamp identity onto the batch, and ship it
 		// with the result. SlaveNow is sampled as late as possible so the
-		// master's half-RTT re-basing starts from the freshest timestamp.
+		// master's re-basing starts from the freshest timestamp.
 		sc.spans = append(sc.spans, trace.Span{
 			ID:     sc.job,
 			Parent: job.Span,
@@ -421,5 +419,14 @@ func (sl *slave) work(job msgJob, sc *workScratch) error {
 		res.Spans = trace.EncodeSpans(sc.spans)
 	}
 	res.CPUNanos = cpu.Stop()
-	return sl.comm.Send(0, tagResult, res.encode())
+	return sl.send(tagResult, res.encode())
+}
+
+// send sends to the master from a worker thread. A failed send means
+// the master is gone (or stopping), which is not the job's failure.
+func (sl *slave) send(tag mpi.Tag, data []byte) error {
+	if err := sl.comm.Send(0, tag, data); err != nil {
+		return fmt.Errorf("%w: %v", ErrMasterDown, err)
+	}
+	return nil
 }

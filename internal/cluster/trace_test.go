@@ -18,8 +18,8 @@ import (
 // TCP transport with tracing on and checks the assembled trace: one
 // cluster.run root on rank 0, dispatch spans for both slave ranks,
 // slave-side job/kernel spans shipped back and re-based onto the
-// master's timeline (skew-corrected via the heartbeat RTT), and a
-// critical-path attribution that reconciles exactly with the root.
+// master's timeline, and a critical-path attribution that reconciles
+// exactly with the root.
 func TestClusterTraceEndToEnd(t *testing.T) {
 	q := seq.SyntheticTitin(300, 2)
 	want, err := topalign.Find(q.Codes, topCfg(8))
@@ -32,14 +32,10 @@ func TestClusterTraceEndToEnd(t *testing.T) {
 	rec := col.Rec(trace.NewTraceID())
 
 	addr := freeAddr(t)
-	opts := mpi.DefaultTCPOptions()
-	opts.AcceptTimeout = 5 * time.Second
-	opts.HeartbeatInterval = 20 * time.Millisecond // RTT gauges for skew correction
-	opts.Metrics = reg
 	masterCh := make(chan mpi.Comm, 1)
 	listenErr := make(chan error, 1)
 	go func() {
-		m, err := mpi.ListenTCPOpts(addr, 3, opts)
+		m, err := mpi.ListenTCP(addr, 3, 5*time.Second)
 		if err != nil {
 			listenErr <- err
 			return
@@ -158,7 +154,7 @@ func TestClusterTraceEndToEnd(t *testing.T) {
 		}
 	}
 
-	// Skew correction: re-based slave spans must land inside the run's
+	// Re-basing: slave spans must land inside the run's
 	// window (loopback one-way latency is the residual error; allow a
 	// generous margin).
 	const slack = int64(5 * time.Millisecond)
@@ -197,9 +193,9 @@ func TestClusterTraceEndToEnd(t *testing.T) {
 }
 
 // TestLocalClusterTraced runs the in-process cluster (the serving
-// layer's backend) with tracing on: the local transport has no
-// heartbeat RTT, so re-basing uses offset = master now - slave now, and
-// every slave span must still land inside the run window.
+// layer's backend) with tracing on: re-basing uses offset = master now
+// - slave now, exact over channels, and every slave span must land
+// inside the run window.
 func TestLocalClusterTraced(t *testing.T) {
 	q := seq.SyntheticTitin(150, 3)
 	col := trace.NewCollector(0, 0)

@@ -14,16 +14,10 @@
 // transport therefore implements a star: workers exchange messages with
 // rank 0 only, which is exactly the pattern package cluster uses.
 //
-// Endpoint failure surfaces as a message with the reserved TagDown so
-// the master can requeue a dead worker's task instead of hanging — the
-// failure-injection tests exercise this. The TCP transport additionally
-// runs a heartbeat protocol (reserved wire tag 254) so a peer that
-// hangs without closing its socket is also reported as TagDown, keeps
-// accepting connections after the initial world forms (new workers
-// surface as TagJoin), and bounds handshakes and frame I/O with
-// deadlines so one stalled client cannot wedge the endpoint. Heartbeat
-// probes carry a monotonic timestamp echoed back on reserved tag 252,
-// feeding per-peer round-trip gauges into TCPOptions.Metrics.
+// Endpoint failure surfaces as a message with the reserved TagDown, so
+// a master learns that a worker is gone instead of hanging on it. As in
+// the paper, a lost rank is not recovered from: package cluster fails
+// the run with an error naming it.
 package mpi
 
 import (
@@ -31,23 +25,13 @@ import (
 	"fmt"
 )
 
-// Tag labels a message's meaning. Values 0-239 are for applications;
-// 240 and up are reserved for the runtime.
+// Tag labels a message's meaning. Applications use values below
+// TagDown, which the runtime reserves.
 type Tag uint8
 
 // TagDown is delivered locally (never sent on the wire) when a peer's
 // connection breaks; From identifies the lost rank.
 const TagDown Tag = 255
-
-// TagJoin is delivered locally by the TCP master endpoint when a new
-// worker completes its handshake after the initial world has formed;
-// From identifies the freshly assigned rank. Applications that support
-// rejoin treat it as "rank From is alive and unprovisioned".
-const TagJoin Tag = 253
-
-// MinReservedTag is the first runtime-reserved tag value; application
-// tags must stay below it.
-const MinReservedTag Tag = 240
 
 // maxPayload bounds a frame to keep a corrupt length prefix from
 // allocating unbounded memory.

@@ -232,6 +232,51 @@ func TestTCPWorkerDeathDeliversDown(t *testing.T) {
 	}
 }
 
+// A client that connects but never sends its magic must not consume a
+// rank or block the world from forming: its handshake runs in its own
+// goroutine while a real worker is admitted.
+func TestTCPHandshakeStallDoesNotBlockAdmission(t *testing.T) {
+	addr := mustFreeAddr(t)
+	masterCh := make(chan Comm, 1)
+	go func() {
+		m, err := ListenTCP(addr, 2, 5*time.Second)
+		if err != nil {
+			t.Error(err)
+		}
+		masterCh <- m
+	}()
+	time.Sleep(50 * time.Millisecond)
+
+	stall, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stall.Close()
+	time.Sleep(50 * time.Millisecond) // ensure the stalled conn is accepted first
+
+	w, err := DialTCP(addr, 2*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	m := <-masterCh
+	if m == nil {
+		return
+	}
+	defer m.Close()
+
+	if w.Rank() != 1 {
+		t.Errorf("real worker got rank %d, want 1 (a stalled handshake must not consume a rank)", w.Rank())
+	}
+	if err := w.Send(0, 7, []byte("hi")); err != nil {
+		t.Fatal(err)
+	}
+	msg, err := m.Recv()
+	if err != nil || msg.From != 1 || msg.Tag != 7 || string(msg.Data) != "hi" {
+		t.Errorf("got %+v (%v)", msg, err)
+	}
+}
+
 func TestTCPWorldSizeValidation(t *testing.T) {
 	if _, err := ListenTCP("127.0.0.1:0", 1, time.Second); err == nil {
 		t.Error("world size 1 accepted")

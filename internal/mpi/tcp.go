@@ -7,10 +7,7 @@ import (
 	"io"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
-
-	"repro/internal/obs"
 )
 
 // Wire format, per frame:
@@ -20,204 +17,74 @@ import (
 //
 // Handshake: worker connects and sends magic; master replies with
 // magic, assigned rank (int32) and world size (int32).
-//
-// Liveness: both sides emit tagHeartbeat frames every
-// HeartbeatInterval and arm a read deadline of HeartbeatTimeout on
-// frame reads, so a peer that hangs without closing its socket (the
-// kernel keeps the connection "established" indefinitely) surfaces as
-// TagDown instead of blocking Recv forever. Heartbeat frames are
-// consumed by the transport and never reach the application.
 
 var tcpMagic = [4]byte{'R', 'P', 'R', '1'}
 
-// tagHeartbeat is the wire-level liveness probe (never delivered). Its
-// payload is the sender's monotonic send time (8 bytes, nanoseconds);
-// the receiver echoes it back as tagHeartbeatAck so the original
-// sender can gauge the link's round-trip time. Empty payloads (older
-// peers, tests) are still valid probes — they simply are not echoed.
-const tagHeartbeat Tag = 254
-
-// tagHeartbeatAck carries a heartbeat payload back to its sender for
-// RTT measurement (never delivered to the application).
-const tagHeartbeatAck Tag = 252
-
-// hbEpoch is the process-local monotonic base for heartbeat
-// timestamps. Timestamps never cross process boundaries meaningfully —
-// each side only interprets echoes of its own heartbeats.
-var hbEpoch = time.Now()
-
-// hbStamp returns the current monotonic heartbeat payload.
-func hbStamp() []byte {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], uint64(time.Since(hbEpoch).Nanoseconds()))
-	return b[:]
-}
-
-// hbRTT converts an echoed payload to a round-trip time, or -1 when
-// the payload is absent or implausible.
-func hbRTT(payload []byte) int64 {
-	if len(payload) != 8 {
-		return -1
-	}
-	sent := int64(binary.LittleEndian.Uint64(payload))
-	rtt := time.Since(hbEpoch).Nanoseconds() - sent
-	if rtt < 0 {
-		return -1
-	}
-	return rtt
-}
-
-// HeartbeatRTT returns the last measured heartbeat round-trip time to
-// rank from reg's per-peer gauges, or 0 when unknown (no TCP transport,
-// rank dead, or no echo seen yet). Package cluster uses it to
-// skew-correct span timestamps shipped from slaves.
-func HeartbeatRTT(reg *obs.Registry, rank int) int64 {
-	return reg.LookupGauge(fmt.Sprintf("mpi/hb_rtt_ns/rank%d", rank)).Load()
-}
-
-// TCPOptions tunes the failure-detection behaviour of the TCP
-// transport. A zero field selects its default; a negative
-// HeartbeatInterval or WriteTimeout disables that mechanism.
-type TCPOptions struct {
-	// AcceptTimeout bounds ListenTCP's wait for the initial workers
-	// (0 = wait forever).
-	AcceptTimeout time.Duration
-	// HandshakeTimeout bounds the magic/hello exchange on each new
-	// connection so one stalled client cannot wedge admission.
-	HandshakeTimeout time.Duration
-	// HeartbeatInterval is how often each side pings the link.
-	HeartbeatInterval time.Duration
-	// HeartbeatTimeout is how long a link may stay completely silent
-	// before its peer is declared dead (TagDown). It should be several
-	// multiples of HeartbeatInterval; values below 2x the interval are
-	// raised to 4x.
-	HeartbeatTimeout time.Duration
-	// WriteTimeout bounds one frame write so a peer that stopped
-	// reading cannot block senders forever.
-	WriteTimeout time.Duration
-	// Metrics, when non-nil, receives transport telemetry: per-peer
-	// heartbeat round-trip gauges (mpi/hb_rtt_ns/rank<N>) and heartbeat
-	// send/receive counters.
-	Metrics *obs.Registry
-}
-
-// DefaultTCPOptions returns the settings used by the plain ListenTCP
-// and DialTCP wrappers.
-func DefaultTCPOptions() TCPOptions {
-	return TCPOptions{
-		HandshakeTimeout:  10 * time.Second,
-		HeartbeatInterval: 2 * time.Second,
-		HeartbeatTimeout:  8 * time.Second,
-		WriteTimeout:      30 * time.Second,
-	}
-}
-
-func (o TCPOptions) normalized() TCPOptions {
-	def := DefaultTCPOptions()
-	if o.HandshakeTimeout == 0 {
-		o.HandshakeTimeout = def.HandshakeTimeout
-	}
-	if o.HandshakeTimeout < 0 {
-		o.HandshakeTimeout = 0
-	}
-	if o.HeartbeatInterval == 0 {
-		o.HeartbeatInterval = def.HeartbeatInterval
-	}
-	if o.HeartbeatInterval < 0 {
-		o.HeartbeatInterval, o.HeartbeatTimeout = 0, 0
-	} else if o.HeartbeatTimeout < 2*o.HeartbeatInterval {
-		o.HeartbeatTimeout = 4 * o.HeartbeatInterval
-	}
-	if o.WriteTimeout == 0 {
-		o.WriteTimeout = def.WriteTimeout
-	}
-	if o.WriteTimeout < 0 {
-		o.WriteTimeout = 0
-	}
-	return o
-}
+// handshakeTimeout bounds the magic/hello exchange on one connection,
+// so a client that connects and says nothing gives its goroutine back.
+const handshakeTimeout = 10 * time.Second
 
 // ListenTCP starts the master endpoint (rank 0) on addr and blocks
 // until size-1 workers have connected (or timeout elapses; 0 means no
-// timeout), using default fault-tolerance options. The returned Comm
-// receives from all workers; Send addresses workers by their assigned
-// rank. The listener stays open after the initial world forms so
-// replacement workers can join mid-run (they surface as TagJoin).
+// timeout). The returned Comm receives from all workers; Send addresses
+// workers by their assigned rank. The listener closes once the world
+// has formed: the world's size is fixed for the run.
 func ListenTCP(addr string, size int, timeout time.Duration) (Comm, error) {
-	opts := DefaultTCPOptions()
-	opts.AcceptTimeout = timeout
-	return ListenTCPOpts(addr, size, opts)
-}
-
-// ListenTCPOpts is ListenTCP with explicit transport options.
-func ListenTCPOpts(addr string, size int, opts TCPOptions) (Comm, error) {
 	if size < 2 {
 		return nil, fmt.Errorf("mpi: tcp world size %d must be >= 2", size)
 	}
-	opts = opts.normalized()
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("mpi: listen %s: %w", addr, err)
 	}
+	defer ln.Close()
+	if timeout > 0 {
+		ln.(*net.TCPListener).SetDeadline(time.Now().Add(timeout))
+	}
 	m := &tcpMaster{
-		opts:        opts,
-		ln:          ln,
-		initialSize: size,
-		next:        1,
-		conns:       make(map[int]*tcpConn),
-		inbox:       make(chan Message, 1024),
-		done:        make(chan struct{}),
+		next:  1,
+		conns: make([]*tcpConn, size),
+		inbox: make(chan Message, 1024),
+		done:  make(chan struct{}),
 	}
-	if opts.AcceptTimeout > 0 {
-		if tl, ok := ln.(*net.TCPListener); ok {
-			tl.SetDeadline(time.Now().Add(opts.AcceptTimeout))
-		}
-	}
-	admitted := make(chan int, size)
+	// Each handshake runs in its own goroutine, so a client that
+	// connects and stalls cannot hold up the workers behind it.
+	admitted := make(chan struct{}, size)
 	errCh := make(chan error, 1)
-	go m.acceptLoop(admitted, errCh)
-	for got := 0; got < size-1; {
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				errCh <- err
+				return
+			}
+			go m.admit(conn, admitted)
+		}
+	}()
+	for got := 0; got < size-1; got++ {
 		select {
 		case <-admitted:
-			got++
 		case err := <-errCh:
 			m.Close()
 			return nil, fmt.Errorf("mpi: accepting workers (%d of %d connected): %w", got, size-1, err)
 		}
 	}
-	m.initialDone.Store(true)
-	if opts.AcceptTimeout > 0 {
-		if tl, ok := ln.(*net.TCPListener); ok {
-			// Keep accepting forever: replacements may rejoin mid-run.
-			tl.SetDeadline(time.Time{})
-		}
-	}
 	return m, nil
 }
 
-// DialTCP connects a worker endpoint to the master at addr with default
-// fault-tolerance options. The master assigns the rank.
+// DialTCP connects a worker endpoint to the master at addr. The master
+// assigns the rank.
 func DialTCP(addr string, timeout time.Duration) (Comm, error) {
-	return DialTCPOpts(addr, timeout, DefaultTCPOptions())
-}
-
-// DialTCPOpts is DialTCP with explicit transport options. The options
-// must match the master's heartbeat configuration closely enough that
-// each side pings more often than the other's timeout.
-func DialTCPOpts(addr string, timeout time.Duration, opts TCPOptions) (Comm, error) {
-	opts = opts.normalized()
 	conn, err := net.DialTimeout("tcp", addr, timeout)
 	if err != nil {
 		return nil, fmt.Errorf("mpi: dial %s: %w", addr, err)
 	}
-	if opts.HandshakeTimeout > 0 {
-		conn.SetDeadline(time.Now().Add(opts.HandshakeTimeout))
-	}
+	conn.SetDeadline(time.Now().Add(handshakeTimeout))
 	if _, err := conn.Write(tcpMagic[:]); err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("mpi: handshake: %w", err)
 	}
-	tc := newTCPConn(conn, opts)
+	tc := newTCPConn(conn)
 	var hello [12]byte
 	if _, err := io.ReadFull(tc.br, hello[:]); err != nil {
 		conn.Close()
@@ -236,59 +103,27 @@ func DialTCPOpts(addr string, timeout time.Duration, opts TCPOptions) (Comm, err
 		done:  make(chan struct{}),
 	}
 	go w.reader()
-	if opts.HeartbeatInterval > 0 {
-		go tc.pinger(w.rank, opts.HeartbeatInterval, w.done)
-	}
 	return w, nil
 }
 
-// tcpConn wraps a connection with buffered I/O, a write lock, and the
-// transport's I/O deadlines.
+// tcpConn wraps a connection with buffered I/O and a write lock.
 type tcpConn struct {
-	c            net.Conn
-	br           *bufio.Reader
-	readTimeout  time.Duration // max silence between reads (heartbeat timeout)
-	writeTimeout time.Duration
-	reg          *obs.Registry
+	c  net.Conn
+	br *bufio.Reader
 
 	wmu sync.Mutex
 	bw  *bufio.Writer
 }
 
-func newTCPConn(c net.Conn, opts TCPOptions) *tcpConn {
+func newTCPConn(c net.Conn) *tcpConn {
 	if tc, ok := c.(*net.TCPConn); ok {
 		tc.SetNoDelay(true)
 	}
 	return &tcpConn{
-		c:            c,
-		br:           bufio.NewReaderSize(c, 64<<10),
-		bw:           bufio.NewWriterSize(c, 64<<10),
-		readTimeout:  opts.HeartbeatTimeout,
-		writeTimeout: opts.WriteTimeout,
-		reg:          opts.Metrics,
+		c:  c,
+		br: bufio.NewReaderSize(c, 64<<10),
+		bw: bufio.NewWriterSize(c, 64<<10),
 	}
-}
-
-// handleHeartbeat consumes a transport-level frame: a probe is echoed
-// back (best effort) so the peer can measure round-trip time, an echo
-// of our own probe updates the peer's RTT gauge. ourRank stamps the
-// echo frame; peer names the gauge. Reports whether the frame was a
-// transport frame the caller must not deliver.
-func (t *tcpConn) handleHeartbeat(msg Message, ourRank, peer int) bool {
-	switch msg.Tag {
-	case tagHeartbeat:
-		t.reg.Counter("mpi/hb_recv").Inc()
-		if len(msg.Data) == 8 {
-			go t.writeFrame(ourRank, tagHeartbeatAck, msg.Data)
-		}
-		return true
-	case tagHeartbeatAck:
-		if rtt := hbRTT(msg.Data); rtt >= 0 {
-			t.reg.Gauge(fmt.Sprintf("mpi/hb_rtt_ns/rank%d", peer)).Set(rtt)
-		}
-		return true
-	}
-	return false
 }
 
 func (t *tcpConn) writeFrame(from int, tag Tag, data []byte) error {
@@ -297,9 +132,6 @@ func (t *tcpConn) writeFrame(from int, tag Tag, data []byte) error {
 	}
 	t.wmu.Lock()
 	defer t.wmu.Unlock()
-	if t.writeTimeout > 0 {
-		t.c.SetWriteDeadline(time.Now().Add(t.writeTimeout))
-	}
 	var hdr [9]byte
 	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(data)))
 	hdr[4] = byte(tag)
@@ -314,34 +146,16 @@ func (t *tcpConn) writeFrame(from int, tag Tag, data []byte) error {
 		return t.bw.Flush()
 	}()
 	if err != nil {
-		// A partial frame (e.g. a write timeout to a peer that stopped
-		// reading) leaves the stream unframeable: close the connection
-		// so the reader converges on TagDown.
+		// A partial frame leaves the stream unframeable: close the
+		// connection so the reader converges on TagDown.
 		t.c.Close()
 	}
 	return err
 }
 
-// readFull reads exactly len(buf) bytes, re-arming the heartbeat read
-// deadline whenever bytes arrive so that only full silence — not a
-// slow large frame — trips the failure detector.
-func (t *tcpConn) readFull(buf []byte) error {
-	for len(buf) > 0 {
-		if t.readTimeout > 0 {
-			t.c.SetReadDeadline(time.Now().Add(t.readTimeout))
-		}
-		n, err := t.br.Read(buf)
-		buf = buf[n:]
-		if err != nil && len(buf) > 0 {
-			return err
-		}
-	}
-	return nil
-}
-
 func (t *tcpConn) readFrame() (Message, error) {
 	var hdr [9]byte
-	if err := t.readFull(hdr[:]); err != nil {
+	if _, err := io.ReadFull(t.br, hdr[:]); err != nil {
 		return Message{}, err
 	}
 	n := binary.LittleEndian.Uint32(hdr[0:4])
@@ -354,108 +168,47 @@ func (t *tcpConn) readFrame() (Message, error) {
 	}
 	if n > 0 {
 		msg.Data = make([]byte, n)
-		if err := t.readFull(msg.Data); err != nil {
+		if _, err := io.ReadFull(t.br, msg.Data); err != nil {
 			return Message{}, err
 		}
 	}
 	return msg, nil
 }
 
-// pinger keeps the link alive from our side so the peer's failure
-// detector only fires on genuine silence. It stops when the endpoint
-// closes or the connection dies (write error).
-func (t *tcpConn) pinger(from int, interval time.Duration, done <-chan struct{}) {
-	tick := time.NewTicker(interval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-done:
-			return
-		case <-tick.C:
-			if t.writeFrame(from, tagHeartbeat, hbStamp()) != nil {
-				return
-			}
-			t.reg.Counter("mpi/hb_sent").Inc()
-		}
-	}
-}
-
-// tcpMaster is rank 0 of a TCP world. The rank space grows as
-// replacement workers join; dead ranks are never reused.
+// tcpMaster is rank 0 of a TCP world.
 type tcpMaster struct {
-	opts        TCPOptions
-	ln          net.Listener
-	initialSize int
-	inbox       chan Message
-	done        chan struct{}
-	initialDone atomic.Bool
+	inbox chan Message
+	done  chan struct{}
 
-	mu    sync.Mutex
-	next  int              // next rank to assign
-	conns map[int]*tcpConn // rank -> conn; nil entry = rank is down
+	mu     sync.Mutex
+	next   int        // next rank to assign
+	conns  []*tcpConn // rank -> conn; nil = not connected or down
+	closed bool
 
 	closeOnce sync.Once
 }
 
 func (m *tcpMaster) Rank() int { return 0 }
-
-func (m *tcpMaster) Size() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return max(m.next, m.initialSize)
-}
-
-// acceptLoop admits connections for the life of the endpoint. Each
-// handshake runs in its own goroutine so a stalled client cannot block
-// later arrivals.
-func (m *tcpMaster) acceptLoop(admitted chan<- int, errCh chan<- error) {
-	for {
-		conn, err := m.ln.Accept()
-		if err != nil {
-			select {
-			case <-m.done:
-				return
-			default:
-			}
-			if ne, ok := err.(net.Error); ok && ne.Timeout() && m.initialDone.Load() {
-				// A leftover initial-phase deadline fired after the
-				// world formed; clear it and keep accepting.
-				if tl, ok := m.ln.(*net.TCPListener); ok {
-					tl.SetDeadline(time.Time{})
-					continue
-				}
-			}
-			select {
-			case errCh <- err:
-			default:
-			}
-			return
-		}
-		go m.admit(conn, admitted)
-	}
-}
+func (m *tcpMaster) Size() int { return len(m.conns) }
 
 // admit handshakes one new connection under its own deadline and
-// registers it as the next rank.
-func (m *tcpMaster) admit(conn net.Conn, admitted chan<- int) {
-	if m.opts.HandshakeTimeout > 0 {
-		conn.SetDeadline(time.Now().Add(m.opts.HandshakeTimeout))
-	}
-	tc := newTCPConn(conn, m.opts)
+// registers it as the next rank. Connections past the world's size are
+// turned away.
+func (m *tcpMaster) admit(conn net.Conn, admitted chan<- struct{}) {
+	conn.SetDeadline(time.Now().Add(handshakeTimeout))
+	tc := newTCPConn(conn)
 	var magic [4]byte
 	if _, err := io.ReadFull(tc.br, magic[:]); err != nil || magic != tcpMagic {
 		conn.Close()
 		return
 	}
 	m.mu.Lock()
-	select {
-	case <-m.done:
+	rank := m.next
+	if m.closed || rank == len(m.conns) {
 		m.mu.Unlock()
 		conn.Close()
 		return
-	default:
 	}
-	rank := m.next
 	m.next++
 	m.conns[rank] = tc
 	m.mu.Unlock()
@@ -463,40 +216,26 @@ func (m *tcpMaster) admit(conn net.Conn, admitted chan<- int) {
 	var hello [12]byte
 	copy(hello[0:4], tcpMagic[:])
 	binary.LittleEndian.PutUint32(hello[4:8], uint32(rank))
-	binary.LittleEndian.PutUint32(hello[8:12], uint32(max(rank+1, m.initialSize)))
-	ok := true
-	if _, err := conn.Write(hello[:]); err != nil {
-		ok = false
-	}
-	if ok {
-		conn.SetDeadline(time.Time{})
-		go m.reader(rank, tc)
-		if m.opts.HeartbeatInterval > 0 {
-			go tc.pinger(0, m.opts.HeartbeatInterval, m.done)
-		}
-	} else {
-		m.mu.Lock()
-		m.conns[rank] = nil // rank burned; handshake never completed
-		m.mu.Unlock()
-		conn.Close()
-	}
-
-	if rank < m.initialSize {
-		// Initial world member: count towards the ListenTCP barrier. A
-		// failed hello still counts so the barrier cannot hang; the
-		// dead rank surfaces as TagDown and Send errors instead.
-		select {
-		case admitted <- rank:
-		default:
-		}
-		if !ok {
-			m.deliver(Message{From: rank, Tag: TagDown})
-		}
+	binary.LittleEndian.PutUint32(hello[8:12], uint32(len(m.conns)))
+	_, err := conn.Write(hello[:])
+	conn.SetDeadline(time.Time{})
+	// A failed hello still counts towards the world so ListenTCP cannot
+	// hang; the rank is down from the start and surfaces as TagDown.
+	admitted <- struct{}{}
+	if err != nil {
+		m.down(rank, tc)
 		return
 	}
-	if ok {
-		m.deliver(Message{From: rank, Tag: TagJoin})
-	}
+	go m.reader(rank, tc)
+}
+
+// down closes rank's connection, forgets it and reports it as TagDown.
+func (m *tcpMaster) down(rank int, tc *tcpConn) {
+	tc.c.Close()
+	m.mu.Lock()
+	m.conns[rank] = nil
+	m.mu.Unlock()
+	m.deliver(Message{From: rank, Tag: TagDown})
 }
 
 func (m *tcpMaster) deliver(msg Message) {
@@ -512,13 +251,12 @@ func (m *tcpMaster) Send(to int, tag Tag, data []byte) error {
 		return ErrClosed
 	default:
 	}
+	if to <= 0 || to >= len(m.conns) {
+		return errBadRank(to, len(m.conns))
+	}
 	m.mu.Lock()
-	size := max(m.next, m.initialSize)
 	tc := m.conns[to]
 	m.mu.Unlock()
-	if to <= 0 || to >= size {
-		return errBadRank(to, size)
-	}
 	if tc == nil {
 		return fmt.Errorf("mpi: rank %d is down", to)
 	}
@@ -540,39 +278,24 @@ func (m *tcpMaster) Recv() (Message, error) {
 }
 
 // reader pumps one worker connection into the shared inbox and reports
-// the worker's death exactly once. A read error — including a missed
-// heartbeat deadline — closes the connection so the pinger stops too.
+// the worker's death exactly once.
 func (m *tcpMaster) reader(rank int, tc *tcpConn) {
 	for {
 		msg, err := tc.readFrame()
 		if err != nil {
-			tc.c.Close()
-			m.mu.Lock()
-			m.conns[rank] = nil
-			m.mu.Unlock()
-			// The peer is gone: drop its RTT gauge so scrapes stop
-			// reporting a frozen last value for a dead rank.
-			tc.reg.RemoveGauge(fmt.Sprintf("mpi/hb_rtt_ns/rank%d", rank))
-			m.deliver(Message{From: rank, Tag: TagDown})
+			m.down(rank, tc)
 			return
-		}
-		if tc.handleHeartbeat(msg, 0, rank) {
-			continue
 		}
 		msg.From = rank // trust the connection, not the frame header
-		select {
-		case m.inbox <- msg:
-		case <-m.done:
-			return
-		}
+		m.deliver(msg)
 	}
 }
 
 func (m *tcpMaster) Close() error {
 	m.closeOnce.Do(func() {
 		close(m.done)
-		m.ln.Close()
 		m.mu.Lock()
+		m.closed = true
 		for _, c := range m.conns {
 			if c != nil {
 				c.c.Close()
@@ -628,16 +351,11 @@ func (w *tcpWorker) reader() {
 		msg, err := w.conn.readFrame()
 		if err != nil {
 			w.conn.c.Close()
-			// Master link lost: its RTT gauge must not linger frozen.
-			w.conn.reg.RemoveGauge("mpi/hb_rtt_ns/rank0")
 			select {
 			case w.inbox <- Message{From: 0, Tag: TagDown}:
 			case <-w.done:
 			}
 			return
-		}
-		if w.conn.handleHeartbeat(msg, w.rank, 0) {
-			continue
 		}
 		msg.From = 0
 		select {

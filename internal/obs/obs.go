@@ -13,8 +13,8 @@
 // realignment-avoidance percentages, speculation overhead, per-level
 // speedups — and a production deployment needs the same numbers live.
 // Package stats builds its engine counters on the primitives here;
-// packages cluster and mpi feed per-rank dispatch counters, heartbeat
-// round-trip gauges, and row-request latencies into a Registry.
+// package cluster feeds per-rank dispatch counters and row-request
+// latencies into a Registry.
 //
 // Every type is safe on a nil receiver, so instrumentation can be
 // threaded through hot paths as optional pointers without branching at
@@ -318,30 +318,6 @@ func (r *Registry) BindGauge(name string, g *Gauge) {
 	}
 	r.mu.Lock()
 	r.gauges[name] = g
-	r.mu.Unlock()
-}
-
-// LookupGauge returns the named gauge without creating it (nil when
-// absent or when the registry is nil).
-func (r *Registry) LookupGauge(name string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.gauges[name]
-}
-
-// RemoveGauge deletes the named gauge from the registry, so snapshots
-// stop reporting it. Used for per-peer gauges whose peer is gone — a
-// dead rank's heartbeat RTT must disappear rather than freeze at its
-// last value.
-func (r *Registry) RemoveGauge(name string) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	delete(r.gauges, name)
 	r.mu.Unlock()
 }
 

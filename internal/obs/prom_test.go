@@ -15,7 +15,7 @@ import (
 func TestPromName(t *testing.T) {
 	cases := map[string]string{
 		"serve/e2e_ns":           "serve_e2e_ns",
-		"mpi/hb_rtt_ns/rank2":    "mpi_hb_rtt_ns_rank2",
+		"cluster/job_ns/rank2":   "cluster_job_ns_rank2",
 		"cluster/dispatch-total": "cluster_dispatch_total",
 		"9lives":                 "_9lives",
 		"a:b":                    "a:b",

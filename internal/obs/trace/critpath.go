@@ -28,7 +28,6 @@ const (
 	CatComm      = "comm"       // wire time, row fetches, slave-side queueing
 	CatKernel    = "kernel"     // alignment kernels + tracebacks
 	CatSpecWaste = "spec-waste" // kernels computed against a stale replica
-	CatStall     = "stall"      // straggler stall before re-dispatch won
 	CatServer    = "server"     // HTTP handling around the pipeline
 	CatOther     = "other"      // anything unclassified
 )
@@ -36,7 +35,7 @@ const (
 // categoryOrder fixes the report ordering.
 var categoryOrder = []string{
 	CatRouter, CatQueue, CatCache, CatDispatch, CatComm, CatKernel,
-	CatSpecWaste, CatStall, CatServer, CatOther,
+	CatSpecWaste, CatServer, CatOther,
 }
 
 // Category maps a span name to its breakdown category. The self-time of
@@ -65,8 +64,6 @@ func Category(name string) string {
 		return CatKernel
 	case "slave.kernel.wasted":
 		return CatSpecWaste
-	case "cluster.stall":
-		return CatStall
 	}
 	return CatOther
 }

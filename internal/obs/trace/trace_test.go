@@ -271,7 +271,7 @@ func TestCriticalPathReconciles(t *testing.T) {
 		{ID: eID, Parent: rootID, Name: "engine", Start: 200, Dur: 700},
 		{ID: NewSpanID(), Parent: eID, Name: "parallel.worker", Start: 250, Dur: 400},
 		{ID: NewSpanID(), Parent: eID, Name: "parallel.worker", Start: 300, Dur: 400},
-		{ID: NewSpanID(), Parent: eID, Name: "cluster.stall", Start: 850, Dur: 200}, // clamped to 850..900
+		{ID: NewSpanID(), Parent: eID, Name: "slave.kernel.wasted", Start: 850, Dur: 200}, // clamped to 850..900
 	}
 	rpt, err := AnalyzeCriticalPath(spans)
 	if err != nil {
@@ -288,11 +288,11 @@ func TestCriticalPathReconciles(t *testing.T) {
 		got[e.Category] = e.NS
 	}
 	want := map[string]int64{
-		CatQueue:    200, // queue.wait
-		CatKernel:   450, // workers 250..650 and 650..700 exclusive
-		CatStall:    50,  // stall clamped into 850..900
-		CatDispatch: 200, // engine self-time: 700 - 450 - 50
-		CatServer:   100, // request self-time: 900..1000
+		CatQueue:     200, // queue.wait
+		CatKernel:    450, // workers 250..650 and 650..700 exclusive
+		CatSpecWaste: 50,  // wasted kernel clamped into 850..900
+		CatDispatch:  200, // engine self-time: 700 - 450 - 50
+		CatServer:    100, // request self-time: 900..1000
 	}
 	for cat, ns := range want {
 		if got[cat] != ns {

@@ -52,8 +52,7 @@ func Decide(cfg Config, head *Task, tops int) Decision {
 // Run drives an engine to completion over queue q: the sequential
 // best-first loop of Figure 5, and the only one — Find and RunWindows
 // hand it their initial queues, package parallel a process-sized run
-// that got one worker, the cluster master the queue it is left with when
-// its last slave dies. Tasks keep whatever score and stamp they carry
+// that got one worker. Tasks keep whatever score and stamp they carry
 // (stale scores are upper bounds), so a queue may be drained from any
 // state. sc supplies the kernel arenas.
 //

@@ -58,15 +58,15 @@ type lookahead struct {
 }
 
 // engaged counts the goroutines of this process that run engine work
-// and take a core for it: every Run loop — the exact one-core loop, a
-// windowed run's loop, a cluster master finishing alone — every helper,
-// and every shared-memory worker (Engage, Reserve). Helpers and
-// process-sized workers are sized from it, so that analyses running side
-// by side (a serve worker pool) keep a core each before any of them gets
-// a second, and a helper or such a worker retires when a loop starting
-// later finds every core taken. Cluster slaves are not counted. It is
-// package state on purpose: the cores it shares out are the process's,
-// and the analyses that compete for them have no caller in common.
+// and take a core for it: every Run loop — the exact one-core loop or a
+// windowed run's loop — every helper, and every shared-memory worker
+// (Engage, Reserve). Helpers and process-sized workers are sized from
+// it, so that analyses running side by side (a serve worker pool) keep
+// a core each before any of them gets a second, and a helper or such a
+// worker retires when a loop starting later finds every core taken.
+// Cluster slaves are not counted. It is package state on purpose: the
+// cores it shares out are the process's, and the analyses that compete
+// for them have no caller in common.
 var engaged atomic.Int32
 
 // Engage counts the calling goroutine as engaged in engine work until it
