@@ -37,10 +37,8 @@ func main() {
 	var (
 		addr    = flag.String("addr", "127.0.0.1:8090", "listen address (bare ports bind localhost)")
 		shards  = flag.String("shards", "", "comma-separated reproserve base URLs (required)")
-		vnodes  = flag.Int("vnodes", 0, "virtual nodes per shard on the hash ring (0 = default)")
 		probe   = flag.Duration("probe-interval", time.Second, "shard /healthz polling period")
 		hotThr  = flag.Int("hot-threshold", 0, "requests/sec that makes a key hot (0 = default, -1 = disable)")
-		hotRep  = flag.Int("hot-replicas", 0, "replica-set size for hot keys (0 = default)")
 		maxSeq  = flag.Int("max-seq", 0, "maximum sequence length admitted (0 = serve default)")
 		tracesN = flag.Int("traces", trace.DefaultMaxTraces, "request traces retained for /trace/{id} (-1 = disable)")
 	)
@@ -62,10 +60,8 @@ func main() {
 	}
 	rt := shard.New(shard.Config{
 		Shards:          urls,
-		VirtualNodes:    *vnodes,
 		ProbeInterval:   *probe,
 		HotKeyThreshold: *hotThr,
-		HotKeyReplicas:  *hotRep,
 		MaxSequenceLen:  *maxSeq,
 		Metrics:         obs.NewRegistry(),
 		Traces:          col,

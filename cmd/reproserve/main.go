@@ -8,6 +8,14 @@
 //	reproserve -addr :8080 -workers 8 -queue 64 -cache 512
 //	curl -s localhost:8080/v1/analyze -d '{"sequence":"ATGCATGCATGC","matrix":"paper-dna","tops":3}'
 //	curl -s localhost:8080/metrics
+//
+// With -debug-addr the daemon also serves the standard /debug/pprof/
+// handlers on a second, operator-only listener; engine runs carry pprof
+// labels (trace_id, backend, kernel_tier, preset), so a CPU profile
+// taken there slices by request dimension:
+//
+//	reproserve -addr :8080 -debug-addr :8081 &
+//	go tool pprof -tagfocus kernel_tier=int16x16 'http://localhost:8081/debug/pprof/profile?seconds=10'
 package main
 
 import (
@@ -23,7 +31,6 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/obs/profile"
 	"repro/internal/obs/trace"
 	"repro/internal/serve"
 )
@@ -39,36 +46,24 @@ func main() {
 		drainT  = flag.Duration("drain-timeout", 30*time.Second, "how long SIGTERM waits for queued work")
 		traces  = flag.Int("traces", trace.DefaultMaxTraces, "request traces retained for /trace/{id} (0 = default, -1 = disable)")
 		cacheB  = flag.Int64("cache-bytes", 0, "result cache byte budget (0 = default)")
-		rateL   = flag.Float64("rate-limit", 0, "admitted requests per second (0 = unlimited)")
-		rateB   = flag.Int("rate-burst", 0, "rate-limit burst size (0 = ceil(rate-limit))")
 
-		profDir   = flag.String("profile-dir", "", "continuous profiler capture dir (empty = profiler off)")
-		profEvery = flag.Duration("profile-interval", 30*time.Second, "continuous profiler cycle period")
-		profCPU   = flag.Duration("profile-cpu", 2*time.Second, "CPU profile length per cycle")
-		profKeep  = flag.Int("profile-keep", 64, "capture files kept in the on-disk ring")
+		debugAddr = flag.String("debug-addr", "", "serve pprof on this address (binds localhost unless a host is given; empty disables)")
 	)
 	flag.Parse()
+
+	if *debugAddr != "" {
+		dbg, err := obs.StartDebug(*debugAddr, nil, nil)
+		if err != nil {
+			fatal(err)
+		}
+		defer dbg.Close()
+		fmt.Fprintf(os.Stderr, "reproserve: debug endpoints on http://%s/debug/pprof/\n", dbg.Addr)
+	}
 
 	reg := obs.NewRegistry()
 	var col *trace.Collector
 	if *traces >= 0 {
 		col = trace.NewCollector(*traces, 0)
-	}
-	var prof *profile.Profiler
-	if *profDir != "" {
-		var err error
-		prof, err = profile.New(profile.Config{
-			Dir:         *profDir,
-			Interval:    *profEvery,
-			CPUDuration: *profCPU,
-			MaxCaptures: *profKeep,
-			Metrics:     reg,
-		})
-		if err != nil {
-			fatal(err)
-		}
-		prof.Start()
-		defer prof.Close()
 	}
 	srv := serve.New(serve.Config{
 		Workers:        *workers,
@@ -77,11 +72,8 @@ func main() {
 		MaxSequenceLen: *maxSeq,
 		CacheEntries:   *cacheN,
 		CacheBytes:     *cacheB,
-		RateLimit:      *rateL,
-		RateBurst:      *rateB,
 		Metrics:        reg,
 		Traces:         col,
-		Profiles:       prof,
 	})
 	srv.Start()
 

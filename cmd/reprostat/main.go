@@ -1,10 +1,10 @@
 // Command reprostat is a top-like aggregator over one or more
-// reproserve shards: it polls each shard's /metrics JSON snapshot (and
-// /debug/profiles ring index) on an interval, prints per-shard request
-// rates, attributed CPU, process CPU, kernel tier mix and profile-ring
-// state, and reconciles the sum of per-request CPU attribution against
-// the process CPU clock — the continuous check that the attribution
-// layer accounts for the cycles the process actually burns.
+// reproserve shards: it polls each shard's /metrics JSON snapshot on an
+// interval, prints per-shard request rates, attributed CPU, engine CPU,
+// process CPU, kernel tier mix and speculation waste, and reconciles the
+// sum of per-request CPU attribution against the process CPU clock — the
+// continuous check that the attribution layer accounts for the cycles
+// the process actually burns.
 //
 //	reprostat http://127.0.0.1:8081 http://127.0.0.1:8082
 //	reprostat -once -json http://127.0.0.1:8081
@@ -61,7 +61,7 @@ func main() {
 		if *asJSON {
 			printJSON(shards, cur, prev, *interval)
 		} else {
-			printTable(client, shards, cur, prev, *interval)
+			printTable(shards, cur, prev, *interval)
 		}
 		rounds++
 		if *once || (*count > 0 && rounds >= *count) {
@@ -101,30 +101,6 @@ func scrape(client *http.Client, base string) (*obs.Snapshot, error) {
 		return nil, err
 	}
 	return &snap, nil
-}
-
-// profileRing summarises a shard's /debug/profiles index.
-func profileRing(client *http.Client, base string) (n int, bytes int64) {
-	resp, err := client.Get(base + "/debug/profiles")
-	if err != nil || resp.StatusCode != http.StatusOK {
-		if resp != nil {
-			resp.Body.Close()
-		}
-		return 0, 0
-	}
-	defer resp.Body.Close()
-	var doc struct {
-		Captures []struct {
-			Bytes int64 `json:"bytes"`
-		} `json:"captures"`
-	}
-	if json.NewDecoder(resp.Body).Decode(&doc) != nil {
-		return 0, 0
-	}
-	for _, c := range doc.Captures {
-		bytes += c.Bytes
-	}
-	return len(doc.Captures), bytes
 }
 
 // delta returns cur-prev for a counter (cur when prev is absent, so the
@@ -178,11 +154,11 @@ func (r recon) deviation() float64 {
 	return math.Abs(1 - float64(r.AttribNS)/float64(r.ProcNS))
 }
 
-func printTable(client *http.Client, shards []string, cur, prev map[string]*obs.Snapshot, ival time.Duration) {
+func printTable(shards []string, cur, prev map[string]*obs.Snapshot, ival time.Duration) {
 	secs := ival.Seconds()
 	// The tier column's header names its shares in tierMix's order.
-	fmt.Printf("%-28s %8s %10s %10s %10s %13s %6s %9s\n",
-		"SHARD", "REQ/S", "CPU/S", "ENG/S", "PROC/S", "I16/I32/SC/U8", "SPEC", "PROFILES")
+	fmt.Printf("%-28s %8s %10s %10s %10s %13s %6s\n",
+		"SHARD", "REQ/S", "CPU/S", "ENG/S", "PROC/S", "I16/I32/SC/U8", "SPEC")
 	for _, s := range shards {
 		c := cur[s]
 		if c == nil {
@@ -198,12 +174,11 @@ func printTable(client *http.Client, shards []string, cur, prev map[string]*obs.
 			}
 			return fmtNS(int64(float64(v) / secs))
 		}
-		nProf, profB := profileRing(client, s)
-		fmt.Printf("%-28s %8.1f %10s %10s %10s %13s %6s %6d/%s\n",
+		fmt.Printf("%-28s %8.1f %10s %10s %10s %13s %6s\n",
 			trimShard(s),
 			float64(reqs)/ifElse(p == nil, 1, secs),
 			rate(r.AttribNS), rate(r.EngineNS), rate(r.ProcNS),
-			tierMix(c), specShare(c, p), nProf, fmtBytes(profB))
+			tierMix(c), specShare(c, p))
 	}
 }
 
@@ -231,17 +206,6 @@ func fmtNS(ns int64) string {
 		return fmt.Sprintf("%.1fms", float64(ns)/1e6)
 	default:
 		return fmt.Sprintf("%dus", ns/1e3)
-	}
-}
-
-func fmtBytes(b int64) string {
-	switch {
-	case b >= 1<<20:
-		return fmt.Sprintf("%.1fMB", float64(b)/(1<<20))
-	case b >= 1<<10:
-		return fmt.Sprintf("%.1fKB", float64(b)/(1<<10))
-	default:
-		return fmt.Sprintf("%dB", b)
 	}
 }
 

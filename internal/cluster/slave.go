@@ -148,10 +148,13 @@ func (sl *slave) run(threads int) error {
 	var wg sync.WaitGroup
 	errCh := make(chan error, threads)
 	// A master that finishes a short run before this slave has announced
-	// every thread has closed its endpoint: that send fails like any
-	// other send after shutdown, and takes the same exit below.
+	// every thread has closed its endpoint, and the send fails. Which
+	// error it fails with depends on the transport (over TCP it is the
+	// socket's own), so announcing just stops there: the receive loop
+	// below still reads the stop or the loss the master left behind.
 	var loopErr error
-	for i := 0; i < threads && loopErr == nil; i++ {
+	announcing := true
+	for i := 0; i < threads && announcing; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -175,7 +178,7 @@ func (sl *slave) run(threads int) error {
 				}
 			}
 		}()
-		loopErr = sl.comm.Send(0, tagReady, nil)
+		announcing = sl.comm.Send(0, tagReady, nil) == nil
 	}
 
 recv:

@@ -136,6 +136,33 @@ func PresetConfig(preset string, base int) (Config, error) {
 	return c, nil
 }
 
+// Resolve returns the preset's configuration over base with a caller's
+// overrides applied, validated: the one place a preset name and seed
+// knobs become a Config. Only K, Mask, MaxOcc, BandWidth and Pad of over
+// are read, and each replaces the preset's value when non-zero.
+func Resolve(preset string, base int, over Config) (Config, error) {
+	c, err := PresetConfig(preset, base)
+	if err != nil {
+		return Config{}, err
+	}
+	if over.K > 0 {
+		c.K = over.K
+	}
+	if over.Mask != "" {
+		c.Mask = over.Mask
+	}
+	if over.MaxOcc > 0 {
+		c.MaxOcc = over.MaxOcc
+	}
+	if over.BandWidth > 0 {
+		c.BandWidth = over.BandWidth
+	}
+	if over.Pad > 0 {
+		c.Pad = over.Pad
+	}
+	return c, c.Validate()
+}
+
 // Weight returns the number of sampled seed positions.
 func (c Config) Weight() int {
 	if c.Mask == "" {

@@ -177,27 +177,10 @@ func (r *Request) canonicalise(maxSeqLen int) error {
 		// Resolve the preset to explicit knob values so two requests
 		// spelling the same prefilter differently share a cache key,
 		// and reject invalid overrides before they reach the engine.
-		alpha := m.Alphabet()
-		pcfg, err := seedindex.PresetConfig(r.Preset, seq.PrimaryLetters(alpha))
+		pcfg, err := seedindex.Resolve(r.Preset, seq.PrimaryLetters(m.Alphabet()), seedindex.Config{
+			K: r.SeedK, Mask: r.SeedMask, MaxOcc: r.SeedMaxOcc, BandWidth: r.SeedBand, Pad: r.SeedPad,
+		})
 		if err != nil {
-			return err
-		}
-		if r.SeedK > 0 {
-			pcfg.K = r.SeedK
-		}
-		if r.SeedMask != "" {
-			pcfg.Mask = r.SeedMask
-		}
-		if r.SeedMaxOcc > 0 {
-			pcfg.MaxOcc = r.SeedMaxOcc
-		}
-		if r.SeedBand > 0 {
-			pcfg.BandWidth = r.SeedBand
-		}
-		if r.SeedPad > 0 {
-			pcfg.Pad = r.SeedPad
-		}
-		if err := pcfg.Validate(); err != nil {
 			return err
 		}
 		r.SeedK, r.SeedMask, r.SeedMaxOcc = pcfg.K, pcfg.Mask, pcfg.MaxOcc

@@ -26,7 +26,6 @@ const maxBodyBytes = 8 << 20
 //	GET  /metrics      metrics snapshot, JSON or OpenMetrics (when
 //	                   Config.Metrics set)
 //	GET  /trace/{id}   one request trace (when Config.Traces set)
-//	GET  /debug/profiles[/{name}]  continuous-profiler ring
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/analyze", s.handleAnalyze)
@@ -36,12 +35,6 @@ func (s *Server) Handler() http.Handler {
 	// denominator for CPU reconciliation without a second endpoint.
 	obs.Mount(mux, s.cfg.Metrics, s.cfg.Traces, func() {
 		s.cfg.Metrics.Gauge("proc/cpu_ns").Set(attrib.ProcessCPU())
-	})
-	// Continuous-profiler ring (404 when no profiler is configured —
-	// the handlers are nil-safe, so the routes always exist).
-	mux.HandleFunc("GET /debug/profiles", s.cfg.Profiles.HandleList)
-	mux.HandleFunc("GET /debug/profiles/{name}", func(w http.ResponseWriter, r *http.Request) {
-		s.cfg.Profiles.HandleGet(w, r, r.PathValue("name"))
 	})
 	return mux
 }
@@ -84,14 +77,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	timeout := s.cfg.DefaultTimeout
-	if req.TimeoutMS > 0 {
-		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
-	}
-	if timeout > s.cfg.MaxTimeout {
-		timeout = s.cfg.MaxTimeout
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
+	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.deadline(req.TimeoutMS))
 	defer cancel()
 
 	// Tracing: adopt the caller's W3C traceparent when one is present
@@ -123,24 +109,14 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		root:     root.ID(),
 		qspan:    rec.Start(root.ID(), "queue.wait"),
 	}
-	if ok, cause, wait := s.admit(j); !ok {
+	if ok, cause := s.admit(j); !ok {
 		j.qspan.End()
 		root.End()
 		s.recordShed(cause)
-		switch cause {
-		case causeDraining:
+		if cause == causeDraining {
 			w.Header().Set("Retry-After", s.retryAfter(true))
 			writeError(w, http.StatusServiceUnavailable, "server is draining")
-		case causeRateLimit:
-			// The bucket knows exactly when the next token accrues; round
-			// up to whole seconds as Retry-After requires.
-			secs := int((wait + time.Second - 1) / time.Second)
-			if secs < 1 {
-				secs = 1
-			}
-			w.Header().Set("Retry-After", strconv.Itoa(secs))
-			writeError(w, http.StatusTooManyRequests, "rate limit exceeded")
-		default:
+		} else {
 			w.Header().Set("Retry-After", s.retryAfter(false))
 			writeError(w, http.StatusTooManyRequests, "admission queue full")
 		}

@@ -29,7 +29,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"math"
 	"runtime"
 	"runtime/pprof"
 	"sync"
@@ -41,7 +40,6 @@ import (
 	"repro/internal/multialign"
 	"repro/internal/obs"
 	"repro/internal/obs/attrib"
-	"repro/internal/obs/profile"
 	"repro/internal/obs/trace"
 	"repro/internal/stats"
 )
@@ -55,10 +53,9 @@ type Config struct {
 	// QueueDepth bounds the admission queue (0 = 4*Workers).
 	QueueDepth int
 	// DefaultTimeout is the per-request deadline when the request does
-	// not carry one (0 = 30s).
+	// not carry one (0 = 30s). Client-requested deadlines are capped at
+	// the larger of this and minTimeoutCap.
 	DefaultTimeout time.Duration
-	// MaxTimeout caps client-requested deadlines (0 = 2m).
-	MaxTimeout time.Duration
 	// MaxSequenceLen rejects oversized sequences at admission
 	// (0 = 100000 residues; the engine is O(n^3)).
 	MaxSequenceLen int
@@ -70,15 +67,6 @@ type Config struct {
 	// whose sizes span orders of magnitude, so the entry-count bound
 	// alone does not bound memory.
 	CacheBytes int64
-	// RateLimit caps admitted /v1/analyze requests per second with a
-	// token bucket (0 = unlimited). Unlike QueueDepth, which bounds
-	// memory, the rate limit bounds sustained engine load — it gives a
-	// shard a declared capacity a router tier can balance against.
-	// Requests over the limit are shed with 429 + Retry-After.
-	RateLimit float64
-	// RateBurst is the token-bucket burst size (0 = ceil(RateLimit),
-	// minimum 1). Ignored when RateLimit is 0.
-	RateBurst int
 	// Metrics receives serving telemetry under the serve/ and cache/
 	// namespaces; may be nil.
 	Metrics *obs.Registry
@@ -87,10 +75,6 @@ type Config struct {
 	// starts a fresh trace), answers with X-Trace-Id, and GET
 	// /trace/{id} serves the finished trace as a span tree.
 	Traces *trace.Collector
-	// Profiles, when non-nil, is the continuous profiler whose capture
-	// ring is served on GET /debug/profiles. The server does not start
-	// or stop it — lifecycle belongs to the daemon (cmd/reproserve).
-	Profiles *profile.Profiler
 }
 
 func (c Config) withDefaults() Config {
@@ -103,25 +87,32 @@ func (c Config) withDefaults() Config {
 	if c.DefaultTimeout <= 0 {
 		c.DefaultTimeout = 30 * time.Second
 	}
-	if c.MaxTimeout <= 0 {
-		c.MaxTimeout = 2 * time.Minute
-	}
 	if c.MaxSequenceLen == 0 {
 		c.MaxSequenceLen = 100000
 	}
-	if c.RateLimit > 0 && c.RateBurst <= 0 {
-		c.RateBurst = int(math.Ceil(c.RateLimit))
-	}
 	return c
+}
+
+// minTimeoutCap is the least cap on a client-requested deadline.
+const minTimeoutCap = 2 * time.Minute
+
+// deadline is the timeout of a request carrying timeoutMS (0 = the
+// default deadline), capped at max(minTimeoutCap, DefaultTimeout) so a
+// daemon started with a long default deadline keeps it.
+func (c Config) deadline(timeoutMS int) time.Duration {
+	timeout := c.DefaultTimeout
+	if timeoutMS > 0 {
+		timeout = time.Duration(timeoutMS) * time.Millisecond
+	}
+	return min(timeout, max(minTimeoutCap, c.DefaultTimeout))
 }
 
 // Server is the serving layer. Create with New, start the worker pool
 // with Start, expose Handler over HTTP, stop with Drain.
 type Server struct {
-	cfg    Config
-	cache  *cache.Cache
-	queue  chan *job
-	bucket *tokenBucket // nil = no rate limit
+	cfg   Config
+	cache *cache.Cache
+	queue chan *job
 
 	// draining is read lock-free on hot and health paths. The write
 	// side still serialises with admitMu: Drain sets the flag, then
@@ -142,7 +133,6 @@ type Server struct {
 	shedQueueFull *obs.Counter
 	shedDeadline  *obs.Counter
 	shedDraining  *obs.Counter
-	shedRateLimit *obs.Counter
 	queueDepth    *obs.Gauge
 	admissionNS   *obs.Histogram
 	e2eNS         *obs.Histogram
@@ -175,7 +165,6 @@ func New(cfg Config) *Server {
 		shedQueueFull: cfg.Metrics.Counter("serve/shed_queue_full"),
 		shedDeadline:  cfg.Metrics.Counter("serve/shed_deadline"),
 		shedDraining:  cfg.Metrics.Counter("serve/shed_draining"),
-		shedRateLimit: cfg.Metrics.Counter("serve/shed_rate_limit"),
 		queueDepth:    cfg.Metrics.Gauge("serve/queue_depth"),
 		admissionNS:   cfg.Metrics.Histogram("serve/admission_wait_ns"),
 		e2eNS:         cfg.Metrics.Histogram("serve/e2e_ns"),
@@ -201,9 +190,6 @@ func New(cfg Config) *Server {
 	// names without decoding ordinals.
 	cfg.Metrics.Gauge("engine/kernel_tier").Set(int64(multialign.DetectedTier()))
 	cfg.Metrics.Gauge("engine/kernel_tier/" + multialign.DetectedTier().String()).Set(1)
-	if cfg.RateLimit > 0 {
-		s.bucket = newTokenBucket(cfg.RateLimit, cfg.RateBurst, time.Now())
-	}
 	if cfg.CacheEntries >= 0 {
 		s.cache = cache.NewSized(cfg.CacheEntries, cfg.CacheBytes)
 		s.cache.Bind(cfg.Metrics)
@@ -275,7 +261,6 @@ const (
 	causeQueueFull shedCause = iota + 1 // admission queue at capacity (429)
 	causeDeadline                       // deadline expired before a worker picked it up
 	causeDraining                       // server draining, no longer admitting (503)
-	causeRateLimit                      // admission token bucket empty (429)
 )
 
 // recordShed counts a shed request under its cause.
@@ -287,34 +272,23 @@ func (s *Server) recordShed(cause shedCause) {
 		s.shedDeadline.Inc()
 	case causeDraining:
 		s.shedDraining.Inc()
-	case causeRateLimit:
-		s.shedRateLimit.Inc()
 	}
 }
 
-// admit places a job on the queue, or reports the shed cause. For
-// rate-limit sheds, wait is the time until the next token accrues —
-// the Retry-After hint (zero for other causes; the queue-full hint is
-// latency-derived instead, see retryAfter).
-func (s *Server) admit(j *job) (ok bool, cause shedCause, wait time.Duration) {
+// admit places a job on the queue, or reports the shed cause.
+func (s *Server) admit(j *job) (ok bool, cause shedCause) {
 	s.admitMu.RLock()
 	defer s.admitMu.RUnlock()
 	if s.draining.Load() {
-		return false, causeDraining, 0
-	}
-	// The bucket is checked before the queue send so a shed request
-	// never consumes queue capacity; conversely a queue-full shed does
-	// not refund its token — both are deliberate admission spend.
-	if ok, wait := s.bucket.allow(time.Now()); !ok {
-		return false, causeRateLimit, wait
+		return false, causeDraining
 	}
 	select {
 	case s.queue <- j:
 		s.admitted.Inc()
 		s.queueDepth.Add(1)
-		return true, 0, 0
+		return true, 0
 	default:
-		return false, causeQueueFull, 0
+		return false, causeQueueFull
 	}
 }
 
@@ -454,10 +428,11 @@ func (s *Server) runEngine(req *Request, rec *trace.Recorder, parent trace.SpanI
 		opt.ThreadsPerSlave = req.ThreadsPerSlave
 	}
 	t0 := time.Now()
-	// Label the engine run so continuous-profiler captures slice by
-	// request dimension (a flame graph filtered on kernel_tier=int16x16
-	// shows exactly the int16 ladder's CPU). Labels follow every
-	// goroutine the engine spawns.
+	// Label the engine run so a CPU profile taken through the debug
+	// listener (reproserve -debug-addr) slices by request dimension (a
+	// flame graph filtered on kernel_tier=int16x16 shows exactly the
+	// int16 ladder's CPU). Labels follow every goroutine the engine
+	// spawns.
 	preset := req.Preset
 	if preset == "" {
 		preset = "exact"

@@ -17,6 +17,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/obs/trace"
 	"repro/internal/repeats"
+	"repro/internal/seedindex"
 	"repro/internal/seq"
 )
 
@@ -128,6 +129,25 @@ func TestCacheKeyCanonicalisation(t *testing.T) {
 	if got := decode(t, raw).Cache; got != "miss" {
 		t.Errorf("different tops = %q, want miss", got)
 	}
+	// A preset resolves to explicit seed knobs: spelling out its own
+	// default seed_k is the same analysis, another seed_k is not.
+	def, err := seedindex.PresetConfig(seedindex.PresetBalanced, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keyOf := func(seedK int) string {
+		r := Request{Sequence: "ATGCATGCATGC", Params: Params{Matrix: "paper-dna", Preset: seedindex.PresetBalanced, SeedK: seedK}}
+		if err := r.canonicalise(0); err != nil {
+			t.Fatal(err)
+		}
+		return CacheKey(&r)
+	}
+	if keyOf(0) != keyOf(def.K) {
+		t.Errorf("balanced and balanced with its default seed_k %d key differently", def.K)
+	}
+	if keyOf(0) == keyOf(def.K+1) {
+		t.Errorf("seed_k %d shares the default's key", def.K+1)
+	}
 }
 
 // Lanes is an execution knob: strict-mode reports are identical for
@@ -228,6 +248,30 @@ func TestDeadlineExpiredInQueue(t *testing.T) {
 		"shed_deadline counter")
 	if cells := reg.Snapshot().Counters["engine/cells"]; cells != 0 {
 		t.Errorf("engine ran %d cells for an expired job", cells)
+	}
+}
+
+// TestRequestDeadline: a request without timeout_ms gets the daemon's
+// default deadline, even one past two minutes; a client-requested
+// deadline is capped at the larger of two minutes and the default.
+func TestRequestDeadline(t *testing.T) {
+	const min10 = 10 * 60 * 1000
+	cases := []struct {
+		def       time.Duration
+		timeoutMS int
+		want      time.Duration
+	}{
+		{5 * time.Minute, 0, 5 * time.Minute},
+		{5 * time.Minute, 1000, time.Second},
+		{5 * time.Minute, min10, 5 * time.Minute},
+		{0, 0, 30 * time.Second},
+		{0, min10, 2 * time.Minute},
+	}
+	for _, c := range cases {
+		cfg := Config{DefaultTimeout: c.def}.withDefaults()
+		if got := cfg.deadline(c.timeoutMS); got != c.want {
+			t.Errorf("DefaultTimeout %v, timeout_ms %d: deadline %v, want %v", c.def, c.timeoutMS, got, c.want)
+		}
 	}
 }
 
@@ -340,6 +384,9 @@ func TestBadRequests(t *testing.T) {
 		{"too many threads per slave", Request{Sequence: "ATGC", Backend: BackendCluster, ThreadsPerSlave: maxFanout + 1}, http.StatusBadRequest},
 		{"oversized", Request{Sequence: strings.Repeat("A", 65)}, http.StatusBadRequest},
 		{"bad residues", Request{Sequence: "ATGC123", Params: Params{Matrix: "paper-dna"}}, http.StatusUnprocessableEntity},
+		{"unknown preset", Request{Sequence: "ATGC", Params: Params{Preset: "turbo"}}, http.StatusBadRequest},
+		{"seed_k without a preset", Request{Sequence: "ATGC", Params: Params{SeedK: 5}}, http.StatusBadRequest},
+		{"invalid seed_mask", Request{Sequence: "ATGC", Params: Params{Preset: seedindex.PresetBalanced, SeedMask: "0110"}}, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		resp, raw := post(t, ts.URL, tc.req)

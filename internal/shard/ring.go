@@ -34,8 +34,8 @@ import (
 	"sync"
 )
 
-// DefaultVirtualNodes is the per-shard virtual-node count selected by
-// zero configuration. 128 points per shard keeps the expected
+// DefaultVirtualNodes is the per-shard virtual-node count of the
+// router's ring. 128 points per shard keeps the expected
 // keyspace imbalance within a few percent for small fleets while the
 // ring stays tiny (N*128 points, binary-searched).
 const DefaultVirtualNodes = 128

@@ -18,19 +18,19 @@ import (
 // maxBodyBytes mirrors the serve layer's request-body bound.
 const maxBodyBytes = 8 << 20
 
+// hotKeyReplicas is the replica-set size a hot key fans out over.
+const hotKeyReplicas = 2
+
 // Config sizes a Router. Shards is the only required field.
 type Config struct {
 	// Shards are the reproserve base URLs ("http://127.0.0.1:8081").
 	Shards []string
-	// VirtualNodes per shard on the ring (0 = DefaultVirtualNodes).
-	VirtualNodes int
 	// ProbeInterval is the /healthz polling period (0 = 1s).
 	ProbeInterval time.Duration
 	// HotKeyThreshold is the per-key request rate (per second) beyond
-	// which a key fans out to replicas (0 = 64; negative disables).
+	// which a key fans out to hotKeyReplicas shards (0 = 64; negative
+	// disables).
 	HotKeyThreshold int
-	// HotKeyReplicas is the replica-set size for hot keys (0 = 2).
-	HotKeyReplicas int
 	// MaxSequenceLen rejects oversized sequences at the gateway
 	// (0 = the serve default).
 	MaxSequenceLen int
@@ -39,8 +39,6 @@ type Config struct {
 	// Traces, when non-nil, records router.route/router.upstream spans
 	// and enables the merged GET /trace/{id} endpoint.
 	Traces *trace.Collector
-	// Client is the upstream HTTP client (nil = a pooled default).
-	Client *http.Client
 }
 
 // Router is the stateless gateway. Create with New, run the health
@@ -71,19 +69,13 @@ func New(cfg Config) *Router {
 	if cfg.HotKeyThreshold == 0 {
 		cfg.HotKeyThreshold = 64
 	}
-	if cfg.HotKeyReplicas <= 0 {
-		cfg.HotKeyReplicas = 2
-	}
-	client := cfg.Client
-	if client == nil {
-		client = &http.Client{Transport: &http.Transport{
-			MaxIdleConnsPerHost: 64,
-			IdleConnTimeout:     30 * time.Second,
-		}}
-	}
+	client := &http.Client{Transport: &http.Transport{
+		MaxIdleConnsPerHost: 64,
+		IdleConnTimeout:     30 * time.Second,
+	}}
 	rt := &Router{
 		cfg:     cfg,
-		ring:    NewRing(cfg.VirtualNodes),
+		ring:    NewRing(DefaultVirtualNodes),
 		flights: newFlightGroup(),
 		hot:     newHotTracker(cfg.HotKeyThreshold, time.Second),
 		client:  client,
@@ -189,7 +181,7 @@ func (rt *Router) targets(key string, now time.Time) (list []string, hot bool) {
 	replicas := 1
 	var rr uint64
 	if hot, rr = rt.hot.touch(key, now); hot {
-		replicas = rt.cfg.HotKeyReplicas
+		replicas = hotKeyReplicas
 		rt.hotFanout.Inc()
 	}
 	n := rt.ring.Len()

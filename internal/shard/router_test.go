@@ -327,7 +327,6 @@ func TestRouterHotKeyFanout(t *testing.T) {
 	rt, rts := newTestRouter(t, Config{
 		Shards:          []string{a.ts.URL, b.ts.URL},
 		HotKeyThreshold: 4,
-		HotKeyReplicas:  2,
 	})
 
 	body, _ := json.Marshal(analyzeReq("ATGCATGCATGC"))

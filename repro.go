@@ -321,26 +321,10 @@ func analyze(q *seq.Sequence, exch *scoring.Matrix, opt Options) (*Report, error
 		err  error
 	)
 	if opt.Preset != "" {
-		pcfg, err = seedindex.PresetConfig(opt.Preset, seq.PrimaryLetters(exch.Alphabet()))
+		pcfg, err = seedindex.Resolve(opt.Preset, seq.PrimaryLetters(exch.Alphabet()), seedindex.Config{
+			K: opt.SeedK, Mask: opt.SeedMask, MaxOcc: opt.SeedMaxOcc, BandWidth: opt.SeedBand, Pad: opt.SeedPad,
+		})
 		if err != nil {
-			return nil, err
-		}
-		if opt.SeedK > 0 {
-			pcfg.K = opt.SeedK
-		}
-		if opt.SeedMask != "" {
-			pcfg.Mask = opt.SeedMask
-		}
-		if opt.SeedMaxOcc > 0 {
-			pcfg.MaxOcc = opt.SeedMaxOcc
-		}
-		if opt.SeedBand > 0 {
-			pcfg.BandWidth = opt.SeedBand
-		}
-		if opt.SeedPad > 0 {
-			pcfg.Pad = opt.SeedPad
-		}
-		if err := pcfg.Validate(); err != nil {
 			return nil, err
 		}
 	}
