@@ -170,18 +170,24 @@ func TestClusterSlaveDeathRecovers(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			master, healthy, dying := tc.world(t)
+			// The healthy slave starts once the dying one has announced
+			// its slot, so the master's first dispatch can go to the dying
+			// slave: started together, the healthy slave could finish the
+			// run before the dying one was ever sent a job.
+			ready := make(chan struct{})
 			var wg sync.WaitGroup
 			wg.Add(2)
 			go func() {
 				defer wg.Done()
 				defer healthy.Close()
+				<-ready
 				if err := RunSlave(healthy, 1); err != nil && !errors.Is(err, ErrMasterDown) {
 					t.Errorf("healthy slave: %v", err)
 				}
 			}()
 			go func() {
 				defer wg.Done()
-				dieHoldingJob(t, dying)
+				dieHoldingJob(t, dying, ready)
 			}()
 			err := within(t, 10*time.Second, func() error {
 				_, err := RunMaster(master, q.Codes, Config{Top: topCfg(5)})
@@ -206,7 +212,7 @@ func TestClusterAllSlavesDie(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		dieHoldingJob(t, world[1])
+		dieHoldingJob(t, world[1], make(chan struct{}))
 	}()
 	err := within(t, 10*time.Second, func() error {
 		_, err := RunMaster(world[0], q.Codes, Config{Top: topCfg(3)})
@@ -220,15 +226,19 @@ func TestClusterAllSlavesDie(t *testing.T) {
 }
 
 // dieHoldingJob plays a slave that takes the setup, reports ready, and
-// closes its connection as soon as it is sent a job.
-func dieHoldingJob(t *testing.T, c mpi.Comm) {
+// closes its connection as soon as it is sent a job. It closes ready
+// once the ready message is sent, or once it has failed to get a setup.
+func dieHoldingJob(t *testing.T, c mpi.Comm, ready chan<- struct{}) {
 	t.Helper()
 	defer c.Close()
-	if msg, err := c.Recv(); err != nil || msg.Tag != tagSetup {
+	msg, err := c.Recv()
+	if err != nil || msg.Tag != tagSetup {
+		close(ready)
 		t.Errorf("dying slave: expected setup, got %+v (%v)", msg, err)
 		return
 	}
 	c.Send(0, tagReady, nil)
+	close(ready)
 	for {
 		msg, err := c.Recv()
 		if err != nil || msg.Tag == tagStop {

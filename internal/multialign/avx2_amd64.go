@@ -18,26 +18,17 @@ import (
 //go:noescape
 func rowAVX8(prev, cur, maxY, ex *int32, n int, open, ext int32, mx *int32)
 
-// rowAVX16 is the 16-lane saturating int16 analogue of rowAVX8; lanes
-// reaching satLimit16 OR their byte mask into *sat. rowAVX16Fast is the
-// same loop without saturation tracking, for groups Int16Proven cleared.
-//
-//go:noescape
-func rowAVX16(prev, cur, maxY, ex *int16, n int, open, ext int16, mx *int16, sat *uint32)
-
-//go:noescape
-func rowAVX16Fast(prev, cur, maxY, ex *int16, n int, open, ext int16, mx *int16)
-
 // rowAVX16Pair advances TWO matrix rows (y, y+1) in one column sweep
 // over the group columns c0..c0+n-1: row y's cells stay in registers and
 // feed row y+1's diagonal, and row y+1 is written in place over row y-1
-// in buffer a, halving the row traffic that bounds the single-row
-// kernel. Over columns 1..15 both rows' cells pass through the border
-// mask (borderMask16) before anything reads them. Row y is stored into
-// cur too unless cur is nil. d and v are 16-lane carry blocks holding the
+// in buffer a, halving the row traffic that bounds a one-row sweep.
+// Over columns 1..15 both rows' cells pass through the border mask
+// (borderMask16) before anything reads them. Row y is stored into cur
+// too unless cur is nil. d and v are 16-lane carry blocks holding the
 // row y-1 and row y values of the column before the span, carried out as
-// those of its last column so the next span resumes there.
-// rowAVX16PairFast drops saturation tracking.
+// those of its last column so the next span resumes there. Lanes
+// reaching satLimit16 OR their byte mask into *sat; rowAVX16PairFast
+// drops saturation tracking, for groups Int16Proven cleared.
 //
 //go:noescape
 func rowAVX16Pair(a, cur, maxY, exY, exY1 *int16, c0, n int, open, ext int16, mxY, mxY1, d, v *int16, sat *uint32)
@@ -63,14 +54,10 @@ var borderMask16 = func() (t [16][16]int16) {
 // biased byte profile rows, the border masked by borderMask8. It keeps a
 // running maximum of the sweep's cells and ORs into *flag the lanes that
 // reached 255-bias, where a cell clips; rows computed under a nonzero
-// flag are unreliable. rowU8 is its single-row twin for a group's odd
-// last row.
+// flag are unreliable.
 //
 //go:noescape
 func rowU8Pair(a, cur, maxY, exY, exY1 *uint8, c0, n int, open, ext, bias uint8, mxY, mxY1, d, v *uint8, flag *uint32)
-
-//go:noescape
-func rowU8(prev, cur, maxY, ex *uint8, n int, open, ext, bias uint8, mx *uint8, flag *uint32)
 
 // borderMask8 is borderMask16 for the 32 lanes of a byte group.
 var borderMask8 = func() (t [32][32]uint8) {
@@ -83,17 +70,18 @@ var borderMask8 = func() (t [32][32]uint8) {
 }()
 
 // The group drivers compute rows 1..r0+lanes-1 of a group over its n
-// columns. Per row they look up the row's query-profile slice, run the
-// assembly over columns 1..n in one call, zero the overridden columns
-// and capture the bottom row of the lane whose matrix ends there. The
-// assembly knows no mask, and need not: the diagonal and both gap chains
-// read only the row above, already repaired, so the cells it gets wrong
-// in this row are put right before anything reads them (the same
-// post-pass align.zeroMasked is for the row kernels). avx16's two-row
-// sweeps are the one place a row is read before its post-pass, so they
-// stop on each of the first row's overridden columns. The left border —
-// the lanes k >= c of the columns c < lanes — must read zero too: avx8
-// re-zeroes it after each row, avx16's pair kernels mask it as they go.
+// columns, avx8 one row per call, avx16 and u8x32 two rows per sweep.
+// Per row they look up the row's query-profile slice, run the assembly
+// over columns 1..n, zero the overridden columns and capture the bottom
+// row of the lane whose matrix ends there. The assembly knows no mask,
+// and need not: the diagonal and both gap chains read only the row
+// above, already repaired, so the cells it gets wrong in this row are put
+// right before anything reads them (the same post-pass align.zeroMasked
+// is for the row kernels). The two-row sweeps are the one place a row is
+// read before its post-pass, so they stop on each of the first row's
+// overridden columns. The left border — the lanes k >= c of the columns
+// c < lanes — must read zero too: avx8 re-zeroes it after each row, the
+// pair kernels mask it as they go.
 
 // maskHit returns the first overridden global column of row y among the
 // n columns of the group at r0 — column c is the pair (y, r0+c) — or -1
@@ -233,18 +221,28 @@ func (sc *Scratch) avx16(p align.Params, s []byte, r0 int, tri *triangle.Triangl
 
 	open, ext := int16(p.Gap.Open), int16(p.Gap.Ext)
 	yMax := min(r0+15, m-1)
+	if yMax%2 == 1 {
+		fill(grow(&sc.junk16, n+1), int16(min(p.Exch.MinScore(), 0)))
+	}
 	var sat uint32
-	y := 1
-	for ; y < yMax; y += 2 {
+	for y := 1; y <= yMax; y += 2 {
 		// Rows y and y+1 in sweeps from column 1, the border masked in the
 		// kernel. Within a row the cells feed only the row below, so row
 		// y's overrides matter where row y+1 reads them: the sweep stops
 		// on each hit column and the next span starts from a zeroed v
 		// carry. Row y+1's own hits are zeroed after the sweep, like a
 		// single row's. In the capture rows (r0..r0+15) the sweep keeps
-		// row y in cur, its hits zeroed there as the spans end.
+		// row y in cur, its hits zeroed there as the spans end. A group's
+		// odd last row y = yMax pairs with a junk row y+1 of the model's
+		// lowest exchange value (at most 0): each of its cells is at most
+		// its diagonal neighbour in row y or a decayed gap from cells no
+		// larger, so it never exceeds row y's largest cell and can raise
+		// no flag that row y did not. It is neither zeroed nor captured.
 		ex := prof.Row(s[y-1])[r0-1:]
-		ex1 := prof.Row(s[y])[r0-1:]
+		ex1 := sc.junk16
+		if y < yMax {
+			ex1 = prof.Row(s[y])[r0-1:]
+		}
 		mx, mx1, d, v := inf, inf, [16]int16{}, [16]int16{}
 		keep := y >= r0
 		hit := maskHit(tri, y, r0, n)
@@ -278,29 +276,14 @@ func (sc *Scratch) avx16(p align.Params, s []byte, r0 int, tri *triangle.Triangl
 			// the int32 re-run pays for the group only once.
 			return true
 		}
-		zeroMasked(prev, tri, y+1, r0, maskHit(tri, y+1, r0, n))
 		// prev now holds row y+1 (written in place, no swap), cur row y if kept.
 		if keep {
 			capture[int16](bots, cur, y-r0)
 		}
-		capture[int16](bots, prev, y+1-r0)
-	}
-	if y == yMax {
-		// The group's odd last row runs the single-row kernel. Nothing
-		// reads its border cells: no row follows, and its lane's bottom
-		// row starts right of them.
-		ex := prof.Row(s[y-1])[r0-1:]
-		mx := inf
-		if proven {
-			rowAVX16Fast(&prev[0][0], &cur[1][0], &maxY[1][0], &ex[1], n, open, ext, &mx[0])
-		} else {
-			rowAVX16(&prev[0][0], &cur[1][0], &maxY[1][0], &ex[1], n, open, ext, &mx[0], &sat)
+		if y < yMax {
+			zeroMasked(prev, tri, y+1, r0, maskHit(tri, y+1, r0, n))
+			capture[int16](bots, prev, y+1-r0)
 		}
-		if sat != 0 {
-			return true
-		}
-		zeroMasked(cur, tri, y, r0, maskHit(tri, y, r0, n))
-		capture[int16](bots, cur, y-r0)
 	}
 	return false
 }
@@ -329,13 +312,19 @@ func (sc *Scratch) u8x32(p align.Params, s []byte, r0 int, tri *triangle.Triangl
 	bias := prof.ByteBias()
 	open, ext := uint8(min(p.Gap.Open, 255)), uint8(min(p.Gap.Ext, 255))
 	yMax := min(r0+31, m-1)
+	if yMax%2 == 1 {
+		clear(grow(&sc.junk8, n+1)) // avx16's junk row, biased
+	}
 	var flag uint32
-	y := 1
-	for ; y < yMax; y += 2 {
+	for y := 1; y <= yMax; y += 2 {
 		// avx16's row pairs: spans stop on row y's hits, row y+1's are
-		// zeroed after the sweep, capture rows keep row y in cur.
+		// zeroed after the sweep, capture rows keep row y in cur, an odd
+		// last row pairs with the junk row.
 		ex := prof.Row8(s[y-1])[r0-1:]
-		ex1 := prof.Row8(s[y])[r0-1:]
+		ex1 := sc.junk8
+		if y < yMax {
+			ex1 = prof.Row8(s[y])[r0-1:]
+		}
 		var mx, mx1, d, v [32]uint8
 		keep := y >= r0
 		hit := maskHit(tri, y, r0, n)
@@ -360,23 +349,15 @@ func (sc *Scratch) u8x32(p align.Params, s []byte, r0 int, tri *triangle.Triangl
 			c0 = c1 + 1
 		}
 		if flag != 0 {
-			return y + 1
+			return min(y+1, yMax) // the junk row is no row computed
 		}
-		zeroMasked(prev, tri, y+1, r0, maskHit(tri, y+1, r0, n))
 		if keep {
 			capture[uint8](bots, cur, y-r0)
 		}
-		capture[uint8](bots, prev, y+1-r0)
-	}
-	if y == yMax {
-		ex := prof.Row8(s[y-1])[r0-1:]
-		var mx [32]uint8
-		rowU8(&prev[0][0], &cur[1][0], &maxY[1][0], &ex[1], n, open, ext, bias, &mx[0], &flag)
-		if flag != 0 {
-			return y
+		if y < yMax {
+			zeroMasked(prev, tri, y+1, r0, maskHit(tri, y+1, r0, n))
+			capture[uint8](bots, prev, y+1-r0)
 		}
-		zeroMasked(cur, tri, y, r0, maskHit(tri, y, r0, n))
-		capture[uint8](bots, cur, y-r0)
 	}
 	return 0
 }

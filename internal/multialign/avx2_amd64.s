@@ -65,127 +65,13 @@ done:
 	VZEROUPPER
 	RET
 
-// func rowAVX16(prev, cur, maxY, ex *int16, n int, open, ext int16, mx *int16, sat *uint32)
-//
-// One matrix row over n columns of the 16-lane interleaved Gotoh
-// recurrence, 16 saturating int16 lanes per ymm register (same 32-byte
-// column stride as rowAVX8, twice the matrices). The recurrence is the
-// one rowAVX8 computes, in saturating int16 arithmetic:
-//
-//	d    = prev block of column c-1
-//	v    = max(0, adds(max(d, mx, maxY[c]), e))
-//	cur[c]  = v
-//	g    = subs(d, open)
-//	mx      = subs(max(g, mx), ext)
-//	maxY[c] = subs(max(g, maxY[c]), ext)
-//
-// Any v reaching satLimit16 ORs lane bits into the sticky accumulator;
-// its byte mask is OR-merged into *sat on exit, and a nonzero *sat
-// obliges the caller to discard the rows and re-run the group in int32.
-// Unflagged rows are exact: values stay below satLimit16, one exchange
-// add (|e| < Bias) cannot reach 32767, so the saturating ops never clip
-// (the only exception, the negInf16 initials decaying toward -32768,
-// always lose the maxima to real values and cannot surface).
-//
-// The caller guarantees the segment contains no overridden columns.
-// Left-border columns may be included: their gap chains depend only on
-// prev, and the one row the driver gives this kernel, a group's odd last
-// row, is read by no row below and captured right of its border.
-// The column body is macro-expanded at four fixed offsets per iteration
-// (indexed addressing, one pointer bump per quad) because the loop is
-// issue-bound: per-column pointer/counter overhead is a third of the
-// straight-line instruction count.
-#define COL16SAT(off, eoff) \
-	VMOVDQU      off(SI), Y0     \ // d = prev column block
-	VMOVDQU      off(BX), Y1     \ // maxY[c]
-	VPMAXSW      Y1, Y4, Y2      \
-	VPMAXSW      Y0, Y2, Y2      \ // max(d, mx, maxY)
-	VPBROADCASTW eoff(DX), Y3    \ // exchange value e
-	VPADDSW      Y3, Y2, Y2      \ // saturating add
-	VPMAXSW      Y7, Y2, Y2      \ // clamp at zero
-	VMOVDQU      Y2, off(DI)     \ // cur[c] = v
-	VPCMPGTW     Y8, Y2, Y9      \ // v >= satLimit16 per lane
-	VPOR         Y9, Y10, Y10    \
-	VPSUBSW      Y5, Y0, Y0      \ // g = d - open
-	VPMAXSW      Y0, Y4, Y4      \
-	VPSUBSW      Y6, Y4, Y4      \ // mx = max(g, mx) - ext
-	VPMAXSW      Y0, Y1, Y1      \
-	VPSUBSW      Y6, Y1, Y1      \
-	VMOVDQU      Y1, off(BX)     // maxY[c] = max(g, maxY) - ext
-
-TEXT ·rowAVX16(SB), NOSPLIT, $0-64
-	MOVQ prev+0(FP), SI
-	MOVQ cur+8(FP), DI
-	MOVQ maxY+16(FP), BX
-	MOVQ ex+24(FP), DX
-	MOVQ n+32(FP), CX
-	MOVQ mx+48(FP), AX
-	MOVQ sat+56(FP), R11
-	TESTQ CX, CX
-	JZ   done16
-
-	// SSE moves first, as in rowAVX8.
-	MOVWLZX      open+40(FP), R8
-	MOVQ         R8, X5
-	MOVWLZX      ext+42(FP), R9
-	MOVQ         R9, X6
-	MOVL         $0x7CFF7CFF, R10   // satLimit16-1 = 31999 word pair
-	MOVQ         R10, X8
-	VPBROADCASTW X5, Y5             // gap-open penalty in all lanes
-	VPBROADCASTW X6, Y6             // gap-extension penalty in all lanes
-	VPXOR        Y7, Y7, Y7         // zero, for the clamp
-	VPBROADCASTD X8, Y8             // saturation threshold in all lanes
-	VPXOR        Y10, Y10, Y10      // sticky saturation accumulator
-	VMOVDQU      (AX), Y4           // mx carry-in
-
-	MOVQ CX, R8
-	SHRQ $2, R8 // quad count
-	ANDQ $3, CX // tail columns
-	TESTQ R8, R8
-	JZ   tail16
-
-quad16:
-	COL16SAT(0, 0)
-	COL16SAT(32, 2)
-	COL16SAT(64, 4)
-	COL16SAT(96, 6)
-	ADDQ $128, SI
-	ADDQ $128, DI
-	ADDQ $128, BX
-	ADDQ $8, DX
-	DECQ R8
-	JNZ  quad16
-
-	TESTQ CX, CX
-	JZ   exit16
-
-tail16:
-	COL16SAT(0, 0)
-	ADDQ $32, SI
-	ADDQ $32, DI
-	ADDQ $32, BX
-	ADDQ $2, DX
-	DECQ CX
-	JNZ  tail16
-
-exit16:
-	VMOVDQU   Y4, (AX)  // mx carry-out
-	VPMOVMSKB Y10, R8   // byte mask of saturated lanes
-	MOVL      (R11), R9
-	ORL       R8, R9
-	MOVL      R9, (R11) // *sat |= mask
-
-done16:
-	VZEROUPPER
-	RET
-
 // func rowAVX16Pair(a, cur, maxY, exY, exY1 *int16, c0, n int, open, ext int16, mxY, mxY1, d, v *int16, sat *uint32)
 //
 // Two matrix rows (y, y+1) in one column sweep over the group columns
-// c0..c0+n-1, 16 saturating int16 lanes. This is the throughput kernel:
-// the single-row kernels are memory-bound on the prev/cur row traffic
-// once the interleaved rows spill out of L1, and pairing halves it — row
-// y's cells live in registers (Y13 carries v_y(c-1), the diagonal input
+// c0..c0+n-1, 16 saturating int16 lanes (the 32-byte column stride of
+// rowAVX8, twice the matrices). A one-row sweep is memory-bound on the
+// prev/cur row traffic once the interleaved rows spill out of L1, and
+// pairing halves it — row y's cells live in registers (Y13 carries v_y(c-1), the diagonal input
 // of row y+1), while row y+1 is written in place over row y-1 in the
 // same buffer `a` (each column loads the old value before storing, so the
 // y-1 row keeps serving as row y's diagonal input). a, cur, maxY, exY
@@ -221,9 +107,17 @@ done16:
 // y); row y+1's overridden columns are zeroed after the sweep — within a
 // row the cells feed only the row below. Row y is stored into cur only
 // when the caller captures a bottom row from it; otherwise cur is nil
-// and row y never leaves the registers. Saturation of either row's cells
-// accumulates into *sat exactly as in rowAVX16. rowAVX16PairFast drops
-// the saturation tracking.
+// and row y never leaves the registers.
+//
+// Any cell of either row reaching satLimit16 ORs its lane bits into a
+// sticky accumulator, whose byte mask is OR-merged into *sat on exit; a
+// nonzero *sat obliges the caller to discard the rows and re-run the
+// group in int32. Unflagged rows are exact: values stay below
+// satLimit16, one exchange add (|e| < Bias) cannot reach 32767, so the
+// saturating ops never clip (the negInf16 initials decaying toward
+// -32768 always lose the maxima to real values and cannot surface).
+// rowAVX16PairFast drops the saturation tracking, for groups where
+// Int16Proven established that no cell can reach satLimit16.
 //
 // The column body is split into its steps so the masked, storing and
 // plain loops share them:
@@ -543,86 +437,6 @@ donepf:
 	VZEROUPPER
 	RET
 
-// COL16SAT without the saturation compare+accumulate pair.
-#define COL16(off, eoff) \
-	VMOVDQU      off(SI), Y0     \
-	VMOVDQU      off(BX), Y1     \
-	VPMAXSW      Y1, Y4, Y2      \
-	VPMAXSW      Y0, Y2, Y2      \
-	VPBROADCASTW eoff(DX), Y3    \
-	VPADDSW      Y3, Y2, Y2      \
-	VPMAXSW      Y7, Y2, Y2      \
-	VMOVDQU      Y2, off(DI)     \
-	VPSUBSW      Y5, Y0, Y0      \
-	VPMAXSW      Y0, Y4, Y4      \
-	VPSUBSW      Y6, Y4, Y4      \
-	VPMAXSW      Y0, Y1, Y1      \
-	VPSUBSW      Y6, Y1, Y1      \
-	VMOVDQU      Y1, off(BX)
-
-// func rowAVX16Fast(prev, cur, maxY, ex *int16, n int, open, ext int16, mx *int16)
-//
-// rowAVX16 without saturation tracking, for groups where Int16Proven
-// established that no cell can reach satLimit16: the compare+accumulate
-// pair per column is dropped, which is the common case for realistic
-// scoring models (BLOSUM62 proves clean up to ~2900-residue matrices).
-TEXT ·rowAVX16Fast(SB), NOSPLIT, $0-56
-	MOVQ prev+0(FP), SI
-	MOVQ cur+8(FP), DI
-	MOVQ maxY+16(FP), BX
-	MOVQ ex+24(FP), DX
-	MOVQ n+32(FP), CX
-	MOVQ mx+48(FP), AX
-	TESTQ CX, CX
-	JZ   donef
-
-	// SSE moves first, as in rowAVX8.
-	MOVWLZX      open+40(FP), R8
-	MOVQ         R8, X5
-	MOVWLZX      ext+42(FP), R9
-	MOVQ         R9, X6
-	VPBROADCASTW X5, Y5     // gap-open penalty in all lanes
-	VPBROADCASTW X6, Y6     // gap-extension penalty in all lanes
-	VPXOR        Y7, Y7, Y7 // zero, for the clamp
-	VMOVDQU      (AX), Y4   // mx carry-in
-
-	MOVQ CX, R8
-	SHRQ $2, R8 // quad count
-	ANDQ $3, CX // tail columns
-	TESTQ R8, R8
-	JZ   tailf
-
-quadf:
-	COL16(0, 0)
-	COL16(32, 2)
-	COL16(64, 4)
-	COL16(96, 6)
-	ADDQ $128, SI
-	ADDQ $128, DI
-	ADDQ $128, BX
-	ADDQ $8, DX
-	DECQ R8
-	JNZ  quadf
-
-	TESTQ CX, CX
-	JZ   exitf
-
-tailf:
-	COL16(0, 0)
-	ADDQ $32, SI
-	ADDQ $32, DI
-	ADDQ $32, BX
-	ADDQ $2, DX
-	DECQ CX
-	JNZ  tailf
-
-exitf:
-	VMOVDQU Y4, (AX) // mx carry-out
-
-donef:
-	VZEROUPPER
-	RET
-
 // func rowU8Pair(a, cur, maxY, exY, exY1 *uint8, c0, n int, open, ext, bias uint8, mxY, mxY1, d, v *uint8, flag *uint32)
 //
 // rowAVX16Pair on the byte rung: 32 neighbouring matrices per ymm
@@ -842,68 +656,5 @@ exitp8:
 	FLAG8
 
 donep8:
-	VZEROUPPER
-	RET
-
-// func rowU8(prev, cur, maxY, ex *uint8, n int, open, ext, bias uint8, mx *uint8, flag *uint32)
-//
-// One row of the byte group, for a group's odd last row: rowAVX16's
-// single-row sweep over n columns with rowU8Pair's byte ops and flag.
-// Like rowAVX16's, its border cells are left unmasked: no row reads
-// them, and its lane's bottom row starts right of them.
-#define COLU8(off, eoff) \
-	VMOVDQU      off(SI), Y0     \ // d = prev column block
-	VMOVDQU      off(BX), Y1     \ // maxY[c]
-	VPMAXUB      Y1, Y4, Y2      \
-	VPMAXUB      Y0, Y2, Y2      \ // max(d, mx, maxY)
-	VPBROADCASTB eoff(DX), Y3    \ // e + bias
-	VPADDUSB     Y3, Y2, Y2      \
-	VPSUBUSB     Y7, Y2, Y2      \ // v
-	VPMAXUB      Y2, Y10, Y10    \
-	VMOVDQU      Y2, off(DI)     \ // cur[c] = v
-	VPSUBUSB     Y5, Y0, Y0      \ // g = d - open
-	VPMAXUB      Y0, Y4, Y4      \
-	VPSUBUSB     Y6, Y4, Y4      \ // mx = max(g, mx) - ext
-	VPMAXUB      Y0, Y1, Y1      \
-	VPSUBUSB     Y6, Y1, Y1      \
-	VMOVDQU      Y1, off(BX)     // maxY[c] = max(g, maxY) - ext
-
-TEXT ·rowU8(SB), NOSPLIT, $0-64
-	MOVQ prev+0(FP), SI
-	MOVQ cur+8(FP), DI
-	MOVQ maxY+16(FP), BX
-	MOVQ ex+24(FP), DX
-	MOVQ n+32(FP), CX
-	MOVQ mx+48(FP), AX
-	MOVQ flag+56(FP), R11
-	TESTQ CX, CX
-	JZ   doneu8
-
-	// SSE moves first, as in rowAVX8.
-	MOVBLZX      open+40(FP), R8
-	MOVQ         R8, X5
-	MOVBLZX      ext+41(FP), R9
-	MOVQ         R9, X6
-	MOVBLZX      bias+42(FP), R10
-	MOVQ         R10, X7
-	VPBROADCASTB X5, Y5
-	VPBROADCASTB X6, Y6
-	VPBROADCASTB X7, Y7
-	VPXOR        Y10, Y10, Y10
-	VMOVDQU      (AX), Y4 // mx carry-in
-
-rowu8:
-	COLU8(0, 0)
-	ADDQ $32, SI
-	ADDQ $32, DI
-	ADDQ $32, BX
-	INCQ DX
-	DECQ CX
-	JNZ  rowu8
-
-	VMOVDQU Y4, (AX) // mx carry-out
-	FLAG8
-
-doneu8:
 	VZEROUPPER
 	RET

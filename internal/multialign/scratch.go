@@ -23,6 +23,8 @@ type Scratch struct {
 
 	prev16, cur16, maxY16 [][16]int16 // int16 lane rows, one block per column (16-lane AVX2 kernel; its profile is row's)
 	prev8, cur8, maxY8    [][32]uint8 // byte lane rows, one block per column (32-lane AVX2 kernel; its profile is row's)
+	junk16                []int16     // the exchange row paired with a group's odd last row (int16, byte)
+	junk8                 []uint8
 
 	arena []int32   // bottom-row storage
 	heads [][]int32 // lane headers over arena

@@ -18,8 +18,8 @@ const (
 	// TierInt32x8 is the AVX2 row kernel with 8 exact int32 lanes per
 	// vector register (rowAVX8).
 	TierInt32x8 = align.TierInt32x8
-	// TierInt16x16 is the AVX2 row kernel with 16 saturating int16 lanes
-	// per vector register (rowAVX16): twice the cells per instruction,
+	// TierInt16x16 is the AVX2 pair kernel with 16 saturating int16 lanes
+	// per vector register (rowAVX16Pair): twice the cells per instruction,
 	// guarded by a sticky saturation flag and an int32 re-run.
 	TierInt16x16 = align.TierInt16x16
 	// TierU8x32 is the AVX2 byte kernel with 32 saturating unsigned byte
